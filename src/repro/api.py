@@ -142,7 +142,6 @@ def partition_oocore(
     seed: int = 0,
     iterations: int = 16,
     chunk: int = 4096,
-    engine: str = "frontier",
     config: PartitionConfig | None = None,
 ) -> PartitionResult:
     """Partition a (possibly out-of-core) graph with flat semi-external SCLP.
@@ -188,8 +187,7 @@ def partition_oocore(
         shares=False,
         k=k,
         ordering="node",
-        chunk=backend.clamp_chunk(chunk),
-        engine=engine,
+        chunk=chunk,
         tie_seed=seed,
     )
     quality = evaluate_partition_streaming(graph, labels, k)

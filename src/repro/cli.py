@@ -125,13 +125,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         flow_refinement=args.flows,
         cycle_type=args.cycle,
     )
-    lp_overrides = {}
-    if args.lp_engine is not None:
-        lp_overrides["lp_engine"] = args.lp_engine
     if args.lp_chunk is not None:
-        lp_overrides["lp_chunk_size"] = args.lp_chunk
-    if lp_overrides:
-        config = config.with_(**lp_overrides)
+        config = config.with_(lp_chunk_size=args.lp_chunk)
     initial = read_partition(args.initial_partition) if args.initial_partition else None
     if args.trace:
         from .obsv import TRACER
@@ -341,15 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable flow-based refinement in the EA engine")
     p.add_argument("--cycle", choices=("V", "W"), default="V",
                    help="multilevel cycle shape")
-    p.add_argument("--lp-engine", dest="lp_engine", default=None,
-                   choices=("full", "frontier", "adaptive"),
-                   help="label-propagation sweep (default: the config's "
-                        "'adaptive'; the static names pin the engine past "
-                        "REPRO_LP_ENGINE / REPRO_LP_FRONTIER)")
     p.add_argument("--lp-chunk", dest="lp_chunk", type=int, default=None,
-                   help="LP chunk size: 0 = node-at-a-time scan, >= 1 = "
-                        "chunked kernels (default: REPRO_LP_CHUNK, then "
-                        "the kernel default)")
+                   help="label-propagation chunk size, >= 1 (default: the "
+                        "preset's lp_chunk_size, 1024)")
     p.add_argument("--store", choices=("memory", "mmap"), default=None,
                    help="graph storage: 'memory' loads the whole CSR into "
                         "RAM, 'mmap' streams arcs from a sharded on-disk "

@@ -112,6 +112,7 @@ class LocalCoarseningBackend:
             rng=self.rng,
             ordering=self.config.coarsening_ordering,
             constraint=self.constraint,
+            chunk_size=self.config.lp_chunk_size,
         )
 
     def contract(self, labels: np.ndarray) -> HierarchyLevel:

@@ -78,21 +78,10 @@ class PartitionConfig:
     #: wall-clock watchdog for one parallel run, in seconds (``None``
     #: defers to ``REPRO_SPMD_TIMEOUT``, then 60 s; <= 0 disables)
     spmd_timeout: float | None = None
-    #: label-propagation engine selector: 0 = node-at-a-time scan, >= 1 =
-    #: chunked kernels with that chunk size (1 is bit-identical to the
-    #: scan); ``None`` defers to ``REPRO_LP_CHUNK``, then the kernel
-    #: default (see repro.engine.kernels)
-    lp_chunk_size: int | None = None
-    #: sweep selector for the chunked LP kernels: ``'full'`` rescans every
-    #: node each iteration, ``'frontier'`` only the active set (label-
-    #: identical per iteration, faster once labels converge), and the
-    #: default ``'adaptive'`` switches between the two at runtime from
-    #: the observed active fraction (see repro.engine.autotune).  The
-    #: static names pin the engine; ``'adaptive'`` (and ``None``) stay
-    #: overridable through ``REPRO_LP_ENGINE`` / the legacy
-    #: ``REPRO_LP_FRONTIER`` — see repro.engine.kernels.resolve_engine
-    #: for the one documented precedence order.
-    lp_engine: str | None = "adaptive"
+    #: label-propagation chunk size: nodes evaluated against one snapshot
+    #: before labels and weights are committed (1 = node-at-a-time; see
+    #: repro.engine.kernels).  The one LP knob, for both pipelines.
+    lp_chunk_size: int = 1024
     name: str = "fast"
 
     def __post_init__(self) -> None:
@@ -102,10 +91,8 @@ class PartitionConfig:
             raise ValueError("epsilon must be >= 0")
         if self.num_vcycles < 1:
             raise ValueError("need at least one V-cycle")
-        if self.lp_engine not in (None, "full", "frontier", "adaptive"):
-            raise ValueError(
-                "lp_engine must be None, 'full', 'frontier' or 'adaptive'"
-            )
+        if self.lp_chunk_size < 1:
+            raise ValueError("lp_chunk_size must be >= 1")
 
     def cluster_factor(self, vcycle: int, social: bool, rng: np.random.Generator) -> float:
         """The size-constraint factor f for a given V-cycle and graph class."""

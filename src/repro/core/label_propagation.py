@@ -19,28 +19,24 @@ Shared semantics, exactly as the paper specifies:
   strongest connection ``omega({(v, u) : u in N(v) ∩ V_l})``; a block is
   eligible if adding ``c(v)`` keeps it within the bound; staying put is
   always allowed (unless evicting);
-* ties are broken uniformly at random;
+* ties are broken by a stateless per-``(node, label)`` hash — random
+  for the purposes of quality, but a pure function of the seed, so a
+  node's decision does not depend on which other nodes were visited;
 * iteration stops after ``iterations`` rounds or when a round moves no
   node;
 * the optional V-cycle ``constraint`` partition restricts moves so each
   cluster stays inside one block of the constraint (cut edges of the
   input partition are then never contracted — Section IV-D).
 
-The iteration loop itself lives in :func:`repro.engine.sclp.run_sclp`,
+The phase loop itself lives in :func:`repro.engine.sclp.run_sclp`,
 shared with the distributed pipeline; this module binds it to the
 :class:`~repro.engine.backend.LocalBackend` (where every communication
 hook is the p = 1 identity) and keeps the public sequential API.
-
-Two engines implement the scan, selected by ``chunk_size`` (see
-:mod:`repro.engine.kernels`): the legacy node-at-a-time loop over plain
-Python lists (``chunk_size=0``), and the vectorised chunked kernels,
-which evaluate ``chunk_size`` nodes against a chunk-start snapshot and
-commit eligible moves between chunks (``chunk_size=1`` is bit-identical
-to the scan; larger chunks trade phase-internal staleness for
-throughput).  Chunking here is opt-in — with no explicit ``chunk_size``
-and no ``REPRO_LP_CHUNK`` the scan engine runs, keeping seeded
-sequential quality baselines intact; the distributed wrapper in
-:mod:`repro.dist.dist_lp` defaults to chunked.
+A phase evaluates ``chunk_size`` nodes at a time against a chunk-start
+snapshot and commits eligible moves between chunks (``chunk_size=1`` is
+the node-at-a-time algorithm; larger chunks trade phase-internal
+staleness for throughput), and the engine's controller decides per
+iteration whether to rescan every node or only the active frontier.
 """
 
 from __future__ import annotations
@@ -48,14 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.backend import LocalBackend
-from ..engine.kernels import (
-    ADAPTIVE_ENGINE,
-    FRONTIER_ENGINE,
-    FULL_ENGINE,
-    SCAN_ENGINE,
-    resolve_chunk_size,
-    resolve_engine,
-)
+from ..engine.kernels import DEFAULT_CHUNK_SIZE
 from ..engine.sclp import run_sclp
 from ..graph.csr import Graph
 
@@ -116,8 +105,9 @@ def size_constrained_label_propagation(
     ordering: str = "degree",
     refine: bool = False,
     constraint: np.ndarray | None = None,
-    chunk_size: int | None = None,
-    engine: str | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    pin_sweep: str | None = None,
+    band: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the size-constrained label-propagation engine.
 
@@ -134,20 +124,16 @@ def size_constrained_label_propagation(
         Optional partition; moves are restricted to neighbours in the
         same constraint block (V-cycle rule).
     chunk_size:
-        Engine selector: ``0`` = node-at-a-time scan, ``>= 1`` = chunked
-        kernels (``1`` is bit-identical to the scan); ``None`` defers to
-        ``REPRO_LP_CHUNK`` and the built-in default.
-    engine:
-        Sweep selector for the chunked kernels: ``'full'`` rescans every
-        node each iteration, ``'frontier'`` only the active set (label-
-        identical, faster once labels converge), and the default
-        ``'adaptive'`` switches between them at runtime
-        (:mod:`repro.engine.autotune`); ``None`` defers to
-        ``REPRO_LP_ENGINE`` then the legacy ``REPRO_LP_FRONTIER`` at
-        ``chunk_size > 1`` (default ``adaptive``) and always picks
-        ``full`` at the bit-exact ``chunk_size == 1`` — the environment
-        cannot silently change bit-exact results, only an explicit
-        static ``engine=`` can.  Ignored by the scan engine.
+        Nodes evaluated per chunk (>= 1); ``1`` is the node-at-a-time
+        algorithm.
+    pin_sweep:
+        ``'full'`` or ``'frontier'`` holds that sweep at exactly
+        ``chunk_size`` instead of letting the controller choose — the
+        reference the identity tests and the kernel bench compare
+        against (see :func:`repro.engine.sclp.run_sclp`).
+    band:
+        Optional node set; only these nodes are visited (see
+        :func:`label_propagation_refinement`).
 
     Returns
     -------
@@ -163,20 +149,6 @@ def size_constrained_label_propagation(
     if n == 0:
         return labels.copy()
 
-    chunk = resolve_chunk_size(chunk_size, default=SCAN_ENGINE)
-    if chunk != 0:
-        resolved_engine = resolve_engine(
-            engine,
-            default=ADAPTIVE_ENGINE if chunk > 1 else FULL_ENGINE,
-            chunk=chunk,
-        )
-    elif engine == FRONTIER_ENGINE:
-        raise ValueError(
-            "the frontier engine requires the chunked kernels "
-            "(chunk_size >= 1); chunk_size=0 selects the scan engine"
-        )
-    else:
-        resolved_engine = FULL_ENGINE
     return run_sclp(
         LocalBackend(graph, rng),
         labels,
@@ -185,9 +157,10 @@ def size_constrained_label_propagation(
         refine=refine,
         ordering=ordering,
         constraint=constraint,
-        chunk=chunk,
-        engine=resolved_engine,
+        chunk=chunk_size,
+        pin_sweep=pin_sweep,
         tie_seed=int(rng.integers(0, 2**63 - 1)),
+        band=band,
     )
 
 
@@ -198,8 +171,8 @@ def label_propagation_clustering(
     rng: np.random.Generator,
     ordering: str = "degree",
     constraint: np.ndarray | None = None,
-    chunk_size: int | None = None,
-    engine: str | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    pin_sweep: str | None = None,
 ) -> np.ndarray:
     """Compute a size-constrained clustering (coarsening use, Section III-A).
 
@@ -217,7 +190,7 @@ def label_propagation_clustering(
         refine=False,
         constraint=constraint,
         chunk_size=chunk_size,
-        engine=engine,
+        pin_sweep=pin_sweep,
     )
 
 
@@ -229,49 +202,36 @@ def label_propagation_refinement(
     rng: np.random.Generator,
     constraint: np.ndarray | None = None,
     band_distance: int | None = None,
-    chunk_size: int | None = None,
-    engine: str | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    pin_sweep: str | None = None,
 ) -> np.ndarray:
     """Improve a partition with label propagation (refinement use).
 
     Uses random node order (the paper's choice during uncoarsening) and
     the hard bound ``W = Lmax``; nodes of overloaded blocks are evicted to
     their strongest eligible other block.  ``band_distance`` optionally
-    restricts the scan to nodes within that many hops of the boundary
-    (PT-Scotch-style band refinement — faster, near-identical quality;
-    see the band-refinement ablation bench).  Band mode always uses the
-    node-at-a-time engine; ``chunk_size`` applies to the full scan.
+    restricts the visit order to the nodes within that many hops of the
+    boundary (PT-Scotch-style band refinement — faster, near-identical
+    quality; see the band-refinement ablation bench): block weights stay
+    exact and global, and nodes outside the band contribute weights and
+    connections yet never move.
     """
     partition = np.asarray(partition, dtype=np.int64)
-    if band_distance is None:
-        return size_constrained_label_propagation(
-            graph,
-            max_block_weight=max_block_weight,
-            iterations=iterations,
-            rng=rng,
-            labels=partition,
-            ordering="random",
-            refine=True,
-            constraint=constraint,
-            chunk_size=chunk_size,
-            engine=engine,
-        )
-    # Band mode: same engine and exact global block weights, but only the
-    # band nodes are visited — non-band nodes contribute to weights and
-    # connections yet never move.
-    band = band_nodes(graph, partition, band_distance)
-    if band.size == 0:
-        return partition.copy()
-    return run_sclp(
-        LocalBackend(graph, rng),
-        partition,
-        int(max_block_weight),
-        iterations,
-        refine=True,
+    band = None
+    if band_distance is not None:
+        band = band_nodes(graph, partition, band_distance)
+        if band.size == 0:
+            return partition.copy()
+    return size_constrained_label_propagation(
+        graph,
+        max_block_weight=max_block_weight,
+        iterations=iterations,
+        rng=rng,
+        labels=partition,
         ordering="random",
+        refine=True,
         constraint=constraint,
-        chunk=SCAN_ENGINE,
-        engine=FULL_ENGINE,
-        tie_seed=int(rng.integers(0, 2**63 - 1)),
+        chunk_size=chunk_size,
+        pin_sweep=pin_sweep,
         band=band,
     )

@@ -127,6 +127,7 @@ class LocalVcycleBackend(LocalCoarseningBackend):
             self.lmax,
             self.config.refinement_iterations,
             self.rng,
+            chunk_size=self.config.lp_chunk_size,
         )
 
     def initial_cut_fields(
@@ -153,6 +154,7 @@ class LocalVcycleBackend(LocalCoarseningBackend):
             self.lmax,
             self.config.refinement_iterations,
             self.rng,
+            chunk_size=self.config.lp_chunk_size,
         )
 
     def level_cut(self, level: HierarchyLevel, partition: np.ndarray) -> int:

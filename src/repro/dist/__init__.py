@@ -11,20 +11,17 @@ from .comm import (
 from .dgraph import DistGraph, balanced_vtxdist
 from .proc_comm import ProcComm
 from .runtime import SpmdDeadlockError, SpmdResult, run_spmd, run_spmd_processes
-from .shm import SharedCSR, attach_graph
 
 __all__ = [
     "CollectiveMismatchError",
     "CommStats",
     "DistGraph",
     "ProcComm",
-    "SharedCSR",
     "SharedStateMutationError",
     "SimComm",
     "SpmdDeadlockError",
     "SpmdResult",
     "World",
-    "attach_graph",
     "balanced_vtxdist",
     "payload_bytes",
     "run_spmd",

@@ -28,29 +28,24 @@ Block-weight bookkeeping follows the paper's two regimes:
 Degree-based node ordering is parallelised exactly as in the paper: each
 PE orders its *local* nodes by local degree; refinement uses random order.
 
-Two engines drive the per-PE scan (selected by ``chunk_size``, see
-:mod:`repro.engine.kernels`): the legacy node-at-a-time Python scan
-(``chunk_size=0``), and the vectorised chunked kernels, which evaluate a
-chunk of nodes against a chunk-start snapshot of labels and weights and
-apply the bookkeeping between chunks.  ``chunk_size=1`` is bit-identical
-to the scan; larger chunks add phase-internal staleness of the same kind
-the ghost scheme already tolerates across PEs.
+The per-PE scan evaluates ``chunk_size`` nodes at a time against a
+chunk-start snapshot of labels and weights and applies the bookkeeping
+between chunks (:mod:`repro.engine.kernels`); ``chunk_size=1`` is the
+node-at-a-time algorithm, and larger chunks add phase-internal staleness
+of the same kind the ghost scheme already tolerates across PEs.
 
-Orthogonally, the chunked kernels run one of three *sweeps* per phase
-(``engine``, see :func:`repro.engine.kernels.resolve_engine`): the
-``full`` sweep scans every local node every phase, the ``frontier``
-engine rescans only the active set — last phase's movers and their
-local neighbours, local neighbours of ghosts whose labels changed in
-the exchange, nodes flagged *risky* or capped at their last scan, and
-(refine mode) members of over-budget blocks — and the default
-``adaptive`` engine starts in the full sweep and switches to frontier
-dispatch once the observed active fraction collapses (an allreduced,
-hence rank-uniform, decision; see :mod:`repro.engine.autotune`).  With
-the hash tie-break all of these are label-identical per iteration
-(test-enforced); they only differ in throughput, because converged
-regions drop out of the scan.  ``comm.work`` is charged for the arcs
-actually scanned, so the frontier sweeps' simulated times drop
-alongside wall-clock.
+Each phase runs one of two *sweeps*: the full sweep scans every local
+node, the frontier sweep only the active set — last phase's movers and
+their local neighbours, local neighbours of ghosts whose labels changed
+in the exchange, nodes flagged *risky* or capped at their last scan, and
+(refine mode) members of over-budget blocks.  The engine's controller
+starts in the full sweep and switches to the frontier once the observed
+active fraction collapses (an allreduced, hence rank-uniform, decision;
+see :mod:`repro.engine.autotune`).  With the hash tie-break the sweeps
+are label-identical per iteration (test-enforced); they only differ in
+throughput, because converged regions drop out of the scan.
+``comm.work`` is charged for the arcs actually scanned, so the frontier
+sweeps' simulated times drop alongside wall-clock.
 
 The phase-boundary interface exchange is a *delta* exchange by default:
 each PE ships ``(interface position: int32, new label: int64)`` pairs
@@ -65,14 +60,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.kernels import (
-    ADAPTIVE_ENGINE,
-    FRONTIER_ENGINE,
-    FULL_ENGINE,
-    resolve_chunk_size,
-    resolve_engine,
-)
-from ..engine.backend import SpmdBackend, exchange_interface_labels, make_dist_backend
+from ..engine.backend import exchange_interface_labels, make_dist_backend
+from ..engine.kernels import DEFAULT_CHUNK_SIZE
 from ..engine.sclp import run_sclp
 from .comm import SimComm
 from .dgraph import DistGraph
@@ -114,47 +103,28 @@ def parallel_label_propagation(
     mode: str = "cluster",
     k: int | None = None,
     constraint: np.ndarray | None = None,
-    chunk_size: int | None = None,
-    engine: str | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    pin_sweep: str | None = None,
     delta_exchange: bool = True,
 ) -> np.ndarray:
     """Run parallel SCLP; returns the updated length-``n_total`` label array.
 
     Collective over ``comm``.  ``labels`` must contain consistent ghost
     entries on entry (e.g. global node ids for clustering, or a projected
-    partition refreshed by a halo exchange).  ``chunk_size`` selects the
-    scan engine (0), the bit-identical chunked kernels (1), or throughput
-    chunking (>1); ``None`` defers to ``REPRO_LP_CHUNK`` and the default.
-    ``engine`` selects the sweep for the chunked kernels — ``full``,
-    the ``frontier`` active-set engine, or the default ``adaptive``
-    engine that switches between the two at runtime (``None`` defers to
-    ``REPRO_LP_ENGINE`` then the legacy ``REPRO_LP_FRONTIER`` for
-    throughput chunking; the bit-exact ``chunk_size <= 1`` modes always
-    run ``full`` unless an explicit static ``engine=`` says otherwise —
-    the environment cannot silently change bit-exact results; see
-    :func:`repro.engine.kernels.resolve_engine` for the one documented
-    precedence order).  ``delta_exchange`` selects the sparse
-    interface exchange (the default) over the dense per-destination
-    payloads.
+    partition refreshed by a halo exchange).  ``chunk_size`` is the
+    number of nodes evaluated per chunk (>= 1).  ``pin_sweep``
+    (``'full'`` / ``'frontier'``) holds that sweep at exactly
+    ``chunk_size`` instead of letting the controller choose — a
+    reference for the identity tests and the kernel bench (see
+    :func:`repro.engine.sclp.run_sclp`).  ``delta_exchange`` selects the
+    sparse interface exchange (the default) over the dense
+    per-destination payloads.
     """
     if mode not in ("cluster", "refine"):
         raise ValueError(f"unknown mode {mode!r}")
     refine = mode == "refine"
     if refine and k is None:
         raise ValueError("refinement mode requires k")
-    chunk = resolve_chunk_size(chunk_size)
-    resolved_engine = resolve_engine(
-        engine,
-        default=ADAPTIVE_ENGINE if chunk > 1 else FULL_ENGINE,
-        chunk=chunk,
-    )
-    if chunk == 0 and resolved_engine == FRONTIER_ENGINE:
-        if engine is not None:
-            raise ValueError(
-                "the frontier engine requires the chunked kernels "
-                "(chunk_size >= 1); chunk_size=0 selects the scan engine"
-            )
-        resolved_engine = FULL_ENGINE
     return run_sclp(
         make_dist_backend(dgraph, comm),
         labels,
@@ -165,8 +135,8 @@ def parallel_label_propagation(
         k=None if k is None else int(k),
         ordering="random" if refine else "degree",
         constraint=constraint,
-        chunk=chunk,
-        engine=resolved_engine,
+        chunk=chunk_size,
+        pin_sweep=pin_sweep,
         tie_seed=int(comm.rng.integers(0, 2**63 - 1)),
         delta=delta_exchange,
     )

@@ -182,7 +182,6 @@ class SpmdVcycleBackend:
             mode="cluster",
             constraint=self.constraint,
             chunk_size=self.config.lp_chunk_size,
-            engine=self.config.lp_engine,
         )
 
     def contract(self, labels: np.ndarray):
@@ -312,7 +311,6 @@ class SpmdVcycleBackend:
             mode="refine",
             k=self.config.k,
             chunk_size=self.config.lp_chunk_size,
-            engine=self.config.lp_engine,
         )
 
     def level_cut(self, level, partition: np.ndarray) -> int:

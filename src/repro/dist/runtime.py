@@ -29,12 +29,13 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..graph.csr import Graph
+from ..graph.store import SharedCSRHandle, SharedMemoryStore
 from ..obsv.tracer import TRACER
 from ..perf.machine import Machine
 from ..perf.rss import memory_sample
 from .comm import CommStats, World
 from .proc_comm import ProcComm, ProcWorld, _Aborted, make_proc_world
-from .shm import SharedCSR, SharedCSRHandle, attach_graph
 
 __all__ = [
     "SpmdResult",
@@ -271,13 +272,14 @@ def _proc_worker(spec: _WorkerSpec) -> None:
     status = "ok"
     result: Any = None
     comm: ProcComm | None = None
-    segments: list = []
+    store: SharedMemoryStore | None = None
     try:
         program = pickle.loads(spec.program)
         args, kwargs = pickle.loads(spec.payload)
         if spec.graph_handle is not None:
-            graph, segments = attach_graph(spec.graph_handle)
-            args = (graph, *args)
+            # Read-only zero-copy views; the segments belong to the parent.
+            store = SharedMemoryStore.attach(spec.graph_handle)
+            args = (Graph.from_store(store), *args)
         comm = ProcComm(spec.world, spec.rank)
         result = program(comm, *args, **kwargs)
     except _Aborted:
@@ -312,7 +314,7 @@ def _proc_worker(spec: _WorkerSpec) -> None:
         # (On the clean path the feeder must flush — a sibling may still
         # be waiting on the final collective's answer.)
         spec.world.cancel_feeders()
-    del segments  # keep the shm views alive until the program returned
+    del store  # keep the shm views alive until the program returned
 
 
 def run_spmd_processes(
@@ -362,7 +364,7 @@ def run_spmd_processes(
         return SpmdResult([result], comm.sim_time,
                           np.array([comm.sim_time]), [comm.stats])
 
-    shared = SharedCSR(graph) if graph is not None else None
+    shared = SharedMemoryStore.create(graph) if graph is not None else None
     result_queue = ctx.Queue()
     prog_bytes = pickle.dumps(program)
     payload = pickle.dumps((args, kwargs))

@@ -1,6 +1,6 @@
 """Backend-abstracted partition engine.
 
-One SCLP iteration driver (:func:`~repro.engine.sclp.run_sclp`) and one
+One SCLP phase loop (:func:`~repro.engine.sclp.run_sclp`) and one
 multilevel V-cycle driver (:func:`~repro.engine.vcycle.run_vcycle`),
 parameterized by the :class:`~repro.engine.backend.ExecutionBackend`
 protocol; :class:`~repro.engine.backend.LocalBackend` binds them to the
@@ -13,7 +13,7 @@ points in :mod:`repro.core` and :mod:`repro.dist` are thin wrappers
 over these.
 """
 
-from .autotune import AutotuneController, PhaseDecision, resolve_cost_source
+from .autotune import AutotuneController, PhaseDecision
 from .backend import (
     BACKENDS,
     ExecutionBackend,
@@ -24,15 +24,14 @@ from .backend import (
     make_dist_backend,
     resolve_backend,
 )
-from .kernels import ADAPTIVE_ENGINE, ENGINES, IterationWorkspace, resolve_engine
+from .kernels import DEFAULT_CHUNK_SIZE, IterationWorkspace
 from .sclp import run_sclp
 from .vcycle import VcycleBackend, VcycleResult, run_coarsening, run_vcycle
 
 __all__ = [
-    "ADAPTIVE_ENGINE",
     "AutotuneController",
     "BACKENDS",
-    "ENGINES",
+    "DEFAULT_CHUNK_SIZE",
     "ExecutionBackend",
     "IterationWorkspace",
     "LocalBackend",
@@ -42,8 +41,6 @@ __all__ = [
     "exchange_interface_labels",
     "make_dist_backend",
     "resolve_backend",
-    "resolve_cost_source",
-    "resolve_engine",
     "run_sclp",
     "run_vcycle",
     "run_coarsening",

@@ -1,13 +1,11 @@
-"""Adaptive SCLP engine controller: sweep switching and chunk tuning.
+"""SCLP dispatch controller: sweep switching and chunk tuning.
 
-ROADMAP's "adaptive engine auto-tuning" item, and the reason engine
-choice can disappear as a user-facing knob: the static ``full`` and
-``frontier`` engines are regime-specific (``BENCH_lp.json``: frontier
-is ~0.8x at three iterations where every node is active, ~1.3x once the
+The reason sweep choice is not a user-facing knob: a pinned ``full`` or
+``frontier`` sweep is regime-specific (``BENCH_lp.json``: frontier is
+~0.8x at three iterations where every node is active, ~1.3x once the
 active set has collapsed), while the papers (arXiv:1404.4797,
 arXiv:1402.3281) assume the active set shrinks geometrically.  The
-adaptive engine *observes* that shrinkage and re-dispatches each
-iteration.
+controller *observes* that shrinkage and re-dispatches each iteration.
 
 The controller in this module is deliberately pure decision logic — it
 never communicates, never reads rank-local state, and never consults a
@@ -27,7 +25,7 @@ Two decisions are made per iteration:
 * **Sweep mode** — ``full`` scans every node; ``frontier`` filters to
   the active set.  Entry (full -> frontier) triggers when the
   *upper-bound* estimate of the next active fraction drops below
-  :data:`~repro.engine.kernels.FRONTIER_FULL_SWEEP_FRACTION`; exit
+  :data:`ENTRY_FRACTION`; exit
   (frontier -> full) when the *exact* active fraction rises to
   :data:`EXIT_FRACTION`.  The gap between the two thresholds is the
   hysteresis band that keeps the mode from flapping on noisy
@@ -38,14 +36,11 @@ Two decisions are made per iteration:
 * **Chunk size** — the first :data:`len(CHUNK_PROBE_STEPS) <CHUNK_PROBE_STEPS>`
   iterations probe multiplicatively larger power-of-two chunk requests
   (x1, x2, x4 of the resolved base), then lock in the cheapest probe
-  for the rest of the run.  The default cost is a deterministic *work
-  model* — per-arc cost with a fixed per-chunk dispatch overhead and a
-  penalty per inflow-cancelled move — scored against the requested
-  chunk and the global scan universe, both p-invariant quantities, so
-  the locked chunk does not depend on rank count or wall noise.
-  ``REPRO_LP_AUTOTUNE_COST=wall`` opts into measured wall seconds per
-  arc instead (honest about the host, but not reproducible across
-  machines; the default work model is).
+  for the rest of the run.  The cost is a deterministic *work model* —
+  per-arc cost with a fixed per-chunk dispatch overhead and a penalty
+  per inflow-cancelled move — scored against the requested chunk and
+  the global scan universe, both p-invariant quantities, so the locked
+  chunk does not depend on rank count or wall noise.
 
 Every decision is surfaced as ``lp.autotune`` span attributes by the
 driver so ``repro analyze`` can reconstruct the trajectory.
@@ -54,10 +49,7 @@ driver so ``repro analyze`` can reconstruct the trajectory.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-
-from .kernels import FRONTIER_FULL_SWEEP_FRACTION
 
 __all__ = [
     "AutotuneController",
@@ -77,17 +69,16 @@ __all__ = [
     "S_CHUNKS",
     "S_CANCELLED",
     "S_SCANNED",
-    "S_WALL",
-    "COST_SOURCES",
-    "resolve_cost_source",
 ]
 
 #: sweep-mode names as recorded in decision traces and span attrs
 SWEEP_FULL = "full"
 SWEEP_FRONTIER = "frontier"
 
-#: full -> frontier when the upper-bound active fraction drops below this
-ENTRY_FRACTION = FRONTIER_FULL_SWEEP_FRACTION
+#: full -> frontier when the upper-bound active fraction drops below
+#: this: a filtered sweep re-gathers only the active nodes' arcs, which
+#: roughly doubles the per-arc cost, so it only pays below ~half activity
+ENTRY_FRACTION = 0.5
 #: frontier -> full when the exact active fraction rises back to this;
 #: the [ENTRY_FRACTION, EXIT_FRACTION) gap is the hysteresis band
 EXIT_FRACTION = 0.625
@@ -109,37 +100,7 @@ S_ARCS = 3  #: arcs actually scanned
 S_CHUNKS = 4  #: chunk windows dispatched
 S_CANCELLED = 5  #: moves cancelled by the inflow cap
 S_SCANNED = 6  #: nodes actually scanned
-S_WALL = 7  #: wall seconds spent in the phase (summed over ranks)
-STATS_LEN = 8
-
-#: recognised chunk-cost sources (``REPRO_LP_AUTOTUNE_COST``)
-COST_SOURCES = ("work", "wall")
-
-
-def resolve_cost_source(explicit: str | None = None) -> str:
-    """Resolve the chunk-tuning cost source.
-
-    ``explicit`` wins when given; otherwise ``REPRO_LP_AUTOTUNE_COST``
-    is consulted, falling back to the deterministic ``work`` model.
-    Unknown values raise — a typo must not silently change how the
-    engine tunes itself.
-    """
-    if explicit is not None:
-        if explicit not in COST_SOURCES:
-            raise ValueError(
-                f"autotune cost source must be one of {COST_SOURCES}, "
-                f"got {explicit!r}"
-            )
-        return explicit
-    raw = os.environ.get("REPRO_LP_AUTOTUNE_COST", "").strip().lower()
-    if not raw:
-        return COST_SOURCES[0]
-    if raw not in COST_SOURCES:
-        raise ValueError(
-            f"REPRO_LP_AUTOTUNE_COST must be one of {COST_SOURCES}, "
-            f"got {raw!r}"
-        )
-    return raw
+STATS_LEN = 7
 
 
 @dataclass(frozen=True)
@@ -155,7 +116,7 @@ class PhaseDecision:
 
 
 class AutotuneController:
-    """Per-level decision state for the adaptive SCLP engine.
+    """Per-level dispatch state of one SCLP call.
 
     One controller per :func:`~repro.engine.sclp.run_sclp` call.  The
     driver alternates ``decide()`` (before the phase) and ``observe()``
@@ -171,18 +132,16 @@ class AutotuneController:
         *,
         entry_fraction: float = ENTRY_FRACTION,
         exit_fraction: float = EXIT_FRACTION,
-        cost_source: str | None = None,
     ):
         if exit_fraction < entry_fraction:
             raise ValueError(
                 "hysteresis requires exit_fraction >= entry_fraction, got "
                 f"{exit_fraction} < {entry_fraction}"
             )
-        base = max(2, int(chunk))
+        base = int(chunk)
         self.candidates = tuple(base * step for step in CHUNK_PROBE_STEPS)
         self.entry_fraction = float(entry_fraction)
         self.exit_fraction = float(exit_fraction)
-        self.cost_source = resolve_cost_source(cost_source)
         self._sweep = SWEEP_FULL
         self._locked_chunk: int | None = None
         self._active_frac = 1.0  # nothing observed yet: everything active
@@ -231,7 +190,7 @@ class AutotuneController:
         self._pending = None
         universe = max(1.0, float(stats[S_UNIVERSE]))
         if self._locked_chunk is None:
-            self._costs.append((self._cost(decision.chunk, stats), decision.chunk))
+            self._costs.append((_work_cost(decision.chunk, stats), decision.chunk))
             if len(self._costs) >= len(self.candidates):
                 # Cheapest probe wins; ties go to the smallest chunk
                 # (least phase-internal staleness for the same cost).
@@ -247,22 +206,20 @@ class AutotuneController:
         self._active_frac = min(1.0, frac)
         self._iteration += 1
 
-    def _cost(self, chunk: int, stats) -> float:
-        """Score one probe.  Smaller is better.
 
-        The work model charges every arc once, every *modelled* chunk
-        dispatch (``ceil(universe / requested)`` — the requested chunk
-        against the global universe, deliberately not the per-rank
-        effective windows, so the score is p-invariant) a fixed
-        overhead, and every inflow-cancelled move a staleness penalty;
-        the sum is normalised per scanned arc.  The ``wall`` source
-        replaces all of that with measured seconds per arc.
-        """
-        arcs = max(1.0, float(stats[S_ARCS]))
-        if self.cost_source == "wall":
-            return float(stats[S_WALL]) / arcs
-        universe = max(1.0, float(stats[S_UNIVERSE]))
-        dispatches = math.ceil(universe / max(1, chunk))
-        return 1.0 + (
-            CHUNK_OVERHEAD * dispatches + CANCEL_PENALTY * float(stats[S_CANCELLED])
-        ) / arcs
+def _work_cost(chunk: int, stats) -> float:
+    """Score one chunk probe.  Smaller is better.
+
+    The work model charges every arc once, every *modelled* chunk
+    dispatch (``ceil(universe / requested)`` — the requested chunk
+    against the global universe, deliberately not the per-rank
+    effective windows, so the score is p-invariant) a fixed overhead,
+    and every inflow-cancelled move a staleness penalty; the sum is
+    normalised per scanned arc.
+    """
+    arcs = max(1.0, float(stats[S_ARCS]))
+    universe = max(1.0, float(stats[S_UNIVERSE]))
+    dispatches = math.ceil(universe / max(1, chunk))
+    return 1.0 + (
+        CHUNK_OVERHEAD * dispatches + CANCEL_PENALTY * float(stats[S_CANCELLED])
+    ) / arcs

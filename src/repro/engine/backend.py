@@ -96,9 +96,6 @@ class ExecutionBackend(Protocol):
     def exchange_labels(
         self, labels: np.ndarray, changed_mask: np.ndarray, delta: bool
     ) -> tuple[np.ndarray, np.ndarray]: ...
-    def exchange_labels_list(
-        self, label_list: list, changed: list, delta: bool
-    ) -> tuple[list, list]: ...
     def ghost_change_sources(self, ghost_idx: np.ndarray) -> np.ndarray: ...
     def reduce_block_weights(self, labels: np.ndarray, k: int) -> np.ndarray: ...
     def global_changed(self, moved: int, changed_count: int) -> int: ...
@@ -157,11 +154,6 @@ class LocalBackend:
         self, labels: np.ndarray, changed_mask: np.ndarray, delta: bool
     ) -> tuple[np.ndarray, np.ndarray]:
         return _EMPTY, _EMPTY
-
-    def exchange_labels_list(
-        self, label_list: list, changed: list, delta: bool
-    ) -> tuple[list, list]:
-        return [], []
 
     def ghost_change_sources(self, ghost_idx: np.ndarray) -> np.ndarray:
         return _EMPTY
@@ -231,17 +223,6 @@ class SpmdBackend:
         return exchange_interface_labels(
             self.dgraph, self.comm, labels, changed_mask, delta
         )
-
-    def exchange_labels_list(
-        self, label_list: list, changed: list, delta: bool
-    ) -> tuple[list, list]:
-        # List-flavoured variant for the scan engine: the conversion cost
-        # is paid once per phase, only on this backend.
-        changed_mask = np.zeros(self.n_local, dtype=bool)
-        changed_mask[changed] = True
-        labels_arr = np.asarray(label_list, dtype=np.int64)
-        ghost_idx, values = self.exchange_labels(labels_arr, changed_mask, delta)
-        return ghost_idx.tolist(), values.tolist()
 
     def ghost_change_sources(self, ghost_idx: np.ndarray) -> np.ndarray:
         from .kernels import gather_neighbors

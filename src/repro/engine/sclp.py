@@ -1,31 +1,42 @@
-"""The backend-abstracted SCLP iteration driver (paper §III-A, §IV-B).
+"""The SCLP phase loop (paper §III-A, §IV-B; arXiv:1402.3281).
 
-One driver owns the size-constrained label-propagation loop for *both*
-pipelines: visit planning, chunk scheduling, frontier activation and
-reactivation, constraint accounting, and convergence.  Everything that
-differs between the sequential and the distributed run is either an
-:class:`~repro.engine.backend.ExecutionBackend` hook (halo exchange,
-work charging, block-weight reduction, convergence reduction, tie-hash
-id base) or one of two *weight regimes* selected by ``shares``:
+One loop is the size-constrained label propagation of *both* pipelines
+and *both* uses (coarsening and refinement).  A phase visits the nodes
+in order, ``chunk`` at a time; every visited node moves to the eligible
+label it is most strongly connected to, ties broken by a stateless hash
+(:func:`~repro.engine.kernels.candidate_tie_hash`); labels and weights
+are committed between chunks.  ``chunk = 1`` is the node-at-a-time
+algorithm of the papers; larger chunks let a node see labels and weights
+that are up to one chunk stale, the same staleness the distributed runs
+already tolerate across PEs.
 
-* ``shares=False`` — live accounting: one weight table updated on every
-  move, checked directly against the bound.  This is the sequential
-  semantics (and the clustering regime on both backends, where the view
-  is a local, optimistically-updated approximation).
+Everything that differs between the sequential and the distributed run
+is either an :class:`~repro.engine.backend.ExecutionBackend` hook (halo
+exchange, work charging, block-weight reduction, convergence reduction,
+tie-hash id base) or one of two *weight regimes* selected by ``shares``.
+Both are the same three tables — ``used`` (weight booked against a
+label), ``cap`` (what it may hold) and ``load`` (what decides whether a
+block is overloaded) — initialised differently:
+
+* ``shares=False`` — live accounting: ``used`` is the label's weight,
+  updated on every committed move, ``cap`` is the bound.  This is the
+  sequential semantics (and the clustering regime on both backends,
+  where the view is a local, optimistically-updated approximation).
 * ``shares=True`` — the paper's refinement regime: exact block weights
   restored by a (backend) reduction at every phase boundary, and per-PE
-  1/p budget shares within the phase, so the bound holds even when every
+  1/p budget shares within the phase (``used`` is this PE's net inflow,
+  ``cap`` its share of the slack), so the bound holds even when every
   PE exhausts its share.  On the local backend the reduction is a
   ``bincount`` and the share is 1/1 — the exact p = 1 degeneration of
   the SPMD semantics.
 
-Two scan engines implement a phase (selected by ``chunk``): the
-node-at-a-time Python scan (``chunk == 0``) and the vectorised chunked
-kernels of :mod:`repro.engine.kernels` (``chunk == 1`` is bit-identical
-to the scan, larger chunks trade phase-internal staleness for
-throughput).  Orthogonally ``engine`` picks the ``full`` sweep or the
-``frontier`` active-set filter (label-identical per iteration with the
-hash tie-break; see the PR-4 design notes in ``docs/algorithms.md``).
+Which nodes a phase scans (every node, or only the *frontier* whose
+decision inputs changed — label-identical, see
+:mod:`~repro.engine.kernels`) and how large its chunks are is decided
+per iteration by the :class:`~repro.engine.autotune.AutotuneController`
+from allreduced scan statistics.  ``pin_sweep`` takes the controller
+out and holds one sweep at the requested chunk: the identity tests and
+the kernel bench use it as the reference; no production caller does.
 
 Convergence is a backend hook: the local backend stops when a phase
 moves no node, the SPMD backend when the allreduced count of *changed
@@ -34,9 +45,6 @@ interface labels* is zero — each preserving its pipeline's established
 """
 
 from __future__ import annotations
-
-import random as _pyrandom
-import time as _time
 
 import numpy as np
 
@@ -48,16 +56,13 @@ from .autotune import (
     S_SCANNED,
     S_UNIVERSE,
     S_UPPER,
-    S_WALL,
     STATS_LEN,
     SWEEP_FRONTIER,
+    SWEEP_FULL,
     AutotuneController,
 )
 from .kernels import (
-    ADAPTIVE_ENGINE,
-    FRONTIER_ENGINE,
-    FRONTIER_FULL_SWEEP_FRACTION,
-    FULL_ENGINE,
+    DEFAULT_CHUNK_SIZE,
     IterationWorkspace,
     aggregate_candidates,
     candidate_tie_hash,
@@ -65,8 +70,6 @@ from .kernels import (
     chunk_ranges,
     effective_chunk,
     gather_neighbors,
-    make_tie_breaker,
-    pick_targets,
     pick_targets_hashed,
     plan_chunk,
 )
@@ -104,8 +107,8 @@ def run_sclp(
     k: int | None = None,
     ordering: str = "degree",
     constraint: np.ndarray | None = None,
-    chunk: int = 0,
-    engine: str = "full",
+    chunk: int = DEFAULT_CHUNK_SIZE,
+    pin_sweep: str | None = None,
     tie_seed: int = 0,
     delta: bool = True,
     band: np.ndarray | None = None,
@@ -115,124 +118,66 @@ def run_sclp(
     Collective over the backend's communicator.  ``labels`` (length
     ``n_total``, consistent ghost entries) is not modified.  ``shares``
     selects the weight regime (see module docstring); it requires ``k``.
-    ``band`` (scan engine only) restricts the visited nodes to the given
-    set — non-band nodes contribute weights and connections but never
-    move, and isolated nodes are skipped entirely (band refinement).
+    ``ordering`` is ``'degree'`` (ascending), ``'random'`` (fresh every
+    phase) or ``'node'`` (natural order: chunk windows are contiguous
+    node, and therefore shard, ranges — the shard-sequential visit order
+    of the semi-external regime).  ``band`` restricts the visited nodes
+    to the given set: nodes outside it contribute weights and
+    connections but never move (band refinement).  ``chunk`` is the
+    requested nodes per chunk (>= 1); ``pin_sweep`` (``'full'`` or
+    ``'frontier'``) replaces the controller by one fixed sweep at
+    exactly that chunk — a reference for tests and diagnostics.
     """
-    if shares and k is None:
-        raise ValueError("the budget-share regime requires k")
+    if shares and (k is None or not refine):
+        raise ValueError("the budget-share regime is refinement-only and requires k")
     if ordering not in ("degree", "random", "node"):
         raise ValueError(f"unknown ordering {ordering!r}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if pin_sweep not in (None, SWEEP_FULL, SWEEP_FRONTIER):
+        raise ValueError(
+            f"pin_sweep must be None, {SWEEP_FULL!r} or {SWEEP_FRONTIER!r}, "
+            f"got {pin_sweep!r}"
+        )
     labels = np.asarray(labels, dtype=np.int64).copy()
     bound = int(max_block_weight)
     vwgt_all = backend.node_weights()
     interface = backend.interface_mask()
-    constraint_arr = (
-        None if constraint is None else np.asarray(constraint, dtype=np.int64)
-    )
-    if chunk == 0:
-        return _scan_phases(
-            backend, labels, bound, iterations, refine, shares, k,
-            ordering, constraint_arr, tie_seed, delta, vwgt_all, interface,
-            band,
-        )
-    if band is not None:
-        raise ValueError("band refinement only supports the scan engine")
-    return _chunked_phases(
-        backend, labels, bound, iterations, refine, shares, k,
-        ordering, constraint_arr, chunk, engine, tie_seed, delta,
-        vwgt_all, interface,
-    )
-
-
-# ----------------------------------------------------------------------
-# Chunked engine (vectorised kernels)
-# ----------------------------------------------------------------------
-
-def _chunked_phases(
-    backend: ExecutionBackend,
-    labels: np.ndarray,
-    bound: int,
-    iterations: int,
-    refine: bool,
-    shares: bool,
-    k: int | None,
-    ordering: str,
-    constraint: np.ndarray | None,
-    chunk: int,
-    engine: str,
-    tie_seed: int,
-    delta: bool,
-    vwgt_all: np.ndarray,
-    interface: np.ndarray,
-) -> np.ndarray:
-    """Chunked-kernel phases: eligibility against a chunk-start snapshot,
-    committed between chunks with the inflow cap, so the bound (or the
-    1/p budget share) holds exactly despite the staleness."""
+    if constraint is not None:
+        constraint = np.asarray(constraint, dtype=np.int64)
     n_local = backend.n_local
     xadj, adjncy, adjwgt = backend.xadj, backend.adjncy, backend.adjwgt
     degrees = backend.degrees
-    adaptive = engine == ADAPTIVE_ENGINE and chunk > 1
-    if engine == ADAPTIVE_ENGINE and not adaptive:
-        # chunk == 1 is the bit-exact scan-equivalent regime: there is
-        # nothing to tune, and the hashed tie-break must stay off.
-        engine = FULL_ENGINE
-    frontier_mode = engine == FRONTIER_ENGINE
-    hashed = frontier_mode or chunk > 1
-    tie_rng = None if hashed else make_tie_breaker(tie_seed, chunk)
     tie_base = backend.tie_base
     mode_name = "refine" if refine else "cluster"
-    controller = AutotuneController(chunk) if adaptive else None
-    workspace = IterationWorkspace() if hashed else None
+    controller = AutotuneController(chunk) if pin_sweep is None else None
+    workspace = IterationWorkspace()
 
-    weight = local_net = local_out = inflow_budget = evict_budget = exact = None
-    if refine:
-        if shares:
-            space = int(k)
-            exact = backend.reduce_block_weights(labels, space)
-            local_net = np.zeros(space, dtype=np.int64)
-            local_out = np.zeros(space, dtype=np.int64)
-        else:
-            space = int(labels.max()) + 1
-            weight = np.bincount(
-                labels, weights=vwgt_all, minlength=space
-            ).astype(np.int64)
+    # The weight tables (module docstring).  ``load`` is rebound at every
+    # phase head: the exact weights under ``shares``, else ``used`` itself.
+    exact = local_out = evict_budget = None
+    if shares:
+        space = int(k)
+        exact = backend.reduce_block_weights(labels, space)
+        used = np.zeros(space, dtype=np.int64)
+        local_out = np.zeros(space, dtype=np.int64)
     else:
-        space = backend.label_space(labels)
-        weight = np.zeros(space, dtype=np.int64)
-        np.add.at(weight, labels, vwgt_all)
+        space = int(labels.max()) + 1 if refine else backend.label_space(labels)
+        used = np.bincount(
+            labels, weights=vwgt_all, minlength=space
+        ).astype(np.int64)
+        cap = np.full(space, bound, dtype=np.int64)
 
-    # Degree and node order are phase-invariant (and consume no
-    # randomness), so the per-chunk arc structure can be planned once and
-    # re-aggregated every phase; random order needs fresh plans per
-    # phase, and the frontier engine re-plans any window it filters.
-    # Caching plans retains every chunk's gathered arc arrays, i.e. the
-    # whole graph — exactly what an out-of-core store must not do, so
-    # caching is also gated on the arc arrays being RAM-resident.
-    static_order = ordering in ("degree", "node")
-    if static_order:
-        if ordering == "degree":
-            base_order = np.argsort(degrees, kind="stable")
-        else:
-            # Natural node order: chunk windows are contiguous node (and
-            # therefore shard) ranges, the shard-sequential visit order
-            # of the semi-external regime.
-            base_order = np.arange(n_local, dtype=np.int64)
-        if not refine:
-            base_order = base_order[degrees[base_order] > 0]
-    cache_plans = static_order and backend.resident
-    plan_cache: dict[tuple[int, int], object] = {}
-
-    def chunk_plan(nodes, lo, hi):
-        if not cache_plans:
-            return plan_chunk(nodes, xadj, adjncy, adjwgt, constraint)
-        key = (lo, hi)
-        plan = plan_cache.get(key)
-        if plan is None:
-            plan = plan_cache[key] = plan_chunk(
-                nodes, xadj, adjncy, adjwgt, constraint
-            )
-        return plan
+    # Visit order = the scope (every local node, or the band) in the
+    # requested order; degree and node order are phase-invariant.
+    scope = (
+        np.arange(n_local, dtype=np.int64) if band is None
+        else np.asarray(band, dtype=np.int64)
+    )
+    if ordering == "degree":
+        static_order = scope[np.argsort(degrees[scope], kind="stable")]
+    else:
+        static_order = scope if ordering == "node" else None
 
     active = np.ones(n_local, dtype=bool)
     # Persistent per-phase masks: filled (not reallocated) every phase,
@@ -243,54 +188,55 @@ def _chunked_phases(
     # the mover term must be a pure function of the label trajectory
     # (net end-of-phase diff), not of per-chunk mover counts, which
     # depend on the chunk layout and therefore on the rank count.
-    base_labels = np.empty(n_local, dtype=labels.dtype) if adaptive else None
+    base_labels = (
+        np.empty(n_local, dtype=labels.dtype) if controller is not None else None
+    )
     for _phase in range(max(0, iterations)):
         decision = controller.decide() if controller is not None else None
-        sweep_frontier = (
-            frontier_mode if decision is None
-            else decision.sweep == SWEEP_FRONTIER
-        )
-        # Chunk requests (static or autotune probes) are clamped by the
+        sweep = pin_sweep if decision is None else decision.sweep
+        sweep_frontier = sweep == SWEEP_FRONTIER
+        # Chunk requests (pinned or autotune probes) are clamped by the
         # backend's store: a sharded store rounds to a divisor of its
         # shard node span so chunk windows do not straddle shard seams.
         req_chunk = backend.clamp_chunk(
             chunk if decision is None else decision.chunk
         )
-        # Adaptive full sweeps defer the frontier bookkeeping: collect
-        # what *would* activate (movers, risky, capped, changed ghosts)
-        # as cheap array appends, and only materialise the active set if
-        # the controller actually switches.
-        defer = adaptive and not sweep_frontier
+        # Controller-driven full sweeps defer the frontier bookkeeping:
+        # collect what *would* activate (movers, risky, capped, changed
+        # ghosts) as cheap array appends, and only materialise the
+        # active set if the controller actually switches.
+        defer = controller is not None and not sweep_frontier
         pend_nodes: list[np.ndarray] = []
         pend_extra: list[np.ndarray] = []
         pend_ghost: list[np.ndarray] = []
         cancelled = 0
-        wall_t0 = _time.perf_counter() if adaptive else 0.0
         if defer:
             np.copyto(base_labels, labels[:n_local])
-        if static_order:
-            order = base_order
-        else:
-            order = backend.rng.permutation(n_local)
-            if not refine:
-                order = order[degrees[order] > 0]
+        order = (
+            static_order if static_order is not None
+            else scope[backend.rng.permutation(scope.size)]
+        )
+        if not refine:
+            # An isolated node has no label to adopt.
+            order = order[degrees[order] > 0]
         phase_chunk = effective_chunk(req_chunk, order.size)
-        span_extra = {} if decision is None else {
-            "sweep": decision.sweep, "chunk_request": decision.chunk,
-        }
+        span_extra = {} if decision is None else {"chunk_request": decision.chunk}
+        if band is not None:
+            span_extra["band_size"] = int(scope.size)
         lp_span = TRACER.span(
-            "lp.iteration", **backend.span_kwargs(), engine=engine,
+            "lp.iteration", **backend.span_kwargs(), sweep=sweep,
             mode=mode_name, iteration=_phase, chunk_size=phase_chunk,
             constrained=constraint is not None, **span_extra,
         )
         lp_span.__enter__()
         if shares:
-            inflow_budget = np.maximum(0.0, (bound - exact) / backend.size)
+            cap = np.maximum(0.0, (bound - exact) / backend.size)
             evict_budget = np.maximum(0.0, (exact - bound) / backend.size)
-            local_net[:] = 0
+            used[:] = 0
             local_out[:] = 0
+        load = exact if shares else used
         if sweep_frontier and refine:
-            over = np.flatnonzero((exact if shares else weight) > bound)
+            over = np.flatnonzero(load > bound)
             if over.size:
                 # Eviction pressure reaches over-budget blocks' members
                 # even when their neighbourhood never changed.
@@ -301,29 +247,13 @@ def _chunked_phases(
         moved = 0
         scanned = 0
         n_chunks = 0
-        # Scanning a superset of the active set is label-identical, so
-        # with cached degree-order plans the filtered re-plans only pay
-        # for themselves below ~half activity; random order re-plans
-        # every phase anyway, making filtering a pure win.  The adaptive
-        # controller only picks the frontier sweep below the entry
-        # fraction, so there filtering is unconditional.
-        filtering = sweep_frontier and (
-            adaptive
-            or not cache_plans
-            or order.size == 0
-            or active[order].mean() < FRONTIER_FULL_SWEEP_FRACTION
-        )
         for lo, hi in chunk_ranges(order.size, phase_chunk):
             n_chunks += 1
             nodes = order[lo:hi]
-            full_window = True
-            if filtering:
-                live = active[nodes]
-                if not live.all():
-                    full_window = False
-                    nodes = nodes[live]
-                    if nodes.size == 0:
-                        continue
+            if sweep_frontier:
+                nodes = nodes[active[nodes]]
+                if nodes.size == 0:
+                    continue
             scanned += int(nodes.size)
             if refine:
                 node_deg = degrees[nodes]
@@ -333,53 +263,37 @@ def _chunked_phases(
             if connected.size:
                 own = labels[connected]
                 c_v = vwgt_all[connected]
-                if refine:
-                    if shares:
-                        evicting = (exact[own] > bound) & (
-                            local_out[own] < evict_budget[own]
-                        )
-                    else:
-                        evicting = weight[own] > bound
-                plan = (
-                    chunk_plan(connected, lo, hi)
-                    if full_window
-                    else plan_chunk(connected, xadj, adjncy, adjwgt, constraint)
-                )
                 cands = aggregate_candidates(
-                    plan, labels, space,
-                    exact_order=not hashed and chunk == 1,
-                    workspace=workspace,
+                    plan_chunk(connected, xadj, adjncy, adjwgt, constraint),
+                    labels, space, workspace,
                 )
                 arcs_scanned += cands.arcs_scanned
-                if shares:
-                    fits = (
-                        local_net[cands.labels] + c_v[cands.node_pos]
-                        <= inflow_budget[cands.labels]
-                    )
-                else:
-                    fits = weight[cands.labels] + c_v[cands.node_pos] <= bound
+                fits = used[cands.labels] + c_v[cands.node_pos] <= cap[cands.labels]
                 if refine:
+                    # A node of an overloaded block must leave it (while
+                    # this PE's eviction share lasts); anyone else may stay.
+                    evicting = load[own] > bound
+                    if shares:
+                        evicting &= local_out[own] < evict_budget[own]
                     eligible = np.where(cands.is_own, ~evicting[cands.node_pos], fits)
                 else:
                     eligible = cands.is_own | fits
-                if hashed:
-                    # hash *global* ids so tie decisions are a property of
-                    # the node, not of its rank-local numbering
-                    tie_ids = connected[cands.node_pos]
-                    if tie_base:
-                        tie_ids = tie_base + tie_ids
-                    tie_hash = candidate_tie_hash(tie_seed, tie_ids, cands.labels)
-                    choice, risky = pick_targets_hashed(
-                        cands, eligible, tie_hash, workspace=workspace
-                    )
-                    if (sweep_frontier or defer) and risky.any():
-                        flagged = connected[risky]
-                        if sweep_frontier:
-                            next_active[flagged] = True
-                        else:
-                            pend_extra.append(flagged)
-                else:
-                    choice = pick_targets(cands, eligible, tie_rng)
+                # hash *global* ids so tie decisions are a property of
+                # the node, not of its rank-local numbering
+                tie_ids = connected[cands.node_pos]
+                if tie_base:
+                    tie_ids = tie_base + tie_ids
+                choice, risky = pick_targets_hashed(
+                    cands, eligible,
+                    candidate_tie_hash(tie_seed, tie_ids, cands.labels),
+                    workspace,
+                )
+                if (sweep_frontier or defer) and risky.any():
+                    flagged = connected[risky]
+                    if sweep_frontier:
+                        next_active[flagged] = True
+                    else:
+                        pend_extra.append(flagged)
                 has = choice >= 0
                 target = own.copy()
                 target[has] = cands.labels[choice[has]]
@@ -387,35 +301,24 @@ def _chunked_phases(
                 if moving.size:
                     m_nodes, m_own = connected[moving], own[moving]
                     m_target, m_c = target[moving], c_v[moving]
-                    if shares:
-                        m_evict = evicting[moving]
-                        keep = capped_inflow_mask(
-                            m_target, m_c, local_net[m_target],
-                            inflow_budget[m_target],
-                        )
-                    else:
-                        keep = capped_inflow_mask(
-                            m_target, m_c, weight[m_target],
-                            np.full(m_target.size, bound, dtype=np.int64),
-                        )
-                    if (adaptive or sweep_frontier) and not keep.all():
+                    keep = capped_inflow_mask(
+                        m_target, m_c, used[m_target], cap[m_target]
+                    )
+                    if (sweep_frontier or defer) and not keep.all():
                         # A capped node may succeed once the target drains.
                         dropped = m_nodes[~keep]
                         cancelled += int(dropped.size)
                         if sweep_frontier:
                             next_active[dropped] = True
-                        elif defer:
+                        else:
                             pend_extra.append(dropped)
                     m_nodes, m_own = m_nodes[keep], m_own[keep]
                     m_target, m_c = m_target[keep], m_c[keep]
+                    np.subtract.at(used, m_own, m_c)
+                    np.add.at(used, m_target, m_c)
                     if shares:
-                        m_evict = m_evict[keep]
-                        np.add.at(local_net, m_target, m_c)
-                        np.subtract.at(local_net, m_own, m_c)
+                        m_evict = evicting[moving][keep]
                         np.add.at(local_out, m_own[m_evict], m_c[m_evict])
-                    else:
-                        np.subtract.at(weight, m_own, m_c)
-                        np.add.at(weight, m_target, m_c)
                     labels[m_nodes] = m_target
                     changed_mask[m_nodes[interface[m_nodes]]] = True
                     moved += int(m_nodes.size)
@@ -432,36 +335,27 @@ def _chunked_phases(
                         # switch replaces the per-chunk scatter above.
                         pend_nodes.append(m_nodes)
             if refine:
-                # Isolated nodes: balance repair against the live views,
-                # node-at-a-time (rare; matches the scan's first-minimal
-                # choice, budget-capped in the share regime).
+                # Isolated nodes are useless for the cut but can still
+                # repair balance: one in an overloaded block moves to the
+                # lightest block with room (first minimal; rare, so
+                # node-at-a-time against the live tables).
                 for v in nodes[node_deg == 0].tolist():
                     own_v = int(labels[v])
                     c = int(vwgt_all[v])
+                    if load[own_v] <= bound or (
+                        shares and local_out[own_v] >= evict_budget[own_v]
+                    ):
+                        continue
+                    ok = (used + c) <= cap
+                    ok[own_v] = False
+                    if not ok.any():
+                        continue
+                    weight_now = exact + used if shares else used
+                    b = int(np.argmin(np.where(ok, weight_now, _SENTINEL)))
+                    used[own_v] -= c
+                    used[b] += c
                     if shares:
-                        if (
-                            exact[own_v] <= bound
-                            or local_out[own_v] >= evict_budget[own_v]
-                        ):
-                            continue
-                        ok = (local_net + c) <= inflow_budget
-                        ok[own_v] = False
-                        if not ok.any():
-                            continue
-                        b = int(np.argmin(np.where(ok, exact + local_net, _SENTINEL)))
-                        local_net[own_v] -= c
-                        local_net[b] += c
                         local_out[own_v] += c
-                    else:
-                        if weight[own_v] <= bound:
-                            continue
-                        ok = (weight + c) <= bound
-                        ok[own_v] = False
-                        if not ok.any():
-                            continue
-                        b = int(np.argmin(np.where(ok, weight, _SENTINEL)))
-                        weight[own_v] -= c
-                        weight[b] += c
                     labels[v] = b
                     moved += 1
                     if sweep_frontier:
@@ -475,25 +369,18 @@ def _chunked_phases(
         ghost_idx, ghost_vals = backend.exchange_labels(labels, changed_mask, delta)
         if ghost_idx.size:
             diff = labels[ghost_idx] != ghost_vals
-            if refine:
-                if diff.any():
-                    if sweep_frontier:
-                        next_active[
-                            backend.ghost_change_sources(ghost_idx[diff])
-                        ] = True
-                    elif defer:
-                        pend_ghost.append(ghost_idx[diff])
-                labels[ghost_idx] = ghost_vals
-            elif diff.any():
-                old = labels[ghost_idx]
-                g_w = vwgt_all[ghost_idx[diff]]
-                np.subtract.at(weight, old[diff], g_w)
-                np.add.at(weight, ghost_vals[diff], g_w)
-                labels[ghost_idx[diff]] = ghost_vals[diff]
+            if diff.any():
+                changed_ghosts = ghost_idx[diff]
+                if not refine:
+                    # The cluster regime's local view follows its ghosts.
+                    g_w = vwgt_all[changed_ghosts]
+                    np.subtract.at(used, labels[changed_ghosts], g_w)
+                    np.add.at(used, ghost_vals[diff], g_w)
                 if sweep_frontier:
-                    next_active[backend.ghost_change_sources(ghost_idx[diff])] = True
+                    next_active[backend.ghost_change_sources(changed_ghosts)] = True
                 elif defer:
-                    pend_ghost.append(ghost_idx[diff])
+                    pend_ghost.append(changed_ghosts)
+                labels[changed_ghosts] = ghost_vals[diff]
 
         if shares:
             # Restore exact weights with one reduction (Section IV-B).
@@ -523,7 +410,6 @@ def _chunked_phases(
             stats_vec[S_CHUNKS] = n_chunks
             stats_vec[S_CANCELLED] = cancelled
             stats_vec[S_SCANNED] = scanned
-            stats_vec[S_WALL] = _time.perf_counter() - wall_t0
             controller.observe(backend.reduce_scan_stats(stats_vec))
             with TRACER.span(
                 "lp.autotune", **backend.span_kwargs(),
@@ -532,28 +418,25 @@ def _chunked_phases(
                 probe=decision.probe, locked=decision.locked,
                 active_frac=round(decision.active_frac, 4),
                 next_sweep=controller.sweep,
-                cost_source=controller.cost_source,
             ):
                 pass
         lp_span.set(moved=moved, arcs=arcs_scanned, chunks=n_chunks,
                     global_changed=global_changed, active=scanned,
                     frontier_frac=round(scanned / max(1, order.size), 4))
         if TRACER.enabled:
-            lp_span.set(**memory_sample())
-            if workspace is not None:
-                lp_span.set(workspace_bytes=workspace.nbytes)
+            lp_span.set(**memory_sample(), workspace_bytes=workspace.nbytes)
             TRACER.metrics.counter("lp.iterations").inc()
             TRACER.metrics.counter("lp.moved_nodes").inc(moved)
             _set_store_gauges(backend)
         lp_span.__exit__(None, None, None)
         if sweep_frontier:
             active, next_active = next_active, active
-        elif defer and controller is not None and controller.sweep == SWEEP_FRONTIER:
+        elif defer and controller.sweep == SWEEP_FRONTIER:
             # Entering frontier dispatch next phase: materialise exactly
-            # the active set the static frontier engine would have built
-            # during this full sweep — movers and their neighbours (one
-            # gather for the whole phase), risky and inflow-capped
-            # nodes, and the local sources of changed ghosts.
+            # the active set a frontier sweep would have built during
+            # this full sweep — movers and their neighbours (one gather
+            # for the whole phase), risky and inflow-capped nodes, and
+            # the local sources of changed ghosts.
             active.fill(False)
             if pend_nodes:
                 movers_cat = np.concatenate(pend_nodes)
@@ -569,235 +452,3 @@ def _chunked_phases(
         if global_changed == 0:
             break
     return labels
-
-
-# ----------------------------------------------------------------------
-# Scan engine (node-at-a-time, Python lists)
-# ----------------------------------------------------------------------
-
-def _scan_phases(
-    backend: ExecutionBackend,
-    labels: np.ndarray,
-    bound: int,
-    iterations: int,
-    refine: bool,
-    shares: bool,
-    k: int | None,
-    ordering: str,
-    constraint: np.ndarray | None,
-    tie_seed: int,
-    delta: bool,
-    vwgt_all: np.ndarray,
-    interface: np.ndarray,
-    band: np.ndarray | None,
-) -> np.ndarray:
-    """Node-at-a-time phases over plain Python lists (for strictly
-    sequential semantics list indexing beats NumPy scalar indexing by a
-    large factor)."""
-    n_local = backend.n_local
-    n_total = backend.n_total
-    xadj = backend.xadj.tolist()
-    adjncy = backend.adjncy.tolist()
-    adjwgt = backend.adjwgt.tolist()
-    label_list = labels.tolist()
-    constraint_list = None if constraint is None else constraint.tolist()
-    vwgt_list = vwgt_all.tolist()
-    # Scalar randomness via the stdlib generator (much cheaper per call
-    # than numpy's); seeded from the caller's generator for determinism.
-    tie_rng = _pyrandom.Random(tie_seed)
-    engine_name = "banded" if band is not None else "scan"
-    mode_name = "refine" if refine else "cluster"
-    track_changed = bool(interface.any())
-
-    weight_list = local_net = local_out = inflow_budget = evict_budget = None
-    exact: list[int] | None = None
-    if refine and shares:
-        space = int(k)
-        exact = backend.reduce_block_weights(labels, space).tolist()
-    else:
-        space = (
-            (max(label_list) + 1) if refine else backend.label_space(labels)
-        )
-        weight_list = [0] * space
-        for v in range(n_total):
-            weight_list[label_list[v]] += vwgt_list[v]
-
-    if band is None and ordering in ("degree", "node"):
-        static_order_list = (
-            np.argsort(backend.degrees, kind="stable").tolist()
-            if ordering == "degree"
-            else list(range(n_local))
-        )
-    band_list = None if band is None else band.tolist()
-
-    for _phase in range(max(0, iterations)):
-        span_extra = {} if band_list is None else {"band_size": len(band_list)}
-        lp_span = TRACER.span(
-            "lp.iteration", **backend.span_kwargs(), engine=engine_name,
-            mode=mode_name, iteration=_phase,
-            constrained=constraint is not None, **span_extra,
-        )
-        lp_span.__enter__()
-        if band_list is not None:
-            order = [
-                band_list[i]
-                for i in backend.rng.permutation(len(band_list)).tolist()
-            ]
-        elif ordering in ("degree", "node"):
-            order = static_order_list
-        else:
-            order = backend.rng.permutation(n_local).tolist()
-        if shares:
-            inflow_budget = [max(0.0, (bound - exact[b]) / backend.size) for b in range(space)]
-            evict_budget = [max(0.0, (exact[b] - bound) / backend.size) for b in range(space)]
-            local_net = [0] * space  # this PE's net weight added per block
-            local_out = [0] * space  # weight evicted from overloaded blocks
-
-        changed: list[int] = []
-        arcs_scanned = 0
-        moved = 0
-        for v in order:
-            begin, end = xadj[v], xadj[v + 1]
-            own = label_list[v]
-            if begin == end:
-                # Isolated node: useless for the cut, but in refinement
-                # mode it can still repair balance by moving to the
-                # lightest eligible block when its own is overloaded
-                # (band mode skips it: it is never near a boundary).
-                if refine and band_list is None:
-                    c_v = vwgt_list[v]
-                    if shares:
-                        if exact[own] > bound and local_out[own] < evict_budget[own]:
-                            candidates = [
-                                b for b in range(space)
-                                if b != own and local_net[b] + c_v <= inflow_budget[b]
-                            ]
-                            if candidates:
-                                target = min(
-                                    candidates, key=lambda b: exact[b] + local_net[b]
-                                )
-                                local_net[own] -= c_v
-                                local_net[target] += c_v
-                                local_out[own] += c_v
-                                label_list[v] = target
-                                moved += 1
-                                if track_changed and interface[v]:
-                                    changed.append(v)
-                    elif weight_list[own] > bound:
-                        candidates = [
-                            b for b in range(space)
-                            if b != own and weight_list[b] + c_v <= bound
-                        ]
-                        if candidates:
-                            target = min(candidates, key=weight_list.__getitem__)
-                            weight_list[own] -= c_v
-                            weight_list[target] += c_v
-                            label_list[v] = target
-                            moved += 1
-                            if track_changed and interface[v]:
-                                changed.append(v)
-                continue
-            arcs_scanned += end - begin
-            my_constraint = constraint_list[v] if constraint_list is not None else None
-
-            # Aggregate connection strength per neighbouring label.
-            conn: dict[int, int] = {}
-            for idx in range(begin, end):
-                u = adjncy[idx]
-                if my_constraint is not None and constraint_list[u] != my_constraint:
-                    continue
-                lab = label_list[u]
-                conn[lab] = conn.get(lab, 0) + adjwgt[idx]
-
-            c_v = vwgt_list[v]
-            if not refine:
-                evicting = False
-            elif shares:
-                evicting = exact[own] > bound and local_out[own] < evict_budget[own]
-            else:
-                evicting = weight_list[own] > bound
-            if not evicting:
-                # Staying is always permitted; connection to own block may
-                # be zero if no neighbour shares it.
-                conn.setdefault(own, 0)
-
-            best_weight = -1
-            best_labels: list[int] = []
-            if shares:
-                for lab, strength in conn.items():
-                    if lab == own:
-                        if evicting:
-                            continue
-                    elif local_net[lab] + c_v > inflow_budget[lab]:
-                        continue  # this PE's share of block `lab` is used up
-                    if strength > best_weight:
-                        best_weight = strength
-                        best_labels = [lab]
-                    elif strength == best_weight:
-                        best_labels.append(lab)
-            else:
-                for lab, strength in conn.items():
-                    if lab == own:
-                        if evicting:
-                            continue
-                    elif weight_list[lab] + c_v > bound:
-                        continue  # ineligible: target would overload
-                    if strength > best_weight:
-                        best_weight = strength
-                        best_labels = [lab]
-                    elif strength == best_weight:
-                        best_labels.append(lab)
-
-            if not best_labels:
-                continue  # evicting but nowhere eligible to go
-            target = (
-                best_labels[0]
-                if len(best_labels) == 1
-                else best_labels[tie_rng.randrange(len(best_labels))]
-            )
-            if target != own:
-                if shares:
-                    local_net[own] -= c_v
-                    local_net[target] += c_v
-                    if evicting:
-                        local_out[own] += c_v
-                else:
-                    weight_list[own] -= c_v
-                    weight_list[target] += c_v
-                label_list[v] = target
-                moved += 1
-                if track_changed and interface[v]:
-                    changed.append(v)
-        backend.work(arcs_scanned)
-
-        ghost_idx, ghost_vals = backend.exchange_labels_list(label_list, changed, delta)
-        if refine:
-            for gi, new_lab in zip(ghost_idx, ghost_vals):
-                label_list[gi] = new_lab
-        else:
-            for gi, new_lab in zip(ghost_idx, ghost_vals):
-                old = label_list[gi]
-                if old == new_lab:
-                    continue
-                w = vwgt_list[gi]
-                weight_list[old] -= w
-                weight_list[new_lab] += w
-                label_list[gi] = new_lab
-
-        if shares:
-            # Restore exact weights with one reduction (Section IV-B).
-            exact = backend.reduce_block_weights(
-                np.asarray(label_list, dtype=np.int64), space
-            ).tolist()
-
-        global_changed = backend.global_changed(moved, len(changed))
-        lp_span.set(moved=moved, arcs=arcs_scanned, global_changed=global_changed)
-        if TRACER.enabled:
-            lp_span.set(**memory_sample())
-            TRACER.metrics.counter("lp.iterations").inc()
-            TRACER.metrics.counter("lp.moved_nodes").inc(moved)
-        lp_span.__exit__(None, None, None)
-        if global_changed == 0:
-            break
-
-    return np.asarray(label_list, dtype=np.int64)

@@ -32,7 +32,9 @@ def delaunay_graph(
     pos = rng.random((num_nodes, 2))
     tri = Delaunay(pos)
     # Each simplex contributes its three sides; duplicates merge downstream.
-    simplices = tri.simplices
+    # Qhull hands back int32 indices: widen before forming lo * n + hi,
+    # which overflows int32 from 2^16 points up.
+    simplices = tri.simplices.astype(np.int64)
     rows = np.concatenate([simplices[:, 0], simplices[:, 1], simplices[:, 2]])
     cols = np.concatenate([simplices[:, 1], simplices[:, 2], simplices[:, 0]])
     # from_coo merges duplicate undirected edges by *summing* weights; to keep

@@ -366,25 +366,20 @@ def _convergence(records: list[dict]) -> list[dict[str, Any]]:
         if span.get("rank") not in (None, 0):
             continue
         attrs = span.get("attrs") or {}
-        point = {
-            "engine": attrs.get("engine"),
+        points.append({
             "mode": attrs.get("mode"),
             "iteration": attrs.get("iteration"),
+            "sweep": attrs.get("sweep"),
+            "chunk_size": attrs.get("chunk_size"),
             "moved": attrs.get("moved"),
             "global_changed": attrs.get("global_changed"),
             "frontier_frac": attrs.get("frontier_frac"),
-        }
-        # Adaptive-engine runs also stamp the controller's choice on the
-        # iteration span; static runs simply omit the keys.
-        if "sweep" in attrs:
-            point["sweep"] = attrs["sweep"]
-            point["chunk_request"] = attrs.get("chunk_request")
-        points.append(point)
+        })
     return points
 
 
 def autotune_decisions(records: Iterable[dict]) -> list[dict[str, Any]]:
-    """The adaptive engine's per-iteration decision trace.
+    """The SCLP controller's per-iteration decision trace.
 
     One row per (rank 0 / rank-less) ``lp.autotune`` span, in trace
     order: which sweep the iteration ran, the requested and effective
@@ -408,7 +403,6 @@ def autotune_decisions(records: Iterable[dict]) -> list[dict[str, Any]]:
             "locked": attrs.get("locked"),
             "active_frac": attrs.get("active_frac"),
             "next_sweep": attrs.get("next_sweep"),
-            "cost_source": attrs.get("cost_source"),
         })
     return rows
 
@@ -450,9 +444,8 @@ def build_run_summary(records: Iterable[dict]) -> dict[str, Any]:
         },
         "phases": phase_times(records),
         "convergence": _convergence(records),
-        # Present (possibly empty) whether or not the adaptive engine
-        # ran; not part of the required v1 keys, so old summaries stay
-        # valid and new ones carry the decision trace.
+        # Not part of the required v1 keys, so summaries written before
+        # the decision trace existed stay valid.
         "autotune": autotune_decisions(records),
         "comm": {
             "matrix": comm_matrix(records),
@@ -660,7 +653,7 @@ def _comm_matrix_table(matrix: dict[str, Any]) -> str:
 
 
 def _autotune_table(rows: list[dict[str, Any]]) -> str | None:
-    """Adaptive-engine decision table; ``None`` when no adaptive LP ran."""
+    """Controller decision table; ``None`` when the trace has no LP."""
     if not rows:
         return None
     # One LP call's decisions restart iteration numbering at 0; show the

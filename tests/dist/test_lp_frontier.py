@@ -1,6 +1,6 @@
-"""Distributed frontier-engine tests.
+"""Distributed frontier-sweep tests.
 
-The frontier engine must reproduce the full sweep label for label on
+The frontier sweep must reproduce the full sweep label for label on
 every PE count and iteration count (the per-iteration identity the
 module docstring proves), and the delta interface exchange must never
 ship more bytes than the dense one — strictly fewer once LP starts
@@ -22,7 +22,7 @@ CONSTRAINT = np.random.default_rng(3).integers(0, 2, GRAPH.num_nodes)
 LP_OP = "alltoall[lp.labels]"
 
 
-def cluster_program(comm, chunk, engine, constrained, delta=True, iterations=3):
+def cluster_program(comm, chunk, sweep, constrained, delta=True, iterations=3):
     dgraph = DistGraph.from_global(
         GRAPH, balanced_vtxdist(GRAPH.num_nodes, comm.size), comm.rank
     )
@@ -36,12 +36,12 @@ def cluster_program(comm, chunk, engine, constrained, delta=True, iterations=3):
     init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
     labels = parallel_label_propagation(
         dgraph, comm, init, 30, iterations, mode="cluster", constraint=cons,
-        chunk_size=chunk, engine=engine, delta_exchange=delta,
+        chunk_size=chunk, pin_sweep=sweep, delta_exchange=delta,
     )
     return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
 
-def refine_program(comm, chunk, engine, iterations=4, delta=True):
+def refine_program(comm, chunk, sweep, iterations=4, delta=True):
     dgraph = DistGraph.from_global(
         GRAPH, balanced_vtxdist(GRAPH.num_nodes, comm.size), comm.rank
     )
@@ -51,63 +51,49 @@ def refine_program(comm, chunk, engine, iterations=4, delta=True):
     dgraph.halo_exchange(comm, labels)
     labels = parallel_label_propagation(
         dgraph, comm, labels, int(GRAPH.vwgt.sum()) // 4 + 8, iterations,
-        mode="refine", k=4, chunk_size=chunk, engine=engine,
+        mode="refine", k=4, chunk_size=chunk, pin_sweep=sweep,
         delta_exchange=delta,
     )
     return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
 
 class TestFrontierIdentity:
-    """frontier/adaptive == full, label for label, sanitized, p in {1, 4}.
+    """frontier/controller == full, label for label, sanitized, p in {1, 4}.
 
-    The adaptive rows hold because every sweep the controller picks is
+    The controller rows (``sweep=None``) hold because every sweep the controller picks is
     label-identical to the full sweep (frontier identity for frontier
     iterations, superset-scan neutrality for full ones) and, at
     chunk = 64 on these graph sizes, the chunk probes all clamp to the
     same effective chunk.  At tiny requested chunks the probe steps sit
     below the clamp and legitimately change the trajectory, so the
-    adaptive grid runs at the throughput chunk only.
+    controller grid runs at the throughput chunk only.
     """
 
-    @pytest.mark.parametrize("engine,chunk", [
-        ("frontier", 2), ("frontier", 64), ("adaptive", 64),
-    ])
+    @pytest.mark.parametrize("sweep,chunk", [
+        ("frontier", 1), ("frontier", 2), ("frontier", 64), (None, 64),
+    ], ids=["frontier-1", "frontier-2", "frontier-64", "controller-64"])
     @pytest.mark.parametrize("size", [1, 4])
     @pytest.mark.parametrize("constrained", [False, True])
-    def test_cluster_mode(self, size, constrained, chunk, engine):
+    def test_cluster_mode(self, size, constrained, chunk, sweep):
         full = run_spmd(size, cluster_program, chunk, "full", constrained,
                         seed=1, sanitize=True).value
-        other = run_spmd(size, cluster_program, chunk, engine,
+        other = run_spmd(size, cluster_program, chunk, sweep,
                          constrained, seed=1, sanitize=True).value
         assert np.array_equal(full, other)
 
-    @pytest.mark.parametrize("engine,chunk", [
-        ("frontier", 2), ("frontier", 64), ("adaptive", 64),
-    ])
+    @pytest.mark.parametrize("sweep,chunk", [
+        ("frontier", 1), ("frontier", 2), ("frontier", 64), (None, 64),
+    ], ids=["frontier-1", "frontier-2", "frontier-64", "controller-64"])
     @pytest.mark.parametrize("size", [1, 4])
-    def test_refine_mode(self, size, chunk, engine):
+    def test_refine_mode(self, size, chunk, sweep):
         for iterations in (1, 2, 4):
             full = run_spmd(size, refine_program, chunk, "full", iterations,
                             seed=1, sanitize=True).value
-            other = run_spmd(size, refine_program, chunk, engine,
+            other = run_spmd(size, refine_program, chunk, sweep,
                              iterations, seed=1, sanitize=True).value
             assert np.array_equal(full, other), (
                 f"labels diverge after {iterations} iteration(s)"
             )
-
-    def test_frontier_requires_chunked_kernels(self):
-        def fn(comm):
-            dgraph = DistGraph.from_global(
-                GRAPH, balanced_vtxdist(GRAPH.num_nodes, comm.size), comm.rank
-            )
-            init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
-            return parallel_label_propagation(
-                dgraph, comm, init, 30, 1, mode="cluster", chunk_size=0,
-                engine="frontier",
-            )
-
-        with pytest.raises(ValueError, match="frontier"):
-            run_spmd(1, fn, seed=0)
 
 
 class TestDeltaExchange:

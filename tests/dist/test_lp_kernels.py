@@ -1,8 +1,9 @@
 """Distributed tests for the chunked SCLP kernels.
 
-``chunk_size=1`` must reproduce the scan engine label-for-label on every
-PE count, in every mode, with the collective-order sanitizer on; larger
-chunks must hold quality and hard balance.  Also covers the validated
+``chunk_size=1`` on the full sweep must reproduce the reference oracle
+(``tests/engine/reference_sclp.py``) label-for-label on every PE count,
+in every mode, with the collective-order sanitizer on; larger chunks
+must hold quality and hard balance.  Also covers the validated
 interface-label scatter (a bad sender is named, not silently scattered).
 """
 
@@ -16,16 +17,29 @@ from repro.dist.dist_lp import (
     _exchange_interface_labels,
     parallel_label_propagation,
 )
+from repro.engine import make_dist_backend, run_sclp
 from repro.generators import rgg, rmat
 from repro.graph import block_weights, max_block_weight_bound
 from repro.metrics import edge_cut
+
+from ..engine.reference_sclp import reference_sclp
 
 
 GRAPH = rmat(10, seed=3)
 CONSTRAINT = np.random.default_rng(3).integers(0, 2, GRAPH.num_nodes)
 
 
-def cluster_program(comm, chunk, constrained):
+def sclp(comm, dgraph, oracle, *args, **kwargs):
+    """One seeded SCLP call: the oracle, or the engine at chunk 1 on the
+    full sweep."""
+    backend = make_dist_backend(dgraph, comm)
+    if oracle:
+        return reference_sclp(backend, *args, tie_seed=17, **kwargs)
+    return run_sclp(backend, *args, chunk=1, pin_sweep="full", tie_seed=17,
+                    **kwargs)
+
+
+def cluster_program(comm, oracle, constrained):
     dgraph = DistGraph.from_global(
         GRAPH, balanced_vtxdist(GRAPH.num_nodes, comm.size), comm.rank
     )
@@ -37,14 +51,11 @@ def cluster_program(comm, chunk, constrained):
         ]
         dgraph.halo_exchange(comm, cons)
     init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
-    labels = parallel_label_propagation(
-        dgraph, comm, init, 30, 3, mode="cluster", constraint=cons,
-        chunk_size=chunk,
-    )
+    labels = sclp(comm, dgraph, oracle, init, 30, 3, constraint=cons)
     return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
 
-def refine_program(comm, chunk):
+def refine_program(comm, oracle):
     dgraph = DistGraph.from_global(
         GRAPH, balanced_vtxdist(GRAPH.num_nodes, comm.size), comm.rank
     )
@@ -52,30 +63,30 @@ def refine_program(comm, chunk):
     labels = np.zeros(dgraph.n_total, dtype=np.int64)
     labels[: dgraph.n_local] = start[dgraph.first : dgraph.first + dgraph.n_local]
     dgraph.halo_exchange(comm, labels)
-    labels = parallel_label_propagation(
-        dgraph, comm, labels, int(GRAPH.vwgt.sum()) // 4 + 8, 4,
-        mode="refine", k=4, chunk_size=chunk,
+    labels = sclp(
+        comm, dgraph, oracle, labels, int(GRAPH.vwgt.sum()) // 4 + 8, 4,
+        refine=True, shares=True, k=4, ordering="random",
     )
     return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
 
 class TestDistributedEquivalence:
-    """chunk_size=1 vs the scan engine, sanitized, label-for-label."""
+    """chunk_size=1 vs the reference oracle, sanitized, label-for-label."""
 
     @pytest.mark.parametrize("size", [1, 2, 4])
     @pytest.mark.parametrize("constrained", [False, True])
     def test_cluster_mode(self, size, constrained):
-        scan = run_spmd(size, cluster_program, 0, constrained,
+        oracle = run_spmd(size, cluster_program, True, constrained,
+                          seed=1, sanitize=True).value
+        unit = run_spmd(size, cluster_program, False, constrained,
                         seed=1, sanitize=True).value
-        unit = run_spmd(size, cluster_program, 1, constrained,
-                        seed=1, sanitize=True).value
-        assert np.array_equal(scan, unit)
+        assert np.array_equal(oracle, unit)
 
     @pytest.mark.parametrize("size", [1, 2, 4])
     def test_refine_mode(self, size):
-        scan = run_spmd(size, refine_program, 0, seed=1, sanitize=True).value
-        unit = run_spmd(size, refine_program, 1, seed=1, sanitize=True).value
-        assert np.array_equal(scan, unit)
+        oracle = run_spmd(size, refine_program, True, seed=1, sanitize=True).value
+        unit = run_spmd(size, refine_program, False, seed=1, sanitize=True).value
+        assert np.array_equal(oracle, unit)
 
 
 class TestDistributedChunkedQuality:
@@ -88,13 +99,13 @@ class TestDistributedChunkedQuality:
             )
             init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
             labels = parallel_label_propagation(
-                dgraph, comm, init, bound, 3, mode="cluster", chunk_size=None
+                dgraph, comm, init, bound, 3, mode="cluster"
             )
             return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
         clustering = run_spmd(size, fn, seed=2, sanitize=True).value
         weights = np.bincount(clustering, weights=GRAPH.vwgt.astype(np.float64))
-        # same soft guarantee as the scan engine: p local views
+        # soft guarantee: each of the p local views respects the bound
         assert weights.max() <= size * bound
 
     def test_default_chunk_refine_balance(self):
@@ -114,7 +125,6 @@ class TestDistributedChunkedQuality:
             dgraph.halo_exchange(comm, labels)
             labels = parallel_label_propagation(
                 dgraph, comm, labels, lmax, 6, mode="refine", k=k,
-                chunk_size=None,
             )
             return dgraph.gather_global(comm, labels[: dgraph.n_local])
 

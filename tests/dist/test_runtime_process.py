@@ -28,7 +28,7 @@ from repro.dist import (
     run_spmd_processes,
 )
 from repro.dist.runtime import DEFAULT_SPMD_TIMEOUT, _resolve_timeout
-from repro.dist.shm import SHM_PREFIX
+from repro.graph.store import SHM_PREFIX
 from repro.generators.mesh import grid_2d
 from repro.perf.machine import MACHINE_A, SERIAL
 

@@ -4,9 +4,9 @@ The engine contract is that the SPMD hooks degenerate to the local ones
 on a single PE, and that the process backend is bit-identical to the
 thread backend at any PE count.  These tests pin every stochastic input
 (tie seed and visit-order rng) on both sides and assert *bit-identical*
-labels per LP iteration across the engine grid (scan, chunk=1, chunked
-full, chunked frontier, adaptive), then iterate the refinement loop for the
-fast/eco iteration budgets and assert identical final labels and edge
+labels per LP iteration across the sweep grid (chunk=1, chunked full,
+chunked frontier, the controller), then iterate the refinement loop for
+the fast/eco iteration budgets and assert identical final labels and edge
 cuts.  The p = 1 identity grid runs under both SPMD runtimes, so
 ``Local == Spmd == Process`` is pinned on the same fixtures; the
 spawn-based p = 4 runs additionally check the shared-memory CSR path
@@ -38,17 +38,20 @@ from repro.core import eco_config, fast_config
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
 from repro.dist.dist_lp import parallel_label_propagation
 from repro.dist.runtime import run_spmd, run_spmd_processes
-from repro.dist.shm import SHM_PREFIX
 from repro.engine import LocalBackend, make_dist_backend, run_sclp
 from repro.generators import barabasi_albert, rgg, rmat
+from repro.graph.store import SHM_PREFIX
 from repro.graph.validation import max_block_weight_bound
 from repro.metrics.quality import edge_cut
 from repro.obsv.tracer import TRACER
 
 GRAPH_NAMES = ("rmat9", "ba9", "rgg9")
-ENGINE_GRID = [
-    (0, "full"), (1, "full"), (64, "full"), (64, "frontier"),
-    (64, "adaptive"),
+#: (chunk, pinned sweep); ``None`` leaves the choice to the controller
+SWEEP_GRID = [
+    pytest.param(1, "full", id="1-full"),
+    pytest.param(64, "full", id="64-full"),
+    pytest.param(64, "frontier", id="64-frontier"),
+    pytest.param(64, None, id="64-adaptive"),
 ]
 #: both SPMD runtimes; at p = 1 each uses its in-process fast path, so
 #: the closure-based pinned programs below work under either.
@@ -69,7 +72,7 @@ def make_graph(name):
     return rgg(9, seed=3)
 
 
-def spmd_sclp(graph, labels, bound, *, refine, k, ordering, chunk, engine,
+def spmd_sclp(graph, labels, bound, *, refine, k, ordering, chunk, sweep,
               tie_seed, order_seed, rounds=1, runner=run_spmd):
     """Run ``rounds`` single-iteration SCLP calls on a dist backend at p = 1.
 
@@ -90,7 +93,7 @@ def spmd_sclp(graph, labels, bound, *, refine, k, ordering, chunk, engine,
             out = run_sclp(
                 backend, out, bound, 1,
                 refine=refine, shares=refine, k=k, ordering=ordering,
-                chunk=chunk, engine=engine, tie_seed=tie_seed + r,
+                chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed + r,
             )
         return out[: dg.n_local]
 
@@ -98,42 +101,42 @@ def spmd_sclp(graph, labels, bound, *, refine, k, ordering, chunk, engine,
 
 
 def local_sclp(graph, labels, bound, *, refine, shares, k, ordering, chunk,
-               engine, tie_seed, order_seed, rounds=1):
+               sweep, tie_seed, order_seed, rounds=1):
     out = np.asarray(labels, dtype=np.int64).copy()
     for r in range(rounds):
         backend = LocalBackend(graph, np.random.default_rng(order_seed + r))
         out = run_sclp(
             backend, out, bound, 1,
             refine=refine, shares=shares, k=k, ordering=ordering,
-            chunk=chunk, engine=engine, tie_seed=tie_seed + r,
+            chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed + r,
         )
     return out
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-@pytest.mark.parametrize("chunk,engine", ENGINE_GRID)
+@pytest.mark.parametrize("chunk,sweep", SWEEP_GRID)
 @pytest.mark.parametrize("gname", GRAPH_NAMES)
-def test_cluster_iteration_identity(gname, chunk, engine, runner):
+def test_cluster_iteration_identity(gname, chunk, sweep, runner):
     g = make_graph(gname)
     lmax = max_block_weight_bound(g, K, 0.03)
     bound = max(2, lmax // 10)
     start = np.arange(g.num_nodes, dtype=np.int64)
     kw = dict(refine=False, k=None, ordering="degree", chunk=chunk,
-              engine=engine, tie_seed=90, order_seed=700)
+              sweep=sweep, tie_seed=90, order_seed=700)
     local = local_sclp(g, start, bound, shares=False, **kw)
     spmd = spmd_sclp(g, start, bound, runner=runner, **kw)
     assert np.array_equal(local, spmd)
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
-@pytest.mark.parametrize("chunk,engine", ENGINE_GRID)
+@pytest.mark.parametrize("chunk,sweep", SWEEP_GRID)
 @pytest.mark.parametrize("gname", GRAPH_NAMES)
-def test_refine_iteration_identity(gname, chunk, engine, runner):
+def test_refine_iteration_identity(gname, chunk, sweep, runner):
     g = make_graph(gname)
     lmax = max_block_weight_bound(g, K, 0.03)
     start = np.random.default_rng(42).integers(0, K, size=g.num_nodes)
     kw = dict(refine=True, k=K, ordering="random", chunk=chunk,
-              engine=engine, tie_seed=91, order_seed=701)
+              sweep=sweep, tie_seed=91, order_seed=701)
     local = local_sclp(g, start, lmax, shares=True, **kw)
     spmd = spmd_sclp(g, start, lmax, runner=runner, **kw)
     assert np.array_equal(local, spmd)
@@ -149,7 +152,7 @@ def test_refinement_final_cut_identity(gname, cname, config, runner):
     lmax = max_block_weight_bound(g, K, 0.03)
     start = np.random.default_rng(43).integers(0, K, size=g.num_nodes)
     kw = dict(refine=True, k=K, ordering="random", chunk=64,
-              engine="full", tie_seed=92, order_seed=702, rounds=rounds)
+              sweep="full", tie_seed=92, order_seed=702, rounds=rounds)
     local = local_sclp(g, start, lmax, shares=True, **kw)
     spmd = spmd_sclp(g, start, lmax, runner=runner, **kw)
     assert np.array_equal(local, spmd)
@@ -163,7 +166,7 @@ def test_refinement_final_cut_identity(gname, cname, config, runner):
 # process backend over real workers (spawn + shared-memory CSR)
 # ---------------------------------------------------------------------------
 
-def _plp_iterations(comm, graph, mode, k, bound, chunk, engine, iters):
+def _plp_iterations(comm, graph, mode, k, bound, chunk, sweep, iters):
     """Spawn-safe program: per-iteration global label snapshots.
 
     Module-level on purpose — spawn workers re-import this module, so
@@ -178,22 +181,22 @@ def _plp_iterations(comm, graph, mode, k, bound, chunk, engine, iters):
         labels = parallel_label_propagation(
             dgraph, comm, labels, bound, 1, mode=mode,
             k=None if mode == "cluster" else k,
-            chunk_size=chunk, engine=engine,
+            chunk_size=chunk, pin_sweep=sweep,
         )
         snapshots.append(dgraph.gather_global(comm, labels).tolist())
     return snapshots
 
 
-def _plp_crash(comm, graph, mode, k, bound, chunk, engine, iters):
+def _plp_crash(comm, graph, mode, k, bound, chunk, sweep, iters):
     if comm.rank == 1:  # repro: noqa[SPMD-DIV] fixture: deliberate crash
         os._exit(21)
-    return _plp_iterations(comm, graph, mode, k, bound, chunk, engine, iters)
+    return _plp_iterations(comm, graph, mode, k, bound, chunk, sweep, iters)
 
 
 @pytest.mark.parametrize("size", [1, 4])
-@pytest.mark.parametrize("chunk,engine", [(1, "full"), (64, "frontier")])
+@pytest.mark.parametrize("chunk,sweep", [(1, "full"), (64, "frontier")])
 @pytest.mark.parametrize("mode", ["cluster", "refine"])
-def test_process_matches_threads_per_iteration(size, mode, chunk, engine):
+def test_process_matches_threads_per_iteration(size, mode, chunk, sweep):
     """Process == Spmd per-iteration labels, clocks, and stats at p=1/p=4.
 
     Together with the p = 1 Local == Spmd/Process grid above this pins
@@ -204,7 +207,7 @@ def test_process_matches_threads_per_iteration(size, mode, chunk, engine):
     g = make_graph("rmat9")
     lmax = max_block_weight_bound(g, K, 0.03)
     bound = lmax if mode == "refine" else max(2, lmax // 10)
-    prog_args = (mode, K, bound, chunk, engine, 3)
+    prog_args = (mode, K, bound, chunk, sweep, 3)
     threads = run_spmd(size, _plp_iterations, g, *prog_args, seed=5)
     procs = run_spmd_processes(size, _plp_iterations, *prog_args,
                                graph=g, seed=5)
@@ -237,14 +240,14 @@ def test_parallel_partition_backend_identity():
 
 
 # ---------------------------------------------------------------------------
-# adaptive engine: cross-backend decision-trace identity
+# the controller: cross-backend decision-trace identity
 # ---------------------------------------------------------------------------
 
 ADAPTIVE_ITERS = 8
 ADAPTIVE_CHUNK = 64
 
 
-def _padaptive(comm, graph, engine, iters):
+def _padaptive(comm, graph, sweep, iters):
     """Spawn-safe program: one multi-iteration SCLP call, generous bound.
 
     The generous bound gives a converging cluster run whose active
@@ -261,7 +264,7 @@ def _padaptive(comm, graph, engine, iters):
     labels = run_sclp(
         backend, labels, int(graph.vwgt.sum()), iters,
         refine=False, ordering="degree", chunk=ADAPTIVE_CHUNK,
-        engine=engine, tie_seed=90,
+        pin_sweep=sweep, tie_seed=90,
     )
     return dgraph.gather_global(comm, labels[: dgraph.n_local]).tolist()
 
@@ -286,13 +289,13 @@ def _traced(fn):
         TRACER.disable()
 
 
-def _local_adaptive(graph, engine, iters):
+def _local_adaptive(graph, sweep, iters):
     return run_sclp(
         LocalBackend(graph, np.random.default_rng(700)),
         np.arange(graph.num_nodes, dtype=np.int64),
         int(graph.vwgt.sum()), iters,
         refine=False, ordering="degree", chunk=ADAPTIVE_CHUNK,
-        engine=engine, tie_seed=90,
+        pin_sweep=sweep, tie_seed=90,
     )
 
 
@@ -308,17 +311,17 @@ class TestAdaptiveDecisionIdentity:
     Local vs both dist runtimes at p = 1 over the executed prefix (a
     p = 1 dist call stops after one phase — the interface-quiet
     termination asymmetry documented in the module docstring).  Labels
-    stay bit-identical to the static engines' union: the per-iteration
-    frontier == full identity makes the full engine the oracle for
-    whichever sweep the controller selected at each iteration.
+    stay bit-identical to the pinned sweeps' union: the per-iteration
+    frontier == full identity makes the pinned full sweep the oracle
+    for whichever sweep the controller selected at each iteration.
     """
 
     def test_p4_threads_vs_processes_full_trajectory(self):
         g = make_graph("rmat9")
         spmd, rec_s = _traced(lambda: run_spmd(
-            4, _padaptive, g, "adaptive", ADAPTIVE_ITERS, seed=5).value)
+            4, _padaptive, g, None, ADAPTIVE_ITERS, seed=5).value)
         proc, rec_p = _traced(lambda: run_spmd_processes(
-            4, _padaptive, "adaptive", ADAPTIVE_ITERS, graph=g,
+            4, _padaptive, None, ADAPTIVE_ITERS, graph=g,
             seed=5).value)
         traces_s = [_decision_trace(rec_s, r) for r in range(4)]
         traces_p = [_decision_trace(rec_p, r) for r in range(4)]
@@ -341,13 +344,13 @@ class TestAdaptiveDecisionIdentity:
     def test_local_and_p1_dist_agree_on_the_executed_prefix(self):
         g = make_graph("rmat9")
         local, rec_l = _traced(
-            lambda: _local_adaptive(g, "adaptive", ADAPTIVE_ITERS))
+            lambda: _local_adaptive(g, None, ADAPTIVE_ITERS))
         trace_local = _decision_trace(rec_l, None)
         assert {s for _, s, _ in trace_local} == {"full", "frontier"}
         p1_s, rec_s = _traced(lambda: run_spmd(
-            1, _padaptive, g, "adaptive", ADAPTIVE_ITERS, seed=5).value)
+            1, _padaptive, g, None, ADAPTIVE_ITERS, seed=5).value)
         p1_p, rec_p = _traced(lambda: run_spmd_processes(
-            1, _padaptive, "adaptive", ADAPTIVE_ITERS, graph=g,
+            1, _padaptive, None, ADAPTIVE_ITERS, graph=g,
             seed=5).value)
         t_s = _decision_trace(rec_s, 0)
         t_p = _decision_trace(rec_p, 0)
@@ -356,7 +359,7 @@ class TestAdaptiveDecisionIdentity:
         assert p1_s == p1_p
         # The common executed prefix is label-identical too: a p = 1
         # dist run covers exactly its first len(t_s) iterations.
-        local_prefix = _local_adaptive(g, "adaptive", len(t_s))
+        local_prefix = _local_adaptive(g, None, len(t_s))
         assert np.array_equal(local_prefix, np.asarray(p1_s))
         # Static-union label identity for the full local run.
         assert np.array_equal(

@@ -1,14 +1,16 @@
 """Golden equivalence gate for the backend-abstracted engine.
 
-``golden_partitions.json`` was frozen by running
-``tools/capture_golden_partitions.py`` on the pre-refactor tree (the
-last revision with separate sequential and distributed pipelines).
-These tests replay the same seeded grid through the unified engine and
-require byte-identical label arrays — the refactor's "thin wrappers,
-unchanged results" contract, end to end: LP clustering/refinement in
-every chunk/sweep mode, parallel LP on 1 and 4 PEs, the sequential
-multilevel cycle, and the full parallel partitioner (hashes *and* final
-cuts) for fast/eco runs on rmat/ba/rgg instances.
+``golden_partitions.json`` holds SHA-256 digests of seeded label arrays
+(``tools/capture_golden_partitions.py``).  The ``*/chunk64/*``,
+``parallel/*`` and ``parallel_cut/*`` values were frozen on the last
+revision with separate sequential and distributed pipelines and have
+never been recaptured since: replaying them byte for byte is the proof
+that neither the engine refactor nor the collapse to one SCLP loop moved
+the hashed-tie-break path.  The ``*/chunk1/*``, ``lp_band/*`` and
+``multilevel/*`` values were recaptured when the node-at-a-time regime
+switched from RNG-stream to hash tie-breaking; they pin that regime
+against drift from here on (its *correctness* is pinned against the
+reference oracle in ``tests/core/test_lp_kernels.py``).
 """
 
 from __future__ import annotations
@@ -39,15 +41,10 @@ GOLDEN = json.loads(
 
 GRAPH_NAMES = ("rmat10", "ba10", "rgg10")
 CONFIGS = {"fast": fast_config, "eco": eco_config}
-# (chunk_size, engine argument, golden key label).  The goldens were
-# captured with engine=None under the default environment, where
-# chunk_size=1 resolves to the full sweep (the bit-exact scan
-# contract); the replay pins engine="full" there so a forced
-# REPRO_LP_FRONTIER=1 (CI runs the suite in both modes) cannot flip the
-# resolution away from the captured configuration.  chunk_size=0 is
-# env-immune: the scan engine never consults REPRO_LP_FRONTIER.
+# (chunk_size, pinned sweep, golden key label).  Every row pins its
+# sweep: the goldens freeze one sweep at exactly that chunk, with no
+# controller probes in between.
 CHUNK_GRID = [
-    (0, None, "auto"),
     (1, "full", "auto"),
     (64, "full", "full"),
     (64, "frontier", "frontier"),
@@ -69,27 +66,27 @@ def digest(arr: np.ndarray) -> str:
     ).hexdigest()
 
 
-@pytest.mark.parametrize("chunk,engine,label", CHUNK_GRID)
+@pytest.mark.parametrize("chunk,sweep,label", CHUNK_GRID)
 @pytest.mark.parametrize("gname", GRAPH_NAMES)
 class TestSequentialLP:
-    def test_cluster(self, gname, chunk, engine, label):
+    def test_cluster(self, gname, chunk, sweep, label):
         g = make_graph(gname)
         lmax = max_block_weight_bound(g, 4, 0.03)
         rng = np.random.default_rng(7)
         labels = label_propagation_clustering(
             g, max_cluster_weight=max(2, lmax // 10), iterations=3, rng=rng,
-            chunk_size=chunk, engine=engine,
+            chunk_size=chunk, pin_sweep=sweep,
         )
         key = f"lp_cluster/{gname}/chunk{chunk}/{label}"
         assert digest(labels) == GOLDEN[key]
 
-    def test_refine(self, gname, chunk, engine, label):
+    def test_refine(self, gname, chunk, sweep, label):
         g = make_graph(gname)
         lmax = max_block_weight_bound(g, 4, 0.03)
         part = np.random.default_rng(11).integers(0, 4, size=g.num_nodes)
         refined = label_propagation_refinement(
             g, part, lmax, iterations=4, rng=np.random.default_rng(13),
-            chunk_size=chunk, engine=engine,
+            chunk_size=chunk, pin_sweep=sweep,
         )
         key = f"lp_refine/{gname}/chunk{chunk}/{label}"
         assert digest(refined) == GOLDEN[key]
@@ -107,7 +104,7 @@ def test_band_refinement(gname):
     assert digest(banded) == GOLDEN[f"lp_band/{gname}"]
 
 
-def _parallel_lp_program(comm, graph, mode, k, chunk, engine):
+def _parallel_lp_program(comm, graph, mode, k, chunk, sweep):
     vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
     dg = DistGraph.from_global(graph, vtxdist, comm.rank)
     lmax = max_block_weight_bound(graph, 4, 0.03)
@@ -115,7 +112,7 @@ def _parallel_lp_program(comm, graph, mode, k, chunk, engine):
         labels = dg.to_global(np.arange(dg.n_total, dtype=np.int64))
         res = parallel_label_propagation(
             dg, comm, labels, max(2, lmax // 10), 3,
-            mode="cluster", chunk_size=chunk, engine=engine,
+            mode="cluster", chunk_size=chunk, pin_sweep=sweep,
         )
     else:
         part_rng = np.random.default_rng(23)
@@ -125,18 +122,18 @@ def _parallel_lp_program(comm, graph, mode, k, chunk, engine):
         dg.halo_exchange(comm, labels)
         res = parallel_label_propagation(
             dg, comm, labels, lmax, 4, mode="refine", k=k,
-            chunk_size=chunk, engine=engine,
+            chunk_size=chunk, pin_sweep=sweep,
         )
     return dg.gather_global(comm, res[: dg.n_local])
 
 
 @pytest.mark.parametrize("mode", ["cluster", "refine"])
-@pytest.mark.parametrize("chunk,engine,label", CHUNK_GRID)
+@pytest.mark.parametrize("chunk,sweep,label", CHUNK_GRID)
 @pytest.mark.parametrize("p", [1, 4])
 @pytest.mark.parametrize("gname", GRAPH_NAMES)
-def test_parallel_lp(gname, p, chunk, engine, label, mode):
+def test_parallel_lp(gname, p, chunk, sweep, label, mode):
     g = make_graph(gname)
-    res = run_spmd(p, _parallel_lp_program, g, mode, 4, chunk, engine, seed=5)
+    res = run_spmd(p, _parallel_lp_program, g, mode, 4, chunk, sweep, seed=5)
     key = f"par_lp_{mode}/{gname}/p{p}/chunk{chunk}/{label}"
     assert digest(res.value) == GOLDEN[key]
 

@@ -3,9 +3,9 @@
 The whole point of the :class:`~repro.graph.store.MmapShardStore` is
 that it changes *where* the arc arrays live, never *what* the kernels
 compute.  These tests pin that contract: the same SCLP program — same
-engine, ordering, chunk size, tie seed — run once on a resident graph
+sweep, ordering, chunk size, tie seed — run once on a resident graph
 and once on its sharded on-disk copy must produce bit-identical labels,
-across the engine grid (scan, chunked full, frontier, adaptive) and
+across the sweep grid (pinned full, pinned frontier, the controller) and
 across the execution backends (local, spmd, process — the distributed
 paths materialize the sharded graph up front, which must also be exact).
 The flat out-of-core partitioner and the streaming quality evaluator are
@@ -27,8 +27,12 @@ from repro.metrics import evaluate_partition, evaluate_partition_streaming
 K = 8
 NODES_PER_SHARD = 64
 
-#: (chunk request, engine) — chunk 0 is the node-at-a-time scan
-ENGINE_GRID = [(0, "full"), (256, "full"), (256, "frontier"), (256, "adaptive")]
+#: (chunk request, pinned sweep); ``None`` leaves the choice to the controller
+SWEEP_GRID = [
+    pytest.param(256, "full", id="256-full"),
+    pytest.param(256, "frontier", id="256-frontier"),
+    pytest.param(256, None, id="256-adaptive"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +53,8 @@ def _striped(graph, k=K):
     return np.minimum((prefix * k) // max(1, int(vwgt.sum())), k - 1)
 
 
-@pytest.mark.parametrize("chunk,engine", ENGINE_GRID)
-def test_local_backend_label_identity(graph, sharded, chunk, engine):
+@pytest.mark.parametrize("chunk,sweep", SWEEP_GRID)
+def test_local_backend_label_identity(graph, sharded, chunk, sweep):
     bound = max_block_weight_bound(graph, K, 0.03)
     results = []
     for g in (graph, sharded):
@@ -58,7 +62,7 @@ def test_local_backend_label_identity(graph, sharded, chunk, engine):
         req = sharded.store.clamp_chunk(chunk)  # same chunk on both legs
         labels = run_sclp(
             backend, _striped(g), bound, 6, refine=True, shares=False,
-            k=K, ordering="node", chunk=req, engine=engine, tie_seed=7,
+            k=K, ordering="node", chunk=req, pin_sweep=sweep, tie_seed=7,
         )
         results.append(labels)
     assert np.array_equal(results[0], results[1])

@@ -9,6 +9,7 @@ from repro.graph import check_graph, degree_statistics, is_connected
 from repro.graph.ops import average_clustering_sample
 from repro.generators import (
     barabasi_albert,
+    delaunay,
     delaunay_graph,
     grid_2d,
     grid_3d,
@@ -88,6 +89,14 @@ class TestDelaunay:
     def test_unit_weights(self):
         g = delaunay_graph(300, seed=2)
         assert np.all(g.adjwgt == 1)
+
+    def test_del16_edge_keys_do_not_overflow(self):
+        # Regression: Qhull's int32 simplices overflowed lo * n + hi from
+        # 2^16 points up ("negative axis 0 index").
+        n = 2**16
+        g = delaunay(16, seed=1)
+        assert g.num_nodes == n
+        assert 3 * n - 600 < g.num_edges <= 3 * n - 6  # planar, mean degree ~6
 
 
 class TestMesh:

@@ -208,3 +208,54 @@ class TestSequentialPipelineEvents:
         assert final[0]["attrs"]["cut_refined"] >= result.cut
         table = per_level_table(records)
         assert "V-cycle 0" in table
+
+    @staticmethod
+    def _traced_sequential(chunk):
+        from repro.core.config import fast_config
+
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            partition_graph(
+                rmat(10, seed=2), k=4, num_pes=1, seed=0,
+                config=fast_config(k=4, lp_chunk_size=chunk),
+            )
+        finally:
+            TRACER.disable()
+        records = [dict(TRACER.header)] + TRACER.snapshot()
+        records.append({"type": "metrics", "metrics": TRACER.metrics.snapshot()})
+        return records
+
+    def test_lp_chunk_size_reaches_the_sequential_engine(self):
+        # Regression: lp_chunk_size was silently ignored at num_pes=1 (the
+        # local V-cycle backends never passed it on).  The controller's
+        # first probe is the configured chunk itself.
+        first_probe = {}
+        for chunk in (64, 256):
+            decisions = [
+                s["attrs"] for s in _spans(self._traced_sequential(chunk),
+                                           "lp.autotune")
+            ]
+            assert decisions, "sequential run recorded no controller decisions"
+            first_probe[chunk] = {
+                d["chunk_request"] for d in decisions if d["iteration"] == 0
+            }
+        assert first_probe == {64: {64}, 256: {256}}
+
+    def test_sequential_summary_says_which_path_ran(self):
+        from repro.obsv import build_run_summary, validate_run_summary
+
+        records = self._traced_sequential(64)
+        iterations = _spans(records, "lp.iteration")
+        assert iterations
+        for span in iterations:
+            assert span["attrs"]["sweep"] in ("full", "frontier")
+            assert span["attrs"]["chunk_size"] >= 1
+        summary = build_run_summary(records)
+        assert not validate_run_summary(summary)
+        assert summary["autotune"], "run.json autotune block is empty"
+        assert {row["sweep"] for row in summary["autotune"]} <= {"full", "frontier"}
+        assert all(
+            point["sweep"] and point["chunk_size"]
+            for point in summary["convergence"]
+        )

@@ -1,15 +1,16 @@
-"""Capture seeded golden outputs for the engine refactor equivalence gate.
+"""Capture seeded golden outputs for the engine equivalence gate.
 
-Runs every public entry point the backend-abstracted engine must keep
-byte-identical — LP clustering/refinement, parallel LP, the sequential
-multilevel cycle, and the full parallel partitioner — over a fixed grid
-of generator instances, presets, and PE counts, and writes SHA-256
-hashes of the resulting label arrays to
-``tests/engine/golden_partitions.json``.
+Runs every public entry point the engine must keep byte-identical — LP
+clustering/refinement, parallel LP, the sequential multilevel cycle, and
+the full parallel partitioner — over a fixed grid of generator
+instances, presets, and PE counts, and writes SHA-256 hashes of the
+resulting label arrays to ``tests/engine/golden_partitions.json``.
 
-Run it from a tree whose behaviour is the reference (it was run once on
-the pre-refactor tree to freeze the baselines); the test suite then
-replays the grid and compares hashes.
+Run it from a tree whose behaviour is the reference; the test suite
+then replays the grid and compares hashes.  A recapture must leave every
+``*/chunk64/*``, ``parallel/*`` and ``parallel_cut/*`` value unchanged
+(``git diff`` the JSON): those date from the pre-engine tree and are the
+proof that the hashed-tie-break path never moved.
 """
 
 from __future__ import annotations
@@ -48,27 +49,29 @@ GRAPHS = {
 
 CONFIGS = {"fast": fast_config, "eco": eco_config}
 
+#: (chunk_size, pinned sweep, golden key label)
+CHUNK_GRID = [(1, "full", "auto"), (64, "full", "full"), (64, "frontier", "frontier")]
+
 
 def lp_goldens(out: dict) -> None:
     for gname, make in GRAPHS.items():
         g = make()
         lmax = max_block_weight_bound(g, 4, 0.03)
-        for chunk, engine in [(0, None), (1, None), (64, "full"), (64, "frontier")]:
+        for chunk, sweep, label in CHUNK_GRID:
             rng = np.random.default_rng(7)
             labels = label_propagation_clustering(
                 g, max_cluster_weight=max(2, lmax // 10), iterations=3, rng=rng,
-                chunk_size=chunk, engine=engine,
+                chunk_size=chunk, pin_sweep=sweep,
             )
-            out[f"lp_cluster/{gname}/chunk{chunk}/{engine or 'auto'}"] = digest(labels)
+            out[f"lp_cluster/{gname}/chunk{chunk}/{label}"] = digest(labels)
             rng = np.random.default_rng(11)
             part = rng.integers(0, 4, size=g.num_nodes)
             rng2 = np.random.default_rng(13)
             refined = label_propagation_refinement(
                 g, part, lmax, iterations=4, rng=rng2,
-                chunk_size=chunk, engine=engine,
+                chunk_size=chunk, pin_sweep=sweep,
             )
-            out[f"lp_refine/{gname}/chunk{chunk}/{engine or 'auto'}"] = digest(refined)
-        # band refinement (scan-only variant)
+            out[f"lp_refine/{gname}/chunk{chunk}/{label}"] = digest(refined)
         rng = np.random.default_rng(17)
         part = rng.integers(0, 4, size=g.num_nodes)
         rng2 = np.random.default_rng(19)
@@ -79,7 +82,7 @@ def lp_goldens(out: dict) -> None:
 
 
 def parallel_lp_goldens(out: dict) -> None:
-    def program(comm, graph, mode, k, chunk, engine):
+    def program(comm, graph, mode, k, chunk, sweep):
         vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
         dg = DistGraph.from_global(graph, vtxdist, comm.rank)
         lmax = max_block_weight_bound(graph, 4, 0.03)
@@ -87,7 +90,7 @@ def parallel_lp_goldens(out: dict) -> None:
             labels = dg.to_global(np.arange(dg.n_total, dtype=np.int64))
             res = parallel_label_propagation(
                 dg, comm, labels, max(2, lmax // 10), 3,
-                mode="cluster", chunk_size=chunk, engine=engine,
+                mode="cluster", chunk_size=chunk, pin_sweep=sweep,
             )
         else:
             part_rng = np.random.default_rng(23)
@@ -97,17 +100,17 @@ def parallel_lp_goldens(out: dict) -> None:
             dg.halo_exchange(comm, labels)
             res = parallel_label_propagation(
                 dg, comm, labels, lmax, 4, mode="refine", k=k,
-                chunk_size=chunk, engine=engine,
+                chunk_size=chunk, pin_sweep=sweep,
             )
         return dg.gather_global(comm, res[: dg.n_local])
 
     for gname, make in GRAPHS.items():
         g = make()
         for p in (1, 4):
-            for chunk, engine in [(0, None), (1, None), (64, "full"), (64, "frontier")]:
+            for chunk, sweep, label in CHUNK_GRID:
                 for mode in ("cluster", "refine"):
-                    res = run_spmd(p, program, g, mode, 4, chunk, engine, seed=5)
-                    out[f"par_lp_{mode}/{gname}/p{p}/chunk{chunk}/{engine or 'auto'}"] = (
+                    res = run_spmd(p, program, g, mode, 4, chunk, sweep, seed=5)
+                    out[f"par_lp_{mode}/{gname}/p{p}/chunk{chunk}/{label}"] = (
                         digest(res.value)
                     )
 
