@@ -29,6 +29,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..engine import native
 from ..graph.csr import Graph
 from ..graph.store import SharedCSRHandle, SharedMemoryStore
 from ..obsv.tracer import TRACER
@@ -257,6 +258,7 @@ class _WorkerSpec:
     program: bytes  # pickled rank-parametric program
     payload: bytes  # pickled (args, kwargs)
     graph_handle: SharedCSRHandle | None
+    lp_kernel: native.Resolution  # the parent's choice: ranks never compile
     result_queue: Any
     trace: bool
     wall_origin: float
@@ -274,6 +276,7 @@ def _proc_worker(spec: _WorkerSpec) -> None:
     comm: ProcComm | None = None
     store: SharedMemoryStore | None = None
     try:
+        native.adopt(spec.lp_kernel)
         program = pickle.loads(spec.program)
         args, kwargs = pickle.loads(spec.payload)
         if spec.graph_handle is not None:
@@ -364,6 +367,10 @@ def run_spmd_processes(
         return SpmdResult([result], comm.sim_time,
                           np.array([comm.sim_time]), [comm.stats])
 
+    # Build (or find) the compiled LP kernel here, once, so p ranks on a
+    # cold cache do not each run the compiler.
+    lp_kernel = native.resolve()
+    TRACER.annotate_header(**lp_kernel.header())
     shared = SharedMemoryStore.create(graph) if graph is not None else None
     result_queue = ctx.Queue()
     prog_bytes = pickle.dumps(program)
@@ -372,7 +379,7 @@ def run_spmd_processes(
         _WorkerSpec(
             rank=rank, world=world, program=prog_bytes, payload=payload,
             graph_handle=None if shared is None else shared.handle,
-            result_queue=result_queue, trace=TRACER.enabled,
+            lp_kernel=lp_kernel, result_queue=result_queue, trace=TRACER.enabled,
             wall_origin=TRACER._wall_origin,
         )
         for rank in range(size)

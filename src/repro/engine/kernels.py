@@ -4,8 +4,11 @@ Size-constrained label propagation evaluates the same move for every
 visited node ``v``: aggregate the connection strength ``omega({(v,u) :
 u in N(v) and label(u) = l})`` per neighbouring label ``l``, drop
 ineligible labels (size bound / budget share), and move to the strongest
-remaining label.  The kernels here do that for a *chunk* of nodes at
-once with NumPy:
+remaining label.  :func:`scan_chunk` does that for a *chunk* of nodes
+at once.  It exists twice with one signature and bit-identical results:
+compiled (:mod:`repro.engine.native`, a dense accumulator per node, what
+runs wherever a C compiler is available) and, here, in NumPy — the
+fallback and the oracle the compiled one is tested against:
 
 * neighbour-label aggregation is sort-based: one stable
   :func:`numpy.argsort` over the combined ``(node, label)`` key followed
@@ -65,6 +68,7 @@ __all__ = [
     "aggregate_candidates",
     "gather_neighbors",
     "pick_targets_hashed",
+    "scan_chunk",
     "capped_inflow_mask",
     "chunk_ranges",
 ]
@@ -153,6 +157,18 @@ class IterationWorkspace:
             capacity = max(16, 1 << max(0, int(size - 1).bit_length()))
             arr = np.empty(capacity, dtype=dtype)
             self._bufs[key] = arr
+        return arr[:size]
+
+    def zeros(self, key: str, size: int, dtype) -> np.ndarray:
+        """Like :meth:`buf`, but all zero when first handed out.
+
+        The user must leave the view all zero again (the dense
+        accumulator of the compiled scan does: it clears exactly the
+        entries it touched), so regrowing never has anything to copy.
+        """
+        arr = self._bufs.get(key)
+        if arr is None or arr.size < size or arr.dtype != np.dtype(dtype):
+            arr = self._bufs[key] = np.zeros(size, dtype=dtype)
         return arr[:size]
 
     def arange(self, size: int) -> np.ndarray:
@@ -419,6 +435,60 @@ def pick_targets_hashed(
     danger &= t_eq
     np.logical_or.reduceat(danger, seg_start, out=risky)
     return choice, risky
+
+
+def scan_chunk(
+    nodes: np.ndarray,
+    xadj: np.ndarray,
+    adjncy: np.ndarray,
+    adjwgt: np.ndarray,
+    labels: np.ndarray,
+    constraint: np.ndarray | None,
+    vwgt: np.ndarray,
+    used: np.ndarray,
+    cap: np.ndarray,
+    evicting: np.ndarray | None,
+    tie_seed: int,
+    tie_base: int,
+    space: int,
+    ws: IterationWorkspace,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Decide the move of every node of a chunk against one snapshot.
+
+    ``nodes`` (each with at least one arc) are evaluated against
+    ``labels`` and the weight tables as they stand: a label is eligible
+    for node ``v`` when ``used + c(v) <= cap`` (``cap`` int64 or
+    float64); ``v``'s own label is eligible unless ``evicting`` marks
+    ``v`` (``None`` in cluster mode: nobody is evicted).  ``tie_base +
+    v`` is the id hashed for tie-breaking; ``space`` exceeds every label.
+
+    Returns ``(target, risky, arcs)``: per node the chosen label (its
+    own when nothing is eligible) and the *risky* flag of
+    :func:`pick_targets_hashed`, plus the chunk's arc count.  This is
+    the NumPy implementation — the fallback of, and the identity oracle
+    for, the compiled :func:`repro.engine.native.scan_chunk`.
+    """
+    cands = aggregate_candidates(
+        plan_chunk(nodes, xadj, adjncy, adjwgt, constraint), labels, space, ws
+    )
+    fits = used[cands.labels] + vwgt[nodes][cands.node_pos] <= cap[cands.labels]
+    if evicting is None:
+        eligible = cands.is_own | fits
+    else:
+        # A node of an overloaded block must leave it; anyone else may stay.
+        eligible = np.where(cands.is_own, ~evicting[cands.node_pos], fits)
+    # hash *global* ids so tie decisions are a property of the node,
+    # not of its rank-local numbering
+    tie_ids = nodes[cands.node_pos]
+    if tie_base:
+        tie_ids = tie_base + tie_ids
+    choice, risky = pick_targets_hashed(
+        cands, eligible, candidate_tie_hash(tie_seed, tie_ids, cands.labels), ws
+    )
+    has = choice >= 0
+    target = labels[nodes]
+    target[has] = cands.labels[choice[has]]
+    return target, risky, cands.arcs_scanned
 
 
 def capped_inflow_mask(

@@ -61,17 +61,14 @@ from .autotune import (
     SWEEP_FULL,
     AutotuneController,
 )
+from . import native
 from .kernels import (
     DEFAULT_CHUNK_SIZE,
     IterationWorkspace,
-    aggregate_candidates,
-    candidate_tie_hash,
     capped_inflow_mask,
     chunk_ranges,
     effective_chunk,
     gather_neighbors,
-    pick_targets_hashed,
-    plan_chunk,
 )
 from ..obsv.tracer import TRACER
 from ..perf.rss import memory_sample
@@ -139,12 +136,12 @@ def run_sclp(
             f"pin_sweep must be None, {SWEEP_FULL!r} or {SWEEP_FRONTIER!r}, "
             f"got {pin_sweep!r}"
         )
-    labels = np.asarray(labels, dtype=np.int64).copy()
+    labels = np.array(labels, dtype=np.int64, order="C")
     bound = int(max_block_weight)
-    vwgt_all = backend.node_weights()
+    vwgt_all = np.ascontiguousarray(backend.node_weights(), dtype=np.int64)
     interface = backend.interface_mask()
     if constraint is not None:
-        constraint = np.asarray(constraint, dtype=np.int64)
+        constraint = np.ascontiguousarray(constraint, dtype=np.int64)
     n_local = backend.n_local
     xadj, adjncy, adjwgt = backend.xadj, backend.adjncy, backend.adjwgt
     degrees = backend.degrees
@@ -152,6 +149,11 @@ def run_sclp(
     mode_name = "refine" if refine else "cluster"
     controller = AutotuneController(chunk) if pin_sweep is None else None
     workspace = IterationWorkspace()
+    # Compiled when this host could build it, NumPy otherwise: the two
+    # return the same arrays bit for bit, so nothing else depends on it.
+    scan_chunk, resolution = native.select()
+    if TRACER.enabled:
+        TRACER.annotate_header(**resolution.header())
 
     # The weight tables (module docstring).  ``load`` is rebound at every
     # phase head: the exact weights under ``shares``, else ``used`` itself.
@@ -172,7 +174,7 @@ def run_sclp(
     # requested order; degree and node order are phase-invariant.
     scope = (
         np.arange(n_local, dtype=np.int64) if band is None
-        else np.asarray(band, dtype=np.int64)
+        else np.ascontiguousarray(band, dtype=np.int64)
     )
     if ordering == "degree":
         static_order = scope[np.argsort(degrees[scope], kind="stable")]
@@ -226,7 +228,8 @@ def run_sclp(
         lp_span = TRACER.span(
             "lp.iteration", **backend.span_kwargs(), sweep=sweep,
             mode=mode_name, iteration=_phase, chunk_size=phase_chunk,
-            constrained=constraint is not None, **span_extra,
+            constrained=constraint is not None, kernel=resolution.kernel,
+            **span_extra,
         )
         lp_span.__enter__()
         if shares:
@@ -262,45 +265,29 @@ def run_sclp(
                 connected = nodes
             if connected.size:
                 own = labels[connected]
-                c_v = vwgt_all[connected]
-                cands = aggregate_candidates(
-                    plan_chunk(connected, xadj, adjncy, adjwgt, constraint),
-                    labels, space, workspace,
-                )
-                arcs_scanned += cands.arcs_scanned
-                fits = used[cands.labels] + c_v[cands.node_pos] <= cap[cands.labels]
+                evicting = None
                 if refine:
                     # A node of an overloaded block must leave it (while
                     # this PE's eviction share lasts); anyone else may stay.
                     evicting = load[own] > bound
                     if shares:
                         evicting &= local_out[own] < evict_budget[own]
-                    eligible = np.where(cands.is_own, ~evicting[cands.node_pos], fits)
-                else:
-                    eligible = cands.is_own | fits
-                # hash *global* ids so tie decisions are a property of
-                # the node, not of its rank-local numbering
-                tie_ids = connected[cands.node_pos]
-                if tie_base:
-                    tie_ids = tie_base + tie_ids
-                choice, risky = pick_targets_hashed(
-                    cands, eligible,
-                    candidate_tie_hash(tie_seed, tie_ids, cands.labels),
-                    workspace,
+                target, risky, arcs = scan_chunk(
+                    connected, xadj, adjncy, adjwgt, labels, constraint,
+                    vwgt_all, used, cap, evicting, tie_seed, tie_base,
+                    space, workspace,
                 )
+                arcs_scanned += arcs
                 if (sweep_frontier or defer) and risky.any():
                     flagged = connected[risky]
                     if sweep_frontier:
                         next_active[flagged] = True
                     else:
                         pend_extra.append(flagged)
-                has = choice >= 0
-                target = own.copy()
-                target[has] = cands.labels[choice[has]]
                 moving = np.flatnonzero(target != own)
                 if moving.size:
                     m_nodes, m_own = connected[moving], own[moving]
-                    m_target, m_c = target[moving], c_v[moving]
+                    m_target, m_c = target[moving], vwgt_all[m_nodes]
                     keep = capped_inflow_mask(
                         m_target, m_c, used[m_target], cap[m_target]
                     )

@@ -12,8 +12,8 @@ heart of the whole multilevel scheme; it is exercised by dedicated
 property-based tests.
 
 The implementation is fully vectorised: fine arcs are relabelled through
-the cluster map, inter-cluster arcs are grouped with a lexicographic sort,
-and weights are summed with ``np.add.reduceat``.
+the cluster map and parallel inter-cluster arcs are grouped and summed by
+a ``scipy.sparse`` COO -> CSR conversion.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from .csr import Graph
 
@@ -93,21 +94,14 @@ def contract(graph: Graph, labels: np.ndarray, name: str | None = None) -> Contr
         )
         return ContractionResult(coarse, mapping)
 
-    # Group parallel coarse arcs: lexicographic sort by (src, dst), then a
-    # segmented sum over equal runs.
-    order = np.lexsort((dst, src))
-    src, dst, wgt = src[order], dst[order], wgt[order]
-    boundary = np.empty(src.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(src[1:], src[:-1], out=boundary[1:])
-    np.logical_or(boundary[1:], dst[1:] != dst[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    adjncy = dst[starts]
-    adjwgt = np.add.reduceat(wgt, starts)
-    arc_src = src[starts]
-
-    xadj = np.zeros(n_coarse + 1, dtype=np.int64)
-    np.cumsum(np.bincount(arc_src, minlength=n_coarse), out=xadj[1:])
+    # Group parallel coarse arcs: the COO -> CSR conversion buckets arcs
+    # by src (a counting sort, not a comparison sort of all arcs) and sums
+    # equal (src, dst) entries; canonical format = rows ordered by dst.
+    rows = coo_matrix((wgt, (src, dst)), shape=(n_coarse, n_coarse)).tocsr()
+    rows.sum_duplicates()
+    xadj = rows.indptr.astype(np.int64, copy=False)
+    adjncy = rows.indices.astype(np.int64, copy=False)
+    adjwgt = rows.data.astype(np.int64, copy=False)
 
     coarse = Graph(
         xadj,

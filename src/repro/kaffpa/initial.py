@@ -98,7 +98,11 @@ def greedy_graph_growing_bisection(
     partition = np.ones(n, dtype=np.int64)
     if n == 0:
         return partition
-    in_block = np.zeros(n, dtype=bool)
+    # Plain lists, read once: the loop below touches single entries, where
+    # a list index beats an ndarray index (and the ``Graph`` properties).
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    adjwgt, vwgt = graph.adjwgt.tolist(), graph.vwgt.tolist()
+    in_block = [False] * n
     grown_weight = 0
     seed = int(rng.integers(0, n))
     # heap of (-gain, tiebreak, node); lazily revalidated
@@ -106,33 +110,31 @@ def greedy_graph_growing_bisection(
     heap: list[tuple[int, int, int]] = [(0, counter, seed)]
     gain_of = {seed: 0}
 
-    def push_neighbors(v: int) -> None:
-        nonlocal counter
-        for u, w in zip(graph.neighbors(v).tolist(), graph.incident_weights(v).tolist()):
-            if in_block[u]:
-                continue
-            gain_of[u] = gain_of.get(u, 0) + int(w)
-            counter += 1
-            heapq.heappush(heap, (-gain_of[u], counter, u))
-
     while heap and grown_weight < target_weight:
         neg_gain, _, v = heapq.heappop(heap)
         if in_block[v] or gain_of.get(v, 0) != -neg_gain:
             continue  # stale entry
-        if grown_weight + int(graph.vwgt[v]) > target_weight and grown_weight > 0:
+        if grown_weight + vwgt[v] > target_weight and grown_weight > 0:
             continue  # would overshoot; try a lighter frontier node
         in_block[v] = True
-        grown_weight += int(graph.vwgt[v])
-        push_neighbors(v)
+        grown_weight += vwgt[v]
+        for arc in range(xadj[v], xadj[v + 1]):
+            u = adjncy[arc]
+            if in_block[u]:
+                continue
+            gain_of[u] = gain_of.get(u, 0) + adjwgt[arc]
+            counter += 1
+            heapq.heappush(heap, (-gain_of[u], counter, u))
 
-    partition[in_block] = 0
+    grown = np.asarray(in_block, dtype=bool)
+    partition[grown] = 0
     # Absorb any unreached component into the lighter side.
     if grown_weight < target_weight:
-        unreached = ~in_block & ~np.isin(np.arange(n), list(gain_of))
+        unreached = ~grown & ~np.isin(np.arange(n), list(gain_of))
         for v in np.flatnonzero(unreached).tolist():
-            if grown_weight + int(graph.vwgt[v]) <= target_weight:
+            if grown_weight + vwgt[v] <= target_weight:
                 partition[v] = 0
-                grown_weight += int(graph.vwgt[v])
+                grown_weight += vwgt[v]
     return partition
 
 

@@ -58,7 +58,9 @@ __all__ = [
 ]
 
 #: schema identifier stamped into (and required of) every run summary
-RUN_SUMMARY_SCHEMA = "repro.run_summary/v1"
+#: (v2: the header says which LP kernel ran, ``lp_kernel``, and on the
+#: NumPy fallback why, ``lp_kernel_fallback``)
+RUN_SUMMARY_SCHEMA = "repro.run_summary/v2"
 
 #: top-level keys every valid run summary must carry
 _SUMMARY_KEYS = (
@@ -501,6 +503,16 @@ def validate_run_summary(doc: Any) -> list[str]:
             errors.append(f"{key} must be a {want.__name__}")
     if errors:
         return errors
+    header = doc["header"] or {}
+    kernel = header.get("lp_kernel")
+    if kernel not in (None, "native", "numpy"):
+        errors.append("header.lp_kernel must be 'native' or 'numpy'")
+    fallback = header.get("lp_kernel_fallback")
+    if (kernel == "numpy") != (isinstance(fallback, str) and bool(fallback)):
+        errors.append(
+            "header.lp_kernel_fallback must give the reason exactly when "
+            "header.lp_kernel is 'numpy'"
+        )
     matrix = (doc["comm"].get("matrix") or {})
     p = matrix.get("size")
     rows = matrix.get("total")
@@ -711,8 +723,14 @@ def render_analysis(records: Iterable[dict]) -> str:
             f"p {header.get('p') or '-'}",
             f"cpu_cores {header.get('cpu_cores') or '?'}",
             f"python {header.get('python') or '?'}",
+            f"lp_kernel {header.get('lp_kernel') or '-'}",
         ]
         block = "trace header: " + "  ".join(parts)
+        if header.get("lp_kernel_fallback"):
+            block += (
+                "\nNOTE: the compiled LP kernel was not used "
+                f"({header['lp_kernel_fallback']}); LP ran on the NumPy kernels"
+            )
         caveat = single_core_caveat(header)
         if caveat is not None:
             block += "\n" + caveat

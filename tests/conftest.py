@@ -53,6 +53,30 @@ def karate() -> Graph:
 
 
 # ----------------------------------------------------------------------
+# SCLP kernel selection
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Run the test on the NumPy chunk scan, as on a host that cannot
+    build the compiled one.  There is no knob for this in the program:
+    the fixture plants the loader's cached outcome.  Process-backend
+    ranks inherit it (the parent hands its resolution to every rank)."""
+    from repro.engine import native
+
+    forced = native.Resolution(None, "forced by the numpy_kernel fixture")
+    monkeypatch.setattr(native, "_resolution", forced)
+    return forced
+
+
+def kernel_cache_leftovers() -> list[str]:
+    """Temporary build files left in the compiled kernel's cache dir."""
+    from repro.engine import native
+
+    return sorted(str(p) for p in native.cache_dir().glob("*.tmp"))
+
+
+# ----------------------------------------------------------------------
 # Hypothesis strategies
 # ----------------------------------------------------------------------
 

@@ -32,6 +32,8 @@ from repro.graph.store import SHM_PREFIX
 from repro.generators.mesh import grid_2d
 from repro.perf.machine import MACHINE_A, SERIAL
 
+from ..conftest import kernel_cache_leftovers
+
 
 def _shm_leaks() -> list[str]:
     """CSR segments currently visible in /dev/shm (should be none)."""
@@ -147,6 +149,9 @@ class TestSharedCSR:
         msg = str(exc.value)
         assert "rank 1" in msg and "exit code 17" in msg
         assert _shm_leaks() == []
+        # ranks never build the LP kernel, so a killed one leaves no
+        # half-written file in its cache
+        assert kernel_cache_leftovers() == []
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ from repro.graph.validation import max_block_weight_bound
 from repro.metrics.quality import edge_cut
 from repro.obsv.tracer import TRACER
 
+from ..conftest import kernel_cache_leftovers
+
 GRAPH_NAMES = ("rmat9", "ba9", "rgg9")
 #: (chunk, pinned sweep); ``None`` leaves the choice to the controller
 SWEEP_GRID = [
@@ -224,6 +226,7 @@ def test_process_shm_unlinked_after_worker_crash():
         run_spmd_processes(4, _plp_crash, "cluster", K, max(2, lmax // 10),
                            64, "frontier", 2, graph=g, seed=5, timeout=60)
     assert _shm_leaks() == []
+    assert kernel_cache_leftovers() == []
 
 
 def test_parallel_partition_backend_identity():

@@ -9,10 +9,17 @@ the clusters, cutting the coarse graph equals cutting the fine graph.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.graph import check_graph, complete_graph, contract, normalize_labels, quotient_graph
+from repro.graph import (
+    check_graph,
+    complete_graph,
+    contract,
+    from_edges,
+    normalize_labels,
+    quotient_graph,
+)
 from repro.metrics import edge_cut
 
 from ..conftest import graphs_with_labels, random_graphs
@@ -109,6 +116,53 @@ class TestContractionInvariants:
         internal = mapping[src] == mapping[graph.adjncy]
         internal_weight = int(graph.adjwgt[internal].sum()) // 2
         assert result.coarse.total_edge_weight == graph.total_edge_weight - internal_weight
+
+
+def lexsort_contract(graph, labels):
+    """The contraction as it was before ``scipy.sparse`` grouped the arcs:
+    lexicographic sort by (src, dst) and a segmented sum.  Kept as the
+    oracle for :func:`contract`'s CSR arrays."""
+    mapping, n_coarse = normalize_labels(labels)
+    vwgt = np.bincount(mapping, weights=graph.vwgt, minlength=n_coarse).astype(np.int64)
+    src = mapping[graph.arc_sources()]
+    dst = mapping[graph.adjncy]
+    keep = src != dst
+    src, dst, wgt = src[keep], dst[keep], graph.adjwgt[keep]
+    xadj = np.zeros(n_coarse + 1, dtype=np.int64)
+    if src.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return xadj, empty, vwgt, empty
+    order = np.lexsort((dst, src))
+    src, dst, wgt = src[order], dst[order], wgt[order]
+    boundary = np.empty(src.size, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    starts = np.flatnonzero(boundary)
+    np.cumsum(np.bincount(src[starts], minlength=n_coarse), out=xadj[1:])
+    return xadj, dst[starts], vwgt, np.add.reduceat(wgt, starts)
+
+
+_PATH5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], weights=[3, 1, 4, 1])
+
+
+class TestContractMatchesLexsortOracle:
+    @given(graphs_with_labels())
+    @example((from_edges(0, []), np.empty(0, dtype=np.int64)))  # empty graph
+    @example((_PATH5, np.array([0, 0, 1, 1, 1])))  # one coarse edge
+    @example((_PATH5, np.zeros(5, dtype=np.int64)))  # one cluster
+    @example((_PATH5, np.array([0, 0, 0, 9, 9])))  # non-contiguous labels
+    @example((from_edges(4, [(0, 1), (2, 3)]), np.array([5, 5, 2, 2])))  # no inter-cluster arc
+    @example((_PATH5, np.array([7, 3, 7, 3, 100])))  # parallel arcs to sum
+    def test_arrays_equal(self, graph_and_labels):
+        graph, labels = graph_and_labels
+        coarse = contract(graph, labels).coarse
+        xadj, adjncy, vwgt, adjwgt = lexsort_contract(graph, labels)
+        for got, want in (
+            (coarse.xadj, xadj), (coarse.adjncy, adjncy),
+            (coarse.vwgt, vwgt), (coarse.adjwgt, adjwgt),
+        ):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
 
 class TestQuotientGraph:

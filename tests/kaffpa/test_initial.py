@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -57,6 +59,70 @@ class TestGreedyGrowing:
     def test_produces_two_blocks(self, graph):
         part = greedy_graph_growing_bisection(graph, rng(2))
         assert set(np.unique(part)).issubset({0, 1})
+
+
+def property_reading_growing(graph, rng, target_weight=None):
+    """:func:`greedy_graph_growing_bisection` as it read the graph before
+    the arrays were hoisted out of the loop (``graph.vwgt[v]`` and
+    ``neighbors(v)`` per visit): the oracle for RNG draws, heap order and
+    the returned partition."""
+    n = graph.num_nodes
+    if target_weight is None:
+        target_weight = graph.total_node_weight // 2
+    partition = np.ones(n, dtype=np.int64)
+    if n == 0:
+        return partition
+    in_block = np.zeros(n, dtype=bool)
+    grown_weight = 0
+    seed = int(rng.integers(0, n))
+    counter = 0
+    heap = [(0, counter, seed)]
+    gain_of = {seed: 0}
+    while heap and grown_weight < target_weight:
+        neg_gain, _, v = heapq.heappop(heap)
+        if in_block[v] or gain_of.get(v, 0) != -neg_gain:
+            continue
+        if grown_weight + int(graph.vwgt[v]) > target_weight and grown_weight > 0:
+            continue
+        in_block[v] = True
+        grown_weight += int(graph.vwgt[v])
+        for u, w in zip(graph.neighbors(v).tolist(), graph.incident_weights(v).tolist()):
+            if in_block[u]:
+                continue
+            gain_of[u] = gain_of.get(u, 0) + int(w)
+            counter += 1
+            heapq.heappush(heap, (-gain_of[u], counter, u))
+    partition[in_block] = 0
+    if grown_weight < target_weight:
+        unreached = ~in_block & ~np.isin(np.arange(n), list(gain_of))
+        for v in np.flatnonzero(unreached).tolist():
+            if grown_weight + int(graph.vwgt[v]) <= target_weight:
+                partition[v] = 0
+                grown_weight += int(graph.vwgt[v])
+    return partition
+
+
+class TestGreedyGrowingMatchesOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_partition_and_rng_state(self, seed):
+        draw = np.random.default_rng(1000 + seed)
+        n = int(draw.integers(2, 120))
+        # Sparse enough that some graphs are disconnected (the absorb tail).
+        m = int(draw.integers(0, 3 * n))
+        edges = {
+            (min(u, v), max(u, v))
+            for u, v in draw.integers(0, n, size=(m, 2)).tolist() if u != v
+        }
+        graph = from_edges(
+            n, sorted(edges), weights=draw.integers(1, 9, size=len(edges)),
+            vwgt=draw.integers(1, 6, size=n),
+        )
+        target = None if seed % 2 else int(graph.total_node_weight // 3)
+        got_rng, want_rng = rng(seed), rng(seed)
+        got = greedy_graph_growing_bisection(graph, got_rng, target)
+        want = property_reading_growing(graph, want_rng, target)
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestRecursiveBisection:

@@ -174,6 +174,22 @@ def test_validate_rejects_broken_documents():
     assert any("memory" in e for e in validate_run_summary(broken))
 
 
+@pytest.mark.parametrize("header, ok", [
+    ({"lp_kernel": "native"}, True),
+    ({"lp_kernel": "numpy", "lp_kernel_fallback": "no C compiler (cc) on PATH"}, True),
+    ({}, True),  # a run that never reached the LP
+    ({"lp_kernel": "numpy"}, False),  # a fallback must say why
+    ({"lp_kernel": "native", "lp_kernel_fallback": "x"}, False),
+    ({"lp_kernel": "cuda"}, False),
+])
+def test_validate_checks_the_lp_kernel_header_fields(header, ok):
+    doc = build_run_summary([])
+    doc["header"] = header
+    errors = validate_run_summary(doc)
+    assert (errors == []) == ok, errors
+    assert all("lp_kernel" in e for e in errors)
+
+
 def test_compare_flags_injected_regression(traced_run):
     records, _ = traced_run
     current = build_run_summary(records)

@@ -253,6 +253,11 @@ class TestSequentialPipelineEvents:
             assert span["attrs"]["chunk_size"] >= 1
         summary = build_run_summary(records)
         assert not validate_run_summary(summary)
+        # ... and on which chunk-scan kernel, the spans agreeing with the header
+        assert summary["header"]["lp_kernel"] in ("native", "numpy")
+        assert {s["attrs"]["kernel"] for s in iterations} == {
+            summary["header"]["lp_kernel"]
+        }
         assert summary["autotune"], "run.json autotune block is empty"
         assert {row["sweep"] for row in summary["autotune"]} <= {"full", "frontier"}
         assert all(
