@@ -8,14 +8,16 @@ module as a script measures ops/sec for
 * the distributed halo exchange,
 * parallel contraction,
 
-each on an RMAT and a mesh instance, plus the headline number: parallel
-cluster-mode LP at 4 simulated PEs on a 2^15-node RMAT graph — the
-engine as every caller gets it (the ``adaptive_*`` rows: the controller
-picks sweep and chunk) next to the two pinned sweeps it chooses between
-(``par_lp_chunked_*`` = pinned full, ``par_lp_frontier_*`` = pinned
-frontier; diagnostics only, no caller can select them), in both the
-3-iteration churn regime and the converged regime, with p=8 scaling
-rows.  The ``proc_lp_p{1,4}`` rows run the same LP workload on the
+each on an RMAT and a mesh instance, plus the headline numbers: parallel
+LP at 4 simulated PEs on a 2^15-node RMAT graph under each pinned sweep
+(``par_lp_chunked_*`` = full, ``par_lp_frontier_*`` = frontier; no
+production caller pins one — the engine runs the full sweep when
+clustering and the frontier sweep when refining).  The rows sit on both
+sides of that rule: cluster LP from singletons in the 3-iteration churn
+regime (what every coarsening call is) and run into convergence, with
+p=8 scaling rows, and ``par_lp_{full,frontier}_refine_*``: 6 refinement
+rounds from a projected partition (what every uncoarsening level is).
+The ``proc_lp_p{1,4}`` rows run the cluster workload on the
 *process* backend (``run_spmd_processes``: real OS workers over
 shared-memory CSR) and record real wall-clock throughput — their ratio
 is the machine's actual parallel speedup, so interpret it against the
@@ -53,8 +55,12 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.api import partition_graph
 from repro.core.config import fast_config
-from repro.core.label_propagation import size_constrained_label_propagation
+from repro.core.label_propagation import (
+    label_propagation_clustering,
+    size_constrained_label_propagation,
+)
 from repro.engine.kernels import DEFAULT_CHUNK_SIZE
 from repro.dist.dist_partitioner import parallel_partition
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
@@ -62,11 +68,13 @@ from repro.dist.dist_contraction import parallel_contract
 from repro.dist.dist_lp import parallel_label_propagation
 from repro.dist.runtime import run_spmd, run_spmd_processes
 from repro.generators import grid_2d, rmat
+from repro.graph.quotient import contract
+from repro.graph.validation import max_block_weight_bound
 from repro.perf.machine import MACHINE_A
 
 RESULT_PATH = REPO_ROOT / "BENCH_lp.json"
 PES = 4
-#: PE count for the scaling rows (the "open p8" ROADMAP item): same LP
+#: PE count for the scaling rows: same LP
 #: workloads at 8 simulated PEs, so the sweep comparison is visible at
 #: a second machine size
 PES_8 = 8
@@ -77,6 +85,10 @@ LP_ITERATIONS = 3
 #: iterations exercise the near-converged steady state where the
 #: frontier sweep skips almost every rescan
 LP_CONVERGED_ITERATIONS = 24
+#: the paper's refinement round count (§V-A), and the block count of the
+#: refinement rows
+LP_REFINE_ITERATIONS = 6
+REFINE_K = 8
 #: metrics covered by the tighter engine-parity gate: the pinned sweeps
 #: of the vectorised LP hot path
 ENGINE_PARITY_KEYS = (
@@ -84,31 +96,8 @@ ENGINE_PARITY_KEYS = (
     "par_lp_frontier_rmat15_p4",
     "par_lp_chunked_converged_rmat15_p4",
     "par_lp_frontier_converged_rmat15_p4",
-    # adaptive rows are gated by ADAPTIVE_GATES below — a within-run
-    # comparison against the best pinned sweep, which host speed
-    # cancels out of — so listing them here would only re-measure the
-    # same rows against a noisier cross-run absolute baseline.
 )
 ENGINE_PARITY_TOLERANCE = 0.10
-#: the controller's contract — ``>= max(pinned full, pinned frontier)``
-#: in every regime, within the same 10% noise bar.  Checked against the
-#: *current* measurement (all three run back-to-back on the same host),
-#: so runner speed cancels out; a failure means the controller picked
-#: the wrong sweep or its bookkeeping costs more than it saves.
-ADAPTIVE_GATES = {
-    "adaptive_lp_rmat15_p4": (
-        "par_lp_chunked_rmat15_p4",
-        "par_lp_frontier_rmat15_p4",
-    ),
-    "adaptive_lp_converged_rmat15_p4": (
-        "par_lp_chunked_converged_rmat15_p4",
-        "par_lp_frontier_converged_rmat15_p4",
-    ),
-    "adaptive_lp_rmat15_p8": (
-        "par_lp_chunked_rmat15_p8",
-        "par_lp_frontier_rmat15_p8",
-    ),
-}
 
 
 def _best(fn, repeats: int = REPEATS) -> float:
@@ -131,15 +120,13 @@ def seq_lp_rate(graph, chunk: int) -> float:
     return graph.num_arcs * LP_ITERATIONS / _best(run)
 
 
-def par_lp_rate(graph, chunk: int, sweep: str | None = None,
-                pes: int = PES) -> float:
+def par_lp_rate(graph, chunk: int, sweep: str, pes: int = PES) -> float:
     """Arc-visits/sec of parallel cluster-mode LP at ``pes`` simulated PEs.
 
     Only the LP call is timed (per-rank, max across ranks via
     ``allreduce_max``) — DistGraph setup is not part of the hot path.
     The rate numerator is always the *full-sweep* arc count, so the
     frontier sweep's skipped rescans show up as a higher rate.
-    ``sweep`` pins one sweep; ``None`` is the controller.
     """
 
     def program(comm):
@@ -195,7 +182,7 @@ def proc_lp_rate(graph, pes: int) -> float:
     return graph.num_arcs * LP_ITERATIONS / _best(run)
 
 
-def par_lp_converged_rate(graph, sweep: str | None, pes: int = PES) -> float:
+def par_lp_converged_rate(graph, sweep: str, pes: int = PES) -> float:
     """Equivalent-sweep rate of LP run into its converged regime.
 
     Unconstrained cluster LP (the size bound is the total node weight,
@@ -220,6 +207,42 @@ def par_lp_converged_rate(graph, sweep: str | None, pes: int = PES) -> float:
 
     dt = _best(lambda: run_spmd(pes, program, seed=0).value)
     return graph.num_arcs * LP_CONVERGED_ITERATIONS / dt
+
+
+def projected_partition(graph, k: int) -> np.ndarray:
+    """What refinement starts from at the finest level: a partition of
+    the once-contracted graph, projected back through the clustering."""
+    bound = max_block_weight_bound(graph, k, 0.03) // 14
+    clustering = label_propagation_clustering(
+        graph, bound, LP_ITERATIONS, np.random.default_rng(0)
+    )
+    level = contract(graph, clustering)
+    return partition_graph(level.coarse, k, seed=0).partition[level.fine_to_coarse]
+
+
+def par_lp_refine_rate(graph, start: np.ndarray, sweep: str,
+                       pes: int = PES) -> float:
+    """Equivalent-sweep rate of refine-mode LP from the partition ``start``."""
+    bound = max_block_weight_bound(graph, REFINE_K, 0.03)
+
+    def program(comm):
+        dgraph = DistGraph.from_global(
+            graph, balanced_vtxdist(graph.num_nodes, comm.size), comm.rank
+        )
+        labels = np.zeros(dgraph.n_total, dtype=np.int64)
+        labels[: dgraph.n_local] = start[
+            dgraph.first : dgraph.first + dgraph.n_local
+        ]
+        dgraph.halo_exchange(comm, labels)
+        t0 = time.perf_counter()
+        parallel_label_propagation(
+            dgraph, comm, labels, bound, LP_REFINE_ITERATIONS, mode="refine",
+            k=REFINE_K, pin_sweep=sweep,
+        )
+        return comm.allreduce_max(time.perf_counter() - t0)
+
+    dt = _best(lambda: run_spmd(pes, program, seed=0).value)
+    return graph.num_arcs * LP_REFINE_ITERATIONS / dt
 
 
 def frontier_stats(graph) -> dict:
@@ -448,17 +471,19 @@ def measure() -> dict:
     par_lp_rate(headline, DEFAULT_CHUNK_SIZE, "full")
     chunked = par_lp_rate(headline, DEFAULT_CHUNK_SIZE, "full")
     frontier = par_lp_rate(headline, DEFAULT_CHUNK_SIZE, "frontier")
-    adaptive = par_lp_rate(headline, DEFAULT_CHUNK_SIZE)
     metrics["par_lp_chunked_rmat15_p4"] = chunked
     metrics["par_lp_frontier_rmat15_p4"] = frontier
-    metrics["adaptive_lp_rmat15_p4"] = adaptive
 
     conv_full = par_lp_converged_rate(headline, "full")
     conv_frontier = par_lp_converged_rate(headline, "frontier")
-    conv_adaptive = par_lp_converged_rate(headline, None)
     metrics["par_lp_chunked_converged_rmat15_p4"] = conv_full
     metrics["par_lp_frontier_converged_rmat15_p4"] = conv_frontier
-    metrics["adaptive_lp_converged_rmat15_p4"] = conv_adaptive
+
+    start = projected_partition(headline, REFINE_K)
+    refine_full = par_lp_refine_rate(headline, start, "full")
+    refine_frontier = par_lp_refine_rate(headline, start, "frontier")
+    metrics["par_lp_full_refine_rmat15_p4"] = refine_full
+    metrics["par_lp_frontier_refine_rmat15_p4"] = refine_frontier
 
     # Scaling rows: the same 3-iteration workload at 8 simulated PEs.
     metrics["par_lp_chunked_rmat15_p8"] = par_lp_rate(
@@ -466,9 +491,6 @@ def measure() -> dict:
     )
     metrics["par_lp_frontier_rmat15_p8"] = par_lp_rate(
         headline, DEFAULT_CHUNK_SIZE, "frontier", pes=PES_8
-    )
-    metrics["adaptive_lp_rmat15_p8"] = par_lp_rate(
-        headline, DEFAULT_CHUNK_SIZE, pes=PES_8
     )
 
     proc_p1 = proc_lp_rate(headline, 1)
@@ -484,6 +506,7 @@ def measure() -> dict:
             "repeats": REPEATS,
             "lp_iterations": LP_ITERATIONS,
             "lp_converged_iterations": LP_CONVERGED_ITERATIONS,
+            "lp_refine_iterations": LP_REFINE_ITERATIONS,
             "default_chunk_size": DEFAULT_CHUNK_SIZE,
             # The proc_lp_* rows measure real OS-process parallelism, so
             # their p4/p1 ratio is only meaningful relative to the cores
@@ -498,11 +521,8 @@ def measure() -> dict:
             "par_cluster_lp_frontier_converged_vs_full_rmat15_p4": round(
                 conv_frontier / conv_full, 2
             ),
-            "adaptive_vs_best_static_rmat15_p4": round(
-                adaptive / max(chunked, frontier), 2
-            ),
-            "adaptive_vs_best_static_converged_rmat15_p4": round(
-                conv_adaptive / max(conv_full, conv_frontier), 2
+            "par_refine_lp_frontier_vs_full_rmat15_p4": round(
+                refine_frontier / refine_full, 2
             ),
             "proc_lp_wall_speedup_p4": round(proc_p4 / proc_p1, 2),
         },
@@ -517,9 +537,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="compare against the committed BENCH_lp.json; exit 1 on a "
-             ">2x ops/sec regression anywhere, a >10% drop on the "
-             "engine-parity LP metrics, or the controller falling "
-             ">10% behind the best pinned sweep in any regime",
+             ">2x ops/sec regression anywhere or a >10% drop on the "
+             "engine-parity LP metrics",
     )
     args = parser.parse_args(argv)
 
@@ -540,8 +559,10 @@ def main(argv: list[str] | None = None) -> int:
             ref = baseline["metrics"][key]
             line += f"  (baseline {ref / 1e6:.2f}, x{value / ref:.2f})"
         print(line)
-    speedup = report["speedups"]["adaptive_vs_best_static_rmat15_p4"]
-    print(f"parallel cluster LP controller vs best pinned sweep: {speedup:.2f}x")
+    for regime, key in (("cluster", "par_cluster_lp_frontier_vs_full_rmat15_p4"),
+                        ("refine", "par_refine_lp_frontier_vs_full_rmat15_p4")):
+        print(f"parallel {regime} LP, frontier vs full sweep: "
+              f"{report['speedups'][key]:.2f}x")
     print(f"wrote {RESULT_PATH}")
 
     if baseline is not None:
@@ -592,30 +613,10 @@ def main(argv: list[str] | None = None) -> int:
                 + ", ".join(off_parity)
             )
             return 1
-        adaptive_floor = 1.0 - ENGINE_PARITY_TOLERANCE
-        behind = []
-        for adaptive_key, static_keys in ADAPTIVE_GATES.items():
-            if adaptive_key not in report["metrics"]:
-                continue
-            best_static = max(
-                report["metrics"][key]
-                for key in static_keys
-                if key in report["metrics"]
-            )
-            if report["metrics"][adaptive_key] < best_static * adaptive_floor:
-                behind.append(adaptive_key)
-        if behind:
-            print(
-                "CONTROLLER FAILURE (>"
-                f"{ENGINE_PARITY_TOLERANCE:.0%} below the best pinned "
-                "sweep in the same run): " + ", ".join(behind)
-            )
-            return 1
         print(
             "check passed: no metric more than 2x below baseline; "
             "engine-parity LP metrics within "
-            f"{ENGINE_PARITY_TOLERANCE:.0%}; controller >= best pinned "
-            "sweep in every regime"
+            f"{ENGINE_PARITY_TOLERANCE:.0%}"
         )
     return 0
 

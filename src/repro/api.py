@@ -108,8 +108,10 @@ def partition_graph(
         # so the slicing sees plain arrays.
         graph = graph.materialized()
     if num_pes <= 1 or resolved_backend == "local":
+        # Validated once, below, for every path.
         result = sequential_partition(graph, config, seed=seed,
-                                      input_partition=initial_partition)
+                                      input_partition=initial_partition,
+                                      validate=False)
         out = PartitionResult(result.partition, result.quality, config, 1, None)
     else:
         presult = parallel_partition(
@@ -141,7 +143,6 @@ def partition_oocore(
     epsilon: float = 0.03,
     seed: int = 0,
     iterations: int = 16,
-    chunk: int = 4096,
     config: PartitionConfig | None = None,
 ) -> PartitionResult:
     """Partition a (possibly out-of-core) graph with flat semi-external SCLP.
@@ -187,7 +188,7 @@ def partition_oocore(
         shares=False,
         k=k,
         ordering="node",
-        chunk=chunk,
+        chunk=config.lp_chunk_size,
         tie_seed=seed,
     )
     quality = evaluate_partition_streaming(graph, labels, k)

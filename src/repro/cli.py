@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="multilevel cycle shape")
     p.add_argument("--lp-chunk", dest="lp_chunk", type=int, default=None,
                    help="label-propagation chunk size, >= 1 (default: the "
-                        "preset's lp_chunk_size, 1024)")
+                        "preset's lp_chunk_size, 4096)")
     p.add_argument("--store", choices=("memory", "mmap"), default=None,
                    help="graph storage: 'memory' loads the whole CSR into "
                         "RAM, 'mmap' streams arcs from a sharded on-disk "

@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..engine.kernels import DEFAULT_CHUNK_SIZE
+
 __all__ = ["PartitionConfig", "fast_config", "eco_config", "minimal_config"]
 
 
@@ -81,7 +83,7 @@ class PartitionConfig:
     #: label-propagation chunk size: nodes evaluated against one snapshot
     #: before labels and weights are committed (1 = node-at-a-time; see
     #: repro.engine.kernels).  The one LP knob, for both pipelines.
-    lp_chunk_size: int = 1024
+    lp_chunk_size: int = DEFAULT_CHUNK_SIZE
     name: str = "fast"
 
     def __post_init__(self) -> None:

@@ -35,8 +35,9 @@ hook is the p = 1 identity) and keeps the public sequential API.
 A phase evaluates ``chunk_size`` nodes at a time against a chunk-start
 snapshot and commits eligible moves between chunks (``chunk_size=1`` is
 the node-at-a-time algorithm; larger chunks trade phase-internal
-staleness for throughput), and the engine's controller decides per
-iteration whether to rescan every node or only the active frontier.
+staleness for throughput).  Clustering rescans every node each phase;
+refinement rescans only the active frontier (label-identical, cheaper
+once few nodes move).
 """
 
 from __future__ import annotations
@@ -127,10 +128,9 @@ def size_constrained_label_propagation(
         Nodes evaluated per chunk (>= 1); ``1`` is the node-at-a-time
         algorithm.
     pin_sweep:
-        ``'full'`` or ``'frontier'`` holds that sweep at exactly
-        ``chunk_size`` instead of letting the controller choose — the
-        reference the identity tests and the kernel bench compare
-        against (see :func:`repro.engine.sclp.run_sclp`).
+        ``'full'`` or ``'frontier'`` holds that sweep instead of the
+        mode's own — the reference the identity tests and the kernel
+        bench compare against (see :func:`repro.engine.sclp.run_sclp`).
     band:
         Optional node set; only these nodes are visited (see
         :func:`label_propagation_refinement`).

@@ -38,12 +38,12 @@ Each phase runs one of two *sweeps*: the full sweep scans every local
 node, the frontier sweep only the active set — last phase's movers and
 their local neighbours, local neighbours of ghosts whose labels changed
 in the exchange, nodes flagged *risky* or capped at their last scan, and
-(refine mode) members of over-budget blocks.  The engine's controller
-starts in the full sweep and switches to the frontier once the observed
-active fraction collapses (an allreduced, hence rank-uniform, decision;
-see :mod:`repro.engine.autotune`).  With the hash tie-break the sweeps
-are label-identical per iteration (test-enforced); they only differ in
-throughput, because converged regions drop out of the scan.
+(refine mode) members of over-budget blocks.  Clustering runs the full
+sweep, refinement the frontier sweep (a function of the mode alone, so
+no rank can disagree; see :mod:`repro.engine.sclp`).  With the hash
+tie-break the sweeps are label-identical per iteration (test-enforced);
+they only differ in throughput, because converged regions drop out of
+the scan.
 ``comm.work`` is charged for the arcs actually scanned, so the frontier
 sweeps' simulated times drop alongside wall-clock.
 
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.backend import exchange_interface_labels, make_dist_backend
+from ..engine.backend import make_dist_backend
 from ..engine.kernels import DEFAULT_CHUNK_SIZE
 from ..engine.sclp import run_sclp
 from .comm import SimComm
@@ -89,11 +89,6 @@ def distributed_edge_cut(dgraph: DistGraph, comm: SimComm, labels: np.ndarray) -
     return int(comm.allreduce(local_cut)) // 2
 
 
-# Kept under the historical name as well: the interface-exchange tests
-# exercise the wire protocol through this module.
-_exchange_interface_labels = exchange_interface_labels
-
-
 def parallel_label_propagation(
     dgraph: DistGraph,
     comm: SimComm,
@@ -113,9 +108,9 @@ def parallel_label_propagation(
     entries on entry (e.g. global node ids for clustering, or a projected
     partition refreshed by a halo exchange).  ``chunk_size`` is the
     number of nodes evaluated per chunk (>= 1).  ``pin_sweep``
-    (``'full'`` / ``'frontier'``) holds that sweep at exactly
-    ``chunk_size`` instead of letting the controller choose — a
-    reference for the identity tests and the kernel bench (see
+    (``'full'`` / ``'frontier'``) holds that sweep instead of the
+    mode's own — a reference for the identity tests and the kernel
+    bench (see
     :func:`repro.engine.sclp.run_sclp`).  ``delta_exchange`` selects the
     sparse interface exchange (the default) over the dense
     per-destination payloads.

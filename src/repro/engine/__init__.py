@@ -13,7 +13,6 @@ points in :mod:`repro.core` and :mod:`repro.dist` are thin wrappers
 over these.
 """
 
-from .autotune import AutotuneController, PhaseDecision
 from .backend import (
     BACKENDS,
     ExecutionBackend,
@@ -29,13 +28,11 @@ from .sclp import run_sclp
 from .vcycle import VcycleBackend, VcycleResult, run_coarsening, run_vcycle
 
 __all__ = [
-    "AutotuneController",
     "BACKENDS",
     "DEFAULT_CHUNK_SIZE",
     "ExecutionBackend",
     "IterationWorkspace",
     "LocalBackend",
-    "PhaseDecision",
     "ProcessBackend",
     "SpmdBackend",
     "exchange_interface_labels",

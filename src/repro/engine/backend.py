@@ -99,7 +99,6 @@ class ExecutionBackend(Protocol):
     def ghost_change_sources(self, ghost_idx: np.ndarray) -> np.ndarray: ...
     def reduce_block_weights(self, labels: np.ndarray, k: int) -> np.ndarray: ...
     def global_changed(self, moved: int, changed_count: int) -> int: ...
-    def reduce_scan_stats(self, stats: np.ndarray) -> np.ndarray: ...
     def span_kwargs(self) -> dict: ...
 
 
@@ -165,10 +164,6 @@ class LocalBackend:
 
     def global_changed(self, moved: int, changed_count: int) -> int:
         return moved
-
-    def reduce_scan_stats(self, stats: np.ndarray) -> np.ndarray:
-        # p = 1: the local stats vector already is the global sum.
-        return stats
 
     def span_kwargs(self) -> dict:
         return {}
@@ -238,11 +233,6 @@ class SpmdBackend:
 
     def global_changed(self, moved: int, changed_count: int) -> int:
         return int(self.comm.allreduce(int(changed_count)))
-
-    def reduce_scan_stats(self, stats: np.ndarray) -> np.ndarray:
-        # Tagged so the autotune reduction stays distinguishable from the
-        # convergence/weight allreduces in CommStats.per_op and traces.
-        return self.comm.allreduce(stats, tag="lp.autotune")
 
     def span_kwargs(self) -> dict:
         return {"comm": self.comm}

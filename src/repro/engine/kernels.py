@@ -73,10 +73,11 @@ __all__ = [
     "chunk_ranges",
 ]
 
-#: nodes per chunk unless the caller says otherwise — large enough that
-#: NumPy dominates the Python loop overhead, small enough that the
-#: weight view refreshes many times per phase
-DEFAULT_CHUNK_SIZE = 1024
+#: nodes per chunk unless the caller says otherwise (the default of
+#: ``PartitionConfig.lp_chunk_size``) — large enough that the per-chunk
+#: Python overhead disappears; :func:`effective_chunk` keeps the weight
+#: view refreshing many times per phase on graphs too small for it
+DEFAULT_CHUNK_SIZE = 4096
 
 #: minimum bookkeeping refreshes per phase at chunk sizes > 1 — a fully
 #: synchronous update (one chunk covering the whole scan) oscillates on
@@ -545,5 +546,5 @@ def resolve_chunk_size(explicit=None, default=None) -> int:
 
 
 def resolve_engine(explicit=None) -> str:
-    """How sweeps are chosen: by the :mod:`~repro.engine.autotune` controller."""
-    return "adaptive"
+    """How sweeps are chosen: by the mode (see :mod:`repro.engine.sclp`)."""
+    return "by-mode"

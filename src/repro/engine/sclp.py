@@ -30,13 +30,17 @@ block is overloaded) — initialised differently:
   ``bincount`` and the share is 1/1 — the exact p = 1 degeneration of
   the SPMD semantics.
 
-Which nodes a phase scans (every node, or only the *frontier* whose
-decision inputs changed — label-identical, see
-:mod:`~repro.engine.kernels`) and how large its chunks are is decided
-per iteration by the :class:`~repro.engine.autotune.AutotuneController`
-from allreduced scan statistics.  ``pin_sweep`` takes the controller
-out and holds one sweep at the requested chunk: the identity tests and
-the kernel bench use it as the reference; no production caller does.
+Which nodes a phase scans — every node, or only the *frontier* whose
+decision inputs changed (label-identical, see
+:mod:`~repro.engine.kernels`) — follows from the mode.  Refinement
+starts from a projected partition in which few nodes move, so it runs
+the frontier sweep from its first phase; clustering starts from
+singletons, most nodes move and every caller stops after a few rounds,
+so it runs the full sweep and skips the frontier bookkeeping.  The chunk
+is the requested one, clamped by the store and capped so a phase has at
+least 32 refreshes, constant for the call.  ``pin_sweep`` overrides the
+sweep: the identity tests and the kernel bench use it as the reference;
+no production caller does.
 
 Convergence is a backend hook: the local backend stops when a phase
 moves no node, the SPMD backend when the allreduced count of *changed
@@ -48,19 +52,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autotune import (
-    S_ARCS,
-    S_CANCELLED,
-    S_CHUNKS,
-    S_NEXT,
-    S_SCANNED,
-    S_UNIVERSE,
-    S_UPPER,
-    STATS_LEN,
-    SWEEP_FRONTIER,
-    SWEEP_FULL,
-    AutotuneController,
-)
 from . import native
 from .kernels import (
     DEFAULT_CHUNK_SIZE,
@@ -122,8 +113,8 @@ def run_sclp(
     to the given set: nodes outside it contribute weights and
     connections but never move (band refinement).  ``chunk`` is the
     requested nodes per chunk (>= 1); ``pin_sweep`` (``'full'`` or
-    ``'frontier'``) replaces the controller by one fixed sweep at
-    exactly that chunk — a reference for tests and diagnostics.
+    ``'frontier'``) holds that sweep instead of the mode's own (see
+    module docstring) — a reference for tests and diagnostics.
     """
     if shares and (k is None or not refine):
         raise ValueError("the budget-share regime is refinement-only and requires k")
@@ -131,11 +122,12 @@ def run_sclp(
         raise ValueError(f"unknown ordering {ordering!r}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if pin_sweep not in (None, SWEEP_FULL, SWEEP_FRONTIER):
+    if pin_sweep not in (None, "full", "frontier"):
         raise ValueError(
-            f"pin_sweep must be None, {SWEEP_FULL!r} or {SWEEP_FRONTIER!r}, "
-            f"got {pin_sweep!r}"
+            f"pin_sweep must be None, 'full' or 'frontier', got {pin_sweep!r}"
         )
+    sweep = pin_sweep or ("frontier" if refine else "full")
+    sweep_frontier = sweep == "frontier"
     labels = np.array(labels, dtype=np.int64, order="C")
     bound = int(max_block_weight)
     vwgt_all = np.ascontiguousarray(backend.node_weights(), dtype=np.int64)
@@ -147,7 +139,6 @@ def run_sclp(
     degrees = backend.degrees
     tie_base = backend.tie_base
     mode_name = "refine" if refine else "cluster"
-    controller = AutotuneController(chunk) if pin_sweep is None else None
     workspace = IterationWorkspace()
     # Compiled when this host could build it, NumPy otherwise: the two
     # return the same arrays bit for bit, so nothing else depends on it.
@@ -186,34 +177,10 @@ def run_sclp(
     # with the frontier double-buffer swapped at the phase boundary.
     next_active = np.zeros(n_local, dtype=bool)
     changed_mask = np.zeros(n_local, dtype=bool)
-    # Phase-head label snapshot backing the controller's switch signal:
-    # the mover term must be a pure function of the label trajectory
-    # (net end-of-phase diff), not of per-chunk mover counts, which
-    # depend on the chunk layout and therefore on the rank count.
-    base_labels = (
-        np.empty(n_local, dtype=labels.dtype) if controller is not None else None
-    )
+    # The store clamps the request: a sharded store rounds to a divisor
+    # of its shard node span so chunk windows do not straddle shard seams.
+    chunk = backend.clamp_chunk(chunk)
     for _phase in range(max(0, iterations)):
-        decision = controller.decide() if controller is not None else None
-        sweep = pin_sweep if decision is None else decision.sweep
-        sweep_frontier = sweep == SWEEP_FRONTIER
-        # Chunk requests (pinned or autotune probes) are clamped by the
-        # backend's store: a sharded store rounds to a divisor of its
-        # shard node span so chunk windows do not straddle shard seams.
-        req_chunk = backend.clamp_chunk(
-            chunk if decision is None else decision.chunk
-        )
-        # Controller-driven full sweeps defer the frontier bookkeeping:
-        # collect what *would* activate (movers, risky, capped, changed
-        # ghosts) as cheap array appends, and only materialise the
-        # active set if the controller actually switches.
-        defer = controller is not None and not sweep_frontier
-        pend_nodes: list[np.ndarray] = []
-        pend_extra: list[np.ndarray] = []
-        pend_ghost: list[np.ndarray] = []
-        cancelled = 0
-        if defer:
-            np.copyto(base_labels, labels[:n_local])
         order = (
             static_order if static_order is not None
             else scope[backend.rng.permutation(scope.size)]
@@ -221,10 +188,8 @@ def run_sclp(
         if not refine:
             # An isolated node has no label to adopt.
             order = order[degrees[order] > 0]
-        phase_chunk = effective_chunk(req_chunk, order.size)
-        span_extra = {} if decision is None else {"chunk_request": decision.chunk}
-        if band is not None:
-            span_extra["band_size"] = int(scope.size)
+        phase_chunk = effective_chunk(chunk, order.size)
+        span_extra = {} if band is None else {"band_size": int(scope.size)}
         lp_span = TRACER.span(
             "lp.iteration", **backend.span_kwargs(), sweep=sweep,
             mode=mode_name, iteration=_phase, chunk_size=phase_chunk,
@@ -278,12 +243,8 @@ def run_sclp(
                     space, workspace,
                 )
                 arcs_scanned += arcs
-                if (sweep_frontier or defer) and risky.any():
-                    flagged = connected[risky]
-                    if sweep_frontier:
-                        next_active[flagged] = True
-                    else:
-                        pend_extra.append(flagged)
+                if sweep_frontier:
+                    next_active[connected[risky]] = True
                 moving = np.flatnonzero(target != own)
                 if moving.size:
                     m_nodes, m_own = connected[moving], own[moving]
@@ -291,14 +252,9 @@ def run_sclp(
                     keep = capped_inflow_mask(
                         m_target, m_c, used[m_target], cap[m_target]
                     )
-                    if (sweep_frontier or defer) and not keep.all():
+                    if sweep_frontier:
                         # A capped node may succeed once the target drains.
-                        dropped = m_nodes[~keep]
-                        cancelled += int(dropped.size)
-                        if sweep_frontier:
-                            next_active[dropped] = True
-                        else:
-                            pend_extra.append(dropped)
+                        next_active[m_nodes[~keep]] = True
                     m_nodes, m_own = m_nodes[keep], m_own[keep]
                     m_target, m_c = m_target[keep], m_c[keep]
                     np.subtract.at(used, m_own, m_c)
@@ -317,10 +273,6 @@ def run_sclp(
                         # Later windows of this phase must rescan the
                         # movers' neighbours too (within-phase propagation).
                         active[local_nbrs] = True
-                    elif defer and m_nodes.size:
-                        # One deferred neighbour gather at the sweep
-                        # switch replaces the per-chunk scatter above.
-                        pend_nodes.append(m_nodes)
             if refine:
                 # Isolated nodes are useless for the cut but can still
                 # repair balance: one in an overloaded block moves to the
@@ -347,8 +299,6 @@ def run_sclp(
                     moved += 1
                     if sweep_frontier:
                         next_active[v] = True
-                    elif defer:
-                        pend_nodes.append(np.array([v], dtype=np.int64))
                     if interface[v]:
                         changed_mask[v] = True
         backend.work(arcs_scanned)
@@ -365,8 +315,6 @@ def run_sclp(
                     np.add.at(used, ghost_vals[diff], g_w)
                 if sweep_frontier:
                     next_active[backend.ghost_change_sources(changed_ghosts)] = True
-                elif defer:
-                    pend_ghost.append(changed_ghosts)
                 labels[changed_ghosts] = ghost_vals[diff]
 
         if shares:
@@ -374,39 +322,6 @@ def run_sclp(
             exact = backend.reduce_block_weights(labels, space)
 
         global_changed = backend.global_changed(moved, int(changed_mask.sum()))
-        if controller is not None:
-            # One small tagged allreduce per iteration: the only
-            # cross-rank input to the controller, so every rank holds
-            # the same decision state (uniform collective order is the
-            # self-lint's invariant; the reduce is called here
-            # unconditionally, on every rank, every phase).
-            stats_vec = np.zeros(STATS_LEN, dtype=np.float64)
-            stats_vec[S_UNIVERSE] = order.size
-            if defer:
-                # Switch signal: net movers over the phase (end labels
-                # vs the phase-head snapshot), each bounding its reach
-                # by 1 + degree.  A pure function of the label
-                # trajectory, so every backend and rank count that
-                # produces the same labels sees the same signal —
-                # per-chunk mover/risky/capped counts do not qualify,
-                # as transient flips depend on the chunk layout.
-                net = np.flatnonzero(labels[:n_local] != base_labels)
-                stats_vec[S_UPPER] = int(net.size) + int(degrees[net].sum())
-            stats_vec[S_NEXT] = int(next_active.sum()) if sweep_frontier else 0
-            stats_vec[S_ARCS] = arcs_scanned
-            stats_vec[S_CHUNKS] = n_chunks
-            stats_vec[S_CANCELLED] = cancelled
-            stats_vec[S_SCANNED] = scanned
-            controller.observe(backend.reduce_scan_stats(stats_vec))
-            with TRACER.span(
-                "lp.autotune", **backend.span_kwargs(),
-                iteration=_phase, sweep=decision.sweep,
-                chunk_request=decision.chunk, chunk_effective=phase_chunk,
-                probe=decision.probe, locked=decision.locked,
-                active_frac=round(decision.active_frac, 4),
-                next_sweep=controller.sweep,
-            ):
-                pass
         lp_span.set(moved=moved, arcs=arcs_scanned, chunks=n_chunks,
                     global_changed=global_changed, active=scanned,
                     frontier_frac=round(scanned / max(1, order.size), 4))
@@ -418,24 +333,6 @@ def run_sclp(
         lp_span.__exit__(None, None, None)
         if sweep_frontier:
             active, next_active = next_active, active
-        elif defer and controller.sweep == SWEEP_FRONTIER:
-            # Entering frontier dispatch next phase: materialise exactly
-            # the active set a frontier sweep would have built during
-            # this full sweep — movers and their neighbours (one gather
-            # for the whole phase), risky and inflow-capped nodes, and
-            # the local sources of changed ghosts.
-            active.fill(False)
-            if pend_nodes:
-                movers_cat = np.concatenate(pend_nodes)
-                active[movers_cat] = True
-                nbrs = gather_neighbors(movers_cat, xadj, adjncy)
-                active[nbrs[nbrs < n_local]] = True
-            for extra in pend_extra:
-                active[extra] = True
-            if pend_ghost:
-                active[
-                    backend.ghost_change_sources(np.concatenate(pend_ghost))
-                ] = True
         if global_changed == 0:
             break
     return labels

@@ -140,39 +140,63 @@ class PartitionQuality:
         )
 
 
+#: Arcs per block of the evaluator's sweep over a resident store.  The
+#: sweep's temporaries are this long, not ``num_arcs`` long: the caller's
+#: peak memory does not move with the evaluator (measured on the process
+#: backend's parent, whose peak RSS went tri-modal over 10 MiB with one
+#: whole-graph block — EXPERIMENTS.md 2026-09-29).
+BLOCK_ARCS = 1 << 16
+
+
+def _sweep_bounds(graph: Graph) -> list[int]:
+    """Node boundaries of the evaluator's sweep, ``0`` to ``num_nodes``.
+
+    The store's shards where it has any; on a resident store the node
+    ranges that hold about :data:`BLOCK_ARCS` arcs each (a node's arcs
+    are never split, so a heavier node is a block of its own).
+    """
+    n = graph.num_nodes
+    span = graph.store.chunk_nodes
+    if span is not None:
+        inner = np.arange(span, n, span)
+    else:
+        inner = np.searchsorted(
+            graph.xadj, np.arange(BLOCK_ARCS, graph.num_arcs, BLOCK_ARCS)
+        )
+    return np.unique(np.concatenate(([0], inner, [n]))).tolist()
+
+
 def evaluate_partition(graph: Graph, partition: np.ndarray, k: int) -> PartitionQuality:
-    """Compute the full :class:`PartitionQuality` bundle."""
-    return PartitionQuality(
-        k=k,
-        cut=edge_cut(graph, partition),
-        imbalance=imbalance(graph, partition, k),
-        boundary_node_count=int(boundary_nodes(graph, partition).size),
-        communication_volume=communication_volume(graph, partition),
-        block_weights=tuple(int(w) for w in block_weights(graph, partition, k)),
-    )
+    """Compute the full :class:`PartitionQuality` bundle.
+
+    One evaluator for every store: this is
+    :func:`evaluate_partition_streaming`.
+    """
+    return evaluate_partition_streaming(graph, partition, k)
 
 
 def evaluate_partition_streaming(
     graph: Graph, partition: np.ndarray, k: int
 ) -> PartitionQuality:
-    """:func:`evaluate_partition` without materializing the arc arrays.
+    """The quality bundle without materializing the arc arrays.
 
-    Sweeps the graph's store one shard-aligned arc block at a time, so
-    memory stays O(n + one shard).  Every metric decomposes exactly over
+    Sweeps the graph one arc block at a time — shard-aligned on a
+    sharded store, :data:`BLOCK_ARCS` arcs on a resident one — so
+    memory stays O(n + one block).  Every metric decomposes exactly over
     source-node ranges (cut and boundary/volume counts are grouped by
-    arc source), so the result equals :func:`evaluate_partition` bit for
-    bit on any store.
+    arc source), so the result is the same on any store and for any
+    block size, and equal to the standalone metric functions above
+    (test-enforced).
     """
     partition = np.asarray(partition, dtype=np.int64)
     xadj = graph.xadj
     degrees = graph.degrees
-    span = graph.store.chunk_nodes or max(1, graph.num_nodes)
+    bounds = _sweep_bounds(graph)
     key_base = int(partition.max(initial=0)) + 1
     cut_weight = 0
     boundary = 0
     comm_vol = 0
-    for lo in range(0, graph.num_nodes, span):
-        hi = min(lo + span, graph.num_nodes)
+    for lo, hi in zip(bounds, bounds[1:]):
         nbr, wgt = graph.arc_block(int(xadj[lo]), int(xadj[hi]))
         src = np.repeat(np.arange(lo, hi, dtype=np.int64), degrees[lo:hi])
         external = partition[nbr] != partition[src]
@@ -180,7 +204,7 @@ def evaluate_partition_streaming(
             continue
         cut_weight += int(wgt[external].sum())
         ext_src = src[external]
-        boundary += int(np.unique(ext_src).size)
+        boundary += int(np.count_nonzero(np.bincount(ext_src - lo)))
         keys = ext_src * key_base + partition[nbr[external]]
         comm_vol += int(np.unique(keys).size)
     weights = block_weights(graph, partition, k)

@@ -25,7 +25,6 @@ from .report import (
 )
 from .analyze import (
     RUN_SUMMARY_SCHEMA,
-    autotune_decisions,
     build_run_summary,
     comm_matrix,
     compare_run_summaries,
@@ -46,7 +45,6 @@ __all__ = [
     "Span",
     "TRACER",
     "Tracer",
-    "autotune_decisions",
     "build_run_summary",
     "comm_matrix",
     "compare_run_summaries",

@@ -45,7 +45,6 @@ from .report import (
 
 __all__ = [
     "RUN_SUMMARY_SCHEMA",
-    "autotune_decisions",
     "build_run_summary",
     "comm_matrix",
     "compare_run_summaries",
@@ -380,35 +379,6 @@ def _convergence(records: list[dict]) -> list[dict[str, Any]]:
     return points
 
 
-def autotune_decisions(records: Iterable[dict]) -> list[dict[str, Any]]:
-    """The SCLP controller's per-iteration decision trace.
-
-    One row per (rank 0 / rank-less) ``lp.autotune`` span, in trace
-    order: which sweep the iteration ran, the requested and effective
-    chunk, whether the chunk search was still probing or locked in, the
-    allreduced active fraction the decision saw, and the sweep selected
-    for the *next* iteration.  The decisions are rank-uniform by
-    construction (they derive from an allreduce), so rank 0 speaks for
-    the run.
-    """
-    rows = []
-    for span in _spans(records, "lp.autotune"):
-        if span.get("rank") not in (None, 0):
-            continue
-        attrs = span.get("attrs") or {}
-        rows.append({
-            "iteration": attrs.get("iteration"),
-            "sweep": attrs.get("sweep"),
-            "chunk_request": attrs.get("chunk_request"),
-            "chunk_effective": attrs.get("chunk_effective"),
-            "probe": attrs.get("probe"),
-            "locked": attrs.get("locked"),
-            "active_frac": attrs.get("active_frac"),
-            "next_sweep": attrs.get("next_sweep"),
-        })
-    return rows
-
-
 def build_run_summary(records: Iterable[dict]) -> dict[str, Any]:
     """Assemble the versioned ``run.json`` document for one trace."""
     records = list(records)
@@ -446,9 +416,6 @@ def build_run_summary(records: Iterable[dict]) -> dict[str, Any]:
         },
         "phases": phase_times(records),
         "convergence": _convergence(records),
-        # Not part of the required v1 keys, so summaries written before
-        # the decision trace existed stay valid.
-        "autotune": autotune_decisions(records),
         "comm": {
             "matrix": comm_matrix(records),
             "collectives": counters.get("comm.collectives"),
@@ -470,7 +437,7 @@ def build_run_summary(records: Iterable[dict]) -> dict[str, Any]:
         "blame": straggler_blame(records),
         "memory": rank_memory(records),
         # Graph-store disk traffic (out-of-core runs); empty for
-        # resident stores.  Like "autotune", not a required v1 key.
+        # resident stores.  Not a required v1 key.
         "store": {
             name.removeprefix("store."): value
             for name, value in gauges.items()
@@ -664,39 +631,6 @@ def _comm_matrix_table(matrix: dict[str, Any]) -> str:
     return table
 
 
-def _autotune_table(rows: list[dict[str, Any]]) -> str | None:
-    """Controller decision table; ``None`` when the trace has no LP."""
-    if not rows:
-        return None
-    # One LP call's decisions restart iteration numbering at 0; show the
-    # last LP call in full (usually the interesting one) plus a rollup.
-    starts = [i for i, row in enumerate(rows) if row.get("iteration") == 0]
-    last = rows[starts[-1]:] if starts else rows
-    sweeps = defaultdict(int)
-    for row in rows:
-        sweeps[str(row.get("sweep"))] += 1
-    table_rows = [
-        [str(row.get("iteration")), str(row.get("sweep")),
-         str(row.get("chunk_request")), str(row.get("chunk_effective")),
-         "probe" if row.get("probe") else ("locked" if row.get("locked") else "-"),
-         f"{row['active_frac']:.4f}" if row.get("active_frac") is not None else "-",
-         str(row.get("next_sweep"))]
-        for row in last
-    ]
-    header = (
-        f"autotune decisions ({len(rows)} iterations total, "
-        + ", ".join(f"{n} {name}" for name, n in sorted(sweeps.items()))
-        + (f"; last LP call of {len(starts)} shown" if len(starts) > 1 else "")
-        + ")"
-    )
-    return _format_table(
-        header,
-        ["iter", "sweep", "chunk req", "chunk eff", "search", "active frac",
-         "next sweep"],
-        table_rows,
-    )
-
-
 def _memory_table(memory: dict[str, Any]) -> str:
     if not memory["per_rank"]:
         return "memory: no RSS samples in this trace"
@@ -739,9 +673,6 @@ def render_analysis(records: Iterable[dict]) -> str:
     sections.append(_critical_path_table(path))
     sections.append(_blame_table(straggler_blame(records)))
     sections.append(_comm_matrix_table(comm_matrix(records)))
-    autotune = _autotune_table(autotune_decisions(records))
-    if autotune is not None:
-        sections.append(autotune)
     sections.append(_memory_table(rank_memory(records)))
     return "\n\n".join(sections)
 

@@ -37,24 +37,6 @@ def test_engine_tree_is_clean_including_advisories():
     )
 
 
-def test_autotune_controller_is_lint_clean():
-    """The adaptive engine's decision layer passes the verifier alone.
-
-    The allreduce'd mode decision is exactly the rank-divergence hazard
-    the linter exists to catch, so the controller file is pinned by name:
-    if it is ever split out of the engine tree the gate must move with
-    it, not silently lapse.
-    """
-    autotune = ENGINE / "autotune.py"
-    assert autotune.is_file(), f"adaptive controller not found at {autotune}"
-    findings = lint_paths([autotune])
-    detail = "\n".join(f.format() for f in findings)
-    assert not findings, (
-        "repro.analysis found findings (advisories included) in the "
-        f"autotune controller:\n{detail}"
-    )
-
-
 def test_no_unused_suppressions_in_src():
     stale = [f for f in lint_paths([SRC], strict_noqa=True)
              if f.code == "NOQA-UNUSED"]

@@ -1,18 +1,22 @@
 """Sequential frontier-sweep tests.
 
 The frontier sweep must be label-identical to the full sweep *per
-iteration* — not merely at convergence — in both modes, and so must
-whatever mix of the two the controller picks.  Plus unit coverage for
-the hashed argmax kernel that makes the identity possible.
+iteration* — not merely at convergence — in both modes, and so is the
+sweep each mode runs when none is pinned.  Plus unit coverage for the
+hashed argmax kernel that makes the identity possible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.label_propagation import size_constrained_label_propagation
+from repro.engine import LocalBackend, run_sclp
 from repro.engine.kernels import (
+    DEFAULT_CHUNK_SIZE,
     ChunkCandidates,
     IterationWorkspace,
     candidate_tie_hash,
@@ -21,12 +25,14 @@ from repro.engine.kernels import (
 )
 from repro.generators import rgg, rmat
 
+from ..conftest import random_graphs
+from .test_lp_kernels import EDGELESS, HEAVY_NODE, WITH_ISOLATED
 
 GRAPHS = [rmat(9, seed=3), rgg(9, seed=5)]
 
 
 def run(graph, sweep, refine, chunk, iterations, seed=7):
-    """``sweep`` pins ``'full'``/``'frontier'``; ``None`` is the controller."""
+    """``sweep`` pins ``'full'``/``'frontier'``; ``None`` is the mode's own."""
     rng = np.random.default_rng(seed)
     n = graph.num_nodes
     total = int(graph.vwgt.sum())
@@ -39,7 +45,8 @@ def run(graph, sweep, refine, chunk, iterations, seed=7):
 
 
 class TestFrontierIdentity:
-    """frontier == full, label for label, after every iteration count."""
+    """frontier == full == the mode's own sweep, label for label, after
+    every iteration count."""
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=["rmat", "rgg"])
     @pytest.mark.parametrize("refine", [False, True], ids=["cluster", "refine"])
@@ -47,24 +54,64 @@ class TestFrontierIdentity:
     def test_identical_per_iteration(self, graph, refine, chunk):
         for iterations in (1, 2, 3, 5):
             full = run(graph, "full", refine, chunk, iterations)
-            frontier = run(graph, "frontier", refine, chunk, iterations)
-            assert np.array_equal(full, frontier), (
-                f"labels diverge after {iterations} iteration(s)"
-            )
+            for sweep in ("frontier", None):
+                other = run(graph, sweep, refine, chunk, iterations)
+                assert np.array_equal(full, other), (
+                    f"{sweep}: labels diverge after {iterations} iteration(s)"
+                )
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=["rmat", "rgg"])
     @pytest.mark.parametrize("refine", [False, True], ids=["cluster", "refine"])
     def test_adaptive_identical_per_iteration(self, graph, refine):
-        # Controller == pinned full at the throughput chunk: the probe
-        # steps all clamp to the same effective chunk on these graph
-        # sizes, and every sweep the controller picks is label-identical
-        # to the full sweep.
+        # What a production caller gets — no sweep pinned, the default
+        # chunk — against the pinned full sweep.  (The name dates from
+        # the per-iteration sweep controller this rule replaced.)
         for iterations in (1, 3, 5):
-            full = run(graph, "full", refine, 64, iterations)
-            adaptive = run(graph, None, refine, 64, iterations)
-            assert np.array_equal(full, adaptive), (
+            full = run(graph, "full", refine, DEFAULT_CHUNK_SIZE, iterations)
+            default = run(graph, None, refine, DEFAULT_CHUNK_SIZE, iterations)
+            assert np.array_equal(full, default), (
                 f"labels diverge after {iterations} iteration(s)"
             )
+
+    @given(
+        random_graphs(min_nodes=1, max_nodes=24),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(["cluster", "refine-live", "refine-shares"]),
+        st.booleans(),
+        st.sampled_from([1, 3, 16]),
+    )
+    @example(EDGELESS, 3, 2, "refine-live", False, 1)
+    @example(EDGELESS, 3, 2, "refine-shares", False, 3)
+    @example(HEAVY_NODE, 1, 4, "refine-live", False, 3)
+    @example(HEAVY_NODE, 1, 4, "cluster", True, 16)
+    @example(WITH_ISOLATED, 2, 2, "refine-shares", True, 3)
+    def test_generated_graphs(self, graph, seed, k, regime, constrained, chunk):
+        """Degenerate inputs included (edgeless, a node above the bound,
+        isolated nodes): evictions, capped inflow and the isolated-node
+        repair all feed the frontier's active set."""
+        n = graph.num_nodes
+        rng = np.random.default_rng(seed)
+        constraint = rng.integers(0, 2, n) if constrained else None
+        if regime == "cluster":
+            args = (np.arange(n, dtype=np.int64),
+                    max(1, int(graph.vwgt.sum()) // 4), 4)
+            kwargs = dict(ordering="degree" if seed % 2 else "random")
+        else:
+            # eps = 0: overloaded blocks, evictions, ineligible winners
+            args = (rng.integers(0, k, n), max(1, int(graph.vwgt.sum()) // k), 4)
+            kwargs = dict(ordering="random", refine=True,
+                          shares=regime == "refine-shares", k=k)
+        full, frontier, default = (
+            run_sclp(
+                LocalBackend(graph, np.random.default_rng(seed)), *args,
+                chunk=chunk, pin_sweep=sweep, tie_seed=seed + 100,
+                constraint=constraint, **kwargs,
+            )
+            for sweep in ("full", "frontier", None)
+        )
+        assert np.array_equal(full, frontier)
+        assert np.array_equal(full, default)
 
 
 class TestHashedKernels:

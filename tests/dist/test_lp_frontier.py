@@ -58,20 +58,11 @@ def refine_program(comm, chunk, sweep, iterations=4, delta=True):
 
 
 class TestFrontierIdentity:
-    """frontier/controller == full, label for label, sanitized, p in {1, 4}.
+    """frontier == full == the mode's own sweep (``sweep=None``), label
+    for label, sanitized, p in {1, 4}."""
 
-    The controller rows (``sweep=None``) hold because every sweep the controller picks is
-    label-identical to the full sweep (frontier identity for frontier
-    iterations, superset-scan neutrality for full ones) and, at
-    chunk = 64 on these graph sizes, the chunk probes all clamp to the
-    same effective chunk.  At tiny requested chunks the probe steps sit
-    below the clamp and legitimately change the trajectory, so the
-    controller grid runs at the throughput chunk only.
-    """
-
-    @pytest.mark.parametrize("sweep,chunk", [
-        ("frontier", 1), ("frontier", 2), ("frontier", 64), (None, 64),
-    ], ids=["frontier-1", "frontier-2", "frontier-64", "controller-64"])
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    @pytest.mark.parametrize("sweep", ["frontier", None], ids=["frontier", "mode"])
     @pytest.mark.parametrize("size", [1, 4])
     @pytest.mark.parametrize("constrained", [False, True])
     def test_cluster_mode(self, size, constrained, chunk, sweep):
@@ -81,9 +72,8 @@ class TestFrontierIdentity:
                          constrained, seed=1, sanitize=True).value
         assert np.array_equal(full, other)
 
-    @pytest.mark.parametrize("sweep,chunk", [
-        ("frontier", 1), ("frontier", 2), ("frontier", 64), (None, 64),
-    ], ids=["frontier-1", "frontier-2", "frontier-64", "controller-64"])
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    @pytest.mark.parametrize("sweep", ["frontier", None], ids=["frontier", "mode"])
     @pytest.mark.parametrize("size", [1, 4])
     def test_refine_mode(self, size, chunk, sweep):
         for iterations in (1, 2, 4):

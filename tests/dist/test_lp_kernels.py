@@ -13,11 +13,9 @@ import numpy as np
 import pytest
 
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
-from repro.dist.dist_lp import (
-    _exchange_interface_labels,
-    parallel_label_propagation,
-)
+from repro.dist.dist_lp import parallel_label_propagation
 from repro.engine import make_dist_backend, run_sclp
+from repro.engine.backend import exchange_interface_labels
 from repro.generators import rgg, rmat
 from repro.graph import block_weights, max_block_weight_bound
 from repro.metrics import edge_cut
@@ -155,7 +153,7 @@ class TestInterfaceScatterValidation:
                         dgraph.send_nodes[i] = np.append(
                             dgraph.send_nodes[i], interior
                         )
-            _exchange_interface_labels(dgraph, comm, labels, changed)
+            exchange_interface_labels(dgraph, comm, labels, changed)
             return True
 
         with pytest.raises(ValueError, match=r"from rank 0"):
@@ -170,7 +168,7 @@ class TestInterfaceScatterValidation:
             )
             labels = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
             changed = np.ones(dgraph.n_local, dtype=bool)
-            idx, values = _exchange_interface_labels(dgraph, comm, labels, changed)
+            idx, values = exchange_interface_labels(dgraph, comm, labels, changed)
             # every update lands on a ghost slot and carries the owner's
             # global id (labels were initialised to global ids)
             assert np.all(idx >= dgraph.n_local)

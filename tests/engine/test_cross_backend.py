@@ -5,7 +5,7 @@ on a single PE, and that the process backend is bit-identical to the
 thread backend at any PE count.  These tests pin every stochastic input
 (tie seed and visit-order rng) on both sides and assert *bit-identical*
 labels per LP iteration across the sweep grid (chunk=1, chunked full,
-chunked frontier, the controller), then iterate the refinement loop for
+chunked frontier, the mode's own sweep), then iterate the refinement loop for
 the fast/eco iteration budgets and assert identical final labels and edge
 cuts.  The p = 1 identity grid runs under both SPMD runtimes, so
 ``Local == Spmd == Process`` is pinned on the same fixtures; the
@@ -34,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from repro.api import partition_graph
 from repro.core import eco_config, fast_config
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
 from repro.dist.dist_lp import parallel_label_propagation
@@ -48,7 +49,8 @@ from repro.obsv.tracer import TRACER
 from ..conftest import kernel_cache_leftovers
 
 GRAPH_NAMES = ("rmat9", "ba9", "rgg9")
-#: (chunk, pinned sweep); ``None`` leaves the choice to the controller
+#: (chunk, pinned sweep); ``None`` is the mode's own sweep (the id
+#: dates from the per-iteration controller the mode rule replaced)
 SWEEP_GRID = [
     pytest.param(1, "full", id="1-full"),
     pytest.param(64, "full", id="64-full"),
@@ -243,44 +245,22 @@ def test_parallel_partition_backend_identity():
 
 
 # ---------------------------------------------------------------------------
-# the controller: cross-backend decision-trace identity
+# the sweep is a function of the mode; the chunk is constant per call
 # ---------------------------------------------------------------------------
 
-ADAPTIVE_ITERS = 8
-ADAPTIVE_CHUNK = 64
-
-
-def _padaptive(comm, graph, sweep, iters):
-    """Spawn-safe program: one multi-iteration SCLP call, generous bound.
-
-    The generous bound gives a converging cluster run whose active
-    fraction collapses over a few iterations, so the controller actually
-    crosses the full -> frontier entry threshold.  Labels come back via
-    the return value; the per-iteration decision trace is harvested from
-    ``lp.autotune`` tracer spans (worker records are absorbed into the
-    parent for the process runtime).
-    """
+def _pcluster(comm, graph, sweep, iters):
+    """Spawn-safe program: one multi-iteration cluster call under a bound
+    generous enough that it converges within ``iters``."""
     vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
     dgraph = DistGraph.from_global(graph, vtxdist, comm.rank)
     backend = make_dist_backend(dgraph, comm)
     labels = dgraph.to_global(np.arange(dgraph.n_total))
     labels = run_sclp(
         backend, labels, int(graph.vwgt.sum()), iters,
-        refine=False, ordering="degree", chunk=ADAPTIVE_CHUNK,
+        refine=False, ordering="degree", chunk=64,
         pin_sweep=sweep, tie_seed=90,
     )
     return dgraph.gather_global(comm, labels[: dgraph.n_local]).tolist()
-
-
-def _decision_trace(records, rank):
-    """(iteration, sweep, chunk_request) tuples from lp.autotune spans."""
-    return [
-        (r["attrs"]["iteration"], r["attrs"]["sweep"],
-         r["attrs"]["chunk_request"])
-        for r in records
-        if r.get("type") == "span" and r.get("name") == "lp.autotune"
-        and r.get("rank") == rank
-    ]
 
 
 def _traced(fn):
@@ -292,79 +272,94 @@ def _traced(fn):
         TRACER.disable()
 
 
-def _local_adaptive(graph, sweep, iters):
-    return run_sclp(
-        LocalBackend(graph, np.random.default_rng(700)),
-        np.arange(graph.num_nodes, dtype=np.int64),
-        int(graph.vwgt.sum()), iters,
-        refine=False, ordering="degree", chunk=ADAPTIVE_CHUNK,
-        pin_sweep=sweep, tie_seed=90,
+def _lp_calls(records):
+    """``lp.iteration`` attrs grouped into ``run_sclp`` calls: a rank's
+    spans are in order, and iteration 0 opens a call."""
+    calls, current = [], {}
+    for record in records:
+        if record.get("type") == "span" and record.get("name") == "lp.iteration":
+            if record["attrs"]["iteration"] == 0:
+                current[record["rank"]] = []
+                calls.append(current[record["rank"]])
+            current[record["rank"]].append(record["attrs"])
+    return calls
+
+
+RULE_CHUNK = 8
+
+
+@pytest.mark.parametrize("num_pes,backend", [
+    (1, "local"), (4, "spmd"), (2, "process"),
+], ids=["local", "spmd4", "process2"])
+def test_sweep_follows_mode_and_chunk_is_constant(num_pes, backend):
+    """What production callers get (nobody pins a sweep): clustering runs
+    the full sweep and refinement the frontier sweep, at one chunk per
+    call — the configured one, or the 32-refreshes cap on small levels."""
+    config = fast_config(k=K, lp_chunk_size=RULE_CHUNK)
+    _, records = _traced(lambda: partition_graph(
+        rmat(11, seed=1), K, num_pes=num_pes, backend=backend, seed=3,
+        config=config,
+    ))
+    spans = [r for r in records
+             if r.get("type") == "span" and r.get("name") == "lp.iteration"]
+    assert {s["attrs"]["mode"] for s in spans} == {"cluster", "refine"}
+    for span in spans:
+        attrs = span["attrs"]
+        assert (attrs["sweep"] == "frontier") == (attrs["mode"] == "refine")
+    if num_pes > 1:
+        # Rank-less spans come from the sequential initial partitioner,
+        # which every rank thread runs at once: their order is not a call
+        # order.  The sweep rule above covers them.
+        assert {s["rank"] for s in spans} >= set(range(num_pes))
+        records = [r for r in records if r.get("rank") is not None]
+    capped = set()
+    for call in _lp_calls(records):
+        # Phase 0 scans every node of the visit order in either sweep.
+        limit = max(1, -(-call[0]["active"] // 32))
+        assert {a["chunk_size"] for a in call} == {min(RULE_CHUNK, limit)}
+        capped.add(limit < RULE_CHUNK)
+    assert capped == {False, True}  # both sides of the min ran
+    assert _shm_leaks() == []
+
+
+def _plp_call(comm, graph, mode, k, bound, rounds):
+    """Spawn-safe program: one LP call as the pipeline makes it (no
+    sweep pinned, default chunk)."""
+    vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
+    dgraph = DistGraph.from_global(graph, vtxdist, comm.rank)
+    gids = dgraph.to_global(np.arange(dgraph.n_total))
+    labels = parallel_label_propagation(
+        dgraph, comm, gids.copy() if mode == "cluster" else gids % k,
+        bound, rounds, mode=mode, k=None if mode == "cluster" else k,
     )
+    return labels[: dgraph.n_local].tolist()
 
 
-class TestAdaptiveDecisionIdentity:
-    """The controller's (sweep, chunk) trace is a pure function of the
-    observed label trajectory.
+def _allreduces(stats):
+    return sum(count for op, (count, _) in stats.per_op.items()
+               if op.startswith("allreduce"))
 
-    The switch signal is computed from the net end-of-phase label diff
-    (never from per-chunk mover counts, which depend on the chunk layout
-    and hence on the rank count), so backends that produce the same
-    trajectory must produce bit-identical per-iteration decisions:
-    threads vs processes at p = 4 over the full multi-iteration run, and
-    Local vs both dist runtimes at p = 1 over the executed prefix (a
-    p = 1 dist call stops after one phase — the interface-quiet
-    termination asymmetry documented in the module docstring).  Labels
-    stay bit-identical to the pinned sweeps' union: the per-iteration
-    frontier == full identity makes the pinned full sweep the oracle
-    for whichever sweep the controller selected at each iteration.
-    """
 
-    def test_p4_threads_vs_processes_full_trajectory(self):
-        g = make_graph("rmat9")
-        spmd, rec_s = _traced(lambda: run_spmd(
-            4, _padaptive, g, None, ADAPTIVE_ITERS, seed=5).value)
-        proc, rec_p = _traced(lambda: run_spmd_processes(
-            4, _padaptive, None, ADAPTIVE_ITERS, graph=g,
-            seed=5).value)
-        traces_s = [_decision_trace(rec_s, r) for r in range(4)]
-        traces_p = [_decision_trace(rec_p, r) for r in range(4)]
-        # The allreduced stats vector is the controller's only
-        # cross-rank input, so every rank holds the same decision state.
-        assert all(t == traces_s[0] for t in traces_s)
-        assert all(t == traces_p[0] for t in traces_p)
-        assert traces_s[0] == traces_p[0]
-        assert spmd == proc
-        # Both sweep modes actually fired, so the identity is not
-        # vacuous, and the trace covers every executed iteration.
-        assert {s for _, s, _ in traces_s[0]} == {"full", "frontier"}
-        assert [i for i, _, _ in traces_s[0]] == list(range(len(traces_s[0])))
-        # Static-union label identity at p = 4.
-        full = run_spmd(
-            4, _padaptive, g, "full", ADAPTIVE_ITERS, seed=5).value
-        assert spmd == full
-        assert _shm_leaks() == []
-
-    def test_local_and_p1_dist_agree_on_the_executed_prefix(self):
-        g = make_graph("rmat9")
-        local, rec_l = _traced(
-            lambda: _local_adaptive(g, None, ADAPTIVE_ITERS))
-        trace_local = _decision_trace(rec_l, None)
-        assert {s for _, s, _ in trace_local} == {"full", "frontier"}
-        p1_s, rec_s = _traced(lambda: run_spmd(
-            1, _padaptive, g, None, ADAPTIVE_ITERS, seed=5).value)
-        p1_p, rec_p = _traced(lambda: run_spmd_processes(
-            1, _padaptive, None, ADAPTIVE_ITERS, graph=g,
-            seed=5).value)
-        t_s = _decision_trace(rec_s, 0)
-        t_p = _decision_trace(rec_p, 0)
-        assert len(t_s) >= 1
-        assert t_s == t_p == trace_local[: len(t_s)]
-        assert p1_s == p1_p
-        # The common executed prefix is label-identical too: a p = 1
-        # dist run covers exactly its first len(t_s) iterations.
-        local_prefix = _local_adaptive(g, None, len(t_s))
-        assert np.array_equal(local_prefix, np.asarray(p1_s))
-        # Static-union label identity for the full local run.
-        assert np.array_equal(
-            local, _local_adaptive(g, "full", ADAPTIVE_ITERS))
-        assert _shm_leaks() == []
+@pytest.mark.parametrize("mode", ["cluster", "refine"])
+def test_lp_round_collectives(mode):
+    """One label exchange per LP round, and no allreduce beside the
+    protocol's own (all untagged): the convergence count, plus under
+    budget shares the exact block weights, once up front and once per
+    round.  Nothing else in the loop may need cross-rank agreement."""
+    g = make_graph("rmat9")
+    lmax = max_block_weight_bound(g, K, 0.03)
+    bound = lmax if mode == "refine" else max(2, lmax // 10)
+    rounds = 4
+    threads = run_spmd(2, _plp_call, g, mode, K, bound, rounds, seed=5)
+    procs = run_spmd_processes(2, _plp_call, mode, K, bound, rounds,
+                               graph=g, seed=5)
+    assert procs.per_rank == threads.per_rank
+    assert procs.stats == threads.stats
+    assert np.array_equal(procs.sim_times, threads.sim_times)
+    for stats in threads.stats:
+        assert not [op for op in stats.per_op if op.startswith("allreduce[")]
+        lp_rounds = stats.per_op["alltoall[lp.labels]"][0]
+        assert 1 <= lp_rounds <= rounds
+        expected = lp_rounds if mode == "cluster" else 1 + 2 * lp_rounds
+        assert _allreduces(stats) == expected
+    assert _shm_leaks() == []

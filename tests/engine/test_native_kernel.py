@@ -446,7 +446,7 @@ class TestSuitesOnTheNumpyKernel:
     def test_ranks_inherit_the_parents_choice(self):
         graph = cross_suite.make_graph("rmat9")
         assert traced_kernels(lambda: run_spmd_processes(
-            2, cross_suite._padaptive, None, 2, graph=graph, seed=5,
+            2, cross_suite._pcluster, None, 2, graph=graph, seed=5,
         )) == {"numpy"}
         assert kernel_cache_leftovers() == []
 
@@ -455,6 +455,6 @@ def test_ranks_run_the_compiled_kernel_by_default():
     compiled()
     graph = cross_suite.make_graph("rmat9")
     assert traced_kernels(lambda: run_spmd_processes(
-        2, cross_suite._padaptive, None, 2, graph=graph, seed=5,
+        2, cross_suite._pcluster, None, 2, graph=graph, seed=5,
     )) == {"native"}
     assert kernel_cache_leftovers() == []

@@ -5,7 +5,7 @@ that it changes *where* the arc arrays live, never *what* the kernels
 compute.  These tests pin that contract: the same SCLP program — same
 sweep, ordering, chunk size, tie seed — run once on a resident graph
 and once on its sharded on-disk copy must produce bit-identical labels,
-across the sweep grid (pinned full, pinned frontier, the controller) and
+across the sweep grid (pinned full, pinned frontier, the mode's own) and
 across the execution backends (local, spmd, process — the distributed
 paths materialize the sharded graph up front, which must also be exact).
 The flat out-of-core partitioner and the streaming quality evaluator are
@@ -22,12 +22,18 @@ from repro.engine import LocalBackend, run_sclp
 from repro.generators import rmat
 from repro.graph import open_sharded, save_sharded
 from repro.graph.validation import max_block_weight_bound
-from repro.metrics import evaluate_partition, evaluate_partition_streaming
+from repro.metrics import (
+    boundary_nodes,
+    communication_volume,
+    edge_cut,
+    evaluate_partition,
+    evaluate_partition_streaming,
+)
 
 K = 8
 NODES_PER_SHARD = 64
 
-#: (chunk request, pinned sweep); ``None`` leaves the choice to the controller
+#: (chunk request, pinned sweep); ``None`` is the mode's own sweep
 SWEEP_GRID = [
     pytest.param(256, "full", id="256-full"),
     pytest.param(256, "frontier", id="256-frontier"),
@@ -94,5 +100,9 @@ def test_streaming_quality_matches_dense(graph, sharded):
     rng = np.random.default_rng(2)
     partition = rng.integers(0, K, size=graph.num_nodes)
     dense = evaluate_partition(graph, partition, K)
+    assert dense.cut == edge_cut(graph, partition)
+    assert dense.boundary_node_count == boundary_nodes(graph, partition).size
+    assert dense.communication_volume == communication_volume(graph, partition)
     assert evaluate_partition_streaming(graph, partition, K) == dense
     assert evaluate_partition_streaming(sharded, partition, K) == dense
+    assert evaluate_partition(sharded, partition, K) == dense

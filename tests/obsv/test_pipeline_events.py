@@ -228,19 +228,15 @@ class TestSequentialPipelineEvents:
 
     def test_lp_chunk_size_reaches_the_sequential_engine(self):
         # Regression: lp_chunk_size was silently ignored at num_pes=1 (the
-        # local V-cycle backends never passed it on).  The controller's
-        # first probe is the configured chunk itself.
-        first_probe = {}
-        for chunk in (64, 256):
-            decisions = [
-                s["attrs"] for s in _spans(self._traced_sequential(chunk),
-                                           "lp.autotune")
-            ]
-            assert decisions, "sequential run recorded no controller decisions"
-            first_probe[chunk] = {
-                d["chunk_request"] for d in decisions if d["iteration"] == 0
-            }
-        assert first_probe == {64: {64}, 256: {256}}
+        # local V-cycle backends never passed it on).  The finest level of
+        # rmat(10) scans up to 1024 nodes, so its 32-refreshes cap (<= 32)
+        # leaves a request of 8 or 16 alone.
+        largest = {}
+        for chunk in (8, 16):
+            iterations = _spans(self._traced_sequential(chunk), "lp.iteration")
+            assert iterations, "sequential run recorded no LP iterations"
+            largest[chunk] = max(s["attrs"]["chunk_size"] for s in iterations)
+        assert largest == {8: 8, 16: 16}
 
     def test_sequential_summary_says_which_path_ran(self):
         from repro.obsv import build_run_summary, validate_run_summary
@@ -249,7 +245,10 @@ class TestSequentialPipelineEvents:
         iterations = _spans(records, "lp.iteration")
         assert iterations
         for span in iterations:
-            assert span["attrs"]["sweep"] in ("full", "frontier")
+            # the sweep follows from the mode
+            assert span["attrs"]["sweep"] == {
+                "cluster": "full", "refine": "frontier",
+            }[span["attrs"]["mode"]]
             assert span["attrs"]["chunk_size"] >= 1
         summary = build_run_summary(records)
         assert not validate_run_summary(summary)
@@ -258,8 +257,9 @@ class TestSequentialPipelineEvents:
         assert {s["attrs"]["kernel"] for s in iterations} == {
             summary["header"]["lp_kernel"]
         }
-        assert summary["autotune"], "run.json autotune block is empty"
-        assert {row["sweep"] for row in summary["autotune"]} <= {"full", "frontier"}
+        assert {point["sweep"] for point in summary["convergence"]} == {
+            "full", "frontier",
+        }
         assert all(
             point["sweep"] and point["chunk_size"]
             for point in summary["convergence"]

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.graph import read_metis, read_partition, write_metis, load_npz
+from repro.graph import (
+    load_npz,
+    read_metis,
+    read_partition,
+    save_sharded,
+    write_metis,
+)
 from repro.generators import rgg
 from repro.metrics import edge_cut
 
@@ -35,6 +43,21 @@ class TestPartitionCommand:
                      "--num-pes", "2", "--machine", "B"])
         assert code == 0
         assert "simulated time" in capsys.readouterr().out
+
+    def test_lp_chunk_reaches_the_out_of_core_engine(self, tmp_path):
+        # Regression: the flat out-of-core path carried its own chunk and
+        # ignored --lp-chunk / config.lp_chunk_size.
+        shards = tmp_path / "shards"
+        save_sharded(rgg(9, seed=0), shards, nodes_per_shard=128)
+        for chunk in (4, 8):  # both under the 32-refreshes cap of 512 / 32
+            trace = tmp_path / f"trace{chunk}.json"
+            assert main(["partition", str(shards), "-k", "4", "--lp-chunk",
+                         str(chunk), "--trace", str(trace)]) == 0
+            with open(tmp_path / f"trace{chunk}.events.jsonl") as handle:
+                records = [json.loads(line) for line in handle]
+            sizes = {r["attrs"]["chunk_size"] for r in records
+                     if r.get("name") == "lp.iteration"}
+            assert sizes == {chunk}
 
     def test_feature_flags(self, metis_graph, tmp_path, capsys):
         # warm start from a previous partition, with flows and W-cycles on
