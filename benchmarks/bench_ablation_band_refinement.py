@@ -29,8 +29,7 @@ def run_experiment() -> str:
         # a mediocre starting partition with a real boundary to clean up
         start = kaffpa_partition(
             graph, k, 0.03, np.random.default_rng(0),
-            KaffpaOptions(coarsening="matching", refinement_passes=0,
-                          initial_attempts=1),
+            KaffpaOptions(refinement_passes=0, initial_attempts=1),
         )
         start_cut = edge_cut(graph, start)
         configs = [("full", None), ("band-1", 1), ("band-2", 2), ("band-3", 3)]

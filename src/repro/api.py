@@ -124,17 +124,30 @@ def partition_graph(
     if graph.num_nodes:
         check_partition(graph, out.partition, config.k, epsilon=None)
     if TRACER.enabled:
-        # Final quality gauges feed the run.json quality block; the
-        # sequential path also stamps backend/p (parallel runs are
-        # annotated by the SPMD runtime itself).
-        if out.num_pes == 1:
-            TRACER.annotate_header(backend="local", p=1)
-            # Local runs have no per-rank workers to sample memory, so
-            # stamp rank 0 here — this feeds run.json's memory section.
-            TRACER.event("mem.rank", rank=0, shared=False, **memory_sample())
-        TRACER.metrics.gauge("partition.cut").set(float(out.quality.cut))
-        TRACER.metrics.gauge("partition.imbalance").set(float(out.quality.imbalance))
+        _trace_result(out, max_block_weight_bound(graph, config.k, config.epsilon))
     return out
+
+
+def _trace_result(out: PartitionResult, lmax: int, **header: str) -> None:
+    """Record what a traced call returned (callers check ``TRACER.enabled``).
+
+    One ``partition.quality`` event is the verdict on the partition:
+    ``max_block_weight`` against ``lmax`` is what run.json's
+    ``quality.feasible`` is read off.  A sequential call also stamps
+    backend/p into the header (parallel runs are annotated by the SPMD
+    runtime itself) and samples memory as rank 0, having no per-rank
+    workers to do it — this feeds run.json's memory section.
+    """
+    if out.num_pes == 1:
+        TRACER.annotate_header(backend="local", p=1, **header)
+        TRACER.event("mem.rank", rank=0, shared=False, **memory_sample())
+    TRACER.event(
+        "partition.quality",
+        cut=int(out.quality.cut),
+        imbalance=float(out.quality.imbalance),
+        max_block_weight=int(out.quality.max_block_weight),
+        lmax=int(lmax),
+    )
 
 
 def partition_oocore(
@@ -196,10 +209,5 @@ def partition_oocore(
     if n:
         check_partition(graph, out.partition, k, epsilon=None)
     if TRACER.enabled:
-        TRACER.annotate_header(
-            backend="local", p=1, store=type(graph.store).__name__,
-        )
-        TRACER.event("mem.rank", rank=0, shared=False, **memory_sample())
-        TRACER.metrics.gauge("partition.cut").set(float(quality.cut))
-        TRACER.metrics.gauge("partition.imbalance").set(float(quality.imbalance))
+        _trace_result(out, bound, store=type(graph.store).__name__)
     return out

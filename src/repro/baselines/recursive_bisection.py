@@ -45,7 +45,7 @@ def scotch_partition(
     rng = np.random.default_rng(seed)
     ledger = CostLedger(machine, num_pes)
     partition = np.zeros(graph.num_nodes, dtype=np.int64)
-    engine = KaffpaOptions(coarsening="matching", refinement_passes=2)
+    engine = KaffpaOptions(refinement_passes=2)
 
     def split_even(sub: Graph) -> np.ndarray:
         return kaffpa_partition(sub, 2, max(epsilon, 0.05), rng, options=engine)

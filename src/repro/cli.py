@@ -5,7 +5,6 @@ Mirrors the ergonomics of the real tools (``parhip``, ``kaffpa``)::
     python -m repro partition graph.metis -k 8 --preset fast -o graph.part
     python -m repro partition graph.metis -k 8 --num-pes 4 --trace out.json
     python -m repro trace out.json partition graph.metis -k 8 --num-pes 4
-    python -m repro report out.events.jsonl
     python -m repro analyze out.events.jsonl --compare baseline.run.json
     python -m repro generate rgg --exponent 12 -o rgg12.metis
     python -m repro evaluate graph.metis graph.part -k 8
@@ -110,7 +109,7 @@ def _write_trace_outputs(trace_out: str) -> None:
     write_jsonl(events, TRACER)
     print(f"chrome trace written to {trace_out} "
           "(load in chrome://tracing or ui.perfetto.dev)")
-    print(f"event stream written to {events} (render with: repro report {events})")
+    print(f"event stream written to {events} (read with: repro analyze {events})")
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -239,7 +238,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not rest:
         print("trace: missing command to run under the tracer", file=sys.stderr)
         return 2
-    if rest[0] in ("trace", "report", "analyze"):
+    if rest[0] in ("trace", "analyze"):
         print(f"trace: cannot trace the {rest[0]!r} command", file=sys.stderr)
         return 2
     TRACER.enable()
@@ -249,13 +248,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         TRACER.disable()
     _write_trace_outputs(args.out)
     return code
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .obsv import read_jsonl, render_report
-
-    print(render_report(read_jsonl(args.events)))
-    return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -269,18 +261,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         write_run_summary,
     )
 
-    records = read_jsonl(args.events)
-    print(render_analysis(records))
     out = args.output
     if out is None:
         events = Path(args.events)
         out = str(events.with_name((events.name.removesuffix(".events.jsonl")
                                     or events.stem) + ".run.json"))
     try:
-        summary = write_run_summary(out, records)
+        summary = write_run_summary(out, read_jsonl(args.events))
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1
+    print(render_analysis(summary))
     print(f"\nrun summary written to {out}")
     if args.compare:
         with open(args.compare, "r", encoding="utf-8") as fh:
@@ -400,16 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the repro command to run, e.g. partition g.metis -k 4")
     t.set_defaults(func=_cmd_trace)
 
-    r = sub.add_parser(
-        "report", help="render per-level / per-phase / load tables from a trace"
-    )
-    r.add_argument("events", help="JSONL event stream (the .events.jsonl file)")
-    r.set_defaults(func=_cmd_report)
-
     a = sub.add_parser(
         "analyze",
-        help="trace analytics: critical path, straggler blame, comm matrix, "
-             "memory; writes a machine-readable run.json",
+        help="read a trace: per-level / per-phase / load tables, critical "
+             "path, straggler blame, comm matrix, memory; writes a "
+             "machine-readable run.json",
     )
     a.add_argument("events", help="JSONL event stream (the .events.jsonl file)")
     a.add_argument("-o", "--output", default=None,

@@ -14,44 +14,20 @@ substrate (:class:`LocalVcycleBackend`) and keeps the public API.
 
 from __future__ import annotations
 
-from typing import Protocol
-
 import numpy as np
 
 from ..engine.vcycle import run_vcycle
 from ..graph.csr import Graph
 from ..graph.ops import degree_statistics
 from ..graph.validation import max_block_weight_bound
+from ..kaffpa.driver import KaffpaOptions, kaffpa_partition
 from ..metrics.quality import edge_cut
 from .coarsening import HierarchyLevel, LocalCoarseningBackend
 from .config import PartitionConfig
 from .label_propagation import label_propagation_refinement
 from .projection import project_partition
 
-__all__ = [
-    "InitialPartitioner",
-    "LocalVcycleBackend",
-    "detect_social",
-    "multilevel_partition",
-    "default_initial_partitioner",
-]
-
-
-class InitialPartitioner(Protocol):
-    """Callable that partitions a coarsest graph.
-
-    Receives the coarsest graph, ``k``, ``epsilon``, an RNG, and an
-    optional seed partition that must not be beaten by a worse result.
-    """
-
-    def __call__(
-        self,
-        graph: Graph,
-        k: int,
-        epsilon: float,
-        rng: np.random.Generator,
-        seed_partition: np.ndarray | None = None,
-    ) -> np.ndarray: ...
+__all__ = ["LocalVcycleBackend", "detect_social", "multilevel_partition"]
 
 
 def detect_social(graph: Graph) -> bool:
@@ -63,26 +39,6 @@ def detect_social(graph: Graph) -> bool:
     """
     stats = degree_statistics(graph)
     return stats.tail_ratio > 4.0
-
-
-def default_initial_partitioner(
-    graph: Graph,
-    k: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    seed_partition: np.ndarray | None = None,
-) -> np.ndarray:
-    """KaFFPa (sequential engine) on the coarsest graph."""
-    from ..kaffpa.driver import KaffpaOptions, kaffpa_partition
-
-    return kaffpa_partition(
-        graph,
-        k,
-        epsilon,
-        rng,
-        options=KaffpaOptions(coarsening="matching", coarsest_nodes=max(40, 4 * k)),
-        seed_partition=seed_partition,
-    )
 
 
 class LocalVcycleBackend(LocalCoarseningBackend):
@@ -100,20 +56,20 @@ class LocalVcycleBackend(LocalCoarseningBackend):
         graph: Graph,
         config: PartitionConfig,
         rng: np.random.Generator,
-        initial: InitialPartitioner,
         input_partition: np.ndarray | None,
         lmax: int,
     ):
         super().__init__(graph, config, rng, constraint=input_partition)
-        self.initial = initial
         self.lmax = lmax
 
     def initial_partition(self) -> np.ndarray:
-        return self.initial(
+        k = self.config.k
+        return kaffpa_partition(
             self.current,
-            self.config.k,
+            k,
             self.config.epsilon,
             self.rng,
+            options=KaffpaOptions(coarsest_nodes=max(40, 4 * k)),
             seed_partition=self.constraint,
         )
 
@@ -172,7 +128,6 @@ def multilevel_partition(
     config: PartitionConfig,
     rng: np.random.Generator,
     cluster_factor: float | None = None,
-    initial_partitioner: InitialPartitioner | None = None,
     input_partition: np.ndarray | None = None,
     _depth: int = 0,
     _trace_cycle: int | None = None,
@@ -192,16 +147,13 @@ def multilevel_partition(
     social = config.social if config.social is not None else detect_social(graph)
     if cluster_factor is None:
         cluster_factor = config.cluster_factor(0, social, rng)
-    initial = initial_partitioner or default_initial_partitioner
     lmax = max_block_weight_bound(graph, k, config.epsilon)
 
     # Only the outermost call emits pipeline spans/events: W-cycle
     # recursions are inner detail and would double-count phase times.
     top = _depth == 0
 
-    backend = LocalVcycleBackend(
-        graph, config, rng, initial, input_partition, lmax
-    )
+    backend = LocalVcycleBackend(graph, config, rng, input_partition, lmax)
 
     wcycle_hook = None
     if config.cycle_type == "W" and _depth == 0:
@@ -215,7 +167,6 @@ def multilevel_partition(
             recursed = multilevel_partition(
                 level.fine, config, rng,
                 cluster_factor=cluster_factor,
-                initial_partitioner=initial_partitioner,
                 input_partition=partition,
                 _depth=_depth + 1,
             )

@@ -10,7 +10,6 @@ from ..graph.csr import Graph
 from ..graph.validation import check_partition
 from ..metrics.quality import PartitionQuality, evaluate_partition
 from .config import PartitionConfig, fast_config
-from .multilevel import InitialPartitioner
 from .vcycle import iterated_vcycles
 
 __all__ = ["SequentialResult", "sequential_partition"]
@@ -37,7 +36,6 @@ def sequential_partition(
     graph: Graph,
     config: PartitionConfig | None = None,
     seed: int = 0,
-    initial_partitioner: InitialPartitioner | None = None,
     input_partition: np.ndarray | None = None,
     validate: bool = True,
 ) -> SequentialResult:
@@ -51,9 +49,7 @@ def sequential_partition(
     """
     config = config or fast_config()
     rng = np.random.default_rng(seed)
-    trace = iterated_vcycles(graph, config, rng,
-                             initial_partitioner=initial_partitioner,
-                             input_partition=input_partition)
+    trace = iterated_vcycles(graph, config, rng, input_partition=input_partition)
     if validate and graph.num_nodes:
         check_partition(graph, trace.partition, config.k, epsilon=None)
     quality = evaluate_partition(graph, trace.partition, config.k)

@@ -18,7 +18,7 @@ from ..graph.validation import max_block_weight_bound
 from ..metrics.quality import edge_cut
 from ..obsv.tracer import TRACER
 from .config import PartitionConfig
-from .multilevel import InitialPartitioner, detect_social, multilevel_partition
+from .multilevel import detect_social, multilevel_partition
 
 __all__ = ["VcycleTrace", "iterated_vcycles"]
 
@@ -35,7 +35,6 @@ def iterated_vcycles(
     graph: Graph,
     config: PartitionConfig,
     rng: np.random.Generator,
-    initial_partitioner: InitialPartitioner | None = None,
     input_partition: np.ndarray | None = None,
 ) -> VcycleTrace:
     """Run ``config.num_vcycles`` V-cycles; cut is monotonically non-increasing.
@@ -66,7 +65,6 @@ def iterated_vcycles(
                 config,
                 rng,
                 cluster_factor=factor,
-                initial_partitioner=initial_partitioner,
                 input_partition=best,
                 _trace_cycle=cycle,
             )

@@ -577,6 +577,4 @@ class SimComm(CollectiveOps):
                 bytes=int(recv),
                 seq=self.stats.collectives,
             )
-            TRACER.metrics.counter("comm.collectives").inc()
-            TRACER.metrics.counter("comm.recv_bytes").inc(int(recv))
         return gathered

@@ -256,9 +256,7 @@ class SpmdVcycleBackend:
                 population_size=self.config.population_size,
                 rounds=self.config.evolution_rounds,
                 engine=KaffpaOptions(
-                    coarsening="matching",
-                    coarsest_nodes=40,
-                    flow_refinement_below=1_000_000,
+                    coarsest_nodes=40, flow_refinement_below=1_000_000
                 ),
             )
         coarsest_partition = kaffpae_partition(

@@ -244,6 +244,4 @@ class ProcComm(CollectiveOps):
                 bytes=int(recv),
                 seq=self._stats.collectives,
             )
-            TRACER.metrics.counter("comm.collectives").inc()
-            TRACER.metrics.counter("comm.recv_bytes").inc(int(recv))
         return gathered

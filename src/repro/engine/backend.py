@@ -181,10 +181,9 @@ class SpmdBackend:
     def store_stats(self):
         return None
 
-    def __init__(self, dgraph, comm, delta_exchange: bool = True):
+    def __init__(self, dgraph, comm):
         self.dgraph = dgraph
         self.comm = comm
-        self.delta_exchange = delta_exchange
         self.rng = comm.rng
         self.size = comm.size
         self.tie_base = int(dgraph.first)
@@ -238,7 +237,7 @@ class SpmdBackend:
         return {"comm": self.comm}
 
 
-def make_dist_backend(dgraph, comm, delta_exchange: bool = True) -> "SpmdBackend":
+def make_dist_backend(dgraph, comm) -> "SpmdBackend":
     """The distributed backend matching ``comm``'s substrate.
 
     A :class:`~repro.dist.proc_comm.ProcComm` gets a
@@ -250,7 +249,7 @@ def make_dist_backend(dgraph, comm, delta_exchange: bool = True) -> "SpmdBackend
     from ..dist.proc_comm import ProcComm
 
     cls = ProcessBackend if isinstance(comm, ProcComm) else SpmdBackend
-    return cls(dgraph, comm, delta_exchange)
+    return cls(dgraph, comm)
 
 
 class ProcessBackend(SpmdBackend):

@@ -70,20 +70,6 @@ __all__ = ["run_sclp"]
 _SENTINEL = np.iinfo(np.int64).max
 
 
-def _set_store_gauges(backend: ExecutionBackend) -> None:
-    """Publish an out-of-core store's cumulative access counters.
-
-    Gauges (not counters) because the store accumulates across phases
-    and runs — the last set value is the run's total, so repeated
-    publication never double-counts.
-    """
-    stats = backend.store_stats()
-    if stats is None or backend.resident:
-        return
-    for key, value in stats.as_dict().items():
-        TRACER.metrics.gauge(f"store.{key}").set(value)
-
-
 def run_sclp(
     backend: ExecutionBackend,
     labels: np.ndarray,
@@ -327,9 +313,10 @@ def run_sclp(
                     frontier_frac=round(scanned / max(1, order.size), 4))
         if TRACER.enabled:
             lp_span.set(**memory_sample(), workspace_bytes=workspace.nbytes)
-            TRACER.metrics.counter("lp.iterations").inc()
-            TRACER.metrics.counter("lp.moved_nodes").inc(moved)
-            _set_store_gauges(backend)
+            if not backend.resident:
+                # An out-of-core store's access counters are cumulative:
+                # the last iteration's sample is the run's total.
+                lp_span.set(store=backend.store_stats().as_dict())
         lp_span.__exit__(None, None, None)
         if sweep_frontier:
             active, next_active = next_active, active

@@ -4,7 +4,7 @@ One driver owns the multilevel skeleton for both pipelines — the
 coarsening level loop (per-level bound adaptation, stall detection,
 constraint projection), the initial-partitioning hand-off, and the
 uncoarsening loop (project → refine per level) — together with all of
-its pipeline spans, events and metrics, so the sequential and the
+its pipeline spans and events, so the sequential and the
 distributed run emit the same observability schema from the same code.
 
 Everything substrate-specific is a :class:`VcycleBackend` hook: how a
@@ -146,8 +146,6 @@ def run_coarsening(
                     "coarsen.level", cycle=cycle, level=len(levels) - 1,
                     **stats, shrink=shrink,
                 )
-                TRACER.metrics.counter("coarsen.levels").inc()
-                TRACER.metrics.histogram("coarsen.shrink").observe(shrink)
         backend.charge_level(level)
         backend.project_constraint(level)
         level_span.__exit__(None, None, None)
@@ -166,7 +164,7 @@ def run_vcycle(
 ) -> VcycleResult:
     """Drive one multilevel cycle: coarsen → initial partition → uncoarsen.
 
-    ``top`` gates spans, events and metrics: inner W-cycle recursions
+    ``top`` gates spans and events: inner W-cycle recursions
     pass ``top=False`` so phase times are not double-counted.
     ``wcycle_hook(level, partition)``, when given, runs after each
     level's refinement and may return an improved partition (the
@@ -251,7 +249,6 @@ def run_vcycle(
                     nodes=backend.level_nodes(level),
                     cut_projected=cut_projected, cut_refined=cut_refined,
                 )
-                TRACER.metrics.gauge("partition.cut").set(cut_refined)
         level_span.__exit__(None, None, None)
         backend.release_level()
     if mem is not None:

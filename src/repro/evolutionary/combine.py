@@ -50,7 +50,7 @@ def combine(
         k,
         epsilon,
         rng,
-        options=options or KaffpaOptions(coarsening="matching"),
+        options=options,
         constraint=constraint,
         seed_partition=better.partition,
     )

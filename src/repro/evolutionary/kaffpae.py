@@ -58,7 +58,7 @@ class KaffpaeOptions:
     # community structure contracted away, so cluster coarsening has
     # nothing to exploit there — the paper uses the full (matching +
     # FM) KaFFPa inside the combine operations
-    engine: KaffpaOptions = KaffpaOptions(coarsening="matching", coarsest_nodes=40)
+    engine: KaffpaOptions = KaffpaOptions(coarsest_nodes=40)
 
 
 def kaffpae_partition(
@@ -137,7 +137,6 @@ def kaffpae_partition(
                 best_cut=population.best().cut,
                 avg_cut=float(sum(m.cut for m in members) / max(1, len(members))),
             )
-            TRACER.metrics.counter("ea.rounds").inc()
         round_span.__exit__(None, None, None)
 
     # ------------------------------------------------------------------

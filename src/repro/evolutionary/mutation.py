@@ -41,7 +41,7 @@ def mutate_vcycle(
         k,
         epsilon,
         rng,
-        options=options or KaffpaOptions(coarsening="matching"),
+        options=options,
         constraint=individual.partition,
         seed_partition=individual.partition,
     )

@@ -3,7 +3,7 @@
 This is the from-scratch stand-in for KaHIP's sequential KaFFPa: a full
 multilevel partitioner with
 
-* matching-based *or* cluster-based coarsening,
+* matching-based coarsening,
 * best-of-several initial partitioning (recursive bisection with greedy
   graph growing),
 * FM refinement for bisections and greedy k-way boundary refinement
@@ -13,7 +13,7 @@ Two features make it the engine of the evolutionary combine operator
 (Section II-C):
 
 * ``constraint`` — a partition whose cut edges are *never* contracted
-  (neither matching nor clustering may merge across it);
+  (the matching never merges across it);
 * ``seed_partition`` — applied to the coarsest graph and kept iff better
   than the freshly computed initial partition; combined with
   non-worsening refinement, the result is never worse than the seed.
@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.label_propagation import label_propagation_clustering
 from ..graph.csr import Graph
-from ..graph.quotient import contract
 from ..graph.validation import max_block_weight_bound
 from ..metrics.quality import edge_cut
 from .fm import fm_bisection_refine
@@ -42,12 +40,9 @@ __all__ = ["KaffpaOptions", "kaffpa_partition"]
 class KaffpaOptions:
     """Tuning knobs of the sequential engine."""
 
-    coarsening: str = "matching"  # 'matching' | 'cluster'
     coarsest_nodes: int = 60  # stop coarsening below max(this, 4k) nodes
     initial_attempts: int = 4
     refinement_passes: int = 2
-    lp_iterations: int = 3  # only for cluster coarsening
-    cluster_factor: float = 14.0  # only for cluster coarsening
     max_levels: int = 40
     min_shrink_factor: float = 0.98
     #: additionally run flow-based pairwise refinement (KaFFPa's flow
@@ -80,21 +75,9 @@ def kaffpa_partition(
     current = graph
     current_constraint = constraint
     while current.num_nodes > target_nodes and len(levels) < options.max_levels:
-        if options.coarsening == "matching":
-            result = match_and_contract(
-                current, rng, max_node_weight=max_node_weight, constraint=current_constraint
-            )
-        elif options.coarsening == "cluster":
-            labels = label_propagation_clustering(
-                current,
-                max_cluster_weight=max(1, int(lmax / options.cluster_factor)),
-                iterations=options.lp_iterations,
-                rng=rng,
-                constraint=current_constraint,
-            )
-            result = contract(current, labels)
-        else:
-            raise ValueError(f"unknown coarsening scheme {options.coarsening!r}")
+        result = match_and_contract(
+            current, rng, max_node_weight=max_node_weight, constraint=current_constraint
+        )
         if result.coarse.num_nodes >= options.min_shrink_factor * current.num_nodes:
             break  # stalled
         levels.append((current, result.fine_to_coarse))

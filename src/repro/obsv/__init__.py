@@ -1,11 +1,14 @@
-"""Observability for the multilevel pipeline: tracing, metrics, reports.
+"""Observability for the multilevel pipeline: one trace, one reader.
+
+A traced run records spans and events (:mod:`~repro.obsv.tracer`),
+exports them (:mod:`~repro.obsv.export`), and :mod:`~repro.obsv.analyze`
+turns the stream into ``run.json`` and the ``repro analyze`` tables.
 
 Stdlib-only by design — :mod:`repro.dist.comm` imports the tracer, so
 this package must sit below every other repro subsystem in the import
 graph.  See ``docs/observability.md`` for the event schema and CLI.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import TRACER, Span, Tracer, host_header, trace_session
 from .export import (
     read_jsonl,
@@ -13,34 +16,23 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .report import (
-    header_summary,
-    load_imbalance_table,
-    per_level_table,
-    per_phase_table,
-    phase_times,
-    rank_load,
-    render_report,
-    trace_header,
-)
 from .analyze import (
     RUN_SUMMARY_SCHEMA,
     build_run_summary,
     comm_matrix,
     compare_run_summaries,
     critical_path,
+    phase_times,
+    rank_load,
     rank_memory,
     render_analysis,
     straggler_blame,
+    trace_header,
     validate_run_summary,
     write_run_summary,
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "RUN_SUMMARY_SCHEMA",
     "Span",
     "TRACER",
@@ -49,17 +41,12 @@ __all__ = [
     "comm_matrix",
     "compare_run_summaries",
     "critical_path",
-    "header_summary",
     "host_header",
-    "load_imbalance_table",
-    "per_level_table",
-    "per_phase_table",
     "phase_times",
     "rank_load",
     "rank_memory",
     "read_jsonl",
     "render_analysis",
-    "render_report",
     "straggler_blame",
     "to_chrome_trace",
     "trace_header",

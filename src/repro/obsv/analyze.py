@@ -1,10 +1,23 @@
-"""Trace analytics: critical path, straggler blame, comm matrix, run summary.
+"""Trace analytics: the one reader of a recorded trace.
 
-``repro report`` renders what happened; this module answers *why it took
-that long* and emits a versioned machine-readable ``run.json`` other
-tools (CI regression gates, the auto-tuning and out-of-core work) can
-diff.  Four analyses over one JSONL record stream:
+The span/event stream is the only thing a traced run records, and this
+module is the only thing that reads it back: ``repro analyze`` builds
+the versioned machine-readable ``run.json`` (:func:`build_run_summary`)
+that other tools (CI regression gates, the bench) can diff, and renders
+that same document for people (:func:`render_analysis`).  Every number
+is derived from the stream, so it means the same on the local, thread
+and process backends (worker records are merged by
+:meth:`~repro.obsv.tracer.Tracer.absorb`):
 
+* **Per-level rows** — level sizes, shrink per cluster-contraction
+  level and the cut after projection / after refinement on every level
+  of every V-cycle (the KaHIP-user-guide style table), from the
+  ``coarsen.level`` / ``initial.cut`` / ``uncoarsen.level`` events.
+* **Per-phase times** — simulated (max over ranks) and wall seconds per
+  pipeline phase; **per-rank load** — LP moves, collectives and received
+  bytes per rank; **counts** — LP iterations, moved nodes, contraction
+  levels, EA rounds, collectives: span and event counts, not a second
+  bookkeeping channel.
 * **Critical path** — the collectives (``comm.<op>`` spans) are the
   synchronization edges of an SPMD run: no rank leaves collective *s*
   before the last rank enters it.  The path therefore hops between
@@ -23,6 +36,8 @@ diff.  Four analyses over one JSONL record stream:
 * **Memory** — per-rank peak/current RSS from the ``mem.rank`` events
   (real per-process samples under the process backend, one shared
   sample flagged ``shared`` under the thread backend).
+* **Quality** — the ``partition.quality`` event: cut, imbalance, and the
+  heaviest block against Lmax, i.e. whether the result is feasible.
 
 The module is stdlib-only like the rest of :mod:`repro.obsv`.
 """
@@ -33,44 +48,60 @@ import json
 from collections import defaultdict
 from typing import Any, Iterable
 
-from .report import (
-    PHASES,
-    _format_table,
-    _spans,
-    phase_times,
-    rank_load,
-    single_core_caveat,
-    trace_header,
-)
-
 __all__ = [
     "RUN_SUMMARY_SCHEMA",
     "build_run_summary",
     "comm_matrix",
     "compare_run_summaries",
     "critical_path",
+    "phase_times",
+    "rank_load",
     "rank_memory",
     "render_analysis",
     "straggler_blame",
+    "trace_header",
     "validate_run_summary",
     "write_run_summary",
 ]
 
 #: schema identifier stamped into (and required of) every run summary
-#: (v2: the header says which LP kernel ran, ``lp_kernel``, and on the
-#: NumPy fallback why, ``lp_kernel_fallback``)
-RUN_SUMMARY_SCHEMA = "repro.run_summary/v2"
+#: (v2: ``header.lp_kernel`` / ``lp_kernel_fallback``; v3: ``levels`` and
+#: ``counts``, ``quality.feasible`` with the weights behind it, and
+#: ``comm.collectives`` / ``comm.recv_bytes`` as integers on every backend)
+RUN_SUMMARY_SCHEMA = "repro.run_summary/v3"
 
 #: top-level keys every valid run summary must carry
 _SUMMARY_KEYS = (
-    "schema", "header", "wall_time_s", "quality", "phases",
-    "convergence", "comm", "critical_path", "blame", "memory",
+    "schema", "header", "wall_time_s", "quality", "levels", "phases",
+    "counts", "convergence", "comm", "critical_path", "blame", "memory",
 )
+
+#: span names of the pipeline phases (parallel and sequential emit these)
+PHASES = ("coarsening", "initial", "refinement")
 
 
 # ---------------------------------------------------------------------------
 # Shared extraction helpers
 # ---------------------------------------------------------------------------
+
+def _events(records: Iterable[dict], name: str) -> list[dict]:
+    return [r for r in records if r.get("type") == "event" and r.get("name") == name]
+
+
+def _spans(records: Iterable[dict], name: str | None = None) -> list[dict]:
+    return [
+        r for r in records
+        if r.get("type") == "span" and (name is None or r.get("name") == name)
+    ]
+
+
+def trace_header(records: Iterable[dict]) -> dict | None:
+    """The ``header`` record of a stream, if the session recorded one."""
+    for record in records:
+        if record.get("type") == "header":
+            return record
+    return None
+
 
 def _comm_spans_by_rank(records: list[dict]) -> dict[int, list[dict]]:
     """Rank -> its ``comm.*`` spans in collective order (``seq`` attr)."""
@@ -350,42 +381,129 @@ def rank_memory(records: Iterable[dict]) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
+# Per-level rows, per-phase times, per-rank load
+# ---------------------------------------------------------------------------
+
+def _first_attrs(events: list[dict], *keys: str) -> dict[tuple, dict]:
+    """Attrs of the first event per key tuple (tolerates per-rank repeats)."""
+    out: dict[tuple, dict] = {}
+    for event in events:
+        attrs = event.get("attrs") or {}
+        out.setdefault(tuple(attrs.get(k) for k in keys), attrs)
+    return out
+
+
+def _level_rows(records: list[dict]) -> list[dict[str, Any]]:
+    """One row per graph of every V-cycle's hierarchy, coarsest first.
+
+    Graph ``g`` of a cycle with ``num`` contractions is sized by
+    contraction ``g - 1``'s coarse side (the input, ``g = 0``, by
+    contraction 0's fine side).  The coarsest graph carries the initial
+    partitioner's cut, every finer one the cut its uncoarsening pass
+    projected and then refined.
+    """
+    coarsen = _first_attrs(_events(records, "coarsen.level"), "cycle", "level")
+    uncoarsen = _first_attrs(_events(records, "uncoarsen.level"), "cycle", "level")
+    initial = _first_attrs(_events(records, "initial.cut"), "cycle")
+    cycles = sorted(
+        {key[0] for key in (*coarsen, *uncoarsen, *initial)},
+        key=lambda c: (c is None, c),
+    )
+    rows = []
+    for cycle in cycles:
+        num = sum(1 for cyc, _level in coarsen if cyc == cycle)
+        init = initial.get((cycle,), {})
+        for g in range(num, -1, -1):
+            if g:
+                down = coarsen[(cycle, g - 1)]
+                nodes, edges = down.get("coarse_nodes"), down.get("coarse_edges")
+                shrink = down.get("shrink")
+            elif num:
+                down = coarsen[(cycle, 0)]
+                nodes, edges, shrink = down.get("fine_nodes"), down.get("fine_edges"), None
+            else:
+                nodes, edges, shrink = init.get("nodes"), None, None
+            if g == num:
+                projected = init.get("cut")
+                refined = init.get("cut_refined", projected)
+            else:
+                up = uncoarsen.get((cycle, g), {})
+                projected, refined = up.get("cut_projected"), up.get("cut_refined")
+            rows.append({
+                "cycle": cycle, "level": g, "nodes": nodes, "edges": edges,
+                "shrink": shrink, "cut_projected": projected,
+                "cut_refined": refined,
+            })
+    return rows
+
+
+def phase_times(records: Iterable[dict]) -> dict[str, dict[str, float | None]]:
+    """Per-phase times: ``{phase: {"sim": max-over-ranks, "wall": rank-0}}``.
+
+    Sim seconds are summed over cycles per rank, then maxed over ranks
+    (the parallel makespan of that phase); wall seconds are the rank-0 /
+    rank-less sums so the thread backend's GIL interleaving is not
+    double-counted.  Phases absent from the trace map to ``None``.
+    """
+    sim_by_phase_rank: dict[str, dict[int, float]] = defaultdict(lambda: defaultdict(float))
+    wall_by_phase: dict[str, float] = defaultdict(float)
+    for span in _spans(records):
+        if span["name"] not in PHASES:
+            continue
+        rank = span.get("rank")
+        if span.get("sim_dur") is not None and rank is not None:
+            sim_by_phase_rank[span["name"]][rank] += float(span["sim_dur"])
+        if rank is None or rank == 0:
+            wall_by_phase[span["name"]] += float(span.get("wall_dur") or 0.0)
+    out: dict[str, dict[str, float | None]] = {}
+    for phase in PHASES:
+        ranks = sim_by_phase_rank.get(phase)
+        out[phase] = {
+            "sim": max(ranks.values()) if ranks else None,
+            "wall": wall_by_phase.get(phase),
+        }
+    return out
+
+
+def rank_load(records: Iterable[dict]) -> dict[int, dict[str, int]]:
+    """Per-rank load: ``{rank: {"moves", "collectives", "recv_bytes"}}``."""
+    load: dict[int, dict[str, int]] = defaultdict(
+        lambda: {"moves": 0, "collectives": 0, "recv_bytes": 0}
+    )
+    for span in _spans(records):
+        rank = span.get("rank")
+        if rank is None:
+            continue
+        attrs = span.get("attrs") or {}
+        if span["name"] == "lp.iteration":
+            load[rank]["moves"] += int(attrs.get("moved") or 0)
+        elif span["name"].startswith("comm."):
+            load[rank]["collectives"] += 1
+            load[rank]["recv_bytes"] += int(attrs.get("bytes") or 0)
+    return {r: load[r] for r in sorted(load)}
+
+
+# ---------------------------------------------------------------------------
 # Run summary (the machine-readable run.json)
 # ---------------------------------------------------------------------------
 
-def _metrics_record(records: list[dict]) -> dict:
-    for record in records:
-        if record.get("type") == "metrics":
-            return record.get("metrics") or {}
-    return {}
-
-
-def _convergence(records: list[dict]) -> list[dict[str, Any]]:
+def _convergence(lp_spans: list[dict]) -> list[dict[str, Any]]:
     """LP trajectory: one point per (rank 0 / rank-less) lp.iteration span."""
-    points = []
-    for span in _spans(records, "lp.iteration"):
-        if span.get("rank") not in (None, 0):
-            continue
-        attrs = span.get("attrs") or {}
-        points.append({
-            "mode": attrs.get("mode"),
-            "iteration": attrs.get("iteration"),
-            "sweep": attrs.get("sweep"),
-            "chunk_size": attrs.get("chunk_size"),
-            "moved": attrs.get("moved"),
-            "global_changed": attrs.get("global_changed"),
-            "frontier_frac": attrs.get("frontier_frac"),
-        })
-    return points
+    keys = ("mode", "iteration", "sweep", "chunk_size", "moved",
+            "global_changed", "frontier_frac")
+    return [
+        {key: (span.get("attrs") or {}).get(key) for key in keys}
+        for span in lp_spans if span.get("rank") in (None, 0)
+    ]
 
 
 def build_run_summary(records: Iterable[dict]) -> dict[str, Any]:
-    """Assemble the versioned ``run.json`` document for one trace."""
+    """Assemble the versioned ``run.json`` document for one trace.
+
+    Reads span and event records only: a legacy trailing ``metrics``
+    line of an old ``.events.jsonl`` is ignored.
+    """
     records = list(records)
-    metrics = _metrics_record(records)
-    gauges = metrics.get("gauges") or {}
-    counters = metrics.get("counters") or {}
-    header = trace_header(records)
     extent = _ranked_extent(records)
     load = rank_load(records)
     move_values = [row["moves"] for row in load.values()]
@@ -394,32 +512,44 @@ def build_run_summary(records: Iterable[dict]) -> dict[str, Any]:
     # run.json keeps only the heaviest segments; the full alternating
     # chain is recomputable from the trace, and truncation is declared.
     top_segments = sorted(path["segments"], key=lambda s: -s["dur"])[:20]
-    cut = gauges.get("partition.cut")
-    if cut is None:
-        refined = [
-            (r.get("attrs") or {}).get("cut_refined")
-            for r in records
-            if r.get("type") == "event" and r.get("name") == "uncoarsen.level"
-        ]
-        refined = [c for c in refined if c is not None]
-        cut = refined[-1] if refined else None
+    levels = _level_rows(records)
+    lp_spans = _spans(records, "lp.iteration")
+    lp_attrs = [span.get("attrs") or {} for span in lp_spans]
+    # The verdict on the returned partition; a trace without one (a bare
+    # pipeline call, an old file) still knows its last refined cut.
+    verdicts = _events(records, "partition.quality")
+    verdict = (verdicts[-1].get("attrs") or {}) if verdicts else {}
+    heaviest, lmax = verdict.get("max_block_weight"), verdict.get("lmax")
     return {
         "schema": RUN_SUMMARY_SCHEMA,
-        "header": header,
+        "header": trace_header(records),
         "wall_time_s": (extent[1] - extent[0]) if extent else 0.0,
         "quality": {
-            "cut": cut,
-            "imbalance": gauges.get("partition.imbalance"),
+            "cut": verdict.get("cut", levels[-1]["cut_refined"] if levels else None),
+            "imbalance": verdict.get("imbalance"),
+            "max_block_weight": heaviest,
+            "lmax": lmax,
+            "feasible": (
+                heaviest <= lmax if heaviest is not None and lmax is not None
+                else None
+            ),
             "lp_move_imbalance": (
                 max(move_values) / move_mean if move_mean > 0 else None
             ),
         },
+        "levels": levels,
         "phases": phase_times(records),
-        "convergence": _convergence(records),
+        "counts": {
+            "coarsen.levels": len(_events(records, "coarsen.level")),
+            "ea.rounds": len(_spans(records, "ea.round")),
+            "lp.iterations": len(lp_spans),
+            "lp.moved_nodes": sum(int(a.get("moved") or 0) for a in lp_attrs),
+        },
+        "convergence": _convergence(lp_spans),
         "comm": {
             "matrix": comm_matrix(records),
-            "collectives": counters.get("comm.collectives"),
-            "recv_bytes": counters.get("comm.recv_bytes"),
+            "collectives": sum(row["collectives"] for row in load.values()),
+            "recv_bytes": sum(row["recv_bytes"] for row in load.values()),
             "per_rank": {str(r): row for r, row in load.items()},
         },
         "critical_path": {
@@ -436,13 +566,11 @@ def build_run_summary(records: Iterable[dict]) -> dict[str, Any]:
         },
         "blame": straggler_blame(records),
         "memory": rank_memory(records),
-        # Graph-store disk traffic (out-of-core runs); empty for
-        # resident stores.  Not a required v1 key.
-        "store": {
-            name.removeprefix("store."): value
-            for name, value in gauges.items()
-            if name.startswith("store.")
-        },
+        # Cumulative graph-store disk traffic (out-of-core runs), as the
+        # last LP iteration saw it; empty for resident stores.
+        "store": next(
+            (a["store"] for a in reversed(lp_attrs) if a.get("store")), {}
+        ),
     }
 
 
@@ -465,7 +593,8 @@ def validate_run_summary(doc: Any) -> list[str]:
         errors.append("wall_time_s must be a number")
     for key, want in (("quality", dict), ("phases", dict), ("comm", dict),
                       ("critical_path", dict), ("blame", dict),
-                      ("memory", dict), ("convergence", list)):
+                      ("memory", dict), ("convergence", list),
+                      ("levels", list), ("counts", dict)):
         if not isinstance(doc[key], want):
             errors.append(f"{key} must be a {want.__name__}")
     if errors:
@@ -480,6 +609,12 @@ def validate_run_summary(doc: Any) -> list[str]:
             "header.lp_kernel_fallback must give the reason exactly when "
             "header.lp_kernel is 'numpy'"
         )
+    feasible = doc["quality"].get("feasible")
+    if feasible is not None and not isinstance(feasible, bool):
+        errors.append("quality.feasible must be a boolean or null")
+    for key in ("collectives", "recv_bytes"):
+        if not isinstance(doc["comm"].get(key), int):
+            errors.append(f"comm.{key} must be an integer")
     matrix = (doc["comm"].get("matrix") or {})
     p = matrix.get("size")
     rows = matrix.get("total")
@@ -545,8 +680,24 @@ def compare_run_summaries(
 
 
 # ---------------------------------------------------------------------------
-# Human rendering
+# Human rendering (of the summary, so every analysis runs once)
 # ---------------------------------------------------------------------------
+
+def _format_table(title: str, headers: list[str], rows: list[list[str]]) -> str:
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [title]
+    lines.append("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
+    for row in rows:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _fmt(value: Any, pattern: str = "{:,}") -> str:
+    return "-" if value is None else pattern.format(value)
+
 
 def _bytes_fmt(n: int | float | None) -> str:
     if n is None:
@@ -559,21 +710,125 @@ def _bytes_fmt(n: int | float | None) -> str:
     return f"{n:,.1f}GiB"
 
 
+def _header_block(header: dict) -> str:
+    affinity = header.get("cpu_affinity")
+    cores = affinity or header.get("cpu_cores")
+    p = header.get("p")
+    parts = [
+        f"backend {header.get('backend') or '-'}",
+        f"p {p or '-'}",
+        f"cpu_cores {header.get('cpu_cores') or '?'}"
+        + (f" (affinity {affinity})" if affinity is not None else ""),
+        f"python {header.get('python') or '?'}",
+        f"numpy {header.get('numpy') or '-'}",
+        f"lp_kernel {header.get('lp_kernel') or '-'}",
+    ]
+    lines = ["trace header: " + "  ".join(parts)]
+    if header.get("lp_kernel_fallback"):
+        lines.append(
+            "NOTE: the compiled LP kernel was not used "
+            f"({header['lp_kernel_fallback']}); LP ran on the NumPy kernels"
+        )
+    # A p>1 process-backend run on one core cannot show wall-clock
+    # speedup — the recorded ratios measure queue/scheduling overhead —
+    # so every reader of such a trace gets told explicitly.
+    if cores == 1 and p and p > 1 and header.get("backend") == "process":
+        lines.append(
+            f"WARNING: p={p} process-backend run recorded on a single-core "
+            "host; wall-clock ratios measure queue overhead, not parallel "
+            "speedup (use the sim clock, or re-record on a multi-core host)"
+        )
+    return "\n".join(lines)
+
+
+def _levels_table(levels: list[dict[str, Any]]) -> str:
+    """Level sizes / shrink factors / cuts, one block per V-cycle."""
+    if not levels:
+        return "per-level table: no pipeline events in this trace"
+    by_cycle: dict[Any, list[dict]] = defaultdict(list)
+    for row in levels:
+        by_cycle[row["cycle"]].append(row)
+    blocks = []
+    for cycle, rows in by_cycle.items():
+        cells = [
+            [
+                f"{row['level']}" + (" (coarsest)" if row is rows[0]
+                                     else " (input)" if row["level"] == 0 else ""),
+                _fmt(row["nodes"]),
+                _fmt(row["edges"]),
+                _fmt(row["shrink"], "{:.2f}x"),
+                _fmt(row["cut_projected"]),
+                _fmt(row["cut_refined"]),
+            ]
+            for row in rows
+        ]
+        blocks.append(_format_table(
+            f"V-cycle {cycle}" if cycle is not None else "multilevel run",
+            ["level", "nodes", "edges", "shrink", "cut(proj)", "cut(refined)"],
+            cells,
+        ))
+    return "\n\n".join(blocks)
+
+
+def _phases_table(times: dict[str, dict[str, float | None]]) -> str:
+    """Simulated/wall seconds per pipeline phase, summed over cycles."""
+    if all(v["sim"] is None and v["wall"] is None for v in times.values()):
+        return "per-phase table: no phase spans in this trace"
+    total_sim = sum(v["sim"] for v in times.values() if v["sim"] is not None) or None
+    rows = []
+    for phase in PHASES:
+        sim = times[phase]["sim"]
+        share = (
+            f"{100.0 * sim / total_sim:.1f}%"
+            if sim is not None and total_sim
+            else "-"
+        )
+        rows.append([
+            phase,
+            _fmt(sim, "{:.6f}"),
+            share,
+            _fmt(times[phase]["wall"], "{:.3f}"),
+        ])
+    return _format_table(
+        "per-phase time (sim = max over ranks, seconds)",
+        ["phase", "sim[s]", "sim share", "wall[s]"],
+        rows,
+    )
+
+
+def _load_table(load: dict[str, dict[str, int]], move_imbalance: float | None) -> str:
+    """Per-rank LP moves and collective traffic, with max/mean imbalance."""
+    if not load:
+        return "load table: no rank-attributed spans in this trace"
+    rows = [
+        [rank, f"{row['moves']:,}", f"{row['collectives']:,}",
+         f"{row['recv_bytes']:,}"]
+        for rank, row in load.items()
+    ]
+    table = _format_table(
+        "per-rank load",
+        ["rank", "lp moves", "collectives", "recv bytes"],
+        rows,
+    )
+    if move_imbalance is not None:
+        table += f"\nLP move imbalance (max/mean): {move_imbalance:.2f}"
+    return table
+
+
 def _critical_path_table(path: dict[str, Any]) -> str:
-    if not path["segments"]:
+    if not path["segments_total"]:
         return ("critical path: no rank-attributed collectives in this trace "
                 "(sequential run?)")
     lines = [
         "critical path (wall clock, collectives as synchronization edges)",
-        f"  total {path['total'] * 1e3:,.2f} ms = "
+        f"  total {path['total_s'] * 1e3:,.2f} ms = "
         f"compute {path['compute_s'] * 1e3:,.2f} ms + "
         f"comm {path['comm_s'] * 1e3:,.2f} ms "
         f"over {path['collectives']} collectives, ranks {path['ranks']}"
         + (" [TRUNCATED: unequal collective counts]" if path["truncated"] else ""),
     ]
-    top = sorted(path["segments"], key=lambda s: -s["dur"])[:10]
     rows = []
-    for seg in top:
+    for seg in path["top_segments"][:10]:
         what = seg.get("op", "") if seg["kind"] == "comm" else ""
         rows.append([
             seg["kind"], str(seg["rank"]), what,
@@ -646,34 +901,34 @@ def _memory_table(memory: dict[str, Any]) -> str:
     )
 
 
-def render_analysis(records: Iterable[dict]) -> str:
-    """The full human-readable ``repro analyze`` output."""
-    records = list(records)
+def render_analysis(summary: dict[str, Any]) -> str:
+    """The full human-readable ``repro analyze`` output for one run summary."""
     sections = []
-    header = trace_header(records)
-    if header is not None:
-        parts = [
-            f"backend {header.get('backend') or '-'}",
-            f"p {header.get('p') or '-'}",
-            f"cpu_cores {header.get('cpu_cores') or '?'}",
-            f"python {header.get('python') or '?'}",
-            f"lp_kernel {header.get('lp_kernel') or '-'}",
-        ]
-        block = "trace header: " + "  ".join(parts)
-        if header.get("lp_kernel_fallback"):
-            block += (
-                "\nNOTE: the compiled LP kernel was not used "
-                f"({header['lp_kernel_fallback']}); LP ran on the NumPy kernels"
-            )
-        caveat = single_core_caveat(header)
-        if caveat is not None:
-            block += "\n" + caveat
-        sections.append(block)
-    path = critical_path(records)
-    sections.append(_critical_path_table(path))
-    sections.append(_blame_table(straggler_blame(records)))
-    sections.append(_comm_matrix_table(comm_matrix(records)))
-    sections.append(_memory_table(rank_memory(records)))
+    if summary["header"] is not None:
+        sections.append(_header_block(summary["header"]))
+    quality = summary["quality"]
+    if quality["feasible"] is False:
+        sections.append(
+            "WARNING: infeasible partition: max block weight "
+            f"{quality['max_block_weight']:,} exceeds Lmax {quality['lmax']:,} "
+            f"(imbalance {quality['imbalance']:.4f})"
+        )
+    counts = {
+        **summary["counts"],
+        "comm.collectives": summary["comm"]["collectives"],
+        "comm.recv_bytes": summary["comm"]["recv_bytes"],
+    }
+    sections += [
+        _levels_table(summary["levels"]),
+        _phases_table(summary["phases"]),
+        _load_table(summary["comm"]["per_rank"], quality["lp_move_imbalance"]),
+        _format_table("counts", ["name", "value"],
+                      [[name, f"{counts[name]:,}"] for name in sorted(counts)]),
+        _critical_path_table(summary["critical_path"]),
+        _blame_table(summary["blame"]),
+        _comm_matrix_table(summary["comm"]["matrix"]),
+        _memory_table(summary["memory"]),
+    ]
     return "\n\n".join(sections)
 
 

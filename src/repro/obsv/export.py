@@ -3,8 +3,8 @@
 Two formats, two audiences:
 
 * **JSONL** (one JSON object per line) is the machine-readable stream —
-  a ``meta`` header, every span/event record, and a final ``metrics``
-  snapshot.  ``repro report`` and the tests consume this.
+  a ``meta`` line, the host ``header``, then every span/event record.
+  ``repro analyze`` and the tests consume this.
 * **Chrome trace** (the ``chrome://tracing`` / Perfetto JSON array
   format) is the human-readable timeline: one process for the simulated
   machine with one track (``tid``) per simulated rank on the *simulated*
@@ -41,15 +41,11 @@ def _records_of(source: Tracer | Iterable[dict[str, Any]]) -> list[dict[str, Any
     return list(source)
 
 
-def write_jsonl(path: str | Path, source: Tracer | Iterable[dict[str, Any]] = TRACER,
-                metrics: dict | None = None) -> Path:
+def write_jsonl(path: str | Path,
+                source: Tracer | Iterable[dict[str, Any]] = TRACER) -> Path:
     """Write one trace session as JSONL; returns the path written."""
     records = _records_of(source)
-    header = None
-    if isinstance(source, Tracer):
-        if metrics is None:
-            metrics = source.metrics.snapshot()
-        header = source.header
+    header = source.header if isinstance(source, Tracer) else None
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({
@@ -62,8 +58,6 @@ def write_jsonl(path: str | Path, source: Tracer | Iterable[dict[str, Any]] = TR
             fh.write(json.dumps(header) + "\n")
         for record in records:
             fh.write(json.dumps(record) + "\n")
-        if metrics is not None:
-            fh.write(json.dumps({"type": "metrics", "metrics": metrics}) + "\n")
     return path
 
 

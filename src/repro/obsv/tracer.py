@@ -11,6 +11,13 @@ and instant events.  Every record carries two clocks:
   whenever the instrumentation site has a ``SimComm``), so exported
   traces show the *modelled* machine, not the Python host.
 
+Spans and events are the only channel.  There is no counter registry
+beside them: how many collectives ran, how many nodes moved, what the
+final cut was are all read back off the records by
+:mod:`repro.obsv.analyze`, which therefore counts the same on every
+backend (a worker process ships its record buffer to the parent,
+:meth:`Tracer.absorb`, and nothing else).
+
 Disabled-by-default contract
 ----------------------------
 ``TRACER`` (the module singleton) starts disabled, and every
@@ -39,8 +46,6 @@ import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator
-
-from .metrics import MetricsRegistry
 
 __all__ = ["Span", "Tracer", "TRACER", "host_header", "trace_session"]
 
@@ -168,7 +173,6 @@ class Tracer:
     def __init__(self) -> None:
         self.enabled = False
         self.records: list[dict[str, Any]] = []
-        self.metrics = MetricsRegistry()
         self.header: dict[str, Any] | None = None
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -201,7 +205,6 @@ class Tracer:
     def reset(self) -> None:
         with self._lock:
             self.records = []
-        self.metrics.reset()
         self.header = None
         self._last_span_by_rank.clear()
         self._wall_origin = time.perf_counter()

@@ -155,3 +155,25 @@ def test_parallel_partition(gname, cname, p):
     res = parallel_partition(g, CONFIGS[cname](k=4), num_pes=p, seed=31)
     assert digest(res.partition) == GOLDEN[f"parallel/{gname}/{cname}/p{p}"]
     assert int(res.cut) == GOLDEN[f"parallel_cut/{gname}/{cname}/p{p}"]
+
+
+@pytest.mark.parametrize("gname", GRAPH_NAMES)
+def test_traced_api_call_is_golden_and_feasible(gname):
+    """Tracing changes no label, and run.json calls the goldens feasible."""
+    from repro.api import partition_graph
+    from repro.obsv import TRACER, build_run_summary
+
+    g = make_graph(gname)
+    TRACER.enable()
+    try:
+        res = partition_graph(g, 4, config=fast_config(k=4), num_pes=4,
+                              seed=31, backend="spmd")
+    finally:
+        TRACER.disable()
+    quality = build_run_summary(TRACER.snapshot())["quality"]
+    TRACER.reset()
+    assert digest(res.partition) == GOLDEN[f"parallel/{gname}/fast/p4"]
+    assert quality["cut"] == GOLDEN[f"parallel_cut/{gname}/fast/p4"]
+    assert quality["max_block_weight"] <= quality["lmax"]
+    assert quality["lmax"] == max_block_weight_bound(g, 4, 0.03)
+    assert quality["feasible"] is True

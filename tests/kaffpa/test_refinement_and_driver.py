@@ -97,19 +97,12 @@ class TestGreedyKway:
 
 
 class TestKaffpaDriver:
-    @pytest.mark.parametrize("coarsening", ["matching", "cluster"])
-    def test_partitions_mesh_balanced(self, coarsening):
+    # matching is the engine's one coarsening scheme; the id says so
+    @pytest.mark.parametrize("options", [KaffpaOptions()], ids=["matching"])
+    def test_partitions_mesh_balanced(self, options):
         g = rgg(10, seed=4)
-        part = kaffpa_partition(
-            g, 4, 0.05, rng(5), KaffpaOptions(coarsening=coarsening)
-        )
+        part = kaffpa_partition(g, 4, 0.05, rng(5), options)
         check_partition(g, part, 4, epsilon=0.05)
-
-    def test_unknown_coarsening_rejected(self):
-        with pytest.raises(ValueError, match="coarsening"):
-            kaffpa_partition(path_graph(64), 2, 0.03, rng(0),
-                             KaffpaOptions(coarsening="bogus",
-                                           coarsest_nodes=4))
 
     def test_seed_partition_never_worsened(self):
         g = load_instance("amazon")
@@ -133,11 +126,9 @@ class TestKaffpaDriver:
 
     def test_flow_refinement_option(self):
         g = rgg(10, seed=7)
-        base = kaffpa_partition(g, 8, 0.03, rng(10),
-                                KaffpaOptions(coarsening="matching"))
+        base = kaffpa_partition(g, 8, 0.03, rng(10))
         flows = kaffpa_partition(g, 8, 0.03, rng(10),
-                                 KaffpaOptions(coarsening="matching",
-                                               flow_refinement_below=10**6))
+                                 KaffpaOptions(flow_refinement_below=10**6))
         check_partition(g, flows, 8, epsilon=0.03)
         # flows never hurt (pairwise accept-if-better) and usually help
         assert edge_cut(g, flows) <= 1.02 * edge_cut(g, base)

@@ -9,7 +9,9 @@ The contracts under test:
 * per-rank memory samples are nonzero and survive export round trips;
 * the run summary validates against its own schema and ``--compare``
   exits nonzero on an injected regression;
-* histograms answer approximate p50/p99 from bounded log buckets;
+* the summary is derived from spans and events alone (a legacy trailing
+  ``metrics`` line changes nothing), every analysis runs once per
+  ``repro analyze``, and an over-weight partition is reported infeasible;
 * the trace header is recorded, exported, and surfaced with the
   single-core wall-clock caveat.
 """
@@ -17,7 +19,6 @@ The contracts under test:
 from __future__ import annotations
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -30,16 +31,13 @@ from repro.obsv import (
     comm_matrix,
     compare_run_summaries,
     critical_path,
-    header_summary,
     rank_memory,
     read_jsonl,
     render_analysis,
-    render_report,
     straggler_blame,
     validate_run_summary,
     write_jsonl,
 )
-from repro.obsv.metrics import Histogram
 
 P = 4
 ROUNDS = 4
@@ -68,7 +66,6 @@ def traced_run():
     result = run_spmd(P, _analytics_program, seed=0)
     TRACER.disable()
     records = [dict(TRACER.header)] + TRACER.snapshot()
-    records.append({"type": "metrics", "metrics": TRACER.metrics.snapshot()})
     return records, result
 
 
@@ -251,49 +248,111 @@ def test_cli_analyze_compare_exits_nonzero_on_regression(traced_run, tmp_path,
     assert main(["analyze", str(events), "--compare", str(run_json)]) == 0
 
 
+def test_cli_analyze_runs_each_analysis_once(traced_run, tmp_path, monkeypatch,
+                                            capsys):
+    # The tables are rendered from the summary, not from a second pass
+    # over the records.
+    from repro.obsv import analyze
+
+    calls = dict.fromkeys(
+        ("critical_path", "straggler_blame", "comm_matrix", "rank_memory"), 0
+    )
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(analyze, name, counting(name, getattr(analyze, name)))
+    records, _ = traced_run
+    events = tmp_path / "t.events.jsonl"
+    write_jsonl(events, records)
+    assert main(["analyze", str(events)]) == 0
+    assert calls == dict.fromkeys(calls, 1)
+    out = capsys.readouterr().out
+    for section in ("per-level table", "per-phase", "per-rank load", "counts",
+                    "critical path", "straggler blame", "comm matrix", "memory"):
+        assert section in out
+
+
+def test_cli_report_verb_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "x"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'report'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
-# Histogram quantiles (satellite)
+# One channel: counts come from spans and events
 # ---------------------------------------------------------------------------
 
-def test_histogram_quantiles_from_log_buckets():
-    hist = Histogram(threading.Lock())
-    assert hist.quantile(0.5) is None
-    for value in range(1, 1001):
-        hist.observe(float(value))
-    p50 = hist.quantile(0.5)
-    p99 = hist.quantile(0.99)
-    # log buckets: within one octave of the exact answer
-    assert 250 <= p50 <= 1000
-    assert 500 <= p99 <= 1000
-    assert p50 <= p99
+def test_counts_are_span_counts(traced_run):
+    records, result = traced_run
+    summary = build_run_summary(records)
+    assert summary["comm"]["collectives"] == sum(s.collectives for s in result.stats)
+    assert summary["comm"]["collectives"] == P * (ROUNDS * 2 + 1)
+    assert summary["comm"]["recv_bytes"] == sum(
+        row["recv_bytes"] for row in summary["comm"]["per_rank"].values()
+    ) > 0
+    assert summary["counts"] == {
+        "coarsen.levels": 0, "ea.rounds": 0,
+        "lp.iterations": 0, "lp.moved_nodes": 0,
+    }
 
 
-def test_histogram_single_observation_is_exact():
-    hist = Histogram(threading.Lock())
-    hist.observe(42.0)
-    assert hist.quantile(0.5) == 42.0
-    assert hist.quantile(0.99) == 42.0
+def test_legacy_metrics_line_is_ignored(traced_run, tmp_path):
+    # .events.jsonl files written before the registry was deleted end in
+    # a ``metrics`` line; it was never needed and must not change a thing.
+    records, _ = traced_run
+    path = tmp_path / "old.events.jsonl"
+    write_jsonl(path, records)
+    expected = build_run_summary(read_jsonl(path))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"type": "metrics", "metrics": {
+            "counters": {"comm.collectives": 1.0, "lp.iterations": 7.0},
+            "gauges": {"partition.cut": 5.0, "store.arcs_read": 9.0},
+            "histograms": {},
+        }}) + "\n")
+    legacy = read_jsonl(path)
+    assert legacy[-1]["type"] == "metrics"
+    assert build_run_summary(legacy) == expected
 
 
-def test_histogram_snapshot_reports_quantiles():
-    TRACER.metrics.reset()
-    hist = TRACER.metrics.histogram("lat")
-    for value in (1.0, 2.0, 4.0, 1000.0):
-        hist.observe(value)
-    snap = TRACER.metrics.snapshot()["histograms"]["lat"]
-    assert snap["count"] == 4
-    assert snap["p50"] is not None and snap["p99"] is not None
-    assert snap["p50"] <= snap["p99"] <= snap["max"]
-    assert snap["min"] <= snap["p50"]
+def test_overweight_partition_is_reported_infeasible():
+    from repro.api import PartitionResult, _trace_result
+    from repro.core.config import fast_config
+    from repro.generators.mesh import grid_2d
+    from repro.graph.validation import max_block_weight_bound
+    from repro.metrics import evaluate_partition
 
+    graph = grid_2d(4, 4)
+    lmax = max_block_weight_bound(graph, 2, 0.03)
+    assert lmax == 8
 
-def test_histogram_constant_memory():
-    hist = Histogram(threading.Lock())
-    assert not hasattr(hist, "__dict__")  # __slots__ stayed
-    before = len(hist._buckets)
-    for value in range(10000):
-        hist.observe(float(value))
-    assert len(hist._buckets) == before
+    def summarise(partition):
+        out = PartitionResult(partition, evaluate_partition(graph, partition, 2),
+                              fast_config(k=2), 1, None)
+        TRACER.enable()
+        _trace_result(out, lmax)
+        TRACER.disable()
+        summary = build_run_summary([dict(TRACER.header)] + TRACER.snapshot())
+        assert validate_run_summary(summary) == []
+        return summary
+
+    lopsided = summarise(np.repeat([0, 1], [13, 3]))
+    assert lopsided["quality"]["feasible"] is False
+    assert lopsided["quality"]["max_block_weight"] == 13
+    assert lopsided["quality"]["lmax"] == 8
+    assert ("WARNING: infeasible partition: max block weight 13 exceeds Lmax 8"
+            in render_analysis(lopsided))
+    halves = summarise(np.repeat([0, 1], [8, 8]))
+    assert halves["quality"]["feasible"] is True
+    assert halves["quality"]["cut"] == 4
+    assert "infeasible" not in render_analysis(halves)
+    # a trace that never saw the verdict does not guess one
+    assert build_run_summary([])["quality"]["feasible"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +380,13 @@ def test_header_survives_jsonl_round_trip(traced_run, tmp_path):
 
 
 def test_report_and_analyze_surface_header(traced_run):
+    # one renderer: the header line carries what either verb used to print
     records, _ = traced_run
-    assert "trace header" in render_report(records)
-    assert "trace header" in render_analysis(records)
+    first_line = render_analysis(build_run_summary(records)).splitlines()[0]
+    assert first_line.startswith("trace header: ")
+    for field in (f"backend spmd  p {P}", "cpu_cores", "python", "numpy",
+                  "lp_kernel"):
+        assert field in first_line
 
 
 def test_single_core_process_backend_warns():
@@ -331,13 +394,18 @@ def test_single_core_process_backend_warns():
         "type": "header", "cpu_cores": 1, "cpu_affinity": 1,
         "python": "3.11", "numpy": None, "backend": "process", "p": 4,
     }
-    summary = header_summary([header])
-    assert "WARNING" in summary
-    assert "single-core" in summary
+    def rendered():
+        return render_analysis(build_run_summary([header]))
+
+    assert "WARNING" in rendered()
+    assert "single-core" in rendered()
     # multi-core host: no warning
     header["cpu_affinity"] = 8
     header["cpu_cores"] = 8
-    assert "WARNING" not in header_summary([header])
+    assert "WARNING" not in rendered()
     # thread backend wall clocks are never gated on cores
     header.update(cpu_cores=1, cpu_affinity=1, backend="spmd")
-    assert "WARNING" not in header_summary([header])
+    assert "WARNING" not in rendered()
+    # the kernel fallback is said once, with its reason
+    header.update(lp_kernel="numpy", lp_kernel_fallback="no C compiler (cc) on PATH")
+    assert "NOTE: the compiled LP kernel was not used (no C compiler" in rendered()

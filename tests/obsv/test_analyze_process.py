@@ -1,11 +1,13 @@
-"""Report/analyze over *merged process-backend traces* (satellite gate).
+"""Analyze over *merged process-backend traces* (satellite gate).
 
 A p=4 ``run_spmd_processes`` run records one tracer per worker; the
 parent folds the buffers in via :meth:`Tracer.absorb`.  Everything the
 analytics layer consumes must survive that merge: the load table, the
 critical path and the comm matrix must see all four ranks, and the
 per-rank ``mem.rank`` RSS events — real per-process samples — must
-arrive nonzero.
+arrive nonzero.  And because every count in ``run.json`` is derived from
+the merged stream, a process-backend summary counts exactly what the
+thread backend's does.
 
 Programs live at module level: spawn workers re-import this module.
 """
@@ -15,18 +17,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import partition_graph
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
 from repro.dist.dist_lp import parallel_label_propagation
 from repro.dist.runtime import run_spmd_processes
+from repro.generators import rmat
 from repro.generators.mesh import grid_2d
 from repro.obsv import (
     TRACER,
     build_run_summary,
     comm_matrix,
     critical_path,
-    load_imbalance_table,
     rank_load,
     rank_memory,
+    render_analysis,
     validate_run_summary,
 )
 
@@ -57,7 +61,6 @@ def merged_trace():
     finally:
         TRACER.disable()
     records = [dict(TRACER.header)] + TRACER.snapshot()
-    records.append({"type": "metrics", "metrics": TRACER.metrics.snapshot()})
     TRACER.reset()
     return records, result
 
@@ -68,8 +71,8 @@ def test_load_table_sees_all_ranks(merged_trace):
     assert sorted(load) == list(range(P))
     for row in load.values():
         assert row["collectives"] > 0
-    table = load_imbalance_table(records)
-    assert "per-rank load" in table
+    sections = render_analysis(build_run_summary(records)).split("\n\n")
+    (table,) = [s for s in sections if s.startswith("per-rank load")]
     assert len(table.splitlines()) >= 2 + P  # title + header + one row per rank
 
 
@@ -124,3 +127,42 @@ def test_run_summary_over_merged_trace(merged_trace):
     assert summary["memory"]["peak_rss_bytes"] > 0
     assert summary["comm"]["matrix"]["size"] == P
     assert len(summary["convergence"]) > 0
+
+
+def _traced_summary(backend, num_pes):
+    TRACER.reset()
+    TRACER.enable()
+    try:
+        partition_graph(rmat(11, seed=1), 4, preset="fast", seed=0,
+                        num_pes=num_pes, backend=backend)
+    finally:
+        TRACER.disable()
+    summary = build_run_summary([dict(TRACER.header)] + TRACER.snapshot())
+    assert validate_run_summary(summary) == []
+    return summary
+
+
+def test_spmd_and_process_summaries_count_alike():
+    """One call, three backends: the counts mean the same on each.
+
+    The pinned numbers are what the thread backend's metrics registry
+    reported for this call before it was deleted; worker processes never
+    shipped theirs back, so the process summary had ``None`` for both
+    ``comm`` counts although its merged ``comm.*`` spans say the same.
+    """
+    spmd = _traced_summary("spmd", 2)
+    process = _traced_summary("process", 2)
+    assert spmd["header"]["backend"] == "spmd"
+    assert process["header"]["backend"] == "process"
+    assert spmd["comm"]["collectives"] == process["comm"]["collectives"] == 352
+    assert spmd["comm"]["recv_bytes"] == process["comm"]["recv_bytes"] == 1_039_356
+    assert spmd["counts"] == process["counts"]
+    assert spmd["counts"]["lp.iterations"] == 62
+    assert spmd["counts"]["lp.moved_nodes"] == 5652
+    assert spmd["levels"] == process["levels"]
+    assert spmd["quality"]["cut"] == process["quality"]["cut"]
+    assert spmd["quality"]["feasible"] is process["quality"]["feasible"] is True
+    # a sequential run has no collectives, and says so with a number
+    local = _traced_summary("local", 1)
+    assert (local["comm"]["collectives"], local["comm"]["recv_bytes"]) == (0, 0)
+    assert local["counts"]["lp.iterations"] > 0

@@ -14,9 +14,8 @@ from repro.api import partition_graph
 from repro.dist.dist_partitioner import parallel_partition
 from repro.dist.runtime import SpmdDeadlockError, run_spmd
 from repro.generators import rmat
-from repro.obsv import TRACER, to_chrome_trace
+from repro.obsv import TRACER, build_run_summary, render_analysis, to_chrome_trace
 from repro.obsv.export import SIM_PID
-from repro.obsv.report import per_level_table, render_report
 
 PES = 4
 
@@ -43,8 +42,6 @@ def traced_parallel_run():
         TRACER.disable()
         os.environ.pop("REPRO_SANITIZE", None)
     records = TRACER.snapshot()
-    # what write_jsonl would append: the final metrics snapshot line
-    records.append({"type": "metrics", "metrics": TRACER.metrics.snapshot()})
     yield graph, result, records
     TRACER.reset()
 
@@ -126,10 +123,18 @@ class TestParallelPipelineEvents:
 
     def test_report_matches_returned_metrics(self, traced_parallel_run):
         _graph, result, records = traced_parallel_run
-        table = per_level_table(records)
-        assert f"{result.cut:,}" in table
-        full = render_report(records)
-        for section in ("V-cycle 0", "per-phase time", "per-rank load", "counters"):
+        summary = build_run_summary(records)
+        # the last cycle's refined cut on the input graph is the result's
+        assert summary["levels"][-1]["level"] == 0
+        assert summary["levels"][-1]["cut_refined"] == result.cut
+        coarsen = _events(records, "coarsen.level")
+        assert summary["counts"]["coarsen.levels"] == len(coarsen) > 0
+        # every contraction's shrink factor sits on the row of its coarse side
+        assert sorted(r["shrink"] for r in summary["levels"] if r["level"] > 0) \
+            == sorted(e["attrs"]["shrink"] for e in coarsen)
+        full = render_analysis(summary)
+        assert f"{result.cut:,}" in full
+        for section in ("V-cycle 0", "per-phase time", "per-rank load", "counts"):
             assert section in full
 
 
@@ -206,8 +211,7 @@ class TestSequentialPipelineEvents:
         # last cycle's level-0 refined cut can only be improved by the
         # best-of-cycles rule, never worsened
         assert final[0]["attrs"]["cut_refined"] >= result.cut
-        table = per_level_table(records)
-        assert "V-cycle 0" in table
+        assert "V-cycle 0" in render_analysis(build_run_summary(records))
 
     @staticmethod
     def _traced_sequential(chunk):
@@ -222,9 +226,7 @@ class TestSequentialPipelineEvents:
             )
         finally:
             TRACER.disable()
-        records = [dict(TRACER.header)] + TRACER.snapshot()
-        records.append({"type": "metrics", "metrics": TRACER.metrics.snapshot()})
-        return records
+        return [dict(TRACER.header)] + TRACER.snapshot()
 
     def test_lp_chunk_size_reaches_the_sequential_engine(self):
         # Regression: lp_chunk_size was silently ignored at num_pes=1 (the

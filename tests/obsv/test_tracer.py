@@ -1,4 +1,4 @@
-"""Unit tests for the span tracer, metrics registry, and exporters."""
+"""Unit tests for the span tracer and exporters."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.obsv import (
     TRACER,
-    MetricsRegistry,
     read_jsonl,
     to_chrome_trace,
     trace_session,
@@ -107,32 +106,6 @@ class TestDisabledNoop:
         assert not TRACER.enabled
 
 
-class TestMetrics:
-    def test_counter_gauge_histogram(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(4)
-        reg.gauge("g").set(7)
-        for v in (1.0, 2.0, 3.0):
-            reg.histogram("h").observe(v)
-        snap = reg.snapshot()
-        assert snap["counters"]["c"] == 5
-        assert snap["gauges"]["g"] == 7
-        assert snap["histograms"]["h"]["count"] == 3
-        assert snap["histograms"]["h"]["mean"] == pytest.approx(2.0)
-        assert snap["histograms"]["h"]["min"] == 1.0
-        assert snap["histograms"]["h"]["max"] == 3.0
-
-    def test_counter_rejects_negative(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("c").inc(-1)
-
-    def test_registry_is_get_or_create(self):
-        reg = MetricsRegistry()
-        assert reg.counter("same") is reg.counter("same")
-
-
 class TestExport:
     def _session(self):
         TRACER.enable()
@@ -140,7 +113,6 @@ class TestExport:
             with TRACER.span("lp.iteration", rank=1, moved=3):
                 pass
         TRACER.event("coarsen.level", rank=0, level=0)
-        TRACER.metrics.counter("lp.iterations").inc()
         TRACER.disable()
 
     def test_jsonl_roundtrip(self, tmp_path):
@@ -149,8 +121,10 @@ class TestExport:
         records = read_jsonl(path)
         assert records[0]["type"] == "meta"
         assert records[0]["records"] == len(TRACER.records)
-        assert records[-1]["type"] == "metrics"
-        assert records[-1]["metrics"]["counters"]["lp.iterations"] == 1
+        # spans and events are the whole stream: meta, header, records
+        assert [r["type"] for r in records[:2]] == ["meta", "header"]
+        assert {r["type"] for r in records[2:]} == {"span", "event"}
+        assert len(records) == 2 + len(TRACER.records)
         names = {r.get("name") for r in records if r.get("type") == "span"}
         assert names == {"vcycle", "lp.iteration"}
 
