@@ -122,7 +122,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         k=args.k,
         epsilon=args.epsilon,
         flow_refinement=args.flows,
-        cycle_type=args.cycle,
     )
     if args.lp_chunk is not None:
         config = config.with_(lp_chunk_size=args.lp_chunk)
@@ -324,9 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--flows", action="store_true",
-                   help="enable flow-based refinement in the EA engine")
-    p.add_argument("--cycle", choices=("V", "W"), default="V",
-                   help="multilevel cycle shape")
+                   help="enable flow-based refinement on the coarsest graph "
+                        "(any --num-pes)")
     p.add_argument("--lp-chunk", dest="lp_chunk", type=int, default=None,
                    help="label-propagation chunk size, >= 1 (default: the "
                         "preset's lp_chunk_size, 4096)")

@@ -122,9 +122,6 @@ class LocalCoarseningBackend:
     def coarse_size(self, level: HierarchyLevel) -> int:
         return level.coarse.num_nodes
 
-    def advance(self, level: HierarchyLevel) -> None:
-        self.current = level.coarse
-
     def coarsen_level_stats(self, level: HierarchyLevel) -> dict:
         return {
             "fine_nodes": level.fine.num_nodes,
@@ -133,10 +130,8 @@ class LocalCoarseningBackend:
             "coarse_edges": level.coarse.num_edges,
         }
 
-    def charge_level(self, level: HierarchyLevel) -> None:
-        pass
-
-    def project_constraint(self, level: HierarchyLevel) -> None:
+    def descend(self, level: HierarchyLevel) -> None:
+        self.current = level.coarse
         if self.constraint is not None:
             projected = np.zeros(level.coarse.num_nodes, dtype=np.int64)
             projected[level.fine_to_coarse] = self.constraint
@@ -159,14 +154,11 @@ def coarsen(
     constraint:
         Optional input partition (iterated V-cycles): clusters never span
         two of its blocks, so its cut edges are never contracted.
+
+    Under an enabled tracer this emits the driver's ``coarsen.level``
+    spans and events (with ``cycle=None``); no caller traces it.
     """
     lmax = max_block_weight_bound(graph, config.k, config.epsilon)
-    # Floor of 2: at our scaled-down instance sizes the paper's mesh factor
-    # f = 20 000 would otherwise drop the bound to 1 (singleton clusters,
-    # no coarsening).  A bound of 2 degenerates gracefully to pairwise
-    # (matching-like) contraction, the behaviour f = 20 000 produces at
-    # the paper's billion-edge scale.
-    max_cluster_weight = max(2, int(lmax / cluster_factor))
     backend = LocalCoarseningBackend(graph, config, rng, constraint=constraint)
-    levels, _ = run_coarsening(backend, config, max_cluster_weight, lmax, top=False)
+    levels, _ = run_coarsening(backend, config, lmax, cluster_factor)
     return Hierarchy(tuple(levels), graph)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..engine.kernels import DEFAULT_CHUNK_SIZE
+from ..kaffpa.driver import KaffpaOptions
 
 __all__ = ["PartitionConfig", "fast_config", "eco_config", "minimal_config"]
 
@@ -55,15 +56,10 @@ class PartitionConfig:
     #: node visiting order during coarsening LP: 'degree' (paper default)
     #: or 'random' (ablation A1)
     coarsening_ordering: str = "degree"
-    #: enable KaFFPa's flow-based refinement inside the evolutionary
-    #: engine on the coarsest graph (KaHIP technique, §II-C; costs time,
-    #: helps k-way mesh quality)
+    #: enable KaFFPa's flow-based refinement on the coarsest graph, in
+    #: both pipelines (KaHIP technique, §II-C; costs time, helps k-way
+    #: mesh quality)
     flow_refinement: bool = False
-    #: multilevel cycle shape: 'V' (paper default) or 'W' — one extra
-    #: protected recursion per level during uncoarsening (reference [34])
-    cycle_type: str = "V"
-    #: W-cycle recursions only trigger on levels at most this large
-    wcycle_node_limit: int = 5_000
     #: evolutionary optimisation rounds on the coarsest graph at p = 1;
     #: the budget a run actually gets is divided by the number of PEs, the
     #: round-based analogue of the paper's t_p = t_1 / p rule.
@@ -106,6 +102,13 @@ class PartitionConfig:
     def coarsest_target(self) -> int:
         """Coarsening stops at ``coarsest_nodes_per_block * k`` nodes."""
         return self.coarsest_nodes_per_block * self.k
+
+    def coarsest_engine(self) -> KaffpaOptions:
+        """KaFFPa options for the coarsest graph, the same in both pipelines."""
+        return KaffpaOptions(
+            coarsest_nodes=40,
+            flow_refinement_below=1_000_000 if self.flow_refinement else 0,
+        )
 
     def with_(self, **changes) -> "PartitionConfig":
         """Functional update (frozen dataclass)."""

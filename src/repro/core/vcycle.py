@@ -2,20 +2,23 @@
 
 Re-running the multilevel scheme with the previous partition fed back in
 beats independent repetitions: the old partition's cut edges are never
-contracted, it becomes an individual on the coarsest level, and
-refinement can only improve it.  The per-cycle size-constraint factor is
-diversified after the first cycle (random f in [10, 25]).
+contracted on either level of coarsening (cluster LP here, KaFFPa's
+matching on the coarsest graph), so it is the starting solution there
+and a cycle starts uncoarsening no worse than the best before it.  The
+size-constraint factor is diversified after the first cycle (random f
+in [10, 25]); the best partition over all cycles is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.validation import max_block_weight_bound
-from ..metrics.quality import edge_cut
+from ..metrics.quality import overweight_cut
 from ..obsv.tracer import TRACER
 from .config import PartitionConfig
 from .multilevel import detect_social, multilevel_partition
@@ -47,10 +50,7 @@ def iterated_vcycles(
     social = config.social if config.social is not None else detect_social(graph)
     lmax = max_block_weight_bound(graph, config.k, config.epsilon)
 
-    def fitness(partition: np.ndarray) -> tuple[int, int]:
-        heavy = int(np.bincount(partition, weights=graph.vwgt, minlength=config.k).max())
-        return (max(0, heavy - lmax), edge_cut(graph, partition))
-
+    fitness = partial(overweight_cut, graph, k=config.k, lmax=lmax)
     best: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
     cuts: list[int] = []
@@ -66,7 +66,7 @@ def iterated_vcycles(
                 rng,
                 cluster_factor=factor,
                 input_partition=best,
-                _trace_cycle=cycle,
+                cycle=cycle,
             )
             key = fitness(candidate)
             if best_key is None or key <= best_key:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.backend import make_dist_backend
+from ..engine.backend import SpmdBackend
 from ..engine.kernels import DEFAULT_CHUNK_SIZE
 from ..engine.sclp import run_sclp
 from .comm import SimComm
@@ -121,7 +121,7 @@ def parallel_label_propagation(
     if refine and k is None:
         raise ValueError("refinement mode requires k")
     return run_sclp(
-        make_dist_backend(dgraph, comm),
+        SpmdBackend(dgraph, comm),
         labels,
         int(max_block_weight),
         iterations,

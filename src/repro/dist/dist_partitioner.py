@@ -192,11 +192,8 @@ class SpmdVcycleBackend:
     def coarse_size(self, level) -> int:
         return level.coarse.n_global
 
-    def advance(self, level) -> None:
-        self.current = level.coarse
-
     def coarsen_level_stats(self, level) -> dict:
-        coarse_edges = int(self.comm.allreduce(self.current.num_arcs)) // 2
+        coarse_edges = int(self.comm.allreduce(level.coarse.num_arcs)) // 2
         stats = {
             "fine_nodes": level.fine.n_global,
             "fine_edges": self.traced_edges,
@@ -206,7 +203,8 @@ class SpmdVcycleBackend:
         self.traced_edges = coarse_edges
         return stats
 
-    def charge_level(self, level) -> None:
+    def descend(self, level) -> None:
+        self.current = level.coarse
         if self.budget is not None:
             global_arcs = int(self.comm.allreduce(self.current.num_arcs))
             level_bytes = estimate_graph_bytes(
@@ -215,8 +213,6 @@ class SpmdVcycleBackend:
             )
             self.budget.charge(level_bytes, "coarse level")
             self.level_charges.append(level_bytes)
-
-    def project_constraint(self, level) -> None:
         if self.constraint is not None:
             extended = np.zeros(self.current.n_total, dtype=np.int64)
             extended[: self.current.n_local] = level.coarse_constraint
@@ -248,17 +244,8 @@ class SpmdVcycleBackend:
         ea_options = KaffpaeOptions(
             population_size=self.config.population_size,
             rounds=self.config.evolution_rounds,
+            engine=self.config.coarsest_engine(),
         )
-        if self.config.flow_refinement:
-            from ..kaffpa.driver import KaffpaOptions
-
-            ea_options = KaffpaeOptions(
-                population_size=self.config.population_size,
-                rounds=self.config.evolution_rounds,
-                engine=KaffpaOptions(
-                    coarsest_nodes=40, flow_refinement_below=1_000_000
-                ),
-            )
         coarsest_partition = kaffpae_partition(
             self.comm,
             replica,
@@ -273,9 +260,10 @@ class SpmdVcycleBackend:
             self.current.first : self.current.first + self.current.n_local
         ]
 
-    def initial_stats(self, partition: np.ndarray) -> tuple[int, int]:
-        cut = int(edge_cut(self._replica, self._coarsest_partition))
-        return self._replica.num_nodes, cut
+    def coarsest_cut(self, partition: np.ndarray) -> int:
+        # Every rank holds the replica and KaFFPaE's full partition, of
+        # which ``partition`` is the local slice: no collective needed.
+        return int(edge_cut(self._replica, self._coarsest_partition))
 
     # --- uncoarsening ---
 
@@ -283,12 +271,6 @@ class SpmdVcycleBackend:
         # No coarsest-level refinement: KaFFPaE's output goes straight
         # into the uncoarsening loop.
         return partition
-
-    def initial_cut_fields(
-        self, partition: np.ndarray, stats: tuple[int, int]
-    ) -> dict:
-        nodes, cut = stats
-        return {"nodes": nodes, "cut": cut}
 
     def project(self, level, partition: np.ndarray) -> np.ndarray:
         partition_local = parallel_uncoarsen(
@@ -313,9 +295,6 @@ class SpmdVcycleBackend:
 
     def level_cut(self, level, partition: np.ndarray) -> int:
         return distributed_edge_cut(level.fine, self.comm, partition)
-
-    def level_nodes(self, level) -> int:
-        return level.fine.n_global
 
     def release_level(self) -> None:
         if self.budget is not None and self.level_charges:
@@ -374,30 +353,24 @@ def parhip_program(
         # All ranks must agree on the factor f: derive it from a shared RNG.
         shared_rng = np.random.default_rng((seed, 7_919, cycle))
         factor = config.cluster_factor(cycle, social, shared_rng)
-        # Floor of 2 for the same reason as the sequential coarsener: at
-        # scaled-down sizes the mesh factor must not freeze clustering.
-        max_cluster_weight = max(2, int(lmax / factor))
-        cycle_span = TRACER.span("vcycle", comm=comm, cycle=cycle,
-                                 factor=float(factor))
-        cycle_span.__enter__()
-        backend = SpmdVcycleBackend(
-            dgraph,
-            comm,
-            config,
-            lmax,
-            partition_local,
-            budget,
-            memory_scale=memory_scale,
-            replica_memory_scale=replica_memory_scale,
-        )
-        out = run_vcycle(backend, config, lmax, max_cluster_weight, cycle=cycle)
-        partition_local = np.asarray(
-            out.partition[: dgraph.n_local], dtype=np.int64
-        )
-        coarse_sizes.extend(out.coarse_sizes)
-        for phase, elapsed in out.phase_times.items():
-            phase_times[phase] += elapsed
-        cycle_span.__exit__(None, None, None)
+        with TRACER.span("vcycle", comm=comm, cycle=cycle, factor=float(factor)):
+            backend = SpmdVcycleBackend(
+                dgraph,
+                comm,
+                config,
+                lmax,
+                partition_local,
+                budget,
+                memory_scale=memory_scale,
+                replica_memory_scale=replica_memory_scale,
+            )
+            out = run_vcycle(backend, config, lmax, factor, cycle=cycle)
+            partition_local = np.asarray(
+                out.partition[: dgraph.n_local], dtype=np.int64
+            )
+            coarse_sizes.extend(out.coarse_sizes)
+            for phase, elapsed in out.phase_times.items():
+                phase_times[phase] += elapsed
 
     assert partition_local is not None
     global_partition = dgraph.gather_global(comm, partition_local)

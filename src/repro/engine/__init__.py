@@ -1,26 +1,26 @@
 """Backend-abstracted partition engine.
 
-One SCLP phase loop (:func:`~repro.engine.sclp.run_sclp`) and one
-multilevel V-cycle driver (:func:`~repro.engine.vcycle.run_vcycle`),
-parameterized by the :class:`~repro.engine.backend.ExecutionBackend`
-protocol; :class:`~repro.engine.backend.LocalBackend` binds them to the
-sequential NumPy substrate, :class:`~repro.engine.backend.SpmdBackend`
-to the simulated distributed-memory one, and
-:class:`~repro.engine.backend.ProcessBackend` to real OS processes over
-shared-memory CSR segments (``REPRO_BACKEND=local|spmd|process``, see
-:func:`~repro.engine.backend.resolve_backend`).  The legacy entry
-points in :mod:`repro.core` and :mod:`repro.dist` are thin wrappers
-over these.
+One SCLP phase loop (:func:`~repro.engine.sclp.run_sclp`), written
+against the :class:`~repro.engine.backend.ExecutionBackend` protocol:
+:class:`~repro.engine.backend.LocalBackend` binds it to the sequential
+NumPy substrate and :class:`~repro.engine.backend.SpmdBackend` to the
+distributed-memory one, whether its ranks are lock-step threads or real
+OS processes over shared-memory CSR segments
+(``REPRO_BACKEND=local|spmd|process``, see
+:func:`~repro.engine.backend.resolve_backend`).  And one multilevel
+V-cycle driver (:func:`~repro.engine.vcycle.run_vcycle`), written
+against the :class:`~repro.engine.vcycle.VcycleBackend` hooks that
+:mod:`repro.core.multilevel` and :mod:`repro.dist.dist_partitioner`
+implement.  The entry points in :mod:`repro.core` and :mod:`repro.dist`
+are thin wrappers over these.
 """
 
 from .backend import (
     BACKENDS,
     ExecutionBackend,
     LocalBackend,
-    ProcessBackend,
     SpmdBackend,
     exchange_interface_labels,
-    make_dist_backend,
     resolve_backend,
 )
 from .kernels import DEFAULT_CHUNK_SIZE, IterationWorkspace
@@ -33,10 +33,8 @@ __all__ = [
     "ExecutionBackend",
     "IterationWorkspace",
     "LocalBackend",
-    "ProcessBackend",
     "SpmdBackend",
     "exchange_interface_labels",
-    "make_dist_backend",
     "resolve_backend",
     "run_sclp",
     "run_vcycle",

@@ -1,20 +1,23 @@
-"""Execution backends: the substrate abstraction under the partition engine.
+"""Execution backends: the substrate abstraction under the SCLP engine.
 
-The engine drivers (:mod:`repro.engine.sclp`, :mod:`repro.engine.vcycle`)
-are written once against the :class:`ExecutionBackend` protocol; the two
-implementations bind them to the two substrates the paper contrasts:
+The SCLP driver (:mod:`repro.engine.sclp`) is written once against the
+:class:`ExecutionBackend` protocol (the V-cycle driver has its own,
+:class:`repro.engine.vcycle.VcycleBackend`); the two implementations
+bind it to the two substrates the paper contrasts:
 
 * :class:`LocalBackend` — a NumPy CSR :class:`~repro.graph.csr.Graph` in
   one address space.  Every "communication" hook degenerates to the
   p = 1 identity: the halo exchange is a no-op, block-weight reduction
   is a ``bincount``, convergence is the local move count.
 * :class:`SpmdBackend` — a :class:`~repro.dist.dgraph.DistGraph` under a
-  :class:`~repro.dist.comm.SimComm`: ghost CSR with halo exchange, delta
-  interface-label exchange, allreduce block weights, and simulated-time
-  work accounting.
+  communicator: ghost CSR with halo exchange, delta interface-label
+  exchange, allreduce block weights, and simulated-time work accounting.
+  It touches only the collective surface, so the same class serves the
+  thread ranks (:class:`~repro.dist.comm.SimComm`) and the OS-process
+  ranks (:class:`~repro.dist.proc_comm.ProcComm`).
 
 Every backend method that communicates is *collective over the backend's
-communicator*: the drivers call them unconditionally on every rank, so
+communicator*: the driver calls them unconditionally on every rank, so
 the lock-step protocol of the simulated runtime is preserved by
 construction.
 """
@@ -32,9 +35,7 @@ __all__ = [
     "ExecutionBackend",
     "LocalBackend",
     "SpmdBackend",
-    "ProcessBackend",
     "exchange_interface_labels",
-    "make_dist_backend",
     "resolve_backend",
     "BACKENDS",
 ]
@@ -69,7 +70,7 @@ def resolve_backend(explicit: str | None = None, default: str = "spmd") -> str:
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """What the SCLP and V-cycle drivers need from an execution substrate.
+    """What the SCLP driver needs from an execution substrate.
 
     Array attributes describe the *local* subgraph (for the local backend
     that is the whole graph): CSR arrays over ``n_total`` node slots, of
@@ -170,7 +171,7 @@ class LocalBackend:
 
 
 class SpmdBackend:
-    """Distributed-memory backend over ``DistGraph`` + ``SimComm``."""
+    """Distributed-memory backend over ``DistGraph`` + a communicator."""
 
     # DistGraph slices are in-RAM (possibly shared-memory) arrays.
     resident = True
@@ -235,35 +236,6 @@ class SpmdBackend:
 
     def span_kwargs(self) -> dict:
         return {"comm": self.comm}
-
-
-def make_dist_backend(dgraph, comm) -> "SpmdBackend":
-    """The distributed backend matching ``comm``'s substrate.
-
-    A :class:`~repro.dist.proc_comm.ProcComm` gets a
-    :class:`ProcessBackend`, anything else a :class:`SpmdBackend` — the
-    hooks are identical either way (ProcessBackend only names the
-    substrate); this keeps traces and reprs honest about where a run
-    actually executed.
-    """
-    from ..dist.proc_comm import ProcComm
-
-    cls = ProcessBackend if isinstance(comm, ProcComm) else SpmdBackend
-    return cls(dgraph, comm)
-
-
-class ProcessBackend(SpmdBackend):
-    """Distributed-memory backend over real OS processes.
-
-    The engine hooks are exactly :class:`SpmdBackend`'s — that class is
-    communicator-agnostic, touching only the collective surface — bound
-    to a :class:`~repro.dist.proc_comm.ProcComm` inside a worker of
-    :func:`~repro.dist.runtime.run_spmd_processes`.  The ``DistGraph``
-    is sliced from the shared-memory CSR graph the worker attached, so
-    the global adjacency is mapped once machine-wide instead of copied
-    per rank.  Simulated clocks, stats and labels are bit-identical to
-    the thread backend (test-enforced); only the wall clock differs.
-    """
 
 
 def exchange_interface_labels(

@@ -1,11 +1,12 @@
 """The backend-abstracted multilevel V-cycle driver (paper §III, §IV-E).
 
 One driver owns the multilevel skeleton for both pipelines — the
-coarsening level loop (per-level bound adaptation, stall detection,
-constraint projection), the initial-partitioning hand-off, and the
-uncoarsening loop (project → refine per level) — together with all of
-its pipeline spans and events, so the sequential and the
-distributed run emit the same observability schema from the same code.
+coarsening level loop (cluster bound, per-level bound adaptation, stall
+detection), the initial-partitioning hand-off, and the uncoarsening loop
+(project → refine per level) — together with all of its pipeline spans
+and events, so the sequential and the distributed run emit the same
+observability schema from the same code.  The cycle is a V and nothing
+else: one descent, one ascent, every span at its own nesting level.
 
 Everything substrate-specific is a :class:`VcycleBackend` hook: how a
 level is clustered and contracted, what "global node count" means, how
@@ -24,10 +25,11 @@ protocol of the simulated runtime is preserved by construction.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Protocol
 
-from ..obsv.tracer import _NOOP_SPAN, TRACER
+from ..obsv.tracer import TRACER
 from ..perf.rss import memory_probe
 
 __all__ = ["VcycleBackend", "VcycleResult", "run_coarsening", "run_vcycle"]
@@ -56,24 +58,20 @@ class VcycleBackend(Protocol):
     def cluster(self, level_bound: int) -> Any: ...
     def contract(self, labels: Any) -> Any: ...
     def coarse_size(self, level: Any) -> int: ...
-    def advance(self, level: Any) -> None: ...  # current graph := coarse
-    def coarsen_level_stats(self, level: Any) -> dict: ...
-    def charge_level(self, level: Any) -> None: ...
-    def project_constraint(self, level: Any) -> None: ...
+    def coarsen_level_stats(self, level: Any) -> dict: ...  # tracing only
+    # Commit ``level``: its coarse graph becomes the current one, its
+    # memory is charged, the protected partition is projected onto it.
+    def descend(self, level: Any) -> None: ...
 
     # --- initial partitioning ---
     def initial_partition(self) -> Any: ...
-    def initial_stats(self, partition: Any) -> tuple[int, int]: ...
+    def coarsest_cut(self, partition: Any) -> int: ...  # tracing only
 
     # --- uncoarsening ---
     def coarsest_refine(self, partition: Any) -> Any: ...
-    def initial_cut_fields(
-        self, partition: Any, stats: tuple[int, int]
-    ) -> dict: ...
     def project(self, level: Any, partition: Any) -> Any: ...
     def refine_level(self, level: Any, partition: Any) -> Any: ...
-    def level_cut(self, level: Any, partition: Any) -> int: ...
-    def level_nodes(self, level: Any) -> int: ...
+    def level_cut(self, level: Any, partition: Any) -> int: ...  # tracing only
     def release_level(self) -> None: ...
 
 
@@ -90,170 +88,139 @@ class VcycleResult:
 def run_coarsening(
     backend: VcycleBackend,
     config,
-    max_cluster_weight: int,
     lmax: int,
+    cluster_factor: float,
     *,
     cycle: int | None = None,
-    top: bool = True,
 ) -> tuple[list, list[int]]:
     """The coarsening level loop; returns (levels, coarse_sizes).
 
     Repeatedly cluster and contract until the graph fits the initial
     partitioner (``config.coarsest_target()`` nodes) or a level fails to
-    shrink it by ``config.min_shrink_factor`` (stall).  The per-level
-    cluster bound tracks coarse node growth (at least a pairwise merge
+    shrink it by ``config.min_shrink_factor`` (stall).  The cluster
+    bound is ``U = Lmax / f`` for the factor ``f = cluster_factor``; the
+    per-level bound tracks coarse node growth (at least a pairwise merge
     must stay possible) but is capped well below ``lmax``: coarse nodes
     near ``lmax`` would make balanced initial partitioning a bin-packing
     problem with no feasible solution at small eps.
     """
+    # Floor of 2: at our scaled-down instance sizes the paper's mesh factor
+    # f = 20 000 would otherwise drop the bound to 1 (singleton clusters,
+    # no coarsening).  A bound of 2 degenerates gracefully to pairwise
+    # (matching-like) contraction, the behaviour f = 20 000 produces at
+    # the paper's billion-edge scale.
+    max_cluster_weight = max(2, int(lmax / cluster_factor))
     target = config.coarsest_target()
     cap = max(2, lmax // 4)
     levels: list = []
     coarse_sizes: list[int] = []
     backend.begin_coarsening()
     while backend.current_size() > target:
-        level_span = (
-            TRACER.span(
-                "coarsen.level", **backend.span_kwargs(), cycle=cycle,
-                level=len(levels),
+        with TRACER.span(
+            "coarsen.level", **backend.span_kwargs(), cycle=cycle, level=len(levels)
+        ) as level_span:
+            level_bound = min(
+                max(max_cluster_weight, 2 * backend.max_node_weight()), cap
             )
-            if top else _NOOP_SPAN
-        )
-        level_span.__enter__()
-        level_bound = min(
-            max(max_cluster_weight, 2 * backend.max_node_weight()), cap
-        )
-        fine_size = backend.current_size()
-        labels = backend.cluster(level_bound)
-        level = backend.contract(labels)
-        if backend.coarse_size(level) >= config.min_shrink_factor * fine_size:
-            # Ineffective level: stop rather than loop forever, and
-            # partition what we have.
-            level_span.set(stalled=True)
-            level_span.__exit__(None, None, None)
-            break
-        levels.append(level)
-        backend.advance(level)
-        coarse_sizes.append(backend.coarse_size(level))
-        if top and TRACER.enabled:
-            stats = backend.coarsen_level_stats(level)
-            shrink = stats["fine_nodes"] / max(1, stats["coarse_nodes"])
-            level_span.set(
-                fine_nodes=stats["fine_nodes"], coarse_nodes=stats["coarse_nodes"]
-            )
-            if backend.emits_events:
-                TRACER.event(
-                    "coarsen.level", cycle=cycle, level=len(levels) - 1,
-                    **stats, shrink=shrink,
+            fine_size = backend.current_size()
+            labels = backend.cluster(level_bound)
+            level = backend.contract(labels)
+            if backend.coarse_size(level) >= config.min_shrink_factor * fine_size:
+                # Ineffective level: stop rather than loop forever, and
+                # partition what we have.
+                level_span.set(stalled=True)
+                break
+            if TRACER.enabled:
+                stats = backend.coarsen_level_stats(level)
+                level_span.set(
+                    fine_nodes=stats["fine_nodes"], coarse_nodes=stats["coarse_nodes"]
                 )
-        backend.charge_level(level)
-        backend.project_constraint(level)
-        level_span.__exit__(None, None, None)
+                if backend.emits_events:
+                    TRACER.event(
+                        "coarsen.level", cycle=cycle, level=len(levels), **stats,
+                        shrink=stats["fine_nodes"] / max(1, stats["coarse_nodes"]),
+                    )
+            levels.append(level)
+            coarse_sizes.append(backend.coarse_size(level))
+            backend.descend(level)
     return levels, coarse_sizes
+
+
+@contextmanager
+def _phase(backend: VcycleBackend, name: str, cycle, phase_times: dict):
+    """One pipeline phase: its span, memory telemetry and simulated time.
+
+    The memory probe is tracing-only and uniform across ranks
+    (``TRACER.enabled`` is process-global), so it never diverges the
+    collective schedule.
+    """
+    t0 = backend.clock()
+    with TRACER.span(name, **backend.span_kwargs(), cycle=cycle) as span:
+        mem = memory_probe() if TRACER.enabled else None
+        yield span
+        if mem is not None:
+            span.set(**mem())
+    phase_times[name] = backend.clock() - t0
 
 
 def run_vcycle(
     backend: VcycleBackend,
     config,
     lmax: int,
-    max_cluster_weight: int,
+    cluster_factor: float,
     *,
     cycle: int | None = None,
-    top: bool = True,
-    wcycle_hook: Callable[[Any, Any], Any] | None = None,
 ) -> VcycleResult:
     """Drive one multilevel cycle: coarsen → initial partition → uncoarsen.
 
-    ``top`` gates spans and events: inner W-cycle recursions
-    pass ``top=False`` so phase times are not double-counted.
-    ``wcycle_hook(level, partition)``, when given, runs after each
-    level's refinement and may return an improved partition (the
-    sequential W-cycle recursion).
+    A backend built around an input partition protects it on the way
+    down (:meth:`VcycleBackend.descend`) and seeds the coarsest level
+    with it, so the cycle starts uncoarsening no worse than it was given.
     """
     phase_times: dict[str, float] = {}
+    traced = TRACER.enabled  # process-global: the same answer on every rank
+    sizes = [backend.current_size()]  # global nodes per graph, finest first
 
-    # Phase-boundary memory telemetry (tracing-only, uniform across
-    # ranks: TRACER.enabled is process-global, so the probe never
-    # diverges the collective schedule).
-    traced = top and TRACER.enabled
-
-    t0 = backend.clock()
-    coarsen_span = (
-        TRACER.span("coarsening", **backend.span_kwargs(), cycle=cycle)
-        if top else _NOOP_SPAN
-    )
-    coarsen_span.__enter__()
-    mem = memory_probe() if traced else None
-    levels, coarse_sizes = run_coarsening(
-        backend, config, max_cluster_weight, lmax, cycle=cycle, top=top
-    )
-    coarsen_span.set(levels=len(levels))
-    if mem is not None:
-        coarsen_span.set(**mem())
-    coarsen_span.__exit__(None, None, None)
-    phase_times["coarsening"] = backend.clock() - t0
-
-    t0 = backend.clock()
-    init_span = (
-        TRACER.span("initial", **backend.span_kwargs(), cycle=cycle)
-        if top else _NOOP_SPAN
-    )
-    init_span.__enter__()
-    mem = memory_probe() if traced else None
-    partition = backend.initial_partition()
-    init_stats: tuple[int, int] | None = None
-    if top and TRACER.enabled:
-        init_stats = backend.initial_stats(partition)
-        init_span.set(nodes=init_stats[0], cut=init_stats[1])
-    if mem is not None:
-        init_span.set(**mem())
-    init_span.__exit__(None, None, None)
-    phase_times["initial"] = backend.clock() - t0
-
-    t0 = backend.clock()
-    refine_span = (
-        TRACER.span("refinement", **backend.span_kwargs(), cycle=cycle)
-        if top else _NOOP_SPAN
-    )
-    refine_span.__enter__()
-    mem = memory_probe() if traced else None
-    partition = backend.coarsest_refine(partition)
-    if top and TRACER.enabled and init_stats is not None and backend.emits_events:
-        TRACER.event(
-            "initial.cut", cycle=cycle,
-            **backend.initial_cut_fields(partition, init_stats),
+    with _phase(backend, "coarsening", cycle, phase_times) as span:
+        levels, coarse_sizes = run_coarsening(
+            backend, config, lmax, cluster_factor, cycle=cycle
         )
-    for level_idx in range(len(levels) - 1, -1, -1):
-        level = levels[level_idx]
-        level_span = (
-            TRACER.span(
-                "uncoarsen.level", **backend.span_kwargs(), cycle=cycle,
-                level=level_idx,
-            )
-            if top else _NOOP_SPAN
-        )
-        level_span.__enter__()
-        partition = backend.project(level, partition)
-        cut_projected: int | None = None
-        if top and TRACER.enabled:
-            cut_projected = backend.level_cut(level, partition)
-        partition = backend.refine_level(level, partition)
-        if wcycle_hook is not None:
-            partition = wcycle_hook(level, partition)
-        if top and TRACER.enabled:
-            cut_refined = backend.level_cut(level, partition)
-            level_span.set(cut_projected=cut_projected, cut_refined=cut_refined)
+        sizes += coarse_sizes
+        span.set(levels=len(levels))
+
+    with _phase(backend, "initial", cycle, phase_times) as span:
+        partition = backend.initial_partition()
+        if traced:
+            cut = backend.coarsest_cut(partition)
+            span.set(nodes=sizes[-1], cut=cut)
+
+    with _phase(backend, "refinement", cycle, phase_times):
+        partition = backend.coarsest_refine(partition)
+        if traced:
+            cut_refined = backend.coarsest_cut(partition)
             if backend.emits_events:
                 TRACER.event(
-                    "uncoarsen.level", cycle=cycle, level=level_idx,
-                    nodes=backend.level_nodes(level),
-                    cut_projected=cut_projected, cut_refined=cut_refined,
+                    "initial.cut", cycle=cycle, nodes=sizes[-1], cut=cut,
+                    cut_refined=cut_refined,
                 )
-        level_span.__exit__(None, None, None)
-        backend.release_level()
-    if mem is not None:
-        refine_span.set(**mem())
-    refine_span.__exit__(None, None, None)
-    phase_times["refinement"] = backend.clock() - t0
+        for level_idx in range(len(levels) - 1, -1, -1):
+            level = levels[level_idx]
+            with TRACER.span(
+                "uncoarsen.level", **backend.span_kwargs(), cycle=cycle,
+                level=level_idx,
+            ) as level_span:
+                partition = backend.project(level, partition)
+                if traced:
+                    cuts = {"cut_projected": backend.level_cut(level, partition)}
+                partition = backend.refine_level(level, partition)
+                if traced:
+                    cuts["cut_refined"] = backend.level_cut(level, partition)
+                    level_span.set(**cuts)
+                    if backend.emits_events:
+                        TRACER.event(
+                            "uncoarsen.level", cycle=cycle, level=level_idx,
+                            nodes=sizes[level_idx], **cuts,
+                        )
+            backend.release_level()
 
     return VcycleResult(partition, levels, coarse_sizes, phase_times)

@@ -4,8 +4,8 @@ Mutation must inject diversity without destroying fitness.  Following the
 paper's design (mutation = V-cycle-style re-runs of the multilevel engine
 on one individual):
 
-* :func:`mutate_vcycle` — run the engine with the individual as input
-  partition (its cut edges protected, itself as coarsest seed) and a
+* :func:`mutate_vcycle` — run the engine with the individual as seed
+  partition (its cut edges protected, itself the coarsest start) and a
   fresh random coarsening; never worsens, often improves;
 * :func:`mutate_perturb` — flip a random small fraction of boundary-block
   assignments and repair with refinement; may worsen, used to escape
@@ -42,7 +42,6 @@ def mutate_vcycle(
         epsilon,
         rng,
         options=options,
-        constraint=individual.partition,
         seed_partition=individual.partition,
     )
     child = Individual.from_partition(graph, offspring, k, epsilon, objective=objective)

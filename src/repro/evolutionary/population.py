@@ -19,6 +19,7 @@ from ..metrics.quality import (
     edge_cut,
     max_communication_volume,
     max_quotient_degree,
+    overweight_cut,
 )
 
 __all__ = ["Individual", "Population", "OBJECTIVES"]
@@ -54,8 +55,7 @@ class Individual:
     ) -> "Individual":
         partition = np.asarray(partition, dtype=np.int64)
         lmax = max_block_weight_bound(graph, k, epsilon)
-        heaviest = int(np.bincount(partition, weights=graph.vwgt, minlength=k).max())
-        cut = edge_cut(graph, partition)
+        overweight, cut = overweight_cut(graph, partition, k, lmax)
         if objective == "cut":
             value = cut
         else:
@@ -66,7 +66,7 @@ class Individual:
                     f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
                 ) from None
             value = int(scorer(graph, partition, k))
-        return cls(partition, cut, max(0, heaviest - lmax), value)
+        return cls(partition, cut, overweight, value)
 
     @property
     def fitness_key(self) -> tuple[int, int, int]:

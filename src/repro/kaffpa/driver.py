@@ -9,14 +9,18 @@ multilevel partitioner with
 * FM refinement for bisections and greedy k-way boundary refinement
   otherwise, applied on every level during uncoarsening.
 
-Two features make it the engine of the evolutionary combine operator
-(Section II-C):
+Two features make it the engine of the iterated V-cycle (paper §IV-D)
+and of the evolutionary combine operator (Section II-C):
 
-* ``constraint`` — a partition whose cut edges are *never* contracted
+* ``constraint`` — a clustering whose cut edges are *never* contracted
   (the matching never merges across it);
-* ``seed_partition`` — applied to the coarsest graph and kept iff better
-  than the freshly computed initial partition; combined with
-  non-worsening refinement, the result is never worse than the seed.
+* ``seed_partition`` — a partition the result must not lose to.  It is
+  always protected: it *is* the constraint when none is given, and a
+  given constraint must refine it (every constraint cluster inside one
+  seed block), so no cut edge of the seed is ever contracted and the
+  seed projects exactly onto the coarsest graph.  There it is kept iff
+  it is balanced and no worse than the freshly computed initial
+  partition; refinement never worsens, so neither does the cycle.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import Graph
-from ..graph.validation import max_block_weight_bound
-from ..metrics.quality import edge_cut
+from ..graph.validation import block_weights, max_block_weight_bound
+from ..metrics.quality import overweight_cut
 from .fm import fm_bisection_refine
-from .initial import best_of, recursive_bisection
+from .initial import best_of
 from .kway_fm import greedy_kway_refine
 from .matching import match_and_contract
 
@@ -59,8 +63,22 @@ def kaffpa_partition(
     constraint: np.ndarray | None = None,
     seed_partition: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Partition ``graph`` into ``k`` blocks with the sequential engine."""
+    """Partition ``graph`` into ``k`` blocks with the sequential engine.
+
+    Raises :class:`ValueError` if both ``seed_partition`` and
+    ``constraint`` are given and the constraint does not refine the seed.
+    """
     options = options or KaffpaOptions()
+    if seed_partition is not None:
+        seed_partition = np.asarray(seed_partition, dtype=np.int64)
+        if constraint is None:
+            constraint = seed_partition
+        elif not _refines(constraint, seed_partition):
+            raise ValueError(
+                "constraint does not refine seed_partition: a constraint "
+                "cluster spans two seed blocks, so coarsening would contract "
+                "cut edges of the seed"
+            )
     lmax = max_block_weight_bound(graph, k, epsilon)
     target_nodes = max(options.coarsest_nodes, 4 * k)
     # Cap coarse node weights so a balanced partition stays representable:
@@ -73,34 +91,33 @@ def kaffpa_partition(
     # ------------------------------------------------------------------
     levels: list[tuple[Graph, np.ndarray]] = []  # (fine graph, fine_to_coarse)
     current = graph
-    current_constraint = constraint
     while current.num_nodes > target_nodes and len(levels) < options.max_levels:
         result = match_and_contract(
-            current, rng, max_node_weight=max_node_weight, constraint=current_constraint
+            current, rng, max_node_weight=max_node_weight, constraint=constraint
         )
         if result.coarse.num_nodes >= options.min_shrink_factor * current.num_nodes:
             break  # stalled
         levels.append((current, result.fine_to_coarse))
-        if current_constraint is not None:
+        # No coarse node spans two constraint clusters (hence two seed
+        # blocks), so the scatter is an exact projection of both.
+        if constraint is not None:
             projected = np.zeros(result.coarse.num_nodes, dtype=np.int64)
-            projected[result.fine_to_coarse] = current_constraint
-            current_constraint = projected
+            projected[result.fine_to_coarse] = constraint
+            constraint = projected
         if seed_partition is not None:
-            projected_seed = np.zeros(result.coarse.num_nodes, dtype=np.int64)
-            projected_seed[result.fine_to_coarse] = seed_partition
-            seed_partition = projected_seed
+            projected = np.zeros(result.coarse.num_nodes, dtype=np.int64)
+            projected[result.fine_to_coarse] = seed_partition
+            seed_partition = projected
         current = result.coarse
 
     # ------------------------------------------------------------------
-    # Initial partitioning (keep the seed if it is better)
+    # Initial partitioning (keep the seed if it is balanced and no worse)
     # ------------------------------------------------------------------
-    partition = best_of(
-        current, k, epsilon, rng,
-        attempts=options.initial_attempts,
-        partitioner=lambda g, kk, r: recursive_bisection(g, kk, r),
-    )
-    if seed_partition is not None and _is_no_worse(current, seed_partition, partition, k, lmax):
-        partition = np.asarray(seed_partition, dtype=np.int64)
+    partition = best_of(current, k, epsilon, rng, attempts=options.initial_attempts)
+    if seed_partition is not None:
+        seed_key = overweight_cut(current, seed_partition, k, lmax)
+        if seed_key[0] == 0 and seed_key <= overweight_cut(current, partition, k, lmax):
+            partition = seed_partition
 
     # ------------------------------------------------------------------
     # Uncoarsening with refinement on every level
@@ -120,16 +137,12 @@ def _refine(
     rng: np.random.Generator,
     options: KaffpaOptions,
 ) -> np.ndarray:
-    if k == 2:
-        heaviest = int(np.bincount(partition, weights=graph.vwgt, minlength=2).max())
-        if heaviest <= lmax:
-            partition = fm_bisection_refine(
-                graph, partition, lmax, rng, max_passes=options.refinement_passes
-            )
-        else:
-            partition = greedy_kway_refine(
-                graph, partition, k, lmax, rng, max_passes=options.refinement_passes
-            )
+    # FM needs a balanced bisection to start from; everything else goes
+    # through the greedy k-way boundary refinement.
+    if k == 2 and int(block_weights(graph, partition, 2).max(initial=0)) <= lmax:
+        partition = fm_bisection_refine(
+            graph, partition, lmax, rng, max_passes=options.refinement_passes
+        )
     else:
         partition = greedy_kway_refine(
             graph, partition, k, lmax, rng, max_passes=options.refinement_passes
@@ -141,14 +154,8 @@ def _refine(
     return partition
 
 
-def _is_no_worse(
-    graph: Graph, seed: np.ndarray, fresh: np.ndarray, k: int, lmax: int
-) -> bool:
-    """Prefer the seed when it is balanced and cuts no more than ``fresh``."""
-    seed_heavy = int(np.bincount(seed, weights=graph.vwgt, minlength=k).max())
-    if seed_heavy > lmax:
-        return False
-    fresh_heavy = int(np.bincount(fresh, weights=graph.vwgt, minlength=k).max())
-    if fresh_heavy > lmax:
-        return True  # fresh is unbalanced; the balanced seed wins outright
-    return edge_cut(graph, seed) <= edge_cut(graph, fresh)
+def _refines(constraint: np.ndarray, seed: np.ndarray) -> bool:
+    """Whether every ``constraint`` cluster lies inside one ``seed`` block."""
+    constraint = np.asarray(constraint, dtype=np.int64)
+    pairs = constraint * (int(seed.max(initial=0)) + 1) + seed
+    return np.unique(pairs).size == np.unique(constraint).size

@@ -25,7 +25,7 @@ import numpy as np
 from ..graph.csr import Graph
 from ..graph.ops import induced_subgraph
 from ..graph.validation import max_block_weight_bound
-from ..metrics.quality import edge_cut
+from ..metrics.quality import overweight_cut
 
 __all__ = [
     "random_balanced_partition",
@@ -231,8 +231,7 @@ def best_of(
     best_key: tuple[int, int] | None = None
     for _ in range(max(1, attempts)):
         candidate = partitioner(graph, k, rng)
-        heaviest = int(np.bincount(candidate, weights=graph.vwgt, minlength=k).max())
-        key = (max(0, heaviest - lmax), edge_cut(graph, candidate))
+        key = overweight_cut(graph, candidate, k, lmax)
         if best_key is None or key < best_key:
             best, best_key = candidate, key
     assert best is not None

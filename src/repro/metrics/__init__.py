@@ -12,6 +12,7 @@ from .quality import (
     imbalance,
     max_communication_volume,
     max_quotient_degree,
+    overweight_cut,
 )
 
 __all__ = [
@@ -26,4 +27,5 @@ __all__ = [
     "max_communication_volume",
     "max_quotient_degree",
     "modularity",
+    "overweight_cut",
 ]

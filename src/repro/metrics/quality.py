@@ -24,6 +24,7 @@ from ..graph.validation import block_weights
 
 __all__ = [
     "edge_cut",
+    "overweight_cut",
     "imbalance",
     "boundary_nodes",
     "communication_volume",
@@ -46,6 +47,18 @@ def edge_cut(graph: Graph, partition: np.ndarray) -> int:
     """Total weight of cut edges (each undirected edge counted once)."""
     mask = cut_edges_mask(graph, partition)
     return int(graph.adjwgt[mask].sum()) // 2
+
+
+def overweight_cut(
+    graph: Graph, partition: np.ndarray, k: int, lmax: int
+) -> tuple[int, int]:
+    """``(max(0, heaviest block - lmax), edge cut)``; smaller is better.
+
+    The one ordering every keep-the-better decision uses: a balanced
+    partition beats an overweight one, then the lower cut wins.
+    """
+    heaviest = int(block_weights(graph, partition, k).max(initial=0))
+    return max(0, heaviest - lmax), edge_cut(graph, partition)
 
 
 def imbalance(graph: Graph, partition: np.ndarray, k: int) -> float:

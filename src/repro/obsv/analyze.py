@@ -115,18 +115,15 @@ def _comm_spans_by_rank(records: list[dict]) -> dict[int, list[dict]]:
     return dict(by_rank)
 
 
-def _ranked_extent(records: list[dict]) -> tuple[float, float] | None:
-    """(origin, end) of the rank-attributed wall timeline, if any."""
-    starts = []
-    ends = []
-    for span in _spans(records):
-        if span.get("rank") is None:
-            continue
-        ts = float(span.get("wall_ts") or 0.0)
-        starts.append(ts)
-        ends.append(ts + float(span.get("wall_dur") or 0.0))
-    if not starts:
+def _wall_extent(records: list[dict]) -> tuple[float, float] | None:
+    """(origin, end) of the wall timeline: over the rank-attributed spans
+    when there are ranks, over every span of a (sequential) rank-less trace."""
+    spans = _spans(records)
+    spans = [s for s in spans if s.get("rank") is not None] or spans
+    if not spans:
         return None
+    starts = [float(s.get("wall_ts") or 0.0) for s in spans]
+    ends = [t + float(s.get("wall_dur") or 0.0) for t, s in zip(starts, spans)]
     return min(starts), max(ends)
 
 
@@ -172,7 +169,7 @@ def critical_path(records: Iterable[dict]) -> dict[str, Any]:
     """
     records = list(records)
     by_rank = _comm_spans_by_rank(records)
-    extent = _ranked_extent(records)
+    extent = _wall_extent(records)
     if not by_rank or extent is None:
         return {"clock": "wall", "ranks": [], "collectives": 0, "truncated": False,
                 "total": 0.0, "compute_s": 0.0, "comm_s": 0.0, "segments": []}
@@ -504,7 +501,7 @@ def build_run_summary(records: Iterable[dict]) -> dict[str, Any]:
     line of an old ``.events.jsonl`` is ignored.
     """
     records = list(records)
-    extent = _ranked_extent(records)
+    extent = _wall_extent(records)
     load = rank_load(records)
     move_values = [row["moves"] for row in load.values()]
     move_mean = sum(move_values) / len(move_values) if move_values else 0.0

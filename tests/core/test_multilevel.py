@@ -107,6 +107,26 @@ class TestVcycles:
 
 
 class TestSequentialFacade:
+    def test_flow_refinement_knob_reaches_the_sequential_pipeline(self, monkeypatch):
+        """``config.flow_refinement`` is honoured at p = 1 (it used to be
+        read by the distributed backend only and ignored here)."""
+        from repro.kaffpa import flow
+
+        real, calls = flow.flow_refinement, []
+        monkeypatch.setattr(
+            flow, "flow_refinement",
+            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
+        )
+        g = rgg(10, seed=7)
+        reached = {}
+        for flows in (False, True):
+            res = sequential_partition(
+                g, fast_config(k=8, social=False, flow_refinement=flows), seed=3
+            )
+            check_partition(g, res.partition, 8, epsilon=0.03)
+            reached[flows] = len(calls)
+        assert reached[False] == 0 < reached[True]
+
     def test_result_bundle(self):
         g = load_instance("amazon")
         res = sequential_partition(g, fast_config(k=2, social=True), seed=0)

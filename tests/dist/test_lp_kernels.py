@@ -14,7 +14,7 @@ import pytest
 
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
 from repro.dist.dist_lp import parallel_label_propagation
-from repro.engine import make_dist_backend, run_sclp
+from repro.engine import SpmdBackend, run_sclp
 from repro.engine.backend import exchange_interface_labels
 from repro.generators import rgg, rmat
 from repro.graph import block_weights, max_block_weight_bound
@@ -30,7 +30,7 @@ CONSTRAINT = np.random.default_rng(3).integers(0, 2, GRAPH.num_nodes)
 def sclp(comm, dgraph, oracle, *args, **kwargs):
     """One seeded SCLP call: the oracle, or the engine at chunk 1 on the
     full sweep."""
-    backend = make_dist_backend(dgraph, comm)
+    backend = SpmdBackend(dgraph, comm)
     if oracle:
         return reference_sclp(backend, *args, tie_seed=17, **kwargs)
     return run_sclp(backend, *args, chunk=1, pin_sweep="full", tie_seed=17,

@@ -39,7 +39,7 @@ from repro.core import eco_config, fast_config
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
 from repro.dist.dist_lp import parallel_label_propagation
 from repro.dist.runtime import run_spmd, run_spmd_processes
-from repro.engine import LocalBackend, make_dist_backend, run_sclp
+from repro.engine import LocalBackend, SpmdBackend, run_sclp
 from repro.generators import barabasi_albert, rgg, rmat
 from repro.graph.store import SHM_PREFIX
 from repro.graph.validation import max_block_weight_bound
@@ -80,16 +80,15 @@ def spmd_sclp(graph, labels, bound, *, refine, k, ordering, chunk, sweep,
               tie_seed, order_seed, rounds=1, runner=run_spmd):
     """Run ``rounds`` single-iteration SCLP calls on a dist backend at p = 1.
 
-    ``runner`` picks the runtime: :func:`run_spmd` drives
-    ``SpmdBackend``, :func:`run_spmd_processes` drives
-    ``ProcessBackend`` (``make_dist_backend`` keys the backend class on
-    the communicator type).
+    ``runner`` picks the runtime: :func:`run_spmd` runs the ranks as
+    threads, :func:`run_spmd_processes` as OS processes; both drive the
+    same ``SpmdBackend``.
     """
 
     def program(comm):
         vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
         dg = DistGraph.from_global(graph, vtxdist, comm.rank)
-        backend = make_dist_backend(dg, comm)
+        backend = SpmdBackend(dg, comm)
         out = np.asarray(labels, dtype=np.int64).copy()
         for r in range(rounds):
             # Pin the visit-order stream identically to the local side.
@@ -253,7 +252,7 @@ def _pcluster(comm, graph, sweep, iters):
     generous enough that it converges within ``iters``."""
     vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
     dgraph = DistGraph.from_global(graph, vtxdist, comm.rank)
-    backend = make_dist_backend(dgraph, comm)
+    backend = SpmdBackend(dgraph, comm)
     labels = dgraph.to_global(np.arange(dgraph.n_total))
     labels = run_sclp(
         backend, labels, int(graph.vwgt.sum()), iters,

@@ -7,7 +7,7 @@ import pytest
 
 from repro import partition_graph
 from repro.core import fast_config, minimal_config
-from repro.generators import random_geometric_graph
+from repro.generators import delaunay, random_geometric_graph
 from repro.graph import check_partition, block_weights, max_block_weight_bound
 from repro.kaffpa import coordinate_bisection
 from repro.metrics import edge_cut
@@ -50,6 +50,39 @@ class TestPrepartitionedInput:
             initial_partition=pre,
         )
         assert result.cut <= edge_cut(graph, pre)
+        check_partition(graph, result.partition, k, epsilon=0.03)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_cycle_builds_on_a_mesh_prepartition(self, seed):
+        """The V-cycle contract for ``initial_partition=``: cycle 0 starts
+        uncoarsening no worse than the prepartition, every later cycle no
+        worse than the best before it (before: 831 after 574 at seed 0,
+        and the call handed the prepartition back unchanged)."""
+        from repro.obsv import TRACER
+
+        graph, pos = delaunay(12, seed=1, return_positions=True)
+        k = 8
+        pre = coordinate_bisection(pos, k)
+        assert block_weights(graph, pre, k).max() <= max_block_weight_bound(graph, k, 0.03)
+        TRACER.disable()
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            result = partition_graph(graph, k=k, config=fast_config(k=k), seed=seed,
+                                     initial_partition=pre)
+        finally:
+            TRACER.disable()
+        events = [r for r in TRACER.snapshot() if r["type"] == "event"]
+        TRACER.reset()
+        start = [e["attrs"]["cut"] for e in events if e["name"] == "initial.cut"]
+        final = [e["attrs"]["cut_refined"] for e in events
+                 if e["name"] == "uncoarsen.level" and e["attrs"]["level"] == 0]
+        best = edge_cut(graph, pre)
+        assert len(start) == len(final) == 2
+        for cycle_start, cycle_final in zip(start, final):
+            assert cycle_start <= best
+            best = min(best, cycle_final)
+        assert result.cut == best < edge_cut(graph, pre)
         check_partition(graph, result.partition, k, epsilon=0.03)
 
     def test_parallel_accepts_prepartition(self, rgg_with_positions):

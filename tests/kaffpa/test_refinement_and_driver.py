@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.generators import load_instance, planted_partition, rgg
+from repro.generators import delaunay, load_instance, planted_partition, rgg
 from repro.graph import (
     block_weights,
     check_partition,
@@ -118,6 +118,28 @@ class TestKaffpaDriver:
         part = kaffpa_partition(g, 2, 0.05, rng(8), constraint=truth,
                                 seed_partition=truth)
         assert edge_cut(g, part) <= edge_cut(g, truth)
+
+    def test_seed_is_protected_without_a_constraint(self):
+        """A seed alone is the constraint: its cut edges are never
+        contracted, so the cycle returns a balanced partition that cuts
+        no more (before: matching contracted them and the cycle started
+        over — 523 after 463 at s = 5)."""
+        g = delaunay(11, seed=1)
+        seed_part = kaffpa_partition(g, 8, 0.03, rng(0))
+        for s in range(6):
+            again = kaffpa_partition(g, 8, 0.03, rng(s + 1), seed_partition=seed_part)
+            check_partition(g, again, 8, epsilon=0.03)
+            assert edge_cut(g, again) <= edge_cut(g, seed_part)
+
+    def test_constraint_must_refine_the_seed(self):
+        g = rgg(9, seed=1)
+        seed_part = kaffpa_partition(g, 4, 0.03, rng(0))
+        finer = seed_part * 2 + (np.arange(g.num_nodes) % 2)
+        kaffpa_partition(g, 4, 0.03, rng(1), constraint=finer, seed_partition=seed_part)
+        halves = (np.arange(g.num_nodes) >= g.num_nodes // 2).astype(np.int64)
+        with pytest.raises(ValueError, match="constraint does not refine seed_partition"):
+            kaffpa_partition(g, 4, 0.03, rng(1), constraint=halves,
+                             seed_partition=seed_part)
 
     def test_near_optimal_on_planted(self):
         g, truth = planted_partition(2, 100, p_in=0.3, p_out=0.01, seed=4)

@@ -16,6 +16,7 @@ from repro.metrics import (
     evaluate_partition,
     imbalance,
     modularity,
+    overweight_cut,
     quality,
 )
 
@@ -61,6 +62,28 @@ class TestImbalance:
     def test_weighted(self, weighted_square):
         # c(V)=10, k=2, ceil=5; blocks {0,3}=5, {1,2}=5
         assert imbalance(weighted_square, np.array([0, 1, 1, 0]), 2) == 0.0
+
+
+class TestOverweightCut:
+    def test_balanced_beats_overweight_then_cut_decides(self, two_triangles):
+        bridge = np.array([0, 0, 0, 1, 1, 1])  # cut 1, heaviest 3
+        skewed = np.array([0, 0, 0, 0, 1, 1])  # cut 2, heaviest 4
+        lopsided = np.array([0, 0, 0, 0, 0, 1])  # cut 2, heaviest 5
+        assert overweight_cut(two_triangles, bridge, 2, lmax=3) == (0, 1)
+        assert overweight_cut(two_triangles, skewed, 2, lmax=3) == (1, 2)
+        assert overweight_cut(two_triangles, skewed, 2, lmax=4) == (0, 2)
+        keys = [overweight_cut(two_triangles, p, 2, lmax=3)
+                for p in (lopsided, bridge, skewed)]
+        assert sorted(keys) == [(0, 1), (1, 2), (2, 2)]
+
+    @given(random_graphs(), st.integers(1, 5))
+    def test_equals_the_standalone_metrics(self, graph, k):
+        partition = np.random.default_rng(1).integers(0, k, size=graph.num_nodes)
+        heaviest = int(block_weights(graph, partition, k).max(initial=0))
+        for lmax in (0, heaviest, heaviest + 1):
+            assert overweight_cut(graph, partition, k, lmax) == (
+                max(0, heaviest - lmax), edge_cut(graph, partition)
+            )
 
 
 class TestBoundaryAndVolume:

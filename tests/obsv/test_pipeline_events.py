@@ -86,6 +86,11 @@ class TestParallelPipelineEvents:
         events = _events(records, "initial.cut")
         cycles = {e["attrs"]["cycle"] for e in events}
         assert len(events) == len(cycles)  # exactly one per cycle (rank 0)
+        # one shape for both pipelines; KaFFPaE's output is not refined
+        # on the coarsest graph, so the two cuts agree here
+        for e in events:
+            assert set(e["attrs"]) == {"cycle", "nodes", "cut", "cut_refined"}
+            assert e["attrs"]["cut_refined"] == e["attrs"]["cut"]
 
     def test_chrome_trace_has_one_track_per_rank(self, traced_parallel_run):
         _graph, _result, records = traced_parallel_run
@@ -211,7 +216,53 @@ class TestSequentialPipelineEvents:
         # last cycle's level-0 refined cut can only be improved by the
         # best-of-cycles rule, never worsened
         assert final[0]["attrs"]["cut_refined"] >= result.cut
-        assert "V-cycle 0" in render_analysis(build_run_summary(records))
+        for e in _events(records, "initial.cut"):
+            assert set(e["attrs"]) == {"cycle", "nodes", "cut", "cut_refined"}
+        summary = build_run_summary(records)
+        assert "V-cycle 0" in render_analysis(summary)
+        # a rank-less trace is the extent of its spans (it read 0.0)
+        assert 0 < summary["wall_time_s"] <= max(
+            s["wall_ts"] + s["wall_dur"] for s in _spans(records)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_vcycle_builds_on_the_best_before_it(self, seed):
+        """Paper §IV-D: the previous partition is protected and seeds the
+        coarsest level, so a cycle starts uncoarsening no worse than the
+        best partition found so far (before: 1065 after 942 at seed 0)."""
+        from repro.generators import delaunay
+
+        TRACER.enable()
+        try:
+            result = partition_graph(delaunay(12, seed=1), 16, preset="eco", seed=seed)
+        finally:
+            TRACER.disable()
+        records = TRACER.snapshot()
+        start = {e["attrs"]["cycle"]: e["attrs"]["cut"]
+                 for e in _events(records, "initial.cut")}
+        final = {e["attrs"]["cycle"]: e["attrs"]["cut_refined"]
+                 for e in _events(records, "uncoarsen.level")
+                 if e["attrs"]["level"] == 0}
+        assert sorted(start) == sorted(final) == list(range(5))
+        for cycle in range(1, 5):
+            assert start[cycle] <= min(final[c] for c in range(cycle))
+            assert final[cycle] <= final[cycle - 1]
+        assert result.cut == final[4]
+
+    def test_standalone_coarsen_emits_level_spans(self):
+        # coarsen() is the driver's level loop with no cycle around it
+        from repro.core import coarsen, fast_config
+
+        TRACER.enable()
+        try:
+            hierarchy = coarsen(rmat(9, seed=2), fast_config(k=2),
+                                np.random.default_rng(0), cluster_factor=14.0)
+        finally:
+            TRACER.disable()
+        spans = [s for s in _spans(TRACER.snapshot(), "coarsen.level")
+                 if not s["attrs"].get("stalled")]
+        assert len(spans) == hierarchy.depth > 0
+        assert {s["attrs"]["cycle"] for s in spans} == {None}
 
     @staticmethod
     def _traced_sequential(chunk):

@@ -60,15 +60,22 @@ class TestPartitionCommand:
             assert sizes == {chunk}
 
     def test_feature_flags(self, metis_graph, tmp_path, capsys):
-        # warm start from a previous partition, with flows and W-cycles on
+        # warm start from a previous partition, with flows on
         warm = tmp_path / "warm.part"
         assert main(["partition", str(metis_graph), "-k", "2",
                      "--preset", "minimal", "-o", str(warm)]) == 0
         code = main(["partition", str(metis_graph), "-k", "2",
-                     "--preset", "minimal", "--flows", "--cycle", "W",
+                     "--preset", "minimal", "--flows",
                      "--initial-partition", str(warm)])
         assert code == 0
         assert "cut=" in capsys.readouterr().out
+
+    def test_cycle_flag_is_gone(self, metis_graph, capsys):
+        # The V-cycle is the only cycle shape; argparse rejects the old flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["partition", str(metis_graph), "-k", "2", "--cycle", "W"])
+        assert excinfo.value.code == 2
+        assert "--cycle" in capsys.readouterr().err
 
 
 class TestGenerateCommand:
