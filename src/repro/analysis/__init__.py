@@ -12,10 +12,9 @@ honest about the contract of :mod:`repro.dist.comm`:
   the rules: **SPMD-DIV** (rank-guarded collectives / early returns —
   now interprocedural, across files), **COLL-ORDER** (branch arms with
   unequal guaranteed collective sequences), **RNG-GLOBAL**
-  (process-global random state instead of ``comm.rng``), **MUT-SHARED**
-  (direct writes to shared ``World`` state), **MUT-BUF** (in-place
-  mutation of CSR buffers received through Graph/DistGraph/backend
-  parameters — ProcessBackend prep), **DTYPE-NARROW** (int32 casts of
+  (process-global random state instead of ``comm.rng``), **MUT-BUF**
+  (in-place mutation of CSR buffers received through
+  Graph/DistGraph/backend parameters), **DTYPE-NARROW** (int32 casts of
   label/global-id arrays), **WORK-MISS** (advisory: unaccounted
   edge-traversal loops);
 * the static ↔ runtime bridge — ``repro lint --verify-trace
@@ -23,10 +22,11 @@ honest about the contract of :mod:`repro.dist.comm`:
   :mod:`repro.obsv` trace against the static footprints and flags every
   collective the static model failed to predict;
 * the runtime collective-order sanitizer inside
-  :class:`~repro.dist.comm.World` (``World(sanitize=True)`` or
+  :class:`~repro.dist.comm.SimComm` (``sanitize=True`` or
   ``REPRO_SANITIZE=1``) plus the deadlock watchdog of
-  :func:`~repro.dist.runtime.run_spmd`, which catch at run time what the
-  static pass cannot prove.
+  :func:`~repro.dist.runtime.run_spmd` /
+  :func:`~repro.dist.runtime.run_spmd_processes`, which catch at run
+  time what the static pass cannot prove.
 
 See ``docs/analysis.md`` for the rule catalogue with examples.
 """

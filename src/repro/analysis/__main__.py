@@ -4,7 +4,7 @@
 
     python -m repro.analysis lint src/            # exit 1 on any error finding
     python -m repro.analysis lint --no-advice src/
-    python -m repro.analysis lint --select SPMD-DIV,MUT-SHARED src/
+    python -m repro.analysis lint --select SPMD-DIV,MUT-BUF src/
     python -m repro.analysis rules                # print the rule catalogue
 """
 

@@ -60,19 +60,6 @@ RULES: dict[str, Rule] = {
             ),
         ),
         Rule(
-            code="MUT-SHARED",
-            severity=Severity.ERROR,
-            summary=(
-                "direct write to shared World state (slots/scratch/sim_time) "
-                "outside SimComm"
-            ),
-            fixit=(
-                "route all cross-rank data through SimComm collectives and "
-                "all clock updates through comm.work(); never touch "
-                "World.slots / World.scratch / World.sim_time directly"
-            ),
-        ),
-        Rule(
             code="WORK-MISS",
             severity=Severity.ADVICE,
             summary=(

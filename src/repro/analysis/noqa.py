@@ -4,7 +4,7 @@ A finding is suppressed when a comment of the form ::
 
     something()  # repro: noqa              (suppresses every rule)
     something()  # repro: noqa[SPMD-DIV]    (suppresses one rule)
-    something()  # repro: noqa[RNG-GLOBAL, MUT-SHARED] why it is fine
+    something()  # repro: noqa[RNG-GLOBAL, SPMD-DIV] why it is fine
 
 covers the flagged line.  Comments are extracted with :mod:`tokenize`,
 so a ``# repro: noqa`` *inside a string literal* is data, not a

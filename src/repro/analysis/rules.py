@@ -3,8 +3,7 @@
 The rules encode the contract of the simulated runtime
 (:mod:`repro.dist.comm`): every rank executes the same collectives in the
 same order, per-rank randomness comes only from ``comm.rng`` (or another
-explicitly seeded generator), and shared :class:`~repro.dist.comm.World`
-state is mutated only by :class:`~repro.dist.comm.SimComm` itself.
+explicitly seeded generator), and the shared CSR buffers stay read-only.
 
 The checks are heuristic — they see no types — but no longer purely
 local: when :func:`check_module` receives a *module context* (built by
@@ -40,7 +39,7 @@ from .findings import Finding
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .footprints import ModuleContext
 
-__all__ = ["check_module", "COLLECTIVES", "SHARED_ATTRS", "BUFFER_ATTRS"]
+__all__ = ["check_module", "COLLECTIVES", "BUFFER_ATTRS"]
 
 #: method names treated as collectives (SimComm plus the DistGraph
 #: wrappers that are collective over their comm argument)
@@ -58,18 +57,6 @@ COLLECTIVES = frozenset({
     "exchange",
     "halo_exchange",
     "gather_global",
-})
-
-#: World attributes only SimComm may write
-SHARED_ATTRS = frozenset({"slots", "scratch", "sim_time"})
-
-#: classes whose methods legitimately mutate the shared state
-_RUNTIME_CLASSES = frozenset({"World", "SimComm"})
-
-#: in-place mutators on lists / ndarrays reachable from a shared attribute
-_MUTATORS = frozenset({
-    "append", "extend", "insert", "pop", "remove", "clear", "sort",
-    "reverse", "fill", "setflags", "resize",
 })
 
 #: stateful module-level functions of the stdlib ``random`` module
@@ -105,7 +92,7 @@ _BUFFER_ANNOTATIONS = frozenset({
     "VcycleBackend",
 })
 
-#: in-place mutator methods on ndarrays (MUT-BUF flavour of _MUTATORS)
+#: in-place mutator methods on ndarrays (MUT-BUF)
 _ARRAY_MUTATORS = frozenset({
     "sort", "fill", "setflags", "resize", "partition", "put", "itemset",
 })
@@ -241,15 +228,6 @@ def _collect_taint(func: ast.AST) -> frozenset[str]:
             ):
                 tainted.add(node.targets[0].id)
     return frozenset(tainted)
-
-
-def _shared_attr_target(node: ast.expr) -> str | None:
-    """The shared World attribute a write target reaches, if any."""
-    if isinstance(node, ast.Attribute) and node.attr in SHARED_ATTRS:
-        return node.attr
-    if isinstance(node, ast.Subscript):
-        return _shared_attr_target(node.value)
-    return None
 
 
 class _RngImports:
@@ -469,10 +447,6 @@ class _Checker(ast.NodeVisitor):
     def func(self) -> _FuncState:
         return self.func_stack[-1]
 
-    @property
-    def in_runtime_class(self) -> bool:
-        return any(name in _RUNTIME_CLASSES for name in self.class_stack)
-
     def _rank_dep(self, node: ast.expr) -> bool:
         return _mentions_rank(node, self.func.tainted)
 
@@ -533,8 +507,8 @@ class _Checker(ast.NodeVisitor):
         Both arms executing collectives — but not the *same* guaranteed
         sequence — is the shape the runtime sanitizer exists for: when
         the condition ever diverges across ranks, each rank still
-        executes *a* collective, so the lock-step slot protocol does not
-        deadlock, it silently misaligns payloads (or trips the sanitizer
+        executes *a* collective, so the hub's gather does not stall, it
+        silently misaligns payloads (or trips the sanitizer
         in the lucky runs that have it on).  One empty arm under a
         rank-dependent condition is SPMD-DIV's business instead.
         """
@@ -603,8 +577,8 @@ class _Checker(ast.NodeVisitor):
                 node,
                 "SPMD-DIV",
                 f"collective `{name}` is called under rank-dependent control "
-                "flow; ranks taking the other path skip it and the lock-step "
-                "slot protocol deadlocks",
+                "flow; ranks taking the other path skip it and the hub waits "
+                "for the missing rank until the watchdog fires",
             )
         elif name is None and self.div_depth > 0 and self.context is not None:
             reached = self.context.call_may(node, self.current_class)
@@ -616,25 +590,12 @@ class _Checker(ast.NodeVisitor):
                     f"`{callee}()` transitively executes collective(s) "
                     f"{'+'.join(sorted(reached))} but is called under "
                     "rank-dependent control flow; ranks taking the other "
-                    "path skip them and the lock-step slot protocol "
-                    "deadlocks",
+                    "path skip them and the hub waits for the missing rank "
+                    "until the watchdog fires",
                 )
         rng_message = self.rng.violation(node)
         if rng_message is not None:
             self.report(node, "RNG-GLOBAL", rng_message)
-        if (
-            not self.in_runtime_class
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATORS
-        ):
-            attr = _shared_attr_target(node.func.value)
-            if attr is not None:
-                self.report(
-                    node,
-                    "MUT-SHARED",
-                    f"`{node.func.attr}()` mutates shared `World.{attr}` "
-                    "outside SimComm; the lock-step protocol owns that state",
-                )
         self._check_mut_buf_call(node)
         self._check_dtype_narrow_call(node)
         self.generic_visit(node)
@@ -728,23 +689,12 @@ class _Checker(ast.NodeVisitor):
 
     def _check_write_targets(self, node: ast.AST, targets: list[ast.expr],
                              augmented: bool = False) -> None:
-        if self.in_runtime_class:
-            return
         stack = list(targets)
         while stack:
             target = stack.pop()
             if isinstance(target, (ast.Tuple, ast.List)):
                 stack.extend(target.elts)
                 continue
-            attr = _shared_attr_target(target)
-            if attr is not None:
-                self.report(
-                    node,
-                    "MUT-SHARED",
-                    f"direct write to shared `World.{attr}` outside SimComm; "
-                    "cross-rank data must flow through collectives "
-                    "(clock updates through comm.work())",
-                )
             self._check_mut_buf_target(node, target, augmented=augmented)
 
     def visit_Assign(self, node: ast.Assign) -> None:

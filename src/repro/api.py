@@ -66,9 +66,15 @@ def partition_graph(
 
     Parameters
     ----------
+    epsilon:
+        Allowed imbalance; ignored when an explicit ``config`` is given
+        (``config.epsilon`` rules).
     preset:
         ``'fast'`` | ``'eco'`` | ``'minimal'`` (paper Section V-A);
         ignored when an explicit ``config`` is given.
+    config:
+        A ready :class:`PartitionConfig` instead of a preset; its ``k``
+        must equal ``k`` (``ValueError`` otherwise).
     num_pes:
         Number of simulated PEs.  1 runs the sequential algorithm;
         more runs the full parallel system on the simulated runtime.
@@ -95,13 +101,18 @@ def partition_graph(
         if preset not in _PRESETS:
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}")
         config = _PRESETS[preset](k=k, epsilon=epsilon)
+    elif config.k != k:
+        raise ValueError(
+            f"partition_graph was asked for k={k} blocks but config.k={config.k}; "
+            "pass the same value to both"
+        )
     resolved_backend = resolve_backend(backend)
     if not graph.resident:
         if num_pes <= 1 or resolved_backend == "local":
             # Out-of-core store: the multilevel pipeline would materialize
             # the arc arrays, so route to the semi-external flat path.
             return partition_oocore(
-                graph, k, epsilon=epsilon, seed=seed, config=config,
+                graph, k, epsilon=config.epsilon, seed=seed, config=config,
             )
         # The distributed pipelines slice per-rank subgraphs, which in
         # aggregate hold the whole arc set anyway — materialize up front

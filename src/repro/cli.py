@@ -4,7 +4,6 @@ Mirrors the ergonomics of the real tools (``parhip``, ``kaffpa``)::
 
     python -m repro partition graph.metis -k 8 --preset fast -o graph.part
     python -m repro partition graph.metis -k 8 --num-pes 4 --trace out.json
-    python -m repro trace out.json partition graph.metis -k 8 --num-pes 4
     python -m repro analyze out.events.jsonl --compare baseline.run.json
     python -m repro generate rgg --exponent 12 -o rgg12.metis
     python -m repro evaluate graph.metis graph.part -k 8
@@ -228,27 +227,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obsv import TRACER
-
-    rest = list(args.rest)
-    if rest and rest[0] == "--":
-        rest = rest[1:]
-    if not rest:
-        print("trace: missing command to run under the tracer", file=sys.stderr)
-        return 2
-    if rest[0] in ("trace", "analyze"):
-        print(f"trace: cannot trace the {rest[0]!r} command", file=sys.stderr)
-        return 2
-    TRACER.enable()
-    try:
-        code = main(rest)
-    finally:
-        TRACER.disable()
-    _write_trace_outputs(args.out)
-    return code
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
 
@@ -379,15 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("-o", "--output")
     c.set_defaults(func=_cmd_cluster)
-
-    t = sub.add_parser(
-        "trace", help="run another repro command with the tracer armed"
-    )
-    t.add_argument("out", metavar="OUT.json",
-                   help="Chrome-trace output path (events go to OUT.events.jsonl)")
-    t.add_argument("rest", nargs=argparse.REMAINDER,
-                   help="the repro command to run, e.g. partition g.metis -k 4")
-    t.set_defaults(func=_cmd_trace)
 
     a = sub.add_parser(
         "analyze",

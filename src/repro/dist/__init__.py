@@ -1,23 +1,25 @@
-"""Simulated distributed-memory runtime and the parallel partitioner."""
+"""Simulated distributed-memory runtime and the parallel partitioner.
+
+One communicator (:class:`SimComm`, the hub protocol of
+:mod:`repro.dist.comm`) serves both kinds of rank; the two launchers
+(:func:`run_spmd` on threads, :func:`run_spmd_processes` on spawned OS
+processes) differ only in where the ranks run.
+"""
 
 from .comm import (
     CollectiveMismatchError,
     CommStats,
-    SharedStateMutationError,
     SimComm,
     World,
     payload_bytes,
 )
 from .dgraph import DistGraph, balanced_vtxdist
-from .proc_comm import ProcComm
 from .runtime import SpmdDeadlockError, SpmdResult, run_spmd, run_spmd_processes
 
 __all__ = [
     "CollectiveMismatchError",
     "CommStats",
     "DistGraph",
-    "ProcComm",
-    "SharedStateMutationError",
     "SimComm",
     "SpmdDeadlockError",
     "SpmdResult",

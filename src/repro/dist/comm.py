@@ -7,19 +7,28 @@ exclusive prefix sum (exscan), reduce/gather, and buffered point-to-point
 sends delivered at the next exchange — the paper's phase-κ asynchronous
 update scheme.
 
-Simulation mechanics
---------------------
-``P`` simulated PEs run as ``P`` Python threads over a shared
-:class:`World`.  All cross-rank data flows through the collectives, each
-of which is two barrier waits around a shared slot array — the canonical
-lock-step pattern:
+The hub protocol
+----------------
+A program does not know where its ranks run: ``P`` threads of one
+process (:func:`~repro.dist.runtime.run_spmd`) and ``P`` spawned OS
+processes (:func:`~repro.dist.runtime.run_spmd_processes`) get the same
+:class:`SimComm`, and every collective is one call of
+:meth:`SimComm._collect`.  Rank 0 doubles as the *hub*: each other rank
+puts ``(rank, value, clock, sanitizer tag)`` on the world's up-queue and
+waits on its private down-queue; the hub gathers ``size - 1``
+contributions plus its own, checks the tags, takes the maximum clock and
+answers every rank with a private copy of the gathered list.  The
+:class:`World` holds what the ranks share — size, machine, seed, the
+sanitize flag, the queues, an abort event and a progress table — built
+on ``queue`` + ``threading`` for thread ranks and on the spawn context
+for process ranks.  Everything else (clock, :class:`CommStats`, outbox,
+sanitizer sequence) is a field of the rank's own :class:`SimComm`.
 
-1. write your contribution into ``slots[rank]``; barrier;
-2. snapshot whatever the collective needs from ``slots``; barrier
-   (so nobody overwrites slots before everyone has read them).
-
-Because the program is SPMD, every rank calls the same collectives in the
-same order, so one reusable slot array suffices.
+Every blocking ``get`` polls the abort event: when a rank fails or the
+launcher's watchdog fires, the event is set and each waiting rank
+unwinds through the internal :class:`_Aborted` signal instead of
+hanging.  The progress table (one ``(op, seq)`` entry per rank, single
+writer) lets the watchdog name where each stuck rank last was.
 
 Simulated time
 --------------
@@ -32,23 +41,22 @@ while *quality* numbers are real algorithm outputs.
 
 Collective-order sanitizer
 --------------------------
-The lock-step protocol silently assumes every rank calls the same
-collectives in the same order and that nobody touches the shared slot
-arrays directly; a violation shows up as a hang or corrupted data.  With
-``World(sanitize=True)`` (or ``REPRO_SANITIZE=1`` in the environment)
-every collective stamps an ``(op, sequence number, call site)`` tag into
-a dedicated slot exchange and verifies, after the first barrier, that all
-ranks agree — raising :class:`CollectiveMismatchError` naming the
-divergent ranks otherwise.  Direct writes to ``World.slots`` /
-``World.scratch`` raise :class:`SharedStateMutationError`, and
-``World.sim_time`` becomes a read-only view.  On correct programs the
-sanitizer is behaviourally transparent (identical results, clocks and
-stats).  The static companion of these checks is :mod:`repro.analysis`.
+The protocol silently assumes every rank calls the same collectives in
+the same order; a violation shows up as a hang or as misaligned
+payloads.  With ``sanitize=True`` (or ``REPRO_SANITIZE=1`` in the
+environment) every contribution carries an ``(op, sequence number, call
+site)`` tag and the hub verifies that all ranks agree — every rank
+raises :class:`CollectiveMismatchError` naming the divergent ranks
+otherwise.  On correct programs the sanitizer is behaviourally
+transparent (identical results, clocks and stats).  The static companion
+of this check is :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import queue
 import sys
 import threading
 import time
@@ -67,15 +75,14 @@ __all__ = [
     "CommStats",
     "payload_bytes",
     "CollectiveMismatchError",
-    "SharedStateMutationError",
 ]
 
 
 class CollectiveMismatchError(RuntimeError):
     """Ranks disagreed on which collective to run (SPMD divergence).
 
-    Raised identically on every rank by the sanitizer, with the
-    per-rank op tags and the set of divergent ranks in the message.
+    Raised on every rank by the sanitizer, with the per-rank op tags
+    and the set of divergent ranks in the message.
     """
 
     def __init__(self, message: str, divergent_ranks: Sequence[int] = ()) -> None:
@@ -88,8 +95,12 @@ class CollectiveMismatchError(RuntimeError):
         return (type(self), (self.args[0], self.divergent_ranks))
 
 
-class SharedStateMutationError(RuntimeError):
-    """Direct write to shared ``World`` state outside ``SimComm``."""
+class _Aborted(BaseException):
+    """Internal unwind signal: another rank failed or the launcher aborted.
+
+    Derives from ``BaseException`` so SPMD programs that catch broad
+    ``Exception`` cannot swallow the shutdown.
+    """
 
 
 def _env_sanitize() -> bool:
@@ -98,9 +109,11 @@ def _env_sanitize() -> bool:
     }
 
 
-#: source files whose frames the call-site reporter skips — the comm
-#: layer itself; :mod:`repro.dist.proc_comm` registers its file too
-_INTERNAL_FILES: set[str] = {__file__}
+#: bytes reserved per rank for the op name in the progress table
+_OP_SLOT = 32
+
+#: abort-event poll interval of a blocking queue ``get``, seconds
+_POLL_INTERVAL = 0.05
 
 
 def _callsite(max_frames: int = 2) -> str:
@@ -109,7 +122,7 @@ def _callsite(max_frames: int = 2) -> str:
     parts: list[str] = []
     while frame is not None and len(parts) < max_frames:
         code = frame.f_code
-        if code.co_filename not in _INTERNAL_FILES:
+        if code.co_filename != __file__:  # user code, not the comm layer
             parts.append(
                 f"{os.path.basename(code.co_filename)}:{frame.f_lineno} "
                 f"in {code.co_name}"
@@ -119,91 +132,29 @@ def _callsite(max_frames: int = 2) -> str:
 
 
 def _mismatch_error(
-    tags: Sequence[tuple[str, int, str] | None],
+    tags: Sequence[tuple[str, int, str]],
 ) -> CollectiveMismatchError | None:
     """Build the divergence error from one snapshot of per-rank op tags.
 
-    Returns ``None`` when all ranks agree.  Shared by the thread-backed
-    sanitizer (every rank computes the identical verdict from the same
-    snapshot) and the process backend's hub (which computes it once and
-    broadcasts it), so both backends report divergence identically.
+    Returns ``None`` when all ranks agree.  The hub computes the verdict
+    and every other rank rebuilds it from the same snapshot, so each
+    rank raises an exception object of its own.
     """
-    if len({(t[0], t[1]) for t in tags if t is not None}) <= 1 and None not in tags:
+    counts: dict[tuple[str, int], int] = {}
+    for op, seq, _ in tags:
+        counts[op, seq] = counts.get((op, seq), 0) + 1
+    if len(counts) == 1:
         return None
     # Majority opinion defines the common stream; the rest diverged.
-    counts: dict[tuple[str, int], int] = {}
-    for tag in tags:
-        if tag is not None:
-            key = (tag[0], tag[1])
-            counts[key] = counts.get(key, 0) + 1
-    majority = max(counts, key=lambda key: counts[key])
-    divergent = [
-        r for r, tag in enumerate(tags)
-        if tag is None or (tag[0], tag[1]) != majority
-    ]
-    lines = [
-        f"  rank {r}: "
-        + (f"{tag[0]} #{tag[1]} at {tag[2]}" if tag is not None else "<no collective>")
-        for r, tag in enumerate(tags)
-    ]
+    majority = max(counts, key=counts.__getitem__)
+    divergent = [r for r, tag in enumerate(tags) if tag[:2] != majority]
+    lines = [f"  rank {r}: {op} #{seq} at {site}" for r, (op, seq, site) in enumerate(tags)]
     return CollectiveMismatchError(
         f"collective order mismatch (SPMD divergence): rank(s) {divergent} "
         f"diverged from the common stream ({majority[0]} #{majority[1]}):\n"
         + "\n".join(lines),
         divergent_ranks=divergent,
     )
-
-
-class _GuardedList(list):
-    """Slot array that rejects writes unless SimComm holds the write token.
-
-    The token lives in the world's thread-local state, so a rank writing
-    ``world.slots[...]`` directly — racing the lock-step protocol — is
-    caught at the write, with rank attribution.
-    """
-
-    __slots__ = ("_world", "_name")
-
-    def __init__(self, world: "World", name: str, items: list[Any]) -> None:
-        super().__init__(items)
-        self._world = world
-        self._name = name
-
-    def _check(self) -> None:
-        local = self._world._local
-        if getattr(local, "unlocked", False):
-            return
-        rank = getattr(local, "rank", None)
-        who = f"rank {rank}" if rank is not None else "caller"
-        raise SharedStateMutationError(
-            f"{who} wrote World.{self._name} directly; shared state may only "
-            f"be mutated through SimComm collectives (MUT-SHARED)"
-        )
-
-    def __setitem__(self, index, value):
-        self._check()
-        return super().__setitem__(index, value)
-
-    def __delitem__(self, index):
-        self._check()
-        return super().__delitem__(index)
-
-    def _mutator(name):  # noqa: N805 - decorator-style helper, not a method
-        def guarded(self, *args, **kwargs):
-            self._check()
-            return getattr(super(_GuardedList, self), name)(*args, **kwargs)
-        guarded.__name__ = name
-        return guarded
-
-    append = _mutator("append")
-    extend = _mutator("extend")
-    insert = _mutator("insert")
-    pop = _mutator("pop")
-    remove = _mutator("remove")
-    clear = _mutator("clear")
-    sort = _mutator("sort")
-    reverse = _mutator("reverse")
-    del _mutator
 
 
 def payload_bytes(payload: Any) -> int:
@@ -253,10 +204,13 @@ class CommStats:
 
 
 class World:
-    """Shared state for one SPMD execution of ``size`` simulated PEs.
+    """What the ranks of one SPMD execution share.
 
     ``sanitize=None`` (the default) defers to the ``REPRO_SANITIZE``
     environment variable; an explicit ``True``/``False`` wins over it.
+    ``ctx`` is the ``multiprocessing`` context of process ranks (the
+    world is then picklable at spawn); ``None`` builds the in-process
+    twins for thread ranks.
     """
 
     def __init__(
@@ -265,6 +219,7 @@ class World:
         machine: Machine | None = None,
         seed: int = 0,
         sanitize: bool | None = None,
+        ctx: Any = None,
     ) -> None:
         if size < 1:
             raise ValueError("world size must be >= 1")
@@ -272,55 +227,53 @@ class World:
         self.machine = machine or SERIAL
         self.seed = seed
         self.sanitize = _env_sanitize() if sanitize is None else bool(sanitize)
-        self.barrier = threading.Barrier(size)
-        self._local = threading.local()
-        if self.sanitize:
-            self.slots: list[Any] = _GuardedList(self, "slots", [None] * size)
-            self.scratch: list[Any] = _GuardedList(self, "scratch", [None] * size)
+        if ctx is None:
+            new_queue, self.aborted = queue.SimpleQueue, threading.Event()
+            self._progress_seq = (ctypes.c_int64 * size)()
+            self._progress_op = (ctypes.c_char * (size * _OP_SLOT))()
         else:
-            self.slots = [None] * size
-            self.scratch = [None] * size
-        self._sim_time = np.zeros(size, dtype=np.float64)
-        self._sim_time_ro = self._sim_time.view()
-        self._sim_time_ro.setflags(write=False)
-        self.stats = [CommStats() for _ in range(size)]
-        #: per-rank (op, collective count) stamped at collective entry;
-        #: the deadlock watchdog reads it to say where a rank is stuck.
-        self.progress: list[tuple[str, int] | None] = [None] * size
-        #: per-rank (op, seq, call site) tags of the collective in flight
-        self._san_tags: list[tuple[str, int, str] | None] = [None] * size
-        self.aborted = False
-
-    @property
-    def sim_time(self) -> np.ndarray:
-        """Per-rank simulated clocks (read-only under the sanitizer)."""
-        return self._sim_time_ro if self.sanitize else self._sim_time
+            new_queue, self.aborted = ctx.Queue, ctx.Event()
+            self._progress_seq = ctx.RawArray(ctypes.c_int64, size)
+            self._progress_op = ctx.RawArray(ctypes.c_char, size * _OP_SLOT)
+        self.up_queue = new_queue()  # rank -> hub contributions
+        self.down_queues = [new_queue() for _ in range(size)]  # hub -> rank
 
     def abort(self) -> None:
-        """Break the barrier so all ranks unwind after a failure."""
-        self.aborted = True
-        self.barrier.abort()
+        """Make every rank blocked in a collective unwind (``_Aborted``)."""
+        self.aborted.set()
+
+    def stamp(self, rank: int, op: str, seq: int) -> None:
+        """Record that ``rank`` enters its ``seq``-th collective, ``op``."""
+        raw = op.encode("utf-8")[:_OP_SLOT]
+        self._progress_op[rank * _OP_SLOT:(rank + 1) * _OP_SLOT] = raw.ljust(
+            _OP_SLOT, b"\x00")
+        self._progress_seq[rank] = seq
+
+    def progress(self, rank: int) -> tuple[str, int] | None:
+        """``(op, seq)`` of the collective ``rank`` last entered, if any."""
+        seq = int(self._progress_seq[rank])
+        if seq <= 0:
+            return None
+        raw = bytes(self._progress_op[rank * _OP_SLOT:(rank + 1) * _OP_SLOT])
+        return raw.rstrip(b"\x00").decode("utf-8", "replace"), seq
 
     def comm(self, rank: int) -> "SimComm":
-        """The communicator handle for one rank (call on the rank's thread)."""
+        """The communicator handle for one rank (call on the rank itself)."""
         return SimComm(self, rank)
 
 
 class CollectiveOps:
     """The collective surface, written once over an abstract ``_collect``.
 
-    Subclasses provide ``rank``, ``size``, ``stats``, an ``_outbox`` dict
-    and ``_collect(value, recv_bytes_fn, op)`` — which gathers one value
-    per rank, advances the subclass's notion of the simulated clock, and
-    returns the gathered list indexed by rank.  :class:`SimComm` binds
-    this to the thread-backed lock-step protocol;
-    :class:`~repro.dist.proc_comm.ProcComm` binds the *same* methods to
-    a queue protocol over OS processes, so the two backends cannot drift
-    in collective semantics or byte accounting.
+    The subclass (:class:`SimComm`) provides ``rank``, ``size``,
+    ``stats``, an ``_outbox`` dict and ``_collect(value, recv_bytes_fn,
+    op)`` — which gathers one value per rank, advances the simulated
+    clock, and returns the gathered list indexed by rank.
     """
 
     rank: int
     size: int
+    stats: CommStats
     _outbox: dict[int, list[Any]]
 
     def _collect(
@@ -329,10 +282,6 @@ class CollectiveOps:
         recv_bytes_fn: Callable[[list[Any]], int],
         op: str = "collective",
     ) -> list[Any]:
-        raise NotImplementedError
-
-    @property
-    def stats(self) -> CommStats:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -475,63 +424,65 @@ class CollectiveOps:
 
 
 class SimComm(CollectiveOps):
-    """Rank-local communicator handle (the ``comm`` of the SPMD programs)."""
+    """Rank-local communicator handle (the ``comm`` of the SPMD programs).
+
+    Deterministic ``rng`` seeded from ``(seed, rank)``, per-rank
+    :class:`CommStats`, a simulated clock advanced by :meth:`work` and
+    the collectives — the same object on a thread and on a process rank.
+    """
 
     def __init__(self, world: World, rank: int) -> None:
         self.world = world
         self.rank = rank
         self.size = world.size
         self.rng = np.random.default_rng((world.seed, rank))
+        self.stats = CommStats()
         self._outbox: dict[int, list[Any]] = {}
-        self._inbox: list[tuple[int, Any]] = []
         self._seq = 0  # collectives issued by this rank (sanitizer tags)
-        # Remember which rank runs on this thread, for mutation attribution.
-        world._local.rank = rank
+        self._sim_time = 0.0
 
     # ------------------------------------------------------------------
     # Cost accounting
     # ------------------------------------------------------------------
     def work(self, units: float) -> None:
         """Account ``units`` of local computation on this rank's clock."""
-        stats = self.world.stats[self.rank]
-        stats.work_units += units
-        self.world._sim_time[self.rank] += self.world.machine.compute_time(units)
+        self.stats.work_units += units
+        self._sim_time += self.world.machine.compute_time(units)
 
     @property
     def sim_time(self) -> float:
         """This rank's simulated clock, in seconds."""
-        return float(self.world._sim_time[self.rank])
-
-    @property
-    def stats(self) -> CommStats:
-        return self.world.stats[self.rank]
+        return float(self._sim_time)
 
     # ------------------------------------------------------------------
-    # The lock-step core
+    # The hub protocol
     # ------------------------------------------------------------------
-    def _sync(self) -> None:
-        self.world.barrier.wait()
-
-    def _put(self, container: list[Any], value: Any) -> None:
-        """Write ``container[self.rank]`` holding the sanitizer write token."""
-        world = self.world
-        if world.sanitize:
-            world._local.unlocked = True
+    def _get(self, q: Any) -> Any:
+        """Blocking get that polls the world's abort event."""
+        while True:
+            if self.world.aborted.is_set():
+                raise _Aborted
             try:
-                container[self.rank] = value
-            finally:
-                world._local.unlocked = False
-        else:
-            container[self.rank] = value
+                return q.get(timeout=_POLL_INTERVAL)
+            except queue.Empty:
+                continue
 
-    def _verify_tags(self) -> None:
-        """After the first barrier: do all ranks run the same collective?
-
-        Every rank computes the identical verdict from the same snapshot.
-        """
-        error = _mismatch_error(list(self.world._san_tags))
+    def _hub(self, value: Any, tag: Any) -> tuple[list[Any], float]:
+        """Rank 0: gather every rank's contribution, verify, answer."""
+        world = self.world
+        gathered: list[Any] = [value] + [None] * (self.size - 1)
+        clocks = [self._sim_time] * self.size
+        tags = [tag] * self.size
+        for _ in range(self.size - 1):
+            src, gathered[src], clocks[src], tags[src] = self._get(world.up_queue)
+        error = _mismatch_error(tags) if world.sanitize else None
+        base = max(clocks)
+        for q in world.down_queues[1:]:
+            # One list per rank: thread ranks must not share the hub's.
+            q.put((list(gathered), base, tags if error is not None else None))
         if error is not None:
             raise error
+        return gathered, base
 
     def _collect(
         self,
@@ -544,35 +495,34 @@ class SimComm(CollectiveOps):
         traced = TRACER.enabled  # process-global: uniform across ranks
         if traced:
             wall_t0 = time.perf_counter()
-            sim_t0 = float(world._sim_time[self.rank])
-        world.progress[self.rank] = (op, self.stats.collectives + 1)
+            sim_t0 = self._sim_time
+        world.stamp(self.rank, op, self.stats.collectives + 1)
+        tag = None
         if world.sanitize:
             self._seq += 1
-            world._san_tags[self.rank] = (op, self._seq, _callsite())
-        self._put(world.slots, value)
-        self._sync()
-        if world.sanitize:
-            self._verify_tags()
-        gathered = list(world.slots)
-        # Deterministic clock update: every rank computes the same new base
-        # time from the snapshot, then adds its own receive cost.
-        self._put(world.scratch, world._sim_time[self.rank])
-        self._sync()
-        base = max(world.scratch)  # type: ignore[type-var]
+            tag = (op, self._seq, _callsite())
+        if self.size == 1:
+            gathered, base = [value], self._sim_time
+        elif self.rank == 0:
+            gathered, base = self._hub(value, tag)
+        else:
+            world.up_queue.put((self.rank, value, self._sim_time, tag))
+            gathered, base, bad_tags = self._get(world.down_queues[self.rank])
+            if bad_tags is not None:
+                raise _mismatch_error(bad_tags)
+        # Every rank jumps to the common base, then adds its own receive cost.
         recv = recv_bytes_fn(gathered)
-        world._sim_time[self.rank] = base + world.machine.collective_time(self.size, recv)
+        self._sim_time = base + world.machine.collective_time(self.size, recv)
         self.stats.collectives += 1
         self.stats.record_op(op, count=1)
-        self._sync()
         if traced:
-            sim_t1 = float(world._sim_time[self.rank])
             TRACER.record_span(
                 f"comm.{op}",
                 rank=self.rank,
                 wall_ts=wall_t0,
                 wall_dur=time.perf_counter() - wall_t0,
                 sim_ts=sim_t0,
-                sim_dur=sim_t1 - sim_t0,
+                sim_dur=self._sim_time - sim_t0,
                 op=op,
                 bytes=int(recv),
                 seq=self.stats.collectives,

@@ -63,6 +63,51 @@ class DistGraph:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    def _with_ghosts(
+        cls,
+        vtxdist: np.ndarray,
+        rank: int,
+        xadj: np.ndarray,
+        dst_global: np.ndarray,
+        adjwgt: np.ndarray,
+        vwgt: np.ndarray,
+    ) -> "DistGraph":
+        """Number the ghosts of a local CSR whose arc targets are global ids.
+
+        Ghosts get local ids after the owned nodes in ascending global-id
+        order; the send lists are the owned endpoints of cross arcs,
+        grouped by the owner of the ghost endpoint.
+        """
+        first, last = int(vtxdist[rank]), int(vtxdist[rank + 1])
+        n_local = last - first
+
+        local_mask = (dst_global >= first) & (dst_global < last)
+        cross = ~local_mask
+        ghost_global = np.unique(dst_global[cross])
+        adjncy = np.empty_like(dst_global)
+        adjncy[local_mask] = dst_global[local_mask] - first
+        adjncy[cross] = n_local + np.searchsorted(ghost_global, dst_global[cross])
+        ghost_owner = (np.searchsorted(vtxdist, ghost_global, side="right") - 1).astype(np.int64)
+
+        src = np.repeat(np.arange(n_local, dtype=np.int64), np.diff(xadj))
+        pair_owner = ghost_owner[adjncy[cross] - n_local]
+        pair_src = src[cross]
+        send_ranks = np.unique(pair_owner)
+        return cls(
+            rank=rank,
+            vtxdist=vtxdist,
+            xadj=xadj,
+            adjncy=adjncy,
+            adjwgt=adjwgt,
+            vwgt=vwgt,
+            ghost_global=ghost_global,
+            ghost_owner=ghost_owner,
+            send_ranks=send_ranks,
+            send_nodes=[np.unique(pair_src[pair_owner == q]) for q in send_ranks],
+            recv_ghosts=[np.flatnonzero(ghost_owner == q) + n_local for q in send_ranks],
+        )
+
+    @classmethod
     def from_global(cls, graph: Graph, vtxdist: np.ndarray, rank: int) -> "DistGraph":
         """Slice one PE's subgraph out of a (shared) global graph.
 
@@ -72,46 +117,14 @@ class DistGraph:
         """
         vtxdist = np.asarray(vtxdist, dtype=np.int64)
         first, last = int(vtxdist[rank]), int(vtxdist[rank + 1])
-        n_local = last - first
-
         lo, hi = int(graph.xadj[first]), int(graph.xadj[last])
-        xadj = (graph.xadj[first : last + 1] - lo).astype(np.int64)
-        targets = graph.adjncy[lo:hi]
-        adjwgt = graph.adjwgt[lo:hi].copy()
-
-        local_mask = (targets >= first) & (targets < last)
-        ghost_global = np.unique(targets[~local_mask])
-        adjncy = np.empty_like(targets)
-        adjncy[local_mask] = targets[local_mask] - first
-        adjncy[~local_mask] = n_local + np.searchsorted(ghost_global, targets[~local_mask])
-
-        ghost_owner = (np.searchsorted(vtxdist, ghost_global, side="right") - 1).astype(np.int64)
-
-        # Send lists: owned endpoints of cross arcs, grouped by the owner
-        # of the ghost endpoint.
-        src = np.repeat(np.arange(n_local, dtype=np.int64), np.diff(xadj))
-        cross = ~local_mask
-        pair_owner = ghost_owner[adjncy[cross] - n_local]
-        pair_src = src[cross]
-        send_ranks = np.unique(pair_owner)
-        send_nodes = [
-            np.unique(pair_src[pair_owner == q]) for q in send_ranks
-        ]
-        recv_ghosts = [
-            np.flatnonzero(ghost_owner == q) + n_local for q in send_ranks
-        ]
-        return cls(
-            rank=rank,
-            vtxdist=vtxdist,
-            xadj=xadj,
-            adjncy=adjncy,
-            adjwgt=adjwgt,
-            vwgt=graph.vwgt[first:last].copy(),
-            ghost_global=ghost_global,
-            ghost_owner=ghost_owner,
-            send_ranks=send_ranks,
-            send_nodes=send_nodes,
-            recv_ghosts=recv_ghosts,
+        return cls._with_ghosts(
+            vtxdist,
+            rank,
+            (graph.xadj[first : last + 1] - lo).astype(np.int64),
+            graph.adjncy[lo:hi],
+            graph.adjwgt[lo:hi].copy(),
+            graph.vwgt[first:last].copy(),
         )
 
     @classmethod
@@ -133,42 +146,17 @@ class DistGraph:
         """
         vtxdist = np.asarray(vtxdist, dtype=np.int64)
         first, last = int(vtxdist[rank]), int(vtxdist[rank + 1])
-        n_local = last - first
 
         src = np.asarray(src_global, dtype=np.int64) - first
         dst = np.asarray(dst_global, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.int64)
         order = np.lexsort((dst, src))
-        src, dst, weights = src[order], dst[order], weights[order]
 
-        xadj = np.zeros(n_local + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n_local), out=xadj[1:])
-
-        local_mask = (dst >= first) & (dst < last)
-        ghost_global = np.unique(dst[~local_mask])
-        adjncy = np.empty_like(dst)
-        adjncy[local_mask] = dst[local_mask] - first
-        adjncy[~local_mask] = n_local + np.searchsorted(ghost_global, dst[~local_mask])
-        ghost_owner = (np.searchsorted(vtxdist, ghost_global, side="right") - 1).astype(np.int64)
-
-        cross = ~local_mask
-        pair_owner = ghost_owner[adjncy[cross] - n_local]
-        pair_src = src[cross]
-        send_ranks = np.unique(pair_owner)
-        send_nodes = [np.unique(pair_src[pair_owner == q]) for q in send_ranks]
-        recv_ghosts = [np.flatnonzero(ghost_owner == q) + n_local for q in send_ranks]
-        return cls(
-            rank=rank,
-            vtxdist=vtxdist,
-            xadj=xadj,
-            adjncy=adjncy,
-            adjwgt=weights,
-            vwgt=np.asarray(vwgt, dtype=np.int64),
-            ghost_global=ghost_global,
-            ghost_owner=ghost_owner,
-            send_ranks=send_ranks,
-            send_nodes=send_nodes,
-            recv_ghosts=recv_ghosts,
+        xadj = np.zeros(last - first + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=last - first), out=xadj[1:])
+        return cls._with_ghosts(
+            vtxdist, rank, xadj, dst[order], weights[order],
+            np.asarray(vwgt, dtype=np.int64),
         )
 
     # ------------------------------------------------------------------

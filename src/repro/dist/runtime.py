@@ -1,15 +1,19 @@
-"""SPMD execution engine for the simulated PEs.
+"""SPMD execution engine: the two launchers of the simulated PEs.
 
-:func:`run_spmd` launches one Python thread per simulated PE, each running
-the same rank-parametric program against its :class:`~repro.dist.comm.SimComm`.
-If any rank raises, the shared barrier is aborted so the remaining ranks
-unwind instead of deadlocking, and the first failure is re-raised in the
-caller — including simulated :class:`~repro.perf.memory.OutOfMemoryError`,
-which the bench harness catches to produce the paper's ``*`` table entries.
+:func:`run_spmd` runs one Python thread per PE, :func:`run_spmd_processes`
+one spawned OS process per PE (the input graph parked once in shared
+memory, so p ranks really do run on p cores).  Both run the same
+rank-parametric program against the same
+:class:`~repro.dist.comm.SimComm`, and every rank reports ``(result,
+sim_time, stats)``.  If any rank raises, the world's abort event is set
+so the remaining ranks unwind instead of deadlocking, and the lowest
+failing rank's exception is re-raised in the caller — including
+simulated :class:`~repro.perf.memory.OutOfMemoryError`, which the bench
+harness catches to produce the paper's ``*`` table entries.
 
 A wall-clock watchdog guards the join: a program that diverges on its
-collective order (one rank stuck at a barrier the others never reach)
-raises :class:`SpmdDeadlockError` naming the stuck ranks and the
+collective order (one rank waiting in a collective the others never
+reach) raises :class:`SpmdDeadlockError` naming the stuck ranks and the
 collective each one last entered, instead of hanging the caller forever.
 The default budget is 60 seconds, overridable per call (``timeout=``) or
 process-wide via ``REPRO_SPMD_TIMEOUT`` (``0`` disables the watchdog).
@@ -35,8 +39,7 @@ from ..graph.store import SharedCSRHandle, SharedMemoryStore
 from ..obsv.tracer import TRACER
 from ..perf.machine import Machine
 from ..perf.rss import memory_sample
-from .comm import CommStats, World
-from .proc_comm import ProcComm, ProcWorld, _Aborted, make_proc_world
+from .comm import CommStats, SimComm, World, _Aborted
 
 __all__ = [
     "SpmdResult",
@@ -116,6 +119,13 @@ class SpmdResult:
     sim_times: np.ndarray  # per-rank clocks
     stats: list[CommStats]
 
+    @classmethod
+    def from_reports(cls, reports: list[tuple[Any, float, CommStats]]) -> "SpmdResult":
+        """Assemble the per-rank ``(result, sim_time, stats)`` reports."""
+        per_rank, clocks, stats = zip(*reports)
+        sim_times = np.array(clocks)
+        return cls(list(per_rank), float(sim_times.max()), sim_times, list(stats))
+
     @property
     def value(self) -> Any:
         """Rank 0's return value (SPMD programs usually agree anyway)."""
@@ -128,6 +138,56 @@ class SpmdResult:
     @property
     def total_bytes_sent(self) -> int:
         return sum(s.bytes_sent for s in self.stats)
+
+
+def _run_inline(world: World, program: Callable[..., Any], args: tuple,
+                kwargs: dict, *, shared: bool) -> SpmdResult:
+    """``size == 1``: the one rank runs on the caller's thread."""
+    comm = world.comm(0)
+    result = program(comm, *args, **kwargs)
+    _emit_rank_memory(1, shared=shared)
+    return SpmdResult.from_reports([(result, comm.sim_time, comm.stats)])
+
+
+def _deadlock_error(world: World, stuck: tuple[int, ...],
+                    wall_budget: float) -> SpmdDeadlockError:
+    """The watchdog's report: where each stuck rank last was."""
+    details = []
+    for rank in stuck:
+        progress = world.progress(rank)
+        where = (
+            f"last entered collective #{progress[1]} ({progress[0]})"
+            if progress is not None
+            else "before its first collective"
+        )
+        last = TRACER.last_span(rank) if TRACER.enabled else None
+        if last is not None:
+            where += f"; last trace span: {last}"
+        details.append(f"  rank {rank}: {where}")
+    return SpmdDeadlockError(
+        f"SPMD deadlock: rank(s) {list(stuck)} still running after "
+        f"{wall_budget:.1f}s wall clock; some ranks diverged from "
+        "the common collective order:\n" + "\n".join(details),
+        stuck_ranks=stuck,
+    )
+
+
+def _raise_first(errors: list[tuple[int, BaseException]], aborted: list[int],
+                 where: str = "") -> None:
+    """Re-raise the lowest failing rank's exception, noting the rank.
+
+    ``aborted`` are the ranks that unwound on the abort event; with no
+    failure to explain them that is itself an error.
+    """
+    if errors:
+        rank, first = min(errors, key=lambda pair: pair[0])
+        first.add_note(f"raised on SPMD rank {rank}{where}")
+        raise first from None
+    if aborted:
+        raise RuntimeError(
+            f"rank(s) {aborted} unwound through an abort with no failure "
+            "recorded anywhere (unexpected state)"
+        )
 
 
 def run_spmd(
@@ -152,37 +212,23 @@ def run_spmd(
     """
     world = World(size, machine=machine, seed=seed, sanitize=sanitize)
     TRACER.annotate_header(backend="spmd", p=size)
-
     if size == 1:
-        # Fast path: no threads needed; barriers over one rank are no-ops.
-        result = program(world.comm(0), *args, **kwargs)
-        _emit_rank_memory(size, shared=True)
-        return SpmdResult([result], float(world.sim_time.max()), world.sim_time.copy(),
-                          world.stats)
+        return _run_inline(world, program, args, kwargs, shared=True)
 
-    results: list[Any] = [None] * size
+    reports: list[Any] = [None] * size
     errors: list[tuple[int, BaseException]] = []
-    error_lock = threading.Lock()
 
     def run_rank(rank: int) -> None:
         comm = world.comm(rank)
         try:
-            results[rank] = program(comm, *args, **kwargs)
-        except threading.BrokenBarrierError as exc:
-            # Quiet only when the break is the *echo* of a failure some
-            # other rank already recorded (or of the watchdog's abort).
-            # A broken barrier with no recorded failure is itself the
-            # first failure — e.g. a program aborting the barrier
-            # directly — and swallowing it would lose the only evidence.
-            with error_lock:
-                if not world.aborted and not errors:
-                    errors.append((rank, exc))
-            if not world.aborted:
-                world.abort()
+            result = program(comm, *args, **kwargs)
+        except _Aborted:
+            return  # the echo of a failure recorded elsewhere
         except BaseException as exc:  # noqa: BLE001 - must propagate any failure
-            with error_lock:
-                errors.append((rank, exc))
-            world.abort()
+            errors.append((rank, exc))
+            world.abort()  # unblock the sibling ranks
+            return
+        reports[rank] = (result, comm.sim_time, comm.stats)
 
     threads = [
         threading.Thread(target=run_rank, args=(rank,), name=f"pe-{rank}", daemon=True)
@@ -192,53 +238,21 @@ def run_spmd(
         t.start()
 
     wall_budget = _resolve_timeout(timeout)
-    if wall_budget is None:
+    deadline = None if wall_budget is None else time.monotonic() + wall_budget
+    for t in threads:
+        t.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+    stuck = tuple(rank for rank, t in enumerate(threads) if t.is_alive())
+    if stuck:
+        # A failure recorded by some rank wins over the deadlock report.
+        deadlock = None if errors else _deadlock_error(world, stuck, wall_budget)
+        world.abort()  # the stuck ranks unwind at their next poll
         for t in threads:
-            t.join()
-    else:
-        deadline = time.monotonic() + wall_budget
-        for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-        stuck = tuple(rank for rank, t in enumerate(threads) if t.is_alive())
-        if stuck and not errors:
-            waiting = world.barrier.n_waiting
-            details = []
-            for rank in stuck:
-                progress = world.progress[rank]
-                where = (
-                    f"last entered collective #{progress[1]} ({progress[0]})"
-                    if progress is not None
-                    else "before its first collective"
-                )
-                if TRACER.enabled:
-                    last = TRACER.last_span(rank)
-                    if last is not None:
-                        where += f"; last trace span: {last}"
-                details.append(f"  rank {rank}: {where}")
-            world.abort()  # break the barrier so the stuck ranks unwind
-            for t in threads:
-                t.join(1.0)
-            raise SpmdDeadlockError(
-                f"SPMD deadlock: rank(s) {list(stuck)} still running after "
-                f"{wall_budget:.1f}s wall clock ({waiting}/{size} ranks waiting "
-                "at the barrier); some ranks diverged from the common "
-                "collective order:\n" + "\n".join(details),
-                stuck_ranks=stuck,
-            )
-        if stuck:
-            # A rank failed *and* others are wedged: abort and re-raise the
-            # original failure below.
-            world.abort()
-            for t in threads:
-                t.join(1.0)
-
-    if errors:
-        rank, first = min(errors, key=lambda pair: pair[0])
-        first.add_note(f"raised on SPMD rank {rank}")
-        raise first from None
-
+            t.join(1.0)
+        if deadlock is not None:
+            raise deadlock
+    _raise_first(errors, [r for r, report in enumerate(reports) if report is None])
     _emit_rank_memory(size, shared=True)
-    return SpmdResult(results, float(world.sim_time.max()), world.sim_time.copy(), world.stats)
+    return SpmdResult.from_reports(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +268,7 @@ class _WorkerSpec:
     """Everything one spawned worker needs (picklable at spawn)."""
 
     rank: int
-    world: ProcWorld
+    world: World
     program: bytes  # pickled rank-parametric program
     payload: bytes  # pickled (args, kwargs)
     graph_handle: SharedCSRHandle | None
@@ -273,7 +287,7 @@ def _proc_worker(spec: _WorkerSpec) -> None:
         TRACER._wall_origin = spec.wall_origin
     status = "ok"
     result: Any = None
-    comm: ProcComm | None = None
+    comm: SimComm | None = None
     store: SharedMemoryStore | None = None
     try:
         native.adopt(spec.lp_kernel)
@@ -283,14 +297,14 @@ def _proc_worker(spec: _WorkerSpec) -> None:
             # Read-only zero-copy views; the segments belong to the parent.
             store = SharedMemoryStore.attach(spec.graph_handle)
             args = (Graph.from_store(store), *args)
-        comm = ProcComm(spec.world, spec.rank)
+        comm = spec.world.comm(spec.rank)
         result = program(comm, *args, **kwargs)
     except _Aborted:
         status = "aborted"
     except BaseException as exc:  # noqa: BLE001 - must propagate any failure
         status = "err"
         result = exc
-        spec.world.abort.set()  # unblock the sibling ranks
+        spec.world.abort()  # unblock the sibling ranks
     sim_time = comm.sim_time if comm is not None else 0.0
     stats = comm.stats if comm is not None else CommStats()
     if spec.trace:
@@ -316,7 +330,8 @@ def _proc_worker(spec: _WorkerSpec) -> None:
         # Abort path: don't let unflushed hub answers block process exit.
         # (On the clean path the feeder must flush — a sibling may still
         # be waiting on the final collective's answer.)
-        spec.world.cancel_feeders()
+        for q in (spec.world.up_queue, *spec.world.down_queues):
+            q.cancel_join_thread()
     del store  # keep the shm views alive until the program returned
 
 
@@ -335,8 +350,7 @@ def run_spmd_processes(
 
     Mirrors :func:`run_spmd` — same program contract, same
     ``sanitize``/``timeout`` resolution, same :class:`SpmdResult` — but
-    the ranks are ``multiprocessing`` workers under the spawn context,
-    each talking to a queue-backed :class:`~repro.dist.proc_comm.ProcComm`.
+    the ranks are ``multiprocessing`` workers under the spawn context.
 
     ``program`` and its arguments must be picklable (module-level
     functions; no closures).  When ``graph`` is given, its CSR arrays
@@ -346,7 +360,7 @@ def run_spmd_processes(
     segments on every exit path, including worker crashes.
 
     The deadlock watchdog joins on a wall-clock budget and raises
-    :class:`SpmdDeadlockError` naming the stuck ranks via the shared
+    :class:`SpmdDeadlockError` naming the stuck ranks via the world's
     progress table; a worker that dies without reporting raises with
     its rank and exit code.  Per-rank simulated clocks and
     :class:`~repro.dist.comm.CommStats` are bit-identical to
@@ -354,19 +368,15 @@ def run_spmd_processes(
     wall clock differs, which is the point.
     """
     wall_budget = _resolve_timeout(timeout)
-    ctx = multiprocessing.get_context("spawn")
-    world = make_proc_world(ctx, size, machine, seed, sanitize)
     TRACER.annotate_header(backend="process", p=size)
-
     if size == 1:
-        # Fast path: one rank needs no processes (and no shm round trip).
-        comm = ProcComm(world, 0)
+        # One rank needs no processes (and no shm round trip).
+        world = World(size, machine=machine, seed=seed, sanitize=sanitize)
         call_args = args if graph is None else (graph, *args)
-        result = program(comm, *call_args, **kwargs)
-        _emit_rank_memory(size, shared=False)
-        return SpmdResult([result], comm.sim_time,
-                          np.array([comm.sim_time]), [comm.stats])
+        return _run_inline(world, program, call_args, kwargs, shared=False)
 
+    ctx = multiprocessing.get_context("spawn")
+    world = World(size, machine=machine, seed=seed, sanitize=sanitize, ctx=ctx)
     # Build (or find) the compiled LP kernel here, once, so p ranks on a
     # cold cache do not each run the compiler.
     lp_kernel = native.resolve()
@@ -424,7 +434,7 @@ def run_spmd_processes(
             pending.discard(rank)
 
         if crashed:
-            world.abort.set()
+            world.abort()
             codes = ", ".join(
                 f"rank {r} (exit code {procs[r].exitcode})" for r in crashed
             )
@@ -433,25 +443,11 @@ def run_spmd_processes(
                 f"{codes}; {len(pending)}/{size} ranks never finished"
             )
         if stuck:
-            world.abort.set()
-            details = []
-            for rank in stuck:
-                progress = world.progress(rank)
-                where = (
-                    f"last entered collective #{progress[1]} ({progress[0]})"
-                    if progress is not None
-                    else "before its first collective"
-                )
-                details.append(f"  rank {rank}: {where}")
-            raise SpmdDeadlockError(
-                f"SPMD deadlock: rank(s) {list(stuck)} still running after "
-                f"{wall_budget:.1f}s wall clock; some ranks diverged from "
-                "the common collective order:\n" + "\n".join(details),
-                stuck_ranks=stuck,
-            )
+            world.abort()
+            raise _deadlock_error(world, stuck, wall_budget)
     finally:
         if len(outcomes) < size:
-            world.abort.set()  # some rank never reported; unwind the rest
+            world.abort()  # some rank never reported; unwind the rest
         for proc in procs:
             proc.join(timeout=1.0)
         for proc in procs:
@@ -463,24 +459,12 @@ def run_spmd_processes(
         if shared is not None:
             shared.unlink()
 
-    errors = [
-        (rank, out[1]) for rank, out in sorted(outcomes.items())
-        if out[0] == "err"
-    ]
-    if errors:
-        rank, first = errors[0]
-        first.add_note(f"raised on SPMD rank {rank} (process backend)")
-        raise first from None
-    if any(out[0] != "ok" for out in outcomes.values()):
-        aborted = sorted(r for r, out in outcomes.items() if out[0] != "ok")
-        raise RuntimeError(
-            f"rank(s) {aborted} unwound through an abort with no failure "
-            "recorded anywhere (unexpected state)"
-        )
+    _raise_first(
+        [(rank, out[1]) for rank, out in outcomes.items() if out[0] == "err"],
+        sorted(rank for rank, out in outcomes.items() if out[0] == "aborted"),
+        where=" (process backend)",
+    )
     if TRACER.enabled:
         for rank in range(size):
             TRACER.absorb(outcomes[rank][4])
-    per_rank = [outcomes[rank][1] for rank in range(size)]
-    sim_times = np.array([outcomes[rank][2] for rank in range(size)])
-    stats = [outcomes[rank][3] for rank in range(size)]
-    return SpmdResult(per_rank, float(sim_times.max()), sim_times, stats)
+    return SpmdResult.from_reports([outcomes[rank][1:4] for rank in range(size)])

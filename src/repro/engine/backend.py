@@ -12,13 +12,12 @@ bind it to the two substrates the paper contrasts:
 * :class:`SpmdBackend` — a :class:`~repro.dist.dgraph.DistGraph` under a
   communicator: ghost CSR with halo exchange, delta interface-label
   exchange, allreduce block weights, and simulated-time work accounting.
-  It touches only the collective surface, so the same class serves the
-  thread ranks (:class:`~repro.dist.comm.SimComm`) and the OS-process
-  ranks (:class:`~repro.dist.proc_comm.ProcComm`).
+  The communicator is a :class:`~repro.dist.comm.SimComm` whether the
+  ranks are threads or OS processes.
 
 Every backend method that communicates is *collective over the backend's
 communicator*: the driver calls them unconditionally on every rank, so
-the lock-step protocol of the simulated runtime is preserved by
+the common collective order the runtime's hub relies on is preserved by
 construction.
 """
 

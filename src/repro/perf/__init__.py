@@ -2,11 +2,9 @@
 
 from .machine import MACHINE_A, MACHINE_B, SERIAL, Machine
 from .memory import MemoryBudget, OutOfMemoryError, estimate_graph_bytes
-from .profiling import HotSpot, hotspots, profile_call
 from .rss import current_rss_bytes, memory_probe, memory_sample, peak_rss_bytes
 
 __all__ = [
-    "HotSpot",
     "MACHINE_A",
     "MACHINE_B",
     "SERIAL",
@@ -15,9 +13,7 @@ __all__ = [
     "OutOfMemoryError",
     "current_rss_bytes",
     "estimate_graph_bytes",
-    "hotspots",
     "memory_probe",
     "memory_sample",
     "peak_rss_bytes",
-    "profile_call",
 ]

@@ -3,19 +3,21 @@
 Lint fixture — never imported.
 """
 
+import random
+
 
 def suppressed_by_code(comm):
     if comm.rank == 0:
         comm.barrier()  # repro: noqa[SPMD-DIV] fixture: deliberately divergent
 
 
-def suppressed_all_rules(world):
-    world.slots[0] = 1  # repro: noqa
+def suppressed_all_rules():
+    return random.random()  # repro: noqa
 
 
-def suppressed_two_codes(comm, world):
+def suppressed_two_codes(comm):
     if comm.rank == 0:
-        world.slots[0] = comm.bcast(1)  # repro: noqa[SPMD-DIV, MUT-SHARED]
+        comm.bcast(random.random())  # repro: noqa[SPMD-DIV, RNG-GLOBAL]
 
 
 def wrong_code_still_reported(comm):

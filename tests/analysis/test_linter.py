@@ -2,7 +2,7 @@
 
 The fixture corpus under ``fixtures/`` carries its own oracle: every
 line that must be flagged ends in a marker comment (``# DIV:``,
-``# RNG:``, ``# MUT:``, ``# WORK-MISS:``), so the expected finding set is
+``# RNG:``, ``# WORK-MISS:``), so the expected finding set is
 read straight from the file and cannot drift from the code.
 """
 
@@ -24,7 +24,6 @@ _MARKERS = {
     "# WORK-MISS": "WORK-MISS",
     "# DIV": "SPMD-DIV",
     "# RNG": "RNG-GLOBAL",
-    "# MUT": "MUT-SHARED",
 }
 
 
@@ -43,15 +42,14 @@ def actual_findings(path: Path) -> set[tuple[int, str]]:
 
 
 class TestRuleCorpus:
-    @pytest.mark.parametrize("name", ["div_bad.py", "rng_bad.py", "mut_bad.py",
-                                      "work_miss.py"])
+    @pytest.mark.parametrize("name", ["div_bad.py", "rng_bad.py", "work_miss.py"])
     def test_bad_fixtures_flag_exactly_the_marked_lines(self, name):
         path = FIXTURES / name
         expected = expected_findings(path)
         assert expected, f"fixture {name} has no expected-finding markers"
         assert actual_findings(path) == expected
 
-    @pytest.mark.parametrize("name", ["div_ok.py", "rng_ok.py", "mut_ok.py"])
+    @pytest.mark.parametrize("name", ["div_ok.py", "rng_ok.py"])
     def test_good_fixtures_are_clean(self, name):
         assert actual_findings(FIXTURES / name) == set()
 
@@ -61,7 +59,7 @@ class TestRuleCorpus:
         assert all(f.severity is Severity.ADVICE for f in findings)
 
     def test_error_rules_are_errors(self):
-        for name in ("div_bad.py", "rng_bad.py", "mut_bad.py"):
+        for name in ("div_bad.py", "rng_bad.py"):
             for finding in lint_file(FIXTURES / name):
                 assert finding.severity is Severity.ERROR
 
@@ -70,46 +68,44 @@ class TestNoqa:
     def test_suppressions(self):
         findings = lint_file(FIXTURES / "noqa_cases.py")
         # Only the wrong-code case survives; everything else is noqa'd.
-        assert [(f.line, f.code) for f in findings] == [(23, "SPMD-DIV")]
+        assert [(f.line, f.code) for f in findings] == [(25, "SPMD-DIV")]
 
     def test_bare_noqa_suppresses_everything(self):
-        source = "def f(world):\n    world.slots[0] = 1  # repro: noqa\n"
+        source = "import random\nx = random.random()  # repro: noqa\n"
         assert lint_source(source) == []
 
     def test_code_list_is_case_insensitive(self):
-        source = (
-            "def f(world):\n"
-            "    world.slots[0] = 1  # repro: noqa[mut-shared]\n"
-        )
+        source = "import random\nx = random.random()  # repro: noqa[rng-global]\n"
         assert lint_source(source) == []
 
     def test_noqa_inside_a_string_literal_is_data_not_suppression(self):
         source = (
-            "def f(world):\n"
-            "    world.slots[0] = '# repro: noqa'  # a comment, not a noqa\n"
+            "import random\n"
+            "x = random.choice(['# repro: noqa'])  # a comment, not a noqa\n"
         )
         findings = lint_source(source)
-        assert [(f.line, f.code) for f in findings] == [(2, "MUT-SHARED")]
+        assert [(f.line, f.code) for f in findings] == [(2, "RNG-GLOBAL")]
 
     def test_noqa_on_closing_line_of_multiline_statement(self):
         # The finding is reported at the statement's first line; the
         # suppression sits on its last.  Statement line spans bridge them.
         source = (
-            "def f(world, compute):\n"
-            "    world.slots[0] = compute(\n"
-            "        1,\n"
-            "        2,\n"
-            "    )  # repro: noqa[MUT-SHARED] the test rig owns this world\n"
+            "import random\n"
+            "x = random.randint(\n"
+            "    1,\n"
+            "    2,\n"
+            ")  # repro: noqa[RNG-GLOBAL] the test rig seeds the module RNG\n"
         )
         assert lint_source(source) == []
 
     def test_noqa_on_compound_header_does_not_blanket_the_body(self):
         source = (
-            "def f(world):  # repro: noqa\n"
-            "    world.slots[0] = 1\n"
+            "import random\n"
+            "def f():  # repro: noqa\n"
+            "    return random.random()\n"
         )
         findings = lint_source(source)
-        assert [(f.line, f.code) for f in findings] == [(2, "MUT-SHARED")]
+        assert [(f.line, f.code) for f in findings] == [(3, "RNG-GLOBAL")]
 
     def test_justification_text_is_preserved(self):
         from repro.analysis.noqa import parse_suppressions
@@ -132,8 +128,8 @@ class TestStrictNoqa:
 
     def test_used_suppression_is_not_reported(self):
         source = (
-            "def f(world):\n"
-            "    world.slots[0] = 1  # repro: noqa[MUT-SHARED] rig owns it\n"
+            "import random\n"
+            "x = random.random()  # repro: noqa[RNG-GLOBAL] rig seeds it\n"
         )
         assert lint_source(source, strict_noqa=True) == []
 
@@ -204,12 +200,12 @@ class TestEngine:
     def test_lint_paths_walks_directories(self):
         findings = lint_paths([FIXTURES])
         files = {Path(f.path).name for f in findings}
-        assert {"div_bad.py", "rng_bad.py", "mut_bad.py", "work_miss.py"} <= files
+        assert {"div_bad.py", "rng_bad.py", "work_miss.py"} <= files
         assert "div_ok.py" not in files
 
     def test_select_filters_codes(self):
-        findings = lint_paths([FIXTURES], select=["MUT-SHARED"])
-        assert findings and all(f.code == "MUT-SHARED" for f in findings)
+        findings = lint_paths([FIXTURES], select=["RNG-GLOBAL"])
+        assert findings and all(f.code == "RNG-GLOBAL" for f in findings)
 
     def test_missing_path_is_exit_2(self):
         stream = io.StringIO()
@@ -232,7 +228,7 @@ class TestCli:
         code = analysis_main(["lint", str(FIXTURES)])
         assert code == 1
         out = capsys.readouterr().out
-        assert "SPMD-DIV" in out and "RNG-GLOBAL" in out and "MUT-SHARED" in out
+        assert "SPMD-DIV" in out and "RNG-GLOBAL" in out and "MUT-BUF" in out
         assert "div_bad.py:9:" in out  # file:line:col locations
         assert "error(s)" in out
 
@@ -252,13 +248,13 @@ class TestCli:
         assert "WORK-MISS" not in capsys.readouterr().out
 
     def test_fixit_hints(self, capsys):
-        analysis_main(["lint", "--fixit", str(FIXTURES / "mut_bad.py")])
+        analysis_main(["lint", "--fixit", str(FIXTURES / "rng_bad.py")])
         assert "fix:" in capsys.readouterr().out
 
     def test_rules_listing(self, capsys):
         assert analysis_main(["rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SPMD-DIV", "RNG-GLOBAL", "MUT-SHARED", "WORK-MISS"):
+        for code in ("SPMD-DIV", "RNG-GLOBAL", "MUT-BUF", "WORK-MISS"):
             assert code in out
 
     def test_repro_cli_lint_subcommand(self, capsys):

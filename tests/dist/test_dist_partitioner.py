@@ -105,6 +105,12 @@ class TestPublicApi:
         with pytest.raises(ValueError, match="preset"):
             partition_graph(g, k=2, preset="turbo")
 
+    def test_config_with_a_different_k_is_rejected(self):
+        # Used to return config.k = 4 blocks for a k = 8 request, silently.
+        g = rgg(8, seed=0)
+        with pytest.raises(ValueError, match=r"k=8.*config\.k=4"):
+            partition_graph(g, 8, config=fast_config(k=4))
+
     def test_planted_partition_quality(self):
         g, truth = planted_partition(2, 128, p_in=0.25, p_out=0.01, seed=0)
         # planted graphs have Poisson-ish degrees, so auto-detection would

@@ -94,14 +94,6 @@ def _raise_on_rank_2(comm):
     return comm.allgather(comm.rank)
 
 
-def _abort_own_barrier(comm):
-    # A program that breaks the barrier *itself* — the resulting
-    # BrokenBarrierError is the first failure, not an echo of one.
-    if comm.rank == 1:  # repro: noqa[SPMD-DIV] fixture: deliberate abort
-        comm.world.barrier.abort()
-    return comm.barrier()
-
-
 VALUES = [10, 20, 30, 40]
 
 
@@ -190,22 +182,10 @@ class TestThreadRuntimeFailures:
         assert exc.value.__notes__ == ["raised on SPMD rank 2"]
 
     def test_echo_broken_barriers_are_swallowed(self):
-        # Ranks 0/1/3 see BrokenBarrierError only because rank 2 failed;
-        # the original failure must win, not the echo.
+        # Ranks 0/1/3 unwind only because rank 2 failed and set the abort
+        # event; the original failure must win, not the echo.
         with pytest.raises(ValueError, match="rank 2 exploded"):
             run_spmd(4, _raise_on_rank_2)
-
-    def test_program_aborting_its_own_barrier_is_a_real_failure(self):
-        # No other rank recorded an error, so the BrokenBarrierError is
-        # itself the first failure — it must propagate with a rank note,
-        # not be swallowed as an echo.
-        import threading
-
-        with pytest.raises(threading.BrokenBarrierError) as exc:
-            run_spmd(2, _abort_own_barrier, sanitize=False)
-        notes = getattr(exc.value, "__notes__", [])
-        assert len(notes) == 1
-        assert notes[0].startswith("raised on SPMD rank ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Tests for the runtime collective-order sanitizer and deadlock watchdog.
 
-Three violation programs, each caught with rank attribution:
+Two violation programs, each caught with rank attribution:
 
 * collective-order divergence  -> ``CollectiveMismatchError``
 * partial-rank collective      -> ``CollectiveMismatchError``
-* direct ``World.slots`` write -> ``SharedStateMutationError``
 
-plus the ``run_spmd`` barrier-timeout watchdog (``SpmdDeadlockError``)
+plus the ``run_spmd`` join-timeout watchdog (``SpmdDeadlockError``)
 and the transparency guarantee: sanitizing never changes results or
 simulated clocks of a correct program.
 """
@@ -18,7 +17,6 @@ import pytest
 
 from repro.dist import (
     CollectiveMismatchError,
-    SharedStateMutationError,
     SimComm,
     SpmdDeadlockError,
     World,
@@ -44,11 +42,6 @@ def _partial_collective(comm):
     if comm.rank == 0:  # repro: noqa[SPMD-DIV] fixture: deliberately divergent
         comm.barrier()
     comm.allgather(comm.rank)
-
-
-def _direct_mutation(comm):
-    comm.world.slots[comm.rank] = "oops"  # repro: noqa[MUT-SHARED] fixture
-    comm.barrier()
 
 
 def _early_return(comm):
@@ -86,31 +79,14 @@ class TestCollectiveOrderSanitizer:
         assert "test_sanitizer.py" in str(exc.value)
 
     def test_divergence_not_caught_when_sanitizer_off(self):
-        # Same op *count* on every rank, so the lock-step barriers still
-        # line up and the bug sails through silently — the motivation for
-        # the sanitizer.
+        # Same op *count* on every rank, so the hub's gathers still line
+        # up and the bug sails through silently — the motivation for the
+        # sanitizer.
         run_spmd(4, _order_divergence, sanitize=False, timeout=30.0)
 
 
 class TestSharedStateGuard:
-    def test_direct_slot_write_is_caught_with_rank(self):
-        with pytest.raises(SharedStateMutationError) as exc:
-            run_spmd(2, _direct_mutation, sanitize=True)
-        msg = str(exc.value)
-        assert "World.slots" in msg
-        assert "rank 0" in msg or "rank 1" in msg
-        assert "MUT-SHARED" in msg
-
-    def test_direct_write_allowed_when_sanitizer_off(self):
-        run_spmd(2, _direct_mutation, sanitize=False)
-
-    def test_sim_time_view_is_read_only_under_sanitize(self):
-        world = World(2, sanitize=True)
-        with pytest.raises(ValueError):
-            world.sim_time[0] = 1.0
-
     def test_collectives_still_work_through_the_guard(self):
-        # SimComm's own slot writes must pass the guard transparently.
         out = run_spmd(3, lambda comm: comm.allgather(comm.rank), sanitize=True)
         assert out.per_rank == [[0, 1, 2]] * 3
 
@@ -138,16 +114,16 @@ class TestTransparency:
 class TestEnvResolution:
     def test_env_var_enables_sanitizer(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        with pytest.raises(SharedStateMutationError):
-            run_spmd(2, _direct_mutation)
+        with pytest.raises(CollectiveMismatchError):
+            run_spmd(2, _order_divergence)
 
     def test_explicit_arg_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        run_spmd(2, _direct_mutation, sanitize=False)
+        run_spmd(2, _order_divergence, sanitize=False)
 
     def test_env_off_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "0")
-        run_spmd(2, _direct_mutation)
+        run_spmd(2, _order_divergence)
 
 
 class TestDeadlockWatchdog:
@@ -177,23 +153,6 @@ class TestDeadlockWatchdog:
 
         with pytest.raises(ValueError, match="boom"):
             run_spmd(2, _rank0_raises, timeout=1.0)
-
-
-class TestWorldLocalAttribution:
-    def test_mutation_error_names_the_offending_rank(self):
-        seen = []
-
-        def _probe(comm):
-            try:
-                comm.world.slots[0] = 1  # repro: noqa[MUT-SHARED] fixture
-            except SharedStateMutationError as err:
-                seen.append((comm.rank, str(err)))
-            comm.barrier()
-
-        run_spmd(3, _probe, sanitize=True)
-        assert len(seen) == 3
-        for rank, msg in seen:
-            assert f"rank {rank} " in msg
 
 
 def _make_comm(sanitize=False):

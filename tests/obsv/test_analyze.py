@@ -278,10 +278,12 @@ def test_cli_analyze_runs_each_analysis_once(traced_run, tmp_path, monkeypatch,
 
 
 def test_cli_report_verb_is_gone(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["report", "x"])
-    assert exit_info.value.code == 2
-    assert "invalid choice: 'report'" in capsys.readouterr().err
+    # `repro analyze` is the one reader, `--trace` the one way to record.
+    for verb in ("report", "trace"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "x"])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
