@@ -381,28 +381,29 @@ def run_spmd_processes(
     # cold cache do not each run the compiler.
     lp_kernel = native.resolve()
     TRACER.annotate_header(**lp_kernel.header())
-    shared = SharedMemoryStore.create(graph) if graph is not None else None
-    result_queue = ctx.Queue()
     prog_bytes = pickle.dumps(program)
     payload = pickle.dumps((args, kwargs))
-    specs = [
-        _WorkerSpec(
-            rank=rank, world=world, program=prog_bytes, payload=payload,
-            graph_handle=None if shared is None else shared.handle,
-            lp_kernel=lp_kernel, result_queue=result_queue, trace=TRACER.enabled,
-            wall_origin=TRACER._wall_origin,
-        )
-        for rank in range(size)
-    ]
-    procs = [
-        ctx.Process(target=_proc_worker, args=(spec,), name=f"pe-{spec.rank}",
-                    daemon=True)
-        for spec in specs
-    ]
+    result_queue = ctx.Queue()
+    # From here on every path, a failing ``start()`` included, reaches the
+    # ``finally`` below: the segments are the parent's to unlink.
+    shared = SharedMemoryStore.create(graph) if graph is not None else None
+    procs: list = []
     outcomes: dict[int, tuple] = {}
     try:
-        for proc in procs:
+        for rank in range(size):
+            spec = _WorkerSpec(
+                rank=rank, world=world, program=prog_bytes, payload=payload,
+                graph_handle=None if shared is None else shared.handle,
+                lp_kernel=lp_kernel, result_queue=result_queue,
+                trace=TRACER.enabled, wall_origin=TRACER._wall_origin,
+            )
+            proc = ctx.Process(target=_proc_worker, args=(spec,),
+                               name=f"pe-{rank}", daemon=True)
+            # Listed only once started: a rank whose start() raised (an
+            # unpicklable spec, EAGAIN, an unguarded __main__) cannot be
+            # joined, and the error to report is that one.
             proc.start()
+            procs.append(proc)
         deadline = None if wall_budget is None else time.monotonic() + wall_budget
         pending = set(range(size))
         crashed: list[int] = []
@@ -446,18 +447,20 @@ def run_spmd_processes(
             world.abort()
             raise _deadlock_error(world, stuck, wall_budget)
     finally:
-        if len(outcomes) < size:
-            world.abort()  # some rank never reported; unwind the rest
-        for proc in procs:
-            proc.join(timeout=1.0)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
+        try:
+            if len(outcomes) < size:
+                world.abort()  # some rank never reported; unwind the rest
+            for proc in procs:
                 proc.join(timeout=1.0)
-        for q in (result_queue, world.up_queue, *world.down_queues):
-            q.close()
-        if shared is not None:
-            shared.unlink()
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(timeout=1.0)
+            for q in (result_queue, world.up_queue, *world.down_queues):
+                q.close()
+        finally:
+            if shared is not None:
+                shared.unlink()
 
     _raise_first(
         [(rank, out[1]) for rank, out in outcomes.items() if out[0] == "err"],

@@ -1,15 +1,21 @@
-/* Fused SCLP chunk scan (see repro/engine/native.py and docs/algorithms.md).
+/* Fused SCLP scan (see repro/engine/native.py and docs/algorithms.md).
  *
- * For every node of a chunk: accumulate the connection strength to each
- * neighbouring label in a dense accumulator with a touched list (linear in
- * the node's degree, no sort), decide each touched label's eligibility, pick
- * the (strength, tie hash, smallest label) optimum among the eligible ones
- * and flag the node risky when an ineligible label would win were it
- * eligible.  Bit-identical to repro.engine.kernels.scan_chunk, which is the
- * fallback and the test oracle; arc weights are non-negative there and here.
+ * scan_chunk: for every node of a chunk, accumulate the connection strength
+ * to each neighbouring label in a dense accumulator with a touched list
+ * (linear in the node's degree, no sort), decide each touched label's
+ * eligibility, pick the (strength, tie hash, smallest label) optimum among
+ * the eligible ones and flag the node risky when an ineligible label would
+ * win were it eligible.  Bit-identical to repro.engine.kernels.scan_chunk,
+ * which is the fallback and the test oracle; arc weights are non-negative
+ * there and here.
+ *
+ * scan_phase: one whole phase over a resident CSR -- the chunk loop of
+ * repro.engine.sclp.run_sclp (window, scan_chunk, capped-inflow commit,
+ * frontier marking, isolated nodes), statement for statement; that loop is
+ * its fallback and its oracle.  The chunk stays the staleness unit.
  *
  * Plain C99, no dependencies.  Built with -O2 only: no -march=native and no
- * fast-math, so the one floating-point comparison below is IEEE-exact.
+ * fast-math, so the floating-point comparisons below are IEEE-exact.
  */
 #include <stdint.h>
 
@@ -141,4 +147,196 @@ int64_t scan_chunk(
         risky[i] = (uint8_t)r;
     }
     return arcs;
+}
+
+/* One run_sclp call's tables, filled by repro.engine.native.PhaseScan: the
+ * graph and the persistent arrays once per call, cap/exact/evict_budget and
+ * the frontier masks once per phase.  Every field is 8 bytes wide. */
+typedef struct {
+    int64_t n_local, n_total, n_arcs; /* owned nodes, node slots, arcs */
+    const int64_t *xadj, *nbr, *wgt;  /* CSR over the owned nodes */
+    const int64_t *vwgt;              /* n_total */
+    const int64_t *constraint;        /* n_total, or NULL */
+    const uint8_t *interface;         /* n_local */
+    int64_t *labels;                  /* n_total */
+    int64_t space, bound, refine;
+    uint64_t tie_seed;
+    int64_t tie_base;
+    int64_t *used;                    /* space */
+    const void *cap;                  /* space; int64 or float64 */
+    int64_t cap_is_float;
+    const int64_t *exact;             /* space; NULL unless budget shares */
+    int64_t *local_out;               /* space; with exact */
+    const double *evict_budget;       /* space; with exact */
+    uint8_t *active, *next_active;    /* n_local; NULL on a full sweep */
+    uint8_t *changed_mask;            /* n_local */
+    int64_t *acc;                     /* space, zero on entry and return */
+    uint8_t *mark;                    /* likewise */
+    int64_t *touched;                 /* space */
+    /* one window each: connected nodes with their arc ranges, labels at
+     * the window start, decisions; then the window's isolated nodes */
+    int64_t *nodes, *begin, *count, *own, *target, *isolated;
+    uint8_t *risky, *evicting;
+    int64_t moved, scanned, arcs, chunks; /* out */
+} scan_phase_t;
+
+/* The loader refuses a shared object whose struct is not the binding's. */
+int64_t scan_phase_tables_size(void)
+{
+    return (int64_t)sizeof(scan_phase_t);
+}
+
+static inline int fits(const scan_phase_t *p, int64_t weight, int64_t l)
+{
+    if (p->cap_is_float)
+        return (double)weight <= ((const double *)p->cap)[l];
+    return weight <= ((const int64_t *)p->cap)[l];
+}
+
+/* Isolated nodes are useless for the cut but can still repair balance: one
+ * in an overloaded block moves to the lightest block with room (first
+ * minimal), against the live tables. */
+static int rebalance_isolated(scan_phase_t *p, int64_t v)
+{
+    const int64_t *load = p->exact ? p->exact : p->used;
+    const int64_t own = p->labels[v];
+    if ((uint64_t)own >= (uint64_t)p->space)
+        return -1;
+    const int64_t c = p->vwgt[v];
+    if (load[own] <= p->bound
+        || (p->exact && (double)p->local_out[own] >= p->evict_budget[own]))
+        return 0;
+    int64_t best = -1, best_w = 0;
+    for (int64_t l = 0; l < p->space; l++) {
+        if (l == own || !fits(p, p->used[l] + c, l))
+            continue;
+        const int64_t w = p->exact ? p->exact[l] + p->used[l] : p->used[l];
+        if (best < 0 || w < best_w) {
+            best = l;
+            best_w = w;
+        }
+    }
+    if (best < 0)
+        return 0;
+    p->used[own] -= c;
+    p->used[best] += c;
+    if (p->exact)
+        p->local_out[own] += c;
+    p->labels[v] = best;
+    p->moved++;
+    if (p->next_active)
+        p->next_active[v] = 1;
+    if (p->interface[v])
+        p->changed_mask[v] = 1;
+    return 0;
+}
+
+/* Visit order[0 .. n_order) in windows of `chunk`.  Returns 0, or -1 when a
+ * node, arc range, neighbour or label index is out of range (labels may
+ * then hold the windows committed so far; acc/mark are zero either way). */
+int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
+                   int64_t chunk)
+{
+    const int64_t *load = p->exact ? p->exact : p->used;
+    p->moved = p->scanned = p->arcs = p->chunks = 0;
+    if (chunk < 1)
+        return -1;
+    for (int64_t lo = 0; lo < n_order; lo += chunk) {
+        const int64_t hi = n_order - lo < chunk ? n_order : lo + chunk;
+        p->chunks++;
+        int64_t nc = 0, ni = 0;
+        for (int64_t j = lo; j < hi; j++) {
+            const int64_t v = order[j];
+            if ((uint64_t)v >= (uint64_t)p->n_local)
+                return -1;
+            if (p->active && !p->active[v])
+                continue;
+            const int64_t b = p->xadj[v], e = p->xadj[v + 1];
+            if (b < 0 || e < b || e > p->n_arcs)
+                return -1;
+            if (p->refine && e == b) {
+                p->isolated[ni++] = v;
+                continue;
+            }
+            const int64_t own = p->labels[v];
+            if ((uint64_t)own >= (uint64_t)p->space)
+                return -1;
+            /* A node of an overloaded block must leave it (while this PE's
+             * eviction share lasts); anyone else may stay. */
+            p->evicting[nc] = p->refine && load[own] > p->bound
+                && (!p->exact
+                    || (double)p->local_out[own] < p->evict_budget[own]);
+            p->nodes[nc] = v;
+            p->begin[nc] = b;
+            p->count[nc] = e - b;
+            p->own[nc] = own;
+            nc++;
+        }
+        p->scanned += nc + ni;
+        if (nc) {
+            const int64_t arcs = scan_chunk(
+                nc, p->nodes, p->begin, p->count, p->nbr, p->wgt, p->n_total,
+                p->labels, p->constraint, p->vwgt, p->used, p->cap,
+                (int)p->cap_is_float, p->refine ? p->evicting : 0,
+                p->tie_seed, p->tie_base, p->space, p->acc, p->mark,
+                p->touched, p->target, p->risky);
+            if (arcs < 0)
+                return -1;
+            p->arcs += arcs;
+            /* Capped inflow: per target label, the moves in visit order are
+             * cut where used + cumulative weight overruns the window-start
+             * capacity.  risky[i] turns into "node i moves". */
+            int64_t nt = 0;
+            for (int64_t i = 0; i < nc; i++) {
+                const int64_t v = p->nodes[i], t = p->target[i];
+                if (p->next_active && p->risky[i])
+                    p->next_active[v] = 1;
+                p->risky[i] = 0;
+                if (t == p->own[i])
+                    continue;
+                if (!p->mark[t]) {
+                    p->mark[t] = 1;
+                    p->touched[nt++] = t;
+                }
+                p->acc[t] += p->vwgt[v];
+                if (fits(p, p->used[t] + p->acc[t], t))
+                    p->risky[i] = 1;
+                else if (p->next_active)
+                    /* A capped node may succeed once the target drains. */
+                    p->next_active[v] = 1;
+            }
+            clear(p->acc, p->mark, p->touched, nt);
+            for (int64_t i = 0; i < nc; i++) {
+                if (!p->risky[i])
+                    continue;
+                const int64_t v = p->nodes[i], own = p->own[i];
+                const int64_t c = p->vwgt[v];
+                p->used[own] -= c;
+                p->used[p->target[i]] += c;
+                if (p->exact && p->evicting[i])
+                    p->local_out[own] += c;
+                p->labels[v] = p->target[i];
+                if (p->interface[v])
+                    p->changed_mask[v] = 1;
+                p->moved++;
+                if (!p->next_active)
+                    continue;
+                /* The movers' neighbours are rescanned next phase, and by
+                 * the later windows of this one. */
+                p->next_active[v] = 1;
+                const int64_t end = p->begin[i] + p->count[i];
+                for (int64_t a = p->begin[i]; a < end; a++) {
+                    const int64_t u = p->nbr[a];
+                    if (u < p->n_local) {
+                        p->next_active[u] = 1;
+                        p->active[u] = 1;
+                    }
+                }
+            }
+        }
+        for (int64_t j = 0; j < ni; j++)
+            if (rebalance_isolated(p, p->isolated[j]) < 0)
+                return -1;
+    }
+    return 0;
 }

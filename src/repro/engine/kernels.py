@@ -7,7 +7,8 @@ ineligible labels (size bound / budget share), and move to the strongest
 remaining label.  :func:`scan_chunk` does that for a *chunk* of nodes
 at once.  It exists twice with one signature and bit-identical results:
 compiled (:mod:`repro.engine.native`, a dense accumulator per node, what
-runs wherever a C compiler is available) and, here, in NumPy — the
+runs wherever a C compiler is available; there it is one step of
+``scan_phase``, a whole phase per call) and, here, in NumPy — the
 fallback and the oracle the compiled one is tested against:
 
 * neighbour-label aggregation is sort-based: one stable

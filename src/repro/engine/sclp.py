@@ -8,7 +8,11 @@ label it is most strongly connected to, ties broken by a stateless hash
 are committed between chunks.  ``chunk = 1`` is the node-at-a-time
 algorithm of the papers; larger chunks let a node see labels and weights
 that are up to one chunk stale, the same staleness the distributed runs
-already tolerate across PEs.
+already tolerate across PEs.  Over a resident CSR a phase is one
+compiled call (``scan_phase`` of ``_scan.c``, through
+:class:`repro.engine.native.PhaseScan`); the chunk loop written out in
+:func:`run_sclp` is the same code in Python — what runs without a
+compiler and on store-served arcs, and the oracle of the compiled one.
 
 Everything that differs between the sequential and the distributed run
 is either an :class:`~repro.engine.backend.ExecutionBackend` hook (halo
@@ -128,7 +132,7 @@ def run_sclp(
     workspace = IterationWorkspace()
     # Compiled when this host could build it, NumPy otherwise: the two
     # return the same arrays bit for bit, so nothing else depends on it.
-    scan_chunk, resolution = native.select()
+    scan_chunk, phase_scan, resolution = native.select()
     if TRACER.enabled:
         TRACER.annotate_header(**resolution.header())
 
@@ -166,6 +170,24 @@ def run_sclp(
     # The store clamps the request: a sharded store rounds to a divisor
     # of its shard node span so chunk windows do not straddle shard seams.
     chunk = backend.clamp_chunk(chunk)
+    # Which loop runs a phase: one compiled call over a resident CSR, or
+    # the chunk loop below — the fallback, the path of store-served arcs
+    # (gathered per chunk), and the oracle the compiled one is tested
+    # against.  Label-identical, so this too is by availability alone.
+    run_phase = None
+    if phase_scan is None:
+        loop = "python: numpy kernel"
+    elif type(adjncy) is not np.ndarray:
+        loop = "python: store-backed graph"
+    else:
+        loop = "native"
+        run_phase = phase_scan(
+            xadj, adjncy, adjwgt, labels, constraint, vwgt_all, interface,
+            used, local_out, changed_mask, n_local=n_local, space=space,
+            bound=bound, refine=refine, frontier=sweep_frontier,
+            tie_seed=tie_seed, tie_base=tie_base,
+            window=effective_chunk(chunk, scope.size), ws=workspace,
+        )
     for _phase in range(max(0, iterations)):
         order = (
             static_order if static_order is not None
@@ -180,7 +202,7 @@ def run_sclp(
             "lp.iteration", **backend.span_kwargs(), sweep=sweep,
             mode=mode_name, iteration=_phase, chunk_size=phase_chunk,
             constrained=constraint is not None, kernel=resolution.kernel,
-            **span_extra,
+            loop=loop, **span_extra,
         )
         lp_span.__enter__()
         if shares:
@@ -197,96 +219,99 @@ def run_sclp(
                 active |= np.isin(labels[:n_local], over)
         changed_mask.fill(False)
         next_active.fill(False)
-        arcs_scanned = 0
-        moved = 0
-        scanned = 0
-        n_chunks = 0
-        for lo, hi in chunk_ranges(order.size, phase_chunk):
-            n_chunks += 1
-            nodes = order[lo:hi]
-            if sweep_frontier:
-                nodes = nodes[active[nodes]]
-                if nodes.size == 0:
-                    continue
-            scanned += int(nodes.size)
-            if refine:
-                node_deg = degrees[nodes]
-                connected = nodes[node_deg > 0]
-            else:
-                connected = nodes
-            if connected.size:
-                own = labels[connected]
-                evicting = None
-                if refine:
-                    # A node of an overloaded block must leave it (while
-                    # this PE's eviction share lasts); anyone else may stay.
-                    evicting = load[own] > bound
-                    if shares:
-                        evicting &= local_out[own] < evict_budget[own]
-                target, risky, arcs = scan_chunk(
-                    connected, xadj, adjncy, adjwgt, labels, constraint,
-                    vwgt_all, used, cap, evicting, tie_seed, tie_base,
-                    space, workspace,
-                )
-                arcs_scanned += arcs
+        if run_phase is not None:
+            moved, scanned, arcs_scanned, n_chunks = run_phase(
+                order, phase_chunk, cap, exact, evict_budget, active,
+                next_active,
+            )
+        else:
+            arcs_scanned = moved = scanned = n_chunks = 0
+            for lo, hi in chunk_ranges(order.size, phase_chunk):
+                n_chunks += 1
+                nodes = order[lo:hi]
                 if sweep_frontier:
-                    next_active[connected[risky]] = True
-                moving = np.flatnonzero(target != own)
-                if moving.size:
-                    m_nodes, m_own = connected[moving], own[moving]
-                    m_target, m_c = target[moving], vwgt_all[m_nodes]
-                    keep = capped_inflow_mask(
-                        m_target, m_c, used[m_target], cap[m_target]
+                    nodes = nodes[active[nodes]]
+                    if nodes.size == 0:
+                        continue
+                scanned += int(nodes.size)
+                if refine:
+                    node_deg = degrees[nodes]
+                    connected = nodes[node_deg > 0]
+                else:
+                    connected = nodes
+                if connected.size:
+                    own = labels[connected]
+                    evicting = None
+                    if refine:
+                        # A node of an overloaded block must leave it (while
+                        # this PE's eviction share lasts); anyone else may stay.
+                        evicting = load[own] > bound
+                        if shares:
+                            evicting &= local_out[own] < evict_budget[own]
+                    target, risky, arcs = scan_chunk(
+                        connected, xadj, adjncy, adjwgt, labels, constraint,
+                        vwgt_all, used, cap, evicting, tie_seed, tie_base,
+                        space, workspace,
                     )
+                    arcs_scanned += arcs
                     if sweep_frontier:
-                        # A capped node may succeed once the target drains.
-                        next_active[m_nodes[~keep]] = True
-                    m_nodes, m_own = m_nodes[keep], m_own[keep]
-                    m_target, m_c = m_target[keep], m_c[keep]
-                    np.subtract.at(used, m_own, m_c)
-                    np.add.at(used, m_target, m_c)
-                    if shares:
-                        m_evict = evicting[moving][keep]
-                        np.add.at(local_out, m_own[m_evict], m_c[m_evict])
-                    labels[m_nodes] = m_target
-                    changed_mask[m_nodes[interface[m_nodes]]] = True
-                    moved += int(m_nodes.size)
-                    if sweep_frontier and m_nodes.size:
-                        next_active[m_nodes] = True
-                        nbrs = gather_neighbors(m_nodes, xadj, adjncy)
-                        local_nbrs = nbrs[nbrs < n_local]
-                        next_active[local_nbrs] = True
-                        # Later windows of this phase must rescan the
-                        # movers' neighbours too (within-phase propagation).
-                        active[local_nbrs] = True
-            if refine:
-                # Isolated nodes are useless for the cut but can still
-                # repair balance: one in an overloaded block moves to the
-                # lightest block with room (first minimal; rare, so
-                # node-at-a-time against the live tables).
-                for v in nodes[node_deg == 0].tolist():
-                    own_v = int(labels[v])
-                    c = int(vwgt_all[v])
-                    if load[own_v] <= bound or (
-                        shares and local_out[own_v] >= evict_budget[own_v]
-                    ):
-                        continue
-                    ok = (used + c) <= cap
-                    ok[own_v] = False
-                    if not ok.any():
-                        continue
-                    weight_now = exact + used if shares else used
-                    b = int(np.argmin(np.where(ok, weight_now, _SENTINEL)))
-                    used[own_v] -= c
-                    used[b] += c
-                    if shares:
-                        local_out[own_v] += c
-                    labels[v] = b
-                    moved += 1
-                    if sweep_frontier:
-                        next_active[v] = True
-                    if interface[v]:
-                        changed_mask[v] = True
+                        next_active[connected[risky]] = True
+                    moving = np.flatnonzero(target != own)
+                    if moving.size:
+                        m_nodes, m_own = connected[moving], own[moving]
+                        m_target, m_c = target[moving], vwgt_all[m_nodes]
+                        keep = capped_inflow_mask(
+                            m_target, m_c, used[m_target], cap[m_target]
+                        )
+                        if sweep_frontier:
+                            # A capped node may succeed once the target drains.
+                            next_active[m_nodes[~keep]] = True
+                        m_nodes, m_own = m_nodes[keep], m_own[keep]
+                        m_target, m_c = m_target[keep], m_c[keep]
+                        np.subtract.at(used, m_own, m_c)
+                        np.add.at(used, m_target, m_c)
+                        if shares:
+                            m_evict = evicting[moving][keep]
+                            np.add.at(local_out, m_own[m_evict], m_c[m_evict])
+                        labels[m_nodes] = m_target
+                        changed_mask[m_nodes[interface[m_nodes]]] = True
+                        moved += int(m_nodes.size)
+                        if sweep_frontier and m_nodes.size:
+                            next_active[m_nodes] = True
+                            nbrs = gather_neighbors(m_nodes, xadj, adjncy)
+                            local_nbrs = nbrs[nbrs < n_local]
+                            next_active[local_nbrs] = True
+                            # Later windows of this phase must rescan the
+                            # movers' neighbours too (within-phase propagation).
+                            active[local_nbrs] = True
+                if refine:
+                    # Isolated nodes are useless for the cut but can still
+                    # repair balance: one in an overloaded block moves to the
+                    # lightest block with room (first minimal; rare, so
+                    # node-at-a-time against the live tables).
+                    for v in nodes[node_deg == 0].tolist():
+                        own_v = int(labels[v])
+                        c = int(vwgt_all[v])
+                        if load[own_v] <= bound or (
+                            shares and local_out[own_v] >= evict_budget[own_v]
+                        ):
+                            continue
+                        ok = (used + c) <= cap
+                        ok[own_v] = False
+                        if not ok.any():
+                            continue
+                        weight_now = exact + used if shares else used
+                        b = int(np.argmin(np.where(ok, weight_now, _SENTINEL)))
+                        used[own_v] -= c
+                        used[b] += c
+                        if shares:
+                            local_out[own_v] += c
+                        labels[v] = b
+                        moved += 1
+                        if sweep_frontier:
+                            next_active[v] = True
+                        if interface[v]:
+                            changed_mask[v] = True
         backend.work(arcs_scanned)
 
         ghost_idx, ghost_vals = backend.exchange_labels(labels, changed_mask, delta)

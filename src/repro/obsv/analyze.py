@@ -486,7 +486,7 @@ def rank_load(records: Iterable[dict]) -> dict[int, dict[str, int]]:
 
 def _convergence(lp_spans: list[dict]) -> list[dict[str, Any]]:
     """LP trajectory: one point per (rank 0 / rank-less) lp.iteration span."""
-    keys = ("mode", "iteration", "sweep", "chunk_size", "moved",
+    keys = ("mode", "iteration", "sweep", "chunk_size", "loop", "moved",
             "global_changed", "frontier_frac")
     return [
         {key: (span.get("attrs") or {}).get(key) for key in keys}

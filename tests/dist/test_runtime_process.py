@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import glob
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -144,6 +145,33 @@ class TestSharedCSR:
         # ranks never build the LP kernel, so a killed one leaves no
         # half-written file in its cache
         assert kernel_cache_leftovers() == []
+
+    def test_a_rank_that_fails_to_start(self, monkeypatch):
+        """``start()`` raising on rank 1 (EAGAIN, an unguarded ``__main__``,
+        an unpicklable spec) is the error the caller sees: no join of the
+        ranks that never started, rank 0 stopped, the segments unlinked."""
+        from multiprocessing.context import SpawnProcess
+
+        started = []
+        real_start = SpawnProcess.start
+
+        def start(proc):
+            if proc.name == "pe-1":
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            real_start(proc)
+            started.append(proc)
+
+        monkeypatch.setattr(SpawnProcess, "start", start)
+        with pytest.raises(BlockingIOError, match="temporarily unavailable"):
+            run_spmd_processes(3, _graph_sum, graph=grid_2d(8, 8), timeout=60)
+        assert [proc.name for proc in started] == ["pe-0"]
+        assert not started[0].is_alive()
+        assert _shm_leaks() == []
+
+    def test_an_unpicklable_program_leaves_no_segment(self):
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            run_spmd_processes(2, lambda comm, graph: 0, graph=grid_2d(8, 8))
+        assert _shm_leaks() == []
 
 
 # ---------------------------------------------------------------------------

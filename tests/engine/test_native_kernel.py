@@ -1,26 +1,33 @@
-"""The compiled chunk scan: identity with its NumPy twin, and the loader.
+"""The compiled scan: identity with its Python twins, and the loader.
 
-Three contracts:
+Four contracts:
 
-* ``native.scan_chunk`` and ``kernels.scan_chunk`` return the same
-  ``(target, risky, arcs)`` for every chunk of every regime — checked by
-  running real SCLP calls with *both* kernels evaluated on each chunk;
-* whatever keeps the compiled kernel from loading selects the NumPy one,
-  with exactly one warning naming the cause and unchanged results;
+* a ``run_sclp`` call through ``scan_phase`` (one compiled call per
+  phase) and the same call forced onto the Python chunk loop over the
+  NumPy kernel return the same labels and report the same per-phase
+  ``moved`` / ``arcs`` / ``chunks`` / ``active`` / ``frontier_frac`` /
+  ``global_changed`` — in every regime, sweep and chunk size, on one
+  address space and on SPMD ranks;
+* ``native.scan_chunk`` (what the chunk loop calls on a store-backed
+  graph) and ``kernels.scan_chunk`` return the same ``(target, risky,
+  arcs)``;
+* whatever keeps the compiled kernel from loading selects the NumPy one
+  and the Python loop, with exactly one warning naming the cause and
+  unchanged results;
 * the existing identity suites (oracle, frontier == full, goldens,
-  Local == Spmd == Process) hold on the NumPy kernel too — they run on
-  the compiled one by default, and their small cases run here once more
-  under the ``numpy_kernel`` fixture.
+  Local == Spmd == Process) hold on that fallback too — they run on the
+  compiled phase scan by default, and their small cases run here once
+  more under the ``numpy_kernel`` fixture.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import shutil
 import subprocess
 import sys
 import warnings
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -29,9 +36,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.label_propagation import band_nodes
-from repro.dist import run_spmd
+from repro.dist import DistGraph, balanced_vtxdist, run_spmd
 from repro.dist.runtime import run_spmd_processes
-from repro.engine import LocalBackend, kernels, native, run_sclp
+from repro.engine import LocalBackend, SpmdBackend, kernels, native, run_sclp
 from repro.engine.kernels import IterationWorkspace, candidate_tie_hash
 from repro.generators import grid_2d, rmat
 from repro.graph import from_edges
@@ -56,27 +63,84 @@ def compiled() -> native.Resolution:
     return resolution
 
 
-@contextlib.contextmanager
-def both_kernels():
-    """Every chunk of every ``run_sclp`` call inside is evaluated by the
-    compiled *and* the NumPy kernel on the same snapshot and compared;
-    yields the list of chunk sizes seen."""
-    resolution = compiled()
-    chunks: list[int] = []
+#: what an ``lp.iteration`` span says about its phase, whichever loop ran it
+PHASE_ATTRS = ("mode", "sweep", "iteration", "chunk_size", "moved", "arcs",
+               "chunks", "active", "frontier_frac", "global_changed")
 
-    def checked(*args):
-        target, risky, arcs = native.scan_chunk(*args)
-        want_target, want_risky, want_arcs = kernels.scan_chunk(*args)
-        assert target.dtype == want_target.dtype == np.int64
-        assert risky.dtype == want_risky.dtype == np.bool_
-        np.testing.assert_array_equal(target, want_target)
-        np.testing.assert_array_equal(risky, want_risky)
-        assert arcs == want_arcs and type(arcs) is int
-        chunks.append(int(args[0].size))
-        return target, risky, arcs
 
-    with mock.patch.object(native, "select", lambda: (checked, resolution)):
-        yield chunks
+def traced_lp(fn):
+    """``fn()`` under the tracer: its value, its ``lp.iteration`` spans and
+    the trace header."""
+    TRACER.enable(reset=True)
+    try:
+        value = fn()
+        header = dict(TRACER.header)
+        spans = [
+            r for r in TRACER.snapshot()
+            if r.get("type") == "span" and r.get("name") == "lp.iteration"
+        ]
+    finally:
+        TRACER.disable()
+    return value, spans, header
+
+
+def traced_phases(fn):
+    """``fn()``'s value and, per ``lp.iteration`` span, ``(rank, loop,
+    PHASE_ATTRS...)`` in rank order."""
+    value, spans, _ = traced_lp(fn)
+    phases = [
+        (s.get("rank"), s["attrs"]["loop"], *(s["attrs"][a] for a in PHASE_ATTRS))
+        for s in spans
+    ]
+    return value, sorted(phases, key=lambda row: (row[0] is not None, row[0] or 0))
+
+
+def phase_scan_vs_chunk_loop(fn) -> int:
+    """Run ``fn`` through ``scan_phase`` and forced onto the Python chunk
+    loop over the NumPy kernel; values and per-phase reports must agree.
+    Returns the number of phases compared."""
+    compiled()
+    got, got_phases = traced_phases(fn)
+    with mock.patch.object(
+        native, "_resolution", native.Resolution(None, "the oracle")
+    ):
+        want, want_phases = traced_phases(fn)
+    np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
+    assert {row[1] for row in got_phases} <= {"native"}
+    assert {row[1] for row in want_phases} <= {"python: numpy kernel"}
+    assert [row[2:] for row in got_phases] == [row[2:] for row in want_phases]
+    return len(got_phases)
+
+
+def rank_lp(comm, regime, constrained, chunk, sweep):
+    """One SCLP call on a rank of ``dist_suite.GRAPH``: ghost slots, a
+    non-zero tie base, a constraint with a halo, and (p = 3) budget shares
+    that are not integers — the float ``cap``."""
+    graph = dist_suite.GRAPH
+    dgraph = DistGraph.from_global(
+        graph, balanced_vtxdist(graph.num_nodes, comm.size), comm.rank
+    )
+    owned = slice(dgraph.first, dgraph.first + dgraph.n_local)
+    cons = None
+    if constrained:
+        cons = np.zeros(dgraph.n_total, dtype=np.int64)
+        cons[: dgraph.n_local] = dist_suite.CONSTRAINT[owned]
+        dgraph.halo_exchange(comm, cons)
+    common = dict(constraint=cons, chunk=chunk, pin_sweep=sweep, tie_seed=17)
+    if regime == "cluster":
+        init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
+        labels = run_sclp(SpmdBackend(dgraph, comm), init, 30, 3, **common)
+    else:
+        start = np.random.default_rng(7).integers(0, 4, graph.num_nodes)
+        labels = np.zeros(dgraph.n_total, dtype=np.int64)
+        labels[: dgraph.n_local] = start[owned]
+        dgraph.halo_exchange(comm, labels)
+        labels = run_sclp(
+            SpmdBackend(dgraph, comm), labels, int(graph.vwgt.sum()) // 4 + 8,
+            4, refine=True, shares=regime == "refine-shares", k=4,
+            ordering="random", **common,
+        )
+    return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
 
 class TestNativeMatchesNumpy:
@@ -94,57 +158,90 @@ class TestNativeMatchesNumpy:
     @example(HEAVY_NODE, 1, 4, "refine-live", False, 3, "full", 0)
     @example(HEAVY_NODE, 1, 4, "cluster", True, 16, None, 7)
     @example(WITH_ISOLATED, 2, 2, "refine-shares", True, 3, "frontier", 7)
+    @example(WITH_ISOLATED, 2, 2, "refine-live", False, 16, None, 0)
     def test_generated_graphs(self, graph, seed, k, regime, constrained,
                               chunk, sweep, tie_base):
         n = graph.num_nodes
         rng = np.random.default_rng(seed)
         constraint = rng.integers(0, 2, n) if constrained else None
-        backend = LocalBackend(graph, np.random.default_rng(seed))
-        backend.tie_base = tie_base  # as on a rank that owns nodes >= tie_base
+        start = rng.integers(0, k, n)
         common = dict(chunk=chunk, pin_sweep=sweep, tie_seed=seed + 100,
                       constraint=constraint)
-        with both_kernels() as chunks:
+
+        def call():
+            backend = LocalBackend(graph, np.random.default_rng(seed))
+            backend.tie_base = tie_base  # as on a rank that owns nodes >= tie_base
             if regime == "cluster":
-                run_sclp(
+                return run_sclp(
                     backend, np.arange(n, dtype=np.int64),
                     max(1, int(graph.vwgt.sum()) // 4), 3,
                     ordering="degree" if seed % 2 else "random", **common,
                 )
-            else:
-                # eps = 0: overloaded blocks, evictions, ineligible winners
-                run_sclp(
-                    backend, rng.integers(0, k, n),
-                    max(1, int(graph.vwgt.sum()) // k), 3, ordering="random",
-                    refine=True, shares=regime == "refine-shares", k=k,
-                    **common,
-                )
-        assert bool(chunks) == bool(graph.num_arcs)
+            # eps = 0: overloaded blocks, evictions, ineligible winners
+            return run_sclp(
+                backend, start, max(1, int(graph.vwgt.sum()) // k), 3,
+                ordering="random", refine=True,
+                shares=regime == "refine-shares", k=k, **common,
+            )
+
+        assert phase_scan_vs_chunk_loop(call) >= 1
 
     def test_band_refinement(self):
         graph = grid_2d(16, 16)
         start = (np.arange(graph.num_nodes) % 16 >= 8).astype(np.int64)
         start[::7] ^= 1
         band = band_nodes(graph, start, 2)
-        with both_kernels() as chunks:
-            run_sclp(
-                LocalBackend(graph, np.random.default_rng(1)), start,
-                int(graph.vwgt.sum()) // 2 + 8, 3, ordering="random",
-                refine=True, band=band, chunk=8,
-            )
-        assert chunks and max(chunks) <= 8
+        assert phase_scan_vs_chunk_loop(lambda: run_sclp(
+            LocalBackend(graph, np.random.default_rng(1)), start,
+            int(graph.vwgt.sum()) // 2 + 8, 3, ordering="random",
+            refine=True, band=band, chunk=8,
+        )) >= 1
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_distributed_ranks(self, size):
-        """Ghost slots, a non-zero tie base, a constraint with a halo, and
-        (p = 3) budget shares that are not integers: the float ``cap``."""
-        with both_kernels() as chunks:
-            run_spmd(size, dist_suite.cluster_program, False, True, seed=1)
-            run_spmd(size, dist_suite.refine_program, False, seed=1)
-        assert chunks
+        for regime, constrained, chunk, sweep in [
+            ("cluster", True, 1, "full"),
+            ("cluster", False, 16, "frontier"),
+            ("refine-shares", False, 1, "full"),
+            ("refine-shares", True, 16, None),
+            ("refine-live", False, 3, None),
+        ]:
+            assert phase_scan_vs_chunk_loop(lambda: run_spmd(
+                size, rank_lp, regime, constrained, chunk, sweep, seed=1,
+            ).value) >= size
+
+    def test_scan_chunk_is_kernels_scan_chunk(self):
+        """The per-chunk kernel on its own: the chunk loop still calls it
+        on store-backed graphs."""
+        compiled()
+        graph = rmat(8, seed=2)
+        n = graph.num_nodes
+        rng = np.random.default_rng(4)
+        connected = np.flatnonzero(graph.degrees > 0)
+        for trial in range(30):
+            space = int(rng.integers(1, 9))
+            labels = rng.integers(0, space, n)
+            nodes = rng.permutation(connected)[: int(rng.integers(1, 40))]
+            used = np.bincount(labels, weights=graph.vwgt, minlength=space)
+            cap = np.full(space, int(graph.vwgt.sum()) // space + 2)
+            args = (
+                nodes, graph.xadj, graph.adjncy, graph.adjwgt, labels,
+                rng.integers(0, 2, n) if trial % 2 else None, graph.vwgt,
+                used.astype(np.int64), cap / 3 if trial % 3 == 0 else cap,
+                rng.random(nodes.size) < 0.3 if trial % 4 else None,
+                trial, (2**40 + 5) * (trial % 2), space,
+            )
+            target, risky, arcs = native.scan_chunk(*args, IterationWorkspace())
+            want = kernels.scan_chunk(*args, IterationWorkspace())
+            assert target.dtype == np.int64 and risky.dtype == np.bool_
+            np.testing.assert_array_equal(target, want[0])
+            np.testing.assert_array_equal(risky, want[1])
+            assert arcs == want[2] and type(arcs) is int
 
     def test_out_of_core_store_counters(self, tmp_path):
-        """The compiled path reads the chunk's arcs through the same two
-        gathers per chunk as the NumPy path."""
+        """A store-backed graph runs the chunk loop, and the compiled
+        chunk kernel reads the chunk's arcs through the same two gathers
+        per chunk as the NumPy one."""
         from repro.graph.io import open_sharded, save_sharded
 
         compiled()
@@ -153,18 +250,23 @@ class TestNativeMatchesNumpy:
         stats = {}
         for name in ("native", "numpy"):
             sharded = open_sharded(tmp_path / "shards", max_resident_shards=2)
-            forced = contextlib.nullcontext() if name == "native" else (
-                mock.patch.object(
-                    native, "_resolution", native.Resolution(None, "test")
-                )
+            forced = mock.patch.object(
+                native, "_resolution",
+                native.resolve() if name == "native"
+                else native.Resolution(None, "test"),
             )
             with forced:
-                labels = run_sclp(
+                labels, phases = traced_phases(lambda: run_sclp(
                     LocalBackend(sharded, np.random.default_rng(0)),
                     np.arange(graph.num_nodes, dtype=np.int64), 40, 3,
                     ordering="node", chunk=32,
-                )
-            stats[name] = (labels.tolist(), sharded.store.stats().as_dict())
+                ))
+            stats[name] = (labels.tolist(), sharded.store.stats().as_dict(),
+                           [row[2:] for row in phases])
+            assert {row[1] for row in phases} == {
+                "python: store-backed graph" if name == "native"
+                else "python: numpy kernel"
+            }
         assert stats["native"] == stats["numpy"]
         assert stats["native"][1]["gathers"] > 0
 
@@ -202,6 +304,53 @@ class TestNativeMatchesNumpy:
         assert not ws.zeros("scan.mark", 2, np.uint8).any()
         with pytest.raises(TypeError, match="C-contiguous int64"):
             native.scan_chunk(args[0].astype(np.int32), *args[1:])
+
+    @pytest.mark.parametrize("fault", ["order", "neighbour", "label"])
+    def test_phase_scan_index_outside_its_table(self, fault):
+        """A whole phase has the chunk kernel's error path: ValueError, and
+        the workspace accumulators are zero for whoever uses them next."""
+        compiled()
+        graph = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        n, space = graph.num_nodes, 2
+        labels = np.array([0, 1, 0, 1], dtype=np.int64)
+        adjncy = graph.adjncy.copy()
+        order = np.array([1, 2, 0, 3], dtype=np.int64)
+        if fault == "order":
+            order[3] = n  # >= n_local
+        elif fault == "neighbour":
+            adjncy[graph.xadj[3]] = n  # >= n_total, met in the second window
+        else:
+            labels[3] = space  # >= space, a neighbour's label
+        ws = IterationWorkspace()
+        scan = native.PhaseScan(
+            graph.xadj, adjncy, graph.adjwgt, labels, None, graph.vwgt,
+            np.zeros(n, dtype=bool), np.array([2, 2], dtype=np.int64), None,
+            np.zeros(n, dtype=bool), n_local=n, space=space, bound=3,
+            refine=True, frontier=True, tie_seed=0, tie_base=0, window=2,
+            ws=ws,
+        )
+        masks = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+        with pytest.raises(ValueError, match="outside its table"):
+            scan(order, 2, np.full(space, 3, dtype=np.int64), None, None, *masks)
+        assert not ws.zeros("scan.acc", space, np.int64).any()
+        assert not ws.zeros("scan.mark", space, np.uint8).any()
+        with pytest.raises(TypeError, match="C-contiguous int64"):
+            scan(order.astype(np.int32), 2, np.full(space, 3), None, None, *masks)
+
+
+@pytest.mark.skipif(
+    not (shutil.which("cc") or shutil.which("gcc")), reason="no C compiler"
+)
+def test_the_source_is_strict_c99():
+    """The kernel promises plain C99; hold it to that with every warning
+    on (the build itself passes no -W flag)."""
+    source = resources.files("repro.engine").joinpath(native.SOURCE_NAME)
+    done = subprocess.run(
+        [shutil.which("cc") or shutil.which("gcc"), "-std=c99", "-Wall",
+         "-Wextra", "-Werror", "-pedantic", "-fsyntax-only", "-x", "c", "-"],
+        input=source.read_bytes(), capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +420,7 @@ class TestLoader:
         assert built[0].suffix == ".so"
         assert cold.stat().st_mode & 0o777 == 0o700
         assert built[0].stat().st_mode & 0o022 == 0
-        assert native.select()[0] is native.scan_chunk
+        assert native.select()[:2] == (native.scan_chunk, native.PhaseScan)
         # a second resolution (a later process) finds the file, builds nothing
         stamp = built[0].stat().st_mtime_ns
         with mock.patch.object(native, "_resolution", None):
@@ -288,7 +437,7 @@ class TestLoader:
         assert cause in str(caught[0].message)
         resolution = native.resolve()
         assert resolution.kernel == "numpy" and cause in resolution.reason
-        assert native.select()[0] is kernels.scan_chunk
+        assert native.select()[:2] == (kernels.scan_chunk, None)
         assert resolution.header() == {
             "lp_kernel": "numpy", "lp_kernel_fallback": resolution.reason,
         }
@@ -375,16 +524,7 @@ class TestLoader:
 def traced_kernels(fn) -> set[str]:
     """The ``kernel`` attr of every ``lp.iteration`` span ``fn`` records,
     plus the header's ``lp_kernel``."""
-    TRACER.enable(reset=True)
-    try:
-        fn()
-        header = dict(TRACER.header)
-        spans = [
-            r for r in TRACER.snapshot()
-            if r.get("type") == "span" and r.get("name") == "lp.iteration"
-        ]
-    finally:
-        TRACER.disable()
+    _, spans, header = traced_lp(fn)
     assert spans
     return {s["attrs"]["kernel"] for s in spans} | {header["lp_kernel"]}
 
@@ -394,8 +534,9 @@ class TestSuitesOnTheNumpyKernel:
     def test_the_fixture_selects_numpy_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scan, resolution = native.select()
-        assert scan is kernels.scan_chunk and resolution.kernel == "numpy"
+            scan, phase_scan, resolution = native.select()
+        assert scan is kernels.scan_chunk and phase_scan is None
+        assert resolution.kernel == "numpy"
 
     def test_chunk_1_is_the_oracle(self):
         suite = seq_suite.TestSequentialEquivalence()

@@ -310,6 +310,12 @@ class TestSequentialPipelineEvents:
         assert {s["attrs"]["kernel"] for s in iterations} == {
             summary["header"]["lp_kernel"]
         }
+        # ... and by which loop: one compiled call per phase on a resident
+        # graph, the Python chunk loop (with its reason) on the fallback
+        assert {point["loop"] for point in summary["convergence"]} == {
+            {"native": "native", "numpy": "python: numpy kernel"}[
+                summary["header"]["lp_kernel"]]
+        }
         assert {point["sweep"] for point in summary["convergence"]} == {
             "full", "frontier",
         }
