@@ -1,179 +1,88 @@
-"""Per-function *collective footprints*, computed bottom-up over SCCs.
+"""Per-function *collective footprints*: a may-closure over the call graph.
 
-A footprint summarises the collectives a function can execute, directly
-or through any chain of calls the call graph can resolve:
+The footprint of a function is every collective it can execute, directly
+or through any chain of calls :meth:`Project.resolve_call` can resolve.
+It drives the interprocedural side of SPMD-DIV: a rank-dependent branch
+guarding a call with a non-empty footprint hides a collective from some
+ranks, however many files away the collective is.
 
-* **may** — every collective on *some* path through the function;
-* **must** — the collectives on *every* path (the guaranteed sequence a
-  rank executes when it calls the function and the function returns).
+One node per project function, one edge per resolvable call expression;
+call sites are collected *shallowly* (a nested ``def`` is its own node,
+lambdas and comprehensions belong to the enclosing function).  The
+closure is the least fixpoint of ``may[f] = direct[f] ∪ ⋃ may[callee]``,
+so recursion needs no special case.
 
-``may`` drives the interprocedural SPMD-DIV rule (a rank-dependent
-branch guarding a call with a non-empty may-footprint hides a collective
-from some ranks) and the ``--verify-trace`` cross-check; ``must`` drives
-COLL-ORDER (branch arms whose guaranteed collective sets differ execute
-different sequences when the condition diverges across ranks).
-
-The evaluator follows control flow structurally:
-
-=============  =====================================  =================
-construct      may                                    must
-=============  =====================================  =================
-sequence       union                                  union
-``if``         union of test and both arms            test ∪ (body ∩ else)
-loop body      union                                  ∅ (may run 0×)
-``while`` t    test ∪ body                            test (runs ≥ 1×)
-``try``        union of all blocks                    finally only
-lambda         union (deferred call)                  ∅
-``a and b``    union                                  first operand only
-=============  =====================================  =================
-
-Recursive cliques (SCCs of the call graph) are iterated to a least
-fixpoint from the empty footprint, which is exact for ``may`` and a
-sound under-approximation for ``must``.
-
-Collective *names* are read from :data:`repro.analysis.rules.COLLECTIVES`
-at analysis time (not import time), so the trace cross-check tests can
-shrink the set and watch the verifier fail.
+The same pass records which functions *return a rank scalar*
+(``return self.comm.rank == 0``): reading such a property, or calling
+such a method without arguments, is as rank-dependent as ``comm.rank``.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
 from . import rules
-from .callgraph import CallGraph, build_call_graph
 from .project import ModuleInfo, Project
 
-__all__ = ["Footprint", "FootprintAnalysis", "ModuleContext"]
+__all__ = ["FootprintAnalysis", "ModuleContext"]
 
-_EMPTY_SET: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class Footprint:
-    """May/must sets of collective ops for one function or block."""
-
-    may: frozenset[str] = _EMPTY_SET
-    must: frozenset[str] = _EMPTY_SET
-
-    def __bool__(self) -> bool:
-        return bool(self.may)
-
-    def seq(self, other: "Footprint") -> "Footprint":
-        """Sequential composition: both parts execute."""
-        return Footprint(self.may | other.may, self.must | other.must)
-
-    def branch(self, other: "Footprint") -> "Footprint":
-        """Alternative composition: exactly one part executes."""
-        return Footprint(self.may | other.may, self.must & other.must)
-
-    def maybe(self) -> "Footprint":
-        """The part may execute zero times (loop body, deferred lambda)."""
-        return Footprint(self.may, _EMPTY_SET)
+_EMPTY: frozenset[str] = frozenset()
 
 
-EMPTY_FOOTPRINT = Footprint()
-
-
-def _direct_collective(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Attribute) and func.attr in rules.COLLECTIVES:
-        return func.attr
-    return None
+def _iter_own_calls(func: ast.AST):
+    """Call expressions belonging to this function (not to nested defs)."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
 class FootprintAnalysis:
-    """Footprints for every function of a project (see module docstring)."""
+    """May-footprints for every function of a project (module docstring)."""
 
-    def __init__(self, project: Project, graph: CallGraph | None = None):
+    def __init__(self, project: Project) -> None:
         self.project = project
-        self.graph = graph if graph is not None else build_call_graph(project)
-        self.table: dict[str, Footprint] = {}
-        #: per-function map id(call node) -> callee qualnames
-        self._call_targets: dict[str, dict[int, tuple[str, ...]]] = {
-            qualname: {id(site.call): site.callees for site in sites}
-            for qualname, sites in self.graph.sites.items()
-        }
-        self._compute()
+        may: dict[str, set[str]] = {}
+        callers: dict[str, set[str]] = {}
+        rank_returning: set[str] = set()
+        for qualname, func in project.functions.items():
+            module = project.modules_by_path[func.path]
+            direct = may.setdefault(qualname, set())
+            for call in _iter_own_calls(func.node):
+                name = rules.collective_name(call)
+                if name is not None:
+                    direct.add(name)
+                for target in project.resolve_call(module, call, func.class_name):
+                    callers.setdefault(target.qualname, set()).add(qualname)
+            if rules.returns_rank_scalar(func.node):
+                rank_returning.add(qualname)
+        # Push every footprint up to its callers until nothing grows.
+        work = [qualname for qualname, ops in may.items() if ops]
+        while work:
+            callee = work.pop()
+            for caller in callers.get(callee, ()):
+                if not may[callee] <= may[caller]:
+                    may[caller] |= may[callee]
+                    work.append(caller)
+        self._may = {qualname: frozenset(ops) for qualname, ops in may.items()}
+        self.rank_returning = frozenset(rank_returning)
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def footprint(self, qualname: str) -> Footprint:
-        return self.table.get(qualname, EMPTY_FOOTPRINT)
-
-    def call_footprint(
-        self, module: ModuleInfo, call: ast.Call, class_name: str | None = None
-    ) -> Footprint:
-        """Transitive footprint of one call expression (callees only —
-        a direct ``comm.<collective>()`` is the single-file rule's job,
-        but the resolved collective *methods* fold their bodies in)."""
-        result = EMPTY_FOOTPRINT
-        for target in self.project.resolve_call(module, call, class_name):
-            result = result.seq(self.footprint(target.qualname))
-        return result
-
-    def stmts_footprint(
-        self,
-        module: ModuleInfo,
-        stmts: list[ast.stmt],
-        class_name: str | None = None,
-    ) -> Footprint:
-        """Footprint of an arbitrary statement list (branch arms)."""
-
-        def resolve(call: ast.Call) -> Footprint:
-            direct = _direct_collective(call)
-            fp = self.call_footprint(module, call, class_name)
-            if direct is not None:
-                fp = fp.seq(Footprint(frozenset({direct}),
-                                      frozenset({direct})))
-            return fp
-
-        return _eval_stmts(stmts, resolve)
-
-    # ------------------------------------------------------------------
-    # Computation
-    # ------------------------------------------------------------------
-    def _function_footprint(self, qualname: str) -> Footprint:
-        func = self.project.functions[qualname]
-        targets = self._call_targets.get(qualname, {})
-
-        def resolve(call: ast.Call) -> Footprint:
-            fp = EMPTY_FOOTPRINT
-            direct = _direct_collective(call)
-            if direct is not None:
-                fp = Footprint(frozenset({direct}), frozenset({direct}))
-            for callee in targets.get(id(call), ()):
-                fp = fp.seq(self.table.get(callee, EMPTY_FOOTPRINT))
-            return fp
-
-        return _eval_stmts(func.node.body, resolve)
-
-    def _compute(self) -> None:
-        for scc in self.graph.sccs:
-            for qualname in scc:
-                self.table[qualname] = EMPTY_FOOTPRINT
-            # Least fixpoint; |scc| passes always suffice for `may`
-            # (monotone union over a finite set) and `must` stabilises
-            # with it, but keep an explicit change test.
-            for _ in range(max(4, 2 * len(scc))):
-                changed = False
-                for qualname in scc:
-                    updated = self._function_footprint(qualname)
-                    if updated != self.table[qualname]:
-                        self.table[qualname] = updated
-                        changed = True
-                if not changed:
-                    break
+    def footprint(self, qualname: str) -> frozenset[str]:
+        """Collectives ``qualname`` may execute, transitively."""
+        return self._may.get(qualname, _EMPTY)
 
 
 class ModuleContext:
     """One module's window onto the whole-program analysis.
 
     This is the object :func:`repro.analysis.rules.check_module` accepts:
-    it answers footprint queries for call expressions and statement lists
-    *of this module*, hiding the project plumbing from the rule checker.
+    it answers queries about expressions *of this module*, hiding the
+    project plumbing from the rule checker.
     """
 
     def __init__(self, analysis: FootprintAnalysis, module: ModuleInfo):
@@ -182,93 +91,26 @@ class ModuleContext:
 
     def call_may(self, call: ast.Call,
                  class_name: str | None = None) -> frozenset[str]:
-        """Collectives a call may transitively execute (callees only)."""
-        return self.analysis.call_footprint(
+        """Collectives a call may transitively execute (callees only —
+        a direct ``comm.<collective>()`` is recognised by name)."""
+        result = _EMPTY
+        for target in self.analysis.project.resolve_call(
             self.module, call, class_name
-        ).may
-
-    def stmts_must(self, stmts: list[ast.stmt],
-                   class_name: str | None = None) -> frozenset[str]:
-        """Collectives a statement list executes on every path."""
-        return self.analysis.stmts_footprint(
-            self.module, stmts, class_name
-        ).must
-
-
-# ----------------------------------------------------------------------
-# Structural evaluator
-# ----------------------------------------------------------------------
-
-def _eval_stmts(stmts, resolve) -> Footprint:
-    result = EMPTY_FOOTPRINT
-    for stmt in stmts:
-        result = result.seq(_eval_stmt(stmt, resolve))
-    return result
-
-
-def _eval_stmt(stmt: ast.stmt, resolve) -> Footprint:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return EMPTY_FOOTPRINT  # its own call-graph node
-    if isinstance(stmt, ast.If):
-        test = _eval_expr(stmt.test, resolve)
-        return test.seq(
-            _eval_stmts(stmt.body, resolve).branch(
-                _eval_stmts(stmt.orelse, resolve)
-            )
-        )
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        header = _eval_expr(stmt.iter, resolve)
-        body = _eval_stmts(stmt.body, resolve).maybe()
-        orelse = _eval_stmts(stmt.orelse, resolve).maybe()
-        return header.seq(body).seq(orelse)
-    if isinstance(stmt, ast.While):
-        test = _eval_expr(stmt.test, resolve)
-        body = _eval_stmts(stmt.body, resolve).maybe()
-        orelse = _eval_stmts(stmt.orelse, resolve).maybe()
-        return test.seq(body).seq(orelse)
-    if isinstance(stmt, ast.Try):
-        may = EMPTY_FOOTPRINT
-        for block in (stmt.body, stmt.orelse, *[h.body for h in stmt.handlers]):
-            may = may.seq(_eval_stmts(block, resolve).maybe())
-        return may.seq(_eval_stmts(stmt.finalbody, resolve))
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        result = EMPTY_FOOTPRINT
-        for item in stmt.items:
-            result = result.seq(_eval_expr(item.context_expr, resolve))
-        return result.seq(_eval_stmts(stmt.body, resolve))
-    if isinstance(stmt, ast.Match):
-        result = _eval_expr(stmt.subject, resolve)
-        cases = EMPTY_FOOTPRINT
-        for case in stmt.cases:
-            cases = cases.seq(_eval_stmts(case.body, resolve).maybe())
-        return result.seq(cases)
-    # Simple statements: fold every contained expression.
-    result = EMPTY_FOOTPRINT
-    for child in ast.iter_child_nodes(stmt):
-        if isinstance(child, ast.expr):
-            result = result.seq(_eval_expr(child, resolve))
-    return result
-
-
-def _eval_expr(expr: ast.expr, resolve) -> Footprint:
-    if isinstance(expr, ast.Lambda):
-        return _eval_expr(expr.body, resolve).maybe()
-    if isinstance(expr, ast.IfExp):
-        return _eval_expr(expr.test, resolve).seq(
-            _eval_expr(expr.body, resolve).branch(
-                _eval_expr(expr.orelse, resolve)
-            )
-        )
-    if isinstance(expr, ast.BoolOp):
-        # Short-circuit: only the first operand is guaranteed.
-        result = _eval_expr(expr.values[0], resolve)
-        for value in expr.values[1:]:
-            result = result.seq(_eval_expr(value, resolve).maybe())
+        ):
+            result |= self.analysis.footprint(target.qualname)
         return result
-    result = EMPTY_FOOTPRINT
-    if isinstance(expr, ast.Call):
-        result = resolve(expr)
-    for child in ast.iter_child_nodes(expr):
-        if isinstance(child, ast.expr):
-            result = result.seq(_eval_expr(child, resolve))
-    return result
+
+    def rank_valued(self, node: ast.expr,
+                    class_name: str | None = None) -> bool:
+        """Does this property read or zero-argument call resolve to a
+        function that returns a rank scalar?"""
+        project = self.analysis.project
+        if isinstance(node, ast.Attribute):
+            targets = project.resolve_property(self.module, node, class_name)
+        elif isinstance(node, ast.Call) and not node.args and not node.keywords:
+            targets = project.resolve_call(self.module, node, class_name)
+        else:
+            return False
+        return any(
+            target.qualname in self.analysis.rank_returning for target in targets
+        )

@@ -1,31 +1,26 @@
-"""File walking, rule execution, suppression filtering, reporting.
+"""File walking, rule execution, reporting.
 
-:func:`lint_paths` is the programmatic API (used by the self-lint test);
-:func:`run_lint` adds reporting (text, ``json`` or ``sarif``) and an
-exit code for the CLIs (``python -m repro.analysis lint ...`` and
-``python -m repro lint ...``).
+:func:`lint_paths` is the programmatic API (used by the self-lint and
+mutation tests); :func:`run_lint` adds the text report and the exit code
+of ``python -m repro lint [paths]``.
 
-Linting is *whole-program by default*: every file named on the command
-line is parsed into one :class:`~repro.analysis.project.Project`, the
+Linting is *whole-program*: every file named on the command line is
+parsed into one :class:`~repro.analysis.project.Project`, the
 interprocedural collective footprints are computed once, and each module
 is then checked with its :class:`~repro.analysis.footprints.ModuleContext`
-so the cross-file rules (interprocedural SPMD-DIV, COLL-ORDER) see
-through helper calls.  Single-file entry points (:func:`lint_file`,
-:func:`lint_source`) build a one-module project, which still gives
-intra-module interprocedural resolution.
+so SPMD-DIV sees through helper calls.  The single-file entry points
+(:func:`lint_file`, :func:`lint_source`) build a one-module project,
+which still gives intra-module interprocedural resolution.
 """
 
 from __future__ import annotations
 
-import ast
-import json
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-from .findings import RULES, Finding, Severity
+from .findings import Finding
 from .footprints import FootprintAnalysis, ModuleContext
-from .noqa import parse_suppressions
 from .project import Project
 from .rules import check_module
 
@@ -36,8 +31,6 @@ __all__ = [
     "lint_paths",
     "lint_project",
     "run_lint",
-    "render_json",
-    "render_sarif",
 ]
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
@@ -59,252 +52,50 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     return sorted(files)
 
 
-def _check_one(
-    source: str,
-    path: str,
-    tree: ast.Module | None,
-    context: ModuleContext | None,
-    strict_noqa: bool = False,
-) -> list[Finding]:
-    """Rules + suppression filtering for one already-parsed module."""
-    if tree is None:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            return [
-                Finding(path, exc.lineno or 1, (exc.offset or 0) + 1, "PARSE",
-                        f"syntax error: {exc.msg}")
-            ]
-    findings = check_module(tree, path, context=context)
-    suppressions = parse_suppressions(source)
-    kept = [f for f in findings if not suppressions.suppress(f.line, f.code)]
-    if strict_noqa:
-        for entry in suppressions.unused():
-            codes = "all rules" if "*" in entry.codes else ", ".join(
-                sorted(entry.codes)
-            )
-            kept.append(Finding(
-                path, entry.line, 1, "NOQA-UNUSED",
-                f"suppression of {codes} matches no finding; delete it",
-            ))
-    return sorted(kept, key=lambda f: (f.line, f.col, f.code))
-
-
-def lint_source(source: str, path: str = "<string>",
-                strict_noqa: bool = False) -> list[Finding]:
-    """Lint one source string (single-module project context)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(path, exc.lineno or 1, (exc.offset or 0) + 1, "PARSE",
-                    f"syntax error: {exc.msg}")
-        ]
-    project = Project()
-    module = project.add_module(Path(path).stem or "<string>", path, tree,
-                                source)
-    context = ModuleContext(FootprintAnalysis(project), module)
-    return _check_one(source, path, tree, context, strict_noqa=strict_noqa)
-
-
-def lint_file(path: str | Path, strict_noqa: bool = False) -> list[Finding]:
-    return lint_source(Path(path).read_text(encoding="utf-8"), str(path),
-                       strict_noqa=strict_noqa)
-
-
-def build_project(paths: Sequence[str | Path]) -> Project:
-    """Parse every Python file under ``paths`` into one project."""
-    return Project.from_paths(iter_python_files(paths))
-
-
-def lint_project(
-    project: Project,
-    strict_noqa: bool = False,
-) -> list[Finding]:
-    """Run the full rule set over an already-built project."""
+def lint_project(project: Project) -> list[Finding]:
+    """Run the rule set over an already-built project; sorted by location."""
     analysis = FootprintAnalysis(project)
-    findings: list[Finding] = []
-    for path in sorted(project.modules_by_path):
-        module = project.modules_by_path[path]
-        context = ModuleContext(analysis, module)
-        findings.extend(_check_one(
-            module.source, path, module.tree, context,
-            strict_noqa=strict_noqa,
-        ))
-    return findings
+    findings = [
+        Finding(path, exc.lineno or 1, (exc.offset or 0) + 1, "PARSE",
+                f"syntax error: {exc.msg}")
+        for path, exc in project.unparsed
+    ]
+    for path, module in project.modules_by_path.items():
+        findings.extend(
+            check_module(module.tree, path, ModuleContext(analysis, module))
+        )
+    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.code))
 
 
-def lint_paths(
-    paths: Sequence[str | Path],
-    include_advice: bool = True,
-    select: Iterable[str] | None = None,
-    strict_noqa: bool = False,
-) -> list[Finding]:
-    """Lint every Python file under ``paths``; findings sorted by location.
-
-    Raises :class:`ValueError` on an unknown ``select`` code — a typo'd
-    code must not silently lint nothing.
-    """
-    selected = None if select is None else {code.upper() for code in select}
-    if selected:
-        unknown = selected - set(RULES)
-        if unknown:
-            known = ", ".join(sorted(RULES))
-            raise ValueError(
-                f"unknown rule code(s): {', '.join(sorted(unknown))} "
-                f"(known: {known})"
-            )
-    files = iter_python_files(paths)
-    project = Project.from_paths(files)
-    findings = lint_project(project, strict_noqa=strict_noqa)
-    # Unparsable files are skipped at project build; report them as PARSE.
-    for file in files:
-        if str(file) in project.modules_by_path:
-            continue
-        try:
-            source = file.read_text(encoding="utf-8")
-            ast.parse(source, filename=str(file))
-        except SyntaxError as exc:
-            findings.append(Finding(
-                str(file), exc.lineno or 1, (exc.offset or 0) + 1, "PARSE",
-                f"syntax error: {exc.msg}",
-            ))
-        except OSError:
-            raise FileNotFoundError(f"no such file or directory: {file}")
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    result: list[Finding] = []
-    for finding in findings:
-        if not include_advice and finding.severity is Severity.ADVICE:
-            continue
-        if selected is not None and finding.code not in selected:
-            continue
-        result.append(finding)
-    return result
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """Lint one source string (single-module project context)."""
+    project = Project()
+    project.add_source(Path(path).stem or "<string>", path, source)
+    return lint_project(project)
 
 
-def render_json(findings: Sequence[Finding]) -> str:
-    """Machine-readable findings document (one JSON object)."""
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    return json.dumps({
-        "findings": [
-            {
-                "path": f.path,
-                "line": f.line,
-                "col": f.col,
-                "code": f.code,
-                "severity": f.severity.value,
-                "message": f.message,
-            }
-            for f in findings
-        ],
-        "errors": errors,
-        "advice": len(findings) - errors,
-    }, indent=2)
+def lint_file(path: str | Path) -> list[Finding]:
+    return lint_source(Path(path).read_text(encoding="utf-8"), str(path))
 
 
-_SARIF_LEVELS = {Severity.ERROR: "error", Severity.ADVICE: "note"}
+def lint_paths(paths: Sequence[str | Path]) -> list[Finding]:
+    """Lint every Python file under ``paths`` as one project."""
+    return lint_project(Project.from_paths(iter_python_files(paths)))
 
 
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """SARIF 2.1.0 document (GitHub code-scanning annotations)."""
-    doc = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro.analysis",
-                    "rules": [
-                        {
-                            "id": rule.code,
-                            "shortDescription": {"text": rule.summary},
-                            "help": {"text": rule.fixit},
-                            "defaultConfiguration": {
-                                "level": _SARIF_LEVELS[rule.severity],
-                            },
-                        }
-                        for rule in RULES.values()
-                    ],
-                },
-            },
-            "results": [
-                {
-                    "ruleId": f.code,
-                    "level": _SARIF_LEVELS[f.severity],
-                    "message": {"text": f.message},
-                    "locations": [{
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path},
-                            "region": {
-                                "startLine": f.line,
-                                "startColumn": f.col,
-                            },
-                        },
-                    }],
-                }
-                for f in findings
-            ],
-        }],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def run_lint(
-    paths: Sequence[str | Path],
-    include_advice: bool = True,
-    select: Iterable[str] | None = None,
-    show_fixit: bool = False,
-    stream: TextIO | None = None,
-    output_format: str = "text",
-    output_path: str | Path | None = None,
-    strict_noqa: bool = False,
-    verify_trace: str | Path | None = None,
-) -> int:
+def run_lint(paths: Sequence[str | Path], stream: TextIO | None = None) -> int:
     """Lint, print a report, and return the process exit code.
 
-    The exit code is 1 when any *error*-severity finding survives;
-    advisory findings are reported but never fail the run.  With
-    ``output_format`` ``json``/``sarif`` the formatted document replaces
-    the text report on ``stream`` (or is written to ``output_path``
-    while the text report still goes to the stream).  ``verify_trace``
-    additionally replays a ``repro partition --trace`` JSONL event
-    stream against the static footprints (see
-    :mod:`repro.analysis.tracecheck`).
+    0 when clean, 1 on any finding, 2 when a path cannot be read.
     """
     out = stream if stream is not None else sys.stdout
     try:
-        findings = lint_paths(
-            paths, include_advice=include_advice, select=select,
-            strict_noqa=strict_noqa,
-        )
-        if verify_trace is not None:
-            from .tracecheck import verify_trace_file
-
-            findings = findings + verify_trace_file(verify_trace, paths)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"repro.analysis: {exc}", file=out)
+        findings = lint_paths(paths)
+    except OSError as exc:
+        print(f"repro lint: {exc}", file=out)
         return 2
-    if output_format not in ("text", "json", "sarif"):
-        print(f"repro.analysis: unknown format {output_format!r} "
-              "(choose text, json or sarif)", file=out)
-        return 2
-    document = None
-    if output_format == "json":
-        document = render_json(findings)
-    elif output_format == "sarif":
-        document = render_sarif(findings)
-    if document is not None and output_path is not None:
-        Path(output_path).write_text(document + "\n", encoding="utf-8")
-        document = None  # fall through to the text report on the stream
-    if document is not None:
-        print(document, file=out)
-    else:
-        for finding in findings:
-            print(finding.format(show_fixit=show_fixit), file=out)
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        advice = len(findings) - errors
-        if findings:
-            print(f"{errors} error(s), {advice} advisory finding(s)", file=out)
-        else:
-            print("clean: no findings", file=out)
-    return 1 if any(f.severity is Severity.ERROR for f in findings) else 0
+    for finding in findings:
+        print(finding.format(), file=out)
+    print(f"{len(findings)} finding(s)" if findings else "clean: no findings",
+          file=out)
+    return 1 if findings else 0

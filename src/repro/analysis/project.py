@@ -1,11 +1,9 @@
 """Whole-program view of a Python package tree for the SPMD analyses.
 
-The single-file rules in :mod:`repro.analysis.rules` deliberately see one
-module at a time; the interprocedural passes (collective footprints,
-cross-file divergence, trace cross-checking) need to see *every* module
-of ``src/repro`` at once and to answer "which function(s) can this call
-expression reach?".  :class:`Project` provides exactly that and nothing
-more:
+The interprocedural side of SPMD-DIV (collective footprints, rank-valued
+properties) needs to see *every* module of ``src/repro`` at once and to
+answer "which function(s) can this call expression reach?".
+:class:`Project` provides exactly that and nothing more:
 
 * **module loading** — every ``.py`` file under the analysed paths is
   parsed once; its dotted module name is recovered by walking up the
@@ -14,7 +12,9 @@ more:
   ``from x import f as g``, relative imports resolved against the
   module's own package) plus the module's top-level functions/classes;
 * **call resolution** — :meth:`Project.resolve_call` maps a call
-  expression to the set of project functions it *may* invoke.
+  expression to the set of project functions it *may* invoke, and
+  :meth:`Project.resolve_property` an attribute read to the properties
+  it may evaluate.
 
 Resolution is conservative in the may-direction: a method call on a
 receiver of unknown type (``backend.reduce_block_weights(...)``)
@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["FunctionInfo", "ModuleInfo", "Project"]
 
@@ -46,8 +46,11 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef = field(repr=False)
 
     @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
+    def is_property(self) -> bool:
+        return any(
+            isinstance(deco, ast.Name) and deco.id == "property"
+            for deco in self.node.decorator_list
+        )
 
 
 @dataclass
@@ -57,7 +60,6 @@ class ModuleInfo:
     name: str
     path: str
     tree: ast.Module = field(repr=False)
-    source: str = field(repr=False)
     #: alias -> dotted module name (``import numpy as np``)
     import_modules: dict[str, str] = field(default_factory=dict)
     #: alias -> fully qualified symbol (``from .helpers import sync``)
@@ -98,23 +100,20 @@ class Project:
         self.functions: dict[str, FunctionInfo] = {}      # by qualname
         #: method name -> every qualname defining it (dynamic dispatch)
         self.methods_by_name: dict[str, list[str]] = {}
+        #: (path, error) of every source that did not parse
+        self.unparsed: list[tuple[str, SyntaxError]] = []
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def from_paths(cls, files: Iterable[str | Path]) -> "Project":
-        """Parse every file; unparsable files are skipped (the per-file
-        lint already reports them as PARSE findings)."""
+        """Parse every file; unparsable ones land in :attr:`unparsed`."""
         project = cls()
         for file in files:
             path = Path(file)
-            try:
-                source = path.read_text(encoding="utf-8")
-                tree = ast.parse(source, filename=str(path))
-            except (OSError, SyntaxError):
-                continue
-            project.add_module(_module_name_for(path), str(path), tree, source)
+            project.add_source(_module_name_for(path), str(path),
+                               path.read_text(encoding="utf-8"))
         return project
 
     @classmethod
@@ -122,20 +121,22 @@ class Project:
         """Build a project from in-memory ``{module name: source}`` (tests)."""
         project = cls()
         for name, source in sources.items():
-            path = name.replace(".", "/") + ".py"
-            project.add_module(name, path, ast.parse(source), source)
+            project.add_source(name, name.replace(".", "/") + ".py", source)
         return project
 
-    def add_module(self, name: str, path: str, tree: ast.Module,
-                   source: str) -> ModuleInfo:
+    def add_source(self, name: str, path: str, source: str) -> None:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            self.unparsed.append((path, exc))
+            return
         # Same-named modules from disjoint trees (fixture twins): keep
         # both by path, last one wins the dotted-name table.
-        info = ModuleInfo(name=name, path=path, tree=tree, source=source)
+        info = ModuleInfo(name=name, path=path, tree=tree)
         self.modules[name] = info
         self.modules_by_path[path] = info
         self._index_imports(info)
         self._index_definitions(info)
-        return info
 
     def _index_imports(self, info: ModuleInfo) -> None:
         for node in info.tree.body:
@@ -241,6 +242,24 @@ class Project:
             return []
         if not isinstance(func, ast.Attribute):
             return []
+        return self._resolve_attribute(module, func, class_name)
+
+    def resolve_property(
+        self,
+        module: ModuleInfo,
+        node: ast.Attribute,
+        class_name: str | None = None,
+    ) -> list[FunctionInfo]:
+        """Project properties this attribute read may evaluate."""
+        return [
+            target
+            for target in self._resolve_attribute(module, node, class_name)
+            if target.is_property
+        ]
+
+    def _resolve_attribute(
+        self, module: ModuleInfo, func: ast.Attribute, class_name: str | None
+    ) -> list[FunctionInfo]:
         attr = func.attr
         receiver = func.value
         if isinstance(receiver, ast.Name):
@@ -280,9 +299,3 @@ class Project:
             self.functions[qualname]
             for qualname in self.methods_by_name.get(attr, ())
         ]
-
-    # ------------------------------------------------------------------
-    # Introspection helpers
-    # ------------------------------------------------------------------
-    def functions_in(self, path: str) -> Sequence[FunctionInfo]:
-        return [f for f in self.functions.values() if f.path == path]

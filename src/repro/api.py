@@ -50,6 +50,14 @@ class PartitionResult:
         return self.quality.imbalance
 
 
+def check_num_pes(num_pes: int) -> int:
+    """``num_pes`` if it is an ``int >= 1`` (bools are not), else ValueError."""
+    integral = isinstance(num_pes, (int, np.integer)) and not isinstance(num_pes, bool)
+    if not integral or num_pes < 1:
+        raise ValueError(f"num_pes must be an integer >= 1, got {num_pes!r}")
+    return int(num_pes)
+
+
 def partition_graph(
     graph: Graph,
     k: int,
@@ -97,6 +105,7 @@ def partition_graph(
     -------
     A validated :class:`PartitionResult`.
     """
+    num_pes = check_num_pes(num_pes)
     if config is None:
         if preset not in _PRESETS:
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}")
@@ -108,7 +117,7 @@ def partition_graph(
         )
     resolved_backend = resolve_backend(backend)
     if not graph.resident:
-        if num_pes <= 1 or resolved_backend == "local":
+        if num_pes == 1 or resolved_backend == "local":
             # Out-of-core store: the multilevel pipeline would materialize
             # the arc arrays, so route to the semi-external flat path.
             return partition_oocore(
@@ -118,7 +127,7 @@ def partition_graph(
         # aggregate hold the whole arc set anyway — materialize up front
         # so the slicing sees plain arrays.
         graph = graph.materialized()
-    if num_pes <= 1 or resolved_backend == "local":
+    if num_pes == 1 or resolved_backend == "local":
         # Validated once, below, for every path.
         result = sequential_partition(graph, config, seed=seed,
                                       input_partition=initial_partition,

@@ -27,7 +27,7 @@ from pathlib import Path
 
 
 from . import generators
-from .api import partition_graph
+from .api import check_num_pes, partition_graph
 from .core.clustering import cluster_graph
 from .graph import (
     Graph,
@@ -109,6 +109,15 @@ def _write_trace_outputs(trace_out: str) -> None:
     print(f"chrome trace written to {trace_out} "
           "(load in chrome://tracing or ui.perfetto.dev)")
     print(f"event stream written to {events} (read with: repro analyze {events})")
+
+
+def _num_pes(text: str) -> int:
+    try:
+        return check_num_pes(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"num_pes must be an integer >= 1, got {text!r}"
+        ) from None
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -212,19 +221,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis import run_lint
 
-    select = None
-    if args.select:
-        select = [code.strip() for code in args.select.split(",") if code.strip()]
-    return run_lint(
-        args.paths,
-        include_advice=not args.no_advice,
-        select=select,
-        show_fixit=args.fixit,
-        output_format=args.output_format,
-        output_path=args.output,
-        strict_noqa=args.strict_noqa,
-        verify_trace=args.verify_trace,
-    )
+    return run_lint(args.paths)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True, help="number of blocks")
     p.add_argument("--epsilon", type=float, default=0.03)
     p.add_argument("--preset", choices=("minimal", "fast", "eco"), default="fast")
-    p.add_argument("--num-pes", type=int, default=1, dest="num_pes")
+    p.add_argument("--num-pes", type=_num_pes, default=1, dest="num_pes")
     p.add_argument("--machine", choices=("A", "B"), default="B")
     p.add_argument(
         "--backend", choices=("local", "spmd", "process"), default=None,
@@ -385,28 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=_cmd_instances)
 
     lint = sub.add_parser(
-        "lint", help="SPMD static analysis (divergence / RNG / shared-state rules)"
+        "lint", help="SPMD static analysis (rank-guarded collectives, global RNG)"
     )
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories to lint (default: src)")
-    lint.add_argument("--no-advice", action="store_true",
-                      help="hide advisory findings (they never fail the run)")
-    lint.add_argument("--select", default=None,
-                      help="comma-separated rule codes to report (default: all)")
-    lint.add_argument("--fixit", action="store_true",
-                      help="print the fix-it hint under each finding")
-    lint.add_argument("--format", default="text",
-                      choices=["text", "json", "sarif"], dest="output_format",
-                      help="report format (json/sarif for CI consumption)")
-    lint.add_argument("--output", default=None,
-                      help="write the json/sarif document to this file "
-                           "(text report still goes to stdout)")
-    lint.add_argument("--strict-noqa", action="store_true",
-                      help="advisory finding for every unused suppression")
-    lint.add_argument("--verify-trace", default=None, metavar="TRACE",
-                      help="cross-check a repro.obsv JSONL event stream "
-                           "(from `repro partition --trace`) against the "
-                           "static collective footprints")
     lint.set_defaults(func=_cmd_lint)
     return parser
 

@@ -69,9 +69,10 @@ class PartitionConfig:
     #: treat the input as a social/complex network (picks the f factor);
     #: ``None`` auto-detects from the degree distribution tail.
     social: bool | None = None
-    #: run the SPMD collective-order sanitizer during parallel runs
-    #: (``None`` defers to the ``REPRO_SANITIZE`` environment variable;
-    #: see docs/analysis.md)
+    #: accepted and ignored: the collective-order check of parallel runs
+    #: is always on (docs/analysis.md).  ``benchmarks/e2e/child.py`` is
+    #: frozen by BENCHMARK.json and reads ``config.sanitize``; a
+    #: [benchmark] refresh drops the field.
     sanitize: bool | None = None
     #: wall-clock watchdog for one parallel run, in seconds (``None``
     #: defers to ``REPRO_SPMD_TIMEOUT``, then 60 s; <= 0 disables)

@@ -14,15 +14,15 @@ process (:func:`~repro.dist.runtime.run_spmd`) and ``P`` spawned OS
 processes (:func:`~repro.dist.runtime.run_spmd_processes`) get the same
 :class:`SimComm`, and every collective is one call of
 :meth:`SimComm._collect`.  Rank 0 doubles as the *hub*: each other rank
-puts ``(rank, value, clock, sanitizer tag)`` on the world's up-queue and
+puts ``(rank, value, clock, order tag)`` on the world's up-queue and
 waits on its private down-queue; the hub gathers ``size - 1``
 contributions plus its own, checks the tags, takes the maximum clock and
 answers every rank with a private copy of the gathered list.  The
 :class:`World` holds what the ranks share — size, machine, seed, the
-sanitize flag, the queues, an abort event and a progress table — built
-on ``queue`` + ``threading`` for thread ranks and on the spawn context
-for process ranks.  Everything else (clock, :class:`CommStats`, outbox,
-sanitizer sequence) is a field of the rank's own :class:`SimComm`.
+queues, an abort event and a progress table — built on ``queue`` +
+``threading`` for thread ranks and on the spawn context for process
+ranks.  Everything else (clock, :class:`CommStats`, outbox) is a field
+of the rank's own :class:`SimComm`.
 
 Every blocking ``get`` polls the abort event: when a rank fails or the
 launcher's watchdog fires, the event is set and each waiting rank
@@ -39,17 +39,17 @@ plus the collective's alpha–beta cost from the :class:`~repro.perf.machine.Mac
 model.  Wall-clock claims in the scaling figures come from these clocks,
 while *quality* numbers are real algorithm outputs.
 
-Collective-order sanitizer
---------------------------
-The protocol silently assumes every rank calls the same collectives in
-the same order; a violation shows up as a hang or as misaligned
-payloads.  With ``sanitize=True`` (or ``REPRO_SANITIZE=1`` in the
-environment) every contribution carries an ``(op, sequence number, call
-site)`` tag and the hub verifies that all ranks agree — every rank
-raises :class:`CollectiveMismatchError` naming the divergent ranks
-otherwise.  On correct programs the sanitizer is behaviourally
-transparent (identical results, clocks and stats).  The static companion
-of this check is :mod:`repro.analysis`.
+Collective-order check
+----------------------
+The protocol assumes every rank calls the same collectives in the same
+order; unchecked, a violation gathers values of different collectives
+into one list and dies later with a misleading ``TypeError``.  So every
+contribution carries an ``(op, sequence number, call site)`` tag and the
+hub verifies that all ranks agree — every rank raises
+:class:`CollectiveMismatchError` naming the divergent ranks and both
+call sites otherwise.  A rank that never contributes cannot be named by
+the hub; that case ends in the launcher's watchdog.  The static
+companion of this check is :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ __all__ = [
 class CollectiveMismatchError(RuntimeError):
     """Ranks disagreed on which collective to run (SPMD divergence).
 
-    Raised on every rank by the sanitizer, with the per-rank op tags
-    and the set of divergent ranks in the message.
+    Raised on every rank by the hub's order check, with the per-rank op
+    tags and the set of divergent ranks in the message.
     """
 
     def __init__(self, message: str, divergent_ranks: Sequence[int] = ()) -> None:
@@ -101,12 +101,6 @@ class _Aborted(BaseException):
     Derives from ``BaseException`` so SPMD programs that catch broad
     ``Exception`` cannot swallow the shutdown.
     """
-
-
-def _env_sanitize() -> bool:
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() in {
-        "1", "true", "yes", "on",
-    }
 
 
 #: bytes reserved per rank for the op name in the progress table
@@ -206,8 +200,6 @@ class CommStats:
 class World:
     """What the ranks of one SPMD execution share.
 
-    ``sanitize=None`` (the default) defers to the ``REPRO_SANITIZE``
-    environment variable; an explicit ``True``/``False`` wins over it.
     ``ctx`` is the ``multiprocessing`` context of process ranks (the
     world is then picklable at spawn); ``None`` builds the in-process
     twins for thread ranks.
@@ -218,7 +210,6 @@ class World:
         size: int,
         machine: Machine | None = None,
         seed: int = 0,
-        sanitize: bool | None = None,
         ctx: Any = None,
     ) -> None:
         if size < 1:
@@ -226,7 +217,6 @@ class World:
         self.size = size
         self.machine = machine or SERIAL
         self.seed = seed
-        self.sanitize = _env_sanitize() if sanitize is None else bool(sanitize)
         if ctx is None:
             new_queue, self.aborted = queue.SimpleQueue, threading.Event()
             self._progress_seq = (ctypes.c_int64 * size)()
@@ -308,8 +298,7 @@ class CollectiveOps:
         associative, commutative binary callable works.  ``tag``
         optionally refines the per-op stats key (and trace span) to
         ``allreduce[tag]``, mirroring :meth:`alltoall`; tags must be
-        uniform across ranks (they participate in the sanitizer's order
-        check).
+        uniform across ranks (they participate in the hub's order check).
         """
         name = "allreduce" if tag is None else f"allreduce[{tag}]"
         values = self._collect(value, lambda vals: payload_bytes(vals[0]), op=name)
@@ -365,7 +354,7 @@ class CollectiveOps:
         to ``alltoall[tag]``, so hot exchanges — the LP interface delta,
         the halo refresh — stay distinguishable in ``CommStats.per_op``
         without touching the aggregate counters.  Tags must be uniform
-        across ranks (they participate in the sanitizer's order check).
+        across ranks (they participate in the hub's order check).
         """
         if len(per_destination) != self.size:
             raise ValueError("alltoall needs exactly one payload per rank")
@@ -438,7 +427,6 @@ class SimComm(CollectiveOps):
         self.rng = np.random.default_rng((world.seed, rank))
         self.stats = CommStats()
         self._outbox: dict[int, list[Any]] = {}
-        self._seq = 0  # collectives issued by this rank (sanitizer tags)
         self._sim_time = 0.0
 
     # ------------------------------------------------------------------
@@ -467,7 +455,7 @@ class SimComm(CollectiveOps):
             except queue.Empty:
                 continue
 
-    def _hub(self, value: Any, tag: Any) -> tuple[list[Any], float]:
+    def _hub(self, value: Any, tag: tuple[str, int, str]) -> tuple[list[Any], float]:
         """Rank 0: gather every rank's contribution, verify, answer."""
         world = self.world
         gathered: list[Any] = [value] + [None] * (self.size - 1)
@@ -475,7 +463,7 @@ class SimComm(CollectiveOps):
         tags = [tag] * self.size
         for _ in range(self.size - 1):
             src, gathered[src], clocks[src], tags[src] = self._get(world.up_queue)
-        error = _mismatch_error(tags) if world.sanitize else None
+        error = _mismatch_error(tags)
         base = max(clocks)
         for q in world.down_queues[1:]:
             # One list per rank: thread ranks must not share the hub's.
@@ -496,11 +484,9 @@ class SimComm(CollectiveOps):
         if traced:
             wall_t0 = time.perf_counter()
             sim_t0 = self._sim_time
-        world.stamp(self.rank, op, self.stats.collectives + 1)
-        tag = None
-        if world.sanitize:
-            self._seq += 1
-            tag = (op, self._seq, _callsite())
+        seq = self.stats.collectives + 1
+        world.stamp(self.rank, op, seq)
+        tag = (op, seq, _callsite())
         if self.size == 1:
             gathered, base = [value], self._sim_time
         elif self.rank == 0:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import Graph
+from ..graph.store import readonly_view
 from .comm import SimComm
 
 __all__ = ["DistGraph", "balanced_vtxdist"]
@@ -58,6 +59,11 @@ class DistGraph:
     send_ranks: np.ndarray  # adjacent PEs we must send interface values to
     send_nodes: list[np.ndarray]  # per adjacent PE: owned local ids it ghosts
     recv_ghosts: list[np.ndarray]  # per adjacent PE: ghost local ids it owns
+
+    def __post_init__(self) -> None:
+        # Same rule as the global graph's store: CSR buffers refuse writes.
+        for name in ("xadj", "adjncy", "adjwgt", "vwgt"):
+            setattr(self, name, readonly_view(getattr(self, name)))
 
     # ------------------------------------------------------------------
     # Construction

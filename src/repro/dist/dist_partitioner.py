@@ -416,7 +416,6 @@ def parallel_partition(
     common = dict(
         machine=machine,
         seed=seed,
-        sanitize=config.sanitize,
         timeout=config.spmd_timeout,
         memory_budget=memory_budget,
         memory_scale=memory_scale,

@@ -68,6 +68,7 @@ __all__ = [
     "InMemoryStore",
     "MmapShardStore",
     "SharedMemoryStore",
+    "readonly_view",
     "SharedCSRHandle",
     "ShardedWriter",
     "ArcGatherView",
@@ -259,8 +260,23 @@ class ArcGatherView:
         )
 
 
+def readonly_view(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as an array that refuses writes (``arr`` itself if it does).
+
+    CSR buffers are shared — between a graph and its ``with_weights``
+    copies, between the ranks of a thread run — so an in-place write
+    raises ``ValueError: assignment destination is read-only`` at the
+    faulting line, on every backend, as it always has on process ranks.
+    """
+    if not arr.flags.writeable:
+        return arr
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
 class InMemoryStore:
-    """The default store: four contiguous int64 arrays in one address space."""
+    """The default store: four contiguous, read-only int64 arrays."""
 
     __slots__ = ("name", "xadj", "adjncy", "vwgt", "adjwgt", "_stats")
 
@@ -272,10 +288,10 @@ class InMemoryStore:
         adjwgt: np.ndarray,
         name: str = "graph",
     ) -> None:
-        self.xadj = np.ascontiguousarray(xadj, dtype=_INDEX_DTYPE)
-        self.adjncy = np.ascontiguousarray(adjncy, dtype=_INDEX_DTYPE)
-        self.vwgt = np.ascontiguousarray(vwgt, dtype=_WEIGHT_DTYPE)
-        self.adjwgt = np.ascontiguousarray(adjwgt, dtype=_WEIGHT_DTYPE)
+        self.xadj = readonly_view(np.ascontiguousarray(xadj, dtype=_INDEX_DTYPE))
+        self.adjncy = readonly_view(np.ascontiguousarray(adjncy, dtype=_INDEX_DTYPE))
+        self.vwgt = readonly_view(np.ascontiguousarray(vwgt, dtype=_WEIGHT_DTYPE))
+        self.adjwgt = readonly_view(np.ascontiguousarray(adjwgt, dtype=_WEIGHT_DTYPE))
         self.name = name
         self._stats = StoreStats()
         validate_csr(self.xadj, self.adjncy, self.vwgt, self.adjwgt)

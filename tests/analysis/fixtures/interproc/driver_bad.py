@@ -29,3 +29,15 @@ def guarded_scoring(comm, cut):
     if comm.rank % 2 == 0:
         score = global_quality(comm, cut)  # DIV: helper allreduces
     return score
+
+
+def guarded_by_rank_valued_property(backend, comm, cut):
+    if backend.emits_events:
+        cut = global_quality(comm, cut)  # DIV: the property returns rank == 0
+    return cut
+
+
+def guarded_by_rank_valued_method(backend, comm, labels):
+    if not backend.is_root():
+        return None  # DIV: zero-argument method returning a rank scalar
+    return comm.allgather(labels)

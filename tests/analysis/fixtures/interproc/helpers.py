@@ -21,3 +21,18 @@ class LabelStore:
 
     def flush(self, comm):
         return comm.allgather(list(self.labels))
+
+
+class Backend:
+    """``emits_events`` is true on exactly one rank, behind a property."""
+
+    def __init__(self, comm):
+        self.comm = comm
+
+    @property
+    def emits_events(self):
+        return self.comm.rank == 0
+
+    def is_root(self):
+        root = self.comm.rank == 0
+        return root

@@ -12,3 +12,18 @@ def global_quality(comm, cut):
 
 def summarize(labels):
     return len(labels)
+
+
+class Backend:
+    """``emits_events`` is rank-valued; ``traced`` and ``is_big`` are not."""
+
+    def __init__(self, comm, traced):
+        self.comm = comm
+        self.traced = traced
+
+    @property
+    def emits_events(self):
+        return self.comm.rank == 0
+
+    def is_big(self, labels):
+        return len(labels) > self.comm.rank

@@ -1,70 +1,30 @@
-"""Tests for the whole-program layer: Project / call graph / footprints,
-the interprocedural rules (cross-file SPMD-DIV, COLL-ORDER) and the
-ProcessBackend-prep rules (MUT-BUF, DTYPE-NARROW).
+"""Tests for the whole-program layer: Project, the may-footprints over
+its call graph, and the interprocedural side of SPMD-DIV (helpers across
+files, dispatch by name, rank-valued properties).
 
 Like ``test_linter.py``, the fixture corpus carries its own oracle:
-marker comments (``# DIV``, ``# ORDER``, ``# MUT-BUF``, ``# DTYPE``)
-name every line that must be flagged; the clean twins must stay at zero
-findings even when linted together with their bad siblings (the whole
-``fixtures/`` tree is one project, so this also guards against
-cross-fixture pollution through conservative dispatch-by-name).
+``# DIV`` marker comments name every line that must be flagged; the
+clean twins must stay at zero findings even when linted together with
+their bad siblings (the whole ``fixtures/`` tree is one project, so this
+also guards against cross-fixture pollution through conservative
+dispatch-by-name).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import (
-    FootprintAnalysis,
-    Project,
-    Severity,
-    build_call_graph,
-    lint_file,
-    lint_paths,
-)
+from repro.analysis import FootprintAnalysis, Project, lint_file, lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-_MARKERS = {
-    "# ORDER": "COLL-ORDER",
-    "# MUT-BUF": "MUT-BUF",
-    "# DTYPE": "DTYPE-NARROW",
-    "# DIV": "SPMD-DIV",
-}
-
 
 def expected_findings(path: Path) -> set[tuple[int, str]]:
-    expected = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        for marker, code in _MARKERS.items():
-            if marker in line:
-                expected.add((lineno, code))
-                break
-    return expected
-
-
-class TestNewRuleCorpus:
-    @pytest.mark.parametrize("name", ["collorder_bad.py", "mutbuf_bad.py",
-                                      "dtype_bad.py"])
-    def test_bad_fixtures_flag_exactly_the_marked_lines(self, name):
-        path = FIXTURES / name
-        expected = expected_findings(path)
-        assert expected, f"fixture {name} has no expected-finding markers"
-        assert {(f.line, f.code) for f in lint_file(path)} == expected
-
-    @pytest.mark.parametrize("name", ["collorder_ok.py", "mutbuf_ok.py",
-                                      "dtype_ok.py"])
-    def test_clean_twins_have_zero_findings(self, name):
-        assert lint_file(FIXTURES / name) == []
-
-    @pytest.mark.parametrize("name", ["collorder_bad.py", "mutbuf_bad.py",
-                                      "dtype_bad.py"])
-    def test_new_rules_are_errors(self, name):
-        findings = lint_file(FIXTURES / name)
-        assert findings
-        assert all(f.severity is Severity.ERROR for f in findings)
+    return {
+        (lineno, "SPMD-DIV")
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "# DIV" in line
+    }
 
 
 class TestCrossFileDivergence:
@@ -86,8 +46,7 @@ class TestCrossFileDivergence:
         assert lint_paths([FIXTURES / "interproc_ok"]) == []
 
     def test_twins_stay_clean_inside_the_full_corpus_project(self):
-        clean = {"collorder_ok.py", "mutbuf_ok.py", "dtype_ok.py",
-                 "driver_ok.py"}
+        clean = {"div_ok.py", "rng_ok.py", "driver_ok.py"}
         dirty = {Path(f.path).name for f in lint_paths([FIXTURES])}
         assert not clean & dirty
 
@@ -102,26 +61,12 @@ def _analysis(sources: dict[str, str]) -> FootprintAnalysis:
 
 
 class TestFootprints:
-    def test_branch_must_is_the_intersection_of_arms(self):
-        fp = _analysis({"m": (
-            "def f(comm, flag):\n"
-            "    if flag:\n"
-            "        comm.allreduce(1)\n"
-            "        comm.barrier()\n"
-            "    else:\n"
-            "        comm.barrier()\n"
-        )}).footprint("m.f")
-        assert fp.may == frozenset({"allreduce", "barrier"})
-        assert fp.must == frozenset({"barrier"})
-
     def test_loop_body_is_may_only(self):
-        fp = _analysis({"m": (
+        assert _analysis({"m": (
             "def f(comm, xs):\n"
             "    for x in xs:\n"
             "        comm.allgather(x)\n"
-        )}).footprint("m.f")
-        assert fp.may == frozenset({"allgather"})
-        assert fp.must == frozenset()
+        )}).footprint("m.f") == frozenset({"allgather"})
 
     def test_cross_module_import_resolution(self):
         analysis = _analysis({
@@ -132,8 +77,7 @@ class TestFootprints:
                 "    sync(comm)\n"
             ),
         })
-        assert analysis.footprint("pkg.driver.run").must == \
-            frozenset({"alltoall"})
+        assert analysis.footprint("pkg.driver.run") == frozenset({"alltoall"})
 
     def test_recursive_scc_reaches_a_fixpoint(self):
         analysis = _analysis({"m": (
@@ -142,20 +86,19 @@ class TestFootprints:
             "    if n:\n"
             "        b(comm, n - 1)\n"
             "def b(comm, n):\n"
+            "    comm.exscan(n)\n"
             "    a(comm, n)\n"
         )})
-        graph = build_call_graph(analysis.project)
-        assert any({"m.a", "m.b"} <= set(scc) for scc in graph.sccs)
-        assert analysis.footprint("m.b").must == frozenset({"barrier"})
-        assert analysis.footprint("m.a").may == frozenset({"barrier"})
+        both = frozenset({"barrier", "exscan"})
+        assert analysis.footprint("m.a") == both
+        assert analysis.footprint("m.b") == both
 
     def test_real_engine_footprints_are_interprocedural(self):
         # Regression guard: if the whole-program pass silently stopped
         # resolving calls, these footprints would collapse to direct
-        # collectives only and the trace cross-check would go blind.
+        # collectives only and SPMD-DIV would go blind across files.
         src = Path(__file__).resolve().parents[2] / "src" / "repro"
         project = Project.from_paths(sorted(src.rglob("*.py")))
-        analysis = FootprintAnalysis(project)
-        sclp = analysis.footprint("repro.engine.sclp.run_sclp")
-        assert "halo_exchange" in sclp.may
-        assert "allreduce" in sclp.may
+        sclp = FootprintAnalysis(project).footprint("repro.engine.sclp.run_sclp")
+        assert "halo_exchange" in sclp
+        assert "allreduce" in sclp

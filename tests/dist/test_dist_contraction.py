@@ -157,7 +157,7 @@ class TestCommRounds:
             )
             return fn(comm, dgraph)
 
-        result = run_spmd(size, program, seed=11, sanitize=True)
+        result = run_spmd(size, program, seed=11)
         assert all(c == 7 for c in result.per_rank)
 
 

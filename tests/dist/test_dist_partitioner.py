@@ -105,6 +105,14 @@ class TestPublicApi:
         with pytest.raises(ValueError, match="preset"):
             partition_graph(g, k=2, preset="turbo")
 
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True], ids=repr)
+    def test_num_pes_must_be_a_positive_int(self, bad):
+        # 0 and -3 used to run sequentially without a word, 2.5 died with
+        # a TypeError inside the launcher.
+        g = rgg(8, seed=0)
+        with pytest.raises(ValueError, match=rf"num_pes.*{bad!r}"):
+            partition_graph(g, k=2, num_pes=bad)
+
     def test_config_with_a_different_k_is_rejected(self):
         # Used to return config.k = 4 blocks for a k = 8 request, silently.
         g = rgg(8, seed=0)

@@ -59,7 +59,7 @@ def refine_program(comm, chunk, sweep, iterations=4, delta=True):
 
 class TestFrontierIdentity:
     """frontier == full == the mode's own sweep (``sweep=None``), label
-    for label, sanitized, p in {1, 4}."""
+    for label, p in {1, 4}."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 64])
     @pytest.mark.parametrize("sweep", ["frontier", None], ids=["frontier", "mode"])
@@ -67,9 +67,9 @@ class TestFrontierIdentity:
     @pytest.mark.parametrize("constrained", [False, True])
     def test_cluster_mode(self, size, constrained, chunk, sweep):
         full = run_spmd(size, cluster_program, chunk, "full", constrained,
-                        seed=1, sanitize=True).value
+                        seed=1).value
         other = run_spmd(size, cluster_program, chunk, sweep,
-                         constrained, seed=1, sanitize=True).value
+                         constrained, seed=1).value
         assert np.array_equal(full, other)
 
     @pytest.mark.parametrize("chunk", [1, 2, 64])
@@ -78,9 +78,9 @@ class TestFrontierIdentity:
     def test_refine_mode(self, size, chunk, sweep):
         for iterations in (1, 2, 4):
             full = run_spmd(size, refine_program, chunk, "full", iterations,
-                            seed=1, sanitize=True).value
+                            seed=1).value
             other = run_spmd(size, refine_program, chunk, sweep,
-                             iterations, seed=1, sanitize=True).value
+                             iterations, seed=1).value
             assert np.array_equal(full, other), (
                 f"labels diverge after {iterations} iteration(s)"
             )
@@ -90,8 +90,7 @@ class TestDeltaExchange:
     """The delta wire format is never larger, and shrinks as LP settles."""
 
     def lp_bytes(self, program, *args, delta):
-        result = run_spmd(4, program, *args, delta=delta, seed=1,
-                          sanitize=True)
+        result = run_spmd(4, program, *args, delta=delta, seed=1)
         per_rank = [s.per_op.get(LP_OP, (0, 0))[1] for s in result.stats]
         return result.value, sum(per_rank)
 
@@ -110,8 +109,7 @@ class TestDeltaExchange:
         totals = []
         for iters in range(1, max_iter + 1):
             result = run_spmd(4, cluster_program, 64, "frontier", False,
-                              delta=delta, iterations=iters, seed=1,
-                              sanitize=True)
+                              delta=delta, iterations=iters, seed=1)
             totals.append(sum(
                 s.per_op.get(LP_OP, (0, 0))[1] for s in result.stats
             ))

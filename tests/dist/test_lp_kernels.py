@@ -2,8 +2,7 @@
 
 ``chunk_size=1`` on the full sweep must reproduce the reference oracle
 (``tests/engine/reference_sclp.py``) label-for-label on every PE count,
-in every mode, with the collective-order sanitizer on; larger chunks
-must hold quality and hard balance.  Also covers the validated
+in every mode; larger chunks must hold quality and hard balance.  Also covers the validated
 interface-label scatter (a bad sender is named, not silently scattered).
 """
 
@@ -69,21 +68,21 @@ def refine_program(comm, oracle):
 
 
 class TestDistributedEquivalence:
-    """chunk_size=1 vs the reference oracle, sanitized, label-for-label."""
+    """chunk_size=1 vs the reference oracle, label-for-label."""
 
     @pytest.mark.parametrize("size", [1, 2, 4])
     @pytest.mark.parametrize("constrained", [False, True])
     def test_cluster_mode(self, size, constrained):
         oracle = run_spmd(size, cluster_program, True, constrained,
-                          seed=1, sanitize=True).value
+                          seed=1).value
         unit = run_spmd(size, cluster_program, False, constrained,
-                        seed=1, sanitize=True).value
+                        seed=1).value
         assert np.array_equal(oracle, unit)
 
     @pytest.mark.parametrize("size", [1, 2, 4])
     def test_refine_mode(self, size):
-        oracle = run_spmd(size, refine_program, True, seed=1, sanitize=True).value
-        unit = run_spmd(size, refine_program, False, seed=1, sanitize=True).value
+        oracle = run_spmd(size, refine_program, True, seed=1).value
+        unit = run_spmd(size, refine_program, False, seed=1).value
         assert np.array_equal(oracle, unit)
 
 
@@ -101,7 +100,7 @@ class TestDistributedChunkedQuality:
             )
             return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
-        clustering = run_spmd(size, fn, seed=2, sanitize=True).value
+        clustering = run_spmd(size, fn, seed=2).value
         weights = np.bincount(clustering, weights=GRAPH.vwgt.astype(np.float64))
         # soft guarantee: each of the p local views respects the bound
         assert weights.max() <= size * bound
@@ -126,7 +125,7 @@ class TestDistributedChunkedQuality:
             )
             return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
-        result = run_spmd(4, fn, seed=3, sanitize=True).value
+        result = run_spmd(4, fn, seed=3).value
         assert block_weights(graph, result, k).max() <= lmax
         assert edge_cut(graph, result) < edge_cut(graph, start)
 
@@ -157,7 +156,7 @@ class TestInterfaceScatterValidation:
             return True
 
         with pytest.raises(ValueError, match=r"from rank 0"):
-            run_spmd(2, fn, seed=0, sanitize=True)
+            run_spmd(2, fn, seed=0)
 
     def test_consistent_exchange_locates_ghosts(self):
         graph = rgg(8, seed=1)
@@ -175,5 +174,5 @@ class TestInterfaceScatterValidation:
             assert np.array_equal(values, dgraph.ghost_global[idx - dgraph.n_local])
             return True
 
-        result = run_spmd(3, fn, seed=0, sanitize=True)
+        result = run_spmd(3, fn, seed=0)
         assert all(result.per_rank)

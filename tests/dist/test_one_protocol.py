@@ -93,7 +93,7 @@ class TestNothingIsLeftRunning:
 
     def test_after_a_sanitizer_mismatch(self):
         with pytest.raises(CollectiveMismatchError) as exc:
-            run_spmd(4, _order_divergence, sanitize=True)
+            run_spmd(4, _order_divergence)
         assert exc.value.divergent_ranks == (0,)
 
     def test_after_a_watchdog_timeout(self):

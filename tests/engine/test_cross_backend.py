@@ -191,7 +191,7 @@ def _plp_iterations(comm, graph, mode, k, bound, chunk, sweep, iters):
 
 
 def _plp_crash(comm, graph, mode, k, bound, chunk, sweep, iters):
-    if comm.rank == 1:  # repro: noqa[SPMD-DIV] fixture: deliberate crash
+    if comm.rank == 1:  # deliberate crash
         os._exit(21)
     return _plp_iterations(comm, graph, mode, k, bound, chunk, sweep, iters)
 

@@ -11,6 +11,8 @@ the hashed-tie-break path.  The ``*/chunk1/*``, ``lp_band/*`` and
 switched from RNG-stream to hash tie-breaking; they pin that regime
 against drift from here on (its *correctness* is pinned against the
 reference oracle in ``tests/core/test_lp_kernels.py``).
+``parallel_work/rmat10/fast/p4`` pins what no label hash can see: the
+summed ``CommStats.work_units`` of that instance.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.core.label_propagation import (
 )
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
 from repro.dist.dist_lp import parallel_label_propagation
-from repro.dist.dist_partitioner import parallel_partition
+from repro.dist.dist_partitioner import parallel_partition, parhip_program
 from repro.dist.runtime import run_spmd
 from repro.generators import barabasi_albert, rgg, rmat
 from repro.graph.validation import max_block_weight_bound
@@ -155,6 +157,14 @@ def test_parallel_partition(gname, cname, p):
     res = parallel_partition(g, CONFIGS[cname](k=4), num_pes=p, seed=31)
     assert digest(res.partition) == GOLDEN[f"parallel/{gname}/{cname}/p{p}"]
     assert int(res.cut) == GOLDEN[f"parallel_cut/{gname}/{cname}/p{p}"]
+
+
+def test_parallel_work_accounting():
+    """A dropped ``comm.work`` moves no label; the summed work units do."""
+    res = run_spmd(4, parhip_program, make_graph("rmat10"), fast_config(k=4), 31,
+                   seed=31)
+    assert digest(res.value[0]) == GOLDEN["parallel/rmat10/fast/p4"]
+    assert res.total_work == GOLDEN["parallel_work/rmat10/fast/p4"]
 
 
 @pytest.mark.parametrize("gname", GRAPH_NAMES)

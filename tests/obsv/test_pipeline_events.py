@@ -1,6 +1,6 @@
 """Integration tests: the instrumented pipeline under a live tracer.
 
-These run the real parallel partitioner (4 simulated PEs, sanitizer on)
+These run the real parallel partitioner (4 simulated PEs)
 and the sequential multilevel path with tracing armed, then assert the
 recorded stream tells the same story as the returned result objects.
 """
@@ -22,25 +22,17 @@ PES = 4
 
 @pytest.fixture(scope="module")
 def traced_parallel_run():
-    """One traced fast-config parallel run shared by the assertions below.
-
-    ``parallel_partition`` has no sanitize flag of its own, so the
-    collective-order sanitizer is opted in via ``REPRO_SANITIZE``.
-    """
-    import os
-
+    """One traced fast-config parallel run shared by the assertions below."""
     from repro.core.config import fast_config
 
     TRACER.disable()
     TRACER.reset()
     graph = rmat(10, seed=1)
-    os.environ["REPRO_SANITIZE"] = "1"
     TRACER.enable()
     try:
         result = parallel_partition(graph, fast_config(k=4), num_pes=PES, seed=0)
     finally:
         TRACER.disable()
-        os.environ.pop("REPRO_SANITIZE", None)
     records = TRACER.snapshot()
     yield graph, result, records
     TRACER.reset()
@@ -117,6 +109,12 @@ class TestParallelPipelineEvents:
             assert s["attrs"]["seq"] >= 1
             assert s["attrs"]["bytes"] >= 0
             assert s["sim_ts"] is not None
+        # SPMD-DIV recognises collectives by name: an op the runtime
+        # executes must be one the linter knows (tags stripped).
+        from repro.analysis.rules import COLLECTIVES
+
+        ran = {s["attrs"]["op"].split("[", 1)[0] for s in comm_spans}
+        assert ran <= COLLECTIVES, ran - COLLECTIVES
 
     def test_lp_iteration_spans_carry_moves(self, traced_parallel_run):
         _graph, _result, records = traced_parallel_run
@@ -154,7 +152,7 @@ class TestPerOpCommStats:
             comm.alltoall([np.arange(2, dtype=np.int64)] * comm.size)
             return dict(comm.stats.per_op), comm.stats.collectives, comm.stats.bytes_sent
 
-        res = run_spmd(PES, program, seed=0, sanitize=True)
+        res = run_spmd(PES, program, seed=0)
         for per_op, collectives, bytes_sent in res.per_rank:
             assert sum(c for c, _b in per_op.values()) == collectives
             assert sum(b for _c, b in per_op.values()) == bytes_sent

@@ -70,6 +70,14 @@ class TestPartitionCommand:
         assert code == 0
         assert "cut=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", ["0", "-3", "2.5", "True"])
+    def test_num_pes_must_be_a_positive_int(self, metis_graph, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", str(metis_graph), "-k", "2", f"--num-pes={bad}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "num_pes" in err and repr(bad) in err
+
     def test_cycle_flag_is_gone(self, metis_graph, capsys):
         # The V-cycle is the only cycle shape; argparse rejects the old flag.
         with pytest.raises(SystemExit) as excinfo:

@@ -30,7 +30,7 @@ from repro.core.label_propagation import (  # noqa: E402
     label_propagation_refinement,
 )
 from repro.dist.dist_lp import parallel_label_propagation  # noqa: E402
-from repro.dist.dist_partitioner import parallel_partition  # noqa: E402
+from repro.dist.dist_partitioner import parallel_partition, parhip_program  # noqa: E402
 from repro.dist.dgraph import DistGraph, balanced_vtxdist  # noqa: E402
 from repro.dist.runtime import run_spmd  # noqa: E402
 from repro.generators import barabasi_albert, rgg, rmat  # noqa: E402
@@ -133,6 +133,10 @@ def parallel_partition_goldens(out: dict) -> None:
                 res = parallel_partition(g, cfg(k=4), num_pes=p, seed=31)
                 out[f"parallel/{gname}/{cname}/p{p}"] = digest(res.partition)
                 out[f"parallel_cut/{gname}/{cname}/p{p}"] = int(res.cut)
+    # Work accounting moves no label, so one instance pins its total: the
+    # summed CommStats.work_units of parallel/rmat10/fast/p4.
+    res = run_spmd(4, parhip_program, GRAPHS["rmat10"](), fast_config(k=4), 31, seed=31)
+    out["parallel_work/rmat10/fast/p4"] = res.total_work
 
 
 def main() -> None:
