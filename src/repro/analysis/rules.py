@@ -55,10 +55,7 @@ COLLECTIVES = frozenset({
     "allgather",
     "allreduce",
     "allreduce_max",
-    "allreduce_min",
     "bcast",
-    "reduce",
-    "gather",
     "exscan",
     "alltoall",
     "exchange",

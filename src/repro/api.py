@@ -7,6 +7,7 @@ PEs, and get a validated partition back with its quality metrics.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ class PartitionResult:
     config: PartitionConfig
     num_pes: int
     sim_time: float | None  # simulated seconds; None for sequential runs
+    lmax: int  # the bound (1 + epsilon) * ceil(c(V) / k) the call was held to
 
     @property
     def cut(self) -> int:
@@ -49,6 +51,11 @@ class PartitionResult:
     def imbalance(self) -> float:
         return self.quality.imbalance
 
+    @property
+    def feasible(self) -> bool:
+        """Whether the heaviest block is within :attr:`lmax`."""
+        return self.quality.max_block_weight <= self.lmax
+
 
 def check_num_pes(num_pes: int) -> int:
     """``num_pes`` if it is an ``int >= 1`` (bools are not), else ValueError."""
@@ -56,6 +63,22 @@ def check_num_pes(num_pes: int) -> int:
     if not integral or num_pes < 1:
         raise ValueError(f"num_pes must be an integer >= 1, got {num_pes!r}")
     return int(num_pes)
+
+
+def _resolve_config(
+    k: int, config: PartitionConfig | None, preset: str = "fast", epsilon: float = 0.03
+) -> PartitionConfig:
+    """``config`` if it agrees on ``k``, else the preset's configuration."""
+    if config is None:
+        if preset not in _PRESETS:
+            raise ValueError(f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}")
+        return _PRESETS[preset](k=k, epsilon=epsilon)
+    if config.k != k:
+        raise ValueError(
+            f"the call asks for k={k} blocks but config.k={config.k}; "
+            "pass the same value to both"
+        )
+    return config
 
 
 def partition_graph(
@@ -92,88 +115,102 @@ def partition_graph(
         Optional prepartition (e.g. a geographic initialisation, the
         paper's future-work scenario): its cut edges are protected in
         the first V-cycle, and if it is balanced the result is never
-        worse than it.
+        worse than it.  Not available on a non-resident (out-of-core)
+        graph at ``num_pes=1`` (``ValueError``).
     backend:
-        Execution backend for parallel runs: ``'spmd'`` (simulated
-        threads, the default), ``'process'`` (real OS processes over
-        shared-memory CSR), or ``'local'`` (force the sequential
-        algorithm regardless of ``num_pes``).  ``None`` defers to
-        ``REPRO_BACKEND``; an explicit argument always wins over the
-        environment.
+        Launcher of a parallel run: ``'spmd'`` (simulated threads, the
+        default) or ``'process'`` (real OS processes over shared-memory
+        CSR).  ``num_pes=1`` is the sequential algorithm whatever this
+        says.
 
     Returns
     -------
-    A validated :class:`PartitionResult`.
+    A validated :class:`PartitionResult`.  ``feasible`` says whether
+    the heaviest block is within ``lmax``; when it is not, one
+    :class:`RuntimeWarning` names the block and the bound.
     """
     num_pes = check_num_pes(num_pes)
-    if config is None:
-        if preset not in _PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}")
-        config = _PRESETS[preset](k=k, epsilon=epsilon)
-    elif config.k != k:
-        raise ValueError(
-            f"partition_graph was asked for k={k} blocks but config.k={config.k}; "
-            "pass the same value to both"
-        )
-    resolved_backend = resolve_backend(backend)
+    config = _resolve_config(k, config, preset, epsilon)
+    backend = resolve_backend(backend)
     if not graph.resident:
-        if num_pes == 1 or resolved_backend == "local":
+        if num_pes == 1:
+            if initial_partition is not None:
+                raise ValueError(
+                    "initial_partition cannot seed a run on a non-resident "
+                    f"store ({type(graph.store).__name__}) at num_pes=1: the "
+                    "semi-external path has no V-cycle to protect it in; "
+                    "materialize the graph or drop the argument"
+                )
             # Out-of-core store: the multilevel pipeline would materialize
             # the arc arrays, so route to the semi-external flat path.
-            return partition_oocore(
-                graph, k, epsilon=config.epsilon, seed=seed, config=config,
-            )
+            return partition_oocore(graph, k, seed=seed, config=config)
         # The distributed pipelines slice per-rank subgraphs, which in
         # aggregate hold the whole arc set anyway — materialize up front
         # so the slicing sees plain arrays.
         graph = graph.materialized()
-    if num_pes == 1 or resolved_backend == "local":
-        # Validated once, below, for every path.
+    if num_pes == 1:
         result = sequential_partition(graph, config, seed=seed,
                                       input_partition=initial_partition,
                                       validate=False)
-        out = PartitionResult(result.partition, result.quality, config, 1, None)
+        sim_time = None
     else:
-        presult = parallel_partition(
+        result = parallel_partition(
             graph, config, num_pes=num_pes, machine=machine, seed=seed,
-            initial_partition=initial_partition, backend=resolved_backend,
+            initial_partition=initial_partition, backend=backend,
         )
-        out = PartitionResult(
-            presult.partition, presult.quality, config, num_pes, presult.sim_time
-        )
-    if graph.num_nodes:
-        check_partition(graph, out.partition, config.k, epsilon=None)
-    if TRACER.enabled:
-        _trace_result(out, max_block_weight_bound(graph, config.k, config.epsilon))
-    return out
+        sim_time = result.sim_time
+    return _finish(graph, result.partition, result.quality, config, num_pes, sim_time)
 
 
-def _trace_result(out: PartitionResult, lmax: int, **header: str) -> None:
-    """Record what a traced call returned (callers check ``TRACER.enabled``).
+def _finish(
+    graph: Graph,
+    partition: np.ndarray,
+    quality: PartitionQuality,
+    config: PartitionConfig,
+    num_pes: int = 1,
+    sim_time: float | None = None,
+    **header: str,
+) -> PartitionResult:
+    """The one exit of the API: validate, judge against Lmax, record.
 
-    One ``partition.quality`` event is the verdict on the partition:
-    ``max_block_weight`` against ``lmax`` is what run.json's
+    An infeasible partition is returned, with one :class:`RuntimeWarning`
+    naming the heaviest block and Lmax.  A traced call records the same
+    two numbers in its ``partition.quality`` event, which run.json's
     ``quality.feasible`` is read off.  A sequential call also stamps
-    backend/p into the header (parallel runs are annotated by the SPMD
-    runtime itself) and samples memory as rank 0, having no per-rank
-    workers to do it — this feeds run.json's memory section.
+    backend/p (plus ``header``) into the trace header (parallel runs are
+    annotated by the SPMD runtime itself) and samples memory as rank 0,
+    having no per-rank workers to do it — this feeds run.json's memory
+    section.
     """
-    if out.num_pes == 1:
-        TRACER.annotate_header(backend="local", p=1, **header)
-        TRACER.event("mem.rank", rank=0, shared=False, **memory_sample())
-    TRACER.event(
-        "partition.quality",
-        cut=int(out.quality.cut),
-        imbalance=float(out.quality.imbalance),
-        max_block_weight=int(out.quality.max_block_weight),
-        lmax=int(lmax),
-    )
+    if graph.num_nodes:
+        check_partition(graph, partition, config.k, epsilon=None)
+    lmax = max_block_weight_bound(graph, config.k, config.epsilon)
+    out = PartitionResult(partition, quality, config, num_pes, sim_time, lmax)
+    if not out.feasible:
+        warnings.warn(
+            f"infeasible partition: block {int(np.argmax(quality.block_weights))} "
+            f"weighs {quality.max_block_weight} > Lmax = {lmax} "
+            f"(k={config.k}, eps={config.epsilon})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if TRACER.enabled:
+        if num_pes == 1:
+            TRACER.annotate_header(backend="local", p=1, **header)
+            TRACER.event("mem.rank", rank=0, shared=False, **memory_sample())
+        TRACER.event(
+            "partition.quality",
+            cut=int(quality.cut),
+            imbalance=float(quality.imbalance),
+            max_block_weight=int(quality.max_block_weight),
+            lmax=lmax,
+        )
+    return out
 
 
 def partition_oocore(
     graph: Graph,
     k: int,
-    epsilon: float = 0.03,
     seed: int = 0,
     iterations: int = 16,
     config: PartitionConfig | None = None,
@@ -193,16 +230,17 @@ def partition_oocore(
     partitioner: balanced striped initialisation refined by
     size-constrained label propagation.  Cuts are accordingly coarser;
     the point is partitioning graphs whose arc arrays do not fit in RAM.
+    Of ``config`` (default: the *fast* preset) the pass reads
+    ``epsilon`` and ``lp_chunk_size``.
     """
     from .engine.backend import LocalBackend
     from .engine.sclp import run_sclp
 
-    if config is None:
-        config = fast_config(k=k, epsilon=epsilon)
+    config = _resolve_config(k, config)
     n = graph.num_nodes
     vwgt = graph.vwgt
     total = int(vwgt.sum())
-    bound = max_block_weight_bound(graph, k, epsilon)
+    bound = max_block_weight_bound(graph, k, config.epsilon)
     # Weight-balanced striped initialisation: node v starts in the block
     # owning its prefix-weight interval, so every block starts within
     # ceil(W/k) of the average and the bound holds from phase zero.
@@ -225,9 +263,4 @@ def partition_oocore(
         tie_seed=seed,
     )
     quality = evaluate_partition_streaming(graph, labels, k)
-    out = PartitionResult(labels, quality, config, 1, None)
-    if n:
-        check_partition(graph, out.partition, k, epsilon=None)
-    if TRACER.enabled:
-        _trace_result(out, bound, store=type(graph.store).__name__)
-    return out
+    return _finish(graph, labels, quality, config, store=type(graph.store).__name__)

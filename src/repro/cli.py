@@ -4,7 +4,7 @@ Mirrors the ergonomics of the real tools (``parhip``, ``kaffpa``)::
 
     python -m repro partition graph.metis -k 8 --preset fast -o graph.part
     python -m repro partition graph.metis -k 8 --num-pes 4 --trace out.json
-    python -m repro analyze out.events.jsonl --compare baseline.run.json
+    python -m repro analyze out.events.jsonl
     python -m repro generate rgg --exponent 12 -o rgg12.metis
     python -m repro evaluate graph.metis graph.part -k 8
     python -m repro cluster graph.metis -o clusters.txt
@@ -29,6 +29,7 @@ from pathlib import Path
 from . import generators
 from .api import check_num_pes, partition_graph
 from .core.clustering import cluster_graph
+from .engine.backend import BACKENDS
 from .graph import (
     Graph,
     convert_to_sharded,
@@ -225,15 +226,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    import json
-
-    from .obsv import (
-        compare_run_summaries,
-        read_jsonl,
-        render_analysis,
-        validate_run_summary,
-        write_run_summary,
-    )
+    from .obsv import read_jsonl, render_analysis, write_run_summary
 
     out = args.output
     if out is None:
@@ -247,26 +240,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 1
     print(render_analysis(summary))
     print(f"\nrun summary written to {out}")
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        errors = validate_run_summary(baseline)
-        if errors:
-            print(f"analyze: baseline {args.compare} is not a valid run "
-                  "summary: " + "; ".join(errors), file=sys.stderr)
-            return 1
-        problems = compare_run_summaries(
-            summary, baseline,
-            quality_tolerance=args.quality_tolerance,
-            time_tolerance=args.time_tolerance,
-            rss_tolerance=args.rss_tolerance,
-        )
-        if problems:
-            print(f"\nREGRESSIONS vs {args.compare}:")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(f"no regressions vs {args.compare}")
     return 0
 
 
@@ -293,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-pes", type=_num_pes, default=1, dest="num_pes")
     p.add_argument("--machine", choices=("A", "B"), default="B")
     p.add_argument(
-        "--backend", choices=("local", "spmd", "process"), default=None,
-        help="execution backend for parallel runs (default: REPRO_BACKEND or spmd)",
+        "--backend", choices=BACKENDS, default=None,
+        help="launcher of a parallel run (default: spmd)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--flows", action="store_true",
@@ -365,17 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("-o", "--output", default=None,
                    help="run-summary JSON path (default: <events>.run.json "
                         "next to the event stream)")
-    a.add_argument("--compare", default=None, metavar="BASELINE.json",
-                   help="diff against a previous run summary; exits nonzero "
-                        "on quality/time/memory regressions")
-    a.add_argument("--quality-tolerance", type=float, default=0.05,
-                   help="fractional cut/imbalance regression tolerance "
-                        "(default 0.05)")
-    a.add_argument("--time-tolerance", type=float, default=0.5,
-                   help="fractional wall-time regression tolerance "
-                        "(default 0.5; wall clocks are host-noisy)")
-    a.add_argument("--rss-tolerance", type=float, default=0.5,
-                   help="fractional peak-RSS regression tolerance (default 0.5)")
     a.set_defaults(func=_cmd_analyze)
 
     i = sub.add_parser("instances", help="list the Table I instance registry")

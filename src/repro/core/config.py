@@ -28,6 +28,13 @@ from ..kaffpa.driver import KaffpaOptions
 
 __all__ = ["PartitionConfig", "fast_config", "eco_config", "minimal_config"]
 
+#: size-constraint factor f on social/web graphs during V-cycle 1 (§V-A)
+CLUSTER_FACTOR_SOCIAL = 14.0
+#: size-constraint factor f on mesh networks during V-cycle 1
+CLUSTER_FACTOR_MESH = 20_000.0
+#: f range drawn from in V-cycles after the first (diversification)
+CLUSTER_FACTOR_LATER = (10.0, 25.0)
+
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -39,20 +46,11 @@ class PartitionConfig:
     coarsening_iterations: int = 3
     #: label-propagation iterations per refinement level (paper: 6)
     refinement_iterations: int = 6
-    #: size-constraint factor f on social/web graphs during V-cycle 1
-    cluster_factor_social: float = 14.0
-    #: size-constraint factor f on mesh networks during V-cycle 1
-    cluster_factor_mesh: float = 20_000.0
-    #: f range used in V-cycles after the first (diversification)
-    cluster_factor_later: tuple[float, float] = (10.0, 25.0)
     #: number of V-cycles (fast: 2, eco: 5, minimal: 1)
     num_vcycles: int = 2
     #: stop coarsening once the graph has at most this many nodes per block
     #: (paper: 10 000; scaled down with our instances)
     coarsest_nodes_per_block: int = 40
-    #: stop coarsening when one level shrinks the node count by less than
-    #: this factor (coarsening has become ineffective)
-    min_shrink_factor: float = 0.95
     #: node visiting order during coarsening LP: 'degree' (paper default)
     #: or 'random' (ablation A1)
     coarsening_ordering: str = "degree"
@@ -64,8 +62,6 @@ class PartitionConfig:
     #: the budget a run actually gets is divided by the number of PEs, the
     #: round-based analogue of the paper's t_p = t_1 / p rule.
     evolution_rounds: int = 0
-    #: individuals per PE in the evolutionary population
-    population_size: int = 4
     #: treat the input as a social/complex network (picks the f factor);
     #: ``None`` auto-detects from the degree distribution tail.
     social: bool | None = None
@@ -74,14 +70,13 @@ class PartitionConfig:
     #: frozen by BENCHMARK.json and reads ``config.sanitize``; a
     #: [benchmark] refresh drops the field.
     sanitize: bool | None = None
-    #: wall-clock watchdog for one parallel run, in seconds (``None``
-    #: defers to ``REPRO_SPMD_TIMEOUT``, then 60 s; <= 0 disables)
+    #: wall-clock watchdog for one parallel run, in seconds (``None`` is
+    #: the runtime's 60 s default; <= 0 disables)
     spmd_timeout: float | None = None
     #: label-propagation chunk size: nodes evaluated against one snapshot
     #: before labels and weights are committed (1 = node-at-a-time; see
     #: repro.engine.kernels).  The one LP knob, for both pipelines.
     lp_chunk_size: int = DEFAULT_CHUNK_SIZE
-    name: str = "fast"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -96,9 +91,8 @@ class PartitionConfig:
     def cluster_factor(self, vcycle: int, social: bool, rng: np.random.Generator) -> float:
         """The size-constraint factor f for a given V-cycle and graph class."""
         if vcycle == 0:
-            return self.cluster_factor_social if social else self.cluster_factor_mesh
-        lo, hi = self.cluster_factor_later
-        return float(rng.uniform(lo, hi))
+            return CLUSTER_FACTOR_SOCIAL if social else CLUSTER_FACTOR_MESH
+        return float(rng.uniform(*CLUSTER_FACTOR_LATER))
 
     def coarsest_target(self) -> int:
         """Coarsening stops at ``coarsest_nodes_per_block * k`` nodes."""
@@ -118,18 +112,18 @@ class PartitionConfig:
 
 def fast_config(k: int = 2, epsilon: float = 0.03, **overrides) -> PartitionConfig:
     """The paper's *fast* configuration."""
-    return PartitionConfig(k=k, epsilon=epsilon, name="fast", **overrides)
+    return PartitionConfig(k=k, epsilon=epsilon, **overrides)
 
 
 def eco_config(k: int = 2, epsilon: float = 0.03, **overrides) -> PartitionConfig:
     """The paper's *eco* configuration: more V-cycles + real EA budget."""
-    defaults = dict(num_vcycles=5, evolution_rounds=8, name="eco")
+    defaults = dict(num_vcycles=5, evolution_rounds=8)
     defaults.update(overrides)
     return PartitionConfig(k=k, epsilon=epsilon, **defaults)
 
 
 def minimal_config(k: int = 2, epsilon: float = 0.03, **overrides) -> PartitionConfig:
     """The paper's *minimal* variant: a single V-cycle."""
-    defaults = dict(num_vcycles=1, name="minimal")
+    defaults = dict(num_vcycles=1)
     defaults.update(overrides)
     return PartitionConfig(k=k, epsilon=epsilon, **defaults)

@@ -200,7 +200,6 @@ def label_propagation_refinement(
     max_block_weight: int,
     iterations: int,
     rng: np.random.Generator,
-    constraint: np.ndarray | None = None,
     band_distance: int | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     pin_sweep: str | None = None,
@@ -230,7 +229,6 @@ def label_propagation_refinement(
         labels=partition,
         ordering="random",
         refine=True,
-        constraint=constraint,
         chunk_size=chunk_size,
         pin_sweep=pin_sweep,
         band=band,

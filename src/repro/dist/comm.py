@@ -3,7 +3,7 @@
 Every distributed algorithm in this library is written in SPMD style
 against :class:`SimComm`, whose surface mirrors the MPI subset the paper
 uses (Section IV): barrier, allreduce, allgather, alltoall(v), broadcast,
-exclusive prefix sum (exscan), reduce/gather, and buffered point-to-point
+exclusive prefix sum (exscan), and buffered point-to-point
 sends delivered at the next exchange — the paper's phase-κ asynchronous
 update scheme.
 
@@ -316,10 +316,6 @@ class CollectiveOps:
         """Allreduce with elementwise maximum."""
         return self.allreduce(value, op=np.maximum if isinstance(value, np.ndarray) else max)
 
-    def allreduce_min(self, value: Any) -> Any:
-        """Allreduce with elementwise minimum."""
-        return self.allreduce(value, op=np.minimum if isinstance(value, np.ndarray) else min)
-
     def bcast(self, value: Any, root: int = 0) -> Any:
         """Broadcast ``value`` from ``root`` to all ranks."""
         values = self._collect(
@@ -328,16 +324,6 @@ class CollectiveOps:
             op="bcast",
         )
         return values[root]
-
-    def reduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None, root: int = 0) -> Any:
-        """Reduce to ``root``; other ranks receive ``None``."""
-        result = self.allreduce(value, op)
-        return result if self.rank == root else None
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        """Gather all values at ``root``; other ranks receive ``None``."""
-        values = self.allgather(value)
-        return values if self.rank == root else None
 
     def exscan(self, value: int | float) -> int | float:
         """Exclusive prefix sum (rank 0 receives 0) — Section IV-C's q map."""

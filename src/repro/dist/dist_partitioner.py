@@ -37,6 +37,7 @@ import numpy as np
 
 from ..core.config import PartitionConfig, fast_config
 from ..core.multilevel import detect_social
+from ..engine.backend import resolve_backend
 from ..engine.vcycle import run_vcycle
 from ..evolutionary.kaffpae import KaffpaeOptions, kaffpae_partition
 from ..graph.csr import Graph
@@ -242,7 +243,6 @@ class SpmdVcycleBackend:
         if self.constraint is not None:
             seed_partition = self.current.gather_global(self.comm, self.constraint)
         ea_options = KaffpaeOptions(
-            population_size=self.config.population_size,
             rounds=self.config.evolution_rounds,
             engine=self.config.coarsest_engine(),
         )
@@ -395,24 +395,15 @@ def parallel_partition(
     ``backend`` selects the execution substrate for the SPMD ranks:
     ``'spmd'`` (simulated PEs as lock-step threads, the default) or
     ``'process'`` (real OS processes over shared-memory CSR segments via
-    :func:`~repro.dist.runtime.run_spmd_processes`); ``None`` defers to
-    ``REPRO_BACKEND``.  Both substrates produce bit-identical partitions
-    and simulated clocks — the process backend additionally scales in
-    wall clock.
+    :func:`~repro.dist.runtime.run_spmd_processes`).  Both substrates
+    produce bit-identical partitions and simulated clocks — the process
+    backend additionally scales in wall clock.
 
     Raises :class:`repro.perf.OutOfMemoryError` if a ``memory_budget`` (in
     scaled bytes per PE) is given and exceeded — the mechanism behind the
     ``*`` entries of Tables II/III.
     """
-    from ..engine.backend import resolve_backend
-
     config = config or fast_config()
-    resolved = resolve_backend(backend)
-    if resolved == "local":
-        raise ValueError(
-            "parallel_partition needs a distributed backend ('spmd' or "
-            "'process'); use repro.api.partition_graph for the local path"
-        )
     common = dict(
         machine=machine,
         seed=seed,
@@ -422,7 +413,7 @@ def parallel_partition(
         replica_memory_scale=replica_memory_scale,
         initial_partition=initial_partition,
     )
-    if resolved == "process":
+    if resolve_backend(backend) == "process":
         result = run_spmd_processes(
             num_pes, parhip_program, config, seed, graph=graph, **common
         )

@@ -15,19 +15,17 @@ A wall-clock watchdog guards the join: a program that diverges on its
 collective order (one rank waiting in a collective the others never
 reach) raises :class:`SpmdDeadlockError` naming the stuck ranks and the
 collective each one last entered, instead of hanging the caller forever.
-The default budget is 60 seconds, overridable per call (``timeout=``) or
-process-wide via ``REPRO_SPMD_TIMEOUT`` (``0`` disables the watchdog).
+The default budget is 60 seconds, overridable per call (``timeout=``;
+``0`` disables the watchdog).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import queue as _queue
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -82,31 +80,9 @@ class SpmdDeadlockError(RuntimeError):
 
 
 def _resolve_timeout(timeout: float | None) -> float | None:
-    """Explicit argument wins; then ``REPRO_SPMD_TIMEOUT``; then 60 s.
-
-    Values <= 0 (from either source) disable the watchdog entirely.  An
-    empty ``REPRO_SPMD_TIMEOUT`` counts as unset; a malformed one emits
-    a :class:`RuntimeWarning` naming the bad value and falls back to the
-    default.
-    """
+    """The watchdog budget: 60 s for ``None``, none at all for <= 0."""
     if timeout is None:
-        env = os.environ.get("REPRO_SPMD_TIMEOUT", "").strip()
-        if env:
-            try:
-                timeout = float(env)
-            except ValueError:
-                # A typo like "60s" must not silently shrink-wrap to the
-                # default — say what was ignored and why.
-                warnings.warn(
-                    f"ignoring malformed REPRO_SPMD_TIMEOUT={env!r} "
-                    "(expected a number of seconds); using the "
-                    f"{DEFAULT_SPMD_TIMEOUT:.0f}s default",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                timeout = DEFAULT_SPMD_TIMEOUT
-        else:
-            timeout = DEFAULT_SPMD_TIMEOUT
+        timeout = DEFAULT_SPMD_TIMEOUT
     return timeout if timeout > 0 else None
 
 
@@ -205,8 +181,8 @@ def run_spmd(
     collectives.  Per-rank randomness should come from ``comm.rng``, which
     is deterministically seeded from ``(seed, rank)``.
 
-    ``timeout`` bounds the wall-clock join (``None`` defers to
-    ``REPRO_SPMD_TIMEOUT``, then 60 s; <= 0 disables).
+    ``timeout`` bounds the wall-clock join (``None`` is 60 s; <= 0
+    disables).
     """
     world = World(size, machine=machine, seed=seed)
     TRACER.annotate_header(backend="spmd", p=size)

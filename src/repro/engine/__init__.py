@@ -6,7 +6,7 @@ against the :class:`~repro.engine.backend.ExecutionBackend` protocol:
 NumPy substrate and :class:`~repro.engine.backend.SpmdBackend` to the
 distributed-memory one, whether its ranks are lock-step threads or real
 OS processes over shared-memory CSR segments
-(``REPRO_BACKEND=local|spmd|process``, see
+(``backend='spmd'|'process'``, see
 :func:`~repro.engine.backend.resolve_backend`).  And one multilevel
 V-cycle driver (:func:`~repro.engine.vcycle.run_vcycle`), written
 against the :class:`~repro.engine.vcycle.VcycleBackend` hooks that

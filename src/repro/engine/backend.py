@@ -23,7 +23,6 @@ construction.
 
 from __future__ import annotations
 
-import os
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -39,32 +38,21 @@ __all__ = [
     "BACKENDS",
 ]
 
-#: the three execution substrates, in the order the docs present them
-BACKENDS = ("local", "spmd", "process")
+#: the launchers of a parallel run (``num_pes == 1`` needs none: it is
+#: the sequential algorithm, labelled ``backend: local`` in run.json)
+BACKENDS = ("spmd", "process")
 
 
-def resolve_backend(explicit: str | None = None, default: str = "spmd") -> str:
-    """Resolve the execution-backend selector.
+def resolve_backend(explicit: str | None = None) -> str:
+    """``explicit`` if it names a launcher, ``'spmd'`` for ``None``.
 
-    ``explicit`` wins when given.  Otherwise ``REPRO_BACKEND`` is
-    consulted (``local`` | ``spmd`` | ``process``), falling back to
-    ``default``.  Unknown values raise — a typo in the environment must
-    not silently select a different substrate.
+    Anything else raises: a typo must not select a different substrate.
     """
-    if explicit is not None:
-        if explicit not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {explicit!r}"
-            )
-        return explicit
-    raw = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if not raw:
-        return default
-    if raw not in BACKENDS:
-        raise ValueError(
-            f"REPRO_BACKEND must be one of {BACKENDS}, got {raw!r}"
-        )
-    return raw
+    if explicit is None:
+        return "spmd"
+    if explicit not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {explicit!r}")
+    return explicit
 
 
 @runtime_checkable

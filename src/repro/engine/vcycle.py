@@ -34,6 +34,9 @@ from ..perf.rss import memory_probe
 
 __all__ = ["VcycleBackend", "VcycleResult", "run_coarsening", "run_vcycle"]
 
+#: coarsening has stalled when a level keeps at least this share of its nodes
+MIN_SHRINK_FACTOR = 0.95
+
 
 class VcycleBackend(Protocol):
     """What the V-cycle driver needs from a pipeline substrate.
@@ -97,7 +100,7 @@ def run_coarsening(
 
     Repeatedly cluster and contract until the graph fits the initial
     partitioner (``config.coarsest_target()`` nodes) or a level fails to
-    shrink it by ``config.min_shrink_factor`` (stall).  The cluster
+    shrink it by :data:`MIN_SHRINK_FACTOR` (stall).  The cluster
     bound is ``U = Lmax / f`` for the factor ``f = cluster_factor``; the
     per-level bound tracks coarse node growth (at least a pairwise merge
     must stay possible) but is capped well below ``lmax``: coarse nodes
@@ -125,7 +128,7 @@ def run_coarsening(
             fine_size = backend.current_size()
             labels = backend.cluster(level_bound)
             level = backend.contract(labels)
-            if backend.coarse_size(level) >= config.min_shrink_factor * fine_size:
+            if backend.coarse_size(level) >= MIN_SHRINK_FACTOR * fine_size:
                 # Ineffective level: stop rather than loop forever, and
                 # partition what we have.
                 level_span.set(stalled=True)

@@ -40,7 +40,6 @@ def combine(
     parent_a: Individual,
     parent_b: Individual,
     options: KaffpaOptions | None = None,
-    objective: str = "cut",
 ) -> Individual:
     """Produce an offspring at least as fit as the better parent."""
     better = parent_a if not parent_b.dominates(parent_a) else parent_b
@@ -54,7 +53,7 @@ def combine(
         constraint=constraint,
         seed_partition=better.partition,
     )
-    child = Individual.from_partition(graph, offspring, k, epsilon, objective=objective)
+    child = Individual.from_partition(graph, offspring, k, epsilon)
     # Refinement and seed logic guarantee non-worsening; keep the better
     # parent defensively if numerical tie-breaking ever produced a tie.
     return child if not better.dominates(child) else better

@@ -2,7 +2,7 @@
 
 "From time to time, the best local partition is sent to a random
 selection of other processors."  Each exchange round, every PE pushes its
-current best individual to ``fanout`` random other PEs through the
+current best individual to :data:`FANOUT` random other PEs through the
 buffered point-to-point layer; received individuals are offered to the
 local population (elitist insertion decides admission).
 """
@@ -16,6 +16,9 @@ from .population import Individual, Population
 
 __all__ = ["rumor_exchange"]
 
+#: random other PEs each PE pushes its best individual to per round
+FANOUT = 2
+
 
 def rumor_exchange(
     comm: SimComm,
@@ -23,8 +26,6 @@ def rumor_exchange(
     population: Population,
     k: int,
     epsilon: float,
-    fanout: int = 2,
-    objective: str = "cut",
 ) -> int:
     """One exchange round; returns how many received individuals were admitted.
 
@@ -34,12 +35,12 @@ def rumor_exchange(
     if comm.size > 1 and len(population) > 0:
         best = population.best()
         others = [r for r in range(comm.size) if r != comm.rank]
-        targets = comm.rng.choice(others, size=min(fanout, len(others)), replace=False)
+        targets = comm.rng.choice(others, size=min(FANOUT, len(others)), replace=False)
         for dest in targets.tolist():
             comm.send_buffered(int(dest), best.partition.copy())
     admitted = 0
     for _src, payload in comm.exchange():
-        immigrant = Individual.from_partition(graph, payload, k, epsilon, objective=objective)
+        immigrant = Individual.from_partition(graph, payload, k, epsilon)
         if population.insert(immigrant):
             admitted += 1
     return admitted

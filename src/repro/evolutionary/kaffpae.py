@@ -41,6 +41,10 @@ __all__ = ["KaffpaeOptions", "kaffpae_partition"]
 
 #: estimated work units (edge traversals) of one engine run per arc
 _ENGINE_WORK_PER_ARC = 12.0
+#: chance that a round mutates a member after its combine
+MUTATION_PROBABILITY = 0.2
+#: rumor-spread the local best every this many rounds
+EXCHANGE_PERIOD = 2
 
 
 @dataclass(frozen=True)
@@ -49,11 +53,6 @@ class KaffpaeOptions:
 
     population_size: int = 4
     rounds: int = 0  # optimisation rounds at p = 1 (scaled by 1/p)
-    mutation_probability: float = 0.2
-    exchange_period: int = 2  # rumor-spread every this many rounds
-    #: selection objective: "cut" (default) | "comm_volume" |
-    #: "max_comm_volume" | "max_quotient_degree" (paper future work)
-    objective: str = "cut"
     # matching-based engine: the coarsest graph has already had its
     # community structure contracted away, so cluster coarsening has
     # nothing to exploit there — the paper uses the full (matching +
@@ -82,16 +81,14 @@ def kaffpae_partition(
     # Initial population (independent multilevel runs per PE)
     # ------------------------------------------------------------------
     if seed_individual is not None:
-        population.insert(Individual.from_partition(graph, seed_individual, k, epsilon,
-                                                    objective=options.objective))
+        population.insert(Individual.from_partition(graph, seed_individual, k, epsilon))
     # t_p = t_1 / p: each PE builds its 1/p share of the population; the
     # global pool (what the final all-PE best draws from) keeps its size.
     local_target = max(1, -(-options.population_size // comm.size))
     with TRACER.span("ea.init", comm=comm, target=local_target) as init_sp:
         while len(population) < local_target:
             part = kaffpa_partition(graph, k, epsilon, rng, options=options.engine)
-            population.insert(Individual.from_partition(graph, part, k, epsilon,
-                                                        objective=options.objective))
+            population.insert(Individual.from_partition(graph, part, k, epsilon))
             comm.work(_ENGINE_WORK_PER_ARC * graph.num_arcs)
         init_sp.set(best_cut=population.best().cut)
 
@@ -106,29 +103,26 @@ def kaffpae_partition(
         round_span.__enter__()
         parent_a, parent_b = population.sample_pair(rng)
         child = combine(graph, k, epsilon, rng, parent_a, parent_b,
-                        options=options.engine, objective=options.objective)
+                        options=options.engine)
         child_admitted = population.insert(child)
         round_span.set(child_cut=child.cut, child_admitted=bool(child_admitted))
         comm.work(_ENGINE_WORK_PER_ARC * graph.num_arcs)
-        if rng.random() < options.mutation_probability:
+        if rng.random() < MUTATION_PROBABILITY:
             victim, _ = population.sample_pair(rng)
             if rng.random() < 0.5:
                 mutant = mutate_vcycle(graph, k, epsilon, rng, victim,
-                                       options=options.engine,
-                                       objective=options.objective)
+                                       options=options.engine)
                 mutation_kind = "vcycle"
             else:
-                mutant = mutate_perturb(graph, k, epsilon, rng, victim,
-                                        objective=options.objective)
+                mutant = mutate_perturb(graph, k, epsilon, rng, victim)
                 mutation_kind = "perturb"
             mutant_admitted = population.insert(mutant)
             round_span.set(mutation=mutation_kind, mutant_cut=mutant.cut,
                            mutant_admitted=bool(mutant_admitted))
             comm.work(_ENGINE_WORK_PER_ARC * graph.num_arcs)
-        if (round_idx + 1) % options.exchange_period == 0:
+        if (round_idx + 1) % EXCHANGE_PERIOD == 0:
             bytes_before = comm.stats.bytes_sent
-            admitted = rumor_exchange(comm, graph, population, k, epsilon,
-                                      objective=options.objective)
+            admitted = rumor_exchange(comm, graph, population, k, epsilon)
             round_span.set(exchange_admitted=int(admitted),
                            exchange_bytes=comm.stats.bytes_sent - bytes_before)
         if TRACER.enabled:

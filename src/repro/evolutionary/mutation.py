@@ -25,6 +25,9 @@ from .population import Individual
 
 __all__ = ["mutate_vcycle", "mutate_perturb"]
 
+#: share of the boundary nodes :func:`mutate_perturb` reassigns
+PERTURB_FRACTION = 0.05
+
 
 def mutate_vcycle(
     graph: Graph,
@@ -33,7 +36,6 @@ def mutate_vcycle(
     rng: np.random.Generator,
     individual: Individual,
     options: KaffpaOptions | None = None,
-    objective: str = "cut",
 ) -> Individual:
     """Non-worsening mutation: one protected V-cycle over the individual."""
     offspring = kaffpa_partition(
@@ -44,7 +46,7 @@ def mutate_vcycle(
         options=options,
         seed_partition=individual.partition,
     )
-    child = Individual.from_partition(graph, offspring, k, epsilon, objective=objective)
+    child = Individual.from_partition(graph, offspring, k, epsilon)
     return child if not individual.dominates(child) else individual
 
 
@@ -54,16 +56,14 @@ def mutate_perturb(
     epsilon: float,
     rng: np.random.Generator,
     individual: Individual,
-    fraction: float = 0.05,
-    objective: str = "cut",
 ) -> Individual:
     """Diversifying mutation: reassign some boundary nodes, then repair."""
     partition = individual.partition.copy()
     boundary = boundary_nodes(graph, partition)
     if boundary.size:
-        count = max(1, int(fraction * boundary.size))
+        count = max(1, int(PERTURB_FRACTION * boundary.size))
         chosen = rng.choice(boundary, size=min(count, boundary.size), replace=False)
         partition[chosen] = rng.integers(0, k, size=chosen.size)
     lmax = max_block_weight_bound(graph, k, epsilon)
     repaired = greedy_kway_refine(graph, partition, k, lmax, rng, max_passes=3)
-    return Individual.from_partition(graph, repaired, k, epsilon, objective=objective)
+    return Individual.from_partition(graph, repaired, k, epsilon)

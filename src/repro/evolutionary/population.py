@@ -14,25 +14,9 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.validation import max_block_weight_bound
-from ..metrics.quality import (
-    communication_volume,
-    edge_cut,
-    max_communication_volume,
-    max_quotient_degree,
-    overweight_cut,
-)
+from ..metrics.quality import overweight_cut
 
-__all__ = ["Individual", "Population", "OBJECTIVES"]
-
-#: selectable evolutionary objectives (paper conclusion: "other objective
-#: functions such as maximum/total communication volume or maximum
-#: quotient graph degree into the evolutionary algorithm")
-OBJECTIVES = {
-    "cut": edge_cut,
-    "comm_volume": lambda g, p, k: communication_volume(g, p),
-    "max_comm_volume": max_communication_volume,
-    "max_quotient_degree": max_quotient_degree,
-}
+__all__ = ["Individual", "Population"]
 
 
 @dataclass(frozen=True)
@@ -42,37 +26,20 @@ class Individual:
     partition: np.ndarray
     cut: int
     overweight: int  # max(0, heaviest block - Lmax); 0 means balanced
-    objective_value: int = -1  # value of the selected objective (default: cut)
 
     @classmethod
     def from_partition(
-        cls,
-        graph: Graph,
-        partition: np.ndarray,
-        k: int,
-        epsilon: float,
-        objective: str = "cut",
+        cls, graph: Graph, partition: np.ndarray, k: int, epsilon: float
     ) -> "Individual":
         partition = np.asarray(partition, dtype=np.int64)
         lmax = max_block_weight_bound(graph, k, epsilon)
         overweight, cut = overweight_cut(graph, partition, k, lmax)
-        if objective == "cut":
-            value = cut
-        else:
-            try:
-                scorer = OBJECTIVES[objective]
-            except KeyError:
-                raise ValueError(
-                    f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
-                ) from None
-            value = int(scorer(graph, partition, k))
-        return cls(partition, cut, overweight, value)
+        return cls(partition, cut, overweight)
 
     @property
-    def fitness_key(self) -> tuple[int, int, int]:
-        """Smaller is better: (balance violation, objective, cut tiebreak)."""
-        value = self.objective_value if self.objective_value >= 0 else self.cut
-        return (self.overweight, value, self.cut)
+    def fitness_key(self) -> tuple[int, int]:
+        """Smaller is better: (balance violation, cut)."""
+        return (self.overweight, self.cut)
 
     def dominates(self, other: "Individual") -> bool:
         return self.fitness_key < other.fitness_key

@@ -39,6 +39,11 @@ from .matching import match_and_contract
 
 __all__ = ["KaffpaOptions", "kaffpa_partition"]
 
+#: coarsening stops after this many matching levels
+MAX_LEVELS = 40
+#: matching has stalled when a level keeps at least this share of its nodes
+MIN_SHRINK_FACTOR = 0.98
+
 
 @dataclass(frozen=True)
 class KaffpaOptions:
@@ -47,8 +52,6 @@ class KaffpaOptions:
     coarsest_nodes: int = 60  # stop coarsening below max(this, 4k) nodes
     initial_attempts: int = 4
     refinement_passes: int = 2
-    max_levels: int = 40
-    min_shrink_factor: float = 0.98
     #: additionally run flow-based pairwise refinement (KaFFPa's flow
     #: technique) on levels up to this many nodes; 0 disables flows
     flow_refinement_below: int = 0
@@ -91,11 +94,11 @@ def kaffpa_partition(
     # ------------------------------------------------------------------
     levels: list[tuple[Graph, np.ndarray]] = []  # (fine graph, fine_to_coarse)
     current = graph
-    while current.num_nodes > target_nodes and len(levels) < options.max_levels:
+    while current.num_nodes > target_nodes and len(levels) < MAX_LEVELS:
         result = match_and_contract(
             current, rng, max_node_weight=max_node_weight, constraint=constraint
         )
-        if result.coarse.num_nodes >= options.min_shrink_factor * current.num_nodes:
+        if result.coarse.num_nodes >= MIN_SHRINK_FACTOR * current.num_nodes:
             break  # stalled
         levels.append((current, result.fine_to_coarse))
         # No coarse node spans two constraint clusters (hence two seed

@@ -20,7 +20,6 @@ from .analyze import (
     RUN_SUMMARY_SCHEMA,
     build_run_summary,
     comm_matrix,
-    compare_run_summaries,
     critical_path,
     phase_times,
     rank_load,
@@ -39,7 +38,6 @@ __all__ = [
     "Tracer",
     "build_run_summary",
     "comm_matrix",
-    "compare_run_summaries",
     "critical_path",
     "host_header",
     "phase_times",

@@ -3,7 +3,7 @@
 The span/event stream is the only thing a traced run records, and this
 module is the only thing that reads it back: ``repro analyze`` builds
 the versioned machine-readable ``run.json`` (:func:`build_run_summary`)
-that other tools (CI regression gates, the bench) can diff, and renders
+that other tools (CI gates, the bench) can read, and renders
 that same document for people (:func:`render_analysis`).  Every number
 is derived from the stream, so it means the same on the local, thread
 and process backends (worker records are merged by
@@ -52,7 +52,6 @@ __all__ = [
     "RUN_SUMMARY_SCHEMA",
     "build_run_summary",
     "comm_matrix",
-    "compare_run_summaries",
     "critical_path",
     "phase_times",
     "rank_load",
@@ -628,52 +627,6 @@ def validate_run_summary(doc: Any) -> list[str]:
     if not isinstance(mem.get("peak_rss_bytes"), int):
         errors.append("memory.peak_rss_bytes must be an integer")
     return errors
-
-
-# ---------------------------------------------------------------------------
-# Regression comparison
-# ---------------------------------------------------------------------------
-
-def compare_run_summaries(
-    current: dict,
-    baseline: dict,
-    *,
-    quality_tolerance: float = 0.05,
-    time_tolerance: float = 0.5,
-    rss_tolerance: float = 0.5,
-) -> list[str]:
-    """Regressions of ``current`` against ``baseline`` (empty = clean).
-
-    Quality (cut, imbalance) is gated tightly — partitioning is seeded,
-    so drift is a real change; wall time and RSS get loose fractional
-    tolerances because they are host-noisy.  Only degradations fail:
-    improvements pass silently.
-    """
-    problems: list[str] = []
-
-    def _gate(label: str, cur: Any, base: Any, tolerance: float) -> None:
-        if cur is None or base is None:
-            return
-        cur, base = float(cur), float(base)
-        limit = base * (1.0 + tolerance) if base > 0 else tolerance
-        if cur > limit:
-            problems.append(
-                f"{label} regressed: {cur:g} > {base:g} "
-                f"(+{tolerance:.0%} tolerance = {limit:g})"
-            )
-
-    cur_q = current.get("quality") or {}
-    base_q = baseline.get("quality") or {}
-    _gate("quality.cut", cur_q.get("cut"), base_q.get("cut"), quality_tolerance)
-    _gate("quality.imbalance", cur_q.get("imbalance"), base_q.get("imbalance"),
-          quality_tolerance)
-    _gate("wall_time_s", current.get("wall_time_s"), baseline.get("wall_time_s"),
-          time_tolerance)
-    cur_mem = (current.get("memory") or {}).get("peak_rss_bytes")
-    base_mem = (baseline.get("memory") or {}).get("peak_rss_bytes")
-    _gate("memory.peak_rss_bytes", cur_mem or None, base_mem or None,
-          rss_tolerance)
-    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import PartitionConfig, coarsen, fast_config, project_partition
+from repro.engine.vcycle import MIN_SHRINK_FACTOR
 from repro.generators import load_instance, planted_partition, rgg
 from repro.graph import check_graph
 from repro.metrics import edge_cut
@@ -41,7 +42,7 @@ class TestCoarsen:
         assert (
             h.coarsest.num_nodes <= config.coarsest_target()
             or h.depth == 0
-            or h.levels[-1].shrink_factor >= config.min_shrink_factor
+            or h.levels[-1].shrink_factor >= MIN_SHRINK_FACTOR
         )
 
     def test_all_levels_valid_and_weight_conserving(self):

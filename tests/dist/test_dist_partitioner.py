@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import partition_graph
 from repro.core import eco_config, fast_config, minimal_config, sequential_partition
 from repro.dist import parallel_partition
-from repro.generators import load_instance, planted_partition, rgg
+from repro.generators import load_instance, planted_partition, rgg, rmat
 from repro.graph import check_partition
 from repro.metrics import edge_cut
 from repro.perf import MACHINE_B
@@ -118,6 +120,23 @@ class TestPublicApi:
         g = rgg(8, seed=0)
         with pytest.raises(ValueError, match=r"k=8.*config\.k=4"):
             partition_graph(g, 8, config=fast_config(k=4))
+
+    def test_result_says_whether_it_is_feasible(self):
+        # ROADMAP's reproducible balance leak: at p = 4 KaFFPaE hands back
+        # an overweight coarsest partition that refinement cannot repair.
+        # The result has to say so; p = 1 and p = 2 keep the bound.
+        g = rmat(15, seed=1)
+        for num_pes in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = partition_graph(g, 8, preset="fast", num_pes=num_pes, seed=0)
+            assert res.feasible is True
+            assert res.quality.max_block_weight <= res.lmax == 4218
+        with pytest.warns(RuntimeWarning, match=r"weighs 4264 > Lmax = 4218") as caught:
+            res = partition_graph(g, 8, preset="fast", num_pes=4, seed=0)
+        assert len(caught) == 1
+        assert res.feasible is False
+        assert f"block {int(np.argmax(res.quality.block_weights))} " in str(caught[0].message)
 
     def test_planted_partition_quality(self):
         g, truth = planted_partition(2, 128, p_in=0.25, p_out=0.01, seed=0)

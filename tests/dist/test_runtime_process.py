@@ -17,7 +17,6 @@ from __future__ import annotations
 import glob
 import os
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -219,36 +218,16 @@ class TestThreadRuntimeFailures:
 
 
 # ---------------------------------------------------------------------------
-# REPRO_SPMD_TIMEOUT resolution
+# Watchdog budget: ``timeout=`` is the one way to set it
 # ---------------------------------------------------------------------------
 
 class TestResolveTimeout:
     def test_explicit_wins_over_env(self, monkeypatch):
+        # ... because the environment is not a way in at all
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "5")
         assert _resolve_timeout(12.0) == 12.0
+        assert _resolve_timeout(None) == DEFAULT_SPMD_TIMEOUT
 
-    def test_env_number(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "42.5")
-        assert _resolve_timeout(None) == 42.5
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "0")
-        assert _resolve_timeout(None) is None
+    def test_zero_disables(self):
+        assert _resolve_timeout(0) is None
         assert _resolve_timeout(-3.0) is None
-
-    def test_malformed_env_warns_and_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "60s")
-        with pytest.warns(RuntimeWarning, match=r"malformed REPRO_SPMD_TIMEOUT='60s'"):
-            assert _resolve_timeout(None) == DEFAULT_SPMD_TIMEOUT
-
-    def test_empty_env_counts_as_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning fails the test
-            assert _resolve_timeout(None) == DEFAULT_SPMD_TIMEOUT
-
-    def test_whitespace_env_counts_as_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "   ")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _resolve_timeout(None) == DEFAULT_SPMD_TIMEOUT

@@ -100,10 +100,23 @@ class TestDeadlockWatchdog:
         assert "rank" in msg
         assert "allgather" in msg  # last collective each stuck rank entered
 
-    def test_env_timeout(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "0.5")
-        with pytest.raises(SpmdDeadlockError):
-            run_spmd(3, _early_return)
+    def test_config_timeout(self, monkeypatch):
+        # ``config.spmd_timeout`` is how a partition call sets the budget.
+        from repro.core import fast_config
+        from repro.dist import dist_partitioner
+        from repro.generators import planted_partition
+
+        seen = []
+        real = dist_partitioner.run_spmd
+        monkeypatch.setattr(
+            dist_partitioner, "run_spmd",
+            lambda *args, **kw: seen.append(kw["timeout"]) or real(*args, **kw),
+        )
+        graph, _truth = planted_partition(2, 40, p_in=0.2, p_out=0.01, seed=7)
+        dist_partitioner.parallel_partition(
+            graph, fast_config(k=2, spmd_timeout=7.5), num_pes=2
+        )
+        assert seen == [7.5]
 
     def test_timeout_zero_disables_watchdog(self):
         # A correct program with the watchdog disabled completes normally.

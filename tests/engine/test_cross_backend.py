@@ -288,7 +288,7 @@ RULE_CHUNK = 8
 
 
 @pytest.mark.parametrize("num_pes,backend", [
-    (1, "local"), (4, "spmd"), (2, "process"),
+    (1, None), (4, "spmd"), (2, "process"),
 ], ids=["local", "spmd4", "process2"])
 def test_sweep_follows_mode_and_chunk_is_constant(num_pes, backend):
     """What production callers get (nobody pins a sweep): clustering runs

@@ -88,6 +88,17 @@ def test_partition_graph_dispatches_nonresident(graph, sharded):
     assert np.array_equal(via_dispatch.partition, direct.partition)
 
 
+def test_nonresident_graph_refuses_an_initial_partition(sharded):
+    # The flat semi-external route has no V-cycle to protect a seed in;
+    # it used to drop the argument without a word.
+    seed = _striped(sharded)
+    with pytest.raises(ValueError, match=r"initial_partition.*MmapShardStore"):
+        partition_graph(sharded, K, num_pes=1, initial_partition=seed)
+    # at p > 1 the graph is materialized and the seed is honoured
+    seeded = partition_graph(sharded, K, num_pes=2, seed=5, initial_partition=seed)
+    assert seeded.cut <= edge_cut(sharded.materialized(), seed)
+
+
 @pytest.mark.parametrize("backend", ["spmd", "process"])
 def test_distributed_backends_match_across_stores(graph, sharded, backend):
     resident = partition_graph(graph, K, num_pes=2, seed=5, backend=backend)

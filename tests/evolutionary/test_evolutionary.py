@@ -154,7 +154,7 @@ class TestRumorExchange:
             else:
                 pop.insert(make_individual(small_social, k, seed=comm.rank, epsilon=eps))
             for _ in range(4):
-                rumor_exchange(comm, small_social, pop, k, eps, fanout=2)
+                rumor_exchange(comm, small_social, pop, k, eps)
             return pop.best().cut
 
         result = run_spmd(4, program, seed=3)

@@ -1,17 +1,16 @@
-"""Tests for the alternative-objective extension of the evolutionary
-algorithm (paper conclusion: communication volume / quotient degree)."""
+"""The communication-volume / quotient-degree metrics of the paper's
+conclusion (measurements only), and the one fitness the evolutionary
+algorithm selects on: balance first, then cut."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.dist import run_spmd
-from repro.evolutionary import Individual, KaffpaeOptions, kaffpae_partition
-from repro.generators import planted_partition, web_copy_graph
+from repro.evolutionary import Individual
+from repro.generators import planted_partition
 from repro.metrics import (
     communication_volume,
-    edge_cut,
     max_communication_volume,
     max_quotient_degree,
 )
@@ -52,61 +51,12 @@ class TestIndividualObjectives:
     def test_default_objective_is_cut(self, social):
         part = np.arange(social.num_nodes) % 2
         ind = Individual.from_partition(social, part, 2, 0.5)
-        assert ind.fitness_key[1] == ind.cut
-
-    def test_alternative_objective_recorded(self, social):
-        part = np.arange(social.num_nodes) % 2
-        ind = Individual.from_partition(social, part, 2, 0.5, objective="comm_volume")
-        assert ind.objective_value == communication_volume(social, part)
-        assert ind.fitness_key[1] == ind.objective_value
-        assert ind.fitness_key[2] == ind.cut  # cut stays the tiebreak
-
-    def test_unknown_objective_rejected(self, social):
-        with pytest.raises(ValueError, match="objective"):
-            Individual.from_partition(social, np.zeros(social.num_nodes, dtype=np.int64),
-                                      2, 0.5, objective="bogus")
+        assert ind.fitness_key == (ind.overweight, ind.cut)
 
     def test_balance_still_dominates(self, social):
         balanced = Individual.from_partition(
-            social, np.arange(social.num_nodes) % 2, 2, 0.03, objective="comm_volume")
+            social, np.arange(social.num_nodes) % 2, 2, 0.03)
         lopsided = Individual.from_partition(
-            social, np.zeros(social.num_nodes, dtype=np.int64), 2, 0.03,
-            objective="comm_volume")
+            social, np.zeros(social.num_nodes, dtype=np.int64), 2, 0.03)
+        assert lopsided.cut < balanced.cut
         assert balanced.dominates(lopsided)
-
-
-class TestObjectiveDrivenEvolution:
-    @pytest.mark.parametrize("objective", ["comm_volume", "max_comm_volume",
-                                           "max_quotient_degree"])
-    def test_ea_runs_with_each_objective(self, social, objective):
-        def program(comm):
-            return kaffpae_partition(
-                comm, social, 4, 0.05,
-                KaffpaeOptions(population_size=2, rounds=2, objective=objective),
-            )
-
-        result = run_spmd(2, program, seed=0)
-        part = result.value
-        assert part.shape == (social.num_nodes,)
-        assert int(part.max()) < 4
-
-    def test_volume_objective_not_worse_on_volume(self):
-        """Selecting for comm volume should give comm volume <= selecting
-        for cut, on average over seeds (they correlate but differ)."""
-        g = web_copy_graph(1500, out_degree=6, seed=1)
-
-        def run(objective, seed):
-            def program(comm):
-                return kaffpae_partition(
-                    comm, g, 8, 0.05,
-                    KaffpaeOptions(population_size=3, rounds=4, objective=objective),
-                )
-            return run_spmd(2, program, seed=seed).value
-
-        vol_cut = np.mean([
-            communication_volume(g, run("cut", s)) for s in range(2)
-        ])
-        vol_vol = np.mean([
-            communication_volume(g, run("comm_volume", s)) for s in range(2)
-        ])
-        assert vol_vol <= 1.1 * vol_cut

@@ -149,13 +149,16 @@ def test_spmd_and_process_summaries_count_alike():
     reported for this call before it was deleted; worker processes never
     shipped theirs back, so the process summary had ``None`` for both
     ``comm`` counts although its merged ``comm.*`` spans say the same.
+    (``recv_bytes`` is 64 below the registry's number since KaFFPaE's
+    fitness key lost its objective slot: 8 bytes per key in the winner
+    allgather, 2 keys received by each of 2 ranks in each of 2 V-cycles.)
     """
     spmd = _traced_summary("spmd", 2)
     process = _traced_summary("process", 2)
     assert spmd["header"]["backend"] == "spmd"
     assert process["header"]["backend"] == "process"
     assert spmd["comm"]["collectives"] == process["comm"]["collectives"] == 352
-    assert spmd["comm"]["recv_bytes"] == process["comm"]["recv_bytes"] == 1_039_356
+    assert spmd["comm"]["recv_bytes"] == process["comm"]["recv_bytes"] == 1_039_292
     assert spmd["counts"] == process["counts"]
     assert spmd["counts"]["lp.iterations"] == 62
     assert spmd["counts"]["lp.moved_nodes"] == 5652
@@ -163,6 +166,6 @@ def test_spmd_and_process_summaries_count_alike():
     assert spmd["quality"]["cut"] == process["quality"]["cut"]
     assert spmd["quality"]["feasible"] is process["quality"]["feasible"] is True
     # a sequential run has no collectives, and says so with a number
-    local = _traced_summary("local", 1)
+    local = _traced_summary(None, 1)
     assert (local["comm"]["collectives"], local["comm"]["recv_bytes"]) == (0, 0)
     assert local["counts"]["lp.iterations"] > 0

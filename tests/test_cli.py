@@ -78,6 +78,22 @@ class TestPartitionCommand:
         err = capsys.readouterr().err
         assert "num_pes" in err and repr(bad) in err
 
+    def test_backend_has_one_way_in(self, metis_graph, tmp_path, capsys, monkeypatch):
+        # 'local' is --num-pes 1, not a backend, and the environment is
+        # not a second selector.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["partition", str(metis_graph), "-k", "2", "--backend", "local"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        trace = tmp_path / "t.json"
+        assert main(["partition", str(metis_graph), "-k", "2", "--num-pes", "2",
+                     "--trace", str(trace)]) == 0
+        with open(tmp_path / "t.events.jsonl") as handle:
+            records = [json.loads(line) for line in handle]
+        header = next(r for r in records if r["type"] == "header")
+        assert header["backend"] == "spmd"
+
     def test_cycle_flag_is_gone(self, metis_graph, capsys):
         # The V-cycle is the only cycle shape; argparse rejects the old flag.
         with pytest.raises(SystemExit) as excinfo:
