@@ -31,7 +31,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..engine import native
+from .. import native
 from ..graph.csr import Graph
 from ..graph.store import SharedCSRHandle, SharedMemoryStore
 from ..obsv.tracer import TRACER

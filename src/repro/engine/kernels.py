@@ -6,7 +6,7 @@ u in N(v) and label(u) = l})`` per neighbouring label ``l``, drop
 ineligible labels (size bound / budget share), and move to the strongest
 remaining label.  :func:`scan_chunk` does that for a *chunk* of nodes
 at once.  It exists twice with one signature and bit-identical results:
-compiled (:mod:`repro.engine.native`, a dense accumulator per node, what
+compiled (:mod:`repro.native`, a dense accumulator per node, what
 runs wherever a C compiler is available; there it is one step of
 ``scan_phase``, a whole phase per call) and, here, in NumPy — the
 fallback and the oracle the compiled one is tested against:
@@ -468,7 +468,7 @@ def scan_chunk(
     own when nothing is eligible) and the *risky* flag of
     :func:`pick_targets_hashed`, plus the chunk's arc count.  This is
     the NumPy implementation — the fallback of, and the identity oracle
-    for, the compiled :func:`repro.engine.native.scan_chunk`.
+    for, the compiled :func:`repro.native.scan_chunk`.
     """
     cands = aggregate_candidates(
         plan_chunk(nodes, xadj, adjncy, adjwgt, constraint), labels, space, ws

@@ -10,7 +10,7 @@ algorithm of the papers; larger chunks let a node see labels and weights
 that are up to one chunk stale, the same staleness the distributed runs
 already tolerate across PEs.  Over a resident CSR a phase is one
 compiled call (``scan_phase`` of ``_scan.c``, through
-:class:`repro.engine.native.PhaseScan`); the chunk loop written out in
+:class:`repro.native.PhaseScan`); the chunk loop written out in
 :func:`run_sclp` is the same code in Python — what runs without a
 compiler and on store-served arcs, and the oracle of the compiled one.
 
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import native
+from .. import native
 from .kernels import (
     DEFAULT_CHUNK_SIZE,
     IterationWorkspace,
@@ -64,6 +64,7 @@ from .kernels import (
     chunk_ranges,
     effective_chunk,
     gather_neighbors,
+    scan_chunk as numpy_scan_chunk,
 )
 from ..obsv.tracer import TRACER
 from ..perf.rss import memory_sample
@@ -132,7 +133,9 @@ def run_sclp(
     workspace = IterationWorkspace()
     # Compiled when this host could build it, NumPy otherwise: the two
     # return the same arrays bit for bit, so nothing else depends on it.
-    scan_chunk, phase_scan, resolution = native.select()
+    resolution = native.resolve()
+    compiled = resolution.path is not None
+    scan_chunk = native.scan_chunk if compiled else numpy_scan_chunk
     if TRACER.enabled:
         TRACER.annotate_header(**resolution.header())
 
@@ -175,13 +178,13 @@ def run_sclp(
     # (gathered per chunk), and the oracle the compiled one is tested
     # against.  Label-identical, so this too is by availability alone.
     run_phase = None
-    if phase_scan is None:
+    if not compiled:
         loop = "python: numpy kernel"
     elif type(adjncy) is not np.ndarray:
         loop = "python: store-backed graph"
     else:
         loop = "native"
-        run_phase = phase_scan(
+        run_phase = native.PhaseScan(
             xadj, adjncy, adjwgt, labels, constraint, vwgt_all, interface,
             used, local_out, changed_mask, n_local=n_local, space=space,
             bound=bound, refine=refine, frontier=sweep_frontier,

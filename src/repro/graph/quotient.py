@@ -11,9 +11,13 @@ graph *with the same cut and balance*, this kernel is the correctness
 heart of the whole multilevel scheme; it is exercised by dedicated
 property-based tests.
 
-The implementation is fully vectorised: fine arcs are relabelled through
-the cluster map and parallel inter-cluster arcs are grouped and summed by
-a ``scipy.sparse`` COO -> CSR conversion.
+Fine arcs are relabelled through the cluster map and the parallel
+inter-cluster arcs grouped and summed into canonical CSR (rows ordered by
+neighbour).  Where the compiled kernels loaded that is
+:func:`repro.native.quotient_arcs` — fine nodes bucketed by coarse node,
+a counting pass, a filling pass into arrays of exactly the coarse size;
+otherwise a ``scipy.sparse`` COO -> CSR conversion, which returns the
+same three arrays and is the oracle of the compiled build.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix
 
+from .. import native
 from .csr import Graph
 
 __all__ = ["ContractionResult", "contract", "normalize_labels", "quotient_graph"]
@@ -47,11 +52,9 @@ class ContractionResult:
 def normalize_labels(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """Compress arbitrary cluster ids to the contiguous range ``0..n'-1``.
 
-    Coarse ids are assigned in order of the smallest fine node id in each
-    cluster being encountered, i.e. ``np.unique`` order of first
-    occurrence is *not* used — we use sorted-unique order, which is
-    deterministic and matches the parallel prefix-sum remapping
-    (Section IV-C) when node ranges are contiguous.
+    Coarse ids follow sorted-unique order of the cluster ids (the smallest
+    id becomes 0), which is deterministic and matches the parallel
+    prefix-sum remapping (Section IV-C) when node ranges are contiguous.
 
     Returns the normalised label array and the number of distinct labels.
     """
@@ -78,39 +81,40 @@ def contract(graph: Graph, labels: np.ndarray, name: str | None = None) -> Contr
     # Coarse node weights: sum fine node weights per cluster.
     coarse_vwgt = np.bincount(mapping, weights=graph.vwgt, minlength=n_coarse).astype(np.int64)
 
+    if native.loaded():
+        xadj, adjncy, adjwgt = native.quotient_arcs(
+            graph.xadj, graph.adjncy, graph.adjwgt, mapping, n_coarse)
+    else:
+        xadj, adjncy, adjwgt = _group_arcs(graph, mapping, n_coarse)
+    coarse = Graph(
+        xadj, adjncy, coarse_vwgt, adjwgt, name=name or f"{graph.name}/coarse"
+    )
+    return ContractionResult(coarse, mapping)
+
+
+def _group_arcs(
+    graph: Graph, mapping: np.ndarray, n_coarse: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``xadj, adjncy, adjwgt`` of the quotient under ``mapping``, by scipy."""
     # Relabel arcs through the mapping and drop intra-cluster arcs.
     src = mapping[graph.arc_sources()]
     dst = mapping[graph.adjncy]
     keep = src != dst
     src, dst, wgt = src[keep], dst[keep], graph.adjwgt[keep]
-
     if src.size == 0:
-        coarse = Graph(
-            np.zeros(n_coarse + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            coarse_vwgt,
-            np.empty(0, dtype=np.int64),
-            name=name or f"{graph.name}/coarse",
-        )
-        return ContractionResult(coarse, mapping)
+        empty = np.empty(0, dtype=np.int64)
+        return np.zeros(n_coarse + 1, dtype=np.int64), empty, empty
 
     # Group parallel coarse arcs: the COO -> CSR conversion buckets arcs
     # by src (a counting sort, not a comparison sort of all arcs) and sums
     # equal (src, dst) entries; canonical format = rows ordered by dst.
     rows = coo_matrix((wgt, (src, dst)), shape=(n_coarse, n_coarse)).tocsr()
     rows.sum_duplicates()
-    xadj = rows.indptr.astype(np.int64, copy=False)
-    adjncy = rows.indices.astype(np.int64, copy=False)
-    adjwgt = rows.data.astype(np.int64, copy=False)
-
-    coarse = Graph(
-        xadj,
-        adjncy,
-        coarse_vwgt,
-        adjwgt,
-        name=name or f"{graph.name}/coarse",
+    return (
+        rows.indptr.astype(np.int64, copy=False),
+        rows.indices.astype(np.int64, copy=False),
+        rows.data.astype(np.int64, copy=False),
     )
-    return ContractionResult(coarse, mapping)
 
 
 def quotient_graph(graph: Graph, partition: np.ndarray, k: int | None = None) -> Graph:

@@ -32,10 +32,11 @@ import numpy as np
 from ..graph.csr import Graph
 from ..graph.validation import block_weights, max_block_weight_bound
 from ..metrics.quality import overweight_cut
+from ..obsv.tracer import TRACER
 from .fm import fm_bisection_refine
 from .initial import best_of
 from .kway_fm import greedy_kway_refine
-from .matching import match_and_contract
+from .matching import contract_matching, heavy_edge_matching
 
 __all__ = ["KaffpaOptions", "kaffpa_partition"]
 
@@ -94,41 +95,51 @@ def kaffpa_partition(
     # ------------------------------------------------------------------
     levels: list[tuple[Graph, np.ndarray]] = []  # (fine graph, fine_to_coarse)
     current = graph
-    while current.num_nodes > target_nodes and len(levels) < MAX_LEVELS:
-        result = match_and_contract(
-            current, rng, max_node_weight=max_node_weight, constraint=constraint
-        )
-        if result.coarse.num_nodes >= MIN_SHRINK_FACTOR * current.num_nodes:
-            break  # stalled
-        levels.append((current, result.fine_to_coarse))
-        # No coarse node spans two constraint clusters (hence two seed
-        # blocks), so the scatter is an exact projection of both.
-        if constraint is not None:
-            projected = np.zeros(result.coarse.num_nodes, dtype=np.int64)
-            projected[result.fine_to_coarse] = constraint
-            constraint = projected
-        if seed_partition is not None:
-            projected = np.zeros(result.coarse.num_nodes, dtype=np.int64)
-            projected[result.fine_to_coarse] = seed_partition
-            seed_partition = projected
-        current = result.coarse
+    with TRACER.span("kaffpa.coarsen", nodes=graph.num_nodes) as coarsen_span:
+        while current.num_nodes > target_nodes and len(levels) < MAX_LEVELS:
+            mate = heavy_edge_matching(
+                current, rng, max_node_weight=max_node_weight, constraint=constraint
+            )
+            # A pair is one coarse node, so the level's size is known before
+            # it is built: a stalled matching is never contracted.
+            n = current.num_nodes
+            pairs = np.count_nonzero(mate != np.arange(n)) // 2
+            if n - pairs >= MIN_SHRINK_FACTOR * n:
+                break  # stalled
+            result = contract_matching(current, mate)
+            levels.append((current, result.fine_to_coarse))
+            # No coarse node spans two constraint clusters (hence two seed
+            # blocks), so the scatter is an exact projection of both.
+            if constraint is not None:
+                projected = np.zeros(result.coarse.num_nodes, dtype=np.int64)
+                projected[result.fine_to_coarse] = constraint
+                constraint = projected
+            if seed_partition is not None:
+                projected = np.zeros(result.coarse.num_nodes, dtype=np.int64)
+                projected[result.fine_to_coarse] = seed_partition
+                seed_partition = projected
+            current = result.coarse
+        coarsen_span.set(levels=len(levels))
 
     # ------------------------------------------------------------------
     # Initial partitioning (keep the seed if it is balanced and no worse)
     # ------------------------------------------------------------------
-    partition = best_of(current, k, epsilon, rng, attempts=options.initial_attempts)
-    if seed_partition is not None:
-        seed_key = overweight_cut(current, seed_partition, k, lmax)
-        if seed_key[0] == 0 and seed_key <= overweight_cut(current, partition, k, lmax):
-            partition = seed_partition
+    with TRACER.span("kaffpa.initial", nodes=current.num_nodes,
+                     attempts=options.initial_attempts):
+        partition = best_of(current, k, epsilon, rng, attempts=options.initial_attempts)
+        if seed_partition is not None:
+            seed_key = overweight_cut(current, seed_partition, k, lmax)
+            if seed_key[0] == 0 and seed_key <= overweight_cut(current, partition, k, lmax):
+                partition = seed_partition
 
     # ------------------------------------------------------------------
     # Uncoarsening with refinement on every level
     # ------------------------------------------------------------------
-    partition = _refine(current, partition, k, lmax, rng, options)
-    for fine, mapping in reversed(levels):
-        partition = partition[mapping]
-        partition = _refine(fine, partition, k, lmax, rng, options)
+    with TRACER.span("kaffpa.refine", nodes=graph.num_nodes, levels=len(levels)):
+        partition = _refine(current, partition, k, lmax, rng, options)
+        for fine, mapping in reversed(levels):
+            partition = partition[mapping]
+            partition = _refine(fine, partition, k, lmax, rng, options)
     return partition
 
 

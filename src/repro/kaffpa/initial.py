@@ -1,8 +1,14 @@
 """Initial partitioning algorithms for the coarsest graph.
 
-The multilevel engines only ever run these on graphs of a few hundred
-nodes, so simplicity and solution quality matter more than asymptotics.
-Provided algorithms (all standard KaHIP/Metis building blocks):
+"Coarsest" is not "small": matchings stall on complex networks (the
+paper's point), so on rmat15 KaFFPa hands these routines a graph of
+12 584 nodes, 10 000 of them isolated, 56 times per call.  Greedy
+growing and the recursion over it therefore run compiled where the
+kernels of :mod:`repro.native` loaded — the bisector grows inside a node
+subset of the one graph, no subgraph is built — and as the Python loops
+below otherwise; the two return the same partition and leave ``rng`` in
+the same state.  Provided algorithms (all standard KaHIP/Metis building
+blocks):
 
 * :func:`random_balanced_partition` — shuffle nodes, fill blocks greedily
   by weight (baseline and fallback);
@@ -22,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .. import native
 from ..graph.csr import Graph
 from ..graph.ops import induced_subgraph
 from ..graph.validation import max_block_weight_bound
@@ -98,6 +105,9 @@ def greedy_graph_growing_bisection(
     partition = np.ones(n, dtype=np.int64)
     if n == 0:
         return partition
+    if native.loaded():
+        grow = native.GrowBisection(graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt)
+        return grow(None, int(rng.integers(0, n)), target_weight).astype(np.int64)
     # Plain lists, read once: the loop below touches single entries, where
     # a list index beats an ndarray index (and the ``Graph`` properties).
     xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
@@ -144,11 +154,43 @@ def recursive_bisection(
     rng: np.random.Generator,
     bisector: Callable[[Graph, np.random.Generator, int], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """k-way partition by recursively bisecting with weight ratio ⌊k/2⌋:⌈k/2⌉."""
+    """k-way partition by recursively bisecting with weight ratio ⌊k/2⌋:⌈k/2⌉.
+
+    With the default bisector and the compiled kernels, each bisection
+    grows inside a node subset of ``graph`` and no subgraph is built.
+    That meets a node's neighbours in ``graph``'s arc order where the
+    induced subgraph has them sorted, so it needs sorted rows; a graph
+    without them (arcs in file order, say) takes the subgraph route.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    bisect = bisector or greedy_graph_growing_bisection
     partition = np.zeros(graph.num_nodes, dtype=np.int64)
+    everyone = np.arange(graph.num_nodes, dtype=np.int64)
+
+    if bisector is None and native.loaded() and _rows_sorted(graph):
+        vwgt = graph.vwgt
+        grow = native.GrowBisection(graph.xadj, graph.adjncy, graph.adjwgt, vwgt)
+
+        # Depth first, left half first: the order of the recursion below,
+        # hence of its draws.  A loop, not a closure calling itself: that
+        # is a reference cycle, and it would keep ``grow`` and these
+        # arrays alive until the cyclic collector next runs — which is
+        # rarely, now that an op allocates few Python objects.
+        pending = [(everyone, 0, k)]
+        while pending:
+            members, first_block, blocks = pending.pop()
+            if blocks == 1 or members.size == 0:
+                partition[members] = first_block
+                continue
+            left_blocks = blocks // 2
+            target = int(vwgt[members].sum()) * left_blocks // blocks
+            side = grow(members, int(rng.integers(0, members.size)), target)
+            pending.append(
+                (members[side == 1], first_block + left_blocks, blocks - left_blocks))
+            pending.append((members[side == 0], first_block, left_blocks))
+        return partition
+
+    bisect = bisector or greedy_graph_growing_bisection
 
     def recurse(sub: Graph, nodes: np.ndarray, first_block: int, blocks: int) -> None:
         if blocks == 1 or sub.num_nodes == 0:
@@ -164,8 +206,20 @@ def recursive_bisection(
         recurse(left_sub, left_nodes, first_block, left_blocks)
         recurse(right_sub, right_nodes, first_block + left_blocks, blocks - left_blocks)
 
-    recurse(graph, np.arange(graph.num_nodes, dtype=np.int64), 0, k)
+    recurse(graph, everyone, 0, k)
     return partition
+
+
+def _rows_sorted(graph: Graph) -> bool:
+    """Whether every adjacency row is in non-decreasing neighbour order."""
+    adjncy = graph.adjncy
+    if adjncy.size < 2:
+        return True
+    descents = adjncy[1:] < adjncy[:-1]
+    # a descent is fine exactly where the next row starts
+    row_heads = graph.xadj[1:-1]
+    descents[row_heads[(row_heads > 0) & (row_heads < adjncy.size)] - 1] = False
+    return not descents.any()
 
 
 def region_growing_partition(graph: Graph, k: int, rng: np.random.Generator) -> np.ndarray:

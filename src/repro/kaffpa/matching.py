@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import native
 from ..graph.csr import Graph
 from ..graph.quotient import ContractionResult, contract
 
-__all__ = ["heavy_edge_matching", "match_and_contract"]
+__all__ = ["heavy_edge_matching", "contract_matching", "match_and_contract"]
 
 
 def heavy_edge_matching(
@@ -44,15 +45,22 @@ def heavy_edge_matching(
     mate = np.arange(n, dtype=np.int64)
     if n == 0:
         return mate
+    bound = None if max_node_weight is None else int(max_node_weight)
+    order = rng.permutation(n)
+    if native.loaded():
+        if constraint is not None:
+            constraint = np.ascontiguousarray(constraint, dtype=np.int64)
+        return native.match_heavy_edges(
+            graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt, constraint,
+            bound, order)
     matched = np.zeros(n, dtype=bool)
     xadj = graph.xadj.tolist()
     adjncy = graph.adjncy.tolist()
     adjwgt = graph.adjwgt.tolist()
     vwgt = graph.vwgt.tolist()
     constraint_list = None if constraint is None else np.asarray(constraint).tolist()
-    bound = None if max_node_weight is None else int(max_node_weight)
 
-    for v in rng.permutation(n).tolist():
+    for v in order.tolist():
         if matched[v]:
             continue
         best_u = -1
@@ -77,6 +85,12 @@ def heavy_edge_matching(
     return mate
 
 
+def contract_matching(graph: Graph, mate: np.ndarray) -> ContractionResult:
+    """Contract the pairs of ``mate``: a pair is the cluster named by its
+    smaller node id."""
+    return contract(graph, np.minimum(np.arange(graph.num_nodes, dtype=np.int64), mate))
+
+
 def match_and_contract(
     graph: Graph,
     rng: np.random.Generator,
@@ -84,6 +98,5 @@ def match_and_contract(
     constraint: np.ndarray | None = None,
 ) -> ContractionResult:
     """One matching-based coarsening level."""
-    mate = heavy_edge_matching(graph, rng, max_node_weight, constraint)
-    labels = np.minimum(np.arange(graph.num_nodes, dtype=np.int64), mate)
-    return contract(graph, labels)
+    return contract_matching(
+        graph, heavy_edge_matching(graph, rng, max_node_weight, constraint))

@@ -1,17 +1,28 @@
-"""The compiled SCLP scan: build on first use, cache per user, fall back.
+"""The compiled kernels: build on first use, cache per user, fall back.
 
-``_scan.c`` (next to this file) is compiled once per machine with the
-host ``cc`` into ``~/.cache/repro/native`` and loaded through
-:mod:`ctypes`: one loader, one shared object, the symbols bound in
-:func:`_load`.  :func:`scan_chunk` here and
-:func:`repro.engine.kernels.scan_chunk` share one signature and return
-bit-identical arrays; :class:`PhaseScan` runs a whole phase of
-:func:`repro.engine.sclp.run_sclp` in one call and leaves every table as
-that function's Python chunk loop would.  :func:`select` picks by
-availability alone — there is no knob.  Anything that keeps the kernel
-from loading (no compiler, a failed build, an unwritable or untrusted
-cache) selects the NumPy kernels with one :class:`RuntimeWarning` per
-process naming the cause.
+The C sources next to this file (:data:`SOURCE_NAMES`) are compiled once
+per machine, in one ``cc`` invocation, into ``~/.cache/repro/native`` and
+loaded through :mod:`ctypes`: one loader, one shared object, the symbols
+bound in :func:`_load`.  Every binding here has a Python twin that
+returns the same arrays bit for bit and is its fallback and its oracle:
+
+* ``_scan.c`` — :func:`scan_chunk` (twin:
+  :func:`repro.engine.kernels.scan_chunk`) and :class:`PhaseScan`, a
+  whole phase of :func:`repro.engine.sclp.run_sclp` in one call;
+* ``_coarse.c`` — the loops of the coarsest level: :func:`quotient_arcs`
+  (:func:`repro.graph.quotient.contract`), :class:`GrowBisection`
+  (:mod:`repro.kaffpa.initial`), :func:`kway_refine_pass`
+  (:mod:`repro.kaffpa.kway_fm`), :func:`match_heavy_edges`
+  (:mod:`repro.kaffpa.matching`).  Random draws stay in Python and are
+  passed in.
+
+Callers ask :func:`loaded` and pick by availability alone — there is no
+knob.  Anything that keeps the shared object from loading (no compiler, a
+failed build, an unwritable or untrusted cache) selects the Python twins
+with one :class:`RuntimeWarning` per process naming the cause.
+
+This package sits below :mod:`repro.graph` (it imports nothing of the
+program), because ``graph``, ``kaffpa`` and ``engine`` all call it.
 
 The shared object's name is keyed by the source, the flags, the
 compiler's version banner and the platform, so a new checkout or a new
@@ -23,13 +34,16 @@ shared object that is not owned by this user, or that group or others
 may write, is refused — loading it would run their code.
 
 ``ctypes`` releases the GIL for the duration of a call, so the ranks of
-the thread backend overlap for a whole phase.
+the thread backend overlap for a whole phase, and for KaFFPaE's node
+loops.  The C side keeps no static state: scratch is allocated here, per
+call or per bound object.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import shutil
@@ -41,18 +55,21 @@ import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import kernels
-from .kernels import IterationWorkspace
+if TYPE_CHECKING:  # annotations only: this package imports nothing of the program
+    from ..engine.kernels import IterationWorkspace
 
 __all__ = [
-    "Resolution", "resolve", "adopt", "select", "scan_chunk", "PhaseScan",
-    "cache_dir",
+    "Resolution", "resolve", "adopt", "loaded", "cache_dir", "source",
+    "scan_chunk", "PhaseScan", "quotient_arcs", "GrowBisection",
+    "kway_refine_pass", "match_heavy_edges",
 ]
 
-SOURCE_NAME = "_scan.c"
+#: concatenated into one translation unit, in this order
+SOURCE_NAMES = ("_scan.c", "_coarse.c")
 #: no ``-march=native`` (the cache may be shared by hosts) and no
 #: fast-math (the float ``cap`` comparison must stay IEEE-exact)
 CFLAGS = ("-O2", "-fPIC", "-shared")
@@ -101,17 +118,23 @@ def _require_private(path: Path) -> None:
         raise _Unavailable(f"{path} is group- or world-writable")
 
 
+def source() -> bytes:
+    """What is compiled: the sources, one after the other."""
+    here = resources.files(__package__)
+    return b"\n".join(here.joinpath(name).read_bytes() for name in SOURCE_NAMES)
+
+
 def _build() -> Path:
     """The shared object for this source/compiler/platform, built if absent."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         raise _Unavailable("no C compiler (cc) on PATH")
-    source = resources.files(__package__).joinpath(SOURCE_NAME).read_bytes()
+    code = source()
     banner = subprocess.run(
         [cc, "--version"], capture_output=True, check=True, timeout=60
     ).stdout
     key = hashlib.sha256()
-    for part in (source, " ".join(CFLAGS).encode(), banner,
+    for part in (code, " ".join(CFLAGS).encode(), banner,
                  f"{sys.platform}-{platform.machine()}".encode()):
         key.update(len(part).to_bytes(8, "little"))
         key.update(part)
@@ -126,7 +149,7 @@ def _build() -> Path:
     try:
         done = subprocess.run(
             [cc, *CFLAGS, "-x", "c", "-o", tmp, "-"],
-            input=source, capture_output=True, timeout=300,
+            input=code, capture_output=True, timeout=300,
         )
         if done.returncode != 0:
             tail = done.stderr.decode(errors="replace").strip().splitlines()[-1:]
@@ -182,6 +205,26 @@ def _load(path: Path) -> ctypes.CDLL:
     ]
     lib.tie_hash.restype = None
     lib.tie_hash.argtypes = [ctypes.c_uint64, _I64, _PTR, _PTR, _PTR]
+    csr = [_I64, _I64, _PTR, _PTR]  # n n_arcs xadj adjncy
+    for name, argtypes in {
+        # mapping n_coarse start order stamp xadj_c
+        "quotient_count": [*csr, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
+        # adjwgt mapping n_coarse start order stamp slot n_arcs_c xadj_c
+        # adjncy_c adjwgt_c t_off t_col t_wgt
+        "quotient_fill": [*csr, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR,
+                          _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+        # adjwgt vwgt n_sub members seed target mark gain heap heap_room side
+        "grow_bisection": [*csr, _PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR,
+                           _PTR, _PTR, _I64, _PTR],
+        # adjwgt vwgt order labels space weights max_block_weight conn seen
+        # touched
+        "kway_refine_pass": [*csr, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _I64,
+                             _PTR, _PTR, _PTR],
+        # adjwgt vwgt constraint bounded max_pair_weight order mate
+        "match_heavy_edges": [*csr, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR],
+    }.items():
+        symbol = getattr(lib, name)
+        symbol.restype, symbol.argtypes = _I64, argtypes
     return lib
 
 
@@ -205,8 +248,8 @@ def resolve() -> Resolution:
                 reason = str(exc) or type(exc).__name__
                 _resolution = Resolution(None, reason)
                 warnings.warn(
-                    f"native SCLP kernel unavailable ({reason}); "
-                    "running the NumPy kernels instead",
+                    f"native kernels unavailable ({reason}); "
+                    "running their Python twins instead",
                     RuntimeWarning, stacklevel=2,
                 )
         return _resolution
@@ -224,17 +267,9 @@ def adopt(resolution: Resolution) -> None:
         _resolution = resolution
 
 
-def select():
-    """``(scan_chunk, phase_scan, resolution)`` for this process.
-
-    ``scan_chunk`` has one signature either way.  ``phase_scan`` is
-    :class:`PhaseScan` when the kernel loaded and ``None`` otherwise: the
-    caller then runs its own chunk loop over ``scan_chunk``.
-    """
-    resolution = resolve()
-    if resolution.path is None:
-        return kernels.scan_chunk, None, resolution
-    return scan_chunk, PhaseScan, resolution
+def loaded() -> bool:
+    """Whether this process runs the compiled kernels (:func:`resolve`)."""
+    return resolve().path is not None
 
 
 def _ptr(arr: np.ndarray, dtype, size: int | None = None) -> int:
@@ -245,7 +280,7 @@ def _ptr(arr: np.ndarray, dtype, size: int | None = None) -> int:
         or (size is not None and arr.size != size)
     ):
         raise TypeError(
-            f"the native scan needs a C-contiguous {np.dtype(dtype).name} "
+            f"the native kernels need a C-contiguous {np.dtype(dtype).name} "
             f"ndarray" + ("" if size is None else f" of {size} entries")
         )
     return arr.ctypes.data
@@ -396,3 +431,158 @@ class PhaseScan:
         if _lib.scan_phase(t, order.size, _ptr(order, np.int64), chunk) < 0:
             raise _out_of_range(t.n_total, space)
         return t.moved, t.scanned, t.arcs, t.chunks
+
+
+# ----------------------------------------------------------------------
+# The coarsest level (``_coarse.c``)
+# ----------------------------------------------------------------------
+
+#: the status codes of ``_coarse.c``
+_FAULTS = {
+    -1: "a node id",
+    -2: "an arc range in xadj",
+    -3: "a neighbour id in adjncy",
+    -4: "a block id or mapping entry",
+    -5: "a row of the scratch sized for it",
+}
+
+
+def _fault(kernel: str, status: int) -> ValueError:
+    return ValueError(
+        f"native {kernel}: {_FAULTS.get(status, f'status {status}')} "
+        "is outside its table"
+    )
+
+
+def _csr(xadj: np.ndarray, adjncy: np.ndarray) -> tuple[int, int, int, int]:
+    """``n, n_arcs, xadj, adjncy`` as every ``_coarse.c`` kernel takes them."""
+    if xadj.size < 1:
+        raise ValueError("xadj must hold n + 1 entries")
+    return (xadj.size - 1, adjncy.size, _ptr(xadj, np.int64),
+            _ptr(adjncy, np.int64))
+
+
+def quotient_arcs(xadj, adjncy, adjwgt, mapping: np.ndarray, n_coarse: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quotient's ``xadj, adjncy, adjwgt`` under ``mapping`` (fine node
+    -> coarse node in ``[0, n_coarse)``): arcs relabelled, self-loops
+    dropped, parallel arcs summed, rows ordered by neighbour — the
+    canonical CSR the scipy grouping of
+    :func:`repro.graph.quotient.contract` builds.  Two passes: count, then
+    fill arrays of exactly that size; the temporaries are two more arrays
+    of the *coarse* arc count and O(n) tables."""
+    n, n_arcs, *csr = _csr(xadj, adjncy)
+    tables = (_ptr(mapping, np.int64, n), n_coarse)
+    start, xadj_c, t_off = (np.empty(n_coarse + 1, dtype=np.int64) for _ in range(3))
+    stamp, slot = (np.empty(n_coarse, dtype=np.int64) for _ in range(2))
+    order = np.empty(n, dtype=np.int64)
+    count = _lib.quotient_count(
+        n, n_arcs, *csr, *tables, start.ctypes.data, order.ctypes.data,
+        stamp.ctypes.data, xadj_c.ctypes.data,
+    )
+    if count < 0:
+        raise _fault("quotient build", count)
+    adjncy_c, adjwgt_c, t_col, t_wgt = (
+        np.empty(count, dtype=np.int64) for _ in range(4))
+    status = _lib.quotient_fill(
+        n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs), *tables,
+        start.ctypes.data, order.ctypes.data, stamp.ctypes.data,
+        slot.ctypes.data, count, xadj_c.ctypes.data, adjncy_c.ctypes.data,
+        adjwgt_c.ctypes.data, t_off.ctypes.data, t_col.ctypes.data,
+        t_wgt.ctypes.data,
+    )
+    if status < 0:
+        raise _fault("quotient build", status)
+    return xadj_c, adjncy_c, adjwgt_c
+
+
+class GrowBisection:
+    """Greedy graph growing inside node subsets of one graph.
+
+    ``grow(members, seed, target)`` is
+    :func:`repro.kaffpa.initial.greedy_graph_growing_bisection` on the
+    subgraph induced by ``members`` (ascending node ids; ``None`` = the
+    whole graph) with ``seed`` the index of the start node among them —
+    the draw the Python twin makes itself — and returns one byte per
+    member, 0 where it was absorbed.  The subgraph is never built: the
+    kernel skips arcs that leave the subset and meets the others in this
+    graph's arc order, which is the induced subgraph's when every row here
+    is sorted by neighbour (the caller's to check).  Scratch is sized once,
+    for the whole graph, and left clean by every call, so the 2(k-1)
+    bisections of a recursive bisection share it.
+    """
+
+    def __init__(self, xadj, adjncy, adjwgt, vwgt) -> None:
+        n, n_arcs, *csr = _csr(xadj, adjncy)
+        self._graph = (n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs),
+                       _ptr(vwgt, np.int64, n))
+        self._mark = np.zeros(n, dtype=np.uint8)
+        gain = np.empty(n, dtype=np.int64)
+        # every push but the first follows one arc of a node absorbed once
+        heap_room = n_arcs + 1
+        heap = np.empty(3 * heap_room, dtype=np.int64)
+        self._scratch = (self._mark.ctypes.data, gain.ctypes.data,
+                         heap.ctypes.data, heap_room)
+        # the addresses' owners
+        self._owners = (xadj, adjncy, adjwgt, vwgt, gain, heap)
+
+    def __call__(self, members: np.ndarray | None, seed: int, target: int
+                 ) -> np.ndarray:
+        n_sub = self._graph[0] if members is None else members.size
+        side = np.empty(n_sub, dtype=np.uint8)
+        status = _lib.grow_bisection(
+            *self._graph, n_sub,
+            None if members is None else _ptr(members, np.int64),
+            seed, target, *self._scratch, side.ctypes.data,
+        )
+        if status < 0:
+            raise _fault("graph growing", status)
+        return side
+
+
+def kway_refine_pass(xadj, adjncy, adjwgt, vwgt, order: np.ndarray,
+                     labels: np.ndarray, weights: np.ndarray,
+                     max_block_weight) -> int:
+    """One pass of :func:`repro.kaffpa.kway_fm.greedy_kway_refine` over
+    ``order``; ``labels`` and the block ``weights`` (one entry per block
+    id in use) are updated in place.  Returns the number of nodes moved."""
+    n, n_arcs, *csr = _csr(xadj, adjncy)
+    space = weights.size
+    conn, touched = (np.empty(space, dtype=np.int64) for _ in range(2))
+    seen = np.zeros(space, dtype=np.uint8)
+    moved = _lib.kway_refine_pass(
+        n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs), _ptr(vwgt, np.int64, n),
+        _ptr(order, np.int64, n), _ptr(labels, np.int64, n), space,
+        _ptr(weights, np.int64), _int64_floor(max_block_weight),
+        conn.ctypes.data, seen.ctypes.data, touched.ctypes.data,
+    )
+    if moved < 0:
+        raise _fault("k-way refinement", moved)
+    return int(moved)
+
+
+def _int64_floor(bound) -> int:
+    """The largest int64 ``b`` with ``x <= b`` iff ``x <= bound`` for every
+    int64 ``x``: an integer block weight compares alike against either."""
+    if bound >= 2 ** 63 - 1:
+        return 2 ** 63 - 1
+    return max(math.floor(bound), -(2 ** 63))
+
+
+def match_heavy_edges(xadj, adjncy, adjwgt, vwgt, constraint: np.ndarray | None,
+                      max_pair_weight: int | None, order: np.ndarray
+                      ) -> np.ndarray:
+    """:func:`repro.kaffpa.matching.heavy_edge_matching` with the visit
+    ``order`` drawn by the caller; returns ``mate``."""
+    n, n_arcs, *csr = _csr(xadj, adjncy)
+    mate = np.arange(n, dtype=np.int64)
+    pairs = _lib.match_heavy_edges(
+        n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs), _ptr(vwgt, np.int64, n),
+        None if constraint is None else _ptr(constraint, np.int64, n),
+        max_pair_weight is not None,
+        0 if max_pair_weight is None else _int64_floor(max_pair_weight),
+        _ptr(order, np.int64, n), mate.ctypes.data,
+    )
+    if pairs < 0:
+        raise _fault("heavy-edge matching", pairs)
+    return mate

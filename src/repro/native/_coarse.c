@@ -1,0 +1,454 @@
+/* The coarsest level's per-node loops (see repro/native/__init__.py and
+ * docs/algorithms.md): the quotient build of repro.graph.quotient.contract
+ * and KaFFPa's greedy graph growing, greedy k-way boundary refinement and
+ * heavy-edge matching.  Each returns the arrays its Python twin returns (the
+ * scipy grouping in quotient.py, the loops in kaffpa/{initial,kway_fm,
+ * matching}.py), which stay as fallback and oracle.  Every random draw is made
+ * in Python and passed in: a seed index, a visit order.
+ *
+ * Reentrant: no static state, every scratch array comes from the caller.  A
+ * node id, arc range, neighbour, block id or mapping entry outside its table
+ * ends the call with one of the codes below; scratch documented as "zero on
+ * return" is zero then too.
+ *
+ * Plain C99, no dependencies; compiled in one translation unit with _scan.c.
+ */
+#include <stdint.h>
+
+enum {
+    BAD_NODE = -1,  /* a node id (members, order, seed) */
+    BAD_XADJ = -2,  /* a node's arc range */
+    BAD_NBR = -3,   /* a neighbour id in adjncy */
+    BAD_BLOCK = -4, /* a mapping entry or block id */
+    BAD_ROOM = -5   /* caller-sized scratch or output too small */
+};
+
+static inline int bad_index(int64_t i, int64_t size)
+{
+    return (uint64_t)i >= (uint64_t)size;
+}
+
+static inline int bad_range(int64_t b, int64_t e, int64_t n_arcs)
+{
+    return b < 0 || e < b || e > n_arcs;
+}
+
+/* ------------------------------------------------------------------------
+ * Quotient build.  Fine nodes are bucketed by coarse node (a counting sort);
+ * one pass counts each coarse row's distinct neighbours, the caller
+ * allocates exactly that, a second pass sums the parallel arcs into the rows
+ * (first-met order) and two transpositions -- each a counting sort by column
+ * -- leave every row ordered by neighbour: scipy's canonical CSR, with no
+ * hash, no comparison sort and no assumption that the input is symmetric.
+ * ---------------------------------------------------------------------- */
+
+/* order[start[c] .. start[c+1]) = the fine nodes of coarse node c. */
+static int64_t bucket_nodes(int64_t n, const int64_t *mapping, int64_t n_coarse,
+                            int64_t *start, int64_t *order)
+{
+    for (int64_t c = 0; c <= n_coarse; c++)
+        start[c] = 0;
+    for (int64_t u = 0; u < n; u++) {
+        if (bad_index(mapping[u], n_coarse))
+            return BAD_BLOCK;
+        start[mapping[u] + 1]++;
+    }
+    for (int64_t c = 0; c < n_coarse; c++)
+        start[c + 1] += start[c];
+    for (int64_t u = 0; u < n; u++)
+        order[start[mapping[u]]++] = u;
+    for (int64_t c = n_coarse; c > 0; c--)
+        start[c] = start[c - 1];
+    start[0] = 0;
+    return 0;
+}
+
+/* Fills start (n_coarse + 1), order (n) and xadj_c (n_coarse + 1); stamp holds
+ * n_coarse entries.  Returns the coarse arc count. */
+int64_t quotient_count(int64_t n, int64_t n_arcs, const int64_t *xadj,
+                       const int64_t *adjncy, const int64_t *mapping,
+                       int64_t n_coarse, int64_t *start, int64_t *order,
+                       int64_t *stamp, int64_t *xadj_c)
+{
+    const int64_t bad = bucket_nodes(n, mapping, n_coarse, start, order);
+    if (bad < 0)
+        return bad;
+    for (int64_t c = 0; c < n_coarse; c++)
+        stamp[c] = -1;
+    int64_t total = 0;
+    xadj_c[0] = 0;
+    for (int64_t c = 0; c < n_coarse; c++) {
+        for (int64_t i = start[c]; i < start[c + 1]; i++) {
+            const int64_t u = order[i];
+            const int64_t b = xadj[u], e = xadj[u + 1];
+            if (bad_range(b, e, n_arcs))
+                return BAD_XADJ;
+            for (int64_t a = b; a < e; a++) {
+                if (bad_index(adjncy[a], n))
+                    return BAD_NBR;
+                const int64_t d = mapping[adjncy[a]];
+                /* no branch: whether d is new is a coin flip per arc; c's
+                 * own stamp is set too, which nobody reads */
+                total += d != c && stamp[d] != c;
+                stamp[d] = c;
+            }
+        }
+        xadj_c[c + 1] = total;
+    }
+    return total;
+}
+
+/* (off, col, wgt) -> its transpose, rows ordered by column. */
+static void transpose(int64_t n, const int64_t *off, const int64_t *col,
+                      const int64_t *wgt, int64_t *out_off, int64_t *out_col,
+                      int64_t *out_wgt)
+{
+    for (int64_t c = 0; c <= n; c++)
+        out_off[c] = 0;
+    for (int64_t e = 0; e < off[n]; e++)
+        out_off[col[e] + 1]++;
+    for (int64_t c = 0; c < n; c++)
+        out_off[c + 1] += out_off[c];
+    for (int64_t r = 0; r < n; r++)
+        for (int64_t e = off[r]; e < off[r + 1]; e++) {
+            const int64_t at = out_off[col[e]]++;
+            out_col[at] = r;
+            out_wgt[at] = wgt[e];
+        }
+    for (int64_t c = n; c > 0; c--)
+        out_off[c] = out_off[c - 1];
+    out_off[0] = 0;
+}
+
+/* start/order/xadj_c as quotient_count left them and n_arcs_c what it
+ * returned; stamp and slot hold n_coarse entries, t_off n_coarse + 1;
+ * adjncy_c/adjwgt_c (out) and t_col/t_wgt hold n_arcs_c.  Returns 0. */
+int64_t quotient_fill(int64_t n, int64_t n_arcs, const int64_t *xadj,
+                      const int64_t *adjncy, const int64_t *adjwgt,
+                      const int64_t *mapping, int64_t n_coarse,
+                      const int64_t *start, const int64_t *order,
+                      int64_t *stamp, int64_t *slot, int64_t n_arcs_c,
+                      int64_t *xadj_c, int64_t *adjncy_c, int64_t *adjwgt_c,
+                      int64_t *t_off, int64_t *t_col, int64_t *t_wgt)
+{
+    int64_t at = 0; /* rows are filled back to back, so none is left unset */
+    for (int64_t c = 0; c < n_coarse; c++)
+        stamp[c] = -1;
+    for (int64_t c = 0; c < n_coarse; c++) {
+        const int64_t end = xadj_c[c + 1];
+        if (xadj_c[c] != at || bad_range(at, end, n_arcs_c))
+            return BAD_ROOM;
+        if (bad_range(start[c], start[c + 1], n))
+            return BAD_BLOCK;
+        for (int64_t i = start[c]; i < start[c + 1]; i++) {
+            const int64_t u = order[i];
+            if (bad_index(u, n))
+                return BAD_NODE;
+            const int64_t b = xadj[u], e = xadj[u + 1];
+            if (bad_range(b, e, n_arcs))
+                return BAD_XADJ;
+            for (int64_t a = b; a < e; a++) {
+                if (bad_index(adjncy[a], n))
+                    return BAD_NBR;
+                const int64_t d = mapping[adjncy[a]];
+                if (bad_index(d, n_coarse))
+                    return BAD_BLOCK;
+                if (d == c)
+                    continue;
+                /* no branch on "first arc to d": a coin flip per arc */
+                const int fresh = stamp[d] != c;
+                if (fresh && at >= end)
+                    return BAD_ROOM;
+                const int64_t s = fresh ? at : slot[d];
+                stamp[d] = c;
+                slot[d] = s;
+                adjncy_c[s] = d;
+                adjwgt_c[s] = (fresh ? 0 : adjwgt_c[s]) + adjwgt[a];
+                at += fresh;
+            }
+        }
+        if (at != end)
+            return BAD_ROOM;
+    }
+    if (at != n_arcs_c)
+        return BAD_ROOM;
+    transpose(n_coarse, xadj_c, adjncy_c, adjwgt_c, t_off, t_col, t_wgt);
+    transpose(n_coarse, t_off, t_col, t_wgt, xadj_c, adjncy_c, adjwgt_c);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * Greedy graph growing (kaffpa/initial.py).  The frontier is a binary
+ * min-heap of (-gain, counter, node) triples; counter is unique, so
+ * (-gain, counter) is a total order and the pop sequence is the one Python's
+ * heapq produces whatever the two heaps look like inside.
+ * ---------------------------------------------------------------------- */
+
+static inline int triple_less(const int64_t *x, const int64_t *y)
+{
+    return x[0] < y[0] || (x[0] == y[0] && x[1] < y[1]);
+}
+
+static void heap_push(int64_t *heap, int64_t *size, int64_t key,
+                      int64_t counter, int64_t node)
+{
+    int64_t i = (*size)++;
+    const int64_t item[3] = {key, counter, node};
+    while (i > 0) {
+        int64_t *parent = heap + 3 * ((i - 1) / 2);
+        if (!triple_less(item, parent))
+            break;
+        heap[3 * i] = parent[0];
+        heap[3 * i + 1] = parent[1];
+        heap[3 * i + 2] = parent[2];
+        i = (i - 1) / 2;
+    }
+    heap[3 * i] = key;
+    heap[3 * i + 1] = counter;
+    heap[3 * i + 2] = node;
+}
+
+/* Moves the smallest triple to top[]. */
+static void heap_pop(int64_t *heap, int64_t *size, int64_t *top)
+{
+    top[0] = heap[0];
+    top[1] = heap[1];
+    top[2] = heap[2];
+    const int64_t n = --(*size);
+    const int64_t *last = heap + 3 * n;
+    int64_t i = 0;
+    for (;;) {
+        int64_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n
+            && triple_less(heap + 3 * (child + 1), heap + 3 * child))
+            child++;
+        if (!triple_less(heap + 3 * child, last))
+            break;
+        heap[3 * i] = heap[3 * child];
+        heap[3 * i + 1] = heap[3 * child + 1];
+        heap[3 * i + 2] = heap[3 * child + 2];
+        i = child;
+    }
+    heap[3 * i] = last[0];
+    heap[3 * i + 1] = last[1];
+    heap[3 * i + 2] = last[2];
+}
+
+enum { OUTSIDE = 0, REGION = 1, FRONTIER = 2, GROWN = 3 };
+
+/* Grow block 0 inside the node subset members[0 .. n_sub) (ascending ids;
+ * NULL = all n nodes) of the graph, from members[seed], up to `target`
+ * weight: greedy_graph_growing_bisection on the induced subgraph without
+ * building it -- arcs leaving the subset are skipped, the rest are met in
+ * the parent's order, which is the subgraph's when the parent's rows are
+ * sorted.  side[i] (out) is 0 where members[i] was absorbed, else 1.
+ * mark (n bytes) is zero on entry and on return; gain holds n entries and
+ * heap 3 * heap_room.  Returns 0. */
+int64_t grow_bisection(int64_t n, int64_t n_arcs, const int64_t *xadj,
+                       const int64_t *adjncy, const int64_t *adjwgt,
+                       const int64_t *vwgt, int64_t n_sub,
+                       const int64_t *members, int64_t seed, int64_t target,
+                       uint8_t *mark, int64_t *gain, int64_t *heap,
+                       int64_t heap_room, uint8_t *side)
+{
+#define MEMBER(i) (members ? members[i] : (i))
+    int64_t status = 0, entered = 0, size = 0, counter = 0, grown = 0;
+    if (n_sub == 0)
+        return 0;
+    if (bad_index(n_sub, n + 1) || bad_index(seed, n_sub))
+        return BAD_NODE;
+    for (; entered < n_sub; entered++) {
+        const int64_t v = MEMBER(entered);
+        if (bad_index(v, n) || mark[v] != OUTSIDE) {
+            status = BAD_NODE;
+            goto done;
+        }
+        mark[v] = REGION;
+    }
+    if (heap_room < 1) {
+        status = BAD_ROOM;
+        goto done;
+    }
+    mark[MEMBER(seed)] = FRONTIER;
+    gain[MEMBER(seed)] = 0;
+    heap_push(heap, &size, 0, counter, MEMBER(seed));
+    while (size > 0 && grown < target) {
+        int64_t top[3];
+        heap_pop(heap, &size, top);
+        const int64_t v = top[2];
+        if (mark[v] == GROWN || gain[v] != -top[0])
+            continue; /* stale entry */
+        if (grown + vwgt[v] > target && grown > 0)
+            continue; /* would overshoot; try a lighter frontier node */
+        mark[v] = GROWN;
+        grown += vwgt[v];
+        const int64_t b = xadj[v], e = xadj[v + 1];
+        if (bad_range(b, e, n_arcs)) {
+            status = BAD_XADJ;
+            goto done;
+        }
+        for (int64_t a = b; a < e; a++) {
+            const int64_t u = adjncy[a];
+            if (bad_index(u, n)) {
+                status = BAD_NBR;
+                goto done;
+            }
+            if (mark[u] == OUTSIDE || mark[u] == GROWN)
+                continue;
+            if (mark[u] == REGION) {
+                mark[u] = FRONTIER;
+                gain[u] = 0;
+            }
+            gain[u] += adjwgt[a];
+            if (size >= heap_room) {
+                status = BAD_ROOM;
+                goto done;
+            }
+            heap_push(heap, &size, -gain[u], ++counter, u);
+        }
+    }
+    for (int64_t i = 0; i < n_sub; i++)
+        side[i] = mark[MEMBER(i)] != GROWN;
+    /* Absorb unreached pieces while they fit. */
+    if (grown < target)
+        for (int64_t i = 0; i < n_sub; i++) {
+            const int64_t v = MEMBER(i);
+            if (mark[v] == REGION && grown + vwgt[v] <= target) {
+                side[i] = 0;
+                grown += vwgt[v];
+            }
+        }
+done:
+    for (int64_t i = 0; i < entered; i++)
+        mark[MEMBER(i)] = OUTSIDE;
+    return status;
+#undef MEMBER
+}
+
+/* ------------------------------------------------------------------------
+ * One pass of greedy k-way boundary refinement (kaffpa/kway_fm.py) over
+ * order[0 .. n): labels and weights are updated in place.  A node's
+ * connectivity is collected in first-met order, as the Python dict holds
+ * it, because the first of several equally good blocks wins.  conn and
+ * touched hold `space` entries, seen `space` bytes, zero on entry and on
+ * return.  Returns the number of nodes moved.
+ * ---------------------------------------------------------------------- */
+int64_t kway_refine_pass(int64_t n, int64_t n_arcs, const int64_t *xadj,
+                         const int64_t *adjncy, const int64_t *adjwgt,
+                         const int64_t *vwgt, const int64_t *order,
+                         int64_t *labels, int64_t space, int64_t *weights,
+                         int64_t max_block_weight, int64_t *conn,
+                         uint8_t *seen, int64_t *touched)
+{
+    int64_t moved = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t v = order[i];
+        if (bad_index(v, n))
+            return BAD_NODE;
+        const int64_t b = xadj[v], e = xadj[v + 1];
+        if (bad_range(b, e, n_arcs))
+            return BAD_XADJ;
+        const int64_t mine = labels[v];
+        if (bad_index(mine, space))
+            return BAD_BLOCK;
+        int64_t internal = 0, nt = 0, status = 0;
+        for (int64_t a = b; a < e; a++) {
+            if (bad_index(adjncy[a], n)) {
+                status = BAD_NBR;
+                break;
+            }
+            const int64_t lab = labels[adjncy[a]];
+            if (bad_index(lab, space)) {
+                status = BAD_BLOCK;
+                break;
+            }
+            if (lab == mine) {
+                internal += adjwgt[a];
+                continue;
+            }
+            if (!seen[lab]) {
+                seen[lab] = 1;
+                conn[lab] = 0;
+                touched[nt++] = lab;
+            }
+            conn[lab] += adjwgt[a];
+        }
+        const int64_t c_v = vwgt[v];
+        int64_t best_block = -1, best_gain = 0;
+        for (int64_t t = 0; t < nt; t++) {
+            const int64_t lab = touched[t];
+            seen[lab] = 0;
+            if (status || weights[lab] + c_v > max_block_weight)
+                continue;
+            const int64_t g = conn[lab] - internal;
+            if (g > best_gain
+                || (g == best_gain && g >= 0 && best_block == -1
+                    && weights[lab] + c_v < weights[mine])) {
+                best_gain = g;
+                best_block = lab;
+            }
+        }
+        if (status)
+            return status;
+        if (best_block >= 0
+            && (best_gain > 0
+                || (best_gain == 0
+                    && weights[best_block] + c_v < weights[mine]))) {
+            weights[mine] -= c_v;
+            weights[best_block] += c_v;
+            labels[v] = best_block;
+            moved++;
+        }
+    }
+    return moved;
+}
+
+/* ------------------------------------------------------------------------
+ * Heavy-edge matching (kaffpa/matching.py): nodes in `order`, each unmatched
+ * one takes its unmatched neighbour along the heaviest arc (the first of
+ * equals), never across `constraint` (NULL = none) and, when `bounded`,
+ * never a pair heavier than `max_pair_weight`.  mate[v] == v on entry for every
+ * v, which is also what "unmatched" reads as.  Returns the number of pairs.
+ * ---------------------------------------------------------------------- */
+int64_t match_heavy_edges(int64_t n, int64_t n_arcs, const int64_t *xadj,
+                          const int64_t *adjncy, const int64_t *adjwgt,
+                          const int64_t *vwgt, const int64_t *constraint,
+                          int64_t bounded, int64_t max_pair_weight,
+                          const int64_t *order, int64_t *mate)
+{
+    int64_t pairs = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t v = order[i];
+        if (bad_index(v, n))
+            return BAD_NODE;
+        if (mate[v] != v)
+            continue;
+        const int64_t b = xadj[v], e = xadj[v + 1];
+        if (bad_range(b, e, n_arcs))
+            return BAD_XADJ;
+        int64_t best_u = -1, best_w = -1;
+        for (int64_t a = b; a < e; a++) {
+            const int64_t u = adjncy[a];
+            if (bad_index(u, n))
+                return BAD_NBR;
+            if (mate[u] != u || u == v)
+                continue;
+            if (constraint && constraint[u] != constraint[v])
+                continue;
+            if (bounded && vwgt[v] + vwgt[u] > max_pair_weight)
+                continue;
+            if (adjwgt[a] > best_w) {
+                best_w = adjwgt[a];
+                best_u = u;
+            }
+        }
+        if (best_u >= 0) {
+            mate[v] = best_u;
+            mate[best_u] = v;
+            pairs++;
+        }
+    }
+    return pairs;
+}

@@ -1,4 +1,4 @@
-/* Fused SCLP scan (see repro/engine/native.py and docs/algorithms.md).
+/* Fused SCLP scan (see repro/native/__init__.py and docs/algorithms.md).
  *
  * scan_chunk: for every node of a chunk, accumulate the connection strength
  * to each neighbouring label in a dense accumulator with a touched list
@@ -149,7 +149,7 @@ int64_t scan_chunk(
     return arcs;
 }
 
-/* One run_sclp call's tables, filled by repro.engine.native.PhaseScan: the
+/* One run_sclp call's tables, filled by repro.native.PhaseScan: the
  * graph and the persistent arrays once per call, cap/exact/evict_budget and
  * the frontier masks once per phase.  Every field is 8 bytes wide. */
 typedef struct {

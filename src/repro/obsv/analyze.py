@@ -77,6 +77,10 @@ _SUMMARY_KEYS = (
 
 #: span names of the pipeline phases (parallel and sequential emit these)
 PHASES = ("coarsening", "initial", "refinement")
+#: the steps of every ``kaffpa_partition`` call, nested inside ``initial``
+KAFFPA_STEPS = ("kaffpa.coarsen", "kaffpa.initial", "kaffpa.refine")
+#: the rows of ``phases`` in ``run.json``, in reading order
+_PHASE_ROWS = ("coarsening", "initial", *KAFFPA_STEPS, "refinement")
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +443,14 @@ def phase_times(records: Iterable[dict]) -> dict[str, dict[str, float | None]]:
     Sim seconds are summed over cycles per rank, then maxed over ranks
     (the parallel makespan of that phase); wall seconds are the rank-0 /
     rank-less sums so the thread backend's GIL interleaving is not
-    double-counted.  Phases absent from the trace map to ``None``.
+    double-counted.  Phases absent from the trace map to ``None``.  The
+    three :data:`KAFFPA_STEPS` follow the phases they split ``initial``
+    into; they have no simulated clock.
     """
     sim_by_phase_rank: dict[str, dict[int, float]] = defaultdict(lambda: defaultdict(float))
     wall_by_phase: dict[str, float] = defaultdict(float)
     for span in _spans(records):
-        if span["name"] not in PHASES:
+        if span["name"] not in _PHASE_ROWS:
             continue
         rank = span.get("rank")
         if span.get("sim_dur") is not None and rank is not None:
@@ -452,7 +458,7 @@ def phase_times(records: Iterable[dict]) -> dict[str, dict[str, float | None]]:
         if rank is None or rank == 0:
             wall_by_phase[span["name"]] += float(span.get("wall_dur") or 0.0)
     out: dict[str, dict[str, float | None]] = {}
-    for phase in PHASES:
+    for phase in _PHASE_ROWS:
         ranks = sim_by_phase_rank.get(phase)
         out[phase] = {
             "sim": max(ranks.values()) if ranks else None,
@@ -726,7 +732,7 @@ def _phases_table(times: dict[str, dict[str, float | None]]) -> str:
         return "per-phase table: no phase spans in this trace"
     total_sim = sum(v["sim"] for v in times.values() if v["sim"] is not None) or None
     rows = []
-    for phase in PHASES:
+    for phase in times:
         sim = times[phase]["sim"]
         share = (
             f"{100.0 * sim / total_sim:.1f}%"
@@ -734,7 +740,7 @@ def _phases_table(times: dict[str, dict[str, float | None]]) -> str:
             else "-"
         )
         rows.append([
-            phase,
+            f"  {phase}" if phase in KAFFPA_STEPS else phase,
             _fmt(sim, "{:.6f}"),
             share,
             _fmt(times[phase]["wall"], "{:.3f}"),

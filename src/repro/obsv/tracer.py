@@ -134,6 +134,10 @@ class Span:
         stack = tracer._stack()
         self._depth = len(stack)
         self._parent = stack[-1].name if stack else None
+        if self.rank is None and stack:
+            # a span opened without a communicator (KaFFPa's steps) belongs
+            # to the rank whose span it is nested in
+            self.rank = stack[-1].rank
         stack.append(self)
         if self.rank is not None:
             tracer._last_span_by_rank[self.rank] = (self.name, self.attrs)

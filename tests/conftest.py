@@ -58,20 +58,31 @@ def karate() -> Graph:
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
-    """Run the test on the NumPy chunk scan, as on a host that cannot
-    build the compiled one.  There is no knob for this in the program:
+    """Run the test on the Python twins of every compiled kernel (the
+    NumPy chunk scan, scipy's quotient, KaFFPa's loops), as on a host
+    that cannot build them.  There is no knob for this in the program:
     the fixture plants the loader's cached outcome.  Process-backend
     ranks inherit it (the parent hands its resolution to every rank)."""
-    from repro.engine import native
+    from repro import native
 
     forced = native.Resolution(None, "forced by the numpy_kernel fixture")
     monkeypatch.setattr(native, "_resolution", forced)
     return forced
 
 
+@pytest.fixture
+def compiled_kernels():
+    """Skip where the kernels could not be built: a native == twin
+    differential would compare the twin with itself."""
+    from repro import native
+
+    if not native.loaded():
+        pytest.skip(f"no compiled kernels here: {native.resolve().reason}")
+
+
 def kernel_cache_leftovers() -> list[str]:
     """Temporary build files left in the compiled kernel's cache dir."""
-    from repro.engine import native
+    from repro import native
 
     return sorted(str(p) for p in native.cache_dir().glob("*.tmp"))
 

@@ -1,6 +1,9 @@
-"""The compiled scan: identity with its Python twins, and the loader.
+"""The compiled kernels: identity with their Python twins, and the loader.
 
-Four contracts:
+The contracts of the SCLP scan (the coarsest level's kernels have their
+differentials beside their twins' tests, ``tests/graph/test_quotient.py``
+and ``tests/kaffpa/test_native_twins.py``; what they share with the scan
+— one loader, reentrancy, the fallback — is held here):
 
 * a ``run_sclp`` call through ``scan_phase`` (one compiled call per
   phase) and the same call forced onto the Python chunk loop over the
@@ -15,9 +18,11 @@ Four contracts:
   and the Python loop, with exactly one warning naming the cause and
   unchanged results;
 * the existing identity suites (oracle, frontier == full, goldens,
-  Local == Spmd == Process) hold on that fallback too — they run on the
-  compiled phase scan by default, and their small cases run here once
-  more under the ``numpy_kernel`` fixture.
+  Local == Spmd == Process, the quotient and KaFFPa suites) hold on that
+  fallback too — they run compiled by default, and their small cases run
+  here once more under the ``numpy_kernel`` fixture;
+* the C side keeps no static state: threads calling every kernel at once
+  on different graphs get what they get alone.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from importlib import resources
 from unittest import mock
@@ -38,16 +44,22 @@ from hypothesis import strategies as st
 from repro.core.label_propagation import band_nodes
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
 from repro.dist.runtime import run_spmd_processes
-from repro.engine import LocalBackend, SpmdBackend, kernels, native, run_sclp
+from repro import native
+from repro.engine import LocalBackend, SpmdBackend, kernels, run_sclp
 from repro.engine.kernels import IterationWorkspace, candidate_tie_hash
 from repro.generators import grid_2d, rmat
-from repro.graph import from_edges
+from repro.graph import contract, from_edges, max_block_weight_bound
+from repro.kaffpa import greedy_kway_refine, heavy_edge_matching, recursive_bisection
 from repro.obsv.tracer import TRACER
 
 from ..conftest import kernel_cache_leftovers, random_graphs
 from ..core import test_lp_kernels as seq_suite
 from ..core.test_lp_kernels import EDGELESS, HEAVY_NODE, WITH_ISOLATED
 from ..dist import test_lp_kernels as dist_suite
+from ..graph import test_quotient as quotient_suite
+from ..kaffpa import test_initial as initial_suite
+from ..kaffpa import test_matching as matching_suite
+from ..kaffpa import test_refinement_and_driver as driver_suite
 from . import test_cross_backend as cross_suite
 from . import test_golden_equivalence as golden_suite
 
@@ -338,19 +350,66 @@ class TestNativeMatchesNumpy:
             scan(order.astype(np.int32), 2, np.full(space, 3), None, None, *masks)
 
 
+def coarsest_level(graph, seed: int) -> list[np.ndarray]:
+    """Every ``_coarse.c`` kernel once: a contraction, a recursive
+    bisection of the quotient, k-way refinement, a matching."""
+    rng = np.random.default_rng(seed)
+    coarse = contract(graph, rng.integers(0, graph.num_nodes // 3, graph.num_nodes)).coarse
+    part = recursive_bisection(coarse, 5, rng)
+    lmax = max_block_weight_bound(coarse, 5, 0.03)
+    return [
+        coarse.xadj, coarse.adjncy, coarse.adjwgt, part,
+        greedy_kway_refine(coarse, part, 5, lmax, rng),
+        heavy_edge_matching(coarse, rng, max_node_weight=lmax),
+    ]
+
+
+def test_threads_call_every_kernel_at_once():
+    """Thread ranks run KaFFPaE side by side with the GIL released inside
+    each call; scratch shared on the C side would show as a wrong array."""
+    compiled()
+    graphs = [rmat(10, seed=1), grid_2d(30, 30), rmat(9, seed=5)]
+    alone = [coarsest_level(graph, seed) for seed, graph in enumerate(graphs)]
+    wrong: list[tuple[int, int]] = []
+
+    def worker(seed: int) -> None:
+        for round_ in range(15):
+            got = coarsest_level(graphs[seed], seed)
+            if not all(np.array_equal(g, w) for g, w in zip(got, alone[seed])):
+                wrong.append((seed, round_))
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
 @pytest.mark.skipif(
     not (shutil.which("cc") or shutil.which("gcc")), reason="no C compiler"
 )
 def test_the_source_is_strict_c99():
-    """The kernel promises plain C99; hold it to that with every warning
-    on (the build itself passes no -W flag)."""
-    source = resources.files("repro.engine").joinpath(native.SOURCE_NAME)
-    done = subprocess.run(
-        [shutil.which("cc") or shutil.which("gcc"), "-std=c99", "-Wall",
-         "-Wextra", "-Werror", "-pedantic", "-fsyntax-only", "-x", "c", "-"],
-        input=source.read_bytes(), capture_output=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    """The kernels promise plain C99; hold them to that with every
+    warning on (the build itself passes no -W flag): the translation unit
+    the loader builds, and every source file by itself."""
+    here = resources.files("repro.native")
+    units = [native.source()] + [
+        here.joinpath(name).read_bytes() for name in native.SOURCE_NAMES
+    ]
+    for unit in units:
+        done = subprocess.run(
+            [shutil.which("cc") or shutil.which("gcc"), "-std=c99", "-Wall",
+             "-Wextra", "-Werror", "-pedantic", "-fsyntax-only", "-x", "c", "-"],
+            input=unit, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
 
 
 # ----------------------------------------------------------------------
@@ -405,13 +464,15 @@ class TestLoader:
         from importlib import resources
         from pathlib import Path
 
-        source = resources.files("repro.engine").joinpath(native.SOURCE_NAME)
-        assert source.is_file() and b"scan_chunk(" in source.read_bytes()
+        assert b"scan_chunk(" in native.source()
+        assert b"quotient_fill(" in native.source()
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).parents[2] / "pyproject.toml"
         patterns = tomllib.loads(pyproject.read_text())["tool"]["setuptools"][
             "package-data"]["repro"]
-        assert any(fnmatch(f"engine/{native.SOURCE_NAME}", p) for p in patterns)
+        for name in native.SOURCE_NAMES:
+            assert resources.files("repro.native").joinpath(name).is_file()
+            assert any(fnmatch(f"native/{name}", p) for p in patterns)
 
     def test_builds_once_into_a_private_cache(self, cold):
         compiled_here = compiled()
@@ -420,7 +481,7 @@ class TestLoader:
         assert built[0].suffix == ".so"
         assert cold.stat().st_mode & 0o777 == 0o700
         assert built[0].stat().st_mode & 0o022 == 0
-        assert native.select()[:2] == (native.scan_chunk, native.PhaseScan)
+        assert native.loaded()
         # a second resolution (a later process) finds the file, builds nothing
         stamp = built[0].stat().st_mtime_ns
         with mock.patch.object(native, "_resolution", None):
@@ -433,11 +494,11 @@ class TestLoader:
             assert small_lp() == expected
             assert small_lp() == expected  # resolved once: no second warning
         assert len(caught) == 1, [str(w.message) for w in caught]
-        assert "native SCLP kernel unavailable" in str(caught[0].message)
+        assert "native kernels unavailable" in str(caught[0].message)
         assert cause in str(caught[0].message)
         resolution = native.resolve()
         assert resolution.kernel == "numpy" and cause in resolution.reason
-        assert native.select()[:2] == (kernels.scan_chunk, None)
+        assert not native.loaded()
         assert resolution.header() == {
             "lp_kernel": "numpy", "lp_kernel_fallback": resolution.reason,
         }
@@ -496,7 +557,7 @@ class TestLoader:
     def test_two_cold_processes_leave_one_shared_object(self, tmp_path):
         compiled()
         code = (
-            "from repro.engine import native\n"
+            "from repro import native\n"
             "r = native.resolve()\n"
             "assert r.path is not None, r.reason\n"
             "print(r.path)\n"
@@ -534,9 +595,8 @@ class TestSuitesOnTheNumpyKernel:
     def test_the_fixture_selects_numpy_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scan, phase_scan, resolution = native.select()
-        assert scan is kernels.scan_chunk and phase_scan is None
-        assert resolution.kernel == "numpy"
+            assert not native.loaded()
+        assert native.resolve().kernel == "numpy"
 
     def test_chunk_1_is_the_oracle(self):
         suite = seq_suite.TestSequentialEquivalence()
@@ -574,6 +634,32 @@ class TestSuitesOnTheNumpyKernel:
         golden_suite.test_parallel_lp("ba10", 4, 64, "frontier", "frontier", "refine")
         golden_suite.test_multilevel("rmat10", "fast")
         golden_suite.test_parallel_partition("rmat10", "fast", 4)
+
+    def test_quotient_and_kaffpa_suites(self):
+        """The coarsest level on scipy's grouping and KaFFPa's Python
+        loops: their oracles and plain cases (the goldens above reach
+        them through ``kaffpa_partition`` and ``contract`` too; their
+        hypothesis tests run on this path in the CI leg that hides the
+        compiler, not from here — one executor per ``@given`` test)."""
+        for seed in range(4):
+            graph = rmat(7, seed=seed)
+            labels = np.random.default_rng(seed).integers(0, 40, graph.num_nodes)
+            coarse = contract(graph, labels).coarse
+            want = quotient_suite.lexsort_contract(graph, labels)
+            got = (coarse.xadj, coarse.adjncy, coarse.vwgt, coarse.adjwgt)
+            for have, expect in zip(got, want):
+                np.testing.assert_array_equal(have, expect)
+        initial_suite.TestGreedyGrowingMatchesOracle().test_same_partition_and_rng_state(7)
+        initial_suite.TestRecursiveBisection().test_balanced_kway(7)
+        matching = matching_suite.TestMatchingValidity()
+        matching.test_weight_bound_blocks_heavy_pairs()
+        matching.test_constraint_blocks_cross_edges()
+        matching_suite.TestMatchingContraction().test_mesh_shrinks_near_half()
+        driver_suite.TestGreedyKway().test_improves_random_partition()
+        driver = driver_suite.TestKaffpaDriver()
+        driver.test_seed_partition_never_worsened()
+        driver.test_constraint_respected_through_multilevel()
+        driver.test_seed_is_protected_without_a_constraint()
 
     def test_local_equals_spmd_equals_process(self):
         cross_suite.test_cluster_iteration_identity("rmat9", 64, None, run_spmd)

@@ -9,10 +9,13 @@ the clusters, cutting the coarse graph equals cutting the fine graph.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro import native
 from repro.graph import (
+    Graph,
     check_graph,
     complete_graph,
     contract,
@@ -20,6 +23,7 @@ from repro.graph import (
     normalize_labels,
     quotient_graph,
 )
+from repro.graph.quotient import _group_arcs
 from repro.metrics import edge_cut
 
 from ..conftest import graphs_with_labels, random_graphs
@@ -163,6 +167,66 @@ class TestContractMatchesLexsortOracle:
         ):
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.usefixtures("compiled_kernels")
+class TestNativeBuildMatchesScipy:
+    """``native.quotient_arcs`` against the scipy grouping it replaces:
+    the same three arrays.  (:class:`TestContractMatchesLexsortOracle`
+    holds whichever of the two ``contract`` ran to a third.)"""
+
+    @staticmethod
+    def assert_same(graph, mapping, n_coarse):
+        got = native.quotient_arcs(graph.xadj, graph.adjncy, graph.adjwgt, mapping, n_coarse)
+        want = _group_arcs(graph, mapping, n_coarse)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+    @given(graphs_with_labels())
+    @example((from_edges(0, []), np.empty(0, dtype=np.int64)))  # empty graph
+    @example((from_edges(1, []), np.zeros(1, dtype=np.int64)))  # one node
+    @example((from_edges(6, [(1, 4)]), np.array([3, 0, 3, 9, 1, 5])))  # isolated nodes
+    @example((from_edges(4, [(0, 1), (2, 3)]), np.array([5, 5, 2, 2])))  # no coarse arc
+    @example((_PATH5, np.array([7, 3, 7, 3, 100])))  # parallel arcs to sum
+    def test_arrays_equal(self, graph_and_labels):
+        graph, labels = graph_and_labels
+        self.assert_same(graph, *normalize_labels(labels))
+
+    def test_no_symmetry_is_assumed(self):
+        """Rows come out sorted by two transpositions, not by reading the
+        transpose as the matrix: a one-directional CSR (arcs 0->1 w 2,
+        0->2 w 5, 2->1 w 7, 3->0 w 1) keeps its direction and weights."""
+        directed = Graph(
+            np.array([0, 2, 2, 3, 4]), np.array([2, 1, 1, 0]),
+            np.ones(4, dtype=np.int64), np.array([5, 2, 7, 1]),
+        )
+        for mapping in ([0, 1, 2, 3], [1, 0, 0, 2], [3, 2, 1, 0]):
+            self.assert_same(directed, np.array(mapping, dtype=np.int64), 4)
+
+    def test_empty_blocks_become_isolated_coarse_nodes(self):
+        # a mapping that skips ids (never produced by normalize_labels)
+        graph = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        self.assert_same(graph, np.array([4, 4, 0, 2], dtype=np.int64), 6)
+
+    def test_entry_outside_its_table(self):
+        graph = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        mapping = np.array([0, 1, 1, 2], dtype=np.int64)
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match="a block id or mapping entry is outside"):
+                native.quotient_arcs(
+                    graph.xadj, graph.adjncy, graph.adjwgt,
+                    np.array([0, 1, bad, 2], dtype=np.int64), 3)
+        adjncy = graph.adjncy.copy()
+        adjncy[2] = 4
+        with pytest.raises(ValueError, match="a neighbour id in adjncy is outside"):
+            native.quotient_arcs(graph.xadj, adjncy, graph.adjwgt, mapping, 3)
+        xadj = graph.xadj.copy()
+        xadj[2] = 7
+        with pytest.raises(ValueError, match="an arc range in xadj is outside"):
+            native.quotient_arcs(xadj, graph.adjncy, graph.adjwgt, mapping, 3)
+        with pytest.raises(TypeError, match="C-contiguous int64 ndarray of 4 entries"):
+            native.quotient_arcs(graph.xadj, graph.adjncy, graph.adjwgt, mapping[:3], 3)
 
 
 class TestQuotientGraph:
