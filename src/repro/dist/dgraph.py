@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph.build import group_arcs
 from ..graph.csr import Graph
 from ..graph.store import readonly_view
 from .comm import SimComm
@@ -146,22 +147,18 @@ class DistGraph:
         """Build a PE's subgraph from its arc list (global endpoint ids).
 
         Used by the parallel contraction algorithm: after the shuffle,
-        each PE holds all arcs whose source it owns, as parallel arrays.
-        Duplicate arcs must already be merged; ``vwgt`` covers the owned
+        each PE holds all arcs whose source it owns, as parallel arrays,
+        with the parallel arcs several PEs sent still apart; they are
+        merged here by summing their weights.  ``vwgt`` covers the owned
         range in order.
         """
         vtxdist = np.asarray(vtxdist, dtype=np.int64)
         first, last = int(vtxdist[rank]), int(vtxdist[rank + 1])
-
-        src = np.asarray(src_global, dtype=np.int64) - first
-        dst = np.asarray(dst_global, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.int64)
-        order = np.lexsort((dst, src))
-
-        xadj = np.zeros(last - first + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=last - first), out=xadj[1:])
+        xadj, dst, wgt = group_arcs(int(vtxdist[-1]), src_global, dst_global, weights)
+        if xadj[first] != 0 or xadj[last] != dst.size:
+            raise ValueError(f"an arc's source is not owned by rank {rank}")
         return cls._with_ghosts(
-            vtxdist, rank, xadj, dst[order], weights[order],
+            vtxdist, rank, xadj[first : last + 1], dst, wgt,
             np.asarray(vwgt, dtype=np.int64),
         )
 

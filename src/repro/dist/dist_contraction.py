@@ -13,10 +13,13 @@ Contraction of a distributed clustering proceeds exactly as in the paper:
    cluster id fetch its remapped value with a request/response round.
 3. **Ghost mapping.**  A halo exchange propagates ``C`` to ghost nodes.
 4. **Build the coarse graph.**  Every PE builds the weighted quotient of
-   its local subgraph (vectorised lexsort/reduceat), then ships each
-   coarse arc — and each coarse node-weight contribution — to the PE that
-   owns the coarse source under the balanced coarse distribution.
-   Receivers merge duplicates and assemble their local CSR.
+   its local subgraph with the sequential quotient kernel
+   (:func:`repro.graph.quotient.quotient_arcs`, over the local CSR
+   extended by one empty row per ghost), then ships each coarse arc — and
+   each coarse node-weight contribution — to the PE that owns the coarse
+   source under the balanced coarse distribution.  Receivers merge
+   duplicates and assemble their local CSR
+   (:meth:`~repro.dist.dgraph.DistGraph.from_arcs`).
 
 Uncoarsening is the simple inverse (Section IV-C, last paragraph): each
 PE asks the owner of each coarse representative for its block id.
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graph.quotient import quotient_arcs
 from ..obsv.tracer import TRACER
 from .comm import SimComm
 from .dgraph import DistGraph, balanced_vtxdist
@@ -179,35 +183,9 @@ def _contract_impl(
     # ------------------------------------------------------------------
     # 4. Local quotient, then shuffle to coarse owners
     # ------------------------------------------------------------------
-    src_c = coarse_of[dgraph.arc_sources()]
-    dst_c = coarse_of[dgraph.adjncy]
-    keep = src_c != dst_c
-    src_c, dst_c, wgt = src_c[keep], dst_c[keep], dgraph.adjwgt[keep]
-    if src_c.size:
-        order = np.lexsort((dst_c, src_c))
-        src_c, dst_c, wgt = src_c[order], dst_c[order], wgt[order]
-        boundary = np.empty(src_c.size, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (src_c[1:] != src_c[:-1]) | (dst_c[1:] != dst_c[:-1])
-        starts = np.flatnonzero(boundary)
-        src_c = src_c[starts]
-        dst_c = dst_c[starts]
-        wgt = np.add.reduceat(wgt, starts)
-    comm.work(dgraph.num_arcs)
-
     coarse_vtxdist = balanced_vtxdist(n_coarse, comm.size)
-    # The quotient build left src_c sorted, so the owner array is already
-    # non-decreasing: the per-destination buckets are contiguous slices.
-    arc_owner = np.searchsorted(coarse_vtxdist[1:], src_c, side="right")
-    arc_bounds = np.searchsorted(arc_owner, np.arange(comm.size + 1))
-    per_dest: list[object] = [
-        (
-            src_c[arc_bounds[q]: arc_bounds[q + 1]],
-            dst_c[arc_bounds[q]: arc_bounds[q + 1]],
-            wgt[arc_bounds[q]: arc_bounds[q + 1]],
-        )
-        for q in range(comm.size)
-    ]
+    per_dest = _local_quotient(dgraph, coarse_of, coarse_vtxdist)
+    comm.work(dgraph.num_arcs)
     arc_msgs = comm.alltoall(per_dest)
 
     # Coarse node weights (and optional constraint labels) contributed by
@@ -239,20 +217,6 @@ def _contract_impl(
     my_first = int(coarse_vtxdist[comm.rank])
     my_count = int(coarse_vtxdist[comm.rank + 1]) - my_first
 
-    all_src = np.concatenate([m[0] for m in arc_msgs]) if arc_msgs else np.empty(0, np.int64)
-    all_dst = np.concatenate([m[1] for m in arc_msgs]) if arc_msgs else np.empty(0, np.int64)
-    all_wgt = np.concatenate([m[2] for m in arc_msgs]) if arc_msgs else np.empty(0, np.int64)
-    if all_src.size:
-        order = np.lexsort((all_dst, all_src))
-        all_src, all_dst, all_wgt = all_src[order], all_dst[order], all_wgt[order]
-        boundary = np.empty(all_src.size, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (all_src[1:] != all_src[:-1]) | (all_dst[1:] != all_dst[:-1])
-        starts = np.flatnonzero(boundary)
-        all_src = all_src[starts]
-        all_dst = all_dst[starts]
-        all_wgt = np.add.reduceat(all_wgt, starts)
-
     coarse_vwgt = np.zeros(my_count, dtype=np.int64)
     coarse_constraint = np.zeros(my_count, dtype=np.int64) if constraint is not None else None
     got_ids = np.concatenate([m[0] for m in node_msgs]) if node_msgs else np.empty(0, np.int64)
@@ -266,10 +230,41 @@ def _contract_impl(
             if len(msg) > 2 and msg[0].size:
                 coarse_constraint[msg[0] - my_first] = msg[2]
 
+    # Arcs between the same two coarse nodes from different PEs are still
+    # apart; from_arcs merges them.
+    all_src, all_dst, all_wgt = (np.concatenate(column) for column in zip(*arc_msgs))
     coarse = DistGraph.from_arcs(
         coarse_vtxdist, comm.rank, all_src, all_dst, all_wgt, coarse_vwgt
     )
     return DistContraction(dgraph, coarse, local_to_coarse, coarse_constraint)
+
+
+def _local_quotient(
+    dgraph: DistGraph, coarse_of: np.ndarray, coarse_vtxdist: np.ndarray
+) -> list[object]:
+    """This PE's quotient arcs ``(src, dst, wgt)`` in global coarse ids, one
+    triple per coarse owner: rows by source, each ordered by neighbour,
+    parallel arcs summed.
+
+    The local CSR with one empty row per ghost is a CSR over every local
+    id, and ``coarse_of`` (ghosts included) maps each of them to its
+    coarse node, so the sequential kernel builds the quotient as is.  Its
+    rows are the global coarse ids, hence each owner's arcs are one slice.
+    """
+    ghost_rows = np.full(dgraph.n_ghost, dgraph.num_arcs, dtype=np.int64)
+    xadj_c, dst_c, wgt_c = quotient_arcs(
+        np.concatenate((dgraph.xadj, ghost_rows)), dgraph.adjncy, dgraph.adjwgt,
+        coarse_of, int(coarse_vtxdist[-1]))
+    bounds = xadj_c[coarse_vtxdist]
+    return [
+        (
+            np.repeat(np.arange(first, last, dtype=np.int64), np.diff(xadj_c[first : last + 1])),
+            dst_c[lo:hi],
+            wgt_c[lo:hi],
+        )
+        for first, last, lo, hi in zip(
+            coarse_vtxdist[:-1], coarse_vtxdist[1:], bounds[:-1], bounds[1:])
+    ]
 
 
 def parallel_uncoarsen(

@@ -40,6 +40,7 @@ from ..core.multilevel import detect_social
 from ..engine.backend import resolve_backend
 from ..engine.vcycle import run_vcycle
 from ..evolutionary.kaffpae import KaffpaeOptions, kaffpae_partition
+from ..graph.build import group_arcs
 from ..graph.csr import Graph
 from ..graph.validation import max_block_weight_bound
 from ..metrics.quality import edge_cut, evaluate_partition, PartitionQuality
@@ -90,15 +91,9 @@ def _collect_replica(dgraph: DistGraph, comm: SimComm) -> Graph:
     src = dgraph.to_global(dgraph.arc_sources())
     dst = dgraph.to_global(dgraph.adjncy)
     pieces = comm.allgather((src, dst, dgraph.adjwgt, dgraph.vwgt))
-    all_src = np.concatenate([p[0] for p in pieces])
-    all_dst = np.concatenate([p[1] for p in pieces])
-    all_wgt = np.concatenate([p[2] for p in pieces])
-    all_vwgt = np.concatenate([p[3] for p in pieces])
-    n = dgraph.n_global
-    order = np.lexsort((all_dst, all_src))
-    xadj = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(all_src, minlength=n), out=xadj[1:])
-    return Graph(xadj, all_dst[order], all_vwgt, all_wgt[order], name="coarsest-replica")
+    all_src, all_dst, all_wgt, all_vwgt = (np.concatenate(column) for column in zip(*pieces))
+    xadj, adjncy, adjwgt = group_arcs(dgraph.n_global, all_src, all_dst, all_wgt)
+    return Graph(xadj, adjncy, all_vwgt, adjwgt, name="coarsest-replica")
 
 
 class SpmdVcycleBackend:

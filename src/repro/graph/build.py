@@ -4,6 +4,12 @@ All builders normalise their input the same way: edges are symmetrised,
 parallel edges are merged by summing their weights, and self-loops are
 dropped.  The result therefore always satisfies the invariants
 :mod:`repro.graph.validation` checks.
+
+:func:`group_arcs` is the one arc list -> canonical CSR step of the
+package: the builders here, subgraphs and permutations
+(:mod:`repro.graph.ops`), the distributed graph and the coarsest replica
+(:mod:`repro.dist`) call it, and the quotient build falls back to it
+where the compiled kernels did not load.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .csr import Graph
+from .csr import Graph, GraphError
 
 __all__ = [
+    "group_arcs",
     "from_edges",
     "from_coo",
     "from_adjacency",
@@ -29,6 +36,61 @@ __all__ = [
     "cycle_graph",
     "star_graph",
 ]
+
+
+def group_arcs(
+    n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``xadj, adjncy, adjwgt`` of the arc list ``src[i] -> dst[i]`` (weight
+    ``wgt[i]``) over ``n`` nodes, in canonical CSR: rows by source, each
+    row ordered by neighbour, parallel arcs summed, self-loops dropped.
+    Arcs are taken as given, not mirrored.
+
+    Raises :class:`GraphError` naming the first arc with an endpoint
+    outside ``[0, n)``.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        i = int(np.argmax((src < 0) | (src >= n) | (dst < 0) | (dst >= n)))
+        raise GraphError(
+            f"arc {i} ({src[i]} -> {dst[i]}) has an endpoint outside [0, {n})")
+    keep = src != dst
+    src, dst, wgt = src[keep], dst[keep], np.asarray(wgt)[keep]
+    if src.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return np.zeros(n + 1, dtype=np.int64), empty, empty
+
+    # The COO -> CSR conversion buckets arcs by src (a counting sort, not
+    # a comparison sort of all arcs) and sums equal (src, dst) entries;
+    # canonical format = rows ordered by dst.
+    rows = sp.coo_matrix((wgt, (src, dst)), shape=(n, n)).tocsr()
+    rows.sum_duplicates()
+    return (
+        rows.indptr.astype(np.int64, copy=False),
+        rows.indices.astype(np.int64, copy=False),
+        rows.data.astype(np.int64, copy=False),
+    )
+
+
+def _nonzero_graph(
+    n: int,
+    arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    vwgt: np.ndarray | None,
+    name: str,
+) -> Graph:
+    """A :class:`Graph` of grouped ``arcs`` without the arcs whose weights
+    summed to zero (unit node weights unless ``vwgt`` is given)."""
+    xadj, adjncy, adjwgt = arcs
+    keep = adjwgt != 0
+    if not keep.all():
+        kept_before = np.zeros(adjwgt.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        xadj, adjncy, adjwgt = kept_before[xadj], adjncy[keep], adjwgt[keep]
+    return Graph(
+        xadj, adjncy, np.ones(n, dtype=np.int64) if vwgt is None else vwgt, adjwgt,
+        name=name,
+    )
 
 
 def from_edges(
@@ -77,54 +139,36 @@ def from_coo(
 ) -> Graph:
     """Build a graph from COO-style arrays, symmetrising and deduplicating.
 
-    Uses :mod:`scipy.sparse` for the heavy lifting: ``A + A.T`` with
-    duplicate summation, then the diagonal is removed.  The weight of an
-    undirected edge present in both orientations of the input is counted
-    once per orientation (standard COO-duplicate semantics), which lets
-    callers feed either half- or full-symmetric inputs as long as they are
-    consistent about it.
+    Every arc is mirrored and the lot grouped once (:func:`group_arcs`),
+    so the weight of an undirected edge present in both orientations of
+    the input is counted once per orientation (standard COO-duplicate
+    semantics), which lets callers feed either half- or full-symmetric
+    inputs as long as they are consistent about it.  Self-loops and edges
+    whose weights sum to zero are dropped.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if weights is None:
         weights = np.ones(rows.size, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.int64)
-    keep = rows != cols  # drop self loops before symmetrising
-    rows, cols, weights = rows[keep], cols[keep], weights[keep]
-    # Canonicalise each undirected edge to (min, max) so that duplicates in
-    # either orientation merge, then mirror once.
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    upper = sp.coo_matrix((weights, (lo, hi)), shape=(num_nodes, num_nodes))
-    upper.sum_duplicates()
-    mat = (upper + upper.T).tocsr()
-    mat.sort_indices()
-    return from_scipy(mat, vwgt=vwgt, name=name)
+    arcs = group_arcs(
+        num_nodes, np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+        np.concatenate((weights, weights)),
+    )
+    return _nonzero_graph(num_nodes, arcs, vwgt, name)
 
 
 def from_scipy(mat: sp.spmatrix, vwgt: np.ndarray | None = None, name: str = "graph") -> Graph:
     """Build a graph from a *symmetric* SciPy sparse matrix.
 
-    The diagonal is discarded.  Symmetry is the caller's responsibility
-    (checked cheaply by arc-count parity in :class:`Graph` validation and
-    thoroughly by :func:`repro.graph.validation.check_graph`).
+    The diagonal and entries summing to zero are discarded.  Symmetry is
+    the caller's responsibility (checked cheaply by arc-count parity in
+    :class:`Graph` validation and thoroughly by
+    :func:`repro.graph.validation.check_graph`).
     """
     coo = sp.coo_matrix(mat)
-    off_diag = coo.row != coo.col
-    csr = sp.csr_matrix(
-        (coo.data[off_diag], (coo.row[off_diag], coo.col[off_diag])), shape=coo.shape
-    )
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    csr.sort_indices()
-    n = csr.shape[0]
-    return Graph(
-        csr.indptr.astype(np.int64),
-        csr.indices.astype(np.int64),
-        np.ones(n, dtype=np.int64) if vwgt is None else vwgt,
-        csr.data.astype(np.int64),
-        name=name,
-    )
+    n = coo.shape[0]
+    return _nonzero_graph(n, group_arcs(n, coo.row, coo.col, coo.data), vwgt, name)
 
 
 def to_scipy(graph: Graph) -> sp.csr_matrix:

@@ -290,16 +290,15 @@ class Graph:
         """Copy with every adjacency list sorted by neighbour id.
 
         Sorted lists make ``has_edge`` and comparisons deterministic; the
-        partitioning kernels themselves do not require sorted lists.
+        partitioning kernels themselves do not require sorted lists.  The
+        copy is canonical CSR, so parallel arcs are merged and self-loops
+        dropped (a valid graph has neither).
         """
-        adjncy = self.adjncy.copy()
-        adjwgt = self.adjwgt.copy()
-        for v in range(self.num_nodes):
-            lo, hi = self.xadj[v], self.xadj[v + 1]
-            order = np.argsort(adjncy[lo:hi], kind="stable")
-            adjncy[lo:hi] = adjncy[lo:hi][order]
-            adjwgt[lo:hi] = adjwgt[lo:hi][order]
-        return Graph(self.xadj, adjncy, self.vwgt, adjwgt, name=self.name)
+        from .build import group_arcs
+
+        xadj, adjncy, adjwgt = group_arcs(
+            self.num_nodes, self.arc_sources(), self.adjncy, self.adjwgt)
+        return Graph(xadj, adjncy, self.vwgt, adjwgt, name=self.name)
 
     # ------------------------------------------------------------------
     # Dunder helpers

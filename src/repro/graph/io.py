@@ -92,12 +92,14 @@ def read_metis(path: str | Path | io.TextIOBase, name: str | None = None) -> Gra
         lines = Path(path).read_text(encoding="ascii").splitlines()
         name = name or Path(path).stem
     # Comment lines are skipped; blank lines are *kept* because an empty
-    # adjacency line encodes an isolated node.
-    lines = [ln for ln in lines if not ln.lstrip().startswith("%")]
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    if not lines:
+    # adjacency line encodes an isolated node.  ``kept`` holds the file's
+    # 0-based index of every line read, for the messages.
+    kept = [i for i, ln in enumerate(lines) if not ln.lstrip().startswith("%")]
+    while kept and not lines[kept[0]].strip():
+        kept.pop(0)
+    if not kept:
         raise GraphError("empty METIS file")
+    lines = [lines[i] for i in kept]
     header = lines[0].split()
     n, m = int(header[0]), int(header[1])
     fmt = header[2] if len(header) > 2 else "000"
@@ -124,6 +126,9 @@ def read_metis(path: str | Path | io.TextIOBase, name: str | None = None) -> Gra
             pos = 1
         while pos < len(tokens):
             u = tokens[pos] - 1
+            if not 0 <= u < n:
+                raise GraphError(
+                    f"line {kept[v + 1] + 1}: neighbour id {tokens[pos]} is outside 1..{n}")
             pos += 1
             w = 1
             if edge_weights:

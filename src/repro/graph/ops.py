@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from .build import group_arcs
 from .csr import Graph
 
 __all__ = [
@@ -26,25 +27,26 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray
     """Subgraph induced by ``nodes``.
 
     Returns the subgraph (nodes renumbered ``0..len(nodes)-1`` in the
-    order given) and the array of original node ids.
+    order given) and the array of original node ids.  Raises
+    ``ValueError`` naming an id that is outside the graph or given twice.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    keep = np.zeros(graph.num_nodes, dtype=bool)
-    keep[nodes] = True
+    outside = (nodes < 0) | (nodes >= graph.num_nodes)
+    if outside.any():
+        raise ValueError(
+            f"node id {nodes[outside][0]} is outside [0, {graph.num_nodes})")
     new_id = np.full(graph.num_nodes, -1, dtype=np.int64)
     new_id[nodes] = np.arange(nodes.size)
+    # a repeated id keeps the position of its last occurrence only
+    repeated = new_id[nodes] != np.arange(nodes.size)
+    if repeated.any():
+        raise ValueError(f"node id {nodes[repeated][0]} is given twice")
 
     src = graph.arc_sources()
-    mask = keep[src] & keep[graph.adjncy]
-    sub_src = new_id[src[mask]]
-    sub_dst = new_id[graph.adjncy[mask]]
-    sub_wgt = graph.adjwgt[mask]
-
-    order = np.lexsort((sub_dst, sub_src))
-    sub_src, sub_dst, sub_wgt = sub_src[order], sub_dst[order], sub_wgt[order]
-    xadj = np.zeros(nodes.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sub_src, minlength=nodes.size), out=xadj[1:])
-    sub = Graph(xadj, sub_dst, graph.vwgt[nodes], sub_wgt, name=f"{graph.name}/sub")
+    mask = (new_id[src] >= 0) & (new_id[graph.adjncy] >= 0)
+    xadj, adjncy, adjwgt = group_arcs(
+        nodes.size, new_id[src[mask]], new_id[graph.adjncy[mask]], graph.adjwgt[mask])
+    sub = Graph(xadj, adjncy, graph.vwgt[nodes], adjwgt, name=f"{graph.name}/sub")
     return sub, nodes
 
 
@@ -87,19 +89,10 @@ def permute(graph: Graph, new_order: np.ndarray) -> tuple[Graph, np.ndarray]:
     old_to_new = np.empty(graph.num_nodes, dtype=np.int64)
     old_to_new[new_order] = np.arange(graph.num_nodes)
 
-    src = old_to_new[graph.arc_sources()]
-    dst = old_to_new[graph.adjncy]
-    order = np.lexsort((dst, src))
-    xadj = np.zeros(graph.num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=graph.num_nodes), out=xadj[1:])
-    out = Graph(
-        xadj,
-        dst[order],
-        graph.vwgt[new_order],
-        graph.adjwgt[order],
-        name=graph.name,
-    )
-    return out, old_to_new
+    xadj, adjncy, adjwgt = group_arcs(
+        graph.num_nodes, old_to_new[graph.arc_sources()], old_to_new[graph.adjncy],
+        graph.adjwgt)
+    return Graph(xadj, adjncy, graph.vwgt[new_order], adjwgt, name=graph.name), old_to_new
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,15 @@ graph *with the same cut and balance*, this kernel is the correctness
 heart of the whole multilevel scheme; it is exercised by dedicated
 property-based tests.
 
-Fine arcs are relabelled through the cluster map and the parallel
-inter-cluster arcs grouped and summed into canonical CSR (rows ordered by
-neighbour).  Where the compiled kernels loaded that is
+:func:`quotient_arcs` relabels the fine arcs through the cluster map and
+groups and sums the parallel inter-cluster arcs into canonical CSR (rows
+ordered by neighbour).  Where the compiled kernels loaded that is
 :func:`repro.native.quotient_arcs` — fine nodes bucketed by coarse node,
 a counting pass, a filling pass into arrays of exactly the coarse size;
-otherwise a ``scipy.sparse`` COO -> CSR conversion, which returns the
-same three arrays and is the oracle of the compiled build.
+otherwise :func:`repro.graph.build.group_arcs` over the relabelled arcs,
+which returns the same three arrays and is the oracle of the compiled
+build.  Its callers are :func:`contract`, :func:`quotient_graph` and the
+local quotient of every PE in :mod:`repro.dist.dist_contraction`.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .. import native
+from .build import group_arcs
 from .csr import Graph
 
-__all__ = ["ContractionResult", "contract", "normalize_labels", "quotient_graph"]
+__all__ = [
+    "ContractionResult", "contract", "normalize_labels", "quotient_arcs", "quotient_graph",
+]
 
 
 @dataclass(frozen=True)
@@ -78,43 +82,36 @@ def contract(graph: Graph, labels: np.ndarray, name: str | None = None) -> Contr
         raise ValueError("labels must assign a cluster to every node")
     mapping, n_coarse = normalize_labels(labels)
 
-    # Coarse node weights: sum fine node weights per cluster.
-    coarse_vwgt = np.bincount(mapping, weights=graph.vwgt, minlength=n_coarse).astype(np.int64)
-
-    if native.loaded():
-        xadj, adjncy, adjwgt = native.quotient_arcs(
-            graph.xadj, graph.adjncy, graph.adjwgt, mapping, n_coarse)
-    else:
-        xadj, adjncy, adjwgt = _group_arcs(graph, mapping, n_coarse)
     coarse = Graph(
-        xadj, adjncy, coarse_vwgt, adjwgt, name=name or f"{graph.name}/coarse"
+        *_quotient(graph, mapping, n_coarse), name=name or f"{graph.name}/coarse"
     )
     return ContractionResult(coarse, mapping)
 
 
-def _group_arcs(
-    graph: Graph, mapping: np.ndarray, n_coarse: int
+def quotient_arcs(
+    xadj: np.ndarray,
+    adjncy: np.ndarray,
+    adjwgt: np.ndarray,
+    mapping: np.ndarray,
+    n_coarse: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``xadj, adjncy, adjwgt`` of the quotient under ``mapping``, by scipy."""
-    # Relabel arcs through the mapping and drop intra-cluster arcs.
-    src = mapping[graph.arc_sources()]
-    dst = mapping[graph.adjncy]
-    keep = src != dst
-    src, dst, wgt = src[keep], dst[keep], graph.adjwgt[keep]
-    if src.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return np.zeros(n_coarse + 1, dtype=np.int64), empty, empty
+    """``xadj, adjncy, adjwgt`` of the quotient of a CSR under ``mapping``
+    (node -> coarse node in ``[0, n_coarse)``): arcs relabelled, self-loops
+    dropped, parallel arcs summed, rows ordered by neighbour.  Compiled
+    where the kernels loaded, :func:`~repro.graph.build.group_arcs`
+    otherwise; the two return the same arrays."""
+    if native.loaded():
+        return native.quotient_arcs(xadj, adjncy, adjwgt, mapping, n_coarse)
+    src = mapping[np.repeat(np.arange(xadj.size - 1, dtype=np.int64), np.diff(xadj))]
+    return group_arcs(n_coarse, src, mapping[adjncy], adjwgt)
 
-    # Group parallel coarse arcs: the COO -> CSR conversion buckets arcs
-    # by src (a counting sort, not a comparison sort of all arcs) and sums
-    # equal (src, dst) entries; canonical format = rows ordered by dst.
-    rows = coo_matrix((wgt, (src, dst)), shape=(n_coarse, n_coarse)).tocsr()
-    rows.sum_duplicates()
-    return (
-        rows.indptr.astype(np.int64, copy=False),
-        rows.indices.astype(np.int64, copy=False),
-        rows.data.astype(np.int64, copy=False),
-    )
+
+def _quotient(graph: Graph, mapping: np.ndarray, n_coarse: int) -> tuple[np.ndarray, ...]:
+    """``xadj, adjncy, vwgt, adjwgt`` of ``graph``'s quotient under ``mapping``."""
+    xadj, adjncy, adjwgt = quotient_arcs(
+        graph.xadj, graph.adjncy, graph.adjwgt, mapping, n_coarse)
+    vwgt = np.bincount(mapping, weights=graph.vwgt, minlength=n_coarse).astype(np.int64)
+    return xadj, adjncy, vwgt, adjwgt
 
 
 def quotient_graph(graph: Graph, partition: np.ndarray, k: int | None = None) -> Graph:
@@ -124,20 +121,7 @@ def quotient_graph(graph: Graph, partition: np.ndarray, k: int | None = None) ->
     that happen to be empty are kept as isolated zero-weight nodes so the
     quotient always has exactly ``k`` nodes).
     """
-    partition = np.asarray(partition, dtype=np.int64)
+    partition = np.ascontiguousarray(partition, dtype=np.int64)
     if k is None:
         k = int(partition.max()) + 1 if partition.size else 0
-    result = contract(graph, partition)
-    uniq = np.unique(partition)
-    if uniq.size == k and (uniq == np.arange(k)).all():
-        return result.coarse
-    # Re-expand to k nodes: place each present block at its own id.
-    coarse = result.coarse
-    xadj = np.zeros(k + 1, dtype=np.int64)
-    deg = np.zeros(k, dtype=np.int64)
-    deg[uniq] = np.diff(coarse.xadj)
-    np.cumsum(deg, out=xadj[1:])
-    adjncy = uniq[coarse.adjncy]
-    vwgt = np.zeros(k, dtype=np.int64)
-    vwgt[uniq] = coarse.vwgt
-    return Graph(xadj, adjncy, vwgt, coarse.adjwgt, name=f"{graph.name}/quotient")
+    return Graph(*_quotient(graph, partition, k), name=f"{graph.name}/quotient")

@@ -7,9 +7,7 @@ from .initial import (
     best_of,
     coordinate_bisection,
     greedy_graph_growing_bisection,
-    random_balanced_partition,
     recursive_bisection,
-    region_growing_partition,
 )
 from .kway_fm import greedy_kway_refine
 from .matching import heavy_edge_matching, match_and_contract
@@ -26,7 +24,5 @@ __all__ = [
     "heavy_edge_matching",
     "kaffpa_partition",
     "match_and_contract",
-    "random_balanced_partition",
     "recursive_bisection",
-    "region_growing_partition",
 ]

@@ -10,14 +10,11 @@ below otherwise; the two return the same partition and leave ``rng`` in
 the same state.  Provided algorithms (all standard KaHIP/Metis building
 blocks):
 
-* :func:`random_balanced_partition` — shuffle nodes, fill blocks greedily
-  by weight (baseline and fallback);
 * :func:`greedy_graph_growing_bisection` — BFS-like region growing from a
   random seed, always absorbing the frontier node with the best gain,
   until half the total weight is absorbed;
-* :func:`recursive_bisection` — k-way via recursive application of a
-  bisector (the PT-Scotch approach; also used by the baselines);
-* :func:`region_growing_partition` — direct k-way growing from k seeds;
+* :func:`recursive_bisection` — k-way via recursive greedy growing
+  bisections (the PT-Scotch approach; also used by the baselines);
 * :func:`best_of` — repetition wrapper that keeps the best balanced result.
 """
 
@@ -35,10 +32,8 @@ from ..graph.validation import max_block_weight_bound
 from ..metrics.quality import overweight_cut
 
 __all__ = [
-    "random_balanced_partition",
     "greedy_graph_growing_bisection",
     "recursive_bisection",
-    "region_growing_partition",
     "coordinate_bisection",
     "best_of",
 ]
@@ -70,22 +65,6 @@ def coordinate_bisection(positions: np.ndarray, k: int) -> np.ndarray:
         recurse(order[split:], first_block + left_blocks, blocks - left_blocks)
 
     recurse(np.arange(n, dtype=np.int64), 0, k)
-    return partition
-
-
-def random_balanced_partition(
-    graph: Graph, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Assign shuffled nodes to the currently lightest block (weight-aware)."""
-    order = rng.permutation(graph.num_nodes)
-    partition = np.empty(graph.num_nodes, dtype=np.int64)
-    loads = [(0, b) for b in range(k)]
-    heapq.heapify(loads)
-    vwgt = graph.vwgt
-    for v in order.tolist():
-        load, block = heapq.heappop(loads)
-        partition[v] = block
-        heapq.heappush(loads, (load + int(vwgt[v]), block))
     return partition
 
 
@@ -148,26 +127,21 @@ def greedy_graph_growing_bisection(
     return partition
 
 
-def recursive_bisection(
-    graph: Graph,
-    k: int,
-    rng: np.random.Generator,
-    bisector: Callable[[Graph, np.random.Generator, int], np.ndarray] | None = None,
-) -> np.ndarray:
+def recursive_bisection(graph: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-way partition by recursively bisecting with weight ratio ⌊k/2⌋:⌈k/2⌉.
 
-    With the default bisector and the compiled kernels, each bisection
-    grows inside a node subset of ``graph`` and no subgraph is built.
-    That meets a node's neighbours in ``graph``'s arc order where the
-    induced subgraph has them sorted, so it needs sorted rows; a graph
-    without them (arcs in file order, say) takes the subgraph route.
+    With the compiled kernels, each bisection grows inside a node subset
+    of ``graph`` and no subgraph is built.  That meets a node's neighbours
+    in ``graph``'s arc order where the induced subgraph has them sorted,
+    so it needs sorted rows; a graph without them (arcs in file order,
+    say) takes the subgraph route.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     partition = np.zeros(graph.num_nodes, dtype=np.int64)
     everyone = np.arange(graph.num_nodes, dtype=np.int64)
 
-    if bisector is None and native.loaded() and _rows_sorted(graph):
+    if native.loaded() and _rows_sorted(graph):
         vwgt = graph.vwgt
         grow = native.GrowBisection(graph.xadj, graph.adjncy, graph.adjwgt, vwgt)
 
@@ -190,15 +164,13 @@ def recursive_bisection(
             pending.append((members[side == 0], first_block, left_blocks))
         return partition
 
-    bisect = bisector or greedy_graph_growing_bisection
-
     def recurse(sub: Graph, nodes: np.ndarray, first_block: int, blocks: int) -> None:
         if blocks == 1 or sub.num_nodes == 0:
             partition[nodes] = first_block
             return
         left_blocks = blocks // 2
         target = sub.total_node_weight * left_blocks // blocks
-        halves = bisect(sub, rng, target)
+        halves = greedy_graph_growing_bisection(sub, rng, target)
         left_nodes = nodes[halves == 0]
         right_nodes = nodes[halves == 1]
         left_sub, _ = induced_subgraph(sub, np.flatnonzero(halves == 0))
@@ -220,49 +192,6 @@ def _rows_sorted(graph: Graph) -> bool:
     row_heads = graph.xadj[1:-1]
     descents[row_heads[(row_heads > 0) & (row_heads < adjncy.size)] - 1] = False
     return not descents.any()
-
-
-def region_growing_partition(graph: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Direct k-way growing: k random seeds expand in weight-balanced turns."""
-    n = graph.num_nodes
-    partition = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return partition
-    seeds = rng.choice(n, size=min(k, n), replace=False)
-    frontiers: list[list[int]] = [[] for _ in range(k)]
-    weights = [0] * k
-    for b, s in enumerate(seeds.tolist()):
-        partition[s] = b
-        weights[b] += int(graph.vwgt[s])
-        frontiers[b] = graph.neighbors(s).tolist()
-    remaining = n - len(seeds)
-    while remaining > 0:
-        # Lightest block grows next — keeps the blocks balanced by weight.
-        grower = min(range(k), key=lambda b: weights[b])
-        grabbed = False
-        frontier = frontiers[grower]
-        while frontier:
-            v = frontier.pop()
-            if partition[v] == -1:
-                partition[v] = grower
-                weights[grower] += int(graph.vwgt[v])
-                frontier.extend(
-                    u for u in graph.neighbors(v).tolist() if partition[u] == -1
-                )
-                remaining -= 1
-                grabbed = True
-                break
-        if not grabbed:
-            # Frontier exhausted (disconnected): seed from any free node.
-            free = np.flatnonzero(partition == -1)
-            if free.size == 0:
-                break
-            v = int(free[rng.integers(0, free.size)])
-            partition[v] = grower
-            weights[grower] += int(graph.vwgt[v])
-            frontiers[grower] = graph.neighbors(v).tolist()
-            remaining -= 1
-    return partition
 
 
 def best_of(

@@ -7,12 +7,13 @@ import pytest
 
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
 from repro.dist.dist_contraction import (
+    _local_quotient,
     lookup_coarse_values,
     parallel_contract,
     parallel_uncoarsen,
 )
-from repro.generators import load_instance, planted_partition, rgg
-from repro.graph import Graph, check_graph, contract
+from repro.generators import load_instance, planted_partition, rgg, rmat
+from repro.graph import Graph, check_graph, contract, normalize_labels
 from repro.metrics import edge_cut
 
 
@@ -129,6 +130,50 @@ class TestParallelContract:
         coarse_constraint = np.concatenate([p[1] for p in pieces])
         # 20 coarse nodes: first 10 clusters side 0, next 10 side 1
         assert coarse_constraint.tolist() == [0] * 10 + [1] * 10
+
+
+def lexsort_local_quotient(dgraph, coarse_of):
+    """A PE's quotient arcs as the contraction grouped them before it
+    called the sequential kernel: relabel, drop self-loops, lexsort by
+    (src, dst), segmented sum.  The oracle of ``_local_quotient``."""
+    src = coarse_of[dgraph.arc_sources()]
+    dst = coarse_of[dgraph.adjncy]
+    keep = src != dst
+    src, dst, wgt = src[keep], dst[keep], dgraph.adjwgt[keep]
+    if src.size == 0:
+        return src, dst, wgt
+    order = np.lexsort((dst, src))
+    src, dst, wgt = src[order], dst[order], wgt[order]
+    starts = np.flatnonzero(np.r_[True, (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])])
+    return src[starts], dst[starts], np.add.reduceat(wgt, starts)
+
+
+class TestLocalQuotient:
+    @pytest.mark.parametrize("kernel", ["compiled_kernels", "numpy_kernel"])
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_matches_lexsort_oracle_per_rank(self, size, kernel, request):
+        request.getfixturevalue(kernel)
+        graph = rmat(11, seed=2)
+        n = graph.num_nodes
+        rng = np.random.default_rng(size)
+        for clustering in (rng.integers(0, 90, n), np.arange(n), np.zeros(n, np.int64)):
+            mapping, n_coarse = normalize_labels(clustering)
+            coarse_vtxdist = balanced_vtxdist(n_coarse, size)
+            vtxdist = balanced_vtxdist(n, size)
+            for rank in range(size):
+                dgraph = DistGraph.from_global(graph, vtxdist, rank)
+                coarse_of = np.concatenate((
+                    mapping[dgraph.first : dgraph.first + dgraph.n_local],
+                    mapping[dgraph.ghost_global],
+                ))
+                per_dest = _local_quotient(dgraph, coarse_of, coarse_vtxdist)
+                assert len(per_dest) == size
+                for q, (src, _, _) in enumerate(per_dest):
+                    assert np.all((src >= coarse_vtxdist[q]) & (src < coarse_vtxdist[q + 1]))
+                got = [np.concatenate(column) for column in zip(*per_dest)]
+                for g, w in zip(got, lexsort_local_quotient(dgraph, coarse_of)):
+                    assert g.dtype == np.int64
+                    np.testing.assert_array_equal(g, w)
 
 
 class TestCommRounds:

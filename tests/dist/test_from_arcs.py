@@ -38,6 +38,26 @@ class TestFromArcs:
                                   ref.incident_weights(v).tolist()))
                 assert got == want
 
+    def test_merges_duplicate_arcs(self):
+        """Two PEs may ship the same coarse arc: the weights are summed and
+        the row comes out ordered by neighbour."""
+        vtxdist = np.array([0, 2, 5])
+        built = DistGraph.from_arcs(
+            vtxdist, 1,
+            np.array([3, 2, 3, 2, 3, 4]), np.array([0, 4, 0, 3, 2, 2]),
+            np.array([5, 1, 2, 4, 7, 3]), np.array([1, 1, 1]),
+        )
+        assert built.xadj.tolist() == [0, 2, 4, 5]
+        assert built.to_global(built.adjncy).tolist() == [3, 4, 0, 2, 2]
+        assert built.adjwgt.tolist() == [4, 1, 7, 7, 3]
+
+    def test_rejects_an_arc_it_does_not_own(self):
+        with pytest.raises(ValueError, match="not owned by rank 0"):
+            DistGraph.from_arcs(
+                np.array([0, 2, 4]), 0, np.array([0, 3]), np.array([1, 0]),
+                np.array([1, 1]), np.array([1, 1]),
+            )
+
     def test_empty_rank(self):
         vtxdist = np.array([0, 2, 2])  # rank 1 owns nothing
         built = DistGraph.from_arcs(

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.graph import (
+    GraphError,
     check_graph,
     complete_graph,
     cycle_graph,
@@ -21,6 +25,7 @@ from repro.graph import (
     to_networkx,
     to_scipy,
 )
+from repro.graph.build import group_arcs
 
 from ..conftest import random_graphs
 
@@ -57,6 +62,65 @@ class TestFromEdges:
     def test_node_weights_kept(self):
         g = from_edges(2, [(0, 1)], vwgt=np.array([7, 9]))
         assert g.vwgt.tolist() == [7, 9]
+
+    @pytest.mark.parametrize(
+        ("edges", "first_bad"),
+        [([(0, 1), (1, 3), (4, 0)], "arc 1 (1 -> 3)"), ([(0, 1), (-1, 2)], "arc 1 (-1 -> 2)")],
+    )
+    def test_rejects_endpoints_outside_the_graph(self, edges, first_bad):
+        message = re.escape(f"{first_bad} has an endpoint outside [0, 3)")
+        with pytest.raises(GraphError, match=message):
+            from_edges(3, edges)
+        rows, cols = np.array(edges).T
+        with pytest.raises(GraphError, match=message):
+            from_coo(3, rows, cols)
+
+
+def dict_grouping(n, src, dst, wgt):
+    """Canonical CSR the plain way: a dict of summed arc weights per
+    (source, neighbour), self-loops skipped, read out row by row."""
+    summed: dict[tuple[int, int], int] = {}
+    for u, v, w in zip(src, dst, wgt):
+        if u != v:
+            summed[(u, v)] = summed.get((u, v), 0) + w
+    xadj, adjncy, adjwgt = [0], [], []
+    for u in range(n):
+        row = sorted((v, w) for (s, v), w in summed.items() if s == u)
+        adjncy += [v for v, _ in row]
+        adjwgt += [w for _, w in row]
+        xadj.append(len(adjncy))
+    return xadj, adjncy, adjwgt
+
+
+@st.composite
+def arc_lists(draw):
+    """``n`` and an arc list over it: self-loops, parallel arcs in both
+    orientations and isolated nodes all come up."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    if n == 0:
+        return 0, [], [], []
+    arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 9))
+    arcs = draw(st.lists(arc, max_size=40))
+    mirrored = draw(st.lists(st.sampled_from(arcs), max_size=10)) if arcs else []
+    arcs = arcs + [(v, u, w) for u, v, w in mirrored]
+    src, dst, wgt = (list(column) for column in zip(*arcs)) if arcs else ([], [], [])
+    return n, src, dst, wgt
+
+
+class TestGroupArcs:
+    @given(arc_lists())
+    @example((0, [], [], []))  # no nodes
+    @example((1, [], [], []))  # one node, no arcs
+    @example((1, [0, 0], [0, 0], [3, 4]))  # only self-loops
+    @example((3, [0, 2, 2, 0], [2, 0, 0, 2], [1, 2, 3, 4]))  # duplicates, both orientations
+    @example((5, [3, 1], [1, 3], [6, 6]))  # isolated nodes 0, 2, 4
+    def test_equals_the_dict_grouping(self, arcs):
+        n, src, dst, wgt = arcs
+        got = group_arcs(n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                         np.array(wgt, dtype=np.int64))
+        for g, w in zip(got, dict_grouping(n, src, dst, wgt)):
+            assert g.dtype == np.int64
+            assert g.tolist() == w
 
 
 class TestScipyRoundTrip:

@@ -69,6 +69,21 @@ class TestMetisFormat:
         with pytest.raises(GraphError, match="empty"):
             read_metis(io.StringIO("% nothing\n"))
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            # an id of 0 used to be dropped: this loaded as the path 1-2-3
+            ("3 2\n2 0\n1 3\n2\n", "line 2: neighbour id 0 is outside 1..3"),
+            ("% c\n3 2\n2\n1 3\n2 -1\n", "line 5: neighbour id -1 is outside 1..3"),
+            # an id above n used to die inside scipy
+            ("3 2\n2\n1 3\n2 4\n", "line 4: neighbour id 4 is outside 1..3"),
+            ("3 2 1\n2 1\n1 1 3 1\n2 1 9 1\n", "line 4: neighbour id 9 is outside 1..3"),
+        ],
+    )
+    def test_rejects_neighbour_ids_outside_the_graph(self, text, message):
+        with pytest.raises(GraphError, match=message):
+            read_metis(io.StringIO(text))
+
     @given(random_graphs(min_nodes=1, max_nodes=25))
     def test_round_trip_random(self, graph):
         buf = io.StringIO()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -37,6 +38,19 @@ class TestSubgraph:
     def test_subgraph_keeps_node_weights(self, weighted_square):
         sub, _ = induced_subgraph(weighted_square, np.array([3, 1]))
         assert sub.vwgt.tolist() == [4, 2]
+
+    @pytest.mark.parametrize(
+        ("nodes", "message"),
+        [
+            ([0, 0, 1], "node id 0 is given twice"),
+            ([2, 1, 3, 1], "node id 1 is given twice"),
+            ([-1, 0], r"node id -1 is outside \[0, 4\)"),
+            ([0, 4], r"node id 4 is outside \[0, 4\)"),
+        ],
+    )
+    def test_rejects_repeated_and_outside_ids(self, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            induced_subgraph(path_graph(4), np.array(nodes))
 
     @given(random_graphs(min_nodes=3), st.integers(min_value=0, max_value=2**31 - 1))
     def test_subgraph_is_valid(self, graph, seed):
@@ -82,8 +96,6 @@ class TestPermute:
         assert permuted.has_edge(3, 2)
 
     def test_rejects_non_permutation(self, two_triangles):
-        import pytest
-
         with pytest.raises(ValueError, match="permutation"):
             permute(two_triangles, np.array([0, 0, 1, 2, 3, 4]))
 

@@ -23,7 +23,7 @@ from repro.graph import (
     normalize_labels,
     quotient_graph,
 )
-from repro.graph.quotient import _group_arcs
+from repro.graph.build import group_arcs
 from repro.metrics import edge_cut
 
 from ..conftest import graphs_with_labels, random_graphs
@@ -171,14 +171,16 @@ class TestContractMatchesLexsortOracle:
 
 @pytest.mark.usefixtures("compiled_kernels")
 class TestNativeBuildMatchesScipy:
-    """``native.quotient_arcs`` against the scipy grouping it replaces:
-    the same three arrays.  (:class:`TestContractMatchesLexsortOracle`
-    holds whichever of the two ``contract`` ran to a third.)"""
+    """``native.quotient_arcs`` against the scipy grouping of the
+    relabelled arcs it replaces: the same three arrays.
+    (:class:`TestContractMatchesLexsortOracle` holds whichever of the two
+    ``contract`` ran to a third.)"""
 
     @staticmethod
     def assert_same(graph, mapping, n_coarse):
         got = native.quotient_arcs(graph.xadj, graph.adjncy, graph.adjwgt, mapping, n_coarse)
-        want = _group_arcs(graph, mapping, n_coarse)
+        want = group_arcs(
+            n_coarse, mapping[graph.arc_sources()], mapping[graph.adjncy], graph.adjwgt)
         for g, w in zip(got, want):
             assert g.dtype == np.int64
             np.testing.assert_array_equal(g, w)

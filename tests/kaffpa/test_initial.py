@@ -7,17 +7,10 @@ import heapq
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.generators import planted_partition, rgg
 from repro.graph import block_weights, from_edges, path_graph
-from repro.kaffpa import (
-    best_of,
-    greedy_graph_growing_bisection,
-    random_balanced_partition,
-    recursive_bisection,
-    region_growing_partition,
-)
+from repro.kaffpa import best_of, greedy_graph_growing_bisection, recursive_bisection
 from repro.metrics import edge_cut, imbalance
 
 from ..conftest import random_graphs
@@ -25,22 +18,6 @@ from ..conftest import random_graphs
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestRandomBalanced:
-    @given(random_graphs(min_nodes=4), st.integers(min_value=1, max_value=5))
-    def test_covers_all_blocks_reasonably(self, graph, k):
-        part = random_balanced_partition(graph, k, rng(1))
-        assert part.min() >= 0 and part.max() < k
-        # greedy fill keeps max block within one max-node-weight of ideal
-        weights = block_weights(graph, part, k)
-        ideal = graph.total_node_weight / k
-        assert weights.max() <= ideal + graph.vwgt.max(initial=0)
-
-    def test_unweighted_exact_balance(self):
-        g = path_graph(12)
-        part = random_balanced_partition(g, 4, rng(0))
-        assert block_weights(g, part, 4).tolist() == [3, 3, 3, 3]
 
 
 class TestGreedyGrowing:
@@ -144,26 +121,8 @@ class TestRecursiveBisection:
 
 
 class TestRegionGrowing:
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_assigns_everything(self, k):
-        g = rgg(9, seed=1)
-        part = region_growing_partition(g, k, rng(5))
-        assert part.min() >= 0
-        assert int(part.max()) < k
-
-    def test_handles_disconnected_graph(self):
-        g = from_edges(6, [(0, 1), (2, 3), (4, 5)])
-        part = region_growing_partition(g, 2, rng(6))
-        assert part.min() >= 0
-
-    def test_clearly_beats_random_on_planted(self):
-        g, truth = planted_partition(2, 60, p_in=0.4, p_out=0.002, seed=2)
-        grown = best_of(g, 2, 0.05, rng(7), attempts=6,
-                        partitioner=region_growing_partition)
-        randomised = best_of(g, 2, 0.05, rng(7), attempts=6,
-                             partitioner=random_balanced_partition)
-        # region growing exploits locality that random assignment cannot
-        assert edge_cut(g, grown) < 0.8 * edge_cut(g, randomised)
+    """Greedy growing is region growing from a seed: on a planted
+    partition the best of a few attempts finds the planted blocks."""
 
     def test_greedy_growing_finds_planted_blocks(self):
         g, truth = planted_partition(2, 60, p_in=0.4, p_out=0.002, seed=2)
