@@ -123,6 +123,12 @@ def partition_graph(
         CSR).  ``num_pes=1`` is the sequential algorithm whatever this
         says.
 
+    Isolated nodes (degree 0) never reach the multilevel V-cycles, on
+    any ``num_pes``: the V-cycles partition the rest of the graph
+    against this call's ``lmax``, and each isolated node then goes,
+    heaviest first, into the block that is lightest at that moment
+    (:mod:`repro.core.isolated`).  They cut nothing.
+
     Returns
     -------
     A validated :class:`PartitionResult`.  ``feasible`` says whether
@@ -176,11 +182,12 @@ def _finish(
     An infeasible partition is returned, with one :class:`RuntimeWarning`
     naming the heaviest block and Lmax.  A traced call records the same
     two numbers in its ``partition.quality`` event, which run.json's
-    ``quality.feasible`` is read off.  A sequential call also stamps
-    backend/p (plus ``header``) into the trace header (parallel runs are
-    annotated by the SPMD runtime itself) and samples memory as rank 0,
-    having no per-rank workers to do it — this feeds run.json's memory
-    section.
+    ``quality.feasible`` is read off, and the graph's number of isolated
+    nodes (the ones the multilevel route sets apart).  A sequential call
+    also stamps backend/p (plus ``header``) into the trace header
+    (parallel runs are annotated by the SPMD runtime itself) and samples
+    memory as rank 0, having no per-rank workers to do it — this feeds
+    run.json's memory section.
     """
     if graph.num_nodes:
         check_partition(graph, partition, config.k, epsilon=None)
@@ -204,6 +211,7 @@ def _finish(
             imbalance=float(quality.imbalance),
             max_block_weight=int(quality.max_block_weight),
             lmax=lmax,
+            isolated_nodes=int(np.count_nonzero(graph.degrees == 0)),
         )
     return out
 

@@ -10,6 +10,7 @@ from ..graph.csr import Graph
 from ..graph.validation import check_partition
 from ..metrics.quality import PartitionQuality, evaluate_partition
 from .config import PartitionConfig, fast_config
+from .isolated import around_isolated
 from .vcycle import iterated_vcycles
 
 __all__ = ["SequentialResult", "sequential_partition"]
@@ -42,15 +43,22 @@ def sequential_partition(
     """Partition ``graph`` with the sequential cluster-ML algorithm.
 
     ``input_partition`` feeds an external prepartition into the first
-    V-cycle (the paper's future-work scenario).  This is the single-PE
-    reference implementation; the distributed system
+    V-cycle (the paper's future-work scenario).  The V-cycles run on the
+    nodes of degree > 0; isolated nodes are placed after them
+    (:mod:`repro.core.isolated`).  This is the single-PE reference
+    implementation; the distributed system
     (:mod:`repro.dist.dist_partitioner`) must agree with it on quality
     within noise, which the integration tests check.
     """
     config = config or fast_config()
     rng = np.random.default_rng(seed)
-    trace = iterated_vcycles(graph, config, rng, input_partition=input_partition)
+
+    def cycles(part: Graph, part_config: PartitionConfig, seeded):
+        trace = iterated_vcycles(part, part_config, rng, input_partition=seeded)
+        return trace.partition, trace.cuts
+
+    partition, cuts = around_isolated(graph, config, cycles, input_partition, idle=())
     if validate and graph.num_nodes:
-        check_partition(graph, trace.partition, config.k, epsilon=None)
-    quality = evaluate_partition(graph, trace.partition, config.k)
-    return SequentialResult(trace.partition, quality, trace.cuts)
+        check_partition(graph, partition, config.k, epsilon=None)
+    quality = evaluate_partition(graph, partition, config.k)
+    return SequentialResult(partition, quality, cuts)

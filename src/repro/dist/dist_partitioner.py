@@ -25,6 +25,9 @@ keeps the public API.  Every hook that communicates is collective over
 ``comm`` and is reached identically on every rank, preserving the
 lock-step protocol of the simulated runtime.
 
+Nodes without arcs take no part: every rank sets them apart before the
+first V-cycle and places them after the last (:mod:`repro.core.isolated`).
+
 Quality numbers are real outputs; times are the simulated clocks of the
 machine model.
 """
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import PartitionConfig, fast_config
+from ..core.isolated import around_isolated
 from ..core.multilevel import detect_social
 from ..engine.backend import resolve_backend
 from ..engine.vcycle import run_vcycle
@@ -58,6 +62,7 @@ __all__ = [
     "SpmdVcycleBackend",
     "parallel_partition",
     "parhip_program",
+    "parhip_vcycles",
 ]
 
 
@@ -308,8 +313,32 @@ def parhip_program(
 ) -> tuple[np.ndarray, dict]:
     """The SPMD body of the parallel partitioner (collective over ``comm``).
 
+    :func:`parhip_vcycles` on the nodes of degree > 0; every rank then
+    places the isolated nodes alike (:mod:`repro.core.isolated`).
     Returns the *global* partition (identical on every rank) and a phase
     timing dictionary of this rank's simulated clock.
+    """
+    def cycles(part: Graph, part_config: PartitionConfig, seeded):
+        return parhip_vcycles(comm, part, part_config, seed, memory_budget,
+                              memory_scale, replica_memory_scale, seeded)
+
+    return around_isolated(graph, config, cycles, initial_partition, idle={})
+
+
+def parhip_vcycles(
+    comm: SimComm,
+    graph: Graph,
+    config: PartitionConfig,
+    seed: int,
+    memory_budget: float | None = None,
+    memory_scale: float = 1.0,
+    replica_memory_scale: float | None = None,
+    initial_partition: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict]:
+    """Distribute ``graph``, run the V-cycles, gather the partition.
+
+    What :func:`parhip_program` runs on a graph without isolated nodes;
+    the result and collective schedule are the same on every rank.
     """
     k = config.k
     n = graph.num_nodes

@@ -1,8 +1,9 @@
 """Initial partitioning algorithms for the coarsest graph.
 
 "Coarsest" is not "small": matchings stall on complex networks (the
-paper's point), so on rmat15 KaFFPa hands these routines a graph of
-12 584 nodes, 10 000 of them isolated, 56 times per call.  Greedy
+paper's point), so KaFFPa hands these routines the graph it was given
+dozens of times per call (on rmat15 that was 12 584 nodes before the
+pipelines set isolated nodes apart, a few hundred since).  Greedy
 growing and the recursion over it therefore run compiled where the
 kernels of :mod:`repro.native` loaded — the bisector grows inside a node
 subset of the one graph, no subgraph is built — and as the Python loops

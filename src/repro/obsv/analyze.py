@@ -17,7 +17,8 @@ and process backends (worker records are merged by
   pipeline phase; **per-rank load** — LP moves, collectives and received
   bytes per rank; **counts** — LP iterations, moved nodes, contraction
   levels, EA rounds, collectives: span and event counts, not a second
-  bookkeeping channel.
+  bookkeeping channel; plus the input's isolated nodes (which the
+  multilevel pipelines set apart), off the ``partition.quality`` event.
 * **Critical path** — the collectives (``comm.<op>`` spans) are the
   synchronization edges of an SPMD run: no rank leaves collective *s*
   before the last rank enters it.  The path therefore hops between
@@ -544,6 +545,7 @@ def build_run_summary(records: Iterable[dict]) -> dict[str, Any]:
         "counts": {
             "coarsen.levels": len(_events(records, "coarsen.level")),
             "ea.rounds": len(_spans(records, "ea.round")),
+            "isolated_nodes": int(verdict.get("isolated_nodes", 0)),
             "lp.iterations": len(lp_spans),
             "lp.moved_nodes": sum(int(a.get("moved") or 0) for a in lp_attrs),
         },

@@ -54,10 +54,10 @@ _PARTITION = _GUARD + (
 #: the ``parallel/rmat10/fast/p4`` golden instance, printing its work units
 _WORK = _GUARD + (
     "from repro.core import fast_config\n"
-    "from repro.dist.dist_partitioner import parhip_program\n"
+    "from repro.dist.dist_partitioner import parhip_vcycles\n"
     "from repro.dist.runtime import run_spmd\n"
     "from repro.generators import rmat\n"
-    "res = run_spmd(4, parhip_program, rmat(10, seed=1), fast_config(k=4), 31,\n"
+    "res = run_spmd(4, parhip_vcycles, rmat(10, seed=1), fast_config(k=4), 31,\n"
     "               seed=31)\n"
     "print(repr(res.total_work))\n"
 )

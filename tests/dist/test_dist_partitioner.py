@@ -10,7 +10,7 @@ import pytest
 from repro import partition_graph
 from repro.core import eco_config, fast_config, minimal_config, sequential_partition
 from repro.dist import parallel_partition
-from repro.generators import load_instance, planted_partition, rgg, rmat
+from repro.generators import load_instance, planted_partition, rgg, rmat, web_copy_graph
 from repro.graph import check_partition
 from repro.metrics import edge_cut
 from repro.perf import MACHINE_B
@@ -122,18 +122,21 @@ class TestPublicApi:
             partition_graph(g, 8, config=fast_config(k=4))
 
     def test_result_says_whether_it_is_feasible(self):
-        # ROADMAP's reproducible balance leak: at p = 4 KaFFPaE hands back
-        # an overweight coarsest partition that refinement cannot repair.
-        # The result has to say so; p = 1 and p = 2 keep the bound.
+        # rmat(15) at p = 4 used to return block 3 at 4 264 > Lmax 4 218;
+        # with its 11 651 isolated nodes placed last it keeps the bound.
         g = rmat(15, seed=1)
-        for num_pes in (1, 2):
+        for num_pes in (1, 2, 4):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 res = partition_graph(g, 8, preset="fast", num_pes=num_pes, seed=0)
             assert res.feasible is True
             assert res.quality.max_block_weight <= res.lmax == 4218
-        with pytest.warns(RuntimeWarning, match=r"weighs 4264 > Lmax = 4218") as caught:
-            res = partition_graph(g, 8, preset="fast", num_pes=4, seed=0)
+        # ROADMAP's balance leak on a graph without isolated nodes: at
+        # p = 4 KaFFPaE hands back an overweight coarsest partition that
+        # refinement cannot repair.  The result has to say so.
+        g = web_copy_graph(32768, out_degree=16, copy_probability=0.8, seed=1)
+        with pytest.warns(RuntimeWarning, match=r"weighs 1060 > Lmax = 1054") as caught:
+            res = partition_graph(g, 32, preset="fast", num_pes=4, seed=1)
         assert len(caught) == 1
         assert res.feasible is False
         assert f"block {int(np.argmax(res.quality.block_weights))} " in str(caught[0].message)

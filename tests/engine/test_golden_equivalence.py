@@ -12,7 +12,11 @@ switched from RNG-stream to hash tie-breaking; they pin that regime
 against drift from here on (its *correctness* is pinned against the
 reference oracle in ``tests/core/test_lp_kernels.py``).
 ``parallel_work/rmat10/fast/p4`` pins what no label hash can see: the
-summed ``CommStats.work_units`` of that instance.
+summed ``CommStats.work_units`` of that instance.  Since the pipelines
+set isolated nodes apart, the ``parallel/*`` keys replay ``parhip_vcycles``
+(the distributed V-cycles on the whole graph, which ``parhip_program``
+was before) and no key moved; ``api/*`` and ``api_cut/*`` were added to
+pin the public call with the split.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from repro.core.label_propagation import (
 )
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
 from repro.dist.dist_lp import parallel_label_propagation
-from repro.dist.dist_partitioner import parallel_partition, parhip_program
+from repro.dist.dist_partitioner import parhip_vcycles
 from repro.dist.runtime import run_spmd
 from repro.generators import barabasi_albert, rgg, rmat
 from repro.graph.validation import max_block_weight_bound
+from repro.metrics import edge_cut
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_partitions.json").read_text()
@@ -153,15 +158,19 @@ def test_multilevel(gname, cname):
 @pytest.mark.parametrize("cname", list(CONFIGS))
 @pytest.mark.parametrize("gname", GRAPH_NAMES)
 def test_parallel_partition(gname, cname, p):
+    """The distributed V-cycles on the whole graph: what ``parallel_partition``
+    runs on a graph without isolated nodes (ba10).  On rmat10 and rgg10 it
+    runs them on the connected part, which the ``api/*`` keys pin."""
     g = make_graph(gname)
-    res = parallel_partition(g, CONFIGS[cname](k=4), num_pes=p, seed=31)
-    assert digest(res.partition) == GOLDEN[f"parallel/{gname}/{cname}/p{p}"]
-    assert int(res.cut) == GOLDEN[f"parallel_cut/{gname}/{cname}/p{p}"]
+    res = run_spmd(p, parhip_vcycles, g, CONFIGS[cname](k=4), 31, seed=31)
+    partition = res.value[0]
+    assert digest(partition) == GOLDEN[f"parallel/{gname}/{cname}/p{p}"]
+    assert edge_cut(g, partition) == GOLDEN[f"parallel_cut/{gname}/{cname}/p{p}"]
 
 
 def test_parallel_work_accounting():
     """A dropped ``comm.work`` moves no label; the summed work units do."""
-    res = run_spmd(4, parhip_program, make_graph("rmat10"), fast_config(k=4), 31,
+    res = run_spmd(4, parhip_vcycles, make_graph("rmat10"), fast_config(k=4), 31,
                    seed=31)
     assert digest(res.value[0]) == GOLDEN["parallel/rmat10/fast/p4"]
     assert res.total_work == GOLDEN["parallel_work/rmat10/fast/p4"]
@@ -169,7 +178,12 @@ def test_parallel_work_accounting():
 
 @pytest.mark.parametrize("gname", GRAPH_NAMES)
 def test_traced_api_call_is_golden_and_feasible(gname):
-    """Tracing changes no label, and run.json calls the goldens feasible."""
+    """Tracing changes no label, and run.json calls the goldens feasible.
+
+    The call sets isolated nodes apart (rmat10 has 196, rgg10 one) and
+    has its own keys; on ba10, which has none, it is the V-cycles'
+    ``parallel/ba10/fast/p4`` bit for bit.
+    """
     from repro.api import partition_graph
     from repro.obsv import TRACER, build_run_summary
 
@@ -182,8 +196,11 @@ def test_traced_api_call_is_golden_and_feasible(gname):
         TRACER.disable()
     quality = build_run_summary(TRACER.snapshot())["quality"]
     TRACER.reset()
-    assert digest(res.partition) == GOLDEN[f"parallel/{gname}/fast/p4"]
-    assert quality["cut"] == GOLDEN[f"parallel_cut/{gname}/fast/p4"]
+    assert digest(res.partition) == GOLDEN[f"api/{gname}/fast/p4"]
+    assert quality["cut"] == GOLDEN[f"api_cut/{gname}/fast/p4"]
+    if gname == "ba10":
+        assert digest(res.partition) == GOLDEN["parallel/ba10/fast/p4"]
+        assert quality["cut"] == GOLDEN["parallel_cut/ba10/fast/p4"]
     assert quality["max_block_weight"] <= quality["lmax"]
     assert quality["lmax"] == max_block_weight_bound(g, 4, 0.03)
     assert quality["feasible"] is True

@@ -96,6 +96,38 @@ class TestPrepartitionedInput:
         assert result.cut <= edge_cut(graph, pre)
         check_partition(graph, result.partition, k, epsilon=0.03)
 
+    @pytest.mark.parametrize("num_pes", [1, 2])
+    def test_isolated_nodes_keep_the_guarantee(self, monkeypatch, num_pes):
+        """The prepartition restricted to the connected part seeds the
+        V-cycles, and the result is still no worse than it."""
+        import repro.core.partitioner
+        import repro.dist.dist_partitioner
+
+        graph, pos = random_geometric_graph(1024, radius=0.025, seed=3,
+                                            return_positions=True)
+        keep = np.flatnonzero(np.diff(graph.xadj))
+        assert graph.num_nodes - keep.size == 130
+        k = 4
+        pre = coordinate_bisection(pos, k)
+        assert block_weights(graph, pre, k).max() <= max_block_weight_bound(graph, k, 0.03)
+        module, name = (
+            (repro.core.partitioner, "iterated_vcycles") if num_pes == 1
+            else (repro.dist.dist_partitioner, "parhip_vcycles"))
+        cycles = getattr(module, name)
+        seeds = []
+
+        def recording(*args, **kwargs):
+            seeds.append(kwargs["input_partition"] if num_pes == 1 else args[-1])
+            return cycles(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        result = partition_graph(graph, k=k, config=fast_config(k=k, social=False),
+                                 num_pes=num_pes, seed=0, initial_partition=pre)
+        assert len(seeds) == num_pes  # once per rank
+        assert all(np.array_equal(seeded, pre[keep]) for seeded in seeds)
+        assert result.cut <= edge_cut(graph, pre)
+        check_partition(graph, result.partition, k, epsilon=0.03)
+
     def test_prepartition_much_better_than_its_input(self, rgg_with_positions):
         """The warm start improves massively on the prepartition itself.
 

@@ -5,8 +5,9 @@ recursive bisection), greedy k-way boundary refinement and heavy-edge
 matching each run compiled where ``repro.native`` loaded and as the
 Python loop of their module otherwise.  The contract is identity: the
 same array out *and* the same ``rng`` state afterwards, on every graph —
-and the graphs KaFFPa really gets are degenerate (10 000 of the 12 584
-nodes of rmat15's coarsest graph are isolated), so the strategy below
+and the graphs KaFFPa really gets are degenerate (contraction leaves
+isolated coarse nodes wherever a whole component became one cluster),
+so the strategy below
 puts those cases in: no edges, isolated nodes, one node, disconnected
 pieces, a node heavier than the target, ``k > n``.
 """

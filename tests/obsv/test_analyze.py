@@ -255,7 +255,7 @@ def test_counts_are_span_counts(traced_run):
         row["recv_bytes"] for row in summary["comm"]["per_rank"].values()
     ) > 0
     assert summary["counts"] == {
-        "coarsen.levels": 0, "ea.rounds": 0,
+        "coarsen.levels": 0, "ea.rounds": 0, "isolated_nodes": 0,
         "lp.iterations": 0, "lp.moved_nodes": 0,
     }
 

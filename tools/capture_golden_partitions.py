@@ -10,7 +10,10 @@ Run it from a tree whose behaviour is the reference; the test suite
 then replays the grid and compares hashes.  A recapture must leave every
 ``*/chunk64/*``, ``parallel/*`` and ``parallel_cut/*`` value unchanged
 (``git diff`` the JSON): those date from the pre-engine tree and are the
-proof that the hashed-tie-break path never moved.
+proof that the hashed-tie-break path never moved, so they replay
+``parhip_vcycles``: the distributed V-cycles on the whole graph, without
+the isolated-node split of ``parhip_program``.  The ``api/*`` and
+``api_cut/*`` keys pin the public call, split included.
 """
 
 from __future__ import annotations
@@ -24,17 +27,19 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.api import partition_graph  # noqa: E402
 from repro.core import eco_config, fast_config, multilevel_partition  # noqa: E402
 from repro.core.label_propagation import (  # noqa: E402
     label_propagation_clustering,
     label_propagation_refinement,
 )
 from repro.dist.dist_lp import parallel_label_propagation  # noqa: E402
-from repro.dist.dist_partitioner import parallel_partition, parhip_program  # noqa: E402
+from repro.dist.dist_partitioner import parhip_vcycles  # noqa: E402
 from repro.dist.dgraph import DistGraph, balanced_vtxdist  # noqa: E402
 from repro.dist.runtime import run_spmd  # noqa: E402
 from repro.generators import barabasi_albert, rgg, rmat  # noqa: E402
 from repro.graph.validation import max_block_weight_bound  # noqa: E402
+from repro.metrics import edge_cut  # noqa: E402
 
 
 def digest(arr: np.ndarray) -> str:
@@ -130,13 +135,23 @@ def parallel_partition_goldens(out: dict) -> None:
         g = make()
         for cname, cfg in CONFIGS.items():
             for p in (1, 4):
-                res = parallel_partition(g, cfg(k=4), num_pes=p, seed=31)
-                out[f"parallel/{gname}/{cname}/p{p}"] = digest(res.partition)
-                out[f"parallel_cut/{gname}/{cname}/p{p}"] = int(res.cut)
+                res = run_spmd(p, parhip_vcycles, g, cfg(k=4), 31, seed=31)
+                out[f"parallel/{gname}/{cname}/p{p}"] = digest(res.value[0])
+                out[f"parallel_cut/{gname}/{cname}/p{p}"] = edge_cut(g, res.value[0])
     # Work accounting moves no label, so one instance pins its total: the
     # summed CommStats.work_units of parallel/rmat10/fast/p4.
-    res = run_spmd(4, parhip_program, GRAPHS["rmat10"](), fast_config(k=4), 31, seed=31)
+    res = run_spmd(4, parhip_vcycles, GRAPHS["rmat10"](), fast_config(k=4), 31, seed=31)
     out["parallel_work/rmat10/fast/p4"] = res.total_work
+
+
+def api_goldens(out: dict) -> None:
+    """``partition_graph`` of ``parallel/<g>/fast/p4``: it equals that key
+    on a graph without isolated nodes (ba10); on rmat10 and rgg10 the
+    V-cycles run on the connected part and the isolated nodes come last."""
+    for gname, make in GRAPHS.items():
+        res = partition_graph(make(), 4, config=fast_config(k=4), num_pes=4, seed=31)
+        out[f"api/{gname}/fast/p4"] = digest(res.partition)
+        out[f"api_cut/{gname}/fast/p4"] = int(res.cut)
 
 
 def main() -> None:
@@ -145,6 +160,7 @@ def main() -> None:
     parallel_lp_goldens(out)
     multilevel_goldens(out)
     parallel_partition_goldens(out)
+    api_goldens(out)
     dest = Path(__file__).resolve().parents[1] / "tests" / "engine" / "golden_partitions.json"
     dest.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(out)} goldens to {dest}")
