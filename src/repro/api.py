@@ -227,9 +227,9 @@ def partition_oocore(
 
     The semi-external regime of arXiv:1404.4887: all O(n) state (labels,
     ``xadj``, ``vwgt``, block weights) stays in RAM while the O(m) arc
-    arrays are streamed from the graph's store in shard-aligned chunks —
-    ``ordering='node'`` visits nodes in natural order, so each chunk
-    window touches one shard.  Works on any store; on an
+    arrays are read from the graph's store one shard segment per kernel
+    call — ``ordering='node'`` visits nodes in natural order, so a phase
+    is one pass over the shards.  Works on any store; on an
     :class:`~repro.graph.store.InMemoryStore` it produces bit-identical
     labels to the same call on a sharded store (test-enforced), which is
     what makes the out-of-core path verifiable.

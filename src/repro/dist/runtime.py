@@ -246,7 +246,7 @@ class _WorkerSpec:
     program: bytes  # pickled rank-parametric program
     payload: bytes  # pickled (args, kwargs)
     graph_handle: SharedCSRHandle | None
-    lp_kernel: native.Resolution  # the parent's choice: ranks never compile
+    kernels: str  # the parent's compiled kernels: ranks never compile
     result_queue: Any
     trace: bool
     wall_origin: float
@@ -264,7 +264,7 @@ def _proc_worker(spec: _WorkerSpec) -> None:
     comm: SimComm | None = None
     store: SharedMemoryStore | None = None
     try:
-        native.adopt(spec.lp_kernel)
+        native.adopt(spec.kernels)
         program = pickle.loads(spec.program)
         args, kwargs = pickle.loads(spec.payload)
         if spec.graph_handle is not None:
@@ -352,12 +352,13 @@ def run_spmd_processes(
         call_args = args if graph is None else (graph, *args)
         return _run_inline(world, program, call_args, kwargs, shared=False)
 
+    # Build (or find) the compiled kernels here, once, so p ranks on a
+    # cold cache do not each run the compiler (and a host without one
+    # fails before anything is created).
+    kernels = native.resolve()
+    TRACER.annotate_header(lp_kernel="native")
     ctx = multiprocessing.get_context("spawn")
     world = World(size, machine=machine, seed=seed, ctx=ctx)
-    # Build (or find) the compiled LP kernel here, once, so p ranks on a
-    # cold cache do not each run the compiler.
-    lp_kernel = native.resolve()
-    TRACER.annotate_header(**lp_kernel.header())
     prog_bytes = pickle.dumps(program)
     payload = pickle.dumps((args, kwargs))
     result_queue = ctx.Queue()
@@ -371,7 +372,7 @@ def run_spmd_processes(
             spec = _WorkerSpec(
                 rank=rank, world=world, program=prog_bytes, payload=payload,
                 graph_handle=None if shared is None else shared.handle,
-                lp_kernel=lp_kernel, result_queue=result_queue,
+                kernels=kernels, result_queue=result_queue,
                 trace=TRACER.enabled, wall_origin=TRACER._wall_origin,
             )
             proc = ctx.Process(target=_proc_worker, args=(spec,),

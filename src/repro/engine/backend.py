@@ -28,6 +28,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..graph.csr import Graph
+from ..graph.store import GraphStore
 
 __all__ = [
     "ExecutionBackend",
@@ -61,22 +62,22 @@ class ExecutionBackend(Protocol):
 
     Array attributes describe the *local* subgraph (for the local backend
     that is the whole graph): CSR arrays over ``n_total`` node slots, of
-    which the first ``n_local`` are owned and the rest are ghosts.
+    which the first ``n_local`` are owned and the rest are ghosts.  The
+    arcs of an out-of-core graph are not in RAM: there ``store`` serves
+    them block by block and ``adjncy``/``adjwgt`` are ``None``.
     """
 
     xadj: np.ndarray
-    adjncy: np.ndarray
-    adjwgt: np.ndarray
+    adjncy: np.ndarray | None
+    adjwgt: np.ndarray | None
     degrees: np.ndarray
     n_local: int
     n_total: int
     size: int  # number of PEs sharing the budget (1 for local)
     tie_base: int  # local-to-global node id offset (hash tie-breaking)
     rng: np.random.Generator
-    resident: bool  # arc arrays RAM-resident (False for out-of-core stores)
+    store: GraphStore | None  # serves the arcs when they are not resident
 
-    def clamp_chunk(self, chunk: int) -> int: ...
-    def store_stats(self): ...
     def node_weights(self) -> np.ndarray: ...
     def interface_mask(self) -> np.ndarray: ...
     def label_space(self, labels: np.ndarray) -> int: ...
@@ -103,23 +104,15 @@ class LocalBackend:
         self.graph = graph
         self.rng = rng
         self.xadj = graph.xadj
-        # Store-served arc arrays: plain ndarrays for a resident store
-        # (bit-for-bit the pre-store behaviour), gather views otherwise —
-        # the kernels only fancy-index these, so an out-of-core store
-        # streams shards instead of materializing O(m) arrays.
-        self.adjncy = graph.adjncy_view
-        self.adjwgt = graph.adjwgt_view
+        # An out-of-core store keeps its arcs on disk: the phase kernel
+        # reads them a shard segment at a time, never as O(m) arrays.
+        self.store = None if graph.resident else graph.store
+        self.adjncy = graph.adjncy if graph.resident else None
+        self.adjwgt = graph.adjwgt if graph.resident else None
         self.degrees = graph.degrees
         self.n_local = graph.num_nodes
         self.n_total = graph.num_nodes
-        self.resident = graph.resident
         self._interface: np.ndarray | None = None
-
-    def clamp_chunk(self, chunk: int) -> int:
-        return int(self.graph.store.clamp_chunk(chunk))
-
-    def store_stats(self):
-        return self.graph.store.stats()
 
     def node_weights(self) -> np.ndarray:
         return np.asarray(self.graph.vwgt, dtype=np.int64)
@@ -161,13 +154,7 @@ class SpmdBackend:
     """Distributed-memory backend over ``DistGraph`` + a communicator."""
 
     # DistGraph slices are in-RAM (possibly shared-memory) arrays.
-    resident = True
-
-    def clamp_chunk(self, chunk: int) -> int:
-        return chunk
-
-    def store_stats(self):
-        return None
+    store = None
 
     def __init__(self, dgraph, comm):
         self.dgraph = dgraph

@@ -4,15 +4,28 @@ One loop is the size-constrained label propagation of *both* pipelines
 and *both* uses (coarsening and refinement).  A phase visits the nodes
 in order, ``chunk`` at a time; every visited node moves to the eligible
 label it is most strongly connected to, ties broken by a stateless hash
-(:func:`~repro.engine.kernels.candidate_tie_hash`); labels and weights
-are committed between chunks.  ``chunk = 1`` is the node-at-a-time
-algorithm of the papers; larger chunks let a node see labels and weights
-that are up to one chunk stale, the same staleness the distributed runs
-already tolerate across PEs.  Over a resident CSR a phase is one
-compiled call (``scan_phase`` of ``_scan.c``, through
-:class:`repro.native.PhaseScan`); the chunk loop written out in
-:func:`run_sclp` is the same code in Python — what runs without a
-compiler and on store-served arcs, and the oracle of the compiled one.
+of ``(seed, node, label)``; labels and weights are committed between
+chunks.  ``chunk = 1`` is the node-at-a-time algorithm of the papers;
+larger chunks let a node see labels and weights that are up to one chunk
+stale, the same staleness the distributed runs already tolerate across
+PEs.  The phase itself is compiled (``scan_phase`` of ``_scan.c``,
+through :class:`repro.native.PhaseScan`; :mod:`repro.engine.kernels`
+says what a chunk decides).
+
+Where the arcs come from is the only thing that differs between a
+resident graph and an out-of-core store, and it changes no label:
+
+* a resident CSR is bound to the kernel once, and a phase is one call;
+* an out-of-core store (arXiv:1404.4887's semi-external regime: node
+  state in RAM, one sequential pass over the edge blocks) is read one
+  *shard segment* at a time — the run of consecutive chunk windows whose
+  first node lies in one shard.  The segment's arcs are one
+  ``arc_block`` call (a zero-copy view of the mapped shard, or a copy
+  when its last window crosses a seam), and the segment is one call.
+  That needs an ascending visit order: ``ordering='node'``, possibly
+  without the isolated nodes (clustering) or restricted to a sorted
+  band.  Windows, staleness and frontier marks are those of the one
+  call on the resident graph, so the labels are the same bit for bit.
 
 Everything that differs between the sequential and the distributed run
 is either an :class:`~repro.engine.backend.ExecutionBackend` hook (halo
@@ -57,22 +70,26 @@ from __future__ import annotations
 import numpy as np
 
 from .. import native
-from .kernels import (
-    DEFAULT_CHUNK_SIZE,
-    IterationWorkspace,
-    capped_inflow_mask,
-    chunk_ranges,
-    effective_chunk,
-    gather_neighbors,
-    scan_chunk as numpy_scan_chunk,
-)
+from .kernels import DEFAULT_CHUNK_SIZE, IterationWorkspace, effective_chunk
 from ..obsv.tracer import TRACER
 from ..perf.rss import memory_sample
 from .backend import ExecutionBackend
 
 __all__ = ["run_sclp"]
 
-_SENTINEL = np.iinfo(np.int64).max
+
+def _shard_segments(order: np.ndarray, chunk: int, span: int | None) -> list[tuple[int, int]]:
+    """``[lo, hi)`` slices of ``order`` that one kernel call runs: the
+    runs of consecutive ``chunk`` windows whose first node lies in one
+    shard of ``span`` nodes (all of ``order`` when ``span`` is ``None``)."""
+    if order.size == 0:
+        return []
+    if span is None:
+        return [(0, order.size)]
+    shard = order[::chunk] // span
+    starts = (np.flatnonzero(shard[1:] != shard[:-1]) + 1) * chunk
+    bounds = [0, *starts.tolist(), order.size]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def run_sclp(
@@ -100,12 +117,13 @@ def run_sclp(
     ``ordering`` is ``'degree'`` (ascending), ``'random'`` (fresh every
     phase) or ``'node'`` (natural order: chunk windows are contiguous
     node, and therefore shard, ranges — the shard-sequential visit order
-    of the semi-external regime).  ``band`` restricts the visited nodes
-    to the given set: nodes outside it contribute weights and
-    connections but never move (band refinement).  ``chunk`` is the
-    requested nodes per chunk (>= 1); ``pin_sweep`` (``'full'`` or
-    ``'frontier'``) holds that sweep instead of the mode's own (see
-    module docstring) — a reference for tests and diagnostics.
+    of the semi-external regime, and the only one an out-of-core store
+    takes).  ``band`` restricts the visited nodes to the given set: nodes
+    outside it contribute weights and connections but never move (band
+    refinement).  ``chunk`` is the requested nodes per chunk (>= 1);
+    ``pin_sweep`` (``'full'`` or ``'frontier'``) holds that sweep instead
+    of the mode's own (see module docstring) — a reference for tests and
+    diagnostics.
     """
     if shares and (k is None or not refine):
         raise ValueError("the budget-share regime is refinement-only and requires k")
@@ -117,6 +135,21 @@ def run_sclp(
         raise ValueError(
             f"pin_sweep must be None, 'full' or 'frontier', got {pin_sweep!r}"
         )
+    if band is not None:
+        band = np.ascontiguousarray(band, dtype=np.int64)
+    store = backend.store
+    if store is not None:
+        unsorted = band is not None and bool(np.any(band[1:] < band[:-1]))
+        if ordering != "node" or unsorted:
+            raise ValueError(
+                f"an out-of-core {type(store).__name__} is read shard by shard "
+                "and needs an ascending visit order: ordering='node' and a "
+                f"sorted band, got ordering={ordering!r}"
+                + (" with an unsorted band" if unsorted else "")
+            )
+        # A sharded store rounds the request to a divisor of its shard
+        # node span, so uncapped chunk windows stay inside one shard.
+        chunk = store.clamp_chunk(chunk)
     sweep = pin_sweep or ("frontier" if refine else "full")
     sweep_frontier = sweep == "frontier"
     labels = np.array(labels, dtype=np.int64, order="C")
@@ -126,18 +159,11 @@ def run_sclp(
     if constraint is not None:
         constraint = np.ascontiguousarray(constraint, dtype=np.int64)
     n_local = backend.n_local
-    xadj, adjncy, adjwgt = backend.xadj, backend.adjncy, backend.adjwgt
-    degrees = backend.degrees
-    tie_base = backend.tie_base
+    xadj, degrees = backend.xadj, backend.degrees
     mode_name = "refine" if refine else "cluster"
     workspace = IterationWorkspace()
-    # Compiled when this host could build it, NumPy otherwise: the two
-    # return the same arrays bit for bit, so nothing else depends on it.
-    resolution = native.resolve()
-    compiled = resolution.path is not None
-    scan_chunk = native.scan_chunk if compiled else numpy_scan_chunk
     if TRACER.enabled:
-        TRACER.annotate_header(**resolution.header())
+        TRACER.annotate_header(lp_kernel="native")
 
     # The weight tables (module docstring).  ``load`` is rebound at every
     # phase head: the exact weights under ``shares``, else ``used`` itself.
@@ -156,10 +182,7 @@ def run_sclp(
 
     # Visit order = the scope (every local node, or the band) in the
     # requested order; degree and node order are phase-invariant.
-    scope = (
-        np.arange(n_local, dtype=np.int64) if band is None
-        else np.ascontiguousarray(band, dtype=np.int64)
-    )
+    scope = np.arange(n_local, dtype=np.int64) if band is None else band
     if ordering == "degree":
         static_order = scope[np.argsort(degrees[scope], kind="stable")]
     else:
@@ -170,27 +193,18 @@ def run_sclp(
     # with the frontier double-buffer swapped at the phase boundary.
     next_active = np.zeros(n_local, dtype=bool)
     changed_mask = np.zeros(n_local, dtype=bool)
-    # The store clamps the request: a sharded store rounds to a divisor
-    # of its shard node span so chunk windows do not straddle shard seams.
-    chunk = backend.clamp_chunk(chunk)
-    # Which loop runs a phase: one compiled call over a resident CSR, or
-    # the chunk loop below — the fallback, the path of store-served arcs
-    # (gathered per chunk), and the oracle the compiled one is tested
-    # against.  Label-identical, so this too is by availability alone.
-    run_phase = None
-    if not compiled:
-        loop = "python: numpy kernel"
-    elif type(adjncy) is not np.ndarray:
-        loop = "python: store-backed graph"
+    run_phase = native.PhaseScan(
+        xadj, labels, constraint, vwgt_all, interface, used, local_out,
+        changed_mask, n_local=n_local, space=space, bound=bound,
+        refine=refine, frontier=sweep_frontier, tie_seed=tie_seed,
+        tie_base=backend.tie_base, window=effective_chunk(chunk, scope.size),
+        ws=workspace,
+    )
+    if store is None:
+        loop, span = "native", None
+        run_phase.bind_arcs(0, backend.adjncy, backend.adjwgt)
     else:
-        loop = "native"
-        run_phase = native.PhaseScan(
-            xadj, adjncy, adjwgt, labels, constraint, vwgt_all, interface,
-            used, local_out, changed_mask, n_local=n_local, space=space,
-            bound=bound, refine=refine, frontier=sweep_frontier,
-            tie_seed=tie_seed, tie_base=tie_base,
-            window=effective_chunk(chunk, scope.size), ws=workspace,
-        )
+        loop, span = "native: store segments", store.chunk_nodes
     for _phase in range(max(0, iterations)):
         order = (
             static_order if static_order is not None
@@ -204,8 +218,7 @@ def run_sclp(
         lp_span = TRACER.span(
             "lp.iteration", **backend.span_kwargs(), sweep=sweep,
             mode=mode_name, iteration=_phase, chunk_size=phase_chunk,
-            constrained=constraint is not None, kernel=resolution.kernel,
-            loop=loop, **span_extra,
+            constrained=constraint is not None, loop=loop, **span_extra,
         )
         lp_span.__enter__()
         if shares:
@@ -222,99 +235,20 @@ def run_sclp(
                 active |= np.isin(labels[:n_local], over)
         changed_mask.fill(False)
         next_active.fill(False)
-        if run_phase is not None:
-            moved, scanned, arcs_scanned, n_chunks = run_phase(
-                order, phase_chunk, cap, exact, evict_budget, active,
+        moved = scanned = arcs_scanned = n_chunks = 0
+        # A segment starts at a multiple of the chunk, so its call runs
+        # the windows one call over the whole order would.
+        segments = _shard_segments(order, phase_chunk, span)
+        for lo, hi in segments:
+            if store is not None:
+                arc_lo, arc_hi = int(xadj[order[lo]]), int(xadj[order[hi - 1] + 1])
+                run_phase.bind_arcs(arc_lo, *store.arc_block(arc_lo, arc_hi))
+            m, s, a, c = run_phase(
+                order[lo:hi], phase_chunk, cap, exact, evict_budget, active,
                 next_active,
             )
-        else:
-            arcs_scanned = moved = scanned = n_chunks = 0
-            for lo, hi in chunk_ranges(order.size, phase_chunk):
-                n_chunks += 1
-                nodes = order[lo:hi]
-                if sweep_frontier:
-                    nodes = nodes[active[nodes]]
-                    if nodes.size == 0:
-                        continue
-                scanned += int(nodes.size)
-                if refine:
-                    node_deg = degrees[nodes]
-                    connected = nodes[node_deg > 0]
-                else:
-                    connected = nodes
-                if connected.size:
-                    own = labels[connected]
-                    evicting = None
-                    if refine:
-                        # A node of an overloaded block must leave it (while
-                        # this PE's eviction share lasts); anyone else may stay.
-                        evicting = load[own] > bound
-                        if shares:
-                            evicting &= local_out[own] < evict_budget[own]
-                    target, risky, arcs = scan_chunk(
-                        connected, xadj, adjncy, adjwgt, labels, constraint,
-                        vwgt_all, used, cap, evicting, tie_seed, tie_base,
-                        space, workspace,
-                    )
-                    arcs_scanned += arcs
-                    if sweep_frontier:
-                        next_active[connected[risky]] = True
-                    moving = np.flatnonzero(target != own)
-                    if moving.size:
-                        m_nodes, m_own = connected[moving], own[moving]
-                        m_target, m_c = target[moving], vwgt_all[m_nodes]
-                        keep = capped_inflow_mask(
-                            m_target, m_c, used[m_target], cap[m_target]
-                        )
-                        if sweep_frontier:
-                            # A capped node may succeed once the target drains.
-                            next_active[m_nodes[~keep]] = True
-                        m_nodes, m_own = m_nodes[keep], m_own[keep]
-                        m_target, m_c = m_target[keep], m_c[keep]
-                        np.subtract.at(used, m_own, m_c)
-                        np.add.at(used, m_target, m_c)
-                        if shares:
-                            m_evict = evicting[moving][keep]
-                            np.add.at(local_out, m_own[m_evict], m_c[m_evict])
-                        labels[m_nodes] = m_target
-                        changed_mask[m_nodes[interface[m_nodes]]] = True
-                        moved += int(m_nodes.size)
-                        if sweep_frontier and m_nodes.size:
-                            next_active[m_nodes] = True
-                            nbrs = gather_neighbors(m_nodes, xadj, adjncy)
-                            local_nbrs = nbrs[nbrs < n_local]
-                            next_active[local_nbrs] = True
-                            # Later windows of this phase must rescan the
-                            # movers' neighbours too (within-phase propagation).
-                            active[local_nbrs] = True
-                if refine:
-                    # Isolated nodes are useless for the cut but can still
-                    # repair balance: one in an overloaded block moves to the
-                    # lightest block with room (first minimal; rare, so
-                    # node-at-a-time against the live tables).
-                    for v in nodes[node_deg == 0].tolist():
-                        own_v = int(labels[v])
-                        c = int(vwgt_all[v])
-                        if load[own_v] <= bound or (
-                            shares and local_out[own_v] >= evict_budget[own_v]
-                        ):
-                            continue
-                        ok = (used + c) <= cap
-                        ok[own_v] = False
-                        if not ok.any():
-                            continue
-                        weight_now = exact + used if shares else used
-                        b = int(np.argmin(np.where(ok, weight_now, _SENTINEL)))
-                        used[own_v] -= c
-                        used[b] += c
-                        if shares:
-                            local_out[own_v] += c
-                        labels[v] = b
-                        moved += 1
-                        if sweep_frontier:
-                            next_active[v] = True
-                        if interface[v]:
-                            changed_mask[v] = True
+            moved, scanned, arcs_scanned, n_chunks = (
+                moved + m, scanned + s, arcs_scanned + a, n_chunks + c)
         backend.work(arcs_scanned)
 
         ghost_idx, ghost_vals = backend.exchange_labels(labels, changed_mask, delta)
@@ -341,10 +275,10 @@ def run_sclp(
                     frontier_frac=round(scanned / max(1, order.size), 4))
         if TRACER.enabled:
             lp_span.set(**memory_sample(), workspace_bytes=workspace.nbytes)
-            if not backend.resident:
+            if store is not None:
                 # An out-of-core store's access counters are cumulative:
                 # the last iteration's sample is the run's total.
-                lp_span.set(store=backend.store_stats().as_dict())
+                lp_span.set(segments=len(segments), store=store.stats().as_dict())
         lp_span.__exit__(None, None, None)
         if sweep_frontier:
             active, next_active = next_active, active

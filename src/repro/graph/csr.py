@@ -15,8 +15,7 @@ same zero-copy arrays as before; an out-of-core store (see
 :mod:`repro.graph.store`) keeps only the O(n) arrays in RAM and streams
 arc blocks from disk.  Accessing ``graph.adjncy``/``graph.adjwgt`` on
 such a graph *materializes* the arc arrays (O(m) memory) — memory-bound
-code paths use :meth:`Graph.arc_block` / :attr:`Graph.adjncy_view`
-instead.
+code paths use :meth:`Graph.arc_block` instead.
 
 Conventions
 -----------
@@ -131,24 +130,6 @@ class Graph:
         the shards covering ``[start, end)`` are touched.
         """
         return self._store.arc_block(start, end)
-
-    @property
-    def adjncy_view(self):
-        """``adjncy`` as an ndarray (resident) or a store-backed gather view."""
-        if self._store.resident:
-            return self._store.adjncy
-        from .store import ArcGatherView
-
-        return ArcGatherView(self._store, "adjncy")
-
-    @property
-    def adjwgt_view(self):
-        """``adjwgt`` as an ndarray (resident) or a store-backed gather view."""
-        if self._store.resident:
-            return self._store.adjwgt
-        from .store import ArcGatherView
-
-        return ArcGatherView(self._store, "adjwgt")
 
     def materialized(self) -> "Graph":
         """This graph with all four CSR arrays in RAM (self when resident)."""

@@ -13,13 +13,13 @@ property-based tests.
 
 :func:`quotient_arcs` relabels the fine arcs through the cluster map and
 groups and sums the parallel inter-cluster arcs into canonical CSR (rows
-ordered by neighbour).  Where the compiled kernels loaded that is
-:func:`repro.native.quotient_arcs` — fine nodes bucketed by coarse node,
-a counting pass, a filling pass into arrays of exactly the coarse size;
-otherwise :func:`repro.graph.build.group_arcs` over the relabelled arcs,
-which returns the same three arrays and is the oracle of the compiled
-build.  Its callers are :func:`contract`, :func:`quotient_graph` and the
-local quotient of every PE in :mod:`repro.dist.dist_contraction`.
+ordered by neighbour): :func:`repro.native.quotient_arcs`, fine nodes
+bucketed by coarse node, a counting pass, a filling pass into arrays of
+exactly the coarse size.  Its oracle is
+:func:`repro.graph.build.group_arcs` over the relabelled arcs, which
+returns the same three arrays (``tests/graph/test_quotient.py``).  Its
+callers are :func:`contract`, :func:`quotient_graph` and the local
+quotient of every PE in :mod:`repro.dist.dist_contraction`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import native
-from .build import group_arcs
 from .csr import Graph
 
 __all__ = [
@@ -97,13 +96,8 @@ def quotient_arcs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``xadj, adjncy, adjwgt`` of the quotient of a CSR under ``mapping``
     (node -> coarse node in ``[0, n_coarse)``): arcs relabelled, self-loops
-    dropped, parallel arcs summed, rows ordered by neighbour.  Compiled
-    where the kernels loaded, :func:`~repro.graph.build.group_arcs`
-    otherwise; the two return the same arrays."""
-    if native.loaded():
-        return native.quotient_arcs(xadj, adjncy, adjwgt, mapping, n_coarse)
-    src = mapping[np.repeat(np.arange(xadj.size - 1, dtype=np.int64), np.diff(xadj))]
-    return group_arcs(n_coarse, src, mapping[adjncy], adjwgt)
+    dropped, parallel arcs summed, rows ordered by neighbour."""
+    return native.quotient_arcs(xadj, adjncy, adjwgt, mapping, n_coarse)
 
 
 def _quotient(graph: Graph, mapping: np.ndarray, n_coarse: int) -> tuple[np.ndarray, ...]:

@@ -71,7 +71,6 @@ __all__ = [
     "readonly_view",
     "SharedCSRHandle",
     "ShardedWriter",
-    "ArcGatherView",
     "align_chunk_to_span",
     "validate_csr",
 ]
@@ -196,68 +195,6 @@ class GraphStore(Protocol):
     def clamp_chunk(self, chunk: int) -> int: ...
     def stats(self) -> StoreStats: ...
     def close(self) -> None: ...
-
-
-class ArcGatherView:
-    """A one-field, read-only *view* of a store's arc array.
-
-    Supports exactly the access patterns the SCLP kernels use on
-    ``adjncy``/``adjwgt`` — fancy indexing with an int64 index array,
-    slicing, ``tolist()`` and ``np.asarray`` — delegating each to the
-    store, which serves them from whatever shards are needed.  Fancy
-    indexing returns a fresh array (never a view into a mapped shard),
-    so LRU eviction can never invalidate data a kernel still holds.
-    """
-
-    __slots__ = ("_store", "_field")
-
-    def __init__(self, store: "GraphStore", field_name: str) -> None:
-        if field_name not in ("adjncy", "adjwgt"):
-            raise ValueError(f"unknown arc field {field_name!r}")
-        self._store = store
-        self._field = field_name
-
-    ndim = 1
-
-    @property
-    def size(self) -> int:
-        return self._store.num_arcs
-
-    @property
-    def shape(self) -> tuple[int]:
-        return (self._store.num_arcs,)
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.int64)
-
-    def __len__(self) -> int:
-        return self._store.num_arcs
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._store.num_arcs)
-            block = self._store.arc_block(start, stop)
-            part = block[0] if self._field == "adjncy" else block[1]
-            return part[::step] if step != 1 else part
-        idx = np.asarray(index, dtype=np.int64)
-        if idx.ndim == 0:
-            return self._store.gather(idx.reshape(1), self._field)[0]
-        return self._store.gather(idx, self._field)
-
-    def tolist(self) -> list:
-        return np.asarray(self).tolist()
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        pair = self._store.materialize()
-        arr = pair[0] if self._field == "adjncy" else pair[1]
-        return arr if dtype is None else arr.astype(dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ArcGatherView({self._field}, arcs={self._store.num_arcs}, "
-            f"store={type(self._store).__name__})"
-        )
 
 
 def readonly_view(arr: np.ndarray) -> np.ndarray:
@@ -609,6 +546,8 @@ class MmapShardStore:
         self._mapped: OrderedDict[int, tuple[np.ndarray, np.ndarray | None]] = (
             OrderedDict()
         )
+        # the weights of unweighted shards: one read-only block, grown on demand
+        self._ones = np.empty(0, dtype=_WEIGHT_DTYPE)
 
         shards = manifest["shards"]
         self._arc_offsets = np.empty(len(shards) + 1, dtype=_INDEX_DTYPE)
@@ -782,13 +721,20 @@ class MmapShardStore:
     def _shard_of_arcs(self, arc_idx: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._arc_offsets, arc_idx, side="right") - 1
 
+    def _unit_weights(self, size: int) -> np.ndarray:
+        """``size`` weights of an unweighted shard: a read-only prefix of
+        one cached block, so every phase over a shard does not refill it."""
+        if self._ones.size < size:
+            self._ones = readonly_view(np.ones(size, dtype=_WEIGHT_DTYPE))
+        return self._ones[:size]
+
     def arc_block(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency/weight arrays for the arc range ``[start, end)``.
 
-        Within one shard the returned arrays are zero-copy views into
-        the mapping, valid until the shard is evicted (i.e. until
-        ``max_resident_shards`` other shards have been touched); a range
-        crossing shards is concatenated into fresh arrays.
+        Within one shard the returned arrays are zero-copy, read-only
+        views into the mapping, valid until the shard is evicted (i.e.
+        until ``max_resident_shards`` other shards have been touched); a
+        range crossing shards is concatenated into fresh arrays.
         """
         start, end = int(start), int(end)
         if not 0 <= start <= end <= self._num_arcs:
@@ -807,7 +753,7 @@ class MmapShardStore:
             adjncy, adjwgt = self._map_shard(first)
             nbr = adjncy[start - base : end - base]
             if adjwgt is None:
-                return nbr, np.ones(nbr.size, dtype=_WEIGHT_DTYPE)
+                return nbr, self._unit_weights(nbr.size)
             return nbr, adjwgt[start - base : end - base]
         nbr_parts: list[np.ndarray] = []
         wgt_parts: list[np.ndarray] = []
@@ -818,7 +764,7 @@ class MmapShardStore:
             adjncy, adjwgt = self._map_shard(index)
             nbr_parts.append(np.asarray(adjncy[lo - base : hi - base]))
             if adjwgt is None:
-                wgt_parts.append(np.ones(hi - lo, dtype=_WEIGHT_DTYPE))
+                wgt_parts.append(self._unit_weights(hi - lo))
             else:
                 wgt_parts.append(np.asarray(adjwgt[lo - base : hi - base]))
         return np.concatenate(nbr_parts), np.concatenate(wgt_parts)

@@ -4,12 +4,11 @@
 paper's point), so KaFFPa hands these routines the graph it was given
 dozens of times per call (on rmat15 that was 12 584 nodes before the
 pipelines set isolated nodes apart, a few hundred since).  Greedy
-growing and the recursion over it therefore run compiled where the
-kernels of :mod:`repro.native` loaded — the bisector grows inside a node
-subset of the one graph, no subgraph is built — and as the Python loops
-below otherwise; the two return the same partition and leave ``rng`` in
-the same state.  Provided algorithms (all standard KaHIP/Metis building
-blocks):
+growing therefore runs compiled (:class:`repro.native.GrowBisection`),
+and the recursion over it grows inside node subsets of the one graph: no
+subgraph is built.  The Python loop it replaced is its oracle in
+``tests/kaffpa/python_twins.py``: same partition, same ``rng`` state.
+Provided algorithms (all standard KaHIP/Metis building blocks):
 
 * :func:`greedy_graph_growing_bisection` — BFS-like region growing from a
   random seed, always absorbing the frontier node with the best gain,
@@ -21,7 +20,6 @@ blocks):
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable
 
 import numpy as np
@@ -80,69 +78,29 @@ def greedy_graph_growing_bisection(
     lighter side at the end.
     """
     n = graph.num_nodes
+    if n == 0:
+        return np.ones(0, dtype=np.int64)
     if target_weight is None:
         target_weight = graph.total_node_weight // 2
-    partition = np.ones(n, dtype=np.int64)
-    if n == 0:
-        return partition
-    if native.loaded():
-        grow = native.GrowBisection(graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt)
-        return grow(None, int(rng.integers(0, n)), target_weight).astype(np.int64)
-    # Plain lists, read once: the loop below touches single entries, where
-    # a list index beats an ndarray index (and the ``Graph`` properties).
-    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
-    adjwgt, vwgt = graph.adjwgt.tolist(), graph.vwgt.tolist()
-    in_block = [False] * n
-    grown_weight = 0
-    seed = int(rng.integers(0, n))
-    # heap of (-gain, tiebreak, node); lazily revalidated
-    counter = 0
-    heap: list[tuple[int, int, int]] = [(0, counter, seed)]
-    gain_of = {seed: 0}
-
-    while heap and grown_weight < target_weight:
-        neg_gain, _, v = heapq.heappop(heap)
-        if in_block[v] or gain_of.get(v, 0) != -neg_gain:
-            continue  # stale entry
-        if grown_weight + vwgt[v] > target_weight and grown_weight > 0:
-            continue  # would overshoot; try a lighter frontier node
-        in_block[v] = True
-        grown_weight += vwgt[v]
-        for arc in range(xadj[v], xadj[v + 1]):
-            u = adjncy[arc]
-            if in_block[u]:
-                continue
-            gain_of[u] = gain_of.get(u, 0) + adjwgt[arc]
-            counter += 1
-            heapq.heappush(heap, (-gain_of[u], counter, u))
-
-    grown = np.asarray(in_block, dtype=bool)
-    partition[grown] = 0
-    # Absorb any unreached component into the lighter side.
-    if grown_weight < target_weight:
-        unreached = ~grown & ~np.isin(np.arange(n), list(gain_of))
-        for v in np.flatnonzero(unreached).tolist():
-            if grown_weight + vwgt[v] <= target_weight:
-                partition[v] = 0
-                grown_weight += vwgt[v]
-    return partition
+    grow = native.GrowBisection(graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt)
+    return grow(None, int(rng.integers(0, n)), target_weight).astype(np.int64)
 
 
 def recursive_bisection(graph: Graph, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-way partition by recursively bisecting with weight ratio ⌊k/2⌋:⌈k/2⌉.
 
-    With the compiled kernels, each bisection grows inside a node subset
-    of ``graph`` and no subgraph is built.  That meets a node's neighbours
-    in ``graph``'s arc order where the induced subgraph has them sorted,
-    so it needs sorted rows; a graph without them (arcs in file order,
-    say) takes the subgraph route.
+    Each bisection grows inside a node subset of ``graph`` and no
+    subgraph is built.  That meets a node's neighbours in ``graph``'s arc
+    order where the induced subgraph has them sorted, so it needs sorted
+    rows; a graph without them (arcs in file order, say) takes the
+    subgraph route.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     partition = np.zeros(graph.num_nodes, dtype=np.int64)
     everyone = np.arange(graph.num_nodes, dtype=np.int64)
 
-    if native.loaded() and _rows_sorted(graph):
+    if _rows_sorted(graph):
         vwgt = graph.vwgt
         grow = native.GrowBisection(graph.xadj, graph.adjncy, graph.adjwgt, vwgt)
 

@@ -5,6 +5,10 @@ unmatched neighbour along the heaviest incident edge.  Matched pairs are
 contracted (a matching is a clustering with cluster size <= 2, so the
 cluster-contraction kernel applies unchanged).
 
+The node loop is one compiled call (:func:`repro.native.match_heavy_edges`;
+the visit order is drawn here), whose oracle is the Python loop of
+``tests/kaffpa/python_twins.py``.
+
 Matching coarsening halves the graph at best — the reason ParMetis's
 coarsening stalls on complex networks: a hub's star contributes at most
 one matched edge per level, so power-law graphs shrink far slower than
@@ -42,47 +46,15 @@ def heavy_edge_matching(
         of iterated V-cycles).
     """
     n = graph.num_nodes
-    mate = np.arange(n, dtype=np.int64)
     if n == 0:
-        return mate
+        return np.arange(0, dtype=np.int64)
     bound = None if max_node_weight is None else int(max_node_weight)
     order = rng.permutation(n)
-    if native.loaded():
-        if constraint is not None:
-            constraint = np.ascontiguousarray(constraint, dtype=np.int64)
-        return native.match_heavy_edges(
-            graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt, constraint,
-            bound, order)
-    matched = np.zeros(n, dtype=bool)
-    xadj = graph.xadj.tolist()
-    adjncy = graph.adjncy.tolist()
-    adjwgt = graph.adjwgt.tolist()
-    vwgt = graph.vwgt.tolist()
-    constraint_list = None if constraint is None else np.asarray(constraint).tolist()
-
-    for v in order.tolist():
-        if matched[v]:
-            continue
-        best_u = -1
-        best_w = -1
-        for idx in range(xadj[v], xadj[v + 1]):
-            u = adjncy[idx]
-            if matched[u] or u == v:
-                continue
-            if constraint_list is not None and constraint_list[u] != constraint_list[v]:
-                continue
-            if bound is not None and vwgt[v] + vwgt[u] > bound:
-                continue
-            w = adjwgt[idx]
-            if w > best_w:
-                best_w = w
-                best_u = u
-        if best_u >= 0:
-            mate[v] = best_u
-            mate[best_u] = v
-            matched[v] = True
-            matched[best_u] = True
-    return mate
+    if constraint is not None:
+        constraint = np.ascontiguousarray(constraint, dtype=np.int64)
+    return native.match_heavy_edges(
+        graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt, constraint, bound,
+        order)
 
 
 def contract_matching(graph: Graph, mate: np.ndarray) -> ContractionResult:

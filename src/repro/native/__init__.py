@@ -1,14 +1,14 @@
-"""The compiled kernels: build on first use, cache per user, fall back.
+"""The compiled kernels: build on first use, cache per user, required.
 
 The C sources next to this file (:data:`SOURCE_NAMES`) are compiled once
 per machine, in one ``cc`` invocation, into ``~/.cache/repro/native`` and
 loaded through :mod:`ctypes`: one loader, one shared object, the symbols
-bound in :func:`_load`.  Every binding here has a Python twin that
-returns the same arrays bit for bit and is its fallback and its oracle:
+bound in :func:`_load`.  Each kernel has this one implementation in the
+package; the Python loops it replaced live on under ``tests/`` as its
+oracles, which return the same arrays bit for bit:
 
-* ``_scan.c`` — :func:`scan_chunk` (twin:
-  :func:`repro.engine.kernels.scan_chunk`) and :class:`PhaseScan`, a
-  whole phase of :func:`repro.engine.sclp.run_sclp` in one call;
+* ``_scan.c`` — :class:`PhaseScan`, an SCLP phase of
+  :func:`repro.engine.sclp.run_sclp` in one call per bound arc block;
 * ``_coarse.c`` — the loops of the coarsest level: :func:`quotient_arcs`
   (:func:`repro.graph.quotient.contract`), :class:`GrowBisection`
   (:mod:`repro.kaffpa.initial`), :func:`kway_refine_pass`
@@ -16,10 +16,11 @@ returns the same arrays bit for bit and is its fallback and its oracle:
   (:mod:`repro.kaffpa.matching`).  Random draws stay in Python and are
   passed in.
 
-Callers ask :func:`loaded` and pick by availability alone — there is no
-knob.  Anything that keeps the shared object from loading (no compiler, a
-failed build, an unwritable or untrusted cache) selects the Python twins
-with one :class:`RuntimeWarning` per process naming the cause.
+Nothing is built at import: the first kernel call of a process builds or
+finds the shared object (:func:`resolve`).  Whatever keeps it from loading
+— no compiler on ``PATH``, a failed build, an unwritable or untrusted
+cache — raises :class:`KernelUnavailable` naming the cause, at that call
+and at every later one.
 
 This package sits below :mod:`repro.graph` (it imports nothing of the
 program), because ``graph``, ``kaffpa`` and ``engine`` all call it.
@@ -51,8 +52,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import warnings
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -63,9 +62,9 @@ if TYPE_CHECKING:  # annotations only: this package imports nothing of the progr
     from ..engine.kernels import IterationWorkspace
 
 __all__ = [
-    "Resolution", "resolve", "adopt", "loaded", "cache_dir", "source",
-    "scan_chunk", "PhaseScan", "quotient_arcs", "GrowBisection",
-    "kway_refine_pass", "match_heavy_edges",
+    "KernelUnavailable", "resolve", "adopt", "cache_dir", "source",
+    "PhaseScan", "quotient_arcs", "GrowBisection", "kway_refine_pass",
+    "match_heavy_edges",
 ]
 
 #: concatenated into one translation unit, in this order
@@ -75,31 +74,18 @@ SOURCE_NAMES = ("_scan.c", "_coarse.c")
 CFLAGS = ("-O2", "-fPIC", "-shared")
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """Which kernel this process runs: the shared object, or why not."""
-
-    path: str | None  #: the loaded shared object; ``None`` on fallback
-    reason: str | None  #: why the NumPy kernels run; ``None`` when native
-
-    @property
-    def kernel(self) -> str:
-        return "numpy" if self.path is None else "native"
-
-    def header(self) -> dict[str, str]:
-        """The trace-header fields recording this choice (``run.json``)."""
-        if self.path is not None:
-            return {"lp_kernel": "native"}
-        return {"lp_kernel": "numpy", "lp_kernel_fallback": str(self.reason)}
+class KernelUnavailable(RuntimeError):
+    """The compiled kernels cannot be built or loaded on this host."""
 
 
 class _Unavailable(Exception):
-    """The native kernel cannot be used; ``str(exc)`` is the reason."""
+    """The shared object cannot be used; ``str(exc)`` is the reason."""
 
 
 _lock = threading.Lock()
-_resolution: Resolution | None = None
 _lib: ctypes.CDLL | None = None
+_path: str | None = None
+_failure: str | None = None  # why this process cannot load it, once known
 
 
 def cache_dir() -> Path:
@@ -173,7 +159,7 @@ class _PhaseTables(ctypes.Structure):
     """``scan_phase_t`` of ``_scan.c``, field for field."""
 
     _fields_ = [
-        *((name, _I64) for name in ("n_local", "n_total", "n_arcs")),
+        *((name, _I64) for name in ("n_local", "n_total", "arc_lo", "n_arcs")),
         *((name, _PTR) for name in (
             "xadj", "nbr", "wgt", "vwgt", "constraint", "interface", "labels")),
         *((name, _I64) for name in ("space", "bound", "refine")),
@@ -196,15 +182,6 @@ def _load(path: Path) -> ctypes.CDLL:
         raise _Unavailable(f"{path} and _PhaseTables disagree on scan_phase_t")
     lib.scan_phase.restype = _I64
     lib.scan_phase.argtypes = [ctypes.POINTER(_PhaseTables), _I64, _PTR, _I64]
-    lib.scan_chunk.restype = _I64
-    lib.scan_chunk.argtypes = [
-        _I64, _PTR, _PTR, _PTR, _PTR, _PTR,  # n_chunk nodes begin count nbr wgt
-        _I64, _PTR, _PTR, _PTR, _PTR, _PTR,  # n_total labels constraint vwgt used cap
-        ctypes.c_int, _PTR, ctypes.c_uint64, _I64,  # cap_is_float evicting seed base
-        _I64, _PTR, _PTR, _PTR, _PTR, _PTR,  # space acc mark touched target risky
-    ]
-    lib.tie_hash.restype = None
-    lib.tie_hash.argtypes = [ctypes.c_uint64, _I64, _PTR, _PTR, _PTR]
     csr = [_I64, _I64, _PTR, _PTR]  # n n_arcs xadj adjncy
     for name, argtypes in {
         # mapping n_coarse start order stamp xadj_c
@@ -228,48 +205,55 @@ def _load(path: Path) -> ctypes.CDLL:
     return lib
 
 
-def resolve() -> Resolution:
-    """Build and load the kernel once per process; never raises.
+def _unavailable(reason: str) -> KernelUnavailable:
+    return KernelUnavailable(
+        f"the compiled kernels of repro cannot be used: {reason} (they are "
+        "built on first use with the host's C compiler, cc, into "
+        f"{cache_dir()})"
+    )
 
-    The process backend's parent calls this before it spawns, and hands
-    the result to :func:`adopt` in every rank, so ranks neither compile
-    nor warn.
+
+def resolve() -> str:
+    """Build (once per machine) and load (once per process) the shared
+    object; returns its path.
+
+    Raises :class:`KernelUnavailable` naming the cause.  The first failure
+    is remembered: later calls raise it again without another build.  The
+    process backend's parent calls this before it spawns and hands the
+    path to :func:`adopt` in every rank, so ranks never compile.
     """
-    global _resolution, _lib
+    global _lib, _path, _failure
     with _lock:
-        if _resolution is None:
+        if _lib is None and _failure is None:
             try:
                 path = _build()
                 _lib = _load(path)
-                _resolution = Resolution(str(path), None)
+                _path = str(path)
             # RuntimeError: Path.home() when no home directory is known
             except (_Unavailable, OSError, RuntimeError,
                     subprocess.SubprocessError) as exc:
-                reason = str(exc) or type(exc).__name__
-                _resolution = Resolution(None, reason)
-                warnings.warn(
-                    f"native kernels unavailable ({reason}); "
-                    "running their Python twins instead",
-                    RuntimeWarning, stacklevel=2,
-                )
-        return _resolution
+                _failure = str(exc) or type(exc).__name__
+        if _lib is None:
+            raise _unavailable(str(_failure))
+        return str(_path)
 
 
-def adopt(resolution: Resolution) -> None:
-    """Take over a parent process's :func:`resolve` result (worker side)."""
-    global _resolution, _lib
+def adopt(path: str) -> None:
+    """Load the shared object a parent process resolved (worker side)."""
+    global _lib, _path
     with _lock:
-        if resolution.path is not None:
-            try:
-                _lib = _load(Path(resolution.path))
-            except (_Unavailable, OSError) as exc:
-                resolution = Resolution(None, str(exc) or type(exc).__name__)
-        _resolution = resolution
+        try:
+            _lib = _load(Path(path))
+        except (_Unavailable, OSError) as exc:
+            raise _unavailable(str(exc) or type(exc).__name__) from exc
+        _path = path
 
 
-def loaded() -> bool:
-    """Whether this process runs the compiled kernels (:func:`resolve`)."""
-    return resolve().path is not None
+def _kernels() -> ctypes.CDLL:
+    """The loaded shared object (:func:`resolve` on first use)."""
+    if _lib is None:
+        resolve()
+    return _lib
 
 
 def _ptr(arr: np.ndarray, dtype, size: int | None = None) -> int:
@@ -286,64 +270,6 @@ def _ptr(arr: np.ndarray, dtype, size: int | None = None) -> int:
     return arr.ctypes.data
 
 
-def scan_chunk(
-    nodes: np.ndarray,
-    xadj: np.ndarray,
-    adjncy,
-    adjwgt,
-    labels: np.ndarray,
-    constraint: np.ndarray | None,
-    vwgt: np.ndarray,
-    used: np.ndarray,
-    cap: np.ndarray,
-    evicting: np.ndarray | None,
-    tie_seed: int,
-    tie_base: int,
-    space: int,
-    ws: IterationWorkspace,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`repro.engine.kernels.scan_chunk`, compiled (same contract).
-
-    A resident graph's CSR is passed as is; an out-of-core store serves
-    the chunk's arcs through the same two ``gather`` calls the NumPy
-    path makes, and the kernel reads the gathered block.
-    """
-    n_chunk = nodes.size
-    begin = xadj[nodes]
-    count = xadj[nodes + 1]
-    count -= begin
-    if type(adjncy) is not np.ndarray:
-        # The chunk's arcs, in the order plan_chunk would gather them.
-        local = np.cumsum(count)
-        local -= count
-        arc_idx = np.repeat(begin - local, count)
-        arc_idx += np.arange(arc_idx.size, dtype=np.int64)
-        adjncy, adjwgt = adjncy[arc_idx], adjwgt[arc_idx]
-        begin = local
-    n_total = labels.size
-    _check_tables(space, used, cap)
-    target = np.empty(n_chunk, dtype=np.int64)
-    risky = np.empty(n_chunk, dtype=bool)
-    arcs = _lib.scan_chunk(
-        n_chunk, _ptr(nodes, np.int64), _ptr(begin, np.int64, n_chunk),
-        _ptr(count, np.int64, n_chunk), _ptr(adjncy, np.int64),
-        _ptr(adjwgt, np.int64, adjncy.size),
-        n_total, _ptr(labels, np.int64),
-        None if constraint is None else _ptr(constraint, np.int64, n_total),
-        _ptr(vwgt, np.int64, n_total), _ptr(used, np.int64),
-        _ptr(cap, cap.dtype), int(cap.dtype == np.float64),
-        None if evicting is None else _ptr(evicting, np.bool_, n_chunk),
-        tie_seed, tie_base, space,
-        ws.zeros("scan.acc", space, np.int64).ctypes.data,
-        ws.zeros("scan.mark", space, np.uint8).ctypes.data,
-        ws.buf("scan.touched", space, np.int64).ctypes.data,
-        target.ctypes.data, risky.ctypes.data,
-    )
-    if arcs < 0:
-        raise _out_of_range(n_total, space)
-    return target, risky, int(arcs)
-
-
 def _check_tables(space: int, used: np.ndarray, cap: np.ndarray) -> None:
     if cap.dtype not in (np.int64, np.float64):
         raise TypeError(f"cap must be int64 or float64, got {cap.dtype}")
@@ -351,32 +277,28 @@ def _check_tables(space: int, used: np.ndarray, cap: np.ndarray) -> None:
         raise ValueError("used/cap tables are shorter than the label space")
 
 
-def _out_of_range(n_total: int, space: int) -> ValueError:
-    return ValueError(
-        "the native scan met a node, neighbour or label index outside "
-        f"its table (n_total={n_total}, label space={space})"
-    )
-
-
 class PhaseScan:
-    """One compiled call per SCLP phase (``scan_phase`` of ``_scan.c``).
+    """One compiled call per SCLP phase, or per shard segment of one
+    (``scan_phase`` of ``_scan.c``).
 
-    Bound to one :func:`~repro.engine.sclp.run_sclp` call: the CSR of a
-    resident graph and the arrays that call mutates in place are checked
-    (type, dtype, contiguity, length) and their addresses taken here,
-    once; a phase passes only what ``run_sclp`` rebinds between phases.
-    ``window`` is the largest chunk a phase will ask for; ``frontier``
-    says whether phases filter by, and mark, the active set.  A call visits
-    ``order`` exactly as the Python chunk loop of ``run_sclp`` does —
-    which is its fallback and its oracle — and returns that loop's
-    ``(moved, scanned, arcs, chunks)``.
+    Bound to one :func:`~repro.engine.sclp.run_sclp` call: the head
+    pointers of the CSR and the arrays that call mutates in place are
+    checked (type, dtype, contiguity, length) and their addresses taken
+    here, once; a phase passes only what ``run_sclp`` rebinds between
+    phases.  The arcs are bound apart (:meth:`bind_arcs`): the whole CSR
+    once on a resident graph, one shard segment's block at a time on an
+    out-of-core store.  ``window`` is the largest chunk a phase will ask
+    for; ``frontier`` says whether phases filter by, and mark, the active
+    set.  A call visits ``order`` in windows of ``chunk`` — the chunk loop
+    that ``tests/engine/python_phase.py`` writes out in Python as its
+    oracle — and returns ``(moved, scanned, arcs, chunks)``.
     """
 
-    def __init__(self, xadj, adjncy, adjwgt, labels, constraint, vwgt,
-                 interface, used, local_out, changed_mask, *, n_local: int,
-                 space: int, bound: int, refine: bool, frontier: bool,
-                 tie_seed: int, tie_base: int, window: int,
-                 ws: IterationWorkspace) -> None:
+    def __init__(self, xadj, labels, constraint, vwgt, interface, used,
+                 local_out, changed_mask, *, n_local: int, space: int,
+                 bound: int, refine: bool, frontier: bool, tie_seed: int,
+                 tie_base: int, window: int, ws: IterationWorkspace) -> None:
+        _kernels()  # the first kernel use of a run: fail here, not mid-phase
         n_total = labels.size
         if not 0 <= n_local <= n_total:
             raise ValueError(f"n_local={n_local} outside [0, {n_total}]")
@@ -391,12 +313,12 @@ class PhaseScan:
                for name in ("risky", "evicting")},
         }
         # the struct holds addresses only: keep their owners alive with it
-        self._owners = (xadj, adjncy, adjwgt, labels, constraint, vwgt,
-                        interface, used, local_out, changed_mask, scratch)
+        self._owners = (xadj, labels, constraint, vwgt, interface, used,
+                        local_out, changed_mask, scratch)
+        self._arcs: tuple[np.ndarray, np.ndarray] | tuple = ()
         self._tables = _PhaseTables(
-            n_local=n_local, n_total=n_total, n_arcs=adjncy.size,
-            xadj=_ptr(xadj, np.int64, n_local + 1), nbr=_ptr(adjncy, np.int64),
-            wgt=_ptr(adjwgt, np.int64, adjncy.size),
+            n_local=n_local, n_total=n_total,
+            xadj=_ptr(xadj, np.int64, n_local + 1),
             vwgt=_ptr(vwgt, np.int64, n_total),
             constraint=(None if constraint is None
                         else _ptr(constraint, np.int64, n_total)),
@@ -410,10 +332,22 @@ class PhaseScan:
             **{name: arr.ctypes.data for name, arr in scratch.items()},
         )
 
+    def bind_arcs(self, arc_lo: int, nbr, wgt) -> None:
+        """Serve the arcs ``[arc_lo, arc_lo + nbr.size)`` of the CSR from
+        ``nbr``/``wgt`` until the next bind.  A phase call whose visited
+        nodes have an arc outside them raises ``ValueError`` and reads
+        nothing outside them.  A memory-mapped block is read in place."""
+        nbr, wgt = np.asarray(nbr), np.asarray(wgt)
+        t = self._tables
+        t.nbr, t.wgt = _ptr(nbr, np.int64), _ptr(wgt, np.int64, nbr.size)
+        t.arc_lo, t.n_arcs = int(arc_lo), nbr.size
+        self._arcs = (nbr, wgt)
+
     def __call__(self, order, chunk: int, cap, exact, evict_budget, active,
                  next_active) -> tuple[int, int, int, int]:
-        """Run one phase.  ``exact``/``evict_budget`` are ``None`` outside
-        the budget-share regime; a full sweep leaves the two masks alone."""
+        """Run ``order`` in windows of ``chunk``.  ``exact``/``evict_budget``
+        are ``None`` outside the budget-share regime; a full sweep leaves
+        the two masks alone."""
         t = self._tables
         space, n_local = t.space, t.n_local
         if not 1 <= chunk <= self._window:
@@ -429,7 +363,12 @@ class PhaseScan:
             t.active = _ptr(active, np.bool_, n_local)
             t.next_active = _ptr(next_active, np.bool_, n_local)
         if _lib.scan_phase(t, order.size, _ptr(order, np.int64), chunk) < 0:
-            raise _out_of_range(t.n_total, space)
+            raise ValueError(
+                "the native scan met a node, neighbour or label index outside "
+                f"its table (n_total={t.n_total}, label space={space}), or a "
+                f"node with arcs outside the bound block [{t.arc_lo}, "
+                f"{t.arc_lo + t.n_arcs})"
+            )
         return t.moved, t.scanned, t.arcs, t.chunks
 
 
@@ -467,8 +406,8 @@ def quotient_arcs(xadj, adjncy, adjwgt, mapping: np.ndarray, n_coarse: int
     """The quotient's ``xadj, adjncy, adjwgt`` under ``mapping`` (fine node
     -> coarse node in ``[0, n_coarse)``): arcs relabelled, self-loops
     dropped, parallel arcs summed, rows ordered by neighbour — the
-    canonical CSR the scipy grouping of
-    :func:`repro.graph.quotient.contract` builds.  Two passes: count, then
+    canonical CSR :func:`repro.graph.build.group_arcs` builds from an arc
+    list.  Two passes: count, then
     fill arrays of exactly that size; the temporaries are two more arrays
     of the *coarse* arc count and O(n) tables."""
     n, n_arcs, *csr = _csr(xadj, adjncy)
@@ -476,7 +415,8 @@ def quotient_arcs(xadj, adjncy, adjwgt, mapping: np.ndarray, n_coarse: int
     start, xadj_c, t_off = (np.empty(n_coarse + 1, dtype=np.int64) for _ in range(3))
     stamp, slot = (np.empty(n_coarse, dtype=np.int64) for _ in range(2))
     order = np.empty(n, dtype=np.int64)
-    count = _lib.quotient_count(
+    lib = _kernels()
+    count = lib.quotient_count(
         n, n_arcs, *csr, *tables, start.ctypes.data, order.ctypes.data,
         stamp.ctypes.data, xadj_c.ctypes.data,
     )
@@ -484,7 +424,7 @@ def quotient_arcs(xadj, adjncy, adjwgt, mapping: np.ndarray, n_coarse: int
         raise _fault("quotient build", count)
     adjncy_c, adjwgt_c, t_col, t_wgt = (
         np.empty(count, dtype=np.int64) for _ in range(4))
-    status = _lib.quotient_fill(
+    status = lib.quotient_fill(
         n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs), *tables,
         start.ctypes.data, order.ctypes.data, stamp.ctypes.data,
         slot.ctypes.data, count, xadj_c.ctypes.data, adjncy_c.ctypes.data,
@@ -499,12 +439,11 @@ def quotient_arcs(xadj, adjncy, adjwgt, mapping: np.ndarray, n_coarse: int
 class GrowBisection:
     """Greedy graph growing inside node subsets of one graph.
 
-    ``grow(members, seed, target)`` is
-    :func:`repro.kaffpa.initial.greedy_graph_growing_bisection` on the
-    subgraph induced by ``members`` (ascending node ids; ``None`` = the
-    whole graph) with ``seed`` the index of the start node among them —
-    the draw the Python twin makes itself — and returns one byte per
-    member, 0 where it was absorbed.  The subgraph is never built: the
+    ``grow(members, seed, target)`` is greedy graph growing (the frontier
+    a max-heap on gain, Metis's) on the subgraph induced by ``members``
+    (ascending node ids; ``None`` = the whole graph) from the start node
+    of index ``seed`` among them — the caller's draw — and returns one
+    byte per member, 0 where it was absorbed.  The subgraph is never built: the
     kernel skips arcs that leave the subset and meets the others in this
     graph's arc order, which is the induced subgraph's when every row here
     is sorted by neighbour (the caller's to check).  Scratch is sized once,
@@ -530,7 +469,7 @@ class GrowBisection:
                  ) -> np.ndarray:
         n_sub = self._graph[0] if members is None else members.size
         side = np.empty(n_sub, dtype=np.uint8)
-        status = _lib.grow_bisection(
+        status = _kernels().grow_bisection(
             *self._graph, n_sub,
             None if members is None else _ptr(members, np.int64),
             seed, target, *self._scratch, side.ctypes.data,
@@ -550,7 +489,7 @@ def kway_refine_pass(xadj, adjncy, adjwgt, vwgt, order: np.ndarray,
     space = weights.size
     conn, touched = (np.empty(space, dtype=np.int64) for _ in range(2))
     seen = np.zeros(space, dtype=np.uint8)
-    moved = _lib.kway_refine_pass(
+    moved = _kernels().kway_refine_pass(
         n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs), _ptr(vwgt, np.int64, n),
         _ptr(order, np.int64, n), _ptr(labels, np.int64, n), space,
         _ptr(weights, np.int64), _int64_floor(max_block_weight),
@@ -576,7 +515,7 @@ def match_heavy_edges(xadj, adjncy, adjwgt, vwgt, constraint: np.ndarray | None,
     ``order`` drawn by the caller; returns ``mate``."""
     n, n_arcs, *csr = _csr(xadj, adjncy)
     mate = np.arange(n, dtype=np.int64)
-    pairs = _lib.match_heavy_edges(
+    pairs = _kernels().match_heavy_edges(
         n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs), _ptr(vwgt, np.int64, n),
         None if constraint is None else _ptr(constraint, np.int64, n),
         max_pair_weight is not None,

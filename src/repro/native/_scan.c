@@ -5,14 +5,16 @@
  * (linear in the node's degree, no sort), decide each touched label's
  * eligibility, pick the (strength, tie hash, smallest label) optimum among
  * the eligible ones and flag the node risky when an ineligible label would
- * win were it eligible.  Bit-identical to repro.engine.kernels.scan_chunk,
- * which is the fallback and the test oracle; arc weights are non-negative
- * there and here.
+ * win were it eligible.  Bit-identical to the NumPy scan_chunk of
+ * tests/engine/numpy_kernels.py, its test oracle; arc weights are
+ * non-negative there and here.
  *
- * scan_phase: one whole phase over a resident CSR -- the chunk loop of
- * repro.engine.sclp.run_sclp (window, scan_chunk, capped-inflow commit,
- * frontier marking, isolated nodes), statement for statement; that loop is
- * its fallback and its oracle.  The chunk stays the staleness unit.
+ * scan_phase: a whole phase, or the part of it whose arcs are bound -- the
+ * chunk loop (window, scan_chunk, capped-inflow commit, frontier marking,
+ * isolated nodes) that tests/engine/python_phase.py writes out in Python as
+ * its oracle.  The chunk stays the staleness unit.  The bound arcs are the
+ * block [arc_lo, arc_lo + n_arcs) of the CSR: all of it on a resident graph,
+ * one shard segment's on an out-of-core store.
  *
  * Plain C99, no dependencies.  Built with -O2 only: no -march=native and no
  * fast-math, so the floating-point comparisons below are IEEE-exact.
@@ -21,7 +23,7 @@
 
 static inline uint64_t tie_hash_one(uint64_t seed, uint64_t node, uint64_t label)
 {
-    /* candidate_tie_hash of kernels.py, one candidate */
+    /* candidate_tie_hash of the NumPy oracle, one candidate */
     uint64_t x = node * UINT64_C(0x9E3779B97F4A7C15);
     x ^= label + UINT64_C(0xBF58476D1CE4E5B9) + (seed << 1);
     x ^= x >> 33;
@@ -149,12 +151,16 @@ int64_t scan_chunk(
     return arcs;
 }
 
-/* One run_sclp call's tables, filled by repro.native.PhaseScan: the
- * graph and the persistent arrays once per call, cap/exact/evict_budget and
- * the frontier masks once per phase.  Every field is 8 bytes wide. */
+/* One run_sclp call's tables, filled by repro.native.PhaseScan: the head
+ * pointers and the persistent arrays once per call, the arc block when it is
+ * bound (once on a resident graph, per shard segment on a store),
+ * cap/exact/evict_budget and the frontier masks once per phase.  Every field
+ * is 8 bytes wide. */
 typedef struct {
-    int64_t n_local, n_total, n_arcs; /* owned nodes, node slots, arcs */
-    const int64_t *xadj, *nbr, *wgt;  /* CSR over the owned nodes */
+    int64_t n_local, n_total;         /* owned nodes, node slots */
+    int64_t arc_lo, n_arcs;           /* the bound arcs: [arc_lo, arc_lo + n_arcs) */
+    const int64_t *xadj;              /* n_local + 1, global arc ids */
+    const int64_t *nbr, *wgt;         /* n_arcs: arc arc_lo + i is entry i */
     const int64_t *vwgt;              /* n_total */
     const int64_t *constraint;        /* n_total, or NULL */
     const uint8_t *interface;         /* n_local */
@@ -232,8 +238,10 @@ static int rebalance_isolated(scan_phase_t *p, int64_t v)
 }
 
 /* Visit order[0 .. n_order) in windows of `chunk`.  Returns 0, or -1 when a
- * node, arc range, neighbour or label index is out of range (labels may
- * then hold the windows committed so far; acc/mark are zero either way). */
+ * node, neighbour or label index is out of range or a visited node's arcs
+ * are not all in the bound block (labels may then hold the windows
+ * committed so far; acc/mark are zero either way; nothing outside the block
+ * is read). */
 int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
                    int64_t chunk)
 {
@@ -252,7 +260,7 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
             if (p->active && !p->active[v])
                 continue;
             const int64_t b = p->xadj[v], e = p->xadj[v + 1];
-            if (b < 0 || e < b || e > p->n_arcs)
+            if (b < p->arc_lo || e < b || e - p->arc_lo > p->n_arcs)
                 return -1;
             if (p->refine && e == b) {
                 p->isolated[ni++] = v;
@@ -267,7 +275,7 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
                 && (!p->exact
                     || (double)p->local_out[own] < p->evict_budget[own]);
             p->nodes[nc] = v;
-            p->begin[nc] = b;
+            p->begin[nc] = b - p->arc_lo;
             p->count[nc] = e - b;
             p->own[nc] = own;
             nc++;

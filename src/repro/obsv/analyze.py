@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: schema identifier stamped into (and required of) every run summary
-#: (v2: ``header.lp_kernel`` / ``lp_kernel_fallback``; v3: ``levels`` and
+#: (v2: ``header.lp_kernel``, always ``native`` now; v3: ``levels`` and
 #: ``counts``, ``quality.feasible`` with the weights behind it, and
 #: ``comm.collectives`` / ``comm.recv_bytes`` as integers on every backend)
 RUN_SUMMARY_SCHEMA = "repro.run_summary/v3"
@@ -604,15 +604,8 @@ def validate_run_summary(doc: Any) -> list[str]:
     if errors:
         return errors
     header = doc["header"] or {}
-    kernel = header.get("lp_kernel")
-    if kernel not in (None, "native", "numpy"):
-        errors.append("header.lp_kernel must be 'native' or 'numpy'")
-    fallback = header.get("lp_kernel_fallback")
-    if (kernel == "numpy") != (isinstance(fallback, str) and bool(fallback)):
-        errors.append(
-            "header.lp_kernel_fallback must give the reason exactly when "
-            "header.lp_kernel is 'numpy'"
-        )
+    if header.get("lp_kernel") not in (None, "native"):
+        errors.append("header.lp_kernel must be 'native' (the one kernel)")
     feasible = doc["quality"].get("feasible")
     if feasible is not None and not isinstance(feasible, bool):
         errors.append("quality.feasible must be a boolean or null")
@@ -682,11 +675,6 @@ def _header_block(header: dict) -> str:
         f"lp_kernel {header.get('lp_kernel') or '-'}",
     ]
     lines = ["trace header: " + "  ".join(parts)]
-    if header.get("lp_kernel_fallback"):
-        lines.append(
-            "NOTE: the compiled LP kernel was not used "
-            f"({header['lp_kernel_fallback']}); LP ran on the NumPy kernels"
-        )
     # A p>1 process-backend run on one core cannot show wall-clock
     # speedup — the recorded ratios measure queue/scheduling overhead —
     # so every reader of such a trace gets told explicitly.

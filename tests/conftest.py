@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -53,31 +56,53 @@ def karate() -> Graph:
 
 
 # ----------------------------------------------------------------------
-# SCLP kernel selection
+# The compiled kernels and their Python twins
 # ----------------------------------------------------------------------
 
-@pytest.fixture
-def numpy_kernel(monkeypatch):
-    """Run the test on the Python twins of every compiled kernel (the
-    NumPy chunk scan, scipy's quotient, KaFFPa's loops), as on a host
-    that cannot build them.  There is no knob for this in the program:
-    the fixture plants the loader's cached outcome.  Process-backend
-    ranks inherit it (the parent hands its resolution to every rank)."""
+def twin_bindings() -> dict:
+    """Every binding of :mod:`repro.native` by name, mapped to its Python
+    twin (the oracles under ``tests/``)."""
+    from .engine.python_phase import PythonPhaseScan
+    from .kaffpa import python_twins
+
+    return {
+        "PhaseScan": PythonPhaseScan,
+        "quotient_arcs": python_twins.quotient_arcs,
+        "GrowBisection": python_twins.GrowBisection,
+        "kway_refine_pass": python_twins.kway_refine_pass,
+        "match_heavy_edges": python_twins.match_heavy_edges,
+    }
+
+
+@contextlib.contextmanager
+def python_twins():
+    """Within the block, the package calls the Python twins of its
+    compiled kernels instead of the kernels (the program itself has no
+    way to: one implementation each).  Process-backend ranks are fresh
+    interpreters and run the compiled kernels."""
     from repro import native
 
-    forced = native.Resolution(None, "forced by the numpy_kernel fixture")
-    monkeypatch.setattr(native, "_resolution", forced)
-    return forced
+    with contextlib.ExitStack() as stack:
+        for name, twin in twin_bindings().items():
+            stack.enter_context(mock.patch.object(native, name, twin))
+        yield
+
+
+@pytest.fixture
+def numpy_kernel():
+    """Run the test on the Python twins of every compiled kernel (the
+    NumPy chunk loop, scipy's quotient, KaFFPa's loops)."""
+    with python_twins():
+        yield
 
 
 @pytest.fixture
 def compiled_kernels():
-    """Skip where the kernels could not be built: a native == twin
-    differential would compare the twin with itself."""
+    """Run the test on the compiled kernels, built and loaded (the
+    counterpart of ``numpy_kernel`` in tests parametrised over both)."""
     from repro import native
 
-    if not native.loaded():
-        pytest.skip(f"no compiled kernels here: {native.resolve().reason}")
+    native.resolve()
 
 
 def kernel_cache_leftovers() -> list[str]:

@@ -15,17 +15,11 @@ from hypothesis import strategies as st
 
 from repro.core.label_propagation import size_constrained_label_propagation
 from repro.engine import LocalBackend, run_sclp
-from repro.engine.kernels import (
-    DEFAULT_CHUNK_SIZE,
-    ChunkCandidates,
-    IterationWorkspace,
-    candidate_tie_hash,
-    gather_neighbors,
-    pick_targets_hashed,
-)
+from repro.engine.kernels import DEFAULT_CHUNK_SIZE, IterationWorkspace, gather_neighbors
 from repro.generators import rgg, rmat
 
 from ..conftest import random_graphs
+from ..engine.numpy_kernels import ChunkCandidates, candidate_tie_hash, pick_targets_hashed
 from .test_lp_kernels import EDGELESS, HEAVY_NODE, WITH_ISOLATED
 
 GRAPHS = [rmat(9, seed=3), rgg(9, seed=5)]

@@ -1,4 +1,6 @@
-"""Tests for the vectorised chunked SCLP kernels (repro.engine.kernels).
+"""Tests for the chunked SCLP kernels: the NumPy oracle's parts
+(``tests/engine/numpy_kernels.py``) and the compiled phase through
+``run_sclp``.
 
 The load-bearing contract: ``chunk_size=1`` pinned to the full sweep is
 the node-at-a-time algorithm — it reproduces the reference oracle of
@@ -23,21 +25,23 @@ from repro.engine import LocalBackend, run_sclp
 from repro.engine.kernels import (
     DEFAULT_CHUNK_SIZE,
     MIN_REFRESHES_PER_PHASE,
-    ChunkCandidates,
     IterationWorkspace,
-    aggregate_candidates,
-    candidate_tie_hash,
-    capped_inflow_mask,
-    chunk_ranges,
     effective_chunk,
-    pick_targets_hashed,
-    plan_chunk,
 )
 from repro.generators import grid_2d, rmat
 from repro.graph import block_weights, from_edges
 from repro.metrics import edge_cut, modularity
 
 from ..conftest import random_graphs
+from ..engine.numpy_kernels import (
+    ChunkCandidates,
+    aggregate_candidates,
+    candidate_tie_hash,
+    capped_inflow_mask,
+    chunk_ranges,
+    pick_targets_hashed,
+    plan_chunk,
+)
 from ..engine.reference_sclp import reference_sclp
 
 

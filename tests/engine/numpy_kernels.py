@@ -1,0 +1,382 @@
+"""The NumPy twin of the compiled chunk scan: the oracle of ``_scan.c``.
+
+``scan_phase`` of ``repro/native/_scan.c`` decides a chunk of nodes at a
+time (see :mod:`repro.engine.kernels` for what a chunk decides and why
+the frontier sweep is label-identical to the full one).  This module is
+the same decision written as array programs, with one signature and
+bit-identical results — what the package ran before the kernel became
+required, and now only the oracle the compiled kernel is held to
+(``tests/engine/test_native_kernel.py``) and what
+:class:`~tests.engine.python_phase.PythonPhaseScan` runs:
+
+* neighbour-label aggregation is sort-based: one stable
+  :func:`numpy.argsort` over the combined ``(node, label)`` key followed
+  by :func:`numpy.add.reduceat` over group boundaries yields every
+  ``(node, label)`` connection strength of the chunk;
+* the eligible-argmax is a masked segmented maximum (ineligible
+  candidates are forced below every real strength), ties going to the
+  largest :func:`candidate_tie_hash` and then to the smallest label;
+* :func:`capped_inflow_mask` cancels the tail of the chunk's moves into
+  any label whose remaining capacity they would overrun.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.engine.kernels import IterationWorkspace, _segment_local_arange
+
+_MIX_A = np.uint64(0x9E3779B97F4A7C15)
+_MIX_B = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_C = np.uint64(0x94D049BB133111EB)
+_MIX_D = np.uint64(0xFF51AFD7ED558CCD)
+_SHIFT = np.uint64(33)
+
+
+def candidate_tie_hash(
+    seed: int, nodes: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Stateless per-``(seed, node, label)`` tie-break priorities.
+
+    A splitmix64-style avalanche over the candidate's node id and label.
+    Unlike a shared RNG stream, the value a candidate receives does not
+    depend on which other nodes are visited or in which phase — the
+    property that makes frontier scans decision-identical to full
+    sweeps.  Ties on the hash itself (vanishingly rare) fall back to the
+    candidates' deterministic order in :func:`pick_targets_hashed`.
+    """
+    x = nodes.astype(np.uint64) * _MIX_A
+    x ^= labels.astype(np.uint64) + _MIX_B + (np.uint64(seed) << np.uint64(1))
+    x ^= x >> _SHIFT
+    x *= _MIX_D
+    x ^= x >> _SHIFT
+    x *= _MIX_C
+    x ^= x >> _SHIFT
+    return x
+
+
+def chunk_ranges(n: int, chunk_size: int):
+    """Yield ``(start, stop)`` pairs covering ``range(n)`` in chunks."""
+    for start in range(0, n, chunk_size):
+        yield start, min(start + chunk_size, n)
+
+
+@dataclass
+class ChunkCandidates:
+    """Per-(node, label) move candidates for one chunk of nodes.
+
+    Candidates are grouped by chunk node and, within a node, ordered by
+    label value.  The arrays are views into the workspace that built
+    them, valid until the next chunk is aggregated.
+    """
+
+    node_pos: np.ndarray  # chunk position of each candidate (ascending)
+    labels: np.ndarray  # candidate label
+    strength: np.ndarray  # summed weight of arcs into the label
+    is_own: np.ndarray  # candidate label == the node's current label
+    seg_start: np.ndarray  # per chunk node: offset of its candidate run
+    seg_count: np.ndarray  # per chunk node: number of candidates (>= 1)
+    arcs_scanned: int  # degrees summed over the chunk (work accounting)
+
+
+@dataclass
+class ChunkPlan:
+    """Label-independent arc structure of one chunk of nodes: everything
+    here depends only on the chunk's nodes, the CSR arrays and the
+    constraint — not on the evolving labels."""
+
+    nodes: np.ndarray  # the chunk's nodes, in visit order
+    own_pos: np.ndarray  # chunk position of each surviving arc's source
+    nbr: np.ndarray  # arc targets (constraint-filtered)
+    wgt: np.ndarray  # arc weights (constraint-filtered)
+    arcs_scanned: int  # degrees summed pre-filter (work accounting)
+
+
+def plan_chunk(
+    nodes: np.ndarray,
+    xadj: np.ndarray,
+    adjncy: np.ndarray,
+    adjwgt: np.ndarray,
+    constraint: np.ndarray | None = None,
+) -> ChunkPlan:
+    """Build the label-independent arc structure for a chunk of nodes.
+
+    A zero-weight *self-arc* is appended per chunk node: its neighbour
+    label is the node's own label by construction, which makes "staying
+    put" a candidate of strength 0 even when no neighbour shares the
+    node's label, with no membership test at aggregation time.  Self-arcs
+    contribute no strength and are excluded from the work accounting.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    n_chunk = nodes.size
+    begins = xadj[nodes]
+    counts = (xadj[nodes + 1] - begins).astype(np.int64)
+    total = int(counts.sum())
+    arc_idx = np.repeat(begins, counts) + _segment_local_arange(counts, total)
+    node_pos = np.repeat(np.arange(n_chunk, dtype=np.int64), counts)
+    nbr = adjncy[arc_idx]
+    wgt = adjwgt[arc_idx]
+    if constraint is not None:
+        keep = constraint[nbr] == constraint[nodes][node_pos]
+        node_pos, nbr, wgt = node_pos[keep], nbr[keep], wgt[keep]
+    node_pos = np.concatenate([node_pos, np.arange(n_chunk, dtype=np.int64)])
+    nbr = np.concatenate([nbr, nodes])
+    wgt = np.concatenate([wgt, np.zeros(n_chunk, dtype=wgt.dtype)])
+    return ChunkPlan(
+        nodes=nodes, own_pos=node_pos, nbr=nbr, wgt=wgt, arcs_scanned=total
+    )
+
+
+def aggregate_candidates(
+    plan: ChunkPlan,
+    labels: np.ndarray,
+    label_span: int,
+    ws: IterationWorkspace,
+) -> ChunkCandidates:
+    """Aggregate a chunk's neighbour-label connection strengths.
+
+    Every chunk node receives at least one candidate: its own label
+    appears with strength 0 when no (constraint-eligible) neighbour
+    carries it (the plan's self-arc).  A node's candidates are ordered
+    by label value.  ``label_span`` must exceed every value in
+    ``labels``.  Every sized temporary is routed through ``ws``; only
+    ``argsort``/``flatnonzero`` still allocate (NumPy offers no ``out=``
+    form for either).
+    """
+    n_chunk = plan.nodes.size
+    if n_chunk * label_span > 2**62:
+        raise OverflowError(
+            f"chunk of {n_chunk} nodes x label span {label_span} overflows "
+            "the combined int64 sort key; use a smaller chunk"
+        )
+    node_pos = plan.own_pos
+    m = node_pos.size
+    own = np.take(labels, plan.nodes, out=ws.buf("agg.own", n_chunk, np.int64))
+    lab = np.take(labels, plan.nbr, out=ws.buf("agg.lab", m, np.int64))
+
+    key = ws.buf("agg.key", m, np.int64)
+    np.multiply(node_pos, label_span, out=key)
+    key += lab
+    order = np.argsort(key, kind="stable")
+    g_key = np.take(key, order, out=ws.buf("agg.gkey", m, np.int64))
+    head = ws.buf("agg.head", m, bool)
+    head[0] = True
+    np.not_equal(g_key[1:], g_key[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    n_cand = starts.size
+    wgt = plan.wgt if plan.wgt.dtype == np.int64 else plan.wgt.astype(np.int64)
+    g_wgt = np.take(wgt, order, out=ws.buf("agg.gwgt", m, np.int64))
+    c_str = ws.buf("agg.cstr", n_cand, np.int64)
+    np.add.reduceat(g_wgt, starts, out=c_str)
+    s_key = np.take(g_key, starts, out=ws.buf("agg.skey", n_cand, np.int64))
+    c_node = ws.buf("agg.cnode", n_cand, np.int64)
+    np.floor_divide(s_key, label_span, out=c_node)
+    c_lab = ws.buf("agg.clab", n_cand, np.int64)
+    np.remainder(s_key, label_span, out=c_lab)
+
+    # Every chunk node owns at least one candidate (the trailing
+    # self-arc), so the run boundaries of the sorted ``c_node`` cover
+    # exactly the ``n_chunk`` nodes — ``diff`` of boundaries replaces
+    # an allocating ``bincount``.
+    nhead = ws.buf("agg.nhead", n_cand, bool)
+    nhead[0] = True
+    np.not_equal(c_node[1:], c_node[:-1], out=nhead[1:])
+    seg_start = np.flatnonzero(nhead)
+    seg_count = ws.buf("agg.segcnt", n_chunk, np.int64)
+    np.subtract(seg_start[1:], seg_start[:-1], out=seg_count[: n_chunk - 1])
+    seg_count[n_chunk - 1] = n_cand - seg_start[n_chunk - 1]
+
+    own_at = np.take(own, c_node, out=ws.buf("agg.ownat", n_cand, np.int64))
+    is_own = ws.buf("agg.isown", n_cand, bool)
+    np.equal(c_lab, own_at, out=is_own)
+    return ChunkCandidates(
+        node_pos=c_node,
+        labels=c_lab,
+        strength=c_str,
+        is_own=is_own,
+        seg_start=seg_start,
+        seg_count=seg_count,
+        arcs_scanned=plan.arcs_scanned,
+    )
+
+
+def pick_targets_hashed(
+    cands: ChunkCandidates,
+    eligible: np.ndarray,
+    tie_hash: np.ndarray,
+    ws: IterationWorkspace,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masked argmax with hash tie-breaking, plus a *risky* flag per node.
+
+    ``eligible`` masks candidates per the mode's rules (own label already
+    masked for evicting nodes).  Ties among the strongest eligible labels
+    go to the largest :func:`candidate_tie_hash` value (hash collisions
+    fall back to the first candidate in aggregation order), so the
+    decision is a pure function of the node's ``(label, strength,
+    eligibility)`` snapshot — no RNG stream is consumed and visiting
+    fewer nodes cannot shift other nodes' draws.
+
+    Returns ``(choice, risky)``.  ``choice[i]`` is the index of node
+    ``i``'s chosen candidate into the candidate arrays, or ``-1`` when
+    no candidate is eligible.  ``risky[i]`` is set when some
+    *ineligible* candidate of node ``i`` would *win* were it eligible:
+    its strength strictly beats the eligible optimum, or matches it and
+    beats the winner's tie hash (the hash order is phase-invariant, so
+    an equality-tie that loses it today loses it in every rescan).  Only
+    for risky nodes can an eligibility flip (a label regaining
+    capacity) alter the decision while the neighbourhood's labels stay
+    put, so un-risky stay-put nodes may safely leave the frontier.
+
+    ``choice``/``risky`` are freshly allocated — per-node sized, cheap,
+    and safe to outlive the next chunk's workspace reuse.
+    """
+    seg_start = cands.seg_start
+    n_seg = seg_start.size
+    choice = np.full(n_seg, -1, dtype=np.int64)
+    risky = np.zeros(n_seg, dtype=bool)
+    m = cands.node_pos.size
+    if m == 0:
+        return choice, risky
+    eff = ws.buf("pick.eff", m, np.int64)
+    eff.fill(-1)
+    np.copyto(eff, cands.strength, where=eligible)
+    seg_max = ws.buf("pick.segmax", n_seg, np.int64)
+    np.maximum.reduceat(eff, seg_start, out=seg_max)
+    node_max = np.take(seg_max, cands.node_pos,
+                       out=ws.buf("pick.nodemax", m, np.int64))
+
+    best = ws.buf("pick.best", m, bool)
+    np.equal(cands.strength, node_max, out=best)
+    best &= eligible
+    h_eff = ws.buf("pick.heff", m, np.uint64)
+    h_eff.fill(0)
+    np.copyto(h_eff, tie_hash, where=best)
+    seg_hmax = ws.buf("pick.seghmax", n_seg, np.uint64)
+    np.maximum.reduceat(h_eff, seg_start, out=seg_hmax)
+    node_hmax = np.take(seg_hmax, cands.node_pos,
+                        out=ws.buf("pick.nodehmax", m, np.uint64))
+    winner = ws.buf("pick.winner", m, bool)
+    np.equal(h_eff, node_hmax, out=winner)
+    winner &= best
+    idx_eff = ws.buf("pick.idxeff", m, np.int64)
+    idx_eff.fill(np.iinfo(np.int64).max)
+    np.copyto(idx_eff, np.arange(m, dtype=np.int64), where=winner)
+    seg_first = ws.buf("pick.segfirst", n_seg, np.int64)
+    np.minimum.reduceat(idx_eff, seg_start, out=seg_first)
+    has = ws.buf("pick.has", n_seg, bool)
+    np.greater_equal(seg_max, 0, out=has)
+    np.copyto(choice, seg_first, where=has)
+
+    danger = ws.buf("pick.danger", m, bool)
+    np.greater(cands.strength, node_max, out=danger)
+    t_eq = ws.buf("pick.teq", m, bool)
+    np.equal(cands.strength, node_max, out=t_eq)
+    t_hash = ws.buf("pick.thash", m, bool)
+    # >= : an exact hash collision falls back to aggregation order,
+    # which an eligibility flip could tip — keep it risky
+    np.greater_equal(tie_hash, node_hmax, out=t_hash)
+    t_eq &= t_hash
+    danger |= t_eq
+    # A node with no eligible candidate at all stays risky for every
+    # ineligible one (any flip hands that label the win outright).
+    no_elig = np.take(has, cands.node_pos, out=t_hash)  # reuse: done with it
+    np.logical_not(no_elig, out=no_elig)
+    danger |= no_elig
+    np.logical_not(eligible, out=t_eq)  # reuse: done with it
+    danger &= t_eq
+    np.logical_or.reduceat(danger, seg_start, out=risky)
+    return choice, risky
+
+
+def scan_chunk(
+    nodes: np.ndarray,
+    xadj: np.ndarray,
+    adjncy: np.ndarray,
+    adjwgt: np.ndarray,
+    labels: np.ndarray,
+    constraint: np.ndarray | None,
+    vwgt: np.ndarray,
+    used: np.ndarray,
+    cap: np.ndarray,
+    evicting: np.ndarray | None,
+    tie_seed: int,
+    tie_base: int,
+    space: int,
+    ws: IterationWorkspace,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Decide the move of every node of a chunk against one snapshot.
+
+    ``nodes`` (each with at least one arc) are evaluated against
+    ``labels`` and the weight tables as they stand: a label is eligible
+    for node ``v`` when ``used + c(v) <= cap`` (``cap`` int64 or
+    float64); ``v``'s own label is eligible unless ``evicting`` marks
+    ``v`` (``None`` in cluster mode: nobody is evicted).  ``tie_base +
+    v`` is the id hashed for tie-breaking; ``space`` exceeds every label.
+
+    Returns ``(target, risky, arcs)``: per node the chosen label (its
+    own when nothing is eligible) and the *risky* flag of
+    :func:`pick_targets_hashed`, plus the chunk's arc count.  This is
+    the NumPy twin of the compiled ``scan_chunk`` of ``_scan.c``, and
+    its identity oracle.
+    """
+    cands = aggregate_candidates(
+        plan_chunk(nodes, xadj, adjncy, adjwgt, constraint), labels, space, ws
+    )
+    fits = used[cands.labels] + vwgt[nodes][cands.node_pos] <= cap[cands.labels]
+    if evicting is None:
+        eligible = cands.is_own | fits
+    else:
+        # A node of an overloaded block must leave it; anyone else may stay.
+        eligible = np.where(cands.is_own, ~evicting[cands.node_pos], fits)
+    # hash *global* ids so tie decisions are a property of the node,
+    # not of its rank-local numbering
+    tie_ids = nodes[cands.node_pos]
+    if tie_base:
+        tie_ids = tie_base + tie_ids
+    choice, risky = pick_targets_hashed(
+        cands, eligible, candidate_tie_hash(tie_seed, tie_ids, cands.labels), ws
+    )
+    has = choice >= 0
+    target = labels[nodes]
+    target[has] = cands.labels[choice[has]]
+    return target, risky, cands.arcs_scanned
+
+
+def capped_inflow_mask(
+    targets: np.ndarray,
+    weights: np.ndarray,
+    used: np.ndarray,
+    budget: np.ndarray,
+) -> np.ndarray:
+    """Cancel chunk moves that would overrun a label's remaining capacity.
+
+    ``targets``/``weights`` are the chunk's intended moves in visit
+    order; ``used[i]`` is the weight already booked against
+    ``targets[i]`` as of the chunk start and ``budget[i]`` its capacity
+    (both identical for equal targets).  Per target label, the
+    cumulative moved weight in visit order is cut at the first overrun
+    of ``used + cumulative <= budget``, so committed weights never
+    exceed the chunk-start capacity even though every node evaluated
+    eligibility against the same stale snapshot.  The test is written as
+    an addition (not ``cumulative <= budget - used``) so that a chunk of
+    one move reproduces the eligibility comparison bit for bit, floats
+    included.
+    """
+    if targets.size == 0:
+        return np.zeros(0, dtype=bool)
+    order = np.argsort(targets, kind="stable")
+    t_s, w_s = targets[order], weights[order]
+    cum = np.cumsum(w_s)
+    head = np.empty(t_s.size, dtype=bool)
+    head[0] = True
+    head[1:] = t_s[1:] != t_s[:-1]
+    starts = np.flatnonzero(head)
+    seg_base = cum[starts] - w_s[starts]
+    seg_id = np.cumsum(head) - 1
+    within = cum - seg_base[seg_id]
+    ok = (used[order] + within) <= budget[order]
+    keep = np.empty(targets.size, dtype=bool)
+    keep[order] = ok
+    return keep

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.kernels import candidate_tie_hash
+from .numpy_kernels import candidate_tie_hash
 
 
 def reference_sclp(

@@ -169,12 +169,11 @@ class TestContractMatchesLexsortOracle:
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.usefixtures("compiled_kernels")
 class TestNativeBuildMatchesScipy:
     """``native.quotient_arcs`` against the scipy grouping of the
-    relabelled arcs it replaces: the same three arrays.
-    (:class:`TestContractMatchesLexsortOracle` holds whichever of the two
-    ``contract`` ran to a third.)"""
+    relabelled arcs it replaced: the same three arrays.
+    (:class:`TestContractMatchesLexsortOracle` holds ``contract`` to a
+    third.)"""
 
     @staticmethod
     def assert_same(graph, mapping, n_coarse):

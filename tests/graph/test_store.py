@@ -20,12 +20,58 @@ from repro.graph import (
 )
 from repro.graph.store import (
     SHM_PREFIX,
-    ArcGatherView,
     InMemoryStore,
     MmapShardStore,
     SharedMemoryStore,
     align_chunk_to_span,
 )
+
+
+class ArcGatherView:
+    """A one-field, read-only *view* of a store's arc array.
+
+    What the SCLP chunk loop indexed on an out-of-core graph before the
+    compiled phase kernel read shard segments; kept here as the oracle of
+    the store's access paths.  Fancy indexing with an int64 index array,
+    slicing, ``tolist()`` and ``np.asarray`` are each delegated to the
+    store, which serves them from whatever shards are needed.  Fancy
+    indexing returns a fresh array (never a view into a mapped shard),
+    so LRU eviction can never invalidate data a caller still holds.
+    """
+
+    __slots__ = ("_store", "_field")
+
+    def __init__(self, store, field_name: str) -> None:
+        if field_name not in ("adjncy", "adjwgt"):
+            raise ValueError(f"unknown arc field {field_name!r}")
+        self._store = store
+        self._field = field_name
+
+    @property
+    def size(self) -> int:
+        return self._store.num_arcs
+
+    def __len__(self) -> int:
+        return self._store.num_arcs
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._store.num_arcs)
+            block = self._store.arc_block(start, stop)
+            part = block[0] if self._field == "adjncy" else block[1]
+            return part[::step] if step != 1 else part
+        idx = np.asarray(index, dtype=np.int64)
+        if idx.ndim == 0:
+            return self._store.gather(idx.reshape(1), self._field)[0]
+        return self._store.gather(idx, self._field)
+
+    def tolist(self) -> list:
+        return np.asarray(self).tolist()
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        pair = self._store.materialize()
+        arr = pair[0] if self._field == "adjncy" else pair[1]
+        return arr if dtype is None else arr.astype(dtype)
 
 
 def _weighted_graph(scale: int = 8, seed: int = 5) -> Graph:
@@ -51,8 +97,8 @@ class TestShardedRoundTrip:
         assert again.name == graph.name
         assert np.array_equal(again.xadj, graph.xadj)
         assert np.array_equal(again.vwgt, graph.vwgt)
-        assert np.array_equal(np.asarray(again.adjncy_view), graph.adjncy)
-        assert np.array_equal(np.asarray(again.adjwgt_view), graph.adjwgt)
+        assert np.array_equal(np.asarray(ArcGatherView(again.store, "adjncy")), graph.adjncy)
+        assert np.array_equal(np.asarray(ArcGatherView(again.store, "adjwgt")), graph.adjwgt)
         assert again == graph.materialized() == again.materialized()
 
     def test_unweighted_omits_weight_files(self, tmp_path):
@@ -112,8 +158,7 @@ class TestArcAccess:
     def test_gather_view_protocols(self, tmp_path):
         graph = _weighted_graph()
         sharded = _round_trip(graph, tmp_path, nodes_per_shard=32)
-        view = sharded.adjncy_view
-        assert isinstance(view, ArcGatherView)
+        view = ArcGatherView(sharded.store, "adjncy")
         assert len(view) == view.size == graph.num_arcs
         assert np.array_equal(view[10:50], graph.adjncy[10:50])
         idx = np.array([3, 99, 7], dtype=np.int64)

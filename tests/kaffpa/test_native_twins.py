@@ -2,8 +2,8 @@
 
 Greedy graph growing (whole graph and inside the node subsets of a
 recursive bisection), greedy k-way boundary refinement and heavy-edge
-matching each run compiled where ``repro.native`` loaded and as the
-Python loop of their module otherwise.  The contract is identity: the
+matching run compiled; their Python twins (``python_twins.py`` here) are
+the loops they replaced.  The contract is identity: the
 same array out *and* the same ``rng`` state afterwards, on every graph —
 and the graphs KaFFPa really gets are degenerate (contraction leaves
 isolated coarse nodes wherever a whole component became one cluster),
@@ -14,7 +14,7 @@ pieces, a node heavier than the target, ``k > n``.
 
 from __future__ import annotations
 
-from unittest import mock
+import contextlib
 
 import numpy as np
 import pytest
@@ -32,12 +32,9 @@ from repro.kaffpa import (
 )
 from repro.kaffpa.initial import _rows_sorted
 
-from ..conftest import random_graphs
+from ..conftest import python_twins, random_graphs
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
-
-
-pytestmark = pytest.mark.usefixtures("compiled_kernels")
 
 
 @st.composite
@@ -67,15 +64,12 @@ TWO_PIECES = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)], weights=[2, 3, 3, 2
 
 
 def both(fn, seed: int):
-    """``fn(rng)`` compiled and on the twin: ``(value, rng state)`` each."""
+    """``fn(rng)`` compiled and on the twins: ``(value, rng state)`` each."""
     outcomes = []
-    for forced in (None, native.Resolution(None, "the twin")):
+    for twins in (False, True):
         rng = np.random.default_rng(seed)
-        if forced is None:
+        with python_twins() if twins else contextlib.nullcontext():
             value = fn(rng)
-        else:
-            with mock.patch.object(native, "_resolution", forced):
-                value = fn(rng)
         outcomes.append((value, rng.bit_generator.state))
     return outcomes
 

@@ -289,7 +289,8 @@ class TestSequentialPipelineEvents:
             largest[chunk] = max(s["attrs"]["chunk_size"] for s in iterations)
         assert largest == {8: 8, 16: 16}
 
-    def test_sequential_summary_says_which_path_ran(self):
+    def test_sequential_summary_says_which_path_ran(self, tmp_path):
+        from repro.graph import open_sharded, save_sharded
         from repro.obsv import build_run_summary, validate_run_summary
 
         records = self._traced_sequential(64)
@@ -303,17 +304,22 @@ class TestSequentialPipelineEvents:
             assert span["attrs"]["chunk_size"] >= 1
         summary = build_run_summary(records)
         assert not validate_run_summary(summary)
-        # ... and on which chunk-scan kernel, the spans agreeing with the header
-        assert summary["header"]["lp_kernel"] in ("native", "numpy")
-        assert {s["attrs"]["kernel"] for s in iterations} == {
-            summary["header"]["lp_kernel"]
-        }
-        # ... and by which loop: one compiled call per phase on a resident
-        # graph, the Python chunk loop (with its reason) on the fallback
-        assert {point["loop"] for point in summary["convergence"]} == {
-            {"native": "native", "numpy": "python: numpy kernel"}[
-                summary["header"]["lp_kernel"]]
-        }
+        # ... on the one kernel, by one of two loops: one compiled call
+        # per phase on a resident graph, one per shard segment on a store
+        assert summary["header"]["lp_kernel"] == "native"
+        assert {point["loop"] for point in summary["convergence"]} == {"native"}
+        save_sharded(rmat(10, seed=2), tmp_path / "shards", nodes_per_shard=128)
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            partition_graph(open_sharded(tmp_path / "shards"), k=4, seed=0)
+        finally:
+            TRACER.disable()
+        stored = build_run_summary([dict(TRACER.header)] + TRACER.snapshot())
+        assert {point["loop"] for point in stored["convergence"]} == {
+            "native: store segments"}
+        assert all(s["attrs"]["segments"] >= 8  # 1024 nodes in shards of 128
+                   for s in _spans(TRACER.snapshot(), "lp.iteration"))
         assert {point["sweep"] for point in summary["convergence"]} == {
             "full", "frontier",
         }
