@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import format_table, write_report
-from repro.core import label_propagation_refinement
-from repro.core.label_propagation import band_nodes
+from repro.engine import LocalBackend, run_sclp
 from repro.generators import load_instance
 from repro.graph import max_block_weight_bound
+from repro.graph.ops import band_nodes
 from repro.kaffpa import kaffpa_partition, KaffpaOptions
 from repro.metrics import edge_cut
 
@@ -34,17 +34,17 @@ def run_experiment() -> str:
         start_cut = edge_cut(graph, start)
         configs = [("full", None), ("band-1", 1), ("band-2", 2), ("band-3", 3)]
         for label, distance in configs:
+            band = None if distance is None else band_nodes(graph, start, distance)
             cuts = []
             for seed in range(3):
-                refined = label_propagation_refinement(
-                    graph, start, lmax, 6, np.random.default_rng(seed),
-                    band_distance=distance,
+                rng = np.random.default_rng(seed)
+                refined = run_sclp(
+                    LocalBackend(graph, rng), start, lmax, 6, refine=True,
+                    ordering="random", band=band,
+                    tie_seed=int(rng.integers(0, 2**63 - 1)),
                 )
                 cuts.append(edge_cut(graph, refined))
-            visited = (
-                graph.num_nodes if distance is None
-                else band_nodes(graph, start, distance).size
-            )
+            visited = graph.num_nodes if band is None else band.size
             rows.append([
                 name, label, f"{start_cut:,}", f"{np.mean(cuts):,.0f}",
                 f"{visited:,}", f"{visited / graph.num_nodes:.0%}",

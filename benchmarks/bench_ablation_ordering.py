@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import format_table, write_report
-from repro.core.label_propagation import label_propagation_clustering
+from repro.engine import LocalBackend, run_sclp
 from repro.generators import load_instance
 from repro.graph import max_block_weight_bound
 from repro.metrics import modularity
@@ -25,14 +25,18 @@ def run_experiment() -> str:
     rows = []
     for name in ("uk-2002", "eu-2005", "amazon"):
         graph = load_instance(name, seed=0)
-        bound = max(1, max_block_weight_bound(graph, 2, 0.03) // 14)
+        bound = max(int(graph.vwgt.max(initial=1)),
+                    max_block_weight_bound(graph, 2, 0.03) // 14)
+        singletons = np.arange(graph.num_nodes, dtype=np.int64)
         entry = [name]
         for ordering in ("degree", "random"):
             mods = []
             clusters = []
             for seed in range(3):
-                labels = label_propagation_clustering(
-                    graph, bound, 3, np.random.default_rng(seed), ordering=ordering
+                rng = np.random.default_rng(seed)
+                labels = run_sclp(
+                    LocalBackend(graph, rng), singletons, bound, 3, ordering=ordering,
+                    tie_seed=int(rng.integers(0, 2**63 - 1)),
                 )
                 mods.append(modularity(graph, labels))
                 clusters.append(len(np.unique(labels)))

@@ -57,15 +57,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import partition_graph
 from repro.core.config import fast_config
-from repro.core.label_propagation import (
-    label_propagation_clustering,
-    size_constrained_label_propagation,
-)
+from repro.engine import LocalBackend, SpmdBackend, run_sclp
 from repro.engine.kernels import DEFAULT_CHUNK_SIZE
 from repro.dist.dist_partitioner import parallel_partition
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
 from repro.dist.dist_contraction import parallel_contract
-from repro.dist.dist_lp import parallel_label_propagation
 from repro.dist.runtime import run_spmd, run_spmd_processes
 from repro.generators import grid_2d, rmat
 from repro.graph.quotient import contract
@@ -111,9 +107,10 @@ def seq_lp_rate(graph, chunk: int) -> float:
     def run() -> float:
         rng = np.random.default_rng(0)
         t0 = time.perf_counter()
-        size_constrained_label_propagation(
-            graph, max(2, int(graph.vwgt.sum()) // 50), LP_ITERATIONS, rng,
-            chunk_size=chunk,
+        run_sclp(
+            LocalBackend(graph, rng), np.arange(graph.num_nodes, dtype=np.int64),
+            max(2, int(graph.vwgt.sum()) // 50), LP_ITERATIONS, chunk=chunk,
+            tie_seed=int(rng.integers(0, 2**63 - 1)),
         )
         return time.perf_counter() - t0
 
@@ -135,9 +132,9 @@ def par_lp_rate(graph, chunk: int, sweep: str, pes: int = PES) -> float:
         )
         init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
         t0 = time.perf_counter()
-        parallel_label_propagation(
-            dgraph, comm, init, 300, LP_ITERATIONS, mode="cluster",
-            chunk_size=chunk, pin_sweep=sweep,
+        run_sclp(
+            SpmdBackend(dgraph, comm), init, 300, LP_ITERATIONS, chunk=chunk,
+            pin_sweep=sweep, tie_seed=int(comm.rng.integers(0, 2**63 - 1)),
         )
         return comm.allreduce_max(time.perf_counter() - t0)
 
@@ -156,9 +153,9 @@ def _proc_lp_program(comm, graph):
     )
     init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
     t0 = time.perf_counter()
-    parallel_label_propagation(
-        dgraph, comm, init, 300, LP_ITERATIONS, mode="cluster",
-        pin_sweep="frontier",
+    run_sclp(
+        SpmdBackend(dgraph, comm), init, 300, LP_ITERATIONS,
+        pin_sweep="frontier", tie_seed=int(comm.rng.integers(0, 2**63 - 1)),
     )
     return comm.allreduce_max(time.perf_counter() - t0)
 
@@ -199,9 +196,9 @@ def par_lp_converged_rate(graph, sweep: str, pes: int = PES) -> float:
         )
         init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
         t0 = time.perf_counter()
-        parallel_label_propagation(
-            dgraph, comm, init, int(graph.vwgt.sum()),
-            LP_CONVERGED_ITERATIONS, mode="cluster", pin_sweep=sweep,
+        run_sclp(
+            SpmdBackend(dgraph, comm), init, int(graph.vwgt.sum()),
+            LP_CONVERGED_ITERATIONS, pin_sweep=sweep, tie_seed=int(comm.rng.integers(0, 2**63 - 1)),
         )
         return comm.allreduce_max(time.perf_counter() - t0)
 
@@ -213,8 +210,11 @@ def projected_partition(graph, k: int) -> np.ndarray:
     """What refinement starts from at the finest level: a partition of
     the once-contracted graph, projected back through the clustering."""
     bound = max_block_weight_bound(graph, k, 0.03) // 14
-    clustering = label_propagation_clustering(
-        graph, bound, LP_ITERATIONS, np.random.default_rng(0)
+    rng = np.random.default_rng(0)
+    clustering = run_sclp(
+        LocalBackend(graph, rng), np.arange(graph.num_nodes, dtype=np.int64),
+        max(int(graph.vwgt.max(initial=1)), bound), LP_ITERATIONS,
+        tie_seed=int(rng.integers(0, 2**63 - 1)),
     )
     level = contract(graph, clustering)
     return partition_graph(level.coarse, k, seed=0).partition[level.fine_to_coarse]
@@ -235,9 +235,10 @@ def par_lp_refine_rate(graph, start: np.ndarray, sweep: str,
         ]
         dgraph.halo_exchange(comm, labels)
         t0 = time.perf_counter()
-        parallel_label_propagation(
-            dgraph, comm, labels, bound, LP_REFINE_ITERATIONS, mode="refine",
-            k=REFINE_K, pin_sweep=sweep,
+        run_sclp(
+            SpmdBackend(dgraph, comm), labels, bound, LP_REFINE_ITERATIONS,
+            refine=True, shares=True, k=REFINE_K, ordering="random",
+            pin_sweep=sweep, tie_seed=int(comm.rng.integers(0, 2**63 - 1)),
         )
         return comm.allreduce_max(time.perf_counter() - t0)
 
@@ -260,9 +261,9 @@ def frontier_stats(graph) -> dict:
             graph, balanced_vtxdist(graph.num_nodes, comm.size), comm.rank
         )
         init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
-        parallel_label_propagation(
-            dgraph, comm, init, 300, LP_ITERATIONS, mode="cluster",
-            pin_sweep="frontier", delta_exchange=delta,
+        run_sclp(
+            SpmdBackend(dgraph, comm), init, 300, LP_ITERATIONS,
+            pin_sweep="frontier", tie_seed=int(comm.rng.integers(0, 2**63 - 1)), delta=delta,
         )
         return None
 

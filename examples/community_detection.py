@@ -20,11 +20,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import label_propagation_clustering
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
-from repro.dist.dist_lp import parallel_label_propagation
+from repro.engine import LocalBackend, SpmdBackend, run_sclp
 from repro.generators import planted_partition, powerlaw_cluster
 from repro.metrics import modularity
+
+
+def cluster(graph, bound: int, iterations: int, seed: int) -> np.ndarray:
+    """Size-constrained label propagation from singleton clusters; every
+    node weighs 1 here, so no cluster grows beyond ``bound`` nodes."""
+    rng = np.random.default_rng(seed)
+    singletons = np.arange(graph.num_nodes, dtype=np.int64)
+    return run_sclp(LocalBackend(graph, rng), singletons, bound, iterations,
+                    tie_seed=int(rng.integers(0, 2**63 - 1)))
 
 
 def pair_agreement(labels: np.ndarray, truth: np.ndarray, samples: int = 20000) -> float:
@@ -44,9 +52,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("1) Recovering planted communities (8 blocks of 96 nodes) ...")
     graph, truth = planted_partition(8, 96, p_in=0.25, p_out=0.003, seed=1)
-    labels = label_propagation_clustering(
-        graph, max_cluster_weight=96, iterations=8, rng=np.random.default_rng(1)
-    )
+    labels = cluster(graph, 96, iterations=8, seed=1)
     print(f"   clusters found : {np.unique(labels).size} (truth: 8)")
     print(f"   modularity     : {modularity(graph, labels):.3f} "
           f"(truth: {modularity(graph, truth):.3f})")
@@ -58,10 +64,7 @@ def main() -> None:
     print("\n2) Size constraint as resolution knob on a social network ...")
     social = powerlaw_cluster(4096, attach=6, triad_probability=0.7, seed=2)
     for bound in (16, 64, 256, 1024):
-        labels = label_propagation_clustering(
-            social, max_cluster_weight=bound, iterations=5,
-            rng=np.random.default_rng(2),
-        )
+        labels = cluster(social, bound, iterations=5, seed=2)
         sizes = np.bincount(labels)
         sizes = sizes[sizes > 0]
         print(f"   U={bound:5d}: {sizes.size:5d} clusters, "
@@ -76,8 +79,8 @@ def main() -> None:
     def program(comm):
         dgraph = DistGraph.from_global(social, vtxdist, comm.rank)
         init = dgraph.to_global(np.arange(dgraph.n_total))
-        labels = parallel_label_propagation(dgraph, comm, init, 256, 5,
-                                            mode="cluster")
+        labels = run_sclp(SpmdBackend(dgraph, comm), init, 256, 5,
+                          tie_seed=int(comm.rng.integers(0, 2**63 - 1)))
         return dgraph.gather_global(comm, labels)
 
     result = run_spmd(4, program, seed=2)

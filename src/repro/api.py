@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.config import PartitionConfig, eco_config, fast_config, minimal_config
+from .core.config import (
+    PartitionConfig,
+    check_integer,
+    eco_config,
+    fast_config,
+    minimal_config,
+)
 from .core.partitioner import sequential_partition
 from .dist.dist_partitioner import parallel_partition
 from .engine.backend import resolve_backend
@@ -55,14 +61,6 @@ class PartitionResult:
     def feasible(self) -> bool:
         """Whether the heaviest block is within :attr:`lmax`."""
         return self.quality.max_block_weight <= self.lmax
-
-
-def check_num_pes(num_pes: int) -> int:
-    """``num_pes`` if it is an ``int >= 1`` (bools are not), else ValueError."""
-    integral = isinstance(num_pes, (int, np.integer)) and not isinstance(num_pes, bool)
-    if not integral or num_pes < 1:
-        raise ValueError(f"num_pes must be an integer >= 1, got {num_pes!r}")
-    return int(num_pes)
 
 
 def _resolve_config(
@@ -135,7 +133,7 @@ def partition_graph(
     the heaviest block is within ``lmax``; when it is not, one
     :class:`RuntimeWarning` names the block and the bound.
     """
-    num_pes = check_num_pes(num_pes)
+    num_pes = check_integer("num_pes", num_pes)
     config = _resolve_config(k, config, preset, epsilon)
     backend = resolve_backend(backend)
     if not graph.resident:

@@ -27,8 +27,9 @@ from pathlib import Path
 
 
 from . import generators
-from .api import check_num_pes, partition_graph
+from .api import partition_graph
 from .core.clustering import cluster_graph
+from .core.config import check_integer
 from .engine.backend import BACKENDS
 from .graph import (
     Graph,
@@ -114,7 +115,7 @@ def _write_trace_outputs(trace_out: str) -> None:
 
 def _num_pes(text: str) -> int:
     try:
-        return check_num_pes(int(text))
+        return check_integer("num_pes", int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"num_pes must be an integer >= 1, got {text!r}"

@@ -1,15 +1,10 @@
-"""The paper's primary contribution: size-constrained label propagation
-and the cluster-contraction multilevel partitioner (sequential form)."""
+"""The paper's primary contribution: the cluster-contraction multilevel
+partitioner (sequential form), whose coarsening and refinement call the
+one size-constrained label propagation, :func:`repro.engine.run_sclp`."""
 
 from .clustering import ClusteringResult, cluster_graph, modularity_local_moving
 from .coarsening import Hierarchy, HierarchyLevel, coarsen
 from .config import PartitionConfig, eco_config, fast_config, minimal_config
-from .label_propagation import (
-    label_propagation_clustering,
-    label_propagation_refinement,
-    size_constrained_label_propagation,
-    visit_order,
-)
 from .multilevel import detect_social, multilevel_partition
 from .partitioner import SequentialResult, sequential_partition
 from .projection import project_partition
@@ -29,12 +24,8 @@ __all__ = [
     "eco_config",
     "fast_config",
     "iterated_vcycles",
-    "label_propagation_clustering",
-    "label_propagation_refinement",
     "minimal_config",
     "multilevel_partition",
     "project_partition",
     "sequential_partition",
-    "size_constrained_label_propagation",
-    "visit_order",
 ]

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.backend import LocalBackend
+from ..engine.sclp import run_sclp
 from ..graph.csr import Graph
 from ..graph.quotient import contract, normalize_labels
 from ..metrics.modularity import modularity
-from .label_propagation import label_propagation_clustering
 
 __all__ = ["ClusteringResult", "cluster_graph", "modularity_local_moving"]
 
@@ -112,8 +113,11 @@ def modularity_local_moving(
 
 def _core_groups(graph: Graph, restarts: int, bound: int, rng: np.random.Generator) -> np.ndarray:
     """CGGC core groups: nodes agreeing across several LP restarts."""
+    singletons = np.arange(graph.num_nodes, dtype=np.int64)
+    bound = max(int(graph.vwgt.max(initial=1)), bound)
     runs = [
-        label_propagation_clustering(graph, bound, 4, rng, ordering="random")
+        run_sclp(LocalBackend(graph, rng), singletons, bound, 4, ordering="random",
+                 tie_seed=int(rng.integers(0, 2**63 - 1)))
         for _ in range(max(1, restarts))
     ]
     combined = runs[0]

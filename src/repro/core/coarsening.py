@@ -1,12 +1,13 @@
 """Cluster-contraction coarsening: build the multilevel hierarchy.
 
 Repeatedly cluster the current graph with size-constrained label
-propagation and contract the clustering (Section III).  Coarsening stops
-when the graph is small enough for initial partitioning
-(``coarsest_nodes_per_block * k`` nodes) or when a level fails to shrink
-the graph (complex networks shrink by orders of magnitude per level;
-meshes shrink slowly — both behaviours are measured in the
-coarsening-effectiveness bench).
+propagation (:func:`repro.engine.sclp.run_sclp` from singletons, nodes
+in ``config.coarsening_ordering``) and contract the clustering
+(Section III).  Coarsening stops when the graph is small enough for
+initial partitioning (``coarsest_nodes_per_block * k`` nodes) or when a
+level fails to shrink the graph (complex networks shrink by orders of
+magnitude per level; meshes shrink slowly — both behaviours are
+measured in the coarsening-effectiveness bench).
 
 The level loop itself lives in :func:`repro.engine.vcycle.run_coarsening`,
 shared with the distributed pipeline; this module binds its hooks to the
@@ -20,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.backend import LocalBackend
+from ..engine.sclp import run_sclp
 from ..engine.vcycle import run_coarsening
 from ..graph.csr import Graph
 from ..graph.quotient import contract as contract_clustering
 from ..graph.validation import max_block_weight_bound
 from .config import PartitionConfig
-from .label_propagation import label_propagation_clustering
 
 __all__ = ["HierarchyLevel", "Hierarchy", "LocalCoarseningBackend", "coarsen"]
 
@@ -105,14 +107,18 @@ class LocalCoarseningBackend:
         return int(self.current.vwgt.max(initial=1))
 
     def cluster(self, level_bound: int) -> np.ndarray:
-        return label_propagation_clustering(
-            self.current,
-            max_cluster_weight=level_bound,
-            iterations=self.config.coarsening_iterations,
-            rng=self.rng,
+        graph = self.current
+        return run_sclp(
+            LocalBackend(graph, self.rng),
+            np.arange(graph.num_nodes, dtype=np.int64),
+            # U = max(max c(v), bound): every node fits in some cluster,
+            # even on weighted coarse levels
+            max(int(graph.vwgt.max(initial=1)), int(level_bound)),
+            self.config.coarsening_iterations,
             ordering=self.config.coarsening_ordering,
             constraint=self.constraint,
-            chunk_size=self.config.lp_chunk_size,
+            chunk=self.config.lp_chunk_size,
+            tie_seed=int(self.rng.integers(0, 2**63 - 1)),
         )
 
     def contract(self, labels: np.ndarray) -> HierarchyLevel:

@@ -19,6 +19,7 @@ random value in ``[10, 25]`` in later V-cycles for diversification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,9 @@ import numpy as np
 from ..engine.kernels import DEFAULT_CHUNK_SIZE
 from ..kaffpa.driver import KaffpaOptions
 
-__all__ = ["PartitionConfig", "fast_config", "eco_config", "minimal_config"]
+__all__ = [
+    "PartitionConfig", "check_integer", "fast_config", "eco_config", "minimal_config",
+]
 
 #: size-constraint factor f on social/web graphs during V-cycle 1 (§V-A)
 CLUSTER_FACTOR_SOCIAL = 14.0
@@ -34,6 +37,15 @@ CLUSTER_FACTOR_SOCIAL = 14.0
 CLUSTER_FACTOR_MESH = 20_000.0
 #: f range drawn from in V-cycles after the first (diversification)
 CLUSTER_FACTOR_LATER = (10.0, 25.0)
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` if it is an integer >= 1 (a bool is not), else a
+    ``ValueError`` naming ``name`` and the value."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -79,10 +91,10 @@ class PartitionConfig:
     lp_chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        check_integer("k", self.k)
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ValueError(
+                f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
         if self.num_vcycles < 1:
             raise ValueError("need at least one V-cycle")
         if self.lp_chunk_size < 1:

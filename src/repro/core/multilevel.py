@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.backend import LocalBackend
+from ..engine.sclp import run_sclp
 from ..engine.vcycle import run_vcycle
 from ..graph.csr import Graph
 from ..graph.ops import degree_statistics
@@ -25,7 +27,6 @@ from ..kaffpa.driver import kaffpa_partition
 from ..metrics.quality import edge_cut
 from .coarsening import HierarchyLevel, LocalCoarseningBackend
 from .config import PartitionConfig
-from .label_propagation import label_propagation_refinement
 from .projection import project_partition
 
 __all__ = ["LocalVcycleBackend", "detect_social", "multilevel_partition"]
@@ -90,13 +91,16 @@ class LocalVcycleBackend(LocalCoarseningBackend):
         return self._lp_refine(level.fine, partition)
 
     def _lp_refine(self, graph: Graph, partition: np.ndarray) -> np.ndarray:
-        return label_propagation_refinement(
-            graph,
+        # The hard bound Lmax, random order, overloaded blocks evicted.
+        return run_sclp(
+            LocalBackend(graph, self.rng),
             partition,
             self.lmax,
             self.config.refinement_iterations,
-            self.rng,
-            chunk_size=self.config.lp_chunk_size,
+            refine=True,
+            ordering="random",
+            chunk=self.config.lp_chunk_size,
+            tie_seed=int(self.rng.integers(0, 2**63 - 1)),
         )
 
     def level_cut(self, level: HierarchyLevel, partition: np.ndarray) -> int:

@@ -3,7 +3,10 @@
 One communicator (:class:`SimComm`, the hub protocol of
 :mod:`repro.dist.comm`) serves both kinds of rank; the two launchers
 (:func:`run_spmd` on threads, :func:`run_spmd_processes` on spawned OS
-processes) differ only in where the ranks run.
+processes) differ only in where the ranks run.  The parallel label
+propagation is the engine's :func:`repro.engine.run_sclp` on a
+:class:`repro.engine.SpmdBackend`, called by the V-cycle hooks of
+:mod:`repro.dist.dist_partitioner`.
 """
 
 from .comm import (
@@ -38,10 +41,6 @@ def __getattr__(name):
         from . import dist_partitioner
 
         return getattr(dist_partitioner, name)
-    if name in {"parallel_label_propagation", "distributed_edge_cut", "exact_block_weights"}:
-        from . import dist_lp
-
-        return getattr(dist_lp, name)
     if name in {"DistContraction", "parallel_contract", "parallel_uncoarsen", "lookup_coarse_values"}:
         from . import dist_contraction
 

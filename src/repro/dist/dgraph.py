@@ -255,12 +255,6 @@ class DistGraph:
             mask[self.arc_sources()[ghost_arcs]] = True
         return mask
 
-    def ghost_fraction(self) -> float:
-        """Fraction of arcs pointing at ghosts (the paper's locality measure)."""
-        if self.num_arcs == 0:
-            return 0.0
-        return float((self.adjncy >= self.n_local).sum() / self.num_arcs)
-
     def ghost_sources(self) -> tuple[np.ndarray, np.ndarray]:
         """Reverse CSR: ghost slot -> owned nodes with an arc to that ghost.
 

@@ -125,8 +125,8 @@ def parallel_contract(
     """Contract a clustering of a distributed graph, fully in parallel.
 
     ``labels`` is the length-``n_total`` cluster array produced by
-    :func:`~repro.dist.dist_lp.parallel_label_propagation` (cluster ids
-    live in the global fine node id space).  ``constraint`` optionally
+    :meth:`~repro.dist.dist_partitioner.SpmdVcycleBackend.cluster` (cluster
+    ids live in the global fine node id space).  ``constraint`` optionally
     carries a partition to the coarse level (V-cycles).
     """
     with TRACER.span("contract", comm=comm, fine_nodes=dgraph.n_global) as sp:

@@ -25,6 +25,14 @@ keeps the public API.  Every hook that communicates is collective over
 ``comm`` and is reached identically on every rank, preserving the
 lock-step protocol of the simulated runtime.
 
+Both label propagations are :func:`repro.engine.sclp.run_sclp` on an
+:class:`~repro.engine.backend.SpmdBackend` over the level's graph
+slice: clustering from singletons named by global id, each PE keeping a
+local view of the cluster weights, nodes in local-degree order;
+refinement under the hard bound with exact weights restored by an
+allreduce every phase and per-PE 1/p budget shares within it (§IV-B),
+nodes in random order.  Ghost labels are one phase stale.
+
 Nodes without arcs take no part: every rank sets them apart before the
 first V-cycle and places them after the last (:mod:`repro.core.isolated`).
 
@@ -41,7 +49,8 @@ import numpy as np
 from ..core.config import PartitionConfig, fast_config
 from ..core.isolated import around_isolated
 from ..core.multilevel import detect_social
-from ..engine.backend import resolve_backend
+from ..engine.backend import SpmdBackend, resolve_backend
+from ..engine.sclp import run_sclp
 from ..engine.vcycle import run_vcycle
 from ..evolutionary.kaffpae import KaffpaeOptions, kaffpae_partition
 from ..graph.build import group_arcs
@@ -54,7 +63,6 @@ from ..perf.memory import MemoryBudget, estimate_graph_bytes
 from .comm import SimComm
 from .dgraph import DistGraph, balanced_vtxdist
 from .dist_contraction import parallel_contract, parallel_uncoarsen
-from .dist_lp import distributed_edge_cut, parallel_label_propagation
 from .runtime import run_spmd, run_spmd_processes
 
 __all__ = [
@@ -99,6 +107,16 @@ def _collect_replica(dgraph: DistGraph, comm: SimComm) -> Graph:
     all_src, all_dst, all_wgt, all_vwgt = (np.concatenate(column) for column in zip(*pieces))
     xadj, adjncy, adjwgt = group_arcs(dgraph.n_global, all_src, all_dst, all_wgt)
     return Graph(xadj, adjncy, all_vwgt, adjwgt, name="coarsest-replica")
+
+
+def distributed_edge_cut(dgraph: DistGraph, comm: SimComm, labels: np.ndarray) -> int:
+    """Global edge cut of a (local + ghost) label array, via allreduce."""
+    src_labels = labels[dgraph.arc_sources()]
+    dst_labels = labels[dgraph.adjncy]
+    local_cut = int(dgraph.adjwgt[src_labels != dst_labels].sum())
+    # Cross-PE cut arcs are counted once per side, local-local arcs twice;
+    # summing over all PEs double-counts every cut edge exactly twice.
+    return int(comm.allreduce(local_cut)) // 2
 
 
 class SpmdVcycleBackend:
@@ -171,18 +189,15 @@ class SpmdVcycleBackend:
         return int(self.comm.allreduce_max(local_max))
 
     def cluster(self, level_bound: int) -> np.ndarray:
-        init_labels = self.current.to_global(
-            np.arange(self.current.n_total, dtype=np.int64)
-        )
-        return parallel_label_propagation(
-            self.current,
-            self.comm,
-            init_labels,
+        # Singletons named by global id; local weight views, degree order.
+        return run_sclp(
+            SpmdBackend(self.current, self.comm),
+            self.current.to_global(np.arange(self.current.n_total, dtype=np.int64)),
             level_bound,
             self.config.coarsening_iterations,
-            mode="cluster",
             constraint=self.constraint,
-            chunk_size=self.config.lp_chunk_size,
+            chunk=self.config.lp_chunk_size,
+            tie_seed=int(self.comm.rng.integers(0, 2**63 - 1)),
         )
 
     def contract(self, labels: np.ndarray):
@@ -282,15 +297,18 @@ class SpmdVcycleBackend:
         return labels
 
     def refine_level(self, level, partition: np.ndarray) -> np.ndarray:
-        return parallel_label_propagation(
-            level.fine,
-            self.comm,
+        # Exact weights per phase, 1/p budget shares within it, random order.
+        return run_sclp(
+            SpmdBackend(level.fine, self.comm),
             partition,
             self.lmax,
             self.config.refinement_iterations,
-            mode="refine",
+            refine=True,
+            shares=True,
             k=self.config.k,
-            chunk_size=self.config.lp_chunk_size,
+            ordering="random",
+            chunk=self.config.lp_chunk_size,
+            tie_seed=int(self.comm.rng.integers(0, 2**63 - 1)),
         )
 
     def level_cut(self, level, partition: np.ndarray) -> int:

@@ -11,8 +11,10 @@ OS processes over shared-memory CSR segments
 V-cycle driver (:func:`~repro.engine.vcycle.run_vcycle`), written
 against the :class:`~repro.engine.vcycle.VcycleBackend` hooks that
 :mod:`repro.core.multilevel` and :mod:`repro.dist.dist_partitioner`
-implement.  The entry points in :mod:`repro.core` and :mod:`repro.dist`
-are thin wrappers over these.
+implement.  Every label propagation of the program — those hooks,
+modularity clustering's core groups, the flat out-of-core pass — calls
+``run_sclp`` on a backend itself, with its own start labels, bound and
+tie seed.
 """
 
 from .backend import (

@@ -112,7 +112,11 @@ def run_sclp(
     """Run SCLP phases on ``backend``; returns the new label array.
 
     Collective over the backend's communicator.  ``labels`` (length
-    ``n_total``, consistent ghost entries) is not modified.  ``shares``
+    ``n_total``, consistent ghost entries; ``ValueError`` otherwise) is
+    not modified: the caller picks them, singletons to cluster or a
+    partition to refine, and ``max_block_weight`` is used as given.
+    ``tie_seed`` seeds the tie-break hash (the pipelines draw it from
+    the backend's generator just before the call).  ``shares``
     selects the weight regime (see module docstring); it requires ``k``.
     ``ordering`` is ``'degree'`` (ascending), ``'random'`` (fresh every
     phase) or ``'node'`` (natural order: chunk windows are contiguous
@@ -153,6 +157,11 @@ def run_sclp(
     sweep = pin_sweep or ("frontier" if refine else "full")
     sweep_frontier = sweep == "frontier"
     labels = np.array(labels, dtype=np.int64, order="C")
+    if labels.shape != (backend.n_total,):
+        raise ValueError(
+            f"labels must assign a label to every node: got shape {labels.shape} "
+            f"for {backend.n_total} nodes"
+        )
     bound = int(max_block_weight)
     vwgt_all = np.ascontiguousarray(backend.node_weights(), dtype=np.int64)
     interface = backend.interface_mask()
@@ -174,7 +183,8 @@ def run_sclp(
         used = np.zeros(space, dtype=np.int64)
         local_out = np.zeros(space, dtype=np.int64)
     else:
-        space = int(labels.max()) + 1 if refine else backend.label_space(labels)
+        space = (int(labels.max(initial=0)) + 1 if refine
+                 else backend.label_space(labels))
         used = np.bincount(
             labels, weights=vwgt_all, minlength=space
         ).astype(np.int64)

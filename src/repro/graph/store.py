@@ -149,7 +149,7 @@ def align_chunk_to_span(chunk: int, span: int | None) -> int:
 class StoreStats:
     """Access counters a store keeps (all zero for resident stores)."""
 
-    gathers: int = 0  #: gather/arc_block calls served
+    gathers: int = 0  #: arc_block calls served
     arcs_read: int = 0  #: arc entries returned across all calls
     shard_hits: int = 0  #: shard touches that found the shard mapped
     shard_misses: int = 0  #: shard touches that had to map the file
@@ -170,8 +170,8 @@ class GraphStore(Protocol):
     """What :class:`~repro.graph.csr.Graph` needs from a storage backend.
 
     The O(n) arrays (``xadj``, ``vwgt``) are always RAM-resident NumPy
-    arrays; the O(m) arc arrays are served through :meth:`arc_block` /
-    :meth:`gather` so a store may keep them on disk.  ``resident``
+    arrays; the O(m) arc arrays are served through :meth:`arc_block`
+    so a store may keep them on disk.  ``resident``
     tells engine drivers whether whole-array access (``materialize``)
     is free or would defeat the store's memory bound.
     """
@@ -190,7 +190,6 @@ class GraphStore(Protocol):
     def chunk_nodes(self) -> int | None: ...
 
     def arc_block(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]: ...
-    def gather(self, arc_idx: np.ndarray, fields: str) -> np.ndarray: ...
     def materialize(self) -> tuple[np.ndarray, np.ndarray]: ...
     def clamp_chunk(self, chunk: int) -> int: ...
     def stats(self) -> StoreStats: ...
@@ -251,10 +250,6 @@ class InMemoryStore:
 
     def arc_block(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         return self.adjncy[start:end], self.adjwgt[start:end]
-
-    def gather(self, arc_idx: np.ndarray, fields: str) -> np.ndarray:
-        source = self.adjncy if fields == "adjncy" else self.adjwgt
-        return source[arc_idx]
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         return self.adjncy, self.adjwgt
@@ -525,8 +520,8 @@ class MmapShardStore:
     ``np.load(mmap_mode='r')``.  At most ``max_resident_shards`` shards
     are mapped at once: touching an unmapped shard evicts the least
     recently used mapping, returning its file-backed pages to the
-    kernel, which is what bounds peak RSS.  :meth:`gather` always copies
-    out of the mapping, so eviction never invalidates kernel-held data.
+    kernel, which is what bounds peak RSS.  A block read in place stays
+    valid while its caller holds it (see :meth:`arc_block`).
     """
 
     def __init__(
@@ -718,9 +713,6 @@ class MmapShardStore:
             )
         return arr
 
-    def _shard_of_arcs(self, arc_idx: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._arc_offsets, arc_idx, side="right") - 1
-
     def _unit_weights(self, size: int) -> np.ndarray:
         """``size`` weights of an unweighted shard: a read-only prefix of
         one cached block, so every phase over a shard does not refill it."""
@@ -768,44 +760,6 @@ class MmapShardStore:
             else:
                 wgt_parts.append(np.asarray(adjwgt[lo - base : hi - base]))
         return np.concatenate(nbr_parts), np.concatenate(wgt_parts)
-
-    def gather(self, arc_idx: np.ndarray, fields: str) -> np.ndarray:
-        """Arbitrary arc gather (always a fresh array, grouped by shard)."""
-        arc_idx = np.asarray(arc_idx, dtype=_INDEX_DTYPE)
-        self._stats.gathers += 1
-        self._stats.arcs_read += int(arc_idx.size)
-        out = np.empty(arc_idx.size, dtype=_INDEX_DTYPE)
-        if arc_idx.size == 0:
-            return out
-        trivial_weights = fields == "adjwgt"
-        shard_ids = self._shard_of_arcs(arc_idx)
-        first = int(shard_ids[0])
-        if int(shard_ids[-1]) == first and not np.any(shard_ids != first):
-            adjncy, adjwgt = self._map_shard(first)
-            source = adjncy if fields == "adjncy" else adjwgt
-            if source is None:
-                out.fill(1)
-            else:
-                np.take(source, arc_idx - self._arc_offsets[first], out=out)
-            return out
-        order = np.argsort(shard_ids, kind="stable")
-        sorted_ids = shard_ids[order]
-        heads = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
-        )
-        bounds = np.append(heads, sorted_ids.size)
-        for pos in range(heads.size):
-            sel = order[bounds[pos] : bounds[pos + 1]]
-            index = int(sorted_ids[heads[pos]])
-            adjncy, adjwgt = self._map_shard(index)
-            source = adjncy if fields == "adjncy" else adjwgt
-            if source is None and trivial_weights:
-                out[sel] = 1
-            else:
-                out[sel] = np.asarray(source)[
-                    arc_idx[sel] - self._arc_offsets[index]
-                ]
-        return out
 
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """Read every shard into two fresh in-RAM arc arrays (O(m) memory)."""

@@ -104,8 +104,8 @@ TABLE = [
         runtime_at=("dist/dist_partitioner.py", "self.comm.allreduce_max(local_max)"),
     ),
     Mutation(
-        # the collectives are three files away (dist_lp -> sclp -> dgraph):
-        # the static report needs the may-footprint
+        # the collectives are files away (sclp -> backend -> dgraph): the
+        # static report needs the may-footprint
         "early-return-around-helper", "dist/dist_partitioner.py",
         ((
             "    def refine_level(self, level, partition: np.ndarray) -> np.ndarray:\n",
@@ -129,15 +129,21 @@ TABLE = [
         ),),
         static="SPMD-DIV", static_at='cuts["cut_refined"] = backend.level_cut',
         runtime="CollectiveMismatchError",
-        runtime_at=("dist/dist_lp.py", "return int(comm.allreduce(local_cut)) // 2"),
+        runtime_at=("dist/dist_partitioner.py",
+                    "return int(comm.allreduce(local_cut)) // 2"),
     ),
     # -- global RNG: the only symptom at run time is a golden hash that
     # -- stops matching, which names no line
     Mutation(
-        "global-rng-tie-seed", "dist/dist_lp.py",
+        # the refinement hook's draw, one of the two SPMD hooks' tie seeds
+        "global-rng-tie-seed", "dist/dist_partitioner.py",
         ((
-            "tie_seed=int(comm.rng.integers(0, 2**63 - 1)),",
-            "tie_seed=int(np.random.randint(0, 2**31 - 1)),",
+            'ordering="random",\n'
+            "            chunk=self.config.lp_chunk_size,\n"
+            "            tie_seed=int(self.comm.rng.integers(0, 2**63 - 1)),",
+            'ordering="random",\n'
+            "            chunk=self.config.lp_chunk_size,\n"
+            "            tie_seed=int(np.random.randint(0, 2**31 - 1)),",
         ),),
         static="RNG-GLOBAL", static_at="np.random.randint",
     ),

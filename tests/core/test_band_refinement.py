@@ -6,10 +6,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import label_propagation_refinement
-from repro.core.label_propagation import band_nodes
+from repro.engine import LocalBackend, run_sclp
 from repro.generators import random_geometric_graph
 from repro.graph import block_weights, from_edges, max_block_weight_bound, path_graph
+from repro.graph.ops import band_nodes
 from repro.metrics import edge_cut
 
 from ..conftest import random_graphs
@@ -17,6 +17,16 @@ from ..conftest import random_graphs
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def refine(graph, partition, lmax, iterations, generator, band_distance=None):
+    """Refinement LP, restricted to the band of ``band_distance`` if given
+    (an empty band scans nothing and returns the partition)."""
+    band = None if band_distance is None else band_nodes(graph, partition, band_distance)
+    return run_sclp(
+        LocalBackend(graph, generator), partition, lmax, iterations, refine=True,
+        ordering="random", band=band, tie_seed=int(generator.integers(0, 2**63 - 1)),
+    )
 
 
 class TestBandNodes:
@@ -49,24 +59,20 @@ class TestBandedRefinement:
     def test_reaches_same_optimum_as_full(self, two_triangles):
         bad = np.array([0, 0, 1, 0, 1, 1])  # nodes 2/3 swapped
         lmax = max_block_weight_bound(two_triangles, 2, 0.5)
-        refined = label_propagation_refinement(
-            two_triangles, bad, lmax, 8, rng(0), band_distance=2
-        )
+        refined = refine(two_triangles, bad, lmax, 8, rng(0), band_distance=2)
         assert edge_cut(two_triangles, refined) == 1
 
     def test_outside_band_never_moves(self):
         g = path_graph(12)
         part = (np.arange(12) >= 6).astype(np.int64)
         lmax = max_block_weight_bound(g, 2, 0.2)
-        refined = label_propagation_refinement(g, part, lmax, 4, rng(1),
-                                               band_distance=1)
+        refined = refine(g, part, lmax, 4, rng(1), band_distance=1)
         # nodes far from the old boundary keep their block
         assert refined[0] == 0 and refined[11] == 1
 
     def test_uncut_input_returned_unchanged(self, two_triangles):
         part = np.zeros(6, dtype=np.int64)
-        refined = label_propagation_refinement(two_triangles, part, 6, 4, rng(0),
-                                               band_distance=2)
+        refined = refine(two_triangles, part, 6, 4, rng(0), band_distance=2)
         assert np.array_equal(refined, part)
 
     @given(random_graphs(min_nodes=4), st.integers(min_value=0, max_value=2**31 - 1))
@@ -84,8 +90,8 @@ class TestBandedRefinement:
         if max(loads) > lmax:
             return
         before = edge_cut(graph, partition)
-        refined = label_propagation_refinement(graph, partition, lmax, 4,
-                                               generator, band_distance=2)
+        refined = refine(graph, partition, lmax, 4, generator,
+                         band_distance=2)
         assert edge_cut(graph, refined) <= before
         assert block_weights(graph, refined, k).max() <= lmax
 
@@ -93,7 +99,6 @@ class TestBandedRefinement:
         g = random_geometric_graph(1500, seed=2)
         part = (np.arange(g.num_nodes) % 2).astype(np.int64)
         lmax = max_block_weight_bound(g, 2, 0.03)
-        full = label_propagation_refinement(g, part, lmax, 6, rng(3))
-        banded = label_propagation_refinement(g, part, lmax, 6, rng(3),
-                                              band_distance=2)
+        full = refine(g, part, lmax, 6, rng(3))
+        banded = refine(g, part, lmax, 6, rng(3), band_distance=2)
         assert edge_cut(g, banded) <= 1.3 * edge_cut(g, full)

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.label_propagation import size_constrained_label_propagation
 from repro.engine import LocalBackend, run_sclp
 from repro.engine.kernels import DEFAULT_CHUNK_SIZE, IterationWorkspace, gather_neighbors
 from repro.generators import rgg, rmat
@@ -30,11 +29,11 @@ def run(graph, sweep, refine, chunk, iterations, seed=7):
     rng = np.random.default_rng(seed)
     n = graph.num_nodes
     total = int(graph.vwgt.sum())
-    labels = (np.arange(n) % 4).astype(np.int64) if refine else None
+    labels = np.arange(n) % 4 if refine else np.arange(n)
     bound = total // 3 if refine else total // 4
-    return size_constrained_label_propagation(
-        graph, bound, iterations, rng, labels=labels, refine=refine,
-        chunk_size=chunk, pin_sweep=sweep,
+    return run_sclp(
+        LocalBackend(graph, rng), labels, bound, iterations, refine=refine,
+        chunk=chunk, pin_sweep=sweep, tie_seed=int(rng.integers(0, 2**63 - 1)),
     )
 
 

@@ -17,10 +17,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.label_propagation import (
-    band_nodes,
-    size_constrained_label_propagation,
-)
 from repro.engine import LocalBackend, run_sclp
 from repro.engine.kernels import (
     DEFAULT_CHUNK_SIZE,
@@ -30,6 +26,7 @@ from repro.engine.kernels import (
 )
 from repro.generators import grid_2d, rmat
 from repro.graph import block_weights, from_edges
+from repro.graph.ops import band_nodes
 from repro.metrics import edge_cut, modularity
 
 from ..conftest import random_graphs
@@ -43,6 +40,16 @@ from ..engine.numpy_kernels import (
     plan_chunk,
 )
 from ..engine.reference_sclp import reference_sclp
+
+
+def seeded_sclp(graph, bound, iterations, seed, labels=None, **kwargs):
+    """One ``run_sclp`` call from singletons (or ``labels``) whose generator
+    also draws the tie seed."""
+    rng = np.random.default_rng(seed)
+    if labels is None:
+        labels = np.arange(graph.num_nodes)
+    return run_sclp(LocalBackend(graph, rng), labels, bound, iterations,
+                    tie_seed=int(rng.integers(0, 2**63 - 1)), **kwargs)
 
 
 def gather_candidates(nodes, graph_arrays, labels, constraint=None):
@@ -59,16 +66,11 @@ class TestChunkValidation:
         graph = grid_2d(4, 4)
         for bad in (0, -1):
             with pytest.raises(ValueError, match="chunk"):
-                size_constrained_label_propagation(
-                    graph, 4, 1, np.random.default_rng(0), chunk_size=bad
-                )
+                seeded_sclp(graph, 4, 1, 0, chunk=bad)
 
     def test_unknown_pin_rejected(self):
         with pytest.raises(ValueError, match="pin_sweep"):
-            size_constrained_label_propagation(
-                grid_2d(4, 4), 4, 1, np.random.default_rng(0),
-                pin_sweep="adaptive",
-            )
+            seeded_sclp(grid_2d(4, 4), 4, 1, 0, pin_sweep="adaptive")
 
 
 class TestEffectiveChunk:
@@ -376,14 +378,8 @@ class TestChunkedQuality:
     def test_cluster_quality_parity(self):
         graph = rmat(11, seed=4)
         bound = max(2, int(graph.vwgt.sum()) // 50)
-        scan = size_constrained_label_propagation(
-            graph, bound, 3, np.random.default_rng(0), chunk_size=1,
-            pin_sweep="full",
-        )
-        chunked = size_constrained_label_propagation(
-            graph, bound, 3, np.random.default_rng(0),
-            chunk_size=DEFAULT_CHUNK_SIZE,
-        )
+        scan = seeded_sclp(graph, bound, 3, 0, chunk=1, pin_sweep="full")
+        chunked = seeded_sclp(graph, bound, 3, 0, chunk=DEFAULT_CHUNK_SIZE)
         m_scan = modularity(graph, scan)
         m_chunk = modularity(graph, chunked)
         assert m_chunk > 0.0
@@ -392,10 +388,7 @@ class TestChunkedQuality:
     def test_cluster_bound_respected(self):
         graph = rmat(10, seed=6)
         bound = max(2, int(graph.vwgt.sum()) // 25)
-        labels = size_constrained_label_propagation(
-            graph, bound, 4, np.random.default_rng(1),
-            chunk_size=DEFAULT_CHUNK_SIZE,
-        )
+        labels = seeded_sclp(graph, bound, 4, 1, chunk=DEFAULT_CHUNK_SIZE)
         weights = np.bincount(labels, weights=graph.vwgt.astype(np.float64))
         assert weights.max() <= bound
 
@@ -404,9 +397,9 @@ class TestChunkedQuality:
         k = 4
         start = (np.arange(graph.num_nodes) % k).astype(np.int64)
         bound = int(-(-int(graph.vwgt.sum()) * 1.03 // k))
-        chunked = size_constrained_label_propagation(
-            graph, bound, 6, np.random.default_rng(2), labels=start,
-            ordering="random", refine=True, chunk_size=DEFAULT_CHUNK_SIZE,
+        chunked = seeded_sclp(
+            graph, bound, 6, 2, labels=start, ordering="random", refine=True,
+            chunk=DEFAULT_CHUNK_SIZE,
         )
         assert block_weights(graph, chunked, k).max() <= bound
         assert edge_cut(graph, chunked) < edge_cut(graph, start)

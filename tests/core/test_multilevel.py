@@ -39,6 +39,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             PartitionConfig(num_vcycles=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("k", 2.5), ("k", True), ("k", "4"),
+        ("epsilon", float("nan")), ("epsilon", float("inf")),
+    ])
+    def test_bad_knob_fails_fast_naming_it(self, field, value):
+        from repro.api import partition_graph
+
+        with pytest.raises(ValueError, match=rf"^{field} must .*, got {value!r}$"):
+            partition_graph(rgg(6, seed=0), **{"k": 2, field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must "):
+            PartitionConfig(**{field: value})
+
+    def test_numpy_integer_k_is_an_integer(self):
+        assert PartitionConfig(k=np.int64(4)).k == 4
+
     def test_cluster_factor_selection(self):
         config = fast_config()
         assert config.cluster_factor(0, social=True, rng=rng()) == 14.0

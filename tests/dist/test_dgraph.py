@@ -61,12 +61,6 @@ class TestLocalStructure:
         d = DistGraph.from_global(g, balanced_vtxdist(6, 2), 0)
         assert d.interface_mask().tolist() == [False, False, True]
 
-    def test_ghost_fraction(self):
-        g = path_graph(6)
-        d = DistGraph.from_global(g, balanced_vtxdist(6, 2), 0)
-        # arcs from {0,1,2}: (0,1),(1,0),(1,2),(2,1),(2,3) -> 1 of 5 is ghost
-        assert d.ghost_fraction() == pytest.approx(0.2)
-
     def test_star_hub_has_all_ghosts(self):
         g = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         d = DistGraph.from_global(g, balanced_vtxdist(5, 5), 0)

@@ -1,4 +1,5 @@
-"""Tests for parallel size-constrained label propagation."""
+"""Tests for parallel size-constrained label propagation: ``run_sclp`` on
+an ``SpmdBackend``, called as the V-cycle hooks call it."""
 
 from __future__ import annotations
 
@@ -6,11 +7,8 @@ import numpy as np
 import pytest
 
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
-from repro.dist.dist_lp import (
-    distributed_edge_cut,
-    exact_block_weights,
-    parallel_label_propagation,
-)
+from repro.dist.dist_partitioner import distributed_edge_cut
+from repro.engine import SpmdBackend, run_sclp
 from repro.generators import load_instance, planted_partition, rgg
 from repro.graph import block_weights, max_block_weight_bound
 from repro.metrics import edge_cut, modularity
@@ -27,6 +25,19 @@ def dist_program(graph, size, fn):
     return run_spmd(size, program, seed=7)
 
 
+def cluster_lp(comm, dgraph, labels, bound, iterations, **kwargs):
+    """Clustering: local weight views, degree order."""
+    return run_sclp(SpmdBackend(dgraph, comm), labels, bound, iterations,
+                    tie_seed=int(comm.rng.integers(0, 2**63 - 1)), **kwargs)
+
+
+def refine_lp(comm, dgraph, labels, lmax, iterations, k):
+    """Refinement: exact weights and 1/p budget shares, random order."""
+    return run_sclp(SpmdBackend(dgraph, comm), labels, lmax, iterations,
+                    refine=True, shares=True, k=k, ordering="random",
+                    tie_seed=int(comm.rng.integers(0, 2**63 - 1)))
+
+
 class TestClusterMode:
     @pytest.mark.parametrize("size", [1, 2, 4])
     def test_recovers_planted_communities(self, size):
@@ -34,8 +45,7 @@ class TestClusterMode:
 
         def fn(comm, dgraph):
             init = dgraph.to_global(np.arange(dgraph.n_total))
-            labels = parallel_label_propagation(dgraph, comm, init, 50, 6,
-                                                mode="cluster")
+            labels = cluster_lp(comm, dgraph, init, 50, 6)
             return dgraph.gather_global(comm, labels)
 
         result = dist_program(graph, size, fn)
@@ -51,8 +61,7 @@ class TestClusterMode:
 
         def fn(comm, dgraph):
             init = dgraph.to_global(np.arange(dgraph.n_total))
-            labels = parallel_label_propagation(dgraph, comm, init, 30, 4,
-                                                mode="cluster")
+            labels = cluster_lp(comm, dgraph, init, 30, 4)
             # after the final phase exchange, ghost labels must equal the
             # owner's view of those nodes
             owned = dgraph.gather_global(comm, labels)
@@ -69,8 +78,7 @@ class TestClusterMode:
 
         def fn(comm, dgraph):
             init = dgraph.to_global(np.arange(dgraph.n_total))
-            labels = parallel_label_propagation(dgraph, comm, init, bound, 5,
-                                                mode="cluster")
+            labels = cluster_lp(comm, dgraph, init, bound, 5)
             return dgraph.gather_global(comm, labels)
 
         result = dist_program(graph, size, fn)
@@ -82,8 +90,7 @@ class TestClusterMode:
 
         def fn(comm, dgraph):
             init = dgraph.to_global(np.arange(dgraph.n_total))
-            labels = parallel_label_propagation(dgraph, comm, init, 40, 3,
-                                                mode="cluster")
+            labels = cluster_lp(comm, dgraph, init, 40, 3)
             return dgraph.gather_global(comm, labels)
 
         result = dist_program(graph, 1, fn)
@@ -92,15 +99,14 @@ class TestClusterMode:
         # have weak community structure, so the bar is modest)
         assert modularity(graph, result.value) > 0.15
 
-    def test_rejects_unknown_mode(self):
+    def test_rejects_unknown_ordering(self):
         graph = rgg(8, seed=0)
 
         def fn(comm, dgraph):
             init = dgraph.to_global(np.arange(dgraph.n_total))
-            return parallel_label_propagation(dgraph, comm, init, 10, 1,
-                                              mode="bogus")
+            return cluster_lp(comm, dgraph, init, 10, 1, ordering="bogus")
 
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="ordering"):
             dist_program(graph, 2, fn)
 
     def test_constraint_respected(self):
@@ -114,9 +120,7 @@ class TestClusterMode:
             ]
             dgraph.halo_exchange(comm, cons)
             init = dgraph.to_global(np.arange(dgraph.n_total))
-            labels = parallel_label_propagation(
-                dgraph, comm, init, 60, 4, mode="cluster", constraint=cons
-            )
+            labels = cluster_lp(comm, dgraph, init, 60, 4, constraint=cons)
             return dgraph.gather_global(comm, labels)
 
         result = dist_program(graph, 3, fn)
@@ -132,8 +136,8 @@ class TestRefineMode:
 
         def fn(comm, dgraph):
             init = np.zeros(dgraph.n_total, dtype=np.int64)
-            return parallel_label_propagation(dgraph, comm, init, 100, 1,
-                                              mode="refine")
+            return run_sclp(SpmdBackend(dgraph, comm), init, 100, 1,
+                            refine=True, shares=True)
 
         with pytest.raises(ValueError, match="requires k"):
             dist_program(graph, 2, fn)
@@ -150,8 +154,7 @@ class TestRefineMode:
             labels = np.zeros(dgraph.n_total, dtype=np.int64)
             labels[: dgraph.n_local] = start[dgraph.first : dgraph.first + dgraph.n_local]
             dgraph.halo_exchange(comm, labels)
-            labels = parallel_label_propagation(dgraph, comm, labels, lmax, 6,
-                                                mode="refine", k=k)
+            labels = refine_lp(comm, dgraph, labels, lmax, 6, k)
             return dgraph.gather_global(comm, labels)
 
         result = dist_program(graph, size, fn)
@@ -171,8 +174,7 @@ class TestRefineMode:
             labels = np.zeros(dgraph.n_total, dtype=np.int64)
             labels[: dgraph.n_local] = start[dgraph.first : dgraph.first + dgraph.n_local]
             dgraph.halo_exchange(comm, labels)
-            labels = parallel_label_propagation(dgraph, comm, labels, lmax, 10,
-                                                mode="refine", k=k)
+            labels = refine_lp(comm, dgraph, labels, lmax, 10, k)
             return dgraph.gather_global(comm, labels)
 
         result = dist_program(graph, 4, fn)
@@ -209,7 +211,7 @@ class TestDistributedMetrics:
             labels[: dgraph.n_local] = partition[
                 dgraph.first : dgraph.first + dgraph.n_local
             ]
-            return exact_block_weights(dgraph, comm, labels, 4)
+            return SpmdBackend(dgraph, comm).reduce_block_weights(labels, 4)
 
         result = dist_program(graph, 3, fn)
         for got in result.per_rank:

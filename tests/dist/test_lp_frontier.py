@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
-from repro.dist.dist_lp import parallel_label_propagation
+from repro.engine import SpmdBackend, run_sclp
 from repro.generators import rmat
 
 
@@ -34,9 +34,10 @@ def cluster_program(comm, chunk, sweep, constrained, delta=True, iterations=3):
         ]
         dgraph.halo_exchange(comm, cons)
     init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
-    labels = parallel_label_propagation(
-        dgraph, comm, init, 30, iterations, mode="cluster", constraint=cons,
-        chunk_size=chunk, pin_sweep=sweep, delta_exchange=delta,
+    labels = run_sclp(
+        SpmdBackend(dgraph, comm), init, 30, iterations, constraint=cons,
+        chunk=chunk, pin_sweep=sweep, tie_seed=int(comm.rng.integers(0, 2**63 - 1)),
+        delta=delta,
     )
     return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
@@ -49,10 +50,11 @@ def refine_program(comm, chunk, sweep, iterations=4, delta=True):
     labels = np.zeros(dgraph.n_total, dtype=np.int64)
     labels[: dgraph.n_local] = start[dgraph.first : dgraph.first + dgraph.n_local]
     dgraph.halo_exchange(comm, labels)
-    labels = parallel_label_propagation(
-        dgraph, comm, labels, int(GRAPH.vwgt.sum()) // 4 + 8, iterations,
-        mode="refine", k=4, chunk_size=chunk, pin_sweep=sweep,
-        delta_exchange=delta,
+    labels = run_sclp(
+        SpmdBackend(dgraph, comm), labels, int(GRAPH.vwgt.sum()) // 4 + 8,
+        iterations, refine=True, shares=True, k=4, ordering="random",
+        chunk=chunk, pin_sweep=sweep, tie_seed=int(comm.rng.integers(0, 2**63 - 1)),
+        delta=delta,
     )
     return dgraph.gather_global(comm, labels[: dgraph.n_local])
 

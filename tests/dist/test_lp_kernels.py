@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
-from repro.dist.dist_lp import parallel_label_propagation
 from repro.engine import SpmdBackend, run_sclp
 from repro.engine.backend import exchange_interface_labels
 from repro.generators import rgg, rmat
@@ -95,9 +94,8 @@ class TestDistributedChunkedQuality:
                 GRAPH, balanced_vtxdist(GRAPH.num_nodes, comm.size), comm.rank
             )
             init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
-            labels = parallel_label_propagation(
-                dgraph, comm, init, bound, 3, mode="cluster"
-            )
+            labels = run_sclp(SpmdBackend(dgraph, comm), init, bound, 3,
+                              tie_seed=int(comm.rng.integers(0, 2**63 - 1)))
             return dgraph.gather_global(comm, labels[: dgraph.n_local])
 
         clustering = run_spmd(size, fn, seed=2).value
@@ -120,8 +118,10 @@ class TestDistributedChunkedQuality:
                 dgraph.first : dgraph.first + dgraph.n_local
             ]
             dgraph.halo_exchange(comm, labels)
-            labels = parallel_label_propagation(
-                dgraph, comm, labels, lmax, 6, mode="refine", k=k,
+            labels = run_sclp(
+                SpmdBackend(dgraph, comm), labels, lmax, 6, refine=True,
+                shares=True, k=k, ordering="random",
+                tie_seed=int(comm.rng.integers(0, 2**63 - 1)),
             )
             return dgraph.gather_global(comm, labels[: dgraph.n_local])
 

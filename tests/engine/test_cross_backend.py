@@ -37,7 +37,6 @@ import pytest
 from repro.api import partition_graph
 from repro.core import eco_config, fast_config
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
-from repro.dist.dist_lp import parallel_label_propagation
 from repro.dist.runtime import run_spmd, run_spmd_processes
 from repro.engine import LocalBackend, SpmdBackend, run_sclp
 from repro.generators import barabasi_albert, rgg, rmat
@@ -169,6 +168,19 @@ def test_refinement_final_cut_identity(gname, cname, config, runner):
 # process backend over real workers (spawn + shared-memory CSR)
 # ---------------------------------------------------------------------------
 
+def spmd_lp(comm, dgraph, labels, bound, iterations, mode, k, **kwargs):
+    """One LP call as the V-cycle hooks make it: ``'cluster'`` in degree
+    order, ``'refine'`` with budget shares over ``k`` blocks in random
+    order; the tie seed comes from the rank's generator."""
+    refine = mode == "refine"
+    return run_sclp(
+        SpmdBackend(dgraph, comm), labels, bound, iterations, refine=refine,
+        shares=refine, k=k if refine else None,
+        ordering="random" if refine else "degree",
+        tie_seed=int(comm.rng.integers(0, 2**63 - 1)), **kwargs,
+    )
+
+
 def _plp_iterations(comm, graph, mode, k, bound, chunk, sweep, iters):
     """Spawn-safe program: per-iteration global label snapshots.
 
@@ -181,11 +193,8 @@ def _plp_iterations(comm, graph, mode, k, bound, chunk, sweep, iters):
     labels = gids.copy() if mode == "cluster" else gids % k
     snapshots = []
     for _ in range(iters):
-        labels = parallel_label_propagation(
-            dgraph, comm, labels, bound, 1, mode=mode,
-            k=None if mode == "cluster" else k,
-            chunk_size=chunk, pin_sweep=sweep,
-        )
+        labels = spmd_lp(comm, dgraph, labels, bound, 1, mode, k,
+                         chunk=chunk, pin_sweep=sweep)
         snapshots.append(dgraph.gather_global(comm, labels).tolist())
     return snapshots
 
@@ -327,10 +336,8 @@ def _plp_call(comm, graph, mode, k, bound, rounds):
     vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
     dgraph = DistGraph.from_global(graph, vtxdist, comm.rank)
     gids = dgraph.to_global(np.arange(dgraph.n_total))
-    labels = parallel_label_propagation(
-        dgraph, comm, gids.copy() if mode == "cluster" else gids % k,
-        bound, rounds, mode=mode, k=None if mode == "cluster" else k,
-    )
+    labels = spmd_lp(comm, dgraph, gids.copy() if mode == "cluster" else gids % k,
+                     bound, rounds, mode, k)
     return labels[: dgraph.n_local].tolist()
 
 

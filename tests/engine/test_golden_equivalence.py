@@ -16,7 +16,10 @@ summed ``CommStats.work_units`` of that instance.  Since the pipelines
 set isolated nodes apart, the ``parallel/*`` keys replay ``parhip_vcycles``
 (the distributed V-cycles on the whole graph, which ``parhip_program``
 was before) and no key moved; ``api/*`` and ``api_cut/*`` were added to
-pin the public call with the split.
+pin the public call with the split.  The ``lp_*`` and ``par_lp_*`` keys
+replay ``run_sclp`` called as the pipeline's LP hooks call it: their
+start labels and bound, one tie-seed draw from the caller's generator
+just before the call.
 """
 
 from __future__ import annotations
@@ -30,15 +33,12 @@ import numpy as np
 import pytest
 
 from repro.core import eco_config, fast_config, multilevel_partition
-from repro.core.label_propagation import (
-    label_propagation_clustering,
-    label_propagation_refinement,
-)
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
-from repro.dist.dist_lp import parallel_label_propagation
 from repro.dist.dist_partitioner import parhip_vcycles
 from repro.dist.runtime import run_spmd
+from repro.engine import LocalBackend, SpmdBackend, run_sclp
 from repro.generators import barabasi_albert, rgg, rmat
+from repro.graph.ops import band_nodes
 from repro.graph.validation import max_block_weight_bound
 from repro.metrics import edge_cut
 
@@ -73,6 +73,10 @@ def digest(arr: np.ndarray) -> str:
     ).hexdigest()
 
 
+def tie_seed(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 2**63 - 1))
+
+
 @pytest.mark.parametrize("chunk,sweep,label", CHUNK_GRID)
 @pytest.mark.parametrize("gname", GRAPH_NAMES)
 class TestSequentialLP:
@@ -80,9 +84,10 @@ class TestSequentialLP:
         g = make_graph(gname)
         lmax = max_block_weight_bound(g, 4, 0.03)
         rng = np.random.default_rng(7)
-        labels = label_propagation_clustering(
-            g, max_cluster_weight=max(2, lmax // 10), iterations=3, rng=rng,
-            chunk_size=chunk, pin_sweep=sweep,
+        # unit node weights: the cluster bound is max(2, lmax // 10) itself
+        labels = run_sclp(
+            LocalBackend(g, rng), np.arange(g.num_nodes), max(2, lmax // 10), 3,
+            chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed(rng),
         )
         key = f"lp_cluster/{gname}/chunk{chunk}/{label}"
         assert digest(labels) == GOLDEN[key]
@@ -91,9 +96,10 @@ class TestSequentialLP:
         g = make_graph(gname)
         lmax = max_block_weight_bound(g, 4, 0.03)
         part = np.random.default_rng(11).integers(0, 4, size=g.num_nodes)
-        refined = label_propagation_refinement(
-            g, part, lmax, iterations=4, rng=np.random.default_rng(13),
-            chunk_size=chunk, pin_sweep=sweep,
+        rng = np.random.default_rng(13)
+        refined = run_sclp(
+            LocalBackend(g, rng), part, lmax, 4, refine=True, ordering="random",
+            chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed(rng),
         )
         key = f"lp_refine/{gname}/chunk{chunk}/{label}"
         assert digest(refined) == GOLDEN[key]
@@ -104,9 +110,12 @@ def test_band_refinement(gname):
     g = make_graph(gname)
     lmax = max_block_weight_bound(g, 4, 0.03)
     part = np.random.default_rng(17).integers(0, 4, size=g.num_nodes)
-    banded = label_propagation_refinement(
-        g, part, lmax, iterations=3, rng=np.random.default_rng(19),
-        band_distance=2,
+    band = band_nodes(g, part, 2)
+    assert band.size  # an empty band would return ``part`` before any draw
+    rng = np.random.default_rng(19)
+    banded = run_sclp(
+        LocalBackend(g, rng), part, lmax, 3, refine=True, ordering="random",
+        band=band, tie_seed=tie_seed(rng),
     )
     assert digest(banded) == GOLDEN[f"lp_band/{gname}"]
 
@@ -117,9 +126,9 @@ def _parallel_lp_program(comm, graph, mode, k, chunk, sweep):
     lmax = max_block_weight_bound(graph, 4, 0.03)
     if mode == "cluster":
         labels = dg.to_global(np.arange(dg.n_total, dtype=np.int64))
-        res = parallel_label_propagation(
-            dg, comm, labels, max(2, lmax // 10), 3,
-            mode="cluster", chunk_size=chunk, pin_sweep=sweep,
+        res = run_sclp(
+            SpmdBackend(dg, comm), labels, max(2, lmax // 10), 3,
+            chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed(comm.rng),
         )
     else:
         part_rng = np.random.default_rng(23)
@@ -127,9 +136,10 @@ def _parallel_lp_program(comm, graph, mode, k, chunk, sweep):
         labels = np.zeros(dg.n_total, dtype=np.int64)
         labels[: dg.n_local] = full[dg.first : dg.first + dg.n_local]
         dg.halo_exchange(comm, labels)
-        res = parallel_label_propagation(
-            dg, comm, labels, lmax, 4, mode="refine", k=k,
-            chunk_size=chunk, pin_sweep=sweep,
+        res = run_sclp(
+            SpmdBackend(dg, comm), labels, lmax, 4, refine=True, shares=True,
+            k=k, ordering="random", chunk=chunk, pin_sweep=sweep,
+            tie_seed=tie_seed(comm.rng),
         )
     return dg.gather_global(comm, res[: dg.n_local])
 

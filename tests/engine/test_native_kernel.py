@@ -45,7 +45,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.label_propagation import band_nodes
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
 from repro.dist.runtime import run_spmd_processes
 from repro import native
@@ -53,6 +52,7 @@ from repro.engine import LocalBackend, SpmdBackend, run_sclp
 from repro.engine.kernels import IterationWorkspace
 from repro.generators import grid_2d, rmat
 from repro.graph import contract, from_edges, max_block_weight_bound
+from repro.graph.ops import band_nodes
 from repro.kaffpa import greedy_kway_refine, heavy_edge_matching, recursive_bisection
 from repro.obsv.tracer import TRACER
 

@@ -26,10 +26,10 @@ import pytest
 
 from repro import native
 from repro.api import partition_graph, partition_oocore
-from repro.core.label_propagation import band_nodes
 from repro.engine import IterationWorkspace, LocalBackend, run_sclp
 from repro.generators import barabasi_albert, rmat
 from repro.graph import from_edges, open_sharded, save_sharded
+from repro.graph.ops import band_nodes
 from repro.graph.validation import max_block_weight_bound
 from repro.obsv.tracer import TRACER
 from repro.metrics import (
@@ -127,6 +127,22 @@ def test_streaming_quality_matches_dense(graph, sharded):
     assert evaluate_partition_streaming(graph, partition, K) == dense
     assert evaluate_partition_streaming(sharded, partition, K) == dense
     assert evaluate_partition(sharded, partition, K) == dense
+
+
+@pytest.mark.parametrize("nodes_per_shard", [1, 4])
+@pytest.mark.parametrize("n", [0, 5], ids=["empty", "edgeless"])
+def test_degenerate_graphs_on_every_store(n, nodes_per_shard, tmp_path):
+    """No nodes, or no arcs: both entry points return a partition on
+    either store, and the flat pass returns the same one on both."""
+    graph = from_edges(n, [])
+    save_sharded(graph, tmp_path / "shards", nodes_per_shard=nodes_per_shard)
+    sharded = open_sharded(tmp_path / "shards")
+    flat = [partition_oocore(g, 3, seed=1).partition for g in (graph, sharded)]
+    np.testing.assert_array_equal(flat[0], flat[1])
+    for g in (graph, sharded):
+        result = partition_graph(g, 3, seed=1)
+        assert result.partition.shape == (n,) and result.feasible
+        assert set(result.partition.tolist()) <= {0, 1, 2}
 
 
 def _weighted(graph):

@@ -27,53 +27,6 @@ from repro.graph.store import (
 )
 
 
-class ArcGatherView:
-    """A one-field, read-only *view* of a store's arc array.
-
-    What the SCLP chunk loop indexed on an out-of-core graph before the
-    compiled phase kernel read shard segments; kept here as the oracle of
-    the store's access paths.  Fancy indexing with an int64 index array,
-    slicing, ``tolist()`` and ``np.asarray`` are each delegated to the
-    store, which serves them from whatever shards are needed.  Fancy
-    indexing returns a fresh array (never a view into a mapped shard),
-    so LRU eviction can never invalidate data a caller still holds.
-    """
-
-    __slots__ = ("_store", "_field")
-
-    def __init__(self, store, field_name: str) -> None:
-        if field_name not in ("adjncy", "adjwgt"):
-            raise ValueError(f"unknown arc field {field_name!r}")
-        self._store = store
-        self._field = field_name
-
-    @property
-    def size(self) -> int:
-        return self._store.num_arcs
-
-    def __len__(self) -> int:
-        return self._store.num_arcs
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._store.num_arcs)
-            block = self._store.arc_block(start, stop)
-            part = block[0] if self._field == "adjncy" else block[1]
-            return part[::step] if step != 1 else part
-        idx = np.asarray(index, dtype=np.int64)
-        if idx.ndim == 0:
-            return self._store.gather(idx.reshape(1), self._field)[0]
-        return self._store.gather(idx, self._field)
-
-    def tolist(self) -> list:
-        return np.asarray(self).tolist()
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        pair = self._store.materialize()
-        arr = pair[0] if self._field == "adjncy" else pair[1]
-        return arr if dtype is None else arr.astype(dtype)
-
-
 def _weighted_graph(scale: int = 8, seed: int = 5) -> Graph:
     graph = rmat(scale, edge_factor=6, seed=seed)
     # Symmetric per-arc weights: w(u, v) depends only on the endpoint set.
@@ -97,8 +50,9 @@ class TestShardedRoundTrip:
         assert again.name == graph.name
         assert np.array_equal(again.xadj, graph.xadj)
         assert np.array_equal(again.vwgt, graph.vwgt)
-        assert np.array_equal(np.asarray(ArcGatherView(again.store, "adjncy")), graph.adjncy)
-        assert np.array_equal(np.asarray(ArcGatherView(again.store, "adjwgt")), graph.adjwgt)
+        adjncy, adjwgt = again.store.materialize()
+        assert np.array_equal(adjncy, graph.adjncy)
+        assert np.array_equal(adjwgt, graph.adjwgt)
         assert again == graph.materialized() == again.materialized()
 
     def test_unweighted_omits_weight_files(self, tmp_path):
@@ -146,26 +100,6 @@ class TestArcAccess:
             assert np.array_equal(nbr, graph.adjncy[start:end])
             assert np.array_equal(wgt, graph.adjwgt[start:end])
 
-    def test_gather_matches_fancy_indexing(self, tmp_path):
-        graph = _weighted_graph()
-        store = _round_trip(graph, tmp_path, nodes_per_shard=32).store
-        rng = np.random.default_rng(1)
-        # Unsorted, with duplicates, spanning many shards.
-        idx = rng.integers(0, graph.num_arcs, size=5000)
-        assert np.array_equal(store.gather(idx, "adjncy"), graph.adjncy[idx])
-        assert np.array_equal(store.gather(idx, "adjwgt"), graph.adjwgt[idx])
-
-    def test_gather_view_protocols(self, tmp_path):
-        graph = _weighted_graph()
-        sharded = _round_trip(graph, tmp_path, nodes_per_shard=32)
-        view = ArcGatherView(sharded.store, "adjncy")
-        assert len(view) == view.size == graph.num_arcs
-        assert np.array_equal(view[10:50], graph.adjncy[10:50])
-        idx = np.array([3, 99, 7], dtype=np.int64)
-        assert np.array_equal(view[idx], graph.adjncy[idx])
-        assert int(view[np.int64(5)]) == int(graph.adjncy[5])
-        assert view.tolist() == graph.adjncy.tolist()
-
     def test_lru_bound_and_stats(self, tmp_path):
         graph = _weighted_graph()
         save_sharded(graph, tmp_path / "shards", nodes_per_shard=32)
@@ -189,11 +123,12 @@ class TestArcAccess:
         graph = _weighted_graph()
         save_sharded(graph, tmp_path / "shards", nodes_per_shard=32)
         store = MmapShardStore.open(tmp_path / "shards", max_resident_shards=1)
-        idx = np.arange(0, min(30, graph.num_arcs), dtype=np.int64)
-        held = store.gather(idx, "adjncy")
+        end = min(30, int(store.xadj[32]))
+        held, _ = store.arc_block(0, end)  # a view into the first shard's mapping
         # Touch every other shard so the first mapping is evicted.
         store.materialize()
-        assert np.array_equal(held, graph.adjncy[idx])
+        assert store.stats().shard_evictions > 0
+        assert np.array_equal(held, graph.adjncy[:end])
 
     def test_clamp_chunk(self, tmp_path):
         assert align_chunk_to_span(0, 1024) == 0

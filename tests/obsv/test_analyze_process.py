@@ -19,8 +19,8 @@ import pytest
 
 from repro.api import partition_graph
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
-from repro.dist.dist_lp import parallel_label_propagation
 from repro.dist.runtime import run_spmd_processes
+from repro.engine import SpmdBackend, run_sclp
 from repro.generators import rmat
 from repro.generators.mesh import grid_2d
 from repro.obsv import (
@@ -43,9 +43,8 @@ def _traced_lp_program(comm, graph):
         graph, balanced_vtxdist(graph.num_nodes, comm.size), comm.rank
     )
     init = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
-    labels = parallel_label_propagation(
-        dgraph, comm, init, 300, 3, mode="cluster"
-    )
+    labels = run_sclp(SpmdBackend(dgraph, comm), init, 300, 3,
+                      tie_seed=int(comm.rng.integers(0, 2**63 - 1)))
     return int(np.asarray(labels).sum())
 
 

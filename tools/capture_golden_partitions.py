@@ -1,8 +1,8 @@
 """Capture seeded golden outputs for the engine equivalence gate.
 
-Runs every public entry point the engine must keep byte-identical — LP
-clustering/refinement, parallel LP, the sequential multilevel cycle, and
-the full parallel partitioner — over a fixed grid of generator
+Runs every entry point the engine must keep byte-identical — ``run_sclp``
+clustering/refinement on both backends, the sequential multilevel cycle,
+and the full parallel partitioner — over a fixed grid of generator
 instances, presets, and PE counts, and writes SHA-256 hashes of the
 resulting label arrays to ``tests/engine/golden_partitions.json``.
 
@@ -29,21 +29,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.api import partition_graph  # noqa: E402
 from repro.core import eco_config, fast_config, multilevel_partition  # noqa: E402
-from repro.core.label_propagation import (  # noqa: E402
-    label_propagation_clustering,
-    label_propagation_refinement,
-)
-from repro.dist.dist_lp import parallel_label_propagation  # noqa: E402
 from repro.dist.dist_partitioner import parhip_vcycles  # noqa: E402
 from repro.dist.dgraph import DistGraph, balanced_vtxdist  # noqa: E402
 from repro.dist.runtime import run_spmd  # noqa: E402
+from repro.engine import LocalBackend, SpmdBackend, run_sclp  # noqa: E402
 from repro.generators import barabasi_albert, rgg, rmat  # noqa: E402
+from repro.graph.ops import band_nodes  # noqa: E402
 from repro.graph.validation import max_block_weight_bound  # noqa: E402
 from repro.metrics import edge_cut  # noqa: E402
 
 
 def digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.int64).tobytes()).hexdigest()
+
+
+def tie_seed(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 2**63 - 1))
 
 
 GRAPHS = {
@@ -64,24 +65,27 @@ def lp_goldens(out: dict) -> None:
         lmax = max_block_weight_bound(g, 4, 0.03)
         for chunk, sweep, label in CHUNK_GRID:
             rng = np.random.default_rng(7)
-            labels = label_propagation_clustering(
-                g, max_cluster_weight=max(2, lmax // 10), iterations=3, rng=rng,
-                chunk_size=chunk, pin_sweep=sweep,
+            # unit node weights: the cluster bound is max(2, lmax // 10) itself
+            labels = run_sclp(
+                LocalBackend(g, rng), np.arange(g.num_nodes), max(2, lmax // 10), 3,
+                chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed(rng),
             )
             out[f"lp_cluster/{gname}/chunk{chunk}/{label}"] = digest(labels)
             rng = np.random.default_rng(11)
             part = rng.integers(0, 4, size=g.num_nodes)
             rng2 = np.random.default_rng(13)
-            refined = label_propagation_refinement(
-                g, part, lmax, iterations=4, rng=rng2,
-                chunk_size=chunk, pin_sweep=sweep,
+            refined = run_sclp(
+                LocalBackend(g, rng2), part, lmax, 4, refine=True, ordering="random",
+                chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed(rng2),
             )
             out[f"lp_refine/{gname}/chunk{chunk}/{label}"] = digest(refined)
         rng = np.random.default_rng(17)
         part = rng.integers(0, 4, size=g.num_nodes)
         rng2 = np.random.default_rng(19)
-        banded = label_propagation_refinement(
-            g, part, lmax, iterations=3, rng=rng2, band_distance=2
+        band = band_nodes(g, part, 2)
+        banded = part if band.size == 0 else run_sclp(
+            LocalBackend(g, rng2), part, lmax, 3, refine=True, ordering="random",
+            band=band, tie_seed=tie_seed(rng2),
         )
         out[f"lp_band/{gname}"] = digest(banded)
 
@@ -93,9 +97,9 @@ def parallel_lp_goldens(out: dict) -> None:
         lmax = max_block_weight_bound(graph, 4, 0.03)
         if mode == "cluster":
             labels = dg.to_global(np.arange(dg.n_total, dtype=np.int64))
-            res = parallel_label_propagation(
-                dg, comm, labels, max(2, lmax // 10), 3,
-                mode="cluster", chunk_size=chunk, pin_sweep=sweep,
+            res = run_sclp(
+                SpmdBackend(dg, comm), labels, max(2, lmax // 10), 3,
+                chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed(comm.rng),
             )
         else:
             part_rng = np.random.default_rng(23)
@@ -103,9 +107,10 @@ def parallel_lp_goldens(out: dict) -> None:
             labels = np.zeros(dg.n_total, dtype=np.int64)
             labels[: dg.n_local] = full[dg.first : dg.first + dg.n_local]
             dg.halo_exchange(comm, labels)
-            res = parallel_label_propagation(
-                dg, comm, labels, lmax, 4, mode="refine", k=k,
-                chunk_size=chunk, pin_sweep=sweep,
+            res = run_sclp(
+                SpmdBackend(dg, comm), labels, lmax, 4, refine=True, shares=True,
+                k=k, ordering="random", chunk=chunk, pin_sweep=sweep,
+                tie_seed=tie_seed(comm.rng),
             )
         return dg.gather_global(comm, res[: dg.n_local])
 
