@@ -28,7 +28,7 @@ def run_experiment() -> str:
         lmax = max_block_weight_bound(graph, k, 0.03)
         # a mediocre starting partition with a real boundary to clean up
         start = kaffpa_partition(
-            graph, k, 0.03, np.random.default_rng(0),
+            graph, k, lmax, np.random.default_rng(0),
             KaffpaOptions(refinement_passes=0, initial_attempts=1),
         )
         start_cut = edge_cut(graph, start)

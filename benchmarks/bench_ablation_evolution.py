@@ -17,6 +17,7 @@ from repro.dist import run_spmd
 from repro.evolutionary import KaffpaeOptions, kaffpae_partition
 from repro.kaffpa import kaffpa_partition
 from repro.generators import load_instance
+from repro.graph import max_block_weight_bound
 from repro.metrics import edge_cut
 
 
@@ -30,9 +31,10 @@ def run_experiment() -> str:
         config = fast_config(k=K, social=True, coarsest_nodes_per_block=60)
         hierarchy = coarsen(graph, config, np.random.default_rng(0), cluster_factor=14.0)
         coarsest = hierarchy.coarsest
+        lmax = max_block_weight_bound(coarsest, K, 0.03)
 
         single = np.mean([
-            edge_cut(coarsest, kaffpa_partition(coarsest, K, 0.03,
+            edge_cut(coarsest, kaffpa_partition(coarsest, K, lmax,
                                                 np.random.default_rng(seed)))
             for seed in range(3)
         ])
@@ -40,7 +42,7 @@ def run_experiment() -> str:
         def ea(rounds: int, seed: int) -> int:
             def program(comm):
                 return kaffpae_partition(
-                    comm, coarsest, K, 0.03,
+                    comm, coarsest, K, lmax,
                     KaffpaeOptions(population_size=8, rounds=rounds),
                 )
             result = run_spmd(4, program, seed=seed)

@@ -16,6 +16,7 @@ import numpy as np
 from repro.bench import format_table, write_report
 from repro.core import coarsen, fast_config, multilevel_partition
 from repro.generators import load_instance
+from repro.graph import max_block_weight_bound
 from repro.metrics import edge_cut
 
 FACTORS = (4.0, 14.0, 100.0, 20_000.0)
@@ -26,12 +27,13 @@ def run_experiment() -> str:
     for name, social in (("uk-2002", True), ("rgg26", False)):
         graph = load_instance(name, seed=0)
         config = fast_config(k=2, social=social, num_vcycles=1)
+        lmax = max_block_weight_bound(graph, 2, config.epsilon)
         for f in FACTORS:
             hierarchy = coarsen(graph, config, np.random.default_rng(0), cluster_factor=f)
             cuts = []
             for seed in range(2):
                 part = multilevel_partition(
-                    graph, config, np.random.default_rng(seed), cluster_factor=f
+                    graph, config, lmax, np.random.default_rng(seed), cluster_factor=f
                 )
                 cuts.append(edge_cut(graph, part))
             rows.append([

@@ -1,14 +1,13 @@
 """Comparison partitioners: ParMetis-like, PT-Scotch-like, hash, random."""
 
 from .common import BaselineResult, CostLedger
-from .parmetis_like import ParmetisOptions, parmetis_partition
+from .parmetis_like import parmetis_partition
 from .recursive_bisection import scotch_partition
 from .trivial import hash_partition, random_partition
 
 __all__ = [
     "BaselineResult",
     "CostLedger",
-    "ParmetisOptions",
     "hash_partition",
     "parmetis_partition",
     "random_partition",

@@ -33,14 +33,14 @@ import numpy as np
 from ..graph.csr import Graph
 from ..graph.validation import max_block_weight_bound
 from ..kaffpa.fm import fm_bisection_refine
-from ..kaffpa.initial import best_of, recursive_bisection
+from ..kaffpa.initial import best_of
 from ..kaffpa.kway_fm import greedy_kway_refine
 from ..kaffpa.matching import match_and_contract
 from ..perf.machine import SERIAL, Machine
 from ..perf.memory import MemoryBudget, estimate_graph_bytes
 from .common import BaselineResult, CostLedger
 
-__all__ = ["ParmetisOptions", "parmetis_partition"]
+__all__ = ["parmetis_partition"]
 
 # ParMetis's compiled kernels are ~4x cheaper per edge than our Python-
 # modelled LP constant; expressed as a multiplier on machine work units.
@@ -48,25 +48,17 @@ _WORK_FACTOR_MATCH = 0.25
 _WORK_FACTOR_REFINE = 0.35
 _WORK_FACTOR_INITIAL = 1.0
 
-
-class ParmetisOptions:
-    """Knobs of the ParMetis-like baseline."""
-
-    def __init__(
-        self,
-        coarsest_nodes: int = 150,
-        refinement_passes: int = 3,
-        initial_attempts: int = 6,
-        stall_factor: float = 0.7,
-        max_levels: int = 50,
-    ) -> None:
-        self.coarsest_nodes = coarsest_nodes
-        self.refinement_passes = refinement_passes
-        self.initial_attempts = initial_attempts
-        #: stop coarsening once a level shrinks by less than this factor —
-        #: the "stopped too early" behaviour on complex networks
-        self.stall_factor = stall_factor
-        self.max_levels = max_levels
+#: coarsening stops below max(this, 4k) nodes
+COARSEST_NODES = 150
+#: greedy k-way (and coarsest-level FM) passes per level
+REFINEMENT_PASSES = 3
+#: recursive-bisection attempts on the replicated coarsest graph
+INITIAL_ATTEMPTS = 6
+#: stop coarsening once a level shrinks by less than this factor — the
+#: "stopped too early" behaviour on complex networks
+STALL_FACTOR = 0.7
+#: coarsening stops after this many matching levels
+MAX_LEVELS = 50
 
 
 def parmetis_partition(
@@ -76,12 +68,10 @@ def parmetis_partition(
     num_pes: int = 1,
     machine: Machine | None = None,
     seed: int = 0,
-    options: ParmetisOptions | None = None,
     memory_budget: float | None = None,
     memory_scale: float = 1.0,
 ) -> BaselineResult:
     """Run the ParMetis-like baseline; may raise ``OutOfMemoryError``."""
-    options = options or ParmetisOptions()
     machine = machine or SERIAL
     rng = np.random.default_rng(seed)
     ledger = CostLedger(machine, num_pes)
@@ -106,12 +96,12 @@ def parmetis_partition(
     levels: list[tuple[Graph, np.ndarray]] = []
     coarse_sizes: list[int] = []
     current = graph
-    target = max(options.coarsest_nodes, 4 * k)
-    while current.num_nodes > target and len(levels) < options.max_levels:
+    target = max(COARSEST_NODES, 4 * k)
+    while current.num_nodes > target and len(levels) < MAX_LEVELS:
         result = match_and_contract(current, rng, max_node_weight=max_node_weight)
         ledger.parallel_work(_WORK_FACTOR_MATCH * current.num_arcs)
         ledger.collectives(3)
-        if result.coarse.num_nodes > options.stall_factor * current.num_nodes:
+        if result.coarse.num_nodes > STALL_FACTOR * current.num_nodes:
             break  # ineffective coarsening: stop (the paper's diagnosis)
         levels.append((current, result.fine_to_coarse))
         current = result.coarse
@@ -130,26 +120,15 @@ def parmetis_partition(
             estimate_graph_bytes(current.num_nodes, current.num_edges),
             "replicated coarsest graph",
         )
-    partition = best_of(
-        current,
-        k,
-        epsilon,
-        rng,
-        attempts=options.initial_attempts,
-        partitioner=lambda g, kk, r: recursive_bisection(g, kk, r),
-    )
-    ledger.serial_work(
-        _WORK_FACTOR_INITIAL * options.initial_attempts * current.num_arcs
-    )
+    partition = best_of(current, k, lmax, rng, attempts=INITIAL_ATTEMPTS)
+    ledger.serial_work(_WORK_FACTOR_INITIAL * INITIAL_ATTEMPTS * current.num_arcs)
     ledger.collective(bytes_received=8.0 * current.num_nodes)
 
     # ------------------------------------------------------------------
     # Uncoarsening with greedy boundary refinement
     # ------------------------------------------------------------------
     def refine(g: Graph, part: np.ndarray, coarsest: bool = False) -> np.ndarray:
-        refined = greedy_kway_refine(
-            g, part, k, lmax, rng, max_passes=options.refinement_passes
-        )
+        refined = greedy_kway_refine(g, part, k, lmax, rng, max_passes=REFINEMENT_PASSES)
         if coarsest and k == 2:
             # Serial Metis polishes the coarsest bisection with FM; the
             # per-level distributed refinement stays greedy (real ParMetis
@@ -157,7 +136,7 @@ def parmetis_partition(
             heaviest = int(np.bincount(refined, weights=g.vwgt, minlength=2).max())
             if heaviest <= lmax:
                 refined = fm_bisection_refine(
-                    g, refined, lmax, rng, max_passes=options.refinement_passes
+                    g, refined, lmax, rng, max_passes=REFINEMENT_PASSES
                 )
         heaviest = int(np.bincount(refined, weights=g.vwgt, minlength=k).max())
         if heaviest > lmax:
@@ -165,7 +144,7 @@ def parmetis_partition(
             # than fail the refinement pass.
             relaxed = max_block_weight_bound(g, k, max(epsilon, 0.06))
             refined = greedy_kway_refine(
-                g, refined, k, relaxed, rng, max_passes=options.refinement_passes
+                g, refined, k, relaxed, rng, max_passes=REFINEMENT_PASSES
             )
         return refined
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.ops import induced_subgraph
+from ..graph.validation import max_block_weight_bound
 from ..kaffpa.driver import KaffpaOptions, kaffpa_partition
 from ..kaffpa.fm import fm_bisection_refine
 from ..kaffpa.initial import greedy_graph_growing_bisection
@@ -46,14 +47,17 @@ def scotch_partition(
     ledger = CostLedger(machine, num_pes)
     partition = np.zeros(graph.num_nodes, dtype=np.int64)
     engine = KaffpaOptions(refinement_passes=2)
+    # PT-Scotch's own tolerance: every sub-bisection is held to at least 5 %
+    relaxed = max(epsilon, 0.05)
 
     def split_even(sub: Graph) -> np.ndarray:
-        return kaffpa_partition(sub, 2, max(epsilon, 0.05), rng, options=engine)
+        lmax = max_block_weight_bound(sub, 2, relaxed)
+        return kaffpa_partition(sub, 2, lmax, rng, options=engine)
 
     def split_ratio(sub: Graph, left_blocks: int, blocks: int) -> np.ndarray:
         target = sub.total_node_weight * left_blocks // blocks
         halves = greedy_graph_growing_bisection(sub, rng, target_weight=target)
-        bound = int(max(target, sub.total_node_weight - target) * (1 + max(epsilon, 0.05)))
+        bound = int(max(target, sub.total_node_weight - target) * (1 + relaxed))
         return fm_bisection_refine(sub, halves, bound, rng, max_passes=2)
 
     def bisect(sub: Graph, nodes: np.ndarray, first_block: int, blocks: int) -> None:

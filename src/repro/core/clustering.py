@@ -36,6 +36,16 @@ from ..metrics.modularity import modularity
 
 __all__ = ["ClusteringResult", "cluster_graph", "modularity_local_moving"]
 
+#: coarsening cluster size bound, as a fraction of the total node weight
+#: (keeps early levels from collapsing everything)
+MAX_CLUSTER_FRACTION = 0.05
+#: local-moving iterations on the finest graph
+REFINEMENT_ITERATIONS = 5
+#: LP restarts whose agreement forms the core groups on each level
+ENSEMBLE_RESTARTS = 3
+#: coarsening stops after this many levels
+MAX_LEVELS = 10
+
 
 @dataclass(frozen=True)
 class ClusteringResult:
@@ -153,35 +163,18 @@ def _greedy_merge(graph: Graph, rng: np.random.Generator) -> np.ndarray:
     return mapping_chain[-1]
 
 
-def cluster_graph(
-    graph: Graph,
-    seed: int = 0,
-    max_cluster_fraction: float = 0.05,
-    coarsening_iterations: int = 3,
-    refinement_iterations: int = 5,
-    ensemble_restarts: int = 3,
-    max_levels: int = 10,
-) -> ClusteringResult:
-    """Compute a modularity clustering with the multilevel scheme.
-
-    Parameters
-    ----------
-    max_cluster_fraction:
-        Size bound for the coarsening clusters as a fraction of total
-        node weight (keeps early levels from collapsing everything).
-    ensemble_restarts:
-        LP restarts whose agreement forms the core groups on each level.
-    """
+def cluster_graph(graph: Graph, seed: int = 0) -> ClusteringResult:
+    """Compute a modularity clustering with the multilevel scheme."""
     if graph.num_nodes == 0:
         return ClusteringResult(np.empty(0, dtype=np.int64), 0.0, 0, 0)
     rng = np.random.default_rng(seed)
-    bound = max(1, int(max_cluster_fraction * graph.total_node_weight))
+    bound = max(1, int(MAX_CLUSTER_FRACTION * graph.total_node_weight))
 
     # Coarsen via core groups until the graph stops shrinking.
     levels: list[np.ndarray] = []
     current = graph
-    for _ in range(max_levels):
-        groups = _core_groups(current, ensemble_restarts, bound, rng)
+    for _ in range(MAX_LEVELS):
+        groups = _core_groups(current, ENSEMBLE_RESTARTS, bound, rng)
         result = contract(current, groups)
         if result.coarse.num_nodes >= 0.95 * current.num_nodes:
             break
@@ -199,7 +192,7 @@ def cluster_graph(
     # modularity is preserved exactly by projection.
     for mapping in reversed(levels):
         clustering = clustering[mapping]
-    clustering = modularity_local_moving(graph, clustering, refinement_iterations, rng)
+    clustering = modularity_local_moving(graph, clustering, REFINEMENT_ITERATIONS, rng)
     clustering, count = normalize_labels(clustering)
     return ClusteringResult(
         clustering, modularity(graph, clustering), count, len(levels)

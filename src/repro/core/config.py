@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..engine.kernels import DEFAULT_CHUNK_SIZE
+from ..engine.sclp import ORDERINGS
 from ..kaffpa.driver import KaffpaOptions
 
 __all__ = [
@@ -39,12 +40,12 @@ CLUSTER_FACTOR_MESH = 20_000.0
 CLUSTER_FACTOR_LATER = (10.0, 25.0)
 
 
-def check_integer(name: str, value) -> int:
-    """``value`` if it is an integer >= 1 (a bool is not), else a
+def check_integer(name: str, value, least: int = 1) -> int:
+    """``value`` if it is an integer >= ``least`` (a bool is not), else a
     ``ValueError`` naming ``name`` and the value."""
     integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integral or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not integral or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -91,14 +92,17 @@ class PartitionConfig:
     lp_chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        check_integer("k", self.k)
+        for name in ("k", "num_vcycles", "coarsest_nodes_per_block", "lp_chunk_size"):
+            check_integer(name, getattr(self, name))
+        for name in ("coarsening_iterations", "refinement_iterations", "evolution_rounds"):
+            check_integer(name, getattr(self, name), least=0)
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise ValueError(
                 f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
-        if self.num_vcycles < 1:
-            raise ValueError("need at least one V-cycle")
-        if self.lp_chunk_size < 1:
-            raise ValueError("lp_chunk_size must be >= 1")
+        if self.coarsening_ordering not in ORDERINGS:
+            raise ValueError(
+                f"coarsening_ordering must be one of {', '.join(map(repr, ORDERINGS))}, "
+                f"got {self.coarsening_ordering!r}")
 
     def cluster_factor(self, vcycle: int, social: bool, rng: np.random.Generator) -> float:
         """The size-constraint factor f for a given V-cycle and graph class."""

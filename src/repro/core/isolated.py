@@ -11,13 +11,15 @@ the nodes of degree > 0, held to the *full* graph's Lmax, and every
 isolated node is then put, heaviest first, into the block that is
 lightest at that moment.  Isolated nodes cut nothing, so the cut is the
 connected part's.
+
+It is also where a multilevel call's Lmax is decided: once, from the
+full graph and ``config.epsilon``.  Every layer below takes that integer
+and derives no bound of its own.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import replace
 from typing import Any, Callable
 
 import numpy as np
@@ -38,32 +40,30 @@ def around_isolated(
 ) -> tuple[np.ndarray, Any]:
     """``run`` on ``graph`` without its isolated nodes, which are placed after.
 
-    ``run(part, part_config, part_seeded)`` gets the connected part,
-    ``config`` with the epsilon at which that part has ``graph``'s Lmax,
-    and ``seeded`` (a partition of ``graph``, or None) restricted to the
-    part; it returns ``(labels of part, extra)``.  This returns the same
-    pair with the labels extended to all of ``graph``.  A graph without
-    isolated nodes goes to ``run`` as it is; one without arcs never
-    reaches it, and ``idle`` stands in for ``extra``.
+    ``run(part, lmax, part_seeded)`` gets the connected part, ``graph``'s
+    Lmax under ``config`` and ``seeded`` (a partition of ``graph``, or
+    None) restricted to the part; it returns ``(labels of part, extra)``.
+    This returns the same pair with the labels extended to all of
+    ``graph``.  A graph without isolated nodes goes to ``run`` as it is;
+    one without arcs never reaches it, and ``idle`` stands in for
+    ``extra``.
     """
+    lmax = max_block_weight_bound(graph, config.k, config.epsilon)
     keep = np.flatnonzero(graph.degrees)
     if keep.size == graph.num_nodes:
-        return run(graph, config, seeded)
-    k = config.k
+        return run(graph, lmax, seeded)
     part_labels, extra = np.zeros(0, dtype=np.int64), idle
     if keep.size:
-        sub = _connected_part(graph, keep)
-        lmax = max_block_weight_bound(graph, k, config.epsilon)
         part_labels, extra = run(
-            sub,
-            replace(config, epsilon=_epsilon_for(sub, k, lmax)),
+            _connected_part(graph, keep),
+            lmax,
             None if seeded is None else np.asarray(seeded)[keep],
         )
     # Built only now: while the V-cycles run, the split holds no more
     # than ``keep`` and the subgraph's own arrays.
     labels = np.zeros(graph.num_nodes, dtype=np.int64)
     labels[keep] = part_labels
-    weights = np.bincount(part_labels, weights=graph.vwgt[keep], minlength=k)
+    weights = np.bincount(part_labels, weights=graph.vwgt[keep], minlength=config.k)
     alone = np.flatnonzero(graph.degrees == 0)
     labels[alone] = _place_isolated(weights.astype(np.int64), graph.vwgt[alone])
     return labels, extra
@@ -80,21 +80,6 @@ def _connected_part(graph: Graph, keep: np.ndarray) -> Graph:
     xadj = np.concatenate(([0], graph.xadj[keep + 1]))
     return Graph(xadj, new_id[graph.adjncy], graph.vwgt[keep], graph.adjwgt,
                  name=graph.name)
-
-
-def _epsilon_for(sub: Graph, k: int, lmax: int) -> float:
-    """The epsilon at which ``sub`` gets exactly the bound ``lmax``.
-
-    ``(1 + eps) * ceil(c(sub) / k)`` is aimed at ``lmax + 0.5``, half a
-    unit from either integer — far more than float rounding moves it —
-    so its floor is ``lmax``.
-    """
-    avg = math.ceil(sub.total_node_weight / k)
-    if not avg:  # a weightless connected part: every bound admits it
-        return 0.0
-    epsilon = (lmax + 0.5) / avg - 1.0
-    assert max_block_weight_bound(sub, k, epsilon) == lmax, (lmax, avg, epsilon)
-    return epsilon
 
 
 def _place_isolated(block_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from ..engine.sclp import run_sclp
 from ..engine.vcycle import run_vcycle
 from ..graph.csr import Graph
 from ..graph.ops import degree_statistics
-from ..graph.validation import max_block_weight_bound
 from ..kaffpa.driver import kaffpa_partition
 from ..metrics.quality import edge_cut
 from .coarsening import HierarchyLevel, LocalCoarseningBackend
@@ -68,7 +67,7 @@ class LocalVcycleBackend(LocalCoarseningBackend):
         return kaffpa_partition(
             self.current,
             self.config.k,
-            self.config.epsilon,
+            self.lmax,
             self.rng,
             options=self.config.coarsest_engine(),
             seed_partition=self.constraint,
@@ -113,6 +112,7 @@ class LocalVcycleBackend(LocalCoarseningBackend):
 def multilevel_partition(
     graph: Graph,
     config: PartitionConfig,
+    lmax: int,
     rng: np.random.Generator,
     cluster_factor: float | None = None,
     input_partition: np.ndarray | None = None,
@@ -120,9 +120,11 @@ def multilevel_partition(
 ) -> np.ndarray:
     """One multilevel V-cycle; returns a k-partition of ``graph``.
 
-    With ``input_partition`` given, its cut edges are never contracted
-    (V-cycle rule), it seeds the coarsest-level partitioner, and the
-    cycle starts uncoarsening from it or from something better.
+    ``lmax`` is the balance bound of every phase: cluster bound,
+    coarsest-level partitioner and refinement.  With ``input_partition``
+    given, its cut edges are never contracted (V-cycle rule), it seeds
+    the coarsest-level partitioner, and the cycle starts uncoarsening
+    from it or from something better.
     ``cycle`` labels the pipeline spans and events of a traced run.
     """
     if graph.num_nodes == 0:
@@ -130,6 +132,5 @@ def multilevel_partition(
     if cluster_factor is None:
         social = config.social if config.social is not None else detect_social(graph)
         cluster_factor = config.cluster_factor(0, social, rng)
-    lmax = max_block_weight_bound(graph, config.k, config.epsilon)
     backend = LocalVcycleBackend(graph, config, rng, input_partition, lmax)
     return run_vcycle(backend, config, lmax, cluster_factor, cycle=cycle).partition

@@ -53,8 +53,8 @@ def sequential_partition(
     config = config or fast_config()
     rng = np.random.default_rng(seed)
 
-    def cycles(part: Graph, part_config: PartitionConfig, seeded):
-        trace = iterated_vcycles(part, part_config, rng, input_partition=seeded)
+    def cycles(part: Graph, lmax: int, seeded):
+        trace = iterated_vcycles(part, config, lmax, rng, input_partition=seeded)
         return trace.partition, trace.cuts
 
     partition, cuts = around_isolated(graph, config, cycles, input_partition, idle=())

@@ -17,7 +17,6 @@ from functools import partial
 import numpy as np
 
 from ..graph.csr import Graph
-from ..graph.validation import max_block_weight_bound
 from ..metrics.quality import overweight_cut
 from ..obsv.tracer import TRACER
 from .config import PartitionConfig
@@ -37,19 +36,19 @@ class VcycleTrace:
 def iterated_vcycles(
     graph: Graph,
     config: PartitionConfig,
+    lmax: int,
     rng: np.random.Generator,
     input_partition: np.ndarray | None = None,
 ) -> VcycleTrace:
     """Run ``config.num_vcycles`` V-cycles; cut is monotonically non-increasing.
 
+    ``lmax`` is the bound every cycle is held to (the caller's Lmax).
     ``input_partition`` optionally feeds an existing partition (e.g. a
     geographic prepartition, the paper's future-work scenario) into the
     *first* V-cycle: its cut edges are protected and, if it is balanced,
     the result is never worse.
     """
     social = config.social if config.social is not None else detect_social(graph)
-    lmax = max_block_weight_bound(graph, config.k, config.epsilon)
-
     fitness = partial(overweight_cut, graph, k=config.k, lmax=lmax)
     best: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
@@ -63,6 +62,7 @@ def iterated_vcycles(
             candidate = multilevel_partition(
                 graph,
                 config,
+                lmax,
                 rng,
                 cluster_factor=factor,
                 input_partition=best,

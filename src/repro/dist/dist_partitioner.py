@@ -55,7 +55,6 @@ from ..engine.vcycle import run_vcycle
 from ..evolutionary.kaffpae import KaffpaeOptions, kaffpae_partition
 from ..graph.build import group_arcs
 from ..graph.csr import Graph
-from ..graph.validation import max_block_weight_bound
 from ..metrics.quality import edge_cut, evaluate_partition, PartitionQuality
 from ..obsv.tracer import TRACER
 from ..perf.machine import Machine
@@ -265,7 +264,7 @@ class SpmdVcycleBackend:
             self.comm,
             replica,
             self.config.k,
-            self.config.epsilon,
+            self.lmax,
             ea_options,
             seed_individual=seed_partition,
         )
@@ -336,8 +335,8 @@ def parhip_program(
     Returns the *global* partition (identical on every rank) and a phase
     timing dictionary of this rank's simulated clock.
     """
-    def cycles(part: Graph, part_config: PartitionConfig, seeded):
-        return parhip_vcycles(comm, part, part_config, seed, memory_budget,
+    def cycles(part: Graph, lmax: int, seeded):
+        return parhip_vcycles(comm, part, config, lmax, seed, memory_budget,
                               memory_scale, replica_memory_scale, seeded)
 
     return around_isolated(graph, config, cycles, initial_partition, idle={})
@@ -347,24 +346,23 @@ def parhip_vcycles(
     comm: SimComm,
     graph: Graph,
     config: PartitionConfig,
+    lmax: int,
     seed: int,
     memory_budget: float | None = None,
     memory_scale: float = 1.0,
     replica_memory_scale: float | None = None,
     initial_partition: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Distribute ``graph``, run the V-cycles, gather the partition.
+    """Distribute ``graph``, run the V-cycles against ``lmax``, gather the partition.
 
     What :func:`parhip_program` runs on a graph without isolated nodes;
     the result and collective schedule are the same on every rank.
     """
-    k = config.k
     n = graph.num_nodes
     if n == 0:
         return np.empty(0, dtype=np.int64), {}
     vtxdist = balanced_vtxdist(n, comm.size)
     dgraph = DistGraph.from_global(graph, vtxdist, comm.rank)
-    lmax = max_block_weight_bound(graph, k, config.epsilon)
     social = config.social if config.social is not None else detect_social(graph)
     budget = (
         MemoryBudget(memory_budget, scale=memory_scale) if memory_budget is not None else None

@@ -75,7 +75,10 @@ from ..obsv.tracer import TRACER
 from ..perf.rss import memory_sample
 from .backend import ExecutionBackend
 
-__all__ = ["run_sclp"]
+__all__ = ["ORDERINGS", "run_sclp"]
+
+#: the node visiting orders a phase takes (see :func:`run_sclp`)
+ORDERINGS = ("degree", "random", "node")
 
 
 def _shard_segments(order: np.ndarray, chunk: int, span: int | None) -> list[tuple[int, int]]:
@@ -131,7 +134,7 @@ def run_sclp(
     """
     if shares and (k is None or not refine):
         raise ValueError("the budget-share regime is refinement-only and requires k")
-    if ordering not in ("degree", "random", "node"):
+    if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")

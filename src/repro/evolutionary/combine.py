@@ -35,7 +35,7 @@ def overlay_labels(p1: np.ndarray, p2: np.ndarray, k: int) -> np.ndarray:
 def combine(
     graph: Graph,
     k: int,
-    epsilon: float,
+    lmax: int,
     rng: np.random.Generator,
     parent_a: Individual,
     parent_b: Individual,
@@ -47,13 +47,13 @@ def combine(
     offspring = kaffpa_partition(
         graph,
         k,
-        epsilon,
+        lmax,
         rng,
         options=options,
         constraint=constraint,
         seed_partition=better.partition,
     )
-    child = Individual.from_partition(graph, offspring, k, epsilon)
+    child = Individual.from_partition(graph, offspring, k, lmax)
     # Refinement and seed logic guarantee non-worsening; keep the better
     # parent defensively if numerical tie-breaking ever produced a tie.
     return child if not better.dominates(child) else better

@@ -25,7 +25,7 @@ def rumor_exchange(
     graph: Graph,
     population: Population,
     k: int,
-    epsilon: float,
+    lmax: int,
 ) -> int:
     """One exchange round; returns how many received individuals were admitted.
 
@@ -40,7 +40,7 @@ def rumor_exchange(
             comm.send_buffered(int(dest), best.partition.copy())
     admitted = 0
     for _src, payload in comm.exchange():
-        immigrant = Individual.from_partition(graph, payload, k, epsilon)
+        immigrant = Individual.from_partition(graph, payload, k, lmax)
         if population.insert(immigrant):
             admitted += 1
     return admitted

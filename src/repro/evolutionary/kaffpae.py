@@ -64,7 +64,7 @@ def kaffpae_partition(
     comm: SimComm,
     graph: Graph,
     k: int,
-    epsilon: float,
+    lmax: int,
     options: KaffpaeOptions | None = None,
     seed_individual: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -81,14 +81,14 @@ def kaffpae_partition(
     # Initial population (independent multilevel runs per PE)
     # ------------------------------------------------------------------
     if seed_individual is not None:
-        population.insert(Individual.from_partition(graph, seed_individual, k, epsilon))
+        population.insert(Individual.from_partition(graph, seed_individual, k, lmax))
     # t_p = t_1 / p: each PE builds its 1/p share of the population; the
     # global pool (what the final all-PE best draws from) keeps its size.
     local_target = max(1, -(-options.population_size // comm.size))
     with TRACER.span("ea.init", comm=comm, target=local_target) as init_sp:
         while len(population) < local_target:
-            part = kaffpa_partition(graph, k, epsilon, rng, options=options.engine)
-            population.insert(Individual.from_partition(graph, part, k, epsilon))
+            part = kaffpa_partition(graph, k, lmax, rng, options=options.engine)
+            population.insert(Individual.from_partition(graph, part, k, lmax))
             comm.work(_ENGINE_WORK_PER_ARC * graph.num_arcs)
         init_sp.set(best_cut=population.best().cut)
 
@@ -102,7 +102,7 @@ def kaffpae_partition(
         round_span = TRACER.span("ea.round", comm=comm, round=round_idx)
         round_span.__enter__()
         parent_a, parent_b = population.sample_pair(rng)
-        child = combine(graph, k, epsilon, rng, parent_a, parent_b,
+        child = combine(graph, k, lmax, rng, parent_a, parent_b,
                         options=options.engine)
         child_admitted = population.insert(child)
         round_span.set(child_cut=child.cut, child_admitted=bool(child_admitted))
@@ -110,11 +110,11 @@ def kaffpae_partition(
         if rng.random() < MUTATION_PROBABILITY:
             victim, _ = population.sample_pair(rng)
             if rng.random() < 0.5:
-                mutant = mutate_vcycle(graph, k, epsilon, rng, victim,
+                mutant = mutate_vcycle(graph, k, lmax, rng, victim,
                                        options=options.engine)
                 mutation_kind = "vcycle"
             else:
-                mutant = mutate_perturb(graph, k, epsilon, rng, victim)
+                mutant = mutate_perturb(graph, k, lmax, rng, victim)
                 mutation_kind = "perturb"
             mutant_admitted = population.insert(mutant)
             round_span.set(mutation=mutation_kind, mutant_cut=mutant.cut,
@@ -122,7 +122,7 @@ def kaffpae_partition(
             comm.work(_ENGINE_WORK_PER_ARC * graph.num_arcs)
         if (round_idx + 1) % EXCHANGE_PERIOD == 0:
             bytes_before = comm.stats.bytes_sent
-            admitted = rumor_exchange(comm, graph, population, k, epsilon)
+            admitted = rumor_exchange(comm, graph, population, k, lmax)
             round_span.set(exchange_admitted=int(admitted),
                            exchange_bytes=comm.stats.bytes_sent - bytes_before)
         if TRACER.enabled:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import Graph
-from ..graph.validation import max_block_weight_bound
 from ..kaffpa.driver import KaffpaOptions, kaffpa_partition
 from ..kaffpa.kway_fm import greedy_kway_refine
 from ..metrics.quality import boundary_nodes
@@ -32,7 +31,7 @@ PERTURB_FRACTION = 0.05
 def mutate_vcycle(
     graph: Graph,
     k: int,
-    epsilon: float,
+    lmax: int,
     rng: np.random.Generator,
     individual: Individual,
     options: KaffpaOptions | None = None,
@@ -41,19 +40,19 @@ def mutate_vcycle(
     offspring = kaffpa_partition(
         graph,
         k,
-        epsilon,
+        lmax,
         rng,
         options=options,
         seed_partition=individual.partition,
     )
-    child = Individual.from_partition(graph, offspring, k, epsilon)
+    child = Individual.from_partition(graph, offspring, k, lmax)
     return child if not individual.dominates(child) else individual
 
 
 def mutate_perturb(
     graph: Graph,
     k: int,
-    epsilon: float,
+    lmax: int,
     rng: np.random.Generator,
     individual: Individual,
 ) -> Individual:
@@ -64,6 +63,5 @@ def mutate_perturb(
         count = max(1, int(PERTURB_FRACTION * boundary.size))
         chosen = rng.choice(boundary, size=min(count, boundary.size), replace=False)
         partition[chosen] = rng.integers(0, k, size=chosen.size)
-    lmax = max_block_weight_bound(graph, k, epsilon)
     repaired = greedy_kway_refine(graph, partition, k, lmax, rng, max_passes=3)
-    return Individual.from_partition(graph, repaired, k, epsilon)
+    return Individual.from_partition(graph, repaired, k, lmax)

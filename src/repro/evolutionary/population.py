@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph.csr import Graph
-from ..graph.validation import max_block_weight_bound
 from ..metrics.quality import overweight_cut
 
 __all__ = ["Individual", "Population"]
@@ -29,10 +28,9 @@ class Individual:
 
     @classmethod
     def from_partition(
-        cls, graph: Graph, partition: np.ndarray, k: int, epsilon: float
+        cls, graph: Graph, partition: np.ndarray, k: int, lmax: int
     ) -> "Individual":
         partition = np.asarray(partition, dtype=np.int64)
-        lmax = max_block_weight_bound(graph, k, epsilon)
         overweight, cut = overweight_cut(graph, partition, k, lmax)
         return cls(partition, cut, overweight)
 

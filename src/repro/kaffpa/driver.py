@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import Graph
-from ..graph.validation import block_weights, max_block_weight_bound
+from ..graph.validation import block_weights
 from ..metrics.quality import overweight_cut
 from ..obsv.tracer import TRACER
 from .fm import fm_bisection_refine
@@ -61,13 +61,13 @@ class KaffpaOptions:
 def kaffpa_partition(
     graph: Graph,
     k: int,
-    epsilon: float,
+    lmax: int,
     rng: np.random.Generator,
     options: KaffpaOptions | None = None,
     constraint: np.ndarray | None = None,
     seed_partition: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Partition ``graph`` into ``k`` blocks with the sequential engine.
+    """Partition ``graph`` into ``k`` blocks under the balance bound ``lmax``.
 
     Raises :class:`ValueError` if both ``seed_partition`` and
     ``constraint`` are given and the constraint does not refine the seed.
@@ -83,7 +83,6 @@ def kaffpa_partition(
                 "cluster spans two seed blocks, so coarsening would contract "
                 "cut edges of the seed"
             )
-    lmax = max_block_weight_bound(graph, k, epsilon)
     target_nodes = max(options.coarsest_nodes, 4 * k)
     # Cap coarse node weights so a balanced partition stays representable:
     # nodes heavier than a fraction of Lmax turn initial partitioning into
@@ -126,7 +125,7 @@ def kaffpa_partition(
     # ------------------------------------------------------------------
     with TRACER.span("kaffpa.initial", nodes=current.num_nodes,
                      attempts=options.initial_attempts):
-        partition = best_of(current, k, epsilon, rng, attempts=options.initial_attempts)
+        partition = best_of(current, k, lmax, rng, attempts=options.initial_attempts)
         if seed_partition is not None:
             seed_key = overweight_cut(current, seed_partition, k, lmax)
             if seed_key[0] == 0 and seed_key <= overweight_cut(current, partition, k, lmax):

@@ -20,14 +20,11 @@ Provided algorithms (all standard KaHIP/Metis building blocks):
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .. import native
 from ..graph.csr import Graph
 from ..graph.ops import induced_subgraph
-from ..graph.validation import max_block_weight_bound
 from ..metrics.quality import overweight_cut
 
 __all__ = [
@@ -156,23 +153,20 @@ def _rows_sorted(graph: Graph) -> bool:
 def best_of(
     graph: Graph,
     k: int,
-    epsilon: float,
+    lmax: int,
     rng: np.random.Generator,
     attempts: int = 4,
-    partitioner: Callable[[Graph, int, np.random.Generator], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Run ``partitioner`` several times; keep the best (preferring balance).
+    """Run :func:`recursive_bisection` several times; keep the best (preferring balance).
 
-    Candidates within ``Lmax`` are ranked by cut; if no attempt is
+    Candidates within ``lmax`` are ranked by cut; if no attempt is
     balanced (possible on pathological coarse graphs with huge node
     weights), the least-imbalanced attempt wins.
     """
-    partitioner = partitioner or recursive_bisection
-    lmax = max_block_weight_bound(graph, k, epsilon)
     best: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
     for _ in range(max(1, attempts)):
-        candidate = partitioner(graph, k, rng)
+        candidate = recursive_bisection(graph, k, rng)
         key = overweight_cut(graph, candidate, k, lmax)
         if best_key is None or key < best_key:
             best, best_key = candidate, key

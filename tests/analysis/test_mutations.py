@@ -57,8 +57,10 @@ _WORK = _GUARD + (
     "from repro.dist.dist_partitioner import parhip_vcycles\n"
     "from repro.dist.runtime import run_spmd\n"
     "from repro.generators import rmat\n"
-    "res = run_spmd(4, parhip_vcycles, rmat(10, seed=1), fast_config(k=4), 31,\n"
-    "               seed=31)\n"
+    "from repro.graph import max_block_weight_bound\n"
+    "g = rmat(10, seed=1)\n"
+    "res = run_spmd(4, parhip_vcycles, g, fast_config(k=4),\n"
+    "               max_block_weight_bound(g, 4, 0.03), 31, seed=31)\n"
     "print(repr(res.total_work))\n"
 )
 
@@ -179,9 +181,9 @@ TABLE = [
     Mutation(
         "augmented-assignment-on-the-input-graph", "dist/dist_partitioner.py",
         ((
-            "    lmax = max_block_weight_bound(graph, k, config.epsilon)\n",
+            "    social = config.social if config.social is not None else detect_social(graph)\n",
             "    graph.adjwgt *= 2\n"
-            "    lmax = max_block_weight_bound(graph, k, config.epsilon)\n",
+            "    social = config.social if config.social is not None else detect_social(graph)\n",
         ),),
         runtime="ValueError", runtime_at=("dist/dist_partitioner.py", "graph.adjwgt *= 2"),
     ),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    ParmetisOptions,
     hash_partition,
     parmetis_partition,
     random_partition,
@@ -134,9 +133,3 @@ class TestParmetisLike:
         fast = parallel_partition(g, fast_config(k=2, social=False), num_pes=8,
                                   machine=MACHINE_A, seed=0)
         assert pm.sim_time < fast.sim_time
-
-    def test_options_respected(self):
-        g = rgg(10, seed=0)
-        res = parmetis_partition(g, 2, seed=0,
-                                 options=ParmetisOptions(coarsest_nodes=400))
-        assert not res.coarse_sizes or res.coarse_sizes[-1] >= 200

@@ -24,6 +24,10 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def lmax(graph, config):
+    return max_block_weight_bound(graph, config.k, config.epsilon)
+
+
 class TestConfig:
     def test_presets(self):
         assert fast_config().num_vcycles == 2
@@ -42,13 +46,18 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("k", 2.5), ("k", True), ("k", "4"),
         ("epsilon", float("nan")), ("epsilon", float("inf")),
+        ("coarsening_iterations", 2.5), ("refinement_iterations", -1),
+        ("coarsest_nodes_per_block", 0), ("evolution_rounds", -3),
+        ("coarsening_ordering", "bogus"),
     ])
     def test_bad_knob_fails_fast_naming_it(self, field, value):
         from repro.api import partition_graph
 
-        with pytest.raises(ValueError, match=rf"^{field} must .*, got {value!r}$"):
-            partition_graph(rgg(6, seed=0), **{"k": 2, field: value})
-        with pytest.raises(ValueError, match=rf"^{field} must "):
+        message = rf"^{field} must .*, got {value!r}$"
+        if field in ("k", "epsilon"):  # the two that partition_graph takes
+            with pytest.raises(ValueError, match=message):
+                partition_graph(rgg(6, seed=0), **{"k": 2, field: value})
+        with pytest.raises(ValueError, match=message):
             PartitionConfig(**{field: value})
 
     def test_numpy_integer_k_is_an_integer(self):
@@ -77,7 +86,7 @@ class TestMultilevelPartition:
     def test_planted_partition_near_optimal(self):
         g, truth = planted_partition(2, 100, p_in=0.25, p_out=0.01, seed=0)
         config = fast_config(k=2, social=True)
-        part = multilevel_partition(g, config, rng(1))
+        part = multilevel_partition(g, config, lmax(g, config), rng(1))
         check_partition(g, part, 2, epsilon=0.03)
         optimal = edge_cut(g, truth)
         assert edge_cut(g, part) <= 1.3 * optimal
@@ -86,22 +95,22 @@ class TestMultilevelPartition:
     def test_balanced_on_mesh(self, k):
         g = rgg(10, seed=1)
         config = fast_config(k=k, social=False)
-        part = multilevel_partition(g, config, rng(2))
+        part = multilevel_partition(g, config, lmax(g, config), rng(2))
         check_partition(g, part, k, epsilon=0.03)
 
     def test_input_partition_never_worsened(self):
         g = load_instance("amazon")
         config = fast_config(k=2, social=True)
-        first = multilevel_partition(g, config, rng(3))
-        lmax = max_block_weight_bound(g, 2, config.epsilon)
-        improved = multilevel_partition(g, config, rng(4), input_partition=first)
+        bound = lmax(g, config)
+        first = multilevel_partition(g, config, bound, rng(3))
+        improved = multilevel_partition(g, config, bound, rng(4), input_partition=first)
         assert edge_cut(g, improved) <= edge_cut(g, first)
-        assert np.bincount(improved, weights=g.vwgt, minlength=2).max() <= lmax
+        assert np.bincount(improved, weights=g.vwgt, minlength=2).max() <= bound
 
     def test_empty_graph(self):
         from repro.graph import empty_graph
 
-        part = multilevel_partition(empty_graph(0), fast_config(k=2), rng())
+        part = multilevel_partition(empty_graph(0), fast_config(k=2), 0, rng())
         assert part.size == 0
 
 
@@ -109,15 +118,16 @@ class TestVcycles:
     def test_cuts_monotone_nonincreasing(self):
         g = load_instance("youtube")
         config = eco_config(k=2, social=True, evolution_rounds=0)
-        trace = iterated_vcycles(g, config, rng(0))
+        trace = iterated_vcycles(g, config, lmax(g, config), rng(0))
         cuts = list(trace.cuts)
         assert len(cuts) == 5
         assert all(b <= a for a, b in zip(cuts, cuts[1:]))
 
     def test_more_cycles_not_worse_than_one(self):
         g = load_instance("amazon")
-        one = iterated_vcycles(g, minimal_config(k=2, social=True), rng(5))
-        two = iterated_vcycles(g, fast_config(k=2, social=True), rng(5))
+        one_cycle, two_cycles = minimal_config(k=2, social=True), fast_config(k=2, social=True)
+        one = iterated_vcycles(g, one_cycle, lmax(g, one_cycle), rng(5))
+        two = iterated_vcycles(g, two_cycles, lmax(g, two_cycles), rng(5))
         assert two.cuts[-1] <= one.cuts[0]
 
 

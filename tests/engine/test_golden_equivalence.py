@@ -160,7 +160,8 @@ def test_parallel_lp(gname, p, chunk, sweep, label, mode):
 def test_multilevel(gname, cname):
     g = make_graph(gname)
     config = CONFIGS[cname](k=4)
-    part = multilevel_partition(g, config, np.random.default_rng(29))
+    lmax = max_block_weight_bound(g, 4, config.epsilon)
+    part = multilevel_partition(g, config, lmax, np.random.default_rng(29))
     assert digest(part) == GOLDEN[f"multilevel/{gname}/{cname}"]
 
 
@@ -172,7 +173,9 @@ def test_parallel_partition(gname, cname, p):
     runs on a graph without isolated nodes (ba10).  On rmat10 and rgg10 it
     runs them on the connected part, which the ``api/*`` keys pin."""
     g = make_graph(gname)
-    res = run_spmd(p, parhip_vcycles, g, CONFIGS[cname](k=4), 31, seed=31)
+    config = CONFIGS[cname](k=4)
+    lmax = max_block_weight_bound(g, 4, config.epsilon)
+    res = run_spmd(p, parhip_vcycles, g, config, lmax, 31, seed=31)
     partition = res.value[0]
     assert digest(partition) == GOLDEN[f"parallel/{gname}/{cname}/p{p}"]
     assert edge_cut(g, partition) == GOLDEN[f"parallel_cut/{gname}/{cname}/p{p}"]
@@ -180,8 +183,9 @@ def test_parallel_partition(gname, cname, p):
 
 def test_parallel_work_accounting():
     """A dropped ``comm.work`` moves no label; the summed work units do."""
-    res = run_spmd(4, parhip_vcycles, make_graph("rmat10"), fast_config(k=4), 31,
-                   seed=31)
+    g = make_graph("rmat10")
+    res = run_spmd(4, parhip_vcycles, g, fast_config(k=4),
+                   max_block_weight_bound(g, 4, 0.03), 31, seed=31)
     assert digest(res.value[0]) == GOLDEN["parallel/rmat10/fast/p4"]
     assert res.total_work == GOLDEN["parallel_work/rmat10/fast/p4"]
 

@@ -18,7 +18,7 @@ from repro.evolutionary import (
     rumor_exchange,
 )
 from repro.generators import load_instance, planted_partition
-from repro.graph import check_partition
+from repro.graph import check_partition, max_block_weight_bound
 from repro.metrics import edge_cut
 
 
@@ -32,27 +32,31 @@ def small_social():
     return g
 
 
+def bound(graph, epsilon, k=2):
+    return max_block_weight_bound(graph, k, epsilon)
+
+
 def make_individual(graph, k, seed, epsilon=0.03):
     part = rng(seed).integers(0, k, size=graph.num_nodes)
-    return Individual.from_partition(graph, part, k, epsilon)
+    return Individual.from_partition(graph, part, k, bound(graph, epsilon, k))
 
 
 class TestIndividual:
     def test_fitness_components(self, two_triangles):
-        ind = Individual.from_partition(two_triangles, np.array([0, 0, 0, 1, 1, 1]), 2, 0.0)
+        ind = Individual.from_partition(two_triangles, np.array([0, 0, 0, 1, 1, 1]), 2, 3)
         assert ind.cut == 1
         assert ind.overweight == 0
 
     def test_overweight_detected(self, two_triangles):
-        ind = Individual.from_partition(two_triangles, np.array([0] * 5 + [1]), 2, 0.0)
+        ind = Individual.from_partition(two_triangles, np.array([0] * 5 + [1]), 2, 3)
         assert ind.overweight == 2  # 5 vs Lmax 3
 
     def test_domination_prefers_balance_over_cut(self, two_triangles):
         balanced = Individual.from_partition(
-            two_triangles, np.array([0, 1, 0, 1, 0, 1]), 2, 0.0
+            two_triangles, np.array([0, 1, 0, 1, 0, 1]), 2, 3
         )
         unbalanced_low_cut = Individual.from_partition(
-            two_triangles, np.array([0] * 6), 2, 0.0
+            two_triangles, np.array([0] * 6), 2, 3
         )
         assert balanced.dominates(unbalanced_low_cut)
 
@@ -64,8 +68,9 @@ class TestPopulation:
         pop.insert(worst)
         pop.insert(worst)
         better = Individual.from_partition(
-            small_social, np.zeros(small_social.num_nodes, dtype=np.int64), 2, 10.0
-        )  # epsilon huge -> balanced, cut 0
+            small_social, np.zeros(small_social.num_nodes, dtype=np.int64), 2,
+            small_social.num_nodes,
+        )  # Lmax the whole graph -> balanced, cut 0
         assert pop.insert(better)
         assert len(pop) == 2
         assert pop.best().cut == 0
@@ -73,7 +78,8 @@ class TestPopulation:
     def test_insert_rejects_when_full_of_better(self, small_social):
         pop = Population(capacity=1)
         good = Individual.from_partition(
-            small_social, np.zeros(small_social.num_nodes, dtype=np.int64), 2, 10.0
+            small_social, np.zeros(small_social.num_nodes, dtype=np.int64), 2,
+            small_social.num_nodes,
         )
         pop.insert(good)
         bad = make_individual(small_social, 2, seed=2)
@@ -113,7 +119,8 @@ class TestCombine:
         k, eps = 2, 0.05
         a = make_individual(small_social, k, seed=3, epsilon=eps)
         b = make_individual(small_social, k, seed=4, epsilon=eps)
-        child = combine(small_social, k, eps, rng(5), a, b)
+        lmax = bound(small_social, eps, k)
+        child = combine(small_social, k, lmax, rng(5), a, b)
         better = a if not b.dominates(a) else b
         assert child.fitness_key <= better.fitness_key
 
@@ -121,7 +128,8 @@ class TestCombine:
         k, eps = 2, 0.05
         a = make_individual(small_social, k, seed=6, epsilon=eps)
         b = make_individual(small_social, k, seed=7, epsilon=eps)
-        child = combine(small_social, k, eps, rng(8), a, b)
+        lmax = bound(small_social, eps, k)
+        child = combine(small_social, k, lmax, rng(8), a, b)
         assert child.cut < min(a.cut, b.cut)
 
 
@@ -129,13 +137,15 @@ class TestMutation:
     def test_vcycle_mutation_never_worsens(self, small_social):
         k, eps = 2, 0.05
         ind = make_individual(small_social, k, seed=9, epsilon=eps)
-        mutant = mutate_vcycle(small_social, k, eps, rng(10), ind)
+        lmax = bound(small_social, eps, k)
+        mutant = mutate_vcycle(small_social, k, lmax, rng(10), ind)
         assert mutant.fitness_key <= ind.fitness_key
 
     def test_perturb_mutation_returns_valid(self, small_social):
         k, eps = 2, 0.05
         ind = make_individual(small_social, k, seed=11, epsilon=eps)
-        mutant = mutate_perturb(small_social, k, eps, rng(12), ind)
+        lmax = bound(small_social, eps, k)
+        mutant = mutate_perturb(small_social, k, lmax, rng(12), ind)
         check_partition(small_social, mutant.partition, k, epsilon=None)
 
 
@@ -144,7 +154,8 @@ class TestRumorExchange:
         k, eps = 2, 0.5
         n = small_social.num_nodes
         champion = (np.arange(n) >= n // 2).astype(np.int64)  # balanced, low cut
-        champion_ind = Individual.from_partition(small_social, champion, k, eps)
+        lmax = bound(small_social, eps, k)
+        champion_ind = Individual.from_partition(small_social, champion, k, lmax)
         assert champion_ind.overweight == 0
 
         def program(comm):
@@ -154,7 +165,7 @@ class TestRumorExchange:
             else:
                 pop.insert(make_individual(small_social, k, seed=comm.rank, epsilon=eps))
             for _ in range(4):
-                rumor_exchange(comm, small_social, pop, k, eps)
+                rumor_exchange(comm, small_social, pop, k, lmax)
             return pop.best().cut
 
         result = run_spmd(4, program, seed=3)
@@ -165,7 +176,7 @@ class TestRumorExchange:
 class TestKaffpae:
     def test_single_rank_returns_valid_partition(self, small_social):
         def program(comm):
-            return kaffpae_partition(comm, small_social, 2, 0.03,
+            return kaffpae_partition(comm, small_social, 2, bound(small_social, 0.03),
                                      KaffpaeOptions(population_size=2, rounds=2))
 
         result = run_spmd(1, program, seed=0)
@@ -173,7 +184,7 @@ class TestKaffpae:
 
     def test_all_ranks_agree_on_result(self, small_social):
         def program(comm):
-            return kaffpae_partition(comm, small_social, 2, 0.03,
+            return kaffpae_partition(comm, small_social, 2, bound(small_social, 0.03),
                                      KaffpaeOptions(population_size=2, rounds=4))
 
         result = run_spmd(3, program, seed=1)
@@ -186,7 +197,7 @@ class TestKaffpae:
         seed_cut = edge_cut(small_social, seed_part)
 
         def program(comm):
-            return kaffpae_partition(comm, small_social, 2, 0.05,
+            return kaffpae_partition(comm, small_social, 2, bound(small_social, 0.05),
                                      KaffpaeOptions(population_size=2, rounds=2),
                                      seed_individual=seed_part)
 
@@ -196,7 +207,7 @@ class TestKaffpae:
     def test_more_rounds_do_not_worsen(self, small_social):
         def program_rounds(rounds):
             def program(comm):
-                return kaffpae_partition(comm, small_social, 2, 0.03,
+                return kaffpae_partition(comm, small_social, 2, bound(small_social, 0.03),
                                          KaffpaeOptions(population_size=2,
                                                         rounds=rounds))
             return program

@@ -9,6 +9,7 @@ import pytest
 
 from repro.evolutionary import Individual
 from repro.generators import planted_partition
+from repro.graph import max_block_weight_bound
 from repro.metrics import (
     communication_volume,
     max_communication_volume,
@@ -50,13 +51,14 @@ class TestObjectiveMetrics:
 class TestIndividualObjectives:
     def test_default_objective_is_cut(self, social):
         part = np.arange(social.num_nodes) % 2
-        ind = Individual.from_partition(social, part, 2, 0.5)
+        ind = Individual.from_partition(social, part, 2, max_block_weight_bound(social, 2, 0.5))
         assert ind.fitness_key == (ind.overweight, ind.cut)
 
     def test_balance_still_dominates(self, social):
+        lmax = max_block_weight_bound(social, 2, 0.03)
         balanced = Individual.from_partition(
-            social, np.arange(social.num_nodes) % 2, 2, 0.03)
+            social, np.arange(social.num_nodes) % 2, 2, lmax)
         lopsided = Individual.from_partition(
-            social, np.zeros(social.num_nodes, dtype=np.int64), 2, 0.03)
+            social, np.zeros(social.num_nodes, dtype=np.int64), 2, lmax)
         assert lopsided.cut < balanced.cut
         assert balanced.dominates(lopsided)

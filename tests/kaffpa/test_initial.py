@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from repro.generators import planted_partition, rgg
-from repro.graph import block_weights, from_edges, path_graph
+from repro.graph import block_weights, from_edges, max_block_weight_bound, path_graph
 from repro.kaffpa import best_of, greedy_graph_growing_bisection, recursive_bisection
 from repro.metrics import edge_cut, imbalance
 
@@ -126,17 +126,17 @@ class TestRegionGrowing:
 
     def test_greedy_growing_finds_planted_blocks(self):
         g, truth = planted_partition(2, 60, p_in=0.4, p_out=0.002, seed=2)
-        part = best_of(g, 2, 0.05, rng(7), attempts=6)
+        part = best_of(g, 2, max_block_weight_bound(g, 2, 0.05), rng(7), attempts=6)
         assert edge_cut(g, part) <= 3 * edge_cut(g, truth)
 
 
 class TestBestOf:
     def test_prefers_balance_then_cut(self):
         g = rgg(8, seed=2)
-        part = best_of(g, 2, 0.03, rng(8), attempts=6)
+        part = best_of(g, 2, max_block_weight_bound(g, 2, 0.03), rng(8), attempts=6)
         assert imbalance(g, part, 2) <= 0.2
 
     def test_single_attempt_works(self):
         g = path_graph(8)
-        part = best_of(g, 2, 0.03, rng(9), attempts=1)
+        part = best_of(g, 2, max_block_weight_bound(g, 2, 0.03), rng(9), attempts=1)
         assert set(np.unique(part)) == {0, 1}

@@ -208,9 +208,10 @@ class TestDriver:
         recursive bisection, refinement on every level — with
         ``constraint`` and ``seed_partition`` given."""
         given_part = np.random.default_rng(seed + 2).integers(0, k, size=graph.num_nodes)
+        lmax = max_block_weight_bound(graph, k, 0.03)
         kwargs = {
             "plain": {}, "constraint": {"constraint": given_part},
             "seed": {"seed_partition": given_part},
         }[mode]
         assert_identical(
-            lambda rng: kaffpa_partition(graph, k, 0.03, rng, **kwargs), seed)
+            lambda rng: kaffpa_partition(graph, k, lmax, rng, **kwargs), seed)

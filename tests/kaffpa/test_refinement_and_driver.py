@@ -101,13 +101,14 @@ class TestKaffpaDriver:
     @pytest.mark.parametrize("options", [KaffpaOptions()], ids=["matching"])
     def test_partitions_mesh_balanced(self, options):
         g = rgg(10, seed=4)
-        part = kaffpa_partition(g, 4, 0.05, rng(5), options)
+        part = kaffpa_partition(g, 4, max_block_weight_bound(g, 4, 0.05), rng(5), options)
         check_partition(g, part, 4, epsilon=0.05)
 
     def test_seed_partition_never_worsened(self):
         g = load_instance("amazon")
-        seed_part = kaffpa_partition(g, 2, 0.03, rng(6))
-        again = kaffpa_partition(g, 2, 0.03, rng(7), seed_partition=seed_part)
+        lmax = max_block_weight_bound(g, 2, 0.03)
+        seed_part = kaffpa_partition(g, 2, lmax, rng(6))
+        again = kaffpa_partition(g, 2, lmax, rng(7), seed_partition=seed_part)
         assert edge_cut(g, again) <= edge_cut(g, seed_part)
 
     def test_constraint_respected_through_multilevel(self):
@@ -115,7 +116,7 @@ class TestKaffpaDriver:
         # protect the ground-truth cut: with the constraint equal to the
         # truth, no truth-cut edge may be contracted, and the engine can
         # recover a partition at least as good as the truth itself.
-        part = kaffpa_partition(g, 2, 0.05, rng(8), constraint=truth,
+        part = kaffpa_partition(g, 2, max_block_weight_bound(g, 2, 0.05), rng(8), constraint=truth,
                                 seed_partition=truth)
         assert edge_cut(g, part) <= edge_cut(g, truth)
 
@@ -125,31 +126,33 @@ class TestKaffpaDriver:
         no more (before: matching contracted them and the cycle started
         over — 523 after 463 at s = 5)."""
         g = delaunay(11, seed=1)
-        seed_part = kaffpa_partition(g, 8, 0.03, rng(0))
+        lmax = max_block_weight_bound(g, 8, 0.03)
+        seed_part = kaffpa_partition(g, 8, lmax, rng(0))
         for s in range(6):
-            again = kaffpa_partition(g, 8, 0.03, rng(s + 1), seed_partition=seed_part)
+            again = kaffpa_partition(g, 8, lmax, rng(s + 1), seed_partition=seed_part)
             check_partition(g, again, 8, epsilon=0.03)
             assert edge_cut(g, again) <= edge_cut(g, seed_part)
 
     def test_constraint_must_refine_the_seed(self):
         g = rgg(9, seed=1)
-        seed_part = kaffpa_partition(g, 4, 0.03, rng(0))
+        lmax = max_block_weight_bound(g, 4, 0.03)
+        seed_part = kaffpa_partition(g, 4, lmax, rng(0))
         finer = seed_part * 2 + (np.arange(g.num_nodes) % 2)
-        kaffpa_partition(g, 4, 0.03, rng(1), constraint=finer, seed_partition=seed_part)
+        kaffpa_partition(g, 4, lmax, rng(1), constraint=finer, seed_partition=seed_part)
         halves = (np.arange(g.num_nodes) >= g.num_nodes // 2).astype(np.int64)
         with pytest.raises(ValueError, match="constraint does not refine seed_partition"):
-            kaffpa_partition(g, 4, 0.03, rng(1), constraint=halves,
+            kaffpa_partition(g, 4, lmax, rng(1), constraint=halves,
                              seed_partition=seed_part)
 
     def test_near_optimal_on_planted(self):
         g, truth = planted_partition(2, 100, p_in=0.3, p_out=0.01, seed=4)
-        part = kaffpa_partition(g, 2, 0.03, rng(9))
+        part = kaffpa_partition(g, 2, max_block_weight_bound(g, 2, 0.03), rng(9))
         assert edge_cut(g, part) <= 1.3 * edge_cut(g, truth)
 
     def test_flow_refinement_option(self):
         g = rgg(10, seed=7)
-        base = kaffpa_partition(g, 8, 0.03, rng(10))
-        flows = kaffpa_partition(g, 8, 0.03, rng(10),
+        base = kaffpa_partition(g, 8, max_block_weight_bound(g, 8, 0.03), rng(10))
+        flows = kaffpa_partition(g, 8, max_block_weight_bound(g, 8, 0.03), rng(10),
                                  KaffpaOptions(flow_refinement_below=10**6))
         check_partition(g, flows, 8, epsilon=0.03)
         # flows never hurt (pairwise accept-if-better) and usually help

@@ -8,6 +8,7 @@ heaviest first, into the block that is lightest at that moment.
 
 from __future__ import annotations
 
+import inspect
 import sys
 from functools import lru_cache
 
@@ -20,7 +21,9 @@ import repro.core.partitioner
 import repro.dist.dist_partitioner
 from repro import partition_graph
 from repro.core import fast_config, iterated_vcycles
-from repro.core.isolated import _epsilon_for, _place_isolated
+from repro.core.isolated import _place_isolated
+from repro.engine.vcycle import run_vcycle
+from repro.evolutionary.kaffpae import kaffpae_partition
 from repro.dist.dist_partitioner import parhip_vcycles
 from repro.dist.runtime import run_spmd, run_spmd_processes
 from repro.generators import (
@@ -31,7 +34,7 @@ from repro.generators import (
     web_copy_graph,
 )
 from repro.graph import Graph, empty_graph, from_edges, max_block_weight_bound
-from repro.graph import validation
+from repro.kaffpa.driver import kaffpa_partition
 from repro.metrics import evaluate_partition
 from repro.obsv import TRACER, build_run_summary, render_analysis
 
@@ -48,11 +51,6 @@ def _greedy(block_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _no_vcycles(*args, **kwargs):
     raise AssertionError("the V-cycles ran on a graph without edges")
-
-
-def _single_node(weight: int) -> Graph:
-    return Graph.from_csr(np.zeros(2, dtype=np.int64), np.empty(0, dtype=np.int64),
-                          vwgt=np.array([weight], dtype=np.int64))
 
 
 class TestDegenerateInputs:
@@ -136,52 +134,53 @@ class TestPlacement:
 
 
 class TestAbsoluteBound:
-    @given(st.integers(1, 2**40), st.integers(0, 2**40), st.integers(1, 4096),
-           st.floats(0.0, 2.0))
-    def test_epsilon_round_trip_is_exact(self, connected, isolated, k, epsilon):
-        full = _single_node(connected + isolated)
-        lmax = max_block_weight_bound(full, k, epsilon)
-        sub = _single_node(connected)
-        sub_epsilon = _epsilon_for(sub, k, lmax)
-        assert sub_epsilon >= 0.0
-        assert max_block_weight_bound(sub, k, sub_epsilon) == lmax
-
     @pytest.mark.parametrize("num_pes", [1, 2])
     def test_every_bound_of_a_run_is_the_full_lmax(self, monkeypatch, num_pes):
-        original = validation.max_block_weight_bound
-        seen = []
+        """The one Lmax of the call reaches every V-cycle and every
+        coarsest-level partitioner, with isolated nodes set apart or not."""
+        originals = (run_vcycle, kaffpa_partition, kaffpae_partition)
+        seen = {original.__name__: [] for original in originals}
 
-        def spy(*args, **kwargs):
-            seen.append(original(*args, **kwargs))
-            return seen[-1]
+        def spy(original):
+            signature = inspect.signature(original)
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("repro") and (
-                vars(module).get("max_block_weight_bound") is original
-            ):
-                monkeypatch.setattr(module, "max_block_weight_bound", spy)
-        g = rmat(10, seed=1)
-        lmax = original(g, 4, 0.03)
-        res = partition_graph(g, 4, num_pes=num_pes, seed=0)
-        assert len(seen) > 4  # the split, the cycles, KaFFPa(E), the exit
-        assert set(seen) == {lmax} == {res.lmax}
+            def recording(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs).arguments["lmax"]
+                seen[original.__name__].append(bound)
+                return original(*args, **kwargs)
+            return recording
+
+        for original in originals:
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("repro") and (
+                    vars(module).get(original.__name__) is original
+                ):
+                    monkeypatch.setattr(module, original.__name__, spy(original))
+        for g in (rmat(10, seed=1), _connected("ba1024")):
+            for bounds in seen.values():
+                bounds.clear()
+            res = partition_graph(g, 4, num_pes=num_pes, seed=0)
+            assert seen["run_vcycle"] and seen["kaffpa_partition"]
+            assert bool(seen["kaffpae_partition"]) == (num_pes > 1)
+            assert {b for bounds in seen.values() for b in bounds} == {res.lmax}
 
     def test_the_vcycles_see_only_the_connected_part(self, monkeypatch):
         g = rmat(10, seed=1)
         calls = []
 
-        def recording(graph, config, rng, **kwargs):
-            calls.append((graph, config))
-            return iterated_vcycles(graph, config, rng, **kwargs)
+        def recording(graph, config, lmax, rng, **kwargs):
+            calls.append((graph, config, lmax))
+            return iterated_vcycles(graph, config, lmax, rng, **kwargs)
 
         monkeypatch.setattr(repro.core.partitioner, "iterated_vcycles", recording)
         res = partition_graph(g, 4, seed=0)
-        ((sub, config),) = calls
+        ((sub, config, lmax),) = calls
         assert sub.num_nodes == g.num_nodes - 196
         assert sub.num_arcs == g.num_arcs
         assert np.diff(sub.xadj).all()
-        assert max_block_weight_bound(sub, 4, config.epsilon) == res.lmax
-        assert res.config.epsilon == 0.03
+        assert config is res.config and lmax == res.lmax
+        # the bound is the full graph's, not one the part would derive
+        assert max_block_weight_bound(sub, 4, config.epsilon) < lmax
 
     @pytest.mark.parametrize("num_pes", [1, 2])
     def test_quality_is_that_of_the_whole_graph(self, num_pes):
@@ -211,12 +210,13 @@ def test_without_isolated_nodes_the_call_is_the_vcycles(name, num_pes, backend):
     assert np.diff(g.xadj).all()
     config = fast_config(k=8)
     res = partition_graph(g, 8, config=config, num_pes=num_pes, seed=3, backend=backend)
+    lmax = res.lmax
     if num_pes == 1:
-        direct = iterated_vcycles(g, config, np.random.default_rng(3)).partition
+        direct = iterated_vcycles(g, config, lmax, np.random.default_rng(3)).partition
     elif backend == "spmd":
-        direct = run_spmd(num_pes, parhip_vcycles, g, config, 3, seed=3).value[0]
+        direct = run_spmd(num_pes, parhip_vcycles, g, config, lmax, 3, seed=3).value[0]
     else:
-        direct = run_spmd_processes(num_pes, parhip_vcycles, config, 3, graph=g,
+        direct = run_spmd_processes(num_pes, parhip_vcycles, config, lmax, 3, graph=g,
                                     seed=3).value[0]
     assert np.array_equal(res.partition, direct)
 

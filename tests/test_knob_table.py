@@ -18,7 +18,9 @@ import inspect
 from pathlib import Path
 
 from repro.api import partition_graph, partition_oocore
+from repro.baselines import parmetis_partition
 from repro.cli import build_parser
+from repro.core.clustering import cluster_graph
 from repro.core.config import PartitionConfig
 from repro.core.partitioner import sequential_partition
 from repro.dist.dist_partitioner import parallel_partition
@@ -67,6 +69,15 @@ OPERATOR_KEYWORDS = {
     mutate_perturb: (), rumor_exchange: (),
 }
 
+#: what is left of two option sets outside the counted entry points
+#: (``cluster_graph``'s four tuning keywords, ``ParmetisOptions``): checked,
+#: not counted
+OUTSIDE_KEYWORDS = {
+    cluster_graph: ("seed",),
+    parmetis_partition: ("epsilon", "num_pes", "machine", "seed", "memory_budget",
+                         "memory_scale"),
+}
+
 CLI_ARGUMENTS = {
     "partition": ("graph", "-k", "--epsilon", "--preset", "--num-pes", "--machine",
                   "--backend", "--seed", "--flows", "--lp-chunk", "--store",
@@ -105,7 +116,7 @@ def test_config_fields_are_the_tabled_ones():
 
 
 def test_entry_point_keywords_are_the_tabled_ones():
-    for function, keywords in {**KEYWORDS, **OPERATOR_KEYWORDS}.items():
+    for function, keywords in {**KEYWORDS, **OPERATOR_KEYWORDS, **OUTSIDE_KEYWORDS}.items():
         assert _defaulted(function) == keywords, function.__name__
 
 

@@ -131,7 +131,8 @@ def multilevel_goldens(out: dict) -> None:
         for cname, cfg in CONFIGS.items():
             config = cfg(k=4)
             rng = np.random.default_rng(29)
-            part = multilevel_partition(g, config, rng)
+            lmax = max_block_weight_bound(g, 4, config.epsilon)
+            part = multilevel_partition(g, config, lmax, rng)
             out[f"multilevel/{gname}/{cname}"] = digest(part)
 
 
@@ -139,13 +140,17 @@ def parallel_partition_goldens(out: dict) -> None:
     for gname, make in GRAPHS.items():
         g = make()
         for cname, cfg in CONFIGS.items():
+            config = cfg(k=4)
+            lmax = max_block_weight_bound(g, 4, config.epsilon)
             for p in (1, 4):
-                res = run_spmd(p, parhip_vcycles, g, cfg(k=4), 31, seed=31)
+                res = run_spmd(p, parhip_vcycles, g, config, lmax, 31, seed=31)
                 out[f"parallel/{gname}/{cname}/p{p}"] = digest(res.value[0])
                 out[f"parallel_cut/{gname}/{cname}/p{p}"] = edge_cut(g, res.value[0])
     # Work accounting moves no label, so one instance pins its total: the
     # summed CommStats.work_units of parallel/rmat10/fast/p4.
-    res = run_spmd(4, parhip_vcycles, GRAPHS["rmat10"](), fast_config(k=4), 31, seed=31)
+    g = GRAPHS["rmat10"]()
+    res = run_spmd(4, parhip_vcycles, g, fast_config(k=4),
+                   max_block_weight_bound(g, 4, 0.03), 31, seed=31)
     out["parallel_work/rmat10/fast/p4"] = res.total_work
 
 
