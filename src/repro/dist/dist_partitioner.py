@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import native
 from ..core.config import PartitionConfig, fast_config
 from ..core.isolated import around_isolated
 from ..core.multilevel import detect_social
@@ -110,9 +111,11 @@ def _collect_replica(dgraph: DistGraph, comm: SimComm) -> Graph:
 
 def distributed_edge_cut(dgraph: DistGraph, comm: SimComm, labels: np.ndarray) -> int:
     """Global edge cut of a (local + ghost) label array, via allreduce."""
-    src_labels = labels[dgraph.arc_sources()]
-    dst_labels = labels[dgraph.adjncy]
-    local_cut = int(dgraph.adjwgt[src_labels != dst_labels].sum())
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    local_cut, _, _ = native.partition_quality(
+        dgraph.xadj, 0, dgraph.n_local, 0, dgraph.adjncy, dgraph.adjwgt,
+        labels, int(labels.max(initial=-1)) + 1,
+    )
     # Cross-PE cut arcs are counted once per side, local-local arcs twice;
     # summing over all PEs double-counts every cut edge exactly twice.
     return int(comm.allreduce(local_cut)) // 2

@@ -34,6 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_flow
 
 from ..graph.csr import Graph
+from ..metrics.quality import edge_cut
 
 __all__ = ["flow_refine_pair", "flow_refinement"]
 
@@ -158,19 +159,12 @@ def flow_refine_pair(
     weights = np.bincount(proposal, weights=graph.vwgt, minlength=k)
     if weights.max() > max_block_weight:
         return False
-    before = _pair_cut(graph, partition, a, b)
-    after = _pair_cut(graph, proposal, a, b)
-    if after < before:
+    # Only corridor nodes of a and b move, and only between a and b: the
+    # whole cut changes by exactly what the a-b cut does.
+    if edge_cut(graph, proposal) < edge_cut(graph, partition):
         partition[:] = proposal
         return True
     return False
-
-
-def _pair_cut(graph: Graph, partition: np.ndarray, a: int, b: int) -> int:
-    src_b = partition[graph.arc_sources()]
-    dst_b = partition[graph.adjncy]
-    mask = ((src_b == a) & (dst_b == b)) | ((src_b == b) & (dst_b == a))
-    return int(graph.adjwgt[mask].sum()) // 2
 
 
 def flow_refinement(

@@ -5,7 +5,6 @@ from .quality import (
     PartitionQuality,
     boundary_nodes,
     communication_volume,
-    cut_edges_mask,
     edge_cut,
     evaluate_partition,
     evaluate_partition_streaming,
@@ -19,7 +18,6 @@ __all__ = [
     "PartitionQuality",
     "boundary_nodes",
     "communication_volume",
-    "cut_edges_mask",
     "edge_cut",
     "evaluate_partition",
     "evaluate_partition_streaming",

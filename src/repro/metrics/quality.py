@@ -10,6 +10,11 @@ All metrics are defined exactly as in the paper (Section II-A):
   blocks among its neighbours, summed (the data a vertex-centric graph
   computation must ship per superstep — the more realistic objective the
   paper mentions).
+
+Cut, boundary count and communication volume are one sweep of the
+compiled :func:`repro.native.partition_quality` over the graph's rows:
+one call over every row of a resident graph, one call per shard of an
+out-of-core store.  Every cut the program computes is that sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import Graph
+from .. import native
+from ..graph.csr import Graph, GraphError
 from ..graph.validation import block_weights
 
 __all__ = [
@@ -30,23 +36,58 @@ __all__ = [
     "communication_volume",
     "max_communication_volume",
     "max_quotient_degree",
-    "cut_edges_mask",
     "PartitionQuality",
     "evaluate_partition",
     "evaluate_partition_streaming",
 ]
 
 
-def cut_edges_mask(graph: Graph, partition: np.ndarray) -> np.ndarray:
-    """Boolean mask over arcs whose endpoints are in different blocks."""
-    partition = np.asarray(partition)
-    return partition[graph.arc_sources()] != partition[graph.adjncy]
+def _labels(graph: Graph, partition: np.ndarray) -> np.ndarray:
+    """``partition`` as the kernel reads it: one int64 label per node."""
+    labels = np.ascontiguousarray(partition, dtype=np.int64)
+    if labels.shape != (graph.num_nodes,):
+        raise GraphError(
+            f"partition has shape {labels.shape}, expected ({graph.num_nodes},)"
+        )
+    return labels
+
+
+def _sweep(graph: Graph, labels: np.ndarray, k: int) -> tuple[int, int, int]:
+    """``(edge cut, boundary nodes, communication volume)`` of ``labels``,
+    every one in ``[0, k)`` (else :class:`GraphError` naming the first
+    that is not).  The sums decompose exactly over source-node ranges, so
+    the result is the same on every store."""
+    n, xadj = graph.num_nodes, graph.xadj
+    span = graph.store.chunk_nodes or max(n, 1)  # resident: every row at once
+    totals = np.zeros(3, dtype=np.int64)
+    try:
+        for lo in range(0, n, span):
+            hi = min(lo + span, n)
+            arc_lo = int(xadj[lo])
+            totals += native.partition_quality(
+                xadj, lo, hi, arc_lo, *graph.arc_block(arc_lo, int(xadj[hi])),
+                labels, k,
+            )
+    except ValueError as exc:
+        bad = np.flatnonzero((labels < 0) | (labels >= k))
+        if bad.size:
+            node = int(bad[0])
+            raise GraphError(
+                f"node {node} has label {labels[node]}, outside [0, k) for k = {k}"
+            ) from exc
+        raise
+    cut, boundary, volume = totals.tolist()
+    return cut // 2, boundary, volume
+
+
+def _label_count(labels: np.ndarray) -> int:
+    return int(labels.max(initial=-1)) + 1
 
 
 def edge_cut(graph: Graph, partition: np.ndarray) -> int:
     """Total weight of cut edges (each undirected edge counted once)."""
-    mask = cut_edges_mask(graph, partition)
-    return int(graph.adjwgt[mask].sum()) // 2
+    labels = _labels(graph, partition)
+    return _sweep(graph, labels, _label_count(labels))[0]
 
 
 def overweight_cut(
@@ -57,8 +98,10 @@ def overweight_cut(
     The one ordering every keep-the-better decision uses: a balanced
     partition beats an overweight one, then the lower cut wins.
     """
-    heaviest = int(block_weights(graph, partition, k).max(initial=0))
-    return max(0, heaviest - lmax), edge_cut(graph, partition)
+    labels = _labels(graph, partition)
+    cut = _sweep(graph, labels, k)[0]
+    heaviest = int(block_weights(graph, labels, k).max(initial=0))
+    return max(0, heaviest - lmax), cut
 
 
 def imbalance(graph: Graph, partition: np.ndarray, k: int) -> float:
@@ -70,8 +113,9 @@ def imbalance(graph: Graph, partition: np.ndarray, k: int) -> float:
 
 def boundary_nodes(graph: Graph, partition: np.ndarray) -> np.ndarray:
     """Ids of nodes adjacent to at least one node of another block."""
-    mask = cut_edges_mask(graph, partition)
-    return np.unique(graph.arc_sources()[mask])
+    partition = np.asarray(partition)
+    src = graph.arc_sources()
+    return np.unique(src[partition[src] != partition[graph.adjncy]])
 
 
 def communication_volume(graph: Graph, partition: np.ndarray) -> int:
@@ -80,17 +124,8 @@ def communication_volume(graph: Graph, partition: np.ndarray) -> int:
     For every node ``v``, count the number of distinct blocks other than
     ``partition[v]`` found among its neighbours, and sum over all nodes.
     """
-    partition = np.asarray(partition, dtype=np.int64)
-    src = graph.arc_sources()
-    nbr_block = partition[graph.adjncy]
-    external = nbr_block != partition[src]
-    if not external.any():
-        return 0
-    src = src[external]
-    nbr_block = nbr_block[external]
-    # Count distinct (node, block) pairs.
-    keys = src * (int(partition.max()) + 1) + nbr_block
-    return int(np.unique(keys).size)
+    labels = _labels(graph, partition)
+    return _sweep(graph, labels, _label_count(labels))[2]
 
 
 def max_communication_volume(graph: Graph, partition: np.ndarray, k: int) -> int:
@@ -153,32 +188,6 @@ class PartitionQuality:
         )
 
 
-#: Arcs per block of the evaluator's sweep over a resident store.  The
-#: sweep's temporaries are this long, not ``num_arcs`` long: the caller's
-#: peak memory does not move with the evaluator (measured on the process
-#: backend's parent, whose peak RSS went tri-modal over 10 MiB with one
-#: whole-graph block — EXPERIMENTS.md 2026-09-29).
-BLOCK_ARCS = 1 << 16
-
-
-def _sweep_bounds(graph: Graph) -> list[int]:
-    """Node boundaries of the evaluator's sweep, ``0`` to ``num_nodes``.
-
-    The store's shards where it has any; on a resident store the node
-    ranges that hold about :data:`BLOCK_ARCS` arcs each (a node's arcs
-    are never split, so a heavier node is a block of its own).
-    """
-    n = graph.num_nodes
-    span = graph.store.chunk_nodes
-    if span is not None:
-        inner = np.arange(span, n, span)
-    else:
-        inner = np.searchsorted(
-            graph.xadj, np.arange(BLOCK_ARCS, graph.num_arcs, BLOCK_ARCS)
-        )
-    return np.unique(np.concatenate(([0], inner, [n]))).tolist()
-
-
 def evaluate_partition(graph: Graph, partition: np.ndarray, k: int) -> PartitionQuality:
     """Compute the full :class:`PartitionQuality` bundle.
 
@@ -193,40 +202,20 @@ def evaluate_partition_streaming(
 ) -> PartitionQuality:
     """The quality bundle without materializing the arc arrays.
 
-    Sweeps the graph one arc block at a time — shard-aligned on a
-    sharded store, :data:`BLOCK_ARCS` arcs on a resident one — so
-    memory stays O(n + one block).  Every metric decomposes exactly over
-    source-node ranges (cut and boundary/volume counts are grouped by
-    arc source), so the result is the same on any store and for any
-    block size, and equal to the standalone metric functions above
-    (test-enforced).
+    One compiled sweep per shard of a sharded store (one over every row
+    of a resident graph), so memory stays O(n + k) beyond the shard the
+    store maps.  A partition of the wrong length or with a label outside
+    ``[0, k)`` raises :class:`~repro.graph.GraphError` naming it.
     """
-    partition = np.asarray(partition, dtype=np.int64)
-    xadj = graph.xadj
-    degrees = graph.degrees
-    bounds = _sweep_bounds(graph)
-    key_base = int(partition.max(initial=0)) + 1
-    cut_weight = 0
-    boundary = 0
-    comm_vol = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        nbr, wgt = graph.arc_block(int(xadj[lo]), int(xadj[hi]))
-        src = np.repeat(np.arange(lo, hi, dtype=np.int64), degrees[lo:hi])
-        external = partition[nbr] != partition[src]
-        if not external.any():
-            continue
-        cut_weight += int(wgt[external].sum())
-        ext_src = src[external]
-        boundary += int(np.count_nonzero(np.bincount(ext_src - lo)))
-        keys = ext_src * key_base + partition[nbr[external]]
-        comm_vol += int(np.unique(keys).size)
-    weights = block_weights(graph, partition, k)
+    labels = _labels(graph, partition)
+    cut, boundary, volume = _sweep(graph, labels, k)
+    weights = block_weights(graph, labels, k)
     avg = math.ceil(graph.total_node_weight / k)
     return PartitionQuality(
         k=k,
-        cut=cut_weight // 2,
+        cut=cut,
         imbalance=float(weights.max()) / avg - 1.0 if avg else 0.0,
         boundary_node_count=boundary,
-        communication_volume=comm_vol,
+        communication_volume=volume,
         block_weights=tuple(int(w) for w in weights),
     )

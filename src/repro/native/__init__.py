@@ -14,7 +14,10 @@ oracles, which return the same arrays bit for bit:
   (:mod:`repro.kaffpa.initial`), :func:`kway_refine_pass`
   (:mod:`repro.kaffpa.kway_fm`), :func:`match_heavy_edges`
   (:mod:`repro.kaffpa.matching`).  Random draws stay in Python and are
-  passed in.
+  passed in.  And :func:`partition_quality`, the one sweep behind every
+  cut, boundary count and communication volume of :mod:`repro.metrics`
+  (and :func:`repro.dist.dist_partitioner.distributed_edge_cut`); its
+  twin is ``partition_quality`` of ``tests/engine/numpy_kernels.py``.
 
 Nothing is built at import: the first kernel call of a process builds or
 finds the shared object (:func:`resolve`).  Whatever keeps it from loading
@@ -64,7 +67,7 @@ if TYPE_CHECKING:  # annotations only: this package imports nothing of the progr
 __all__ = [
     "KernelUnavailable", "resolve", "adopt", "cache_dir", "source",
     "PhaseScan", "quotient_arcs", "GrowBisection", "kway_refine_pass",
-    "match_heavy_edges",
+    "match_heavy_edges", "partition_quality",
 ]
 
 #: concatenated into one translation unit, in this order
@@ -199,6 +202,10 @@ def _load(path: Path) -> ctypes.CDLL:
                              _PTR, _PTR, _PTR],
         # adjwgt vwgt constraint bounded max_pair_weight order mate
         "match_heavy_edges": [*csr, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR],
+        # n_rows xadj lo hi arc_lo n_arcs nbr wgt n_labels labels space stamp
+        # totals
+        "partition_quality": [_I64, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR,
+                              _I64, _PTR, _I64, _PTR, _PTR],
     }.items():
         symbol = getattr(lib, name)
         symbol.restype, symbol.argtypes = _I64, argtypes
@@ -525,3 +532,29 @@ def match_heavy_edges(xadj, adjncy, adjwgt, vwgt, constraint: np.ndarray | None,
     if pairs < 0:
         raise _fault("heavy-edge matching", pairs)
     return mate
+
+
+def partition_quality(xadj, lo: int, hi: int, arc_lo: int, nbr, wgt,
+                      labels: np.ndarray, space: int) -> tuple[int, int, int]:
+    """``(cut arc weight, boundary nodes, communication volume)`` of the
+    source nodes ``[lo, hi)`` under ``labels`` (every entry in ``[0,
+    space)``; ``xadj`` may have fewer rows than ``labels`` has entries, the
+    rest being a PE's ghosts).  The node arcs are served from ``nbr``/``wgt``,
+    the arcs ``[arc_lo, arc_lo + nbr.size)`` of the CSR, as
+    :meth:`PhaseScan.bind_arcs` serves them; a memory-mapped block is read
+    in place.  The cut counts each cut edge once from each swept end.  A
+    node, neighbour or label outside its table, or a node with arcs outside
+    the block, raises ``ValueError``."""
+    if xadj.size < 1:
+        raise ValueError("xadj must hold n + 1 entries")
+    nbr, wgt = np.asarray(nbr), np.asarray(wgt)
+    stamp = np.empty(space, dtype=np.int64)
+    totals = np.zeros(3, dtype=np.int64)
+    status = _kernels().partition_quality(
+        xadj.size - 1, _ptr(xadj, np.int64), lo, hi, arc_lo, nbr.size,
+        _ptr(nbr, np.int64), _ptr(wgt, np.int64, nbr.size), labels.size,
+        _ptr(labels, np.int64), space, stamp.ctypes.data, totals.ctypes.data,
+    )
+    if status < 0:
+        raise _fault("quality kernel", status)
+    return tuple(totals.tolist())

@@ -1,10 +1,11 @@
 /* The coarsest level's per-node loops (see repro/native/__init__.py and
  * docs/algorithms.md): the quotient build of repro.graph.quotient.contract
  * and KaFFPa's greedy graph growing, greedy k-way boundary refinement and
- * heavy-edge matching.  Each returns the arrays its Python twin returns (the
- * scipy grouping in quotient.py, the loops in kaffpa/{initial,kway_fm,
- * matching}.py), which stay as fallback and oracle.  Every random draw is made
- * in Python and passed in: a seed index, a visit order.
+ * heavy-edge matching; and the one partition-quality sweep of
+ * repro.metrics.  Each returns what its Python twin under tests/ returns
+ * (tests/kaffpa/python_twins.py, tests/engine/numpy_kernels.py), its oracle.
+ * Every random draw is made in Python and passed in: a seed index, a visit
+ * order.
  *
  * Reentrant: no static state, every scratch array comes from the caller.  A
  * node id, arc range, neighbour, block id or mapping entry outside its table
@@ -451,4 +452,59 @@ int64_t match_heavy_edges(int64_t n, int64_t n_arcs, const int64_t *xadj,
         }
     }
     return pairs;
+}
+
+/* ------------------------------------------------------------------------
+ * Partition quality (repro/metrics/quality.py): one sweep over the source
+ * nodes [lo, hi) of a CSR of n_rows rows whose arcs are served from the bound
+ * block [arc_lo, arc_lo + n_arcs) (arc a is nbr/wgt[a - arc_lo]), labels
+ * holding n_labels entries (ghosts after the rows on a PE), every label in
+ * [0, space).  totals = (cut arc weight, boundary nodes, communication
+ * volume): the cut counts every cut edge from each of its ends whose row is
+ * swept.  A node's distinct foreign blocks are counted with a per-block stamp,
+ * stamp[p] == v once v has met block p (space entries, any content on entry):
+ * no sort, no hash, O(hi - lo + arcs).  The sums decompose exactly over
+ * source-node ranges, so a store is swept one shard at a time.  Returns 0.
+ * ---------------------------------------------------------------------- */
+int64_t partition_quality(int64_t n_rows, const int64_t *xadj, int64_t lo,
+                          int64_t hi, int64_t arc_lo, int64_t n_arcs,
+                          const int64_t *nbr, const int64_t *wgt,
+                          int64_t n_labels, const int64_t *labels,
+                          int64_t space, int64_t *stamp, int64_t *totals)
+{
+    if (lo < 0 || hi < lo || hi > n_rows)
+        return BAD_NODE;
+    for (int64_t p = 0; p < space; p++)
+        stamp[p] = -1;
+    int64_t cut = 0, boundary = 0, volume = 0;
+    for (int64_t v = lo; v < hi; v++) {
+        if (bad_index(v, n_labels))
+            return BAD_NODE;
+        const int64_t own = labels[v];
+        if (bad_index(own, space))
+            return BAD_BLOCK;
+        const int64_t b = xadj[v] - arc_lo, e = xadj[v + 1] - arc_lo;
+        if (bad_range(b, e, n_arcs))
+            return BAD_XADJ;
+        const int64_t before = volume;
+        for (int64_t a = b; a < e; a++) {
+            const int64_t u = nbr[a];
+            if (bad_index(u, n_labels))
+                return BAD_NBR;
+            const int64_t p = labels[u];
+            if (bad_index(p, space))
+                return BAD_BLOCK;
+            /* no branch: stamping v's own block too is harmless, v never
+             * counts it and no later node reads v */
+            const int64_t foreign = p != own;
+            cut += foreign ? wgt[a] : 0;
+            volume += foreign & (stamp[p] != v);
+            stamp[p] = v;
+        }
+        boundary += volume != before;
+    }
+    totals[0] = cut;
+    totals[1] = boundary;
+    totals[2] = volume;
+    return 0;
 }

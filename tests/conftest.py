@@ -62,6 +62,7 @@ def karate() -> Graph:
 def twin_bindings() -> dict:
     """Every binding of :mod:`repro.native` by name, mapped to its Python
     twin (the oracles under ``tests/``)."""
+    from .engine import numpy_kernels
     from .engine.python_phase import PythonPhaseScan
     from .kaffpa import python_twins
 
@@ -71,6 +72,7 @@ def twin_bindings() -> dict:
         "GrowBisection": python_twins.GrowBisection,
         "kway_refine_pass": python_twins.kway_refine_pass,
         "match_heavy_edges": python_twins.match_heavy_edges,
+        "partition_quality": numpy_kernels.partition_quality,
     }
 
 
@@ -91,7 +93,8 @@ def python_twins():
 @pytest.fixture
 def numpy_kernel():
     """Run the test on the Python twins of every compiled kernel (the
-    NumPy chunk loop, scipy's quotient, KaFFPa's loops)."""
+    NumPy chunk loop, scipy's quotient, KaFFPa's loops, the NumPy quality
+    sweep)."""
     with python_twins():
         yield
 

@@ -18,6 +18,11 @@ required, and now only the oracle the compiled kernel is held to
   largest :func:`candidate_tie_hash` and then to the smallest label;
 * :func:`capped_inflow_mask` cancels the tail of the chunk's moves into
   any label whose remaining capacity they would overrun.
+
+:func:`partition_quality` is the twin of the quality sweep of
+``_coarse.c`` (``repro.native.partition_quality``): the arc-length mask
+and the ``np.unique`` over ``(node, block)`` keys that ``repro.metrics``
+ran before the kernel.
 """
 
 from __future__ import annotations
@@ -380,3 +385,34 @@ def capped_inflow_mask(
     keep = np.empty(targets.size, dtype=bool)
     keep[order] = ok
     return keep
+
+
+def partition_quality(xadj, lo: int, hi: int, arc_lo: int, nbr, wgt,
+                      labels: np.ndarray, space: int) -> tuple[int, int, int]:
+    """``(cut arc weight, boundary nodes, communication volume)`` of the
+    source nodes ``[lo, hi)``, with the kernel's signature and its
+    ``ValueError`` for an index outside its table."""
+    def fault(what: str) -> ValueError:
+        return ValueError(f"numpy quality kernel: {what} is outside its table")
+
+    nbr, wgt = np.asarray(nbr), np.asarray(wgt)
+    if not 0 <= lo <= hi <= xadj.size - 1 or hi > labels.size:
+        raise fault("a node id")
+    own = labels[lo:hi]
+    if ((own < 0) | (own >= space)).any():
+        raise fault("a block id")
+    degrees = np.diff(xadj[lo : hi + 1])
+    begin, end = (int(xadj[lo]) - arc_lo, int(xadj[hi]) - arc_lo) if hi > lo else (0, 0)
+    if (degrees < 0).any() or begin < 0 or end > nbr.size:
+        raise fault("an arc range in xadj")
+    targets, weights = nbr[begin:end], wgt[begin:end]
+    if ((targets < 0) | (targets >= labels.size)).any():
+        raise fault("a neighbour id")
+    blocks = labels[targets]
+    if ((blocks < 0) | (blocks >= space)).any():
+        raise fault("a block id")
+    src = np.repeat(np.arange(lo, hi, dtype=np.int64), degrees)
+    external = blocks != labels[src]
+    keys = src[external] * np.int64(max(space, 1)) + blocks[external]
+    return (int(weights[external].sum()), int(np.unique(src[external]).size),
+            int(np.unique(keys).size))

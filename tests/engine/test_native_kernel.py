@@ -1,8 +1,9 @@
 """The compiled kernels: identity with their Python twins, and the loader.
 
-The contracts of the SCLP scan (the coarsest level's kernels have their
-differentials beside their twins' tests, ``tests/graph/test_quotient.py``
-and ``tests/kaffpa/test_native_twins.py``; what they share with the scan
+The contracts of the SCLP scan (the other kernels have their
+differentials beside their twins' tests, ``tests/graph/test_quotient.py``,
+``tests/kaffpa/test_native_twins.py`` and
+``tests/metrics/test_quality_kernel.py``; what they share with the scan
 — one loader, reentrancy, the missing compiler — is held here):
 
 * a ``run_sclp`` call through the compiled ``PhaseScan`` and the same
@@ -19,8 +20,8 @@ and ``tests/kaffpa/test_native_twins.py``; what they share with the scan
   ``KernelUnavailable`` naming the cause, at the first kernel use and
   not at import;
 * the existing identity suites (oracle, frontier == full, goldens,
-  Local == Spmd == Process, the quotient and KaFFPa suites) hold on the
-  twins too — they run compiled by default, and their small cases run
+  Local == Spmd == Process, the quotient, KaFFPa and quality suites)
+  hold on the twins too — they run compiled by default, and their small cases run
   here once more under the ``numpy_kernel`` fixture;
 * the C side keeps no static state: threads calling every kernel at once
   on different graphs get what they get alone.
@@ -64,6 +65,8 @@ from ..graph import test_quotient as quotient_suite
 from ..kaffpa import test_initial as initial_suite
 from ..kaffpa import test_matching as matching_suite
 from ..kaffpa import test_refinement_and_driver as driver_suite
+from ..metrics import test_quality as quality_suite
+from ..metrics import test_quality_kernel as quality_kernel_suite
 from . import numpy_kernels
 from . import test_cross_backend as cross_suite
 from . import test_golden_equivalence as golden_suite
@@ -378,15 +381,19 @@ class TestNativeMatchesNumpy:
 
 def coarsest_level(graph, seed: int) -> list[np.ndarray]:
     """Every ``_coarse.c`` kernel once: a contraction, a recursive
-    bisection of the quotient, k-way refinement, a matching."""
+    bisection of the quotient, k-way refinement, a matching, the quality
+    sweep."""
     rng = np.random.default_rng(seed)
     coarse = contract(graph, rng.integers(0, graph.num_nodes // 3, graph.num_nodes)).coarse
     part = recursive_bisection(coarse, 5, rng)
     lmax = max_block_weight_bound(coarse, 5, 0.03)
+    refined = greedy_kway_refine(coarse, part, 5, lmax, rng)
     return [
-        coarse.xadj, coarse.adjncy, coarse.adjwgt, part,
-        greedy_kway_refine(coarse, part, 5, lmax, rng),
+        coarse.xadj, coarse.adjncy, coarse.adjwgt, part, refined,
         heavy_edge_matching(coarse, rng, max_node_weight=lmax),
+        np.array(native.partition_quality(
+            graph.xadj, 0, graph.num_nodes, 0, graph.adjncy, graph.adjwgt,
+            np.arange(graph.num_nodes, dtype=np.int64) % 7, 7)),
     ]
 
 
@@ -691,6 +698,24 @@ class TestSuitesOnTheNumpyKernel:
         driver.test_seed_partition_never_worsened()
         driver.test_constraint_respected_through_multilevel()
         driver.test_seed_is_protected_without_a_constraint()
+
+    def test_quality_suite(self, two_triangles, weighted_square):
+        """Every metric of ``repro.metrics`` on the NumPy sweep."""
+        edge = quality_suite.TestEdgeCut()
+        edge.test_bridge_cut(two_triangles)
+        edge.test_weighted_cut(weighted_square)
+        edge.test_complete_graph_bisection()
+        volume = quality_suite.TestBoundaryAndVolume()
+        volume.test_comm_volume_counts_distinct_blocks()
+        volume.test_comm_volume_of_bridge(two_triangles)
+        quality_suite.TestEvaluatePartition().test_bundle(two_triangles)
+        quality_suite.TestOverweightCut().test_balanced_beats_overweight_then_cut_decides(
+            two_triangles)
+        quality_kernel_suite.test_the_paper_metrics_on_a_grid()
+        quality_kernel_suite.test_distributed_cut_equals_the_sequential_cut(2)
+        refuses = quality_kernel_suite.TestTheEvaluatorRefusesWhatItCannotScore()
+        refuses.test_a_label_at_or_above_k()
+        refuses.test_a_negative_label()
 
     def test_local_equals_spmd_equals_process(self):
         """The process ranks are new interpreters on the compiled kernels:

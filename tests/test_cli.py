@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.graph import (
+    GraphError,
     load_npz,
     read_metis,
     read_partition,
@@ -135,6 +136,15 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert f"cut={edge_cut(graph, partition)}" in out
         assert "k=3" in out
+
+    def test_evaluate_refuses_labels_outside_k(self, metis_graph, tmp_path, capsys):
+        """A partition into 3 blocks scored as k = 2 used to print a
+        negative imbalance."""
+        part_file = tmp_path / "p.txt"
+        np.savetxt(part_file, np.arange(512) % 3, fmt="%d")
+        with pytest.raises(GraphError, match=r"node 2 has label 2, outside \[0, k\) for k = 2"):
+            main(["evaluate", str(metis_graph), str(part_file), "-k", "2"])
+        assert "imbalance" not in capsys.readouterr().out
 
 
 class TestClusterCommand:
