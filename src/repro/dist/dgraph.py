@@ -6,15 +6,20 @@ This mirrors the paper's parallel graph data structure (Section IV-A):
   ``vtxdist[p] .. vtxdist[p+1]`` and stores the adjacency arrays of those
   nodes;
 * endpoints of edges leaving the range are *ghost* (halo) nodes: they get
-  local ids after the owned nodes, their global ids are kept in a side
-  array, and a lookup structure translates ghost global ids back to local
-  ids (the paper uses a hash table; we use a sorted array +
-  ``searchsorted``, which is the vectorised equivalent);
+  local ids after the owned nodes, in ascending global id, and their
+  global ids are kept in a side array (the paper translates ghost global
+  ids back through a hash table; the level build needs no lookup, and
+  :meth:`DistGraph.to_local` binary-searches the sorted side array);
 * for each ghost node the owning PE is stored for O(1) lookup.
 
-The structure also precomputes the *send lists* the halo exchange needs:
-for every other PE ``q``, the owned nodes that ``q`` has as ghosts —
-exactly the interface nodes with a neighbour owned by ``q``.
+The structure also holds the *send lists* the halo exchange needs: for
+every other PE ``q``, the owned nodes that ``q`` has as ghosts — exactly
+the interface nodes with a neighbour owned by ``q`` — plus the interface
+mask and the reverse CSR from ghosts to their owned neighbours, which
+every label propagation on the level reads.  All of it comes from one
+compiled pass per level (:func:`repro.native.ghost_layout`: a counting
+sort over the global id range, no comparison sort and no hash table)
+and is stored as fields.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import native
 from ..graph.build import group_arcs
 from ..graph.csr import Graph
 from ..graph.store import readonly_view
@@ -60,10 +66,16 @@ class DistGraph:
     send_ranks: np.ndarray  # adjacent PEs we must send interface values to
     send_nodes: list[np.ndarray]  # per adjacent PE: owned local ids it ghosts
     recv_ghosts: list[np.ndarray]  # per adjacent PE: ghost local ids it owns
+    interface: np.ndarray  # per owned node: has a ghost neighbour
+    # reverse CSR, ghost slot g (local id minus n_local) -> the owned nodes
+    # with an arc to it: ghost_src[ghost_xadj[g]:ghost_xadj[g + 1]]
+    ghost_xadj: np.ndarray
+    ghost_src: np.ndarray
 
     def __post_init__(self) -> None:
         # Same rule as the global graph's store: CSR buffers refuse writes.
-        for name in ("xadj", "adjncy", "adjwgt", "vwgt"):
+        for name in ("xadj", "adjncy", "adjwgt", "vwgt", "interface",
+                     "ghost_xadj", "ghost_src"):
             setattr(self, name, readonly_view(getattr(self, name)))
 
     # ------------------------------------------------------------------
@@ -79,39 +91,39 @@ class DistGraph:
         adjwgt: np.ndarray,
         vwgt: np.ndarray,
     ) -> "DistGraph":
-        """Number the ghosts of a local CSR whose arc targets are global ids.
+        """Number the ghosts of a local CSR whose arc targets are global ids
+        (:func:`repro.native.ghost_layout`).
 
         Ghosts get local ids after the owned nodes in ascending global-id
         order; the send lists are the owned endpoints of cross arcs,
         grouped by the owner of the ghost endpoint.
         """
-        first, last = int(vtxdist[rank]), int(vtxdist[rank + 1])
-        n_local = last - first
-
-        local_mask = (dst_global >= first) & (dst_global < last)
-        cross = ~local_mask
-        ghost_global = np.unique(dst_global[cross])
-        adjncy = np.empty_like(dst_global)
-        adjncy[local_mask] = dst_global[local_mask] - first
-        adjncy[cross] = n_local + np.searchsorted(ghost_global, dst_global[cross])
-        ghost_owner = (np.searchsorted(vtxdist, ghost_global, side="right") - 1).astype(np.int64)
-
-        src = np.repeat(np.arange(n_local, dtype=np.int64), np.diff(xadj))
-        pair_owner = ghost_owner[adjncy[cross] - n_local]
-        pair_src = src[cross]
-        send_ranks = np.unique(pair_owner)
+        layout = native.ghost_layout(
+            vtxdist, rank, np.ascontiguousarray(xadj, dtype=np.int64),
+            np.ascontiguousarray(dst_global, dtype=np.int64))
+        n_local = xadj.size - 1
+        send_ranks = np.flatnonzero(np.diff(layout.ghost_start))
         return cls(
             rank=rank,
             vtxdist=vtxdist,
             xadj=xadj,
-            adjncy=adjncy,
+            adjncy=layout.adjncy,
             adjwgt=adjwgt,
             vwgt=vwgt,
-            ghost_global=ghost_global,
-            ghost_owner=ghost_owner,
+            ghost_global=layout.ghost_global,
+            ghost_owner=layout.ghost_owner,
             send_ranks=send_ranks,
-            send_nodes=[np.unique(pair_src[pair_owner == q]) for q in send_ranks],
-            recv_ghosts=[np.flatnonzero(ghost_owner == q) + n_local for q in send_ranks],
+            send_nodes=[
+                layout.send_nodes[layout.send_start[q] : layout.send_start[q + 1]]
+                for q in send_ranks
+            ],
+            recv_ghosts=[
+                np.arange(layout.ghost_start[q], layout.ghost_start[q + 1]) + n_local
+                for q in send_ranks
+            ],
+            interface=layout.interface,
+            ghost_xadj=layout.ghost_xadj,
+            ghost_src=layout.ghost_src,
         )
 
     @classmethod
@@ -122,7 +134,7 @@ class DistGraph:
         read or a scatter; the simulation shares the input graph, so each
         rank slices directly.
         """
-        vtxdist = np.asarray(vtxdist, dtype=np.int64)
+        vtxdist = np.ascontiguousarray(vtxdist, dtype=np.int64)
         first, last = int(vtxdist[rank]), int(vtxdist[rank + 1])
         lo, hi = int(graph.xadj[first]), int(graph.xadj[last])
         return cls._with_ghosts(
@@ -152,7 +164,7 @@ class DistGraph:
         merged here by summing their weights.  ``vwgt`` covers the owned
         range in order.
         """
-        vtxdist = np.asarray(vtxdist, dtype=np.int64)
+        vtxdist = np.ascontiguousarray(vtxdist, dtype=np.int64)
         first, last = int(vtxdist[rank]), int(vtxdist[rank + 1])
         xadj, dst, wgt = group_arcs(int(vtxdist[-1]), src_global, dst_global, weights)
         if xadj[first] != 0 or xadj[last] != dst.size:
@@ -215,22 +227,22 @@ class DistGraph:
     def to_local(self, global_ids: np.ndarray) -> np.ndarray:
         """Translate global ids to local ids (owned or known ghosts).
 
-        Raises ``KeyError`` if an id is neither owned nor a ghost here.
+        Raises ``KeyError`` naming the first id that is neither owned nor
+        a ghost here.
         """
         global_ids = np.asarray(global_ids, dtype=np.int64)
         out = np.empty_like(global_ids)
         owned = (global_ids >= self.first) & (global_ids < self.first + self.n_local)
         out[owned] = global_ids[owned] - self.first
-        rest = ~owned
-        if rest.any():
-            idx = np.searchsorted(self.ghost_global, global_ids[rest])
-            bad = (idx >= self.n_ghost) | (
-                self.ghost_global[np.minimum(idx, max(self.n_ghost - 1, 0))]
-                != global_ids[rest]
-            )
-            if self.n_ghost == 0 or bad.any():
-                raise KeyError("global id is neither owned nor ghosted on this PE")
-            out[rest] = idx + self.n_local
+        rest = global_ids[~owned]
+        idx = np.searchsorted(self.ghost_global, rest)
+        known = idx < self.n_ghost
+        known[known] = self.ghost_global[idx[known]] == rest[known]
+        if not known.all():
+            raise KeyError(
+                f"global id {rest[~known][0]} is neither owned nor ghosted on "
+                f"rank {self.rank}")
+        out[~owned] = idx + self.n_local
         return out
 
     # ------------------------------------------------------------------
@@ -246,37 +258,6 @@ class DistGraph:
     def arc_sources(self) -> np.ndarray:
         """Local source node of every stored arc."""
         return np.repeat(np.arange(self.n_local, dtype=np.int64), self.degrees)
-
-    def interface_mask(self) -> np.ndarray:
-        """Boolean mask over owned nodes: has at least one ghost neighbour."""
-        mask = np.zeros(self.n_local, dtype=bool)
-        ghost_arcs = self.adjncy >= self.n_local
-        if ghost_arcs.any():
-            mask[self.arc_sources()[ghost_arcs]] = True
-        return mask
-
-    def ghost_sources(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reverse CSR: ghost slot -> owned nodes with an arc to that ghost.
-
-        Returns ``(gxadj, gsrc)`` with the owned sources of ghost slot
-        ``g`` (0-based, i.e. local id minus ``n_local``) at
-        ``gsrc[gxadj[g]:gxadj[g + 1]]``.  The frontier LP engine uses it
-        to activate the local neighbours of ghosts whose labels changed.
-        Built lazily from the adjacency on first use and cached (the
-        arrays are immutable per level).
-        """
-        cached = self.__dict__.get("_ghost_sources_cache")
-        if cached is not None:
-            return cached
-        ghost_arcs = self.adjncy >= self.n_local
-        slots = self.adjncy[ghost_arcs] - self.n_local
-        srcs = self.arc_sources()[ghost_arcs]
-        order = np.argsort(slots, kind="stable")
-        gxadj = np.zeros(self.n_ghost + 1, dtype=np.int64)
-        np.cumsum(np.bincount(slots, minlength=self.n_ghost), out=gxadj[1:])
-        cached = (gxadj, srcs[order])
-        self.__dict__["_ghost_sources_cache"] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Halo exchange

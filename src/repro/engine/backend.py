@@ -176,7 +176,7 @@ class SpmdBackend:
         return vwgt_all
 
     def interface_mask(self) -> np.ndarray:
-        return self.dgraph.interface_mask()
+        return self.dgraph.interface
 
     def label_space(self, labels: np.ndarray) -> int:
         # Cluster ids are global fine node ids; entries of clusters never
@@ -196,8 +196,8 @@ class SpmdBackend:
     def ghost_change_sources(self, ghost_idx: np.ndarray) -> np.ndarray:
         from .kernels import gather_neighbors
 
-        gxadj, gsrc = self.dgraph.ghost_sources()
-        return gather_neighbors(ghost_idx - self.n_local, gxadj, gsrc)
+        return gather_neighbors(
+            ghost_idx - self.n_local, self.dgraph.ghost_xadj, self.dgraph.ghost_src)
 
     def reduce_block_weights(self, labels: np.ndarray, k: int) -> np.ndarray:
         local = np.bincount(

@@ -11,7 +11,6 @@ matching-based coarsening.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from ..graph.build import from_coo
 from ..graph.csr import Graph
@@ -26,6 +25,8 @@ def delaunay_graph(
     return_positions: bool = False,
 ) -> Graph | tuple[Graph, np.ndarray]:
     """Delaunay triangulation of ``num_nodes`` uniform points in the unit square."""
+    from scipy.spatial import Delaunay
+
     if num_nodes < 3:
         raise ValueError("a Delaunay triangulation needs at least three points")
     rng = np.random.default_rng(seed)

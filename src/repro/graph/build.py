@@ -8,18 +8,22 @@ dropped.  The result therefore always satisfies the invariants
 :func:`group_arcs` is the one arc list -> canonical CSR step of the
 package: the builders here, subgraphs and permutations
 (:mod:`repro.graph.ops`), the distributed graph and the coarsest replica
-(:mod:`repro.dist`) call it, and the quotient build falls back to it
-where the compiled kernels did not load.
+(:mod:`repro.dist`) call it.  It is the compiled
+:func:`repro.native.group_arcs`; scipy is imported only by
+:func:`from_scipy` and :func:`to_scipy`, inside them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from .. import native
 from .csr import Graph, GraphError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "group_arcs",
@@ -49,28 +53,15 @@ def group_arcs(
     Raises :class:`GraphError` naming the first arc with an endpoint
     outside ``[0, n)``.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-        i = int(np.argmax((src < 0) | (src >= n) | (dst < 0) | (dst >= n)))
-        raise GraphError(
-            f"arc {i} ({src[i]} -> {dst[i]}) has an endpoint outside [0, {n})")
-    keep = src != dst
-    src, dst, wgt = src[keep], dst[keep], np.asarray(wgt)[keep]
-    if src.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return np.zeros(n + 1, dtype=np.int64), empty, empty
-
-    # The COO -> CSR conversion buckets arcs by src (a counting sort, not
-    # a comparison sort of all arcs) and sums equal (src, dst) entries;
-    # canonical format = rows ordered by dst.
-    rows = sp.coo_matrix((wgt, (src, dst)), shape=(n, n)).tocsr()
-    rows.sum_duplicates()
-    return (
-        rows.indptr.astype(np.int64, copy=False),
-        rows.indices.astype(np.int64, copy=False),
-        rows.data.astype(np.int64, copy=False),
-    )
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    wgt = np.ascontiguousarray(wgt, dtype=np.int64)
+    if not src.shape == dst.shape == wgt.shape or src.ndim != 1:
+        raise ValueError("src, dst and wgt must be parallel 1-d arrays")
+    try:
+        return native.group_arcs(int(n), src, dst, wgt)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from None
 
 
 def _nonzero_graph(
@@ -158,21 +149,29 @@ def from_coo(
     return _nonzero_graph(num_nodes, arcs, vwgt, name)
 
 
-def from_scipy(mat: sp.spmatrix, vwgt: np.ndarray | None = None, name: str = "graph") -> Graph:
+def from_scipy(mat: "sp.spmatrix", vwgt: np.ndarray | None = None,
+               name: str = "graph") -> Graph:
     """Build a graph from a *symmetric* SciPy sparse matrix.
 
-    The diagonal and entries summing to zero are discarded.  Symmetry is
-    the caller's responsibility (checked cheaply by arc-count parity in
+    The diagonal and entries summing to zero are discarded; duplicate
+    entries are summed before the sums are cast to int64.  Symmetry is the
+    caller's responsibility (checked cheaply by arc-count parity in
     :class:`Graph` validation and thoroughly by
     :func:`repro.graph.validation.check_graph`).
     """
+    import scipy.sparse as sp
+
     coo = sp.coo_matrix(mat)
+    coo.sum_duplicates()
     n = coo.shape[0]
-    return _nonzero_graph(n, group_arcs(n, coo.row, coo.col, coo.data), vwgt, name)
+    return _nonzero_graph(
+        n, group_arcs(n, coo.row, coo.col, coo.data.astype(np.int64)), vwgt, name)
 
 
-def to_scipy(graph: Graph) -> sp.csr_matrix:
+def to_scipy(graph: Graph) -> "sp.csr_matrix":
     """Weighted adjacency matrix of ``graph`` as ``scipy.sparse.csr_matrix``."""
+    import scipy.sparse as sp
+
     return sp.csr_matrix(
         (graph.adjwgt.astype(np.float64), graph.adjncy, graph.xadj),
         shape=(graph.num_nodes, graph.num_nodes),

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .build import group_arcs
 from .csr import Graph
@@ -82,6 +80,9 @@ def band_nodes(graph: Graph, partition: np.ndarray, distance: int) -> np.ndarray
 
 def connected_components(graph: Graph) -> tuple[int, np.ndarray]:
     """Number of connected components and per-node component labels."""
+    import scipy.sparse as sp
+    import scipy.sparse.csgraph as csgraph
+
     if graph.num_nodes == 0:
         return 0, np.empty(0, dtype=np.int64)
     mat = sp.csr_matrix(

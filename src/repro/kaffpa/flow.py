@@ -30,8 +30,6 @@ order; pairs whose boundary changed get revisited in the next pass
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import maximum_flow
 
 from ..graph.csr import Graph
 from ..metrics.quality import edge_cut
@@ -73,6 +71,9 @@ def flow_refine_pair(
     Mutates ``partition`` in place on success; returns whether the pair's
     cut strictly improved.
     """
+    import scipy.sparse as sp  # the one solver of the package that needs it
+    from scipy.sparse.csgraph import maximum_flow
+
     corridor = _corridor(graph, partition, a, b, corridor_width)
     if corridor.size == 0:
         return False

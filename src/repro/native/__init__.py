@@ -16,8 +16,11 @@ oracles, which return the same arrays bit for bit:
   (:mod:`repro.kaffpa.matching`).  Random draws stay in Python and are
   passed in.  And :func:`partition_quality`, the one sweep behind every
   cut, boundary count and communication volume of :mod:`repro.metrics`
-  (and :func:`repro.dist.dist_partitioner.distributed_edge_cut`); its
-  twin is ``partition_quality`` of ``tests/engine/numpy_kernels.py``.
+  (and :func:`repro.dist.dist_partitioner.distributed_edge_cut`);
+  :func:`group_arcs`, every arc list -> canonical CSR
+  (:func:`repro.graph.build.group_arcs`); :func:`ghost_layout`, every
+  PE's ghosts, send lists and interface (:class:`repro.dist.DistGraph`).
+  Their twins are in ``tests/engine/numpy_kernels.py``.
 
 Nothing is built at import: the first kernel call of a process builds or
 finds the shared object (:func:`resolve`).  Whatever keeps it from loading
@@ -57,7 +60,7 @@ import tempfile
 import threading
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -66,8 +69,9 @@ if TYPE_CHECKING:  # annotations only: this package imports nothing of the progr
 
 __all__ = [
     "KernelUnavailable", "resolve", "adopt", "cache_dir", "source",
-    "PhaseScan", "quotient_arcs", "GrowBisection", "kway_refine_pass",
-    "match_heavy_edges", "partition_quality",
+    "PhaseScan", "quotient_arcs", "group_arcs", "GhostLayout", "ghost_layout",
+    "GrowBisection", "kway_refine_pass", "match_heavy_edges",
+    "partition_quality",
 ]
 
 #: concatenated into one translation unit, in this order
@@ -206,6 +210,24 @@ def _load(path: Path) -> ctypes.CDLL:
         # totals
         "partition_quality": [_I64, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR,
                               _I64, _PTR, _I64, _PTR, _PTR],
+        # n n_in src dst start bad
+        "group_count": [_I64, _I64, _PTR, _PTR, _PTR, _PTR],
+        # n n_in src dst wgt start n_arcs col val stamp slot
+        "group_merge": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR,
+                        _PTR, _PTR],
+        # n start n_arcs col val t_off t_col t_wgt xadj adjncy adjwgt
+        "group_order": [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                        _PTR, _PTR],
+        # n_pes vtxdist rank n_local xadj n_arcs dst slot ghost_start
+        # send_start interface pe_stamp
+        "ghost_count": [_I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
+                        _PTR, _PTR, _PTR],
+        # n_pes vtxdist rank n_local xadj n_arcs dst slot ghost_start
+        # send_start n_cross adjncy ghost_global ghost_owner ghost_xadj
+        # ghost_src send_nodes pe_stamp cursor
+        "ghost_fill": [_I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
+                       _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                       _PTR],
     }.items():
         symbol = getattr(lib, name)
         symbol.restype, symbol.argtypes = _I64, argtypes
@@ -393,11 +415,12 @@ _FAULTS = {
 }
 
 
-def _fault(kernel: str, status: int) -> ValueError:
-    return ValueError(
-        f"native {kernel}: {_FAULTS.get(status, f'status {status}')} "
-        "is outside its table"
-    )
+def _fault(kernel: str, status: int, what: str | None = None) -> ValueError:
+    """The error of a ``_coarse.c`` status; ``what`` names the culprit
+    where the caller knows it."""
+    if what is None:
+        what = f"{_FAULTS.get(status, f'status {status}')} is outside its table"
+    return ValueError(f"native {kernel}: {what}")
 
 
 def _csr(xadj: np.ndarray, adjncy: np.ndarray) -> tuple[int, int, int, int]:
@@ -441,6 +464,117 @@ def quotient_arcs(xadj, adjncy, adjwgt, mapping: np.ndarray, n_coarse: int
     if status < 0:
         raise _fault("quotient build", status)
     return xadj_c, adjncy_c, adjwgt_c
+
+
+def group_arcs(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``xadj, adjncy, adjwgt`` of the arc list ``src[i] -> dst[i]`` (weight
+    ``wgt[i]``, all three int64) over ``n`` nodes in canonical CSR: rows by
+    source, each ordered by neighbour, parallel arcs summed (zero sums
+    kept), self-loops dropped.  Three passes: count the rows, bucket and
+    merge in place, order each row by two transpositions; the outputs and
+    the second transposition's temporaries have exactly the grouped size.
+    An endpoint outside ``[0, n)`` raises ``ValueError`` naming the first
+    such arc."""
+    n_in = src.size
+    ends = (_ptr(src, np.int64, n_in), _ptr(dst, np.int64, n_in))
+    weights = _ptr(wgt, np.int64, n_in)
+    start = np.empty(n + 1, dtype=np.int64)
+    bad = np.zeros(1, dtype=np.int64)
+    lib = _kernels()
+    count = lib.group_count(n, n_in, *ends, start.ctypes.data, bad.ctypes.data)
+    if count < 0:
+        i = int(bad[0])
+        raise _fault("arc grouping", count, None if count != -1 else (
+            f"arc {i} ({src[i]} -> {dst[i]}) has an endpoint outside [0, {n})"))
+    col, val = (np.empty(count, dtype=np.int64) for _ in range(2))
+    stamp, slot = (np.empty(n, dtype=np.int64) for _ in range(2))
+    merged = lib.group_merge(
+        n, n_in, *ends, weights, start.ctypes.data, count, col.ctypes.data,
+        val.ctypes.data, stamp.ctypes.data, slot.ctypes.data,
+    )
+    if merged < 0:
+        raise _fault("arc grouping", merged)
+    t_off, xadj = (np.empty(n + 1, dtype=np.int64) for _ in range(2))
+    t_col, t_wgt, adjncy, adjwgt = (
+        np.empty(merged, dtype=np.int64) for _ in range(4))
+    status = lib.group_order(
+        n, start.ctypes.data, merged, col.ctypes.data, val.ctypes.data,
+        t_off.ctypes.data, t_col.ctypes.data, t_wgt.ctypes.data,
+        xadj.ctypes.data, adjncy.ctypes.data, adjwgt.ctypes.data,
+    )
+    if status < 0:
+        raise _fault("arc grouping", status)
+    return xadj, adjncy, adjwgt
+
+
+class GhostLayout(NamedTuple):
+    """One PE's ghost layout (:func:`ghost_layout`)."""
+
+    #: the arc targets in local ids: owned ``g - first``, ghost ``n_local + s``
+    adjncy: np.ndarray
+    #: global id of each ghost, ascending
+    ghost_global: np.ndarray
+    #: owning PE of each ghost
+    ghost_owner: np.ndarray
+    #: ``n_pes + 1`` entries: the ghosts of PE ``q`` are
+    #: ``[ghost_start[q], ghost_start[q + 1])``
+    ghost_start: np.ndarray
+    #: ``n_pes + 1`` entries: PE ``q``'s send list is
+    #: ``send_nodes[send_start[q]:send_start[q + 1]]``
+    send_start: np.ndarray
+    #: per PE ``q``, ascending: the owned nodes with an arc to a ghost of ``q``
+    send_nodes: np.ndarray
+    #: per owned node: has an arc to a ghost
+    interface: np.ndarray
+    #: reverse CSR of the arcs to ghosts: ghost ``s``'s owned sources are
+    #: ``ghost_src[ghost_xadj[s]:ghost_xadj[s + 1]]``, in arc order
+    ghost_xadj: np.ndarray
+    ghost_src: np.ndarray
+
+
+def ghost_layout(vtxdist: np.ndarray, rank: int, xadj: np.ndarray,
+                 dst: np.ndarray) -> GhostLayout:
+    """The ghost layout of PE ``rank``'s rows (``xadj``, ``n_local + 1``
+    entries from 0 to ``dst.size``) under ``vtxdist`` (ascending from 0),
+    whose arc targets ``dst`` are global ids: ghosts numbered in ascending
+    global id, their owners, the send lists, the interface mask and the
+    reverse CSR of the arcs to ghosts (paper Section IV-A), in three
+    passes over the arcs and one over the global id range.  A vtxdist,
+    rank, arc range or target outside its table raises ``ValueError``."""
+    n_pes, n_local, n_arcs = vtxdist.size - 1, xadj.size - 1, dst.size
+    if n_pes < 1 or n_local < 0:
+        raise _fault("ghost layout", -4)
+    head = (n_pes, _ptr(vtxdist, np.int64), rank, n_local,
+            _ptr(xadj, np.int64), n_arcs, _ptr(dst, np.int64))
+    slot = np.empty(max(int(vtxdist[-1]), 0), dtype=np.int64)
+    ghost_start, send_start = (np.empty(n_pes + 1, dtype=np.int64) for _ in range(2))
+    interface = np.empty(n_local, dtype=np.bool_)
+    pe_stamp, cursor = (np.empty(n_pes, dtype=np.int64) for _ in range(2))
+    lib = _kernels()
+    cross = lib.ghost_count(
+        *head, slot.ctypes.data, ghost_start.ctypes.data,
+        send_start.ctypes.data, interface.ctypes.data, pe_stamp.ctypes.data,
+    )
+    if cross < 0:
+        raise _fault("ghost layout", cross)
+    n_ghost = int(ghost_start[-1])
+    adjncy = np.empty(n_arcs, dtype=np.int64)
+    ghost_global, ghost_owner = (np.empty(n_ghost, dtype=np.int64) for _ in range(2))
+    ghost_xadj = np.empty(n_ghost + 1, dtype=np.int64)
+    ghost_src = np.empty(cross, dtype=np.int64)
+    send_nodes = np.empty(int(send_start[-1]), dtype=np.int64)
+    status = lib.ghost_fill(
+        *head, slot.ctypes.data, ghost_start.ctypes.data,
+        send_start.ctypes.data, cross, adjncy.ctypes.data,
+        ghost_global.ctypes.data, ghost_owner.ctypes.data,
+        ghost_xadj.ctypes.data, ghost_src.ctypes.data, send_nodes.ctypes.data,
+        pe_stamp.ctypes.data, cursor.ctypes.data,
+    )
+    if status < 0:
+        raise _fault("ghost layout", status)
+    return GhostLayout(adjncy, ghost_global, ghost_owner, ghost_start,
+                       send_start, send_nodes, interface, ghost_xadj, ghost_src)
 
 
 class GrowBisection:

@@ -1,9 +1,11 @@
 /* The coarsest level's per-node loops (see repro/native/__init__.py and
  * docs/algorithms.md): the quotient build of repro.graph.quotient.contract
  * and KaFFPa's greedy graph growing, greedy k-way boundary refinement and
- * heavy-edge matching; and the one partition-quality sweep of
- * repro.metrics.  Each returns what its Python twin under tests/ returns
- * (tests/kaffpa/python_twins.py, tests/engine/numpy_kernels.py), its oracle.
+ * heavy-edge matching; the one partition-quality sweep of repro.metrics;
+ * and the level builds, the arc grouping of repro.graph.build and the
+ * ghost layout of repro.dist.dgraph.  Each returns what its Python twin
+ * under tests/ returns (tests/kaffpa/python_twins.py,
+ * tests/engine/numpy_kernels.py), its oracle.
  * Every random draw is made in Python and passed in: a seed index, a visit
  * order.
  *
@@ -175,6 +177,280 @@ int64_t quotient_fill(int64_t n, int64_t n_arcs, const int64_t *xadj,
         return BAD_ROOM;
     transpose(n_coarse, xadj_c, adjncy_c, adjwgt_c, t_off, t_col, t_wgt);
     transpose(n_coarse, t_off, t_col, t_wgt, xadj_c, adjncy_c, adjwgt_c);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * Arc grouping (repro.graph.build.group_arcs): the arc list src[i] -> dst[i]
+ * of n_in arcs over n nodes to canonical CSR.  The quotient build's scheme:
+ * group_count counts each row's arcs, group_merge buckets them by source (a
+ * counting sort) and sums the parallel ones in place, first-met order, with
+ * a per-row stamp; group_order sorts every row by neighbour with two
+ * transpositions.  Self-loops are dropped, weights summing to zero kept.
+ * ---------------------------------------------------------------------- */
+
+/* start (n + 1, out): row r's arcs go to [start[r], start[r + 1]).  Returns
+ * the number of arcs that are not self-loops; an endpoint outside [0, n)
+ * returns BAD_NODE with *bad = the first such arc. */
+int64_t group_count(int64_t n, int64_t n_in, const int64_t *src,
+                    const int64_t *dst, int64_t *start, int64_t *bad)
+{
+    for (int64_t r = 0; r <= n; r++)
+        start[r] = 0;
+    for (int64_t i = 0; i < n_in; i++) {
+        const int64_t s = src[i], d = dst[i];
+        if (bad_index(s, n) || bad_index(d, n)) {
+            *bad = i;
+            return BAD_NODE;
+        }
+        start[s + 1] += s != d;
+    }
+    for (int64_t r = 0; r < n; r++)
+        start[r + 1] += start[r];
+    return start[n];
+}
+
+/* start as group_count left it and n_arcs what it returned; col/val hold
+ * n_arcs entries, stamp and slot n.  On return the first start[n] entries
+ * of col/val are the merged rows, row r at [start[r], start[r + 1]); returns
+ * their count. */
+int64_t group_merge(int64_t n, int64_t n_in, const int64_t *src,
+                    const int64_t *dst, const int64_t *wgt, int64_t *start,
+                    int64_t n_arcs, int64_t *col, int64_t *val,
+                    int64_t *stamp, int64_t *slot)
+{
+    if (start[0] != 0 || start[n] != n_arcs)
+        return BAD_ROOM;
+    for (int64_t r = 0; r < n; r++)
+        stamp[r] = start[r]; /* the bucket cursors */
+    for (int64_t i = 0; i < n_in; i++) {
+        const int64_t s = src[i], d = dst[i];
+        if (bad_index(s, n) || bad_index(d, n))
+            return BAD_NODE;
+        if (s == d)
+            continue;
+        const int64_t at = stamp[s]++;
+        if (bad_index(at, n_arcs))
+            return BAD_ROOM;
+        col[at] = d;
+        val[at] = wgt[i];
+    }
+    for (int64_t r = 0; r < n; r++)
+        stamp[r] = -1;
+    /* distinct arcs so far never outnumber arcs read, so a slot is never
+     * ahead of the arc being read: the merge runs in place */
+    int64_t at = 0, b = 0;
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t e = start[r + 1];
+        if (bad_range(b, e, n_arcs))
+            return BAD_ROOM;
+        start[r] = at;
+        for (int64_t a = b; a < e; a++) {
+            const int64_t d = col[a], w = val[a];
+            const int fresh = stamp[d] != r;
+            const int64_t s = fresh ? at : slot[d];
+            stamp[d] = r;
+            slot[d] = s;
+            col[s] = d;
+            val[s] = (fresh ? 0 : val[s]) + w;
+            at += fresh;
+        }
+        b = e;
+    }
+    start[n] = at;
+    return at;
+}
+
+/* start/col/val as group_merge left them and n_arcs what it returned;
+ * t_off holds n + 1 entries, t_col/t_wgt n_arcs.  The rows, each ordered by
+ * neighbour, go to xadj (n + 1), adjncy and adjwgt (n_arcs).  Returns 0. */
+int64_t group_order(int64_t n, const int64_t *start, int64_t n_arcs,
+                    const int64_t *col, const int64_t *val, int64_t *t_off,
+                    int64_t *t_col, int64_t *t_wgt, int64_t *xadj,
+                    int64_t *adjncy, int64_t *adjwgt)
+{
+    if (start[0] != 0 || start[n] != n_arcs)
+        return BAD_ROOM;
+    for (int64_t r = 0; r < n; r++)
+        if (bad_range(start[r], start[r + 1], n_arcs))
+            return BAD_XADJ;
+    for (int64_t a = 0; a < n_arcs; a++)
+        if (bad_index(col[a], n))
+            return BAD_NBR;
+    transpose(n, start, col, val, t_off, t_col, t_wgt);
+    transpose(n, t_off, t_col, t_wgt, xadj, adjncy, adjwgt);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * Ghost layout (repro.dist.dgraph.DistGraph, paper Section IV-A): the rows
+ * of PE `rank` under vtxdist (n_pes + 1 ascending entries from 0), arc
+ * targets dst[] in global ids, become local ids; a ghost is a foreign
+ * target, ghosts are numbered in ascending global id, so the ghosts of each
+ * owner are one run.  slot holds n_global = vtxdist[n_pes] entries: after
+ * ghost_count, slot[g] = the ghost index of global id g, -1 if g is no
+ * ghost (a counting sort over the id range: no comparison sort, no hash).
+ * ---------------------------------------------------------------------- */
+
+static int bad_vtxdist(int64_t n_pes, const int64_t *vtxdist, int64_t rank,
+                       int64_t n_local)
+{
+    if (n_pes < 1 || bad_index(rank, n_pes) || vtxdist[0] != 0)
+        return 1;
+    for (int64_t q = 0; q < n_pes; q++)
+        if (vtxdist[q + 1] < vtxdist[q])
+            return 1;
+    return vtxdist[rank + 1] - vtxdist[rank] != n_local;
+}
+
+/* The PE owning global id g in [0, vtxdist[n_pes]): the last q with
+ * vtxdist[q] <= g (binary search; empty ranges are skipped). */
+static int64_t owner_of(int64_t n_pes, const int64_t *vtxdist, int64_t g)
+{
+    int64_t lo = 0, hi = n_pes; /* vtxdist[lo] <= g < vtxdist[hi] */
+    while (hi - lo > 1) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (vtxdist[mid] <= g)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* Numbers the ghosts (slot, see above) and sizes the layout:
+ * ghost_start/send_start (n_pes + 1, out) = the ghosts of owner q are
+ * [ghost_start[q], ghost_start[q + 1]), the owned nodes with an arc to a
+ * ghost of q go to [send_start[q], send_start[q + 1]) of the send lists;
+ * interface (n_local bytes, out) = has an arc to a ghost; pe_stamp holds
+ * n_pes entries.  Returns the number of arcs to ghosts. */
+int64_t ghost_count(int64_t n_pes, const int64_t *vtxdist, int64_t rank,
+                    int64_t n_local, const int64_t *xadj, int64_t n_arcs,
+                    const int64_t *dst, int64_t *slot, int64_t *ghost_start,
+                    int64_t *send_start, uint8_t *interface,
+                    int64_t *pe_stamp)
+{
+    if (bad_vtxdist(n_pes, vtxdist, rank, n_local))
+        return BAD_BLOCK;
+    const int64_t first = vtxdist[rank], last = vtxdist[rank + 1];
+    const int64_t n_global = vtxdist[n_pes];
+    if (xadj[0] != 0 || xadj[n_local] != n_arcs)
+        return BAD_XADJ;
+    for (int64_t g = 0; g < n_global; g++)
+        slot[g] = -1;
+    for (int64_t q = 0; q <= n_pes; q++)
+        ghost_start[q] = send_start[q] = 0;
+    for (int64_t q = 0; q < n_pes; q++)
+        pe_stamp[q] = -1;
+    int64_t cross = 0;
+    for (int64_t v = 0; v < n_local; v++) {
+        const int64_t b = xadj[v], e = xadj[v + 1];
+        if (bad_range(b, e, n_arcs))
+            return BAD_XADJ;
+        interface[v] = 0;
+        for (int64_t a = b; a < e; a++) {
+            const int64_t g = dst[a];
+            if (bad_index(g, n_global))
+                return BAD_NBR;
+            if (g >= first && g < last)
+                continue;
+            const int64_t q = owner_of(n_pes, vtxdist, g);
+            interface[v] = 1;
+            cross++;
+            slot[g] = 0; /* a ghost; numbered below */
+            send_start[q + 1] += pe_stamp[q] != v;
+            pe_stamp[q] = v;
+        }
+    }
+    int64_t n_ghost = 0;
+    for (int64_t q = 0; q < n_pes; q++) {
+        ghost_start[q] = n_ghost;
+        if (q != rank)
+            for (int64_t g = vtxdist[q]; g < vtxdist[q + 1]; g++)
+                if (slot[g] == 0)
+                    slot[g] = n_ghost++;
+    }
+    ghost_start[n_pes] = n_ghost;
+    for (int64_t q = 0; q < n_pes; q++)
+        send_start[q + 1] += send_start[q];
+    return cross;
+}
+
+/* The rest, with the tables ghost_count filled and n_cross what it
+ * returned: adjncy (n_arcs, out) the local ids; ghost_global/ghost_owner
+ * (ghost_start[n_pes] entries, out); ghost_xadj (n_ghost + 1) and
+ * ghost_src (n_cross), out: the owned sources of each ghost's arcs, in arc
+ * order; send_nodes (send_start[n_pes], out): per owner q, ascending, the
+ * owned nodes with an arc to a ghost of q.  pe_stamp and cursor hold n_pes
+ * entries.  Returns 0. */
+int64_t ghost_fill(int64_t n_pes, const int64_t *vtxdist, int64_t rank,
+                   int64_t n_local, const int64_t *xadj, int64_t n_arcs,
+                   const int64_t *dst, const int64_t *slot,
+                   const int64_t *ghost_start, const int64_t *send_start,
+                   int64_t n_cross, int64_t *adjncy, int64_t *ghost_global,
+                   int64_t *ghost_owner, int64_t *ghost_xadj,
+                   int64_t *ghost_src, int64_t *send_nodes,
+                   int64_t *pe_stamp, int64_t *cursor)
+{
+    if (bad_vtxdist(n_pes, vtxdist, rank, n_local))
+        return BAD_BLOCK;
+    const int64_t first = vtxdist[rank], last = vtxdist[rank + 1];
+    const int64_t n_global = vtxdist[n_pes];
+    const int64_t n_ghost = ghost_start[n_pes], n_send = send_start[n_pes];
+    if (xadj[0] != 0 || xadj[n_local] != n_arcs)
+        return BAD_XADJ;
+    if (ghost_start[0] != 0 || send_start[0] != 0)
+        return BAD_ROOM;
+    for (int64_t q = 0; q < n_pes; q++) {
+        if (bad_range(ghost_start[q], ghost_start[q + 1], n_ghost)
+            || bad_range(send_start[q], send_start[q + 1], n_send))
+            return BAD_ROOM;
+        for (int64_t s = ghost_start[q]; s < ghost_start[q + 1]; s++)
+            ghost_owner[s] = q;
+        pe_stamp[q] = -1;
+        cursor[q] = send_start[q];
+    }
+    for (int64_t s = 0; s <= n_ghost; s++)
+        ghost_xadj[s] = 0;
+    for (int64_t v = 0; v < n_local; v++) {
+        const int64_t b = xadj[v], e = xadj[v + 1];
+        if (bad_range(b, e, n_arcs))
+            return BAD_XADJ;
+        for (int64_t a = b; a < e; a++) {
+            const int64_t g = dst[a];
+            if (bad_index(g, n_global))
+                return BAD_NBR;
+            if (g >= first && g < last) {
+                adjncy[a] = g - first;
+                continue;
+            }
+            const int64_t s = slot[g];
+            if (bad_index(s, n_ghost))
+                return BAD_ROOM;
+            const int64_t q = ghost_owner[s];
+            adjncy[a] = n_local + s;
+            ghost_global[s] = g;
+            ghost_xadj[s + 1]++;
+            if (pe_stamp[q] != v) {
+                if (cursor[q] >= send_start[q + 1])
+                    return BAD_ROOM;
+                send_nodes[cursor[q]++] = v;
+                pe_stamp[q] = v;
+            }
+        }
+    }
+    for (int64_t s = 0; s < n_ghost; s++)
+        ghost_xadj[s + 1] += ghost_xadj[s];
+    if (ghost_xadj[n_ghost] != n_cross)
+        return BAD_ROOM;
+    /* a counting sort of the arcs to ghosts by ghost, stable */
+    for (int64_t v = 0; v < n_local; v++)
+        for (int64_t a = xadj[v]; a < xadj[v + 1]; a++)
+            if (adjncy[a] >= n_local)
+                ghost_src[ghost_xadj[adjncy[a] - n_local]++] = v;
+    for (int64_t s = n_ghost; s > 0; s--)
+        ghost_xadj[s] = ghost_xadj[s - 1];
+    ghost_xadj[0] = 0;
     return 0;
 }
 

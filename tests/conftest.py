@@ -73,6 +73,8 @@ def twin_bindings() -> dict:
         "kway_refine_pass": python_twins.kway_refine_pass,
         "match_heavy_edges": python_twins.match_heavy_edges,
         "partition_quality": numpy_kernels.partition_quality,
+        "group_arcs": numpy_kernels.group_arcs,
+        "ghost_layout": numpy_kernels.ghost_layout,
     }
 
 
@@ -94,7 +96,7 @@ def python_twins():
 def numpy_kernel():
     """Run the test on the Python twins of every compiled kernel (the
     NumPy chunk loop, scipy's quotient, KaFFPa's loops, the NumPy quality
-    sweep)."""
+    sweep, scipy's arc grouping, the NumPy ghost layout)."""
     with python_twins():
         yield
 

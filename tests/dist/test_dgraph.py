@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import native
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
 from repro.generators import random_geometric_graph, web_copy_graph
 from repro.graph import from_edges, path_graph
 
-from ..conftest import random_graphs
+from ..conftest import python_twins, random_graphs
+from ..engine import numpy_kernels
 
 
 class TestVtxdist:
@@ -48,8 +50,15 @@ class TestLocalStructure:
     def test_to_local_rejects_unknown(self):
         g = path_graph(9)
         d = DistGraph.from_global(g, balanced_vtxdist(9, 3), 0)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="global id 8 is neither owned nor ghosted on rank 0"):
             d.to_local(np.array([8]))  # node 8 is neither owned nor adjacent
+
+    def test_to_local_rejects_unknown_on_a_rank_without_ghosts(self):
+        d = DistGraph.from_global(from_edges(4, [(0, 1), (2, 3)]), balanced_vtxdist(4, 2), 0)
+        assert d.n_ghost == 0
+        with pytest.raises(KeyError, match="global id 3 is neither owned nor ghosted on rank 0"):
+            d.to_local(np.array([3]))
+        assert d.to_local(np.array([1, 0])).tolist() == [1, 0]
 
     def test_owner_of(self):
         g = path_graph(9)
@@ -59,7 +68,7 @@ class TestLocalStructure:
     def test_interface_mask(self):
         g = path_graph(6)
         d = DistGraph.from_global(g, balanced_vtxdist(6, 2), 0)
-        assert d.interface_mask().tolist() == [False, False, True]
+        assert d.interface.tolist() == [False, False, True]
 
     def test_star_hub_has_all_ghosts(self):
         g = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
@@ -85,6 +94,98 @@ class TestLocalStructure:
                 assert graph.has_edge(s, t)
         assert total_arcs == graph.num_arcs
         assert total_vwgt == graph.total_node_weight
+
+
+@st.composite
+def distributed_graphs(draw):
+    """A small graph and a ``vtxdist`` over 1-5 PEs: balanced, or cut at
+    drawn points, so that ``n < p``, empty ranges between full ones,
+    ranks without ghosts and ranks without arcs all come up."""
+    graph = draw(random_graphs(min_nodes=0, max_nodes=24))
+    p = draw(st.integers(min_value=1, max_value=5))
+    n = graph.num_nodes
+    if draw(st.booleans()):
+        vtxdist = balanced_vtxdist(n, p)
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=p - 1, max_size=p - 1)))
+        vtxdist = np.array([0, *cuts, n], dtype=np.int64)
+    return graph, vtxdist
+
+
+def rank_rows(graph, vtxdist, rank):
+    """PE ``rank``'s ``xadj`` (from 0) and global arc targets."""
+    first, last = int(vtxdist[rank]), int(vtxdist[rank + 1])
+    lo, hi = int(graph.xadj[first]), int(graph.xadj[last])
+    return graph.xadj[first : last + 1] - lo, np.ascontiguousarray(graph.adjncy[lo:hi])
+
+
+class TestGhostLayoutMatchesNumpyTwin:
+    """``native.ghost_layout`` against the NumPy id mapping it replaced
+    (the twin in ``tests/engine/numpy_kernels.py``), on every rank."""
+
+    @given(distributed_graphs())
+    def test_same_layout_and_same_dgraph(self, case):
+        graph, vtxdist = case
+        for rank in range(vtxdist.size - 1):
+            got = native.ghost_layout(vtxdist, rank, *rank_rows(graph, vtxdist, rank))
+            want = numpy_kernels.ghost_layout(vtxdist, rank, *rank_rows(graph, vtxdist, rank))
+            for name, g, w in zip(native.GhostLayout._fields, got, want):
+                assert g.dtype == w.dtype, name
+                np.testing.assert_array_equal(g, w, err_msg=name)
+            compiled = DistGraph.from_global(graph, vtxdist, rank)
+            with python_twins():
+                twin = DistGraph.from_global(graph, vtxdist, rank)
+            for name in ("adjncy", "ghost_global", "ghost_owner", "send_ranks",
+                         "interface", "ghost_xadj", "ghost_src"):
+                np.testing.assert_array_equal(
+                    getattr(compiled, name), getattr(twin, name), err_msg=name)
+            for name in ("send_nodes", "recv_ghosts"):
+                assert [a.tolist() for a in getattr(compiled, name)] == [
+                    a.tolist() for a in getattr(twin, name)], name
+
+    def test_ranks_without_ghosts_or_arcs(self):
+        graph = from_edges(6, [(0, 1), (4, 5)])  # nodes 2 and 3 isolated
+        vtxdist = np.array([0, 2, 2, 4, 6], dtype=np.int64)  # rank 1 owns nothing
+        for rank in range(4):
+            d = DistGraph.from_global(graph, vtxdist, rank)
+            assert d.n_ghost == 0 and d.send_ranks.size == 0
+            assert not d.interface.any() and d.ghost_xadj.tolist() == [0]
+
+    def test_the_layout_refuses_writes(self):
+        d = DistGraph.from_global(path_graph(6), balanced_vtxdist(6, 2), 0)
+        for name in ("interface", "ghost_xadj", "ghost_src"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(d, name)[0] = 0
+
+    @pytest.mark.parametrize(("fault", "what"), [
+        ("rank", "a block id or mapping entry"),
+        ("vtxdist descends", "a block id or mapping entry"),
+        ("vtxdist from 1", "a block id or mapping entry"),
+        ("n_local", "a block id or mapping entry"),
+        ("xadj", "an arc range in xadj"),
+        ("target", "a neighbour id in adjncy"),
+    ])
+    def test_every_fault_is_named(self, fault, what):
+        graph = path_graph(6)
+        vtxdist = balanced_vtxdist(6, 2)
+        xadj, dst = rank_rows(graph, vtxdist, 0)
+        rank = 0
+        if fault == "rank":
+            rank = 2
+        elif fault == "vtxdist descends":
+            vtxdist = np.array([0, 4, 3, 6], dtype=np.int64)
+        elif fault == "vtxdist from 1":
+            vtxdist = np.array([1, 3, 6], dtype=np.int64)
+        elif fault == "n_local":
+            vtxdist = np.array([0, 2, 6], dtype=np.int64)
+        elif fault == "xadj":
+            xadj = xadj.copy()
+            xadj[2] = xadj[3] + 1
+        else:
+            dst = dst.copy()
+            dst[-1] = 6
+        with pytest.raises(ValueError, match=f"native ghost layout: {what} is outside its table"):
+            native.ghost_layout(vtxdist, rank, xadj, dst)
 
 
 class TestHaloExchange:

@@ -146,7 +146,7 @@ class TestInterfaceScatterValidation:
             if comm.rank == 0:
                 # a low-id local node is interior for a contiguous split,
                 # so its global id is not in rank 1's ghost table
-                interior = np.flatnonzero(~dgraph.interface_mask())[0]
+                interior = np.flatnonzero(~dgraph.interface)[0]
                 for i, q in enumerate(dgraph.send_ranks.tolist()):
                     if q == 1:
                         dgraph.send_nodes[i] = np.append(

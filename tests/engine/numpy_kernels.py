@@ -22,7 +22,12 @@ required, and now only the oracle the compiled kernel is held to
 :func:`partition_quality` is the twin of the quality sweep of
 ``_coarse.c`` (``repro.native.partition_quality``): the arc-length mask
 and the ``np.unique`` over ``(node, block)`` keys that ``repro.metrics``
-ran before the kernel.
+ran before the kernel.  :func:`group_arcs` is the twin of the arc
+grouping (``repro.native.group_arcs``): scipy's COO -> CSR conversion,
+which ``repro.graph.build`` ran before it.  :func:`ghost_layout` is the
+twin of the ghost layout (``repro.native.ghost_layout``): the
+``np.unique`` / ``searchsorted`` / ``argsort`` id mapping that
+``repro.dist.dgraph.DistGraph`` ran before it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
 from repro.engine.kernels import IterationWorkspace, _segment_local_arange
 
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
@@ -416,3 +422,65 @@ def partition_quality(xadj, lo: int, hi: int, arc_lo: int, nbr, wgt,
     keys = src[external] * np.int64(max(space, 1)) + blocks[external]
     return (int(weights[external].sum()), int(np.unique(src[external]).size),
             int(np.unique(keys).size))
+
+
+def group_arcs(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`repro.native.group_arcs` as scipy's COO -> CSR conversion:
+    a counting sort by source, then each row sorted and its equal entries
+    summed.  The same ``ValueError`` for an endpoint outside ``[0, n)``."""
+    import scipy.sparse as sp
+
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        i = int(np.argmax((src < 0) | (src >= n) | (dst < 0) | (dst >= n)))
+        raise native._fault(
+            "arc grouping", -1,
+            f"arc {i} ({src[i]} -> {dst[i]}) has an endpoint outside [0, {n})")
+    keep = src != dst
+    src, dst, wgt = src[keep], dst[keep], wgt[keep]
+    if src.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return np.zeros(n + 1, dtype=np.int64), empty, empty.copy()
+    rows = sp.coo_matrix((wgt, (src, dst)), shape=(n, n)).tocsr()
+    rows.sum_duplicates()
+    return (
+        rows.indptr.astype(np.int64, copy=False),
+        rows.indices.astype(np.int64, copy=False),
+        rows.data.astype(np.int64, copy=False),
+    )
+
+
+def ghost_layout(vtxdist: np.ndarray, rank: int, xadj: np.ndarray,
+                 dst: np.ndarray) -> native.GhostLayout:
+    """:func:`repro.native.ghost_layout` as NumPy id mapping: ``np.unique``
+    over the ghost targets, ``searchsorted`` for their local ids and
+    owners, a stable ``argsort`` for the reverse CSR."""
+    first, last = int(vtxdist[rank]), int(vtxdist[rank + 1])
+    n_local, n_pes = xadj.size - 1, vtxdist.size - 1
+
+    local_mask = (dst >= first) & (dst < last)
+    cross = ~local_mask
+    ghost_global = np.unique(dst[cross])
+    adjncy = np.empty_like(dst)
+    adjncy[local_mask] = dst[local_mask] - first
+    adjncy[cross] = n_local + np.searchsorted(ghost_global, dst[cross])
+    ghost_owner = (np.searchsorted(vtxdist, ghost_global, side="right") - 1).astype(np.int64)
+    ghost_start = np.searchsorted(ghost_owner, np.arange(n_pes + 1)).astype(np.int64)
+
+    src = np.repeat(np.arange(n_local, dtype=np.int64), np.diff(xadj))
+    pair_owner = ghost_owner[adjncy[cross] - n_local]
+    pair_src = src[cross]
+    per_pe = [np.unique(pair_src[pair_owner == q]) for q in range(n_pes)]
+    send_start = np.zeros(n_pes + 1, dtype=np.int64)
+    np.cumsum([nodes.size for nodes in per_pe], out=send_start[1:])
+
+    interface = np.zeros(n_local, dtype=bool)
+    interface[pair_src] = True
+    slots = adjncy[cross] - n_local
+    ghost_xadj = np.zeros(ghost_global.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slots, minlength=ghost_global.size), out=ghost_xadj[1:])
+    ghost_src = pair_src[np.argsort(slots, kind="stable")]
+    return native.GhostLayout(
+        adjncy, ghost_global, ghost_owner, ghost_start, send_start,
+        np.concatenate([np.empty(0, dtype=np.int64), *per_pe]), interface,
+        ghost_xadj, ghost_src)

@@ -382,8 +382,14 @@ class TestNativeMatchesNumpy:
 def coarsest_level(graph, seed: int) -> list[np.ndarray]:
     """Every ``_coarse.c`` kernel once: a contraction, a recursive
     bisection of the quotient, k-way refinement, a matching, the quality
-    sweep."""
+    sweep, an arc grouping, a ghost layout."""
     rng = np.random.default_rng(seed)
+    vtxdist = balanced_vtxdist(graph.num_nodes, 3)
+    layout = native.ghost_layout(
+        vtxdist, 1, graph.xadj[vtxdist[1] : vtxdist[2] + 1] - graph.xadj[vtxdist[1]],
+        graph.adjncy[graph.xadj[vtxdist[1]] : graph.xadj[vtxdist[2]]])
+    grouped = native.group_arcs(
+        graph.num_nodes, graph.adjncy, graph.arc_sources(), graph.adjwgt)
     coarse = contract(graph, rng.integers(0, graph.num_nodes // 3, graph.num_nodes)).coarse
     part = recursive_bisection(coarse, 5, rng)
     lmax = max_block_weight_bound(coarse, 5, 0.03)
@@ -394,6 +400,7 @@ def coarsest_level(graph, seed: int) -> list[np.ndarray]:
         np.array(native.partition_quality(
             graph.xadj, 0, graph.num_nodes, 0, graph.adjncy, graph.adjwgt,
             np.arange(graph.num_nodes, dtype=np.int64) % 7, 7)),
+        *grouped, *layout,
     ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import re
 
 import numpy as np
@@ -25,9 +26,11 @@ from repro.graph import (
     to_networkx,
     to_scipy,
 )
+from repro import native
 from repro.graph.build import group_arcs
 
-from ..conftest import random_graphs
+from ..conftest import python_twins, random_graphs
+from ..engine import numpy_kernels
 
 
 class TestFromEdges:
@@ -121,6 +124,92 @@ class TestGroupArcs:
         for g, w in zip(got, dict_grouping(n, src, dst, wgt)):
             assert g.dtype == np.int64
             assert g.tolist() == w
+
+
+@st.composite
+def raw_arc_lists(draw):
+    """``n`` and an int64 arc list over it, as the compiled grouping and
+    its scipy twin take them: self-loops, an edge in both orientations,
+    parallel arcs whose weights sum to zero, isolated nodes, ``n = 0``,
+    no arcs, and sometimes one endpoint outside ``[0, n)``."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    node = st.integers(0, max(n - 1, 0))
+    arcs = draw(st.lists(st.tuples(node, node, st.integers(-9, 9)), max_size=40)) if n else []
+    mirrored = draw(st.lists(st.sampled_from(arcs), max_size=10)) if arcs else []
+    arcs += [(v, u, -w if draw(st.booleans()) else w) for u, v, w in mirrored]
+    if draw(st.integers(0, 4)) == 0:
+        bad = draw(st.sampled_from([-1, n, n + 5]))
+        at = draw(st.integers(0, len(arcs)))
+        end = draw(st.integers(0, 1))
+        arcs.insert(at, (bad, 0, 1) if end == 0 else (0, bad, 1))
+    src, dst, wgt = (np.array(column, dtype=np.int64).reshape(-1)
+                     for column in (zip(*arcs) if arcs else ([], [], [])))
+    return n, src, dst, wgt
+
+
+class TestCompiledGroupingMatchesScipyTwin:
+    """``native.group_arcs`` against scipy's COO -> CSR (the twin in
+    ``tests/engine/numpy_kernels.py``): the same three arrays, or the same
+    ``GraphError`` text from :func:`group_arcs`."""
+
+    @given(raw_arc_lists())
+    @example((0, *(np.empty(0, dtype=np.int64),) * 3))  # n = 0
+    @example((3, *(np.empty(0, dtype=np.int64),) * 3))  # no arcs
+    @example((2, np.array([0, 1]), np.array([0, 1]), np.array([5, 6])))  # self-loops only
+    @example((3, np.array([0, 2, 0]), np.array([2, 0, 2]), np.array([4, 1, -4])))  # zero sum
+    @example((3, np.array([0, 1, 3]), np.array([1, 0, 0]), np.array([1, 1, 1])))  # outside
+    def test_same_arrays_or_same_error(self, arcs):
+        n, src, dst, wgt = arcs
+        outcomes = []
+        for kernel in (native.group_arcs, numpy_kernels.group_arcs):
+            try:
+                outcomes.append(kernel(n, src, dst, wgt))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        got, want = outcomes
+        if isinstance(want, str):
+            assert got == want and "has an endpoint outside" in want
+            for bound in (False, True):
+                with python_twins() if bound else contextlib.nullcontext():
+                    with pytest.raises(GraphError) as caught:
+                        group_arcs(n, src, dst, wgt)
+                assert str(caught.value) == want
+            return
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+    def test_kept_zero_sums_are_dropped_by_the_builders(self):
+        xadj, adjncy, adjwgt = group_arcs(
+            2, np.array([0, 0, 1]), np.array([1, 1, 0]), np.array([3, -3, 2]))
+        assert (xadj.tolist(), adjncy.tolist(), adjwgt.tolist()) == ([0, 1, 2], [1, 0], [0, 2])
+        assert from_coo(2, [0, 0], [1, 1], [3, -3]).num_edges == 0
+
+    def test_arrays_outside_the_kernels_contract(self):
+        with pytest.raises(TypeError, match="C-contiguous int64 ndarray of 2 entries"):
+            native.group_arcs(3, np.array([0, 1]), np.array([1, 2]), np.array([1]))
+        with pytest.raises(ValueError, match="parallel 1-d arrays"):
+            group_arcs(3, [0, 1], [1, 2], [1])
+
+    def test_inconsistent_tables_are_refused(self):
+        """The merge and order passes check the row table they are handed
+        (the binding always hands them a consistent one)."""
+        lib = native._kernels()
+        src, dst, wgt = (np.array(a, dtype=np.int64) for a in ([0, 1], [1, 0], [1, 1]))
+        start = np.array([0, 1, 3], dtype=np.int64)  # claims 3 arcs for 2
+        col, val, stamp, slot = (np.zeros(2, dtype=np.int64) for _ in range(4))
+        status = lib.group_merge(2, 2, src.ctypes.data, dst.ctypes.data,
+                                 wgt.ctypes.data, start.ctypes.data, 2,
+                                 col.ctypes.data, val.ctypes.data,
+                                 stamp.ctypes.data, slot.ctypes.data)
+        assert str(native._fault("arc grouping", status)) == (
+            "native arc grouping: a row of the scratch sized for it is outside its table")
+        start = np.array([0, 1, 2], dtype=np.int64)
+        col = np.array([1, 7], dtype=np.int64)  # a neighbour outside [0, 2)
+        out = [np.zeros(size, dtype=np.int64) for size in (3, 2, 2, 3, 2, 2)]
+        status = lib.group_order(2, start.ctypes.data, 2, col.ctypes.data,
+                                 val.ctypes.data, *(a.ctypes.data for a in out))
+        assert "a neighbour id in adjncy" in str(native._fault("arc grouping", status))
 
 
 class TestScipyRoundTrip:

@@ -23,10 +23,10 @@ from repro.graph import (
     normalize_labels,
     quotient_graph,
 )
-from repro.graph.build import group_arcs
 from repro.metrics import edge_cut
 
 from ..conftest import graphs_with_labels, random_graphs
+from ..engine.numpy_kernels import group_arcs
 
 
 class TestNormalizeLabels:
@@ -171,9 +171,10 @@ class TestContractMatchesLexsortOracle:
 
 class TestNativeBuildMatchesScipy:
     """``native.quotient_arcs`` against the scipy grouping of the
-    relabelled arcs it replaced: the same three arrays.
-    (:class:`TestContractMatchesLexsortOracle` holds ``contract`` to a
-    third.)"""
+    relabelled arcs it replaced (the twin of ``native.group_arcs``, not
+    the compiled grouping, which shares the quotient's transposition):
+    the same three arrays.  (:class:`TestContractMatchesLexsortOracle`
+    holds ``contract`` to a third.)"""
 
     @staticmethod
     def assert_same(graph, mapping, n_coarse):

@@ -18,8 +18,9 @@ import heapq
 import numpy as np
 
 from repro.graph import Graph
-from repro.graph.build import group_arcs
 from repro.graph.ops import induced_subgraph
+
+from ..engine.numpy_kernels import group_arcs
 
 
 def quotient_arcs(xadj, adjncy, adjwgt, mapping, n_coarse):
