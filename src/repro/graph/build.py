@@ -43,12 +43,14 @@ __all__ = [
 
 
 def group_arcs(
-    n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
+    n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray,
+    mirror: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``xadj, adjncy, adjwgt`` of the arc list ``src[i] -> dst[i]`` (weight
     ``wgt[i]``) over ``n`` nodes, in canonical CSR: rows by source, each
     row ordered by neighbour, parallel arcs summed, self-loops dropped.
-    Arcs are taken as given, not mirrored.
+    Arcs are taken as given unless ``mirror``, which reads each arc in
+    both directions (the list plus its reverse, never concatenated).
 
     Raises :class:`GraphError` naming the first arc with an endpoint
     outside ``[0, n)``.
@@ -59,7 +61,7 @@ def group_arcs(
     if not src.shape == dst.shape == wgt.shape or src.ndim != 1:
         raise ValueError("src, dst and wgt must be parallel 1-d arrays")
     try:
-        return native.group_arcs(int(n), src, dst, wgt)
+        return native.group_arcs(int(n), src, dst, wgt, mirror)
     except ValueError as exc:
         raise GraphError(str(exc)) from None
 
@@ -130,22 +132,19 @@ def from_coo(
 ) -> Graph:
     """Build a graph from COO-style arrays, symmetrising and deduplicating.
 
-    Every arc is mirrored and the lot grouped once (:func:`group_arcs`),
-    so the weight of an undirected edge present in both orientations of
-    the input is counted once per orientation (standard COO-duplicate
-    semantics), which lets callers feed either half- or full-symmetric
-    inputs as long as they are consistent about it.  Self-loops and edges
-    whose weights sum to zero are dropped.
+    Every arc is mirrored and the lot grouped once (:func:`group_arcs`
+    with ``mirror``), so the weight of an undirected edge present in both
+    orientations of the input is counted once per orientation (standard
+    COO-duplicate semantics), which lets callers feed either half- or
+    full-symmetric inputs as long as they are consistent about it.
+    Self-loops and edges whose weights sum to zero are dropped.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if weights is None:
         weights = np.ones(rows.size, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.int64)
-    arcs = group_arcs(
-        num_nodes, np.concatenate((rows, cols)), np.concatenate((cols, rows)),
-        np.concatenate((weights, weights)),
-    )
+    arcs = group_arcs(num_nodes, rows, cols, weights, mirror=True)
     return _nonzero_graph(num_nodes, arcs, vwgt, name)
 
 

@@ -4,13 +4,23 @@ The METIS format is the lingua franca of the partitioning community (both
 KaHIP and ParMetis consume it), so round-tripping it makes the library
 interoperable with the real tools' inputs:
 
-* header line: ``n m [fmt [ncon]]`` where ``fmt`` is a 3-digit flag string
-  — ``1`` in the hundreds digit: node sizes (unsupported), tens digit:
-  node weights, ones digit: edge weights;
-* line ``i`` (1-based): the neighbours of node ``i`` (1-based ids),
-  preceded by its weight if node weights are present, each neighbour
-  followed by the edge weight if edge weights are present;
-* ``%``-prefixed lines are comments.
+* header line: ``n m [fmt [ncon]]`` where ``fmt`` is up to three digits,
+  each 0 or 1 — hundreds: node sizes (unsupported), tens: node weights,
+  ones: edge weights — and ``ncon``, if given, is 1;
+* line ``i`` (1-based) of the body: the neighbours of node ``i`` (1-based
+  ids), preceded by its weight if node weights are present, each
+  neighbour followed by the edge weight if edge weights are present; a
+  blank line is an isolated node;
+* ``%``-prefixed lines are comments, anywhere in the file.
+
+:func:`read_metis` reads the header here and the body in one compiled
+pass (:func:`repro.native.parse_metis`).  Tokens are ``[+-]?[0-9]+`` in
+int64, separated by spaces and tabs; lines end at ``\\n``, ``\\r\\n``
+or ``\\r``; the file is ASCII.  Weights must be non-negative and the
+adjacency symmetric: if node ``u`` lists ``v``, ``v`` lists ``u``, and
+the weights of ``u``'s entries for ``v`` sum to those of ``v``'s for
+``u``.  Self-loops are dropped and parallel entries summed.  A file that
+breaks any of this raises :class:`GraphError` naming its line.
 
 Partition files are one block id per line, as written by the real tools.
 """
@@ -18,10 +28,12 @@ Partition files are one block id per line, as written by the real tools.
 from __future__ import annotations
 
 import io
+import re
 from pathlib import Path
 
 import numpy as np
 
+from .. import native
 from .csr import Graph, GraphError
 from .build import from_coo
 from .store import (
@@ -84,68 +96,78 @@ def write_metis(graph: Graph, path: str | Path | io.TextIOBase) -> None:
             emit(handle)
 
 
-def read_metis(path: str | Path | io.TextIOBase, name: str | None = None) -> Graph:
-    """Read a graph in METIS format."""
-    if isinstance(path, io.TextIOBase):
-        lines = path.read().splitlines()
-    else:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-        name = name or Path(path).stem
-    # Comment lines are skipped; blank lines are *kept* because an empty
-    # adjacency line encodes an isolated node.  ``kept`` holds the file's
-    # 0-based index of every line read, for the messages.
-    kept = [i for i, ln in enumerate(lines) if not ln.lstrip().startswith("%")]
-    while kept and not lines[kept[0]].strip():
-        kept.pop(0)
-    if not kept:
+#: the blank and ``%`` comment lines before the header, then the header line
+_LEAD = re.compile(rb"(?:[ \t]*(?:%[^\r\n]*)?(?:\r\n?|\n))*([^\r\n]*)(?:\r\n?|\n)?")
+#: ``n m [fmt [ncon]]``
+_HEADER = re.compile(
+    rb"[ \t]*([+-]?[0-9]+)[ \t]+([+-]?[0-9]+)"
+    rb"(?:[ \t]+([0-9]+)(?:[ \t]+([+-]?[0-9]+))?)?[ \t]*"
+)
+_NOT_ASCII = re.compile(rb"[^\x00-\x7f]")
+
+
+def _line_at(text: bytes, offset: int) -> int:
+    """The file line of ``text[offset]`` (``\\n``, ``\\r\\n`` and ``\\r`` end lines)."""
+    head = text[:offset]
+    return 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+
+
+def _metis_header(text: bytes) -> tuple[int, int, bool, bool, int, int]:
+    """``n, m, node_weights, edge_weights`` of the METIS header of
+    ``text``, the offset of the body and the file line it starts on."""
+    lead = _LEAD.match(text)
+    header, body = lead.group(1), lead.end()
+    bad = _NOT_ASCII.search(text, 0, body)
+    if bad:
+        raise GraphError(f"line {_line_at(text, bad.start())}: byte "
+                         f"0x{text[bad.start()]:02x} is not ASCII")
+    line = _line_at(text, lead.start(1))
+    fields = _HEADER.fullmatch(header)
+    if not header.strip(b" \t") or header.lstrip(b" \t").startswith(b"%"):
         raise GraphError("empty METIS file")
-    lines = [lines[i] for i in kept]
-    header = lines[0].split()
-    n, m = int(header[0]), int(header[1])
-    fmt = header[2] if len(header) > 2 else "000"
+    if fields is None:
+        raise GraphError(f"line {line}: the header {header.decode()!r} is not "
+                         "'n m [fmt [ncon]]' in integers")
+    n, m = int(fields[1]), int(fields[2])
+    if not (0 <= n < 2**63 and 0 <= m < 2**63):
+        raise GraphError(f"line {line}: n={n} and m={m} must be int64 counts")
+    fmt = (fields[3] or b"0").decode()
+    if len(fmt) > 3 or fmt.strip("01"):
+        raise GraphError(f"line {line}: fmt={fmt} is not a METIS format flag "
+                         "(at most three digits, each 0 or 1)")
     fmt = fmt.zfill(3)
     if fmt[0] != "0":
-        raise GraphError("METIS node sizes (fmt=1xx) are not supported")
-    node_weights = fmt[1] == "1"
-    edge_weights = fmt[2] == "1"
-    body = lines[1 : n + 1]
-    extra = lines[n + 1 :]
-    if len(body) != n or any(ln.strip() for ln in extra):
-        found = len(body) + sum(1 for ln in extra if ln.strip())
-        raise GraphError(f"expected {n} adjacency lines, found {found}")
+        raise GraphError(f"line {line}: METIS node sizes (fmt=1xx) are not supported")
+    if fields[4] is not None and int(fields[4]) != 1:
+        raise GraphError(f"line {line}: ncon={int(fields[4])}: only one weight "
+                         "per node is supported")
+    if n > len(text) - body + 1:
+        raise GraphError(f"line {line}: the header promises n={n} nodes, more "
+                         "than the file has lines")
+    return n, m, fmt[1] == "1", fmt[2] == "1", body, line + 1
 
-    vwgt = np.ones(n, dtype=np.int64)
-    rows: list[int] = []
-    cols: list[int] = []
-    wgts: list[int] = []
-    for v, line in enumerate(body):
-        tokens = [int(tok) for tok in line.split()]
-        pos = 0
-        if node_weights:
-            vwgt[v] = tokens[0]
-            pos = 1
-        while pos < len(tokens):
-            u = tokens[pos] - 1
-            if not 0 <= u < n:
-                raise GraphError(
-                    f"line {kept[v + 1] + 1}: neighbour id {tokens[pos]} is outside 1..{n}")
-            pos += 1
-            w = 1
-            if edge_weights:
-                w = tokens[pos]
-                pos += 1
-            if u > v:  # count each undirected edge once
-                rows.append(v)
-                cols.append(u)
-                wgts.append(w)
-    graph = from_coo(
-        n,
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(wgts, dtype=np.int64),
-        vwgt=vwgt,
-        name=name or "metis-graph",
-    )
+
+def read_metis(path: str | Path | io.TextIOBase, name: str | None = None) -> Graph:
+    """Read a graph in METIS format.
+
+    The header is read here, the body by the compiled
+    :func:`repro.native.parse_metis` (its grammar and refusals are in
+    the module docstring).  Text from a stream is encoded as UTF-8, so a
+    non-ASCII character is refused like a non-ASCII byte of a file.  A
+    malformed file raises :class:`GraphError` naming its line.
+    """
+    if isinstance(path, io.TextIOBase):
+        text = path.read().encode("utf-8", "surrogatepass")
+    else:
+        text = Path(path).read_bytes()
+        name = name or Path(path).stem
+    n, m, node_weights, edge_weights, body, line = _metis_header(text)
+    try:
+        vwgt, rows, cols, wgts = native.parse_metis(
+            text, body, line, n, node_weights, edge_weights)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from None
+    graph = from_coo(n, rows, cols, wgts, vwgt=vwgt, name=name or "metis-graph")
     if graph.num_edges != m:
         raise GraphError(f"header promised m={m} edges, file contains {graph.num_edges}")
     return graph
@@ -162,10 +184,17 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
 def read_edge_list(path: str | Path, name: str | None = None) -> Graph:
     """Read the edge-list format written by :func:`write_edge_list`."""
     text = Path(path).read_text(encoding="ascii").split()
-    n = int(text[0])
-    rest = np.asarray(text[1:], dtype=np.int64).reshape(-1, 3)
+    if len(text) % 3 != 1:
+        raise GraphError(f"edge-list file has {len(text)} tokens, expected "
+                         "1 + 3*m (n, then u v w per edge)")
+    try:
+        values = np.asarray(text, dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise GraphError("edge-list file holds a token that is not an int64 "
+                         "integer") from None
+    rest = values[1:].reshape(-1, 3)
     return from_coo(
-        n, rest[:, 0], rest[:, 1], rest[:, 2], name=name or Path(path).stem
+        int(values[0]), rest[:, 0], rest[:, 1], rest[:, 2], name=name or Path(path).stem
     )
 
 
@@ -181,23 +210,31 @@ def write_dimacs(graph: Graph, path: str | Path) -> None:
                 handle.write(f"e {u + 1} {v + 1}\n")
 
 
+#: a DIMACS integer
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def read_dimacs(path: str | Path, name: str | None = None) -> Graph:
     """Read the DIMACS edge format written by :func:`write_dimacs`."""
     n = None
     rows: list[int] = []
     cols: list[int] = []
     wgts: list[int] = []
-    for line in Path(path).read_text(encoding="ascii").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         tokens = line.split()
         if not tokens or tokens[0] == "c":
             continue
         if tokens[0] == "p":
-            if len(tokens) < 4 or tokens[1] not in ("edge", "col"):
-                raise GraphError(f"malformed DIMACS problem line: {line!r}")
+            if (len(tokens) < 4 or tokens[1] not in ("edge", "col")
+                    or not _INTEGER.fullmatch(tokens[2])):
+                raise GraphError(f"line {number}: malformed DIMACS problem line: {line!r}")
             n = int(tokens[2])
         elif tokens[0] == "e":
             if n is None:
                 raise GraphError("DIMACS edge before problem line")
+            if len(tokens) not in (3, 4) or not all(map(_INTEGER.fullmatch, tokens[1:])):
+                raise GraphError(f"line {number}: malformed DIMACS edge line: {line!r} "
+                                 "(expected 'e u v [w]' in integers)")
             rows.append(int(tokens[1]) - 1)
             cols.append(int(tokens[2]) - 1)
             wgts.append(int(tokens[3]) if len(tokens) > 3 else 1)

@@ -20,7 +20,11 @@ oracles, which return the same arrays bit for bit:
   :func:`group_arcs`, every arc list -> canonical CSR
   (:func:`repro.graph.build.group_arcs`); :func:`ghost_layout`, every
   PE's ghosts, send lists and interface (:class:`repro.dist.DistGraph`).
-  Their twins are in ``tests/engine/numpy_kernels.py``.
+  Their twins are in ``tests/engine/numpy_kernels.py``;
+* ``_metis.c`` — :func:`parse_metis`, the body of a METIS text file to
+  node weights and an arc list, checked line by line
+  (:func:`repro.graph.io.read_metis`); its twin is
+  ``tests/graph/metis_twin.py``.
 
 Nothing is built at import: the first kernel call of a process builds or
 finds the shared object (:func:`resolve`).  Whatever keeps it from loading
@@ -71,11 +75,11 @@ __all__ = [
     "KernelUnavailable", "resolve", "adopt", "cache_dir", "source",
     "PhaseScan", "quotient_arcs", "group_arcs", "GhostLayout", "ghost_layout",
     "GrowBisection", "kway_refine_pass", "match_heavy_edges",
-    "partition_quality",
+    "partition_quality", "parse_metis",
 ]
 
 #: concatenated into one translation unit, in this order
-SOURCE_NAMES = ("_scan.c", "_coarse.c")
+SOURCE_NAMES = ("_scan.c", "_coarse.c", "_metis.c")
 #: no ``-march=native`` (the cache may be shared by hosts) and no
 #: fast-math (the float ``cap`` comparison must stay IEEE-exact)
 CFLAGS = ("-O2", "-fPIC", "-shared")
@@ -210,11 +214,11 @@ def _load(path: Path) -> ctypes.CDLL:
         # totals
         "partition_quality": [_I64, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR,
                               _I64, _PTR, _I64, _PTR, _PTR],
-        # n n_in src dst start bad
-        "group_count": [_I64, _I64, _PTR, _PTR, _PTR, _PTR],
-        # n n_in src dst wgt start n_arcs col val stamp slot
-        "group_merge": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _PTR,
-                        _PTR, _PTR],
+        # n n_in src dst mirror start bad
+        "group_count": [_I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR],
+        # n n_in src dst wgt mirror start n_arcs col val stamp slot ordered
+        "group_merge": [_I64, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR,
+                        _PTR, _PTR, _PTR, _PTR],
         # n start n_arcs col val t_off t_col t_wgt xadj adjncy adjwgt
         "group_order": [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
                         _PTR, _PTR],
@@ -228,6 +232,13 @@ def _load(path: Path) -> ctypes.CDLL:
         "ghost_fill": [_I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
                        _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
                        _PTR],
+        # text size pos line n node_weights edge_weights low line_of info
+        "metis_count": [_PTR, _I64, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR,
+                        _PTR],
+        # text size pos line n node_weights edge_weights low line_of n_upper
+        # vwgt rows cols wgts seen from_low from_high info
+        "metis_fill": [_PTR, _I64, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR,
+                       _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     }.items():
         symbol = getattr(lib, name)
         symbol.restype, symbol.argtypes = _I64, argtypes
@@ -466,23 +477,27 @@ def quotient_arcs(xadj, adjncy, adjwgt, mapping: np.ndarray, n_coarse: int
     return xadj_c, adjncy_c, adjwgt_c
 
 
-def group_arcs(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def group_arcs(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray,
+               mirror: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``xadj, adjncy, adjwgt`` of the arc list ``src[i] -> dst[i]`` (weight
     ``wgt[i]``, all three int64) over ``n`` nodes in canonical CSR: rows by
     source, each ordered by neighbour, parallel arcs summed (zero sums
-    kept), self-loops dropped.  Three passes: count the rows, bucket and
-    merge in place, order each row by two transpositions; the outputs and
-    the second transposition's temporaries have exactly the grouped size.
-    An endpoint outside ``[0, n)`` raises ``ValueError`` naming the first
-    such arc."""
+    kept), self-loops dropped.  With ``mirror`` every arc is read in both
+    directions: the list concatenated with its reverse, never built.  Three
+    passes: count the rows, bucket and merge in place, order each row by
+    two transpositions; the outputs and the second transposition's
+    temporaries have exactly the grouped size.  Where the merged rows are
+    already ordered by neighbour the merge is the result and no
+    transposition runs.  An endpoint outside ``[0, n)`` raises
+    ``ValueError`` naming the first such arc."""
     n_in = src.size
     ends = (_ptr(src, np.int64, n_in), _ptr(dst, np.int64, n_in))
     weights = _ptr(wgt, np.int64, n_in)
     start = np.empty(n + 1, dtype=np.int64)
-    bad = np.zeros(1, dtype=np.int64)
+    bad, ordered = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     lib = _kernels()
-    count = lib.group_count(n, n_in, *ends, start.ctypes.data, bad.ctypes.data)
+    count = lib.group_count(n, n_in, *ends, int(mirror), start.ctypes.data,
+                            bad.ctypes.data)
     if count < 0:
         i = int(bad[0])
         raise _fault("arc grouping", count, None if count != -1 else (
@@ -490,11 +505,16 @@ def group_arcs(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
     col, val = (np.empty(count, dtype=np.int64) for _ in range(2))
     stamp, slot = (np.empty(n, dtype=np.int64) for _ in range(2))
     merged = lib.group_merge(
-        n, n_in, *ends, weights, start.ctypes.data, count, col.ctypes.data,
-        val.ctypes.data, stamp.ctypes.data, slot.ctypes.data,
+        n, n_in, *ends, weights, int(mirror), start.ctypes.data, count,
+        col.ctypes.data, val.ctypes.data, stamp.ctypes.data, slot.ctypes.data,
+        ordered.ctypes.data,
     )
     if merged < 0:
         raise _fault("arc grouping", merged)
+    if ordered[0]:
+        if merged < count:
+            col, val = col[:merged].copy(), val[:merged].copy()
+        return start, col, val
     t_off, xadj = (np.empty(n + 1, dtype=np.int64) for _ in range(2))
     t_col, t_wgt, adjncy, adjwgt = (
         np.empty(merged, dtype=np.int64) for _ in range(4))
@@ -692,3 +712,80 @@ def partition_quality(xadj, lo: int, hi: int, arc_lo: int, nbr, wgt,
     if status < 0:
         raise _fault("quality kernel", status)
     return tuple(totals.tolist())
+
+
+# ----------------------------------------------------------------------
+# METIS text (``_metis.c``)
+# ----------------------------------------------------------------------
+
+def _token(text: bytes, offset: int, length: int) -> str:
+    """The token at ``text[offset:offset + length]`` for a message."""
+    raw = text[offset : offset + min(length, 40)]
+    return repr(raw.decode("ascii", "backslashreplace")
+                + ("..." if length > 40 else ""))
+
+
+def _metis_culprit(status: int, info: np.ndarray, text: bytes, n: int
+                   ) -> str | None:
+    """What a ``_metis.c`` fault (its ``TEXT_*`` codes) names, from its
+    ``info``: the file line first.  ``None`` for ``TEXT_ROOM``, a
+    caller-sized array that disagrees with the count."""
+    line, a, b, c, d, e = info.tolist()
+    at = f"line {line}: "
+    if status == -6:
+        return at + f"byte 0x{text[a]:02x} is not ASCII"
+    if status in (-7, -8):
+        what = "is not an integer" if status == -7 else "does not fit in int64"
+        return at + f"token {_token(text, a, b)} {what}"
+    if status == -9:
+        return at + f"neighbour id {a} is outside 1..{n}"
+    if status == -10:
+        return at + "no node weight, and the header's fmt has node weights"
+    if status == -11:
+        return at + (f"neighbour id {a} has no edge weight, and the header's "
+                     "fmt has edge weights")
+    if status == -12:
+        return at + f"{('node', 'edge')[b]} weight {a} is negative"
+    if status == -13:
+        return (at if line else "") + f"expected {n} adjacency lines, found {a}"
+    if status == -14:
+        return at + (f"node {a} lists neighbour {b}, but node {b} (line {c}) "
+                     f"does not list {a}: the adjacency must be symmetric")
+    if status == -15:
+        return at + (f"edge ({a}, {b}) weighs {d} here but {e} on line {c}: "
+                     "the adjacency must be symmetric")
+    return None
+
+
+def parse_metis(text: bytes, pos: int, line: int, n: int, node_weights: bool,
+                edge_weights: bool
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``vwgt, rows, cols, wgts`` of the METIS body ``text[pos:]``, whose
+    first line is file line ``line``, for ``n`` nodes: the node weights
+    (unit unless ``node_weights``) and every entry ``(v, u, w)`` with ``u >
+    v`` (``w`` = 1 unless ``edge_weights``), 0-based, grouped by ``u`` and
+    in file order within a group.  Two passes over the text: count and
+    check, then fill arrays of exactly that size and check the symmetry
+    (``_metis.c`` states the grammar).  The first fault in file order
+    raises ``ValueError`` naming its line."""
+    data = np.frombuffer(text, dtype=np.uint8)
+    head = (_ptr(data, np.uint8), data.size, pos, line, n, int(node_weights),
+            int(edge_weights))
+    low = np.empty(n + 1, dtype=np.int64)
+    line_of, vwgt, seen = (np.empty(n, dtype=np.int64) for _ in range(3))
+    info = np.zeros(6, dtype=np.int64)
+    lib = _kernels()
+    status = lib.metis_count(*head, low.ctypes.data, line_of.ctypes.data,
+                             info.ctypes.data)
+    if status >= 0:
+        rows, cols, wgts = (np.empty(status, dtype=np.int64) for _ in range(3))
+        from_low, from_high = (np.empty(n, dtype=np.uint64) for _ in range(2))
+        status = lib.metis_fill(
+            *head, low.ctypes.data, line_of.ctypes.data, status,
+            vwgt.ctypes.data, rows.ctypes.data, cols.ctypes.data,
+            wgts.ctypes.data, seen.ctypes.data, from_low.ctypes.data,
+            from_high.ctypes.data, info.ctypes.data,
+        )
+    if status < 0:
+        raise _fault("METIS reader", status, _metis_culprit(status, info, text, n))
+    return vwgt, rows, cols, wgts

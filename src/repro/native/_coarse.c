@@ -186,14 +186,18 @@ int64_t quotient_fill(int64_t n, int64_t n_arcs, const int64_t *xadj,
  * group_count counts each row's arcs, group_merge buckets them by source (a
  * counting sort) and sums the parallel ones in place, first-met order, with
  * a per-row stamp; group_order sorts every row by neighbour with two
- * transpositions.  Self-loops are dropped, weights summing to zero kept.
+ * transpositions, unless group_merge found every merged row ordered already
+ * (the input grouped by neighbour, say).  Self-loops are dropped, weights
+ * summing to zero kept.  With mirror set, each arc s -> d is read as d -> s too, which is grouping
+ * the list concatenated with its reverse, without building that list.
  * ---------------------------------------------------------------------- */
 
 /* start (n + 1, out): row r's arcs go to [start[r], start[r + 1]).  Returns
  * the number of arcs that are not self-loops; an endpoint outside [0, n)
  * returns BAD_NODE with *bad = the first such arc. */
 int64_t group_count(int64_t n, int64_t n_in, const int64_t *src,
-                    const int64_t *dst, int64_t *start, int64_t *bad)
+                    const int64_t *dst, int64_t mirror, int64_t *start,
+                    int64_t *bad)
 {
     for (int64_t r = 0; r <= n; r++)
         start[r] = 0;
@@ -204,6 +208,7 @@ int64_t group_count(int64_t n, int64_t n_in, const int64_t *src,
             return BAD_NODE;
         }
         start[s + 1] += s != d;
+        start[d + 1] += mirror && s != d;
     }
     for (int64_t r = 0; r < n; r++)
         start[r + 1] += start[r];
@@ -212,12 +217,14 @@ int64_t group_count(int64_t n, int64_t n_in, const int64_t *src,
 
 /* start as group_count left it and n_arcs what it returned; col/val hold
  * n_arcs entries, stamp and slot n.  On return the first start[n] entries
- * of col/val are the merged rows, row r at [start[r], start[r + 1]); returns
- * their count. */
+ * of col/val are the merged rows, row r at [start[r], start[r + 1]), and
+ * *ordered is 1 if every row is already ordered by neighbour (group_order
+ * has nothing to do); returns their count. */
 int64_t group_merge(int64_t n, int64_t n_in, const int64_t *src,
-                    const int64_t *dst, const int64_t *wgt, int64_t *start,
-                    int64_t n_arcs, int64_t *col, int64_t *val,
-                    int64_t *stamp, int64_t *slot)
+                    const int64_t *dst, const int64_t *wgt, int64_t mirror,
+                    int64_t *start, int64_t n_arcs, int64_t *col,
+                    int64_t *val, int64_t *stamp, int64_t *slot,
+                    int64_t *ordered)
 {
     if (start[0] != 0 || start[n] != n_arcs)
         return BAD_ROOM;
@@ -234,17 +241,25 @@ int64_t group_merge(int64_t n, int64_t n_in, const int64_t *src,
             return BAD_ROOM;
         col[at] = d;
         val[at] = wgt[i];
+        if (mirror) {
+            const int64_t back = stamp[d]++;
+            if (bad_index(back, n_arcs))
+                return BAD_ROOM;
+            col[back] = s;
+            val[back] = wgt[i];
+        }
     }
     for (int64_t r = 0; r < n; r++)
         stamp[r] = -1;
     /* distinct arcs so far never outnumber arcs read, so a slot is never
      * ahead of the arc being read: the merge runs in place */
-    int64_t at = 0, b = 0;
+    int64_t at = 0, b = 0, unordered = 0;
     for (int64_t r = 0; r < n; r++) {
         const int64_t e = start[r + 1];
         if (bad_range(b, e, n_arcs))
             return BAD_ROOM;
         start[r] = at;
+        int64_t last = -1;
         for (int64_t a = b; a < e; a++) {
             const int64_t d = col[a], w = val[a];
             const int fresh = stamp[d] != r;
@@ -254,10 +269,13 @@ int64_t group_merge(int64_t n, int64_t n_in, const int64_t *src,
             col[s] = d;
             val[s] = (fresh ? 0 : val[s]) + w;
             at += fresh;
+            unordered |= fresh & (d <= last);
+            last = fresh ? d : last;
         }
         b = e;
     }
     start[n] = at;
+    *ordered = !unordered;
     return at;
 }
 

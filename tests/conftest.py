@@ -64,6 +64,7 @@ def twin_bindings() -> dict:
     twin (the oracles under ``tests/``)."""
     from .engine import numpy_kernels
     from .engine.python_phase import PythonPhaseScan
+    from .graph import metis_twin
     from .kaffpa import python_twins
 
     return {
@@ -75,6 +76,7 @@ def twin_bindings() -> dict:
         "partition_quality": numpy_kernels.partition_quality,
         "group_arcs": numpy_kernels.group_arcs,
         "ghost_layout": numpy_kernels.ghost_layout,
+        "parse_metis": metis_twin.parse_metis,
     }
 
 
@@ -96,7 +98,8 @@ def python_twins():
 def numpy_kernel():
     """Run the test on the Python twins of every compiled kernel (the
     NumPy chunk loop, scipy's quotient, KaFFPa's loops, the NumPy quality
-    sweep, scipy's arc grouping, the NumPy ghost layout)."""
+    sweep, scipy's arc grouping, the NumPy ghost layout, the per-token
+    METIS loop)."""
     with python_twins():
         yield
 

@@ -424,12 +424,16 @@ def partition_quality(xadj, lo: int, hi: int, arc_lo: int, nbr, wgt,
             int(np.unique(keys).size))
 
 
-def group_arcs(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def group_arcs(n: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray,
+               mirror: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`repro.native.group_arcs` as scipy's COO -> CSR conversion:
     a counting sort by source, then each row sorted and its equal entries
-    summed.  The same ``ValueError`` for an endpoint outside ``[0, n)``."""
+    summed; ``mirror`` concatenates the list with its reverse first.  The
+    same ``ValueError`` for an endpoint outside ``[0, n)``."""
     import scipy.sparse as sp
+
+    if mirror:
+        src, dst, wgt = (np.concatenate(pair) for pair in ((src, dst), (dst, src), (wgt, wgt)))
 
     if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
         i = int(np.argmax((src < 0) | (src >= n) | (dst < 0) | (dst >= n)))

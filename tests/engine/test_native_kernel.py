@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import io
 import os
 import shutil
 import subprocess
@@ -52,7 +53,8 @@ from repro import native
 from repro.engine import LocalBackend, SpmdBackend, run_sclp
 from repro.engine.kernels import IterationWorkspace
 from repro.generators import grid_2d, rmat
-from repro.graph import contract, from_edges, max_block_weight_bound
+from repro.graph import contract, from_edges, max_block_weight_bound, write_metis
+from repro.graph.io import _metis_header
 from repro.graph.ops import band_nodes
 from repro.kaffpa import greedy_kway_refine, heavy_edge_matching, recursive_bisection
 from repro.obsv.tracer import TRACER
@@ -379,11 +381,20 @@ class TestNativeMatchesNumpy:
             scan(order.astype(np.int32), 2, np.full(space, 3), None, None, *masks)
 
 
-def coarsest_level(graph, seed: int) -> list[np.ndarray]:
+def metis_text(graph) -> bytes:
+    buf = io.StringIO()
+    write_metis(graph, buf)
+    return buf.getvalue().encode("ascii")
+
+
+def coarsest_level(graph, seed: int, text: bytes) -> list[np.ndarray]:
     """Every ``_coarse.c`` kernel once: a contraction, a recursive
     bisection of the quotient, k-way refinement, a matching, the quality
-    sweep, an arc grouping, a ghost layout."""
+    sweep, an arc grouping, a ghost layout; and the ``_metis.c`` reader
+    on ``text``, the graph as METIS text."""
     rng = np.random.default_rng(seed)
+    n, _, node_weights, edge_weights, body, line = _metis_header(text)
+    parsed = native.parse_metis(text, body, line, n, node_weights, edge_weights)
     vtxdist = balanced_vtxdist(graph.num_nodes, 3)
     layout = native.ghost_layout(
         vtxdist, 1, graph.xadj[vtxdist[1] : vtxdist[2] + 1] - graph.xadj[vtxdist[1]],
@@ -400,7 +411,7 @@ def coarsest_level(graph, seed: int) -> list[np.ndarray]:
         np.array(native.partition_quality(
             graph.xadj, 0, graph.num_nodes, 0, graph.adjncy, graph.adjwgt,
             np.arange(graph.num_nodes, dtype=np.int64) % 7, 7)),
-        *grouped, *layout,
+        *grouped, *layout, *parsed,
     ]
 
 
@@ -408,12 +419,14 @@ def test_threads_call_every_kernel_at_once():
     """Thread ranks run KaFFPaE side by side with the GIL released inside
     each call; scratch shared on the C side would show as a wrong array."""
     graphs = [rmat(10, seed=1), grid_2d(30, 30), rmat(9, seed=5)]
-    alone = [coarsest_level(graph, seed) for seed, graph in enumerate(graphs)]
+    texts = [metis_text(graph) for graph in graphs]
+    alone = [coarsest_level(graph, seed, text)
+             for seed, (graph, text) in enumerate(zip(graphs, texts))]
     wrong: list[tuple[int, int]] = []
 
     def worker(seed: int) -> None:
         for round_ in range(15):
-            got = coarsest_level(graphs[seed], seed)
+            got = coarsest_level(graphs[seed], seed, texts[seed])
             if not all(np.array_equal(g, w) for g, w in zip(got, alone[seed])):
                 wrong.append((seed, round_))
 

@@ -158,6 +158,8 @@ class TestCompiledGroupingMatchesScipyTwin:
     @example((2, np.array([0, 1]), np.array([0, 1]), np.array([5, 6])))  # self-loops only
     @example((3, np.array([0, 2, 0]), np.array([2, 0, 2]), np.array([4, 1, -4])))  # zero sum
     @example((3, np.array([0, 1, 3]), np.array([1, 0, 0]), np.array([1, 1, 1])))  # outside
+    @example((3, np.array([0, 0, 1, 2]), np.array([1, 2, 2, 0]), np.array([1, 2, 3, 4])))  # rows ordered
+    @example((3, np.array([0, 0, 0, 1]), np.array([1, 1, 2, 2]), np.array([1, 2, 3, 4])))  # ordered, merged
     def test_same_arrays_or_same_error(self, arcs):
         n, src, dst, wgt = arcs
         outcomes = []
@@ -179,6 +181,25 @@ class TestCompiledGroupingMatchesScipyTwin:
             assert g.dtype == np.int64
             np.testing.assert_array_equal(g, w)
 
+    @given(raw_arc_lists())
+    @example((3, np.array([0, 1, 3]), np.array([1, 0, 0]), np.array([1, 1, 1])))  # outside
+    def test_mirror_groups_the_list_and_its_reverse(self, arcs):
+        """``mirror`` (``from_coo``'s grouping) equals grouping the list
+        concatenated with its reverse, compiled and twin, or fails with
+        the same text naming the same arc."""
+        n, src, dst, wgt = arcs
+        both = (np.concatenate((src, dst)), np.concatenate((dst, src)),
+                np.concatenate((wgt, wgt)))
+        outcomes = []
+        for call in (lambda: native.group_arcs(n, src, dst, wgt, mirror=True),
+                     lambda: numpy_kernels.group_arcs(n, src, dst, wgt, mirror=True),
+                     lambda: native.group_arcs(n, *both)):
+            try:
+                outcomes.append([a.tolist() for a in call()])
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
     def test_kept_zero_sums_are_dropped_by_the_builders(self):
         xadj, adjncy, adjwgt = group_arcs(
             2, np.array([0, 0, 1]), np.array([1, 1, 0]), np.array([3, -3, 2]))
@@ -198,10 +219,12 @@ class TestCompiledGroupingMatchesScipyTwin:
         src, dst, wgt = (np.array(a, dtype=np.int64) for a in ([0, 1], [1, 0], [1, 1]))
         start = np.array([0, 1, 3], dtype=np.int64)  # claims 3 arcs for 2
         col, val, stamp, slot = (np.zeros(2, dtype=np.int64) for _ in range(4))
+        ordered = np.zeros(1, dtype=np.int64)
         status = lib.group_merge(2, 2, src.ctypes.data, dst.ctypes.data,
-                                 wgt.ctypes.data, start.ctypes.data, 2,
+                                 wgt.ctypes.data, 0, start.ctypes.data, 2,
                                  col.ctypes.data, val.ctypes.data,
-                                 stamp.ctypes.data, slot.ctypes.data)
+                                 stamp.ctypes.data, slot.ctypes.data,
+                                 ordered.ctypes.data)
         assert str(native._fault("arc grouping", status)) == (
             "native arc grouping: a row of the scratch sized for it is outside its table")
         start = np.array([0, 1, 2], dtype=np.int64)

@@ -101,6 +101,18 @@ class TestEdgeListFormat:
         again = read_edge_list(path)
         assert sorted(again.edges()) == sorted(weighted_square.edges())
 
+    @pytest.mark.parametrize(("text", "message"), [
+        # an IndexError and a reshape ValueError before
+        ("", "edge-list file has 0 tokens, expected 1 \\+ 3\\*m"),
+        ("3\n0 1\n", "edge-list file has 3 tokens, expected 1 \\+ 3\\*m"),
+        ("3\n0 1 1\n2 x 1\n", "not an int64 integer"),
+    ])
+    def test_malformed_file_is_a_graph_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=message):
+            read_edge_list(path)
+
 
 class TestPartitionFiles:
     def test_round_trip(self, tmp_path):

@@ -53,6 +53,19 @@ class TestDimacs:
         with pytest.raises(GraphError, match="malformed"):
             read_dimacs(path)
 
+    @pytest.mark.parametrize(("text", "message"), [
+        # an IndexError and a ValueError before
+        ("p edge 3 1\nc\ne 1\n", "line 3: malformed DIMACS edge line: 'e 1'"),
+        ("p edge 3 1\ne 1 x\n", "line 2: malformed DIMACS edge line: 'e 1 x'"),
+        ("p edge 3 1\ne 1 2 3 4\n", "line 2: malformed DIMACS edge line"),
+        ("p edge x 1\n", "line 1: malformed DIMACS problem line"),
+    ])
+    def test_malformed_line_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.dimacs"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=message):
+            read_dimacs(path)
+
     @given(random_graphs(max_nodes=20))
     def test_round_trip_random(self, graph):
         import io as _io
