@@ -12,11 +12,13 @@ Mirrors the ergonomics of the real tools (``parhip``, ``kaffpa``)::
     python -m repro lint src/
 
 Graphs are read by extension: ``.metis``/``.graph`` (METIS format),
-``.dimacs``/``.col`` (DIMACS), ``.npz`` (native), a directory containing
-``manifest.json`` (sharded CSR, opened memory-mapped), anything else is
+``.dimacs``/``.col`` (DIMACS), ``.npz`` (native), a directory (sharded
+CSR with its ``manifest.json``, opened memory-mapped), anything else is
 tried as an edge list.  ``repro convert graph.metis shards/`` produces
 the sharded on-disk form; ``repro partition shards/ -k 8 --store mmap``
-partitions it out of core.
+partitions it out of core.  An input that cannot be read (a malformed
+file, a directory without a manifest, a corrupt shard) exits 1 with
+``repro: <message>`` on stderr, the message naming the culprit.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .core.config import check_integer
 from .engine.backend import BACKENDS
 from .graph import (
     Graph,
+    GraphError,
     convert_to_sharded,
     is_sharded_dir,
     load_npz,
@@ -63,7 +66,7 @@ def _load_graph(path: str, store: str | None = None,
     the sharded store, converting file inputs through a ``<path>.shards``
     sibling directory on first use.
     """
-    if is_sharded_dir(path):
+    if Path(path).is_dir():  # a shard directory; a missing manifest is a StoreError
         kwargs = {}
         if resident_shards is not None:
             kwargs["max_resident_shards"] = resident_shards
@@ -357,7 +360,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GraphError as exc:  # a bad input file or shard directory, named
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

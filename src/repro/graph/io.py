@@ -338,7 +338,7 @@ def convert_to_sharded(
 ) -> Path:
     """Convert a METIS/npz/edge-list/shard-dir graph file to shards."""
     path = Path(input_path)
-    if is_sharded_dir(path):
+    if path.is_dir():
         graph = open_sharded(path)
     elif path.suffix == ".npz":
         graph = load_npz(path)

@@ -37,14 +37,25 @@ node-ordered scan then touches exactly one shard.
 
 Consistency is checked at two levels: :func:`MmapShardStore.open`
 validates the manifest against the on-disk ``xadj`` (contiguous node and
-arc ranges, matching totals), and each shard file is validated against
-its manifest entry when first mapped — a truncated or swapped file
-raises :class:`StoreError` naming the file instead of serving garbage.
+arc ranges, matching totals), and each shard file against its manifest
+entry on every map.  The first map of a file parses its ``.npy`` header
+once and refuses anything but a 1-D, C-order, native int64 array of the
+manifest's arc count; every later map (a shard miss) is one ``open``, a
+compare of the kept header bytes and one ``mmap`` of exactly header +
+arcs bytes: 13–19 µs, against 94–138 µs for a per-miss ``np.load``
+(``tools/shard_miss_bench.py`` on a 2-vCPU Xeon VM).  A truncated,
+swapped or re-saved file raises :class:`StoreError` naming the file
+instead of serving garbage.
+Evicted mappings are dropped, not kept: a mapping holds a duplicate of
+its file's descriptor, so one mapping per shard would hold one
+descriptor per shard and fail past ``ulimit -n``.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -52,6 +63,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .csr import GraphError
 
@@ -516,8 +528,8 @@ class MmapShardStore:
     """Sharded on-disk CSR with LRU-bounded memory-mapped shard residency.
 
     ``xadj`` and ``vwgt`` live in RAM (the semi-external O(n) budget);
-    arc blocks are served by mapping the owning shard files with
-    ``np.load(mmap_mode='r')``.  At most ``max_resident_shards`` shards
+    arc blocks are served by mapping the owning shard files read-only
+    (:meth:`_mmap_file`).  At most ``max_resident_shards`` shards
     are mapped at once: touching an unmapped shard evicts the least
     recently used mapping, returning its file-backed pages to the
     kernel, which is what bounds peak RSS.  A block read in place stays
@@ -531,7 +543,6 @@ class MmapShardStore:
         max_resident_shards: int = DEFAULT_RESIDENT_SHARDS,
     ) -> None:
         self._dir = Path(directory)
-        self._manifest = manifest
         self.name = str(manifest.get("name") or self._dir.name)
         self._num_nodes = int(manifest["num_nodes"])
         self._num_arcs = int(manifest["num_arcs"])
@@ -569,15 +580,20 @@ class MmapShardStore:
                 f"{int(self._arc_offsets[-1])} arcs, manifest promises "
                 f"{self._num_arcs}"
             )
-        for entry in shards:
-            if not (self._dir / entry["adjncy"]).is_file():
-                raise StoreError(
-                    f"shard file missing: {self._dir / entry['adjncy']}"
-                )
-            if entry.get("adjwgt") and not (self._dir / entry["adjwgt"]).is_file():
-                raise StoreError(
-                    f"shard file missing: {self._dir / entry['adjwgt']}"
-                )
+        # Per shard: its arc count and the path strings of its files, so a
+        # miss does no manifest or pathlib work.
+        self._shard_files: list[tuple[int, str, str | None]] = []
+        for i, entry in enumerate(shards):
+            adjncy = os.path.join(self._dir, entry["adjncy"])
+            adjwgt = entry.get("adjwgt")
+            adjwgt = os.path.join(self._dir, adjwgt) if adjwgt else None
+            for path in (adjncy, adjwgt):
+                if path is not None and not os.path.isfile(path):
+                    raise StoreError(f"shard file missing: {path}")
+            expect = int(self._arc_offsets[i + 1] - self._arc_offsets[i])
+            self._shard_files.append((expect, adjncy, adjwgt))
+        # the .npy header bytes of every shard file mapped so far
+        self._headers: dict[str, bytes] = {}
 
         self.xadj = self._load_array(manifest["xadj"], self._num_nodes + 1)
         if manifest.get("vwgt"):
@@ -654,7 +670,7 @@ class MmapShardStore:
 
     @property
     def num_shards(self) -> int:
-        return len(self._manifest["shards"])
+        return len(self._shard_files)
 
     @property
     def resident_shards(self) -> int:
@@ -688,11 +704,10 @@ class MmapShardStore:
             self._mapped.move_to_end(index)
             return mapped
         self._stats.shard_misses += 1
-        entry = self._manifest["shards"][index]
-        expect = int(entry["arcs"][1]) - int(entry["arcs"][0])
-        adjncy = self._mmap_file(entry["adjncy"], expect)
+        expect, adjncy_path, adjwgt_path = self._shard_files[index]
+        adjncy = self._mmap_file(adjncy_path, expect)
         adjwgt = (
-            self._mmap_file(entry["adjwgt"], expect) if entry.get("adjwgt") else None
+            self._mmap_file(adjwgt_path, expect) if adjwgt_path is not None else None
         )
         while len(self._mapped) >= self._max_resident:
             self._mapped.popitem(last=False)
@@ -700,18 +715,59 @@ class MmapShardStore:
         self._mapped[index] = (adjncy, adjwgt)
         return adjncy, adjwgt
 
-    def _mmap_file(self, rel: str, expect: int) -> np.ndarray:
-        path = self._dir / rel
+    def _mmap_file(self, path: str, expect: int) -> np.ndarray:
+        """Map ``path`` read-only as ``expect`` int64 after its ``.npy`` header.
+
+        The first map of a file parses its header and keeps the bytes;
+        every later map re-reads and compares them, and maps exactly
+        header + ``8 * expect`` bytes, which fails on a shorter file.
+        """
+        header = self._headers.get(path)
         try:
-            arr = np.load(path, mmap_mode="r", allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            raise StoreError(f"unreadable shard file {path}: {exc}")
-        if arr.ndim != 1 or arr.dtype != _INDEX_DTYPE or arr.size != expect:
+            with open(path, "rb", buffering=0) as handle:
+                if header is None:
+                    header = self._read_header(handle, path, expect)
+                elif handle.read(len(header)) != header:
+                    raise StoreError(
+                        f"shard file {path} changed since it was first mapped "
+                        "(header differs: re-saved shard?)"
+                    )
+                length = len(header) + 8 * expect
+                try:
+                    buf = mmap.mmap(handle.fileno(), length, access=mmap.ACCESS_READ)
+                except ValueError:
+                    raise StoreError(
+                        f"shard file {path} is shorter than the {length} bytes "
+                        "its header promises (truncated shard?)"
+                    ) from None
+        except OSError as exc:
+            raise StoreError(f"unreadable shard file {path}: {exc}") from None
+        return np.frombuffer(buf, dtype=_INDEX_DTYPE, count=expect, offset=len(header))
+
+    def _read_header(self, handle, path: str, expect: int) -> bytes:
+        """Parse the header of a file not mapped before; refuse anything but
+        a 1-D, C-order, native int64 array of ``expect`` entries."""
+        try:
+            version = npy_format.read_magic(handle)
+            if version == (1, 0):
+                shape, fortran, dtype = npy_format.read_array_header_1_0(handle)
+            elif version == (2, 0):
+                shape, fortran, dtype = npy_format.read_array_header_2_0(handle)
+            else:
+                raise ValueError(f".npy format version {version} is not supported")
+        except ValueError as exc:
+            raise StoreError(f"unreadable shard file {path}: {exc}") from None
+        if shape != (expect,) or fortran or dtype != _INDEX_DTYPE:
             raise StoreError(
-                f"shard file {path} holds {arr.size} x {arr.dtype}, expected "
-                f"{expect} x int64 (truncated or swapped shard?)"
+                f"shard file {path} holds {shape} x {dtype}"
+                f"{' (Fortran order)' if fortran else ''}, expected "
+                f"({expect},) x int64 (truncated or swapped shard?)"
             )
-        return arr
+        size = handle.tell()
+        handle.seek(0)
+        header = handle.read(size)
+        self._headers[path] = header
+        return header
 
     def _unit_weights(self, size: int) -> np.ndarray:
         """``size`` weights of an unweighted shard: a read-only prefix of

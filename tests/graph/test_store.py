@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import glob
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
+from repro.api import partition_oocore
 from repro.generators import rmat
 from repro.graph import (
     Graph,
@@ -195,6 +198,29 @@ class TestManifestCorruption:
         with pytest.raises(StoreError, match="truncated or swapped"):
             graph.arc_block(0, 4)
 
+    def _mapped_then_evicted(self, shard_dir):
+        """A store whose shard 1 was mapped, then evicted by shard 0."""
+        store = MmapShardStore.open(shard_dir, max_resident_shards=1)
+        for shard in (1, 0):
+            lo, hi = shard * 64, (shard + 1) * 64
+            store.arc_block(int(store.xadj[lo]), int(store.xadj[hi]))
+        assert store.stats().shard_evictions == 1
+        return store, int(store.xadj[64]), int(store.xadj[128])
+
+    def test_shard_truncated_after_eviction(self, shard_dir):
+        store, lo, hi = self._mapped_then_evicted(shard_dir)
+        victim = shard_dir / "shard-00001.adjncy.npy"
+        os.truncate(victim, victim.stat().st_size - 40)
+        with pytest.raises(StoreError, match=re.escape(f"shard file {victim} is shorter")):
+            store.arc_block(lo, hi)
+
+    def test_shard_resaved_after_eviction(self, shard_dir):
+        store, lo, hi = self._mapped_then_evicted(shard_dir)
+        victim = shard_dir / "shard-00001.adjwgt.npy"
+        np.save(victim, np.load(victim)[:-5])
+        with pytest.raises(StoreError, match=re.escape(f"shard file {victim} changed")):
+            store.arc_block(lo, hi)
+
     def test_tampered_arc_count(self, shard_dir):
         self._edit_manifest(shard_dir, num_arcs=17)
         with pytest.raises(StoreError):
@@ -204,6 +230,38 @@ class TestManifestCorruption:
         self._edit_manifest(shard_dir, num_nodes=3)
         with pytest.raises(StoreError):
             open_sharded(shard_dir)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+class TestDescriptors:
+    def test_fds_bounded_by_resident_shards_not_shard_count(self, tmp_path, monkeypatch):
+        """A mapping holds a duplicate of its file's descriptor; a store that
+        kept one mapping per shard it touched would hold one descriptor
+        each, and fail past ``ulimit -n``.  The store holds at most the
+        resident shards plus the one segment the kernel still binds."""
+        resident = 2
+        save_sharded(rmat(10, seed=3), tmp_path / "shards", nodes_per_shard=4)
+        graph = open_sharded(tmp_path / "shards", max_resident_shards=resident)
+        assert graph.store.num_shards == 256
+        partition_oocore(graph, 4, iterations=1)  # builds and loads the kernel
+
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        peak = []
+        map_shard = MmapShardStore._map_shard
+
+        def counted(store, index):
+            mapped = map_shard(store, index)
+            peak.append(open_fds())
+            return mapped
+
+        monkeypatch.setattr(MmapShardStore, "_map_shard", counted)
+        before = open_fds()
+        partition_oocore(graph, 4, iterations=3)
+        assert graph.store.stats().shard_misses > 2 * 256
+        assert max(peak) - before <= resident + 1
+        assert open_fds() - before <= resident + 1
 
 
 class TestNpzRegression:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.graph import (
-    GraphError,
     load_npz,
     read_metis,
     read_partition,
@@ -142,9 +142,12 @@ class TestEvaluateCommand:
         negative imbalance."""
         part_file = tmp_path / "p.txt"
         np.savetxt(part_file, np.arange(512) % 3, fmt="%d")
-        with pytest.raises(GraphError, match=r"node 2 has label 2, outside \[0, k\) for k = 2"):
-            main(["evaluate", str(metis_graph), str(part_file), "-k", "2"])
-        assert "imbalance" not in capsys.readouterr().out
+        assert main(["evaluate", str(metis_graph), str(part_file), "-k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"repro: node 2 has label 2, outside \[0, k\) for k = 2\n", captured.err
+        )
+        assert "imbalance" not in captured.out
 
 
 class TestClusterCommand:
@@ -155,6 +158,30 @@ class TestClusterCommand:
         graph = read_metis(metis_graph)
         assert labels.shape == (graph.num_nodes,)
         assert "modularity=" in capsys.readouterr().out
+
+
+class TestInputErrors:
+    """A bad input is a one-line ``repro: <message>`` and exit status 1,
+    not a traceback."""
+
+    def test_malformed_metis_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.metis"
+        path.write_text("3 2\n2\n1 x\n2\n")
+        assert main(["partition", str(path), "-k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: ")
+        assert "line 3" in captured.err and "'x'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_shard_directory_without_manifest(self, tmp_path, capsys):
+        shards = tmp_path / "shards"
+        save_sharded(rgg(8, seed=0), shards, nodes_per_shard=64)
+        (shards / "manifest.json").unlink()
+        assert main(["partition", str(shards), "-k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: no shard manifest at {shards / 'manifest.json'}\n"
+        assert captured.out == ""
 
 
 class TestInstancesCommand:
