@@ -15,11 +15,12 @@ Contraction of a distributed clustering proceeds exactly as in the paper:
 4. **Build the coarse graph.**  Every PE builds the weighted quotient of
    its local subgraph with the sequential quotient kernel
    (:func:`repro.graph.quotient.quotient_arcs`, over the local CSR
-   extended by one empty row per ghost), then ships each coarse arc — and
-   each coarse node-weight contribution — to the PE that owns the coarse
-   source under the balanced coarse distribution.  Receivers merge
-   duplicates and assemble their local CSR
-   (:meth:`~repro.dist.dgraph.DistGraph.from_arcs`).
+   extended by one empty row per ghost; the kernel reads every arc
+   reversed, which the symmetry of the fine graph makes harmless, see
+   :func:`_local_quotient`), then ships each coarse arc — and each coarse
+   node-weight contribution — to the PE that owns the coarse source under
+   the balanced coarse distribution.  Receivers merge duplicates and
+   assemble their local CSR (:meth:`~repro.dist.dgraph.DistGraph.from_arcs`).
 
 Uncoarsening is the simple inverse (Section IV-C, last paragraph): each
 PE asks the owner of each coarse representative for its block id.
@@ -242,14 +243,22 @@ def _contract_impl(
 def _local_quotient(
     dgraph: DistGraph, coarse_of: np.ndarray, coarse_vtxdist: np.ndarray
 ) -> list[object]:
-    """This PE's quotient arcs ``(src, dst, wgt)`` in global coarse ids, one
-    triple per coarse owner: rows by source, each ordered by neighbour,
-    parallel arcs summed.
+    """This PE's share of the quotient arcs ``(src, dst, wgt)`` in global
+    coarse ids, one triple per coarse owner: rows by source, each ordered
+    by neighbour, parallel arcs summed.
 
     The local CSR with one empty row per ghost is a CSR over every local
     id, and ``coarse_of`` (ghosts included) maps each of them to its
-    coarse node, so the sequential kernel builds the quotient as is.  Its
-    rows are the global coarse ids, hence each owner's arcs are one slice.
+    coarse node, so the sequential kernel runs on it as is.  The kernel
+    returns the quotient of the *transpose*: each local arc ``u -> v``
+    comes back reversed, as ``coarse_of[v] -> coarse_of[u]``.  These
+    partial arcs still add up to the quotient: over all PEs, every arc of
+    the fine graph is read once, and the fine graph is symmetric, so the
+    reversed arcs are the fine arcs again, each ``v -> u`` with the weight
+    of ``u -> v``.  Summed by the owners of their rows
+    (:meth:`~repro.dist.dgraph.DistGraph.from_arcs`), they are the same
+    coarse graph.  The kernel's rows are the global coarse ids, hence each
+    owner's arcs are one slice.
     """
     ghost_rows = np.full(dgraph.n_ghost, dgraph.num_arcs, dtype=np.int64)
     xadj_c, dst_c, wgt_c = quotient_arcs(

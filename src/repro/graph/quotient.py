@@ -14,8 +14,12 @@ property-based tests.
 :func:`quotient_arcs` relabels the fine arcs through the cluster map and
 groups and sums the parallel inter-cluster arcs into canonical CSR (rows
 ordered by neighbour): :func:`repro.native.quotient_arcs`, fine nodes
-bucketed by coarse node, a counting pass, a filling pass into arrays of
-exactly the coarse size.  Its oracle is
+bucketed by coarse node, a counting pass and a filling pass into arrays
+of exactly the coarse size, both visiting the source clusters in
+ascending order so that every row fills in neighbour order.  It reads
+each fine arc ``u -> v`` as ``mapping[v] -> mapping[u]``, i.e. it builds
+the quotient of the transpose; every :class:`Graph` is symmetric
+(:mod:`repro.graph.validation`), so that is the quotient.  Its oracle is
 :func:`repro.graph.build.group_arcs` over the relabelled arcs, which
 returns the same three arrays (``tests/graph/test_quotient.py``).  Its
 callers are :func:`contract`, :func:`quotient_graph` and the local
@@ -30,6 +34,7 @@ import numpy as np
 
 from .. import native
 from .csr import Graph
+from .validation import check_labels
 
 __all__ = [
     "ContractionResult", "contract", "normalize_labels", "quotient_arcs", "quotient_graph",
@@ -94,9 +99,10 @@ def quotient_arcs(
     mapping: np.ndarray,
     n_coarse: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``xadj, adjncy, adjwgt`` of the quotient of a CSR under ``mapping``
-    (node -> coarse node in ``[0, n_coarse)``): arcs relabelled, self-loops
-    dropped, parallel arcs summed, rows ordered by neighbour."""
+    """``xadj, adjncy, adjwgt`` of the quotient of a symmetric CSR under
+    ``mapping`` (node -> coarse node in ``[0, n_coarse)``): arcs
+    relabelled, self-loops dropped, parallel arcs summed, rows ordered by
+    neighbour.  On any CSR it is the quotient of the transpose."""
     return native.quotient_arcs(xadj, adjncy, adjwgt, mapping, n_coarse)
 
 
@@ -113,9 +119,15 @@ def quotient_graph(graph: Graph, partition: np.ndarray, k: int | None = None) ->
 
     Identical to :func:`contract` except block ids are taken as-is (blocks
     that happen to be empty are kept as isolated zero-weight nodes so the
-    quotient always has exactly ``k`` nodes).
+    quotient always has exactly ``k`` nodes).  A label outside ``[0, k)``
+    raises :class:`GraphError` naming the first such node.
     """
     partition = np.ascontiguousarray(partition, dtype=np.int64)
     if k is None:
         k = int(partition.max()) + 1 if partition.size else 0
-    return Graph(*_quotient(graph, partition, k), name=f"{graph.name}/quotient")
+    try:
+        arrays = _quotient(graph, partition, k)
+    except ValueError:
+        check_labels(partition, k)
+        raise
+    return Graph(*arrays, name=f"{graph.name}/quotient")

@@ -5,6 +5,18 @@ against: a graph must be a symmetric weighted adjacency structure without
 self-loops, and a partition must assign every node to a block in
 ``[0, k)`` and respect the balance constraint
 ``c(V_i) <= Lmax = (1 + eps) * ceil(c(V) / k)`` (paper Section II-A).
+
+Symmetry is checked here only (:func:`check_graph`), but two compiled
+kernels rely on it:
+
+* the quotient fill (``quotient_fill`` in ``repro/native/_coarse.c``)
+  reads each arc ``u -> v`` as ``v -> u``, which fills every coarse row in
+  neighbour order without a transposition: on an asymmetric CSR it builds
+  the quotient of the transpose;
+* the frontier marks of an SCLP phase (``scan_phase`` in
+  ``repro/native/_scan.c``): a node that moves marks its *out*-neighbours
+  active, while the nodes whose best block the move can change are its
+  *in*-neighbours: the same set only if every arc has its reverse.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from .csr import Graph, GraphError
 
 __all__ = [
     "check_graph",
+    "check_labels",
     "check_partition",
     "is_valid_partition",
     "max_block_weight_bound",
@@ -53,6 +66,17 @@ def check_graph(graph: Graph, require_positive_weights: bool = True) -> None:
         and np.array_equal(graph.adjwgt[fwd], graph.adjwgt[rev])
     ):
         raise GraphError("arc multiset is not symmetric")
+
+
+def check_labels(labels: np.ndarray, k: int) -> None:
+    """Raise :class:`GraphError` naming the first node whose label is
+    outside ``[0, k)``, if there is one."""
+    bad = np.flatnonzero((labels < 0) | (labels >= k))
+    if bad.size:
+        node = int(bad[0])
+        raise GraphError(
+            f"node {node} has label {labels[node]}, outside [0, k) for k = {k}"
+        )
 
 
 def block_weights(graph: Graph, partition: np.ndarray, k: int | None = None) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .. import native
 from ..graph.csr import Graph, GraphError
-from ..graph.validation import block_weights
+from ..graph.validation import block_weights, check_labels
 
 __all__ = [
     "edge_cut",
@@ -68,13 +68,8 @@ def _sweep(graph: Graph, labels: np.ndarray, k: int) -> tuple[int, int, int]:
                 xadj, lo, hi, arc_lo, *graph.arc_block(arc_lo, int(xadj[hi])),
                 labels, k,
             )
-    except ValueError as exc:
-        bad = np.flatnonzero((labels < 0) | (labels >= k))
-        if bad.size:
-            node = int(bad[0])
-            raise GraphError(
-                f"node {node} has label {labels[node]}, outside [0, k) for k = {k}"
-            ) from exc
+    except ValueError:
+        check_labels(labels, k)
         raise
     cut, boundary, volume = totals.tolist()
     return cut // 2, boundary, volume

@@ -197,10 +197,10 @@ def _load(path: Path) -> ctypes.CDLL:
     for name, argtypes in {
         # mapping n_coarse start order stamp xadj_c
         "quotient_count": [*csr, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
-        # adjwgt mapping n_coarse start order stamp slot n_arcs_c xadj_c
-        # adjncy_c adjwgt_c t_off t_col t_wgt
+        # adjwgt mapping n_coarse start order stamp cur n_arcs_c xadj_c
+        # adjncy_c adjwgt_c
         "quotient_fill": [*csr, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR,
-                          _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+                          _I64, _PTR, _PTR, _PTR],
         # adjwgt vwgt n_sub members seed target mark gain heap heap_room side
         "grow_bisection": [*csr, _PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR,
                            _PTR, _PTR, _I64, _PTR],
@@ -444,17 +444,20 @@ def _csr(xadj: np.ndarray, adjncy: np.ndarray) -> tuple[int, int, int, int]:
 
 def quotient_arcs(xadj, adjncy, adjwgt, mapping: np.ndarray, n_coarse: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The quotient's ``xadj, adjncy, adjwgt`` under ``mapping`` (fine node
-    -> coarse node in ``[0, n_coarse)``): arcs relabelled, self-loops
-    dropped, parallel arcs summed, rows ordered by neighbour — the
-    canonical CSR :func:`repro.graph.build.group_arcs` builds from an arc
-    list.  Two passes: count, then
-    fill arrays of exactly that size; the temporaries are two more arrays
-    of the *coarse* arc count and O(n) tables."""
+    """``xadj, adjncy, adjwgt`` of the quotient of the *transpose* of the
+    CSR under ``mapping`` (fine node -> coarse node in ``[0, n_coarse)``):
+    each fine arc ``u -> v`` read as ``mapping[v] -> mapping[u]``,
+    self-loops dropped, parallel arcs summed, rows ordered by neighbour —
+    the canonical CSR :func:`repro.graph.build.group_arcs` builds from the
+    reversed, relabelled arc list.  On a symmetric CSR (every
+    :class:`~repro.graph.Graph`) that is the quotient itself.  Two passes
+    visit the source clusters in ascending order, so each row is filled
+    in neighbour order and no transposition runs: count, then fill arrays
+    of exactly that size; the temporaries are O(n + n_coarse) tables."""
     n, n_arcs, *csr = _csr(xadj, adjncy)
     tables = (_ptr(mapping, np.int64, n), n_coarse)
-    start, xadj_c, t_off = (np.empty(n_coarse + 1, dtype=np.int64) for _ in range(3))
-    stamp, slot = (np.empty(n_coarse, dtype=np.int64) for _ in range(2))
+    start, xadj_c = (np.empty(n_coarse + 1, dtype=np.int64) for _ in range(2))
+    stamp, cur = (np.empty(n_coarse, dtype=np.int64) for _ in range(2))
     order = np.empty(n, dtype=np.int64)
     lib = _kernels()
     count = lib.quotient_count(
@@ -463,14 +466,12 @@ def quotient_arcs(xadj, adjncy, adjwgt, mapping: np.ndarray, n_coarse: int
     )
     if count < 0:
         raise _fault("quotient build", count)
-    adjncy_c, adjwgt_c, t_col, t_wgt = (
-        np.empty(count, dtype=np.int64) for _ in range(4))
+    adjncy_c, adjwgt_c = (np.empty(count, dtype=np.int64) for _ in range(2))
     status = lib.quotient_fill(
         n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs), *tables,
         start.ctypes.data, order.ctypes.data, stamp.ctypes.data,
-        slot.ctypes.data, count, xadj_c.ctypes.data, adjncy_c.ctypes.data,
-        adjwgt_c.ctypes.data, t_off.ctypes.data, t_col.ctypes.data,
-        t_wgt.ctypes.data,
+        cur.ctypes.data, count, xadj_c.ctypes.data, adjncy_c.ctypes.data,
+        adjwgt_c.ctypes.data,
     )
     if status < 0:
         raise _fault("quotient build", status)

@@ -37,12 +37,18 @@ static inline int bad_range(int64_t b, int64_t e, int64_t n_arcs)
 }
 
 /* ------------------------------------------------------------------------
- * Quotient build.  Fine nodes are bucketed by coarse node (a counting sort);
- * one pass counts each coarse row's distinct neighbours, the caller
- * allocates exactly that, a second pass sums the parallel arcs into the rows
- * (first-met order) and two transpositions -- each a counting sort by column
- * -- leave every row ordered by neighbour: scipy's canonical CSR, with no
- * hash, no comparison sort and no assumption that the input is symmetric.
+ * Quotient build: the canonical CSR (rows ordered by neighbour, parallel
+ * arcs summed, self-loops dropped) of the quotient of the *transpose* of
+ * the input, exact on any CSR.  On a symmetric CSR -- every Graph -- that
+ * is the quotient itself; a PE's rows come back as their arcs reversed,
+ * which the owners of the coarse rows sum into the quotient
+ * (repro.dist.dist_contraction).  Fine nodes are bucketed by coarse node (a
+ * counting sort); both passes visit the source clusters d in ascending
+ * order and read each fine arc u -> v as an entry d of row c = mapping[v].
+ * A row thus meets its entries in neighbour order, parallel ones adjacent,
+ * and stamp[c] = the last d seen decides "new entry or add to the last".
+ * One pass counts each row's distinct sources, the caller allocates exactly
+ * that, the other fills it: no transposition, no hash, no comparison sort.
  * ---------------------------------------------------------------------- */
 
 /* order[start[c] .. start[c+1]) = the fine nodes of coarse node c. */
@@ -76,12 +82,13 @@ int64_t quotient_count(int64_t n, int64_t n_arcs, const int64_t *xadj,
     const int64_t bad = bucket_nodes(n, mapping, n_coarse, start, order);
     if (bad < 0)
         return bad;
-    for (int64_t c = 0; c < n_coarse; c++)
-        stamp[c] = -1;
-    int64_t total = 0;
     xadj_c[0] = 0;
     for (int64_t c = 0; c < n_coarse; c++) {
-        for (int64_t i = start[c]; i < start[c + 1]; i++) {
+        stamp[c] = -1;
+        xadj_c[c + 1] = 0;
+    }
+    for (int64_t d = 0; d < n_coarse; d++)
+        for (int64_t i = start[d]; i < start[d + 1]; i++) {
             const int64_t u = order[i];
             const int64_t b = xadj[u], e = xadj[u + 1];
             if (bad_range(b, e, n_arcs))
@@ -89,61 +96,41 @@ int64_t quotient_count(int64_t n, int64_t n_arcs, const int64_t *xadj,
             for (int64_t a = b; a < e; a++) {
                 if (bad_index(adjncy[a], n))
                     return BAD_NBR;
-                const int64_t d = mapping[adjncy[a]];
-                /* no branch: whether d is new is a coin flip per arc; c's
-                 * own stamp is set too, which nobody reads */
-                total += d != c && stamp[d] != c;
-                stamp[d] = c;
+                const int64_t c = mapping[adjncy[a]];
+                /* no branch: whether d is new to row c is a coin flip per
+                 * arc; row d's own stamp is set too, which nobody reads */
+                xadj_c[c + 1] += (c != d) & (stamp[c] != d);
+                stamp[c] = d;
             }
         }
-        xadj_c[c + 1] = total;
-    }
-    return total;
-}
-
-/* (off, col, wgt) -> its transpose, rows ordered by column. */
-static void transpose(int64_t n, const int64_t *off, const int64_t *col,
-                      const int64_t *wgt, int64_t *out_off, int64_t *out_col,
-                      int64_t *out_wgt)
-{
-    for (int64_t c = 0; c <= n; c++)
-        out_off[c] = 0;
-    for (int64_t e = 0; e < off[n]; e++)
-        out_off[col[e] + 1]++;
-    for (int64_t c = 0; c < n; c++)
-        out_off[c + 1] += out_off[c];
-    for (int64_t r = 0; r < n; r++)
-        for (int64_t e = off[r]; e < off[r + 1]; e++) {
-            const int64_t at = out_off[col[e]]++;
-            out_col[at] = r;
-            out_wgt[at] = wgt[e];
-        }
-    for (int64_t c = n; c > 0; c--)
-        out_off[c] = out_off[c - 1];
-    out_off[0] = 0;
+    for (int64_t c = 0; c < n_coarse; c++)
+        xadj_c[c + 1] += xadj_c[c];
+    return xadj_c[n_coarse];
 }
 
 /* start/order/xadj_c as quotient_count left them and n_arcs_c what it
- * returned; stamp and slot hold n_coarse entries, t_off n_coarse + 1;
- * adjncy_c/adjwgt_c (out) and t_col/t_wgt hold n_arcs_c.  Returns 0. */
+ * returned; stamp and cur hold n_coarse entries, adjncy_c/adjwgt_c (out)
+ * n_arcs_c.  Returns 0. */
 int64_t quotient_fill(int64_t n, int64_t n_arcs, const int64_t *xadj,
                       const int64_t *adjncy, const int64_t *adjwgt,
                       const int64_t *mapping, int64_t n_coarse,
                       const int64_t *start, const int64_t *order,
-                      int64_t *stamp, int64_t *slot, int64_t n_arcs_c,
-                      int64_t *xadj_c, int64_t *adjncy_c, int64_t *adjwgt_c,
-                      int64_t *t_off, int64_t *t_col, int64_t *t_wgt)
+                      int64_t *stamp, int64_t *cur, int64_t n_arcs_c,
+                      const int64_t *xadj_c, int64_t *adjncy_c,
+                      int64_t *adjwgt_c)
 {
-    int64_t at = 0; /* rows are filled back to back, so none is left unset */
-    for (int64_t c = 0; c < n_coarse; c++)
-        stamp[c] = -1;
+    if (xadj_c[0] != 0 || xadj_c[n_coarse] != n_arcs_c)
+        return BAD_ROOM;
     for (int64_t c = 0; c < n_coarse; c++) {
-        const int64_t end = xadj_c[c + 1];
-        if (xadj_c[c] != at || bad_range(at, end, n_arcs_c))
+        if (bad_range(xadj_c[c], xadj_c[c + 1], n_arcs_c))
             return BAD_ROOM;
-        if (bad_range(start[c], start[c + 1], n))
+        stamp[c] = -1;
+        cur[c] = xadj_c[c]; /* row c's next free entry */
+    }
+    for (int64_t d = 0; d < n_coarse; d++) {
+        if (bad_range(start[d], start[d + 1], n))
             return BAD_BLOCK;
-        for (int64_t i = start[c]; i < start[c + 1]; i++) {
+        for (int64_t i = start[d]; i < start[d + 1]; i++) {
             const int64_t u = order[i];
             if (bad_index(u, n))
                 return BAD_NODE;
@@ -153,42 +140,38 @@ int64_t quotient_fill(int64_t n, int64_t n_arcs, const int64_t *xadj,
             for (int64_t a = b; a < e; a++) {
                 if (bad_index(adjncy[a], n))
                     return BAD_NBR;
-                const int64_t d = mapping[adjncy[a]];
-                if (bad_index(d, n_coarse))
+                const int64_t c = mapping[adjncy[a]];
+                if (bad_index(c, n_coarse))
                     return BAD_BLOCK;
-                if (d == c)
+                if (c == d)
                     continue;
-                /* no branch on "first arc to d": a coin flip per arc */
-                const int fresh = stamp[d] != c;
-                if (fresh && at >= end)
+                if (stamp[c] == d) { /* a parallel arc: row c's last entry */
+                    adjwgt_c[cur[c] - 1] += adjwgt[a];
+                    continue;
+                }
+                if (cur[c] >= xadj_c[c + 1])
                     return BAD_ROOM;
-                const int64_t s = fresh ? at : slot[d];
-                stamp[d] = c;
-                slot[d] = s;
-                adjncy_c[s] = d;
-                adjwgt_c[s] = (fresh ? 0 : adjwgt_c[s]) + adjwgt[a];
-                at += fresh;
+                stamp[c] = d;
+                adjncy_c[cur[c]] = d;
+                adjwgt_c[cur[c]++] = adjwgt[a];
             }
         }
-        if (at != end)
-            return BAD_ROOM;
     }
-    if (at != n_arcs_c)
-        return BAD_ROOM;
-    transpose(n_coarse, xadj_c, adjncy_c, adjwgt_c, t_off, t_col, t_wgt);
-    transpose(n_coarse, t_off, t_col, t_wgt, xadj_c, adjncy_c, adjwgt_c);
+    for (int64_t c = 0; c < n_coarse; c++)
+        if (cur[c] != xadj_c[c + 1])
+            return BAD_ROOM; /* a row left unfilled */
     return 0;
 }
 
 /* ------------------------------------------------------------------------
  * Arc grouping (repro.graph.build.group_arcs): the arc list src[i] -> dst[i]
- * of n_in arcs over n nodes to canonical CSR.  The quotient build's scheme:
- * group_count counts each row's arcs, group_merge buckets them by source (a
- * counting sort) and sums the parallel ones in place, first-met order, with
- * a per-row stamp; group_order sorts every row by neighbour with two
- * transpositions, unless group_merge found every merged row ordered already
- * (the input grouped by neighbour, say).  Self-loops are dropped, weights
- * summing to zero kept.  With mirror set, each arc s -> d is read as d -> s too, which is grouping
+ * of n_in arcs over n nodes to canonical CSR.  group_count counts each
+ * row's arcs, group_merge buckets them by source (a counting sort) and sums
+ * the parallel ones in place, first-met order, with a per-row stamp;
+ * group_order sorts every row by neighbour with two transpositions, unless
+ * group_merge found every merged row ordered already (the input grouped by
+ * neighbour, say).  Self-loops are dropped, weights summing to zero kept.
+ * With mirror set, each arc s -> d is read as d -> s too, which is grouping
  * the list concatenated with its reverse, without building that list.
  * ---------------------------------------------------------------------- */
 
@@ -277,6 +260,28 @@ int64_t group_merge(int64_t n, int64_t n_in, const int64_t *src,
     start[n] = at;
     *ordered = !unordered;
     return at;
+}
+
+/* (off, col, wgt) -> its transpose, rows ordered by column. */
+static void transpose(int64_t n, const int64_t *off, const int64_t *col,
+                      const int64_t *wgt, int64_t *out_off, int64_t *out_col,
+                      int64_t *out_wgt)
+{
+    for (int64_t c = 0; c <= n; c++)
+        out_off[c] = 0;
+    for (int64_t e = 0; e < off[n]; e++)
+        out_off[col[e] + 1]++;
+    for (int64_t c = 0; c < n; c++)
+        out_off[c + 1] += out_off[c];
+    for (int64_t r = 0; r < n; r++)
+        for (int64_t e = off[r]; e < off[r + 1]; e++) {
+            const int64_t at = out_off[col[e]]++;
+            out_col[at] = r;
+            out_wgt[at] = wgt[e];
+        }
+    for (int64_t c = n; c > 0; c--)
+        out_off[c] = out_off[c - 1];
+    out_off[0] = 0;
 }
 
 /* start/col/val as group_merge left them and n_arcs what it returned;

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from repro import native
 from repro.dist import DistGraph, balanced_vtxdist, run_spmd
 from repro.dist.dist_contraction import (
     _local_quotient,
@@ -13,8 +16,13 @@ from repro.dist.dist_contraction import (
     parallel_uncoarsen,
 )
 from repro.generators import load_instance, planted_partition, rgg, rmat
-from repro.graph import Graph, check_graph, contract, normalize_labels
+from repro.graph import Graph, check_graph, contract, from_edges, normalize_labels
 from repro.metrics import edge_cut
+
+from ..conftest import graphs_with_labels
+from ..engine.numpy_kernels import group_arcs as twin_group_arcs
+
+_PATH5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], weights=[3, 1, 4, 1])
 
 
 def split_and_run(graph, size, fn, seed=11):
@@ -134,10 +142,12 @@ class TestParallelContract:
 
 def lexsort_local_quotient(dgraph, coarse_of):
     """A PE's quotient arcs as the contraction grouped them before it
-    called the sequential kernel: relabel, drop self-loops, lexsort by
-    (src, dst), segmented sum.  The oracle of ``_local_quotient``."""
-    src = coarse_of[dgraph.arc_sources()]
-    dst = coarse_of[dgraph.adjncy]
+    called the sequential kernel, with every arc reversed (the kernel
+    builds the quotient of the transpose): relabel, drop self-loops,
+    lexsort by (src, dst), segmented sum.  The oracle of
+    ``_local_quotient``."""
+    src = coarse_of[dgraph.adjncy]
+    dst = coarse_of[dgraph.arc_sources()]
     keep = src != dst
     src, dst, wgt = src[keep], dst[keep], dgraph.adjwgt[keep]
     if src.size == 0:
@@ -174,6 +184,42 @@ class TestLocalQuotient:
                 for g, w in zip(got, lexsort_local_quotient(dgraph, coarse_of)):
                     assert g.dtype == np.int64
                     np.testing.assert_array_equal(g, w)
+
+
+def union_over_ranks(graph, labels, size):
+    """Every rank's ``_local_quotient`` triples of ``graph`` split over
+    ``size`` PEs, concatenated and grouped by the numpy twin, next to the
+    sequential quotient of the whole graph."""
+    mapping, n_coarse = normalize_labels(labels)
+    vtxdist = balanced_vtxdist(graph.num_nodes, size)
+    coarse_vtxdist = balanced_vtxdist(n_coarse, size)
+    triples = []
+    for rank in range(size):
+        dgraph = DistGraph.from_global(graph, vtxdist, rank)
+        coarse_of = np.concatenate((
+            mapping[dgraph.first : dgraph.first + dgraph.n_local],
+            mapping[dgraph.ghost_global],
+        ))
+        triples.extend(_local_quotient(dgraph, coarse_of, coarse_vtxdist))
+    src, dst, wgt = (np.concatenate(column) for column in zip(*triples))
+    got = twin_group_arcs(n_coarse, src, dst, wgt)
+    want = native.quotient_arcs(graph.xadj, graph.adjncy, graph.adjwgt, mapping, n_coarse)
+    return got, want
+
+
+class TestUnionOverRanks:
+    """Each rank's local quotient holds its arcs reversed; over all ranks
+    they add up to the quotient of the whole graph."""
+
+    @given(graphs_with_labels(), st.integers(min_value=1, max_value=4))
+    @example((_PATH5, np.array([0, 1, 1, 1, 0])), 2)  # cluster 1 spans both ranks
+    @example((from_edges(4, [(0, 1)]), np.array([0, 1, 2, 2])), 2)  # rank 1 has no arc
+    @example((from_edges(3, [(0, 2)]), np.array([4, 4, 1])), 4)  # ranks without nodes
+    def test_equals_the_quotient(self, graph_and_labels, size):
+        got, want = union_over_ranks(*graph_and_labels, size)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
 
 
 class TestCommRounds:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro import native
 from repro.graph import (
     Graph,
+    GraphError,
     check_graph,
     complete_graph,
     contract,
@@ -23,7 +24,7 @@ from repro.graph import (
     normalize_labels,
     quotient_graph,
 )
-from repro.metrics import edge_cut
+from repro.metrics import edge_cut, evaluate_partition
 
 from ..conftest import graphs_with_labels, random_graphs
 from ..engine.numpy_kernels import group_arcs
@@ -172,9 +173,9 @@ class TestContractMatchesLexsortOracle:
 class TestNativeBuildMatchesScipy:
     """``native.quotient_arcs`` against the scipy grouping of the
     relabelled arcs it replaced (the twin of ``native.group_arcs``, not
-    the compiled grouping, which shares the quotient's transposition):
-    the same three arrays.  (:class:`TestContractMatchesLexsortOracle`
-    holds ``contract`` to a third.)"""
+    the compiled grouping): the same three arrays.
+    (:class:`TestContractMatchesLexsortOracle` holds ``contract`` to a
+    third.)"""
 
     @staticmethod
     def assert_same(graph, mapping, n_coarse):
@@ -195,16 +196,25 @@ class TestNativeBuildMatchesScipy:
         graph, labels = graph_and_labels
         self.assert_same(graph, *normalize_labels(labels))
 
-    def test_no_symmetry_is_assumed(self):
-        """Rows come out sorted by two transpositions, not by reading the
-        transpose as the matrix: a one-directional CSR (arcs 0->1 w 2,
-        0->2 w 5, 2->1 w 7, 3->0 w 1) keeps its direction and weights."""
+    def test_a_directed_csr_gives_the_quotient_of_its_transpose(self):
+        """The fill reads each arc reversed, which is what orders the rows
+        without a transposition: a one-directional CSR (arcs 0->1 w 2,
+        0->2 w 5, 2->1 w 7, 3->0 w 1) comes back as the quotient of its
+        transpose, weights kept."""
         directed = Graph(
             np.array([0, 2, 2, 3, 4]), np.array([2, 1, 1, 0]),
             np.ones(4, dtype=np.int64), np.array([5, 2, 7, 1]),
         )
         for mapping in ([0, 1, 2, 3], [1, 0, 0, 2], [3, 2, 1, 0]):
-            self.assert_same(directed, np.array(mapping, dtype=np.int64), 4)
+            mapping = np.array(mapping, dtype=np.int64)
+            got = native.quotient_arcs(
+                directed.xadj, directed.adjncy, directed.adjwgt, mapping, 4)
+            want = group_arcs(
+                4, mapping[directed.adjncy], mapping[directed.arc_sources()],
+                directed.adjwgt)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                np.testing.assert_array_equal(g, w)
 
     def test_empty_blocks_become_isolated_coarse_nodes(self):
         # a mapping that skips ids (never produced by normalize_labels)
@@ -230,8 +240,45 @@ class TestNativeBuildMatchesScipy:
         with pytest.raises(TypeError, match="C-contiguous int64 ndarray of 4 entries"):
             native.quotient_arcs(graph.xadj, graph.adjncy, graph.adjwgt, mapping[:3], 3)
 
+    def test_fill_refuses_a_row_table_it_cannot_fill(self):
+        """The fill checks the row table it is handed (the binding always
+        hands it the count's): a row it would overrun, a row it leaves
+        unfilled and a total that is not the arc count are refused."""
+        graph = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        mapping = np.array([0, 1, 1, 2], dtype=np.int64)
+        lib = native._kernels()
+        start, xadj_c = np.empty(4, dtype=np.int64), np.empty(4, dtype=np.int64)
+        stamp, cur = np.empty(3, dtype=np.int64), np.empty(3, dtype=np.int64)
+        order = np.empty(4, dtype=np.int64)
+        csr = (4, graph.num_arcs, graph.xadj.ctypes.data, graph.adjncy.ctypes.data)
+        count = lib.quotient_count(*csr, mapping.ctypes.data, 3, start.ctypes.data,
+                                   order.ctypes.data, stamp.ctypes.data, xadj_c.ctypes.data)
+        assert (count, xadj_c.tolist()) == (4, [0, 1, 3, 4])
+        for rows, n_arcs_c in (([0, 0, 3, 4], 4), ([0, 2, 4, 5], 5), ([0, 1, 3, 4], 5)):
+            rows = np.array(rows, dtype=np.int64)
+            adjncy_c, adjwgt_c = np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64)
+            status = lib.quotient_fill(
+                *csr, graph.adjwgt.ctypes.data, mapping.ctypes.data, 3,
+                start.ctypes.data, order.ctypes.data, stamp.ctypes.data,
+                cur.ctypes.data, n_arcs_c, rows.ctypes.data, adjncy_c.ctypes.data,
+                adjwgt_c.ctypes.data)
+            assert str(native._fault("quotient build", status)) == (
+                "native quotient build: a row of the scratch sized for it is outside its table")
+
 
 class TestQuotientGraph:
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_outside_k_names_the_node(self, two_triangles, bad):
+        """The evaluator's error, not the kernel's bare ``ValueError``."""
+        partition = np.array([0, 0, 1, bad, 1, bad])
+        with pytest.raises(
+            GraphError,
+            match=rf"^node 3 has label {bad}, outside \[0, k\) for k = 2$",
+        ):
+            quotient_graph(two_triangles, partition, k=2)
+        with pytest.raises(GraphError, match=rf"^node 3 has label {bad},"):
+            evaluate_partition(two_triangles, partition, 2)
+
     def test_quotient_keeps_empty_blocks(self, two_triangles):
         partition = np.array([0, 0, 0, 2, 2, 2])  # block 1 unused
         q = quotient_graph(two_triangles, partition, k=3)

@@ -25,9 +25,9 @@ from ..engine.numpy_kernels import group_arcs
 
 def quotient_arcs(xadj, adjncy, adjwgt, mapping, n_coarse):
     """:func:`repro.native.quotient_arcs` as scipy's grouping of the
-    relabelled arcs."""
+    relabelled arcs, each read reversed: the quotient of the transpose."""
     src = mapping[np.repeat(np.arange(xadj.size - 1, dtype=np.int64), np.diff(xadj))]
-    return group_arcs(n_coarse, src, mapping[adjncy], adjwgt)
+    return group_arcs(n_coarse, mapping[adjncy], src, adjwgt)
 
 
 def grow(graph: Graph, seed: int, target_weight: int) -> np.ndarray:
