@@ -7,9 +7,6 @@ PEs, and get a validated partition back with its quality metrics.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core.config import (
@@ -23,11 +20,9 @@ from .core.partitioner import sequential_partition
 from .dist.dist_partitioner import parallel_partition
 from .engine.backend import resolve_backend
 from .graph.csr import Graph
-from .graph.validation import check_partition, max_block_weight_bound
-from .metrics.quality import PartitionQuality, evaluate_partition_streaming
-from .obsv.tracer import TRACER
+from .graph.validation import max_block_weight_bound
+from .metrics.result import PartitionResult, finish_partition
 from .perf.machine import Machine
-from .perf.rss import memory_sample
 
 __all__ = ["PartitionResult", "partition_graph", "partition_oocore"]
 
@@ -36,31 +31,6 @@ _PRESETS = {
     "eco": eco_config,
     "minimal": minimal_config,
 }
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    """Partition plus quality and (for parallel runs) simulated timing."""
-
-    partition: np.ndarray
-    quality: PartitionQuality
-    config: PartitionConfig
-    num_pes: int
-    sim_time: float | None  # simulated seconds; None for sequential runs
-    lmax: int  # the bound (1 + epsilon) * ceil(c(V) / k) the call was held to
-
-    @property
-    def cut(self) -> int:
-        return self.quality.cut
-
-    @property
-    def imbalance(self) -> float:
-        return self.quality.imbalance
-
-    @property
-    def feasible(self) -> bool:
-        """Whether the heaviest block is within :attr:`lmax`."""
-        return self.quality.max_block_weight <= self.lmax
 
 
 def _resolve_config(
@@ -153,65 +123,12 @@ def partition_graph(
         # so the slicing sees plain arrays.
         graph = graph.materialized()
     if num_pes == 1:
-        result = sequential_partition(graph, config, seed=seed,
-                                      input_partition=initial_partition,
-                                      validate=False)
-        sim_time = None
-    else:
-        result = parallel_partition(
-            graph, config, num_pes=num_pes, machine=machine, seed=seed,
-            initial_partition=initial_partition, backend=backend,
-        )
-        sim_time = result.sim_time
-    return _finish(graph, result.partition, result.quality, config, num_pes, sim_time)
-
-
-def _finish(
-    graph: Graph,
-    partition: np.ndarray,
-    quality: PartitionQuality,
-    config: PartitionConfig,
-    num_pes: int = 1,
-    sim_time: float | None = None,
-    **header: str,
-) -> PartitionResult:
-    """The one exit of the API: validate, judge against Lmax, record.
-
-    An infeasible partition is returned, with one :class:`RuntimeWarning`
-    naming the heaviest block and Lmax.  A traced call records the same
-    two numbers in its ``partition.quality`` event, which run.json's
-    ``quality.feasible`` is read off, and the graph's number of isolated
-    nodes (the ones the multilevel route sets apart).  A sequential call
-    also stamps backend/p (plus ``header``) into the trace header
-    (parallel runs are annotated by the SPMD runtime itself) and samples
-    memory as rank 0, having no per-rank workers to do it — this feeds
-    run.json's memory section.
-    """
-    if graph.num_nodes:
-        check_partition(graph, partition, config.k, epsilon=None)
-    lmax = max_block_weight_bound(graph, config.k, config.epsilon)
-    out = PartitionResult(partition, quality, config, num_pes, sim_time, lmax)
-    if not out.feasible:
-        warnings.warn(
-            f"infeasible partition: block {int(np.argmax(quality.block_weights))} "
-            f"weighs {quality.max_block_weight} > Lmax = {lmax} "
-            f"(k={config.k}, eps={config.epsilon})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    if TRACER.enabled:
-        if num_pes == 1:
-            TRACER.annotate_header(backend="local", p=1, **header)
-            TRACER.event("mem.rank", rank=0, shared=False, **memory_sample())
-        TRACER.event(
-            "partition.quality",
-            cut=int(quality.cut),
-            imbalance=float(quality.imbalance),
-            max_block_weight=int(quality.max_block_weight),
-            lmax=lmax,
-            isolated_nodes=int(np.count_nonzero(graph.degrees == 0)),
-        )
-    return out
+        return sequential_partition(graph, config, seed=seed,
+                                    input_partition=initial_partition)
+    return parallel_partition(
+        graph, config, num_pes=num_pes, machine=machine, seed=seed,
+        initial_partition=initial_partition, backend=backend,
+    )
 
 
 def partition_oocore(
@@ -268,5 +185,5 @@ def partition_oocore(
         chunk=config.lp_chunk_size,
         tie_seed=seed,
     )
-    quality = evaluate_partition_streaming(graph, labels, k)
-    return _finish(graph, labels, quality, config, store=type(graph.store).__name__)
+    return finish_partition(graph, labels, k, config.epsilon, config,
+                            store=type(graph.store).__name__)

@@ -1,12 +1,11 @@
 """Comparison partitioners: ParMetis-like, PT-Scotch-like, hash, random."""
 
-from .common import BaselineResult, CostLedger
+from .common import CostLedger
 from .parmetis_like import parmetis_partition
 from .recursive_bisection import scotch_partition
 from .trivial import hash_partition, random_partition
 
 __all__ = [
-    "BaselineResult",
     "CostLedger",
     "hash_partition",
     "parmetis_partition",

@@ -1,4 +1,4 @@
-"""Shared result type and cost accounting for the baseline partitioners.
+"""Cost accounting for the baseline partitioners.
 
 The baselines compute *real* partitions with the real algorithms; their
 parallel wall-clock is derived from an explicit bulk-synchronous cost
@@ -6,20 +6,18 @@ model (documented per baseline) rather than from the thread-simulated
 runtime — ParMetis's internals are not the paper's contribution, only its
 behaviour is, and the behaviour is fully determined by the coarsening
 trajectory, the per-level work, and the replication memory, all of which
-the model captures.
+the model captures.  Each baseline returns through the same exit as
+ParHIP, :func:`repro.metrics.finish_partition`, with the ledger's seconds
+as its ``sim_time``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..graph.csr import Graph
-from ..metrics.quality import PartitionQuality, evaluate_partition
 from ..perf.machine import Machine
 
-__all__ = ["BaselineResult", "CostLedger"]
+__all__ = ["CostLedger"]
 
 
 @dataclass
@@ -53,43 +51,3 @@ class CostLedger:
     def collectives(self, count: int, bytes_received: float = 64.0) -> None:
         for _ in range(count):
             self.collective(bytes_received)
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    """Partition, quality, and simulated timing of a baseline run."""
-
-    name: str
-    partition: np.ndarray
-    quality: PartitionQuality
-    sim_time: float
-    num_pes: int
-    coarse_sizes: tuple[int, ...] = ()
-
-    @property
-    def cut(self) -> int:
-        return self.quality.cut
-
-    @property
-    def imbalance(self) -> float:
-        return self.quality.imbalance
-
-    @classmethod
-    def build(
-        cls,
-        name: str,
-        graph: Graph,
-        partition: np.ndarray,
-        k: int,
-        sim_time: float,
-        num_pes: int,
-        coarse_sizes: tuple[int, ...] = (),
-    ) -> "BaselineResult":
-        return cls(
-            name,
-            partition,
-            evaluate_partition(graph, partition, k),
-            sim_time,
-            num_pes,
-            coarse_sizes,
-        )

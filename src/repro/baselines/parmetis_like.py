@@ -36,9 +36,10 @@ from ..kaffpa.fm import fm_bisection_refine
 from ..kaffpa.initial import best_of
 from ..kaffpa.kway_fm import greedy_kway_refine
 from ..kaffpa.matching import match_and_contract
+from ..metrics.result import PartitionResult, finish_partition
 from ..perf.machine import SERIAL, Machine
 from ..perf.memory import MemoryBudget, estimate_graph_bytes
-from .common import BaselineResult, CostLedger
+from .common import CostLedger
 
 __all__ = ["parmetis_partition"]
 
@@ -70,7 +71,7 @@ def parmetis_partition(
     seed: int = 0,
     memory_budget: float | None = None,
     memory_scale: float = 1.0,
-) -> BaselineResult:
+) -> PartitionResult:
     """Run the ParMetis-like baseline; may raise ``OutOfMemoryError``."""
     machine = machine or SERIAL
     rng = np.random.default_rng(seed)
@@ -155,7 +156,5 @@ def parmetis_partition(
         ledger.parallel_work(_WORK_FACTOR_REFINE * fine.num_arcs)
         ledger.collectives(2, bytes_received=8.0 * k)
 
-    return BaselineResult.build(
-        "parmetis-like", graph, partition, k, ledger.seconds, num_pes,
-        tuple(coarse_sizes),
-    )
+    return finish_partition(graph, partition, k, epsilon, num_pes=num_pes,
+                            sim_time=ledger.seconds, coarse_sizes=coarse_sizes)

@@ -25,8 +25,9 @@ from ..graph.validation import max_block_weight_bound
 from ..kaffpa.driver import KaffpaOptions, kaffpa_partition
 from ..kaffpa.fm import fm_bisection_refine
 from ..kaffpa.initial import greedy_graph_growing_bisection
+from ..metrics.result import PartitionResult, finish_partition
 from ..perf.machine import SERIAL, Machine
-from .common import BaselineResult, CostLedger
+from .common import CostLedger
 
 __all__ = ["scotch_partition"]
 
@@ -38,7 +39,7 @@ def scotch_partition(
     num_pes: int = 1,
     machine: Machine | None = None,
     seed: int = 0,
-) -> BaselineResult:
+) -> PartitionResult:
     """Multilevel recursive bisection down to ``k`` blocks."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -80,6 +81,5 @@ def scotch_partition(
                blocks - left_blocks)
 
     bisect(graph, np.arange(graph.num_nodes, dtype=np.int64), 0, k)
-    return BaselineResult.build(
-        "scotch-like", graph, partition, k, ledger.seconds, num_pes
-    )
+    return finish_partition(graph, partition, k, epsilon, num_pes=num_pes,
+                            sim_time=ledger.seconds)

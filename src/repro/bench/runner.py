@@ -194,7 +194,7 @@ def run_algorithm(
         cuts.append(res.cut)
         times.append(res.sim_time)
         imbalances.append(res.imbalance)
-        if getattr(res, "phase_times", None):
+        if res.phase_times:
             phase_times.append(res.phase_times)
 
     avg_phases = None

@@ -16,9 +16,10 @@ Graphs are read by extension: ``.metis``/``.graph`` (METIS format),
 CSR with its ``manifest.json``, opened memory-mapped), anything else is
 tried as an edge list.  ``repro convert graph.metis shards/`` produces
 the sharded on-disk form; ``repro partition shards/ -k 8 --store mmap``
-partitions it out of core.  An input that cannot be read (a malformed
-file, a directory without a manifest, a corrupt shard) exits 1 with
-``repro: <message>`` on stderr, the message naming the culprit.
+partitions it out of core.  An input that cannot be read (a missing or
+malformed file, a directory without a manifest, a corrupt shard, an
+unknown generator family) exits 1 with ``repro: <message>`` on stderr,
+the message naming the culprit.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from .perf import MACHINE_A, MACHINE_B
 __all__ = ["main"]
 
 _MACHINES = {"A": MACHINE_A, "B": MACHINE_B}
+#: what ``repro generate`` builds besides a registry instance
+_FAMILIES = ("rgg", "del", "web", "social", "grid")
 
 
 def _load_graph(path: str, store: str | None = None,
@@ -99,17 +102,11 @@ def _save_graph(graph: Graph, path: str) -> None:
         write_metis(graph, path)
 
 
-def _events_path(trace_out: str) -> Path:
-    """Sidecar JSONL path for a Chrome-trace output (out.json -> out.events.jsonl)."""
-    path = Path(trace_out)
-    return path.with_name((path.stem or "trace") + ".events.jsonl")
-
-
 def _write_trace_outputs(trace_out: str) -> None:
-    from .obsv import TRACER, write_chrome_trace, write_jsonl
+    from .obsv import TRACER, events_path, write_chrome_trace, write_jsonl
 
     write_chrome_trace(trace_out, TRACER)
-    events = _events_path(trace_out)
+    events = events_path(trace_out)
     write_jsonl(events, TRACER)
     print(f"chrome trace written to {trace_out} "
           "(load in chrome://tracing or ui.perfetto.dev)")
@@ -196,8 +193,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     elif args.family == "grid":
         side = int(round(args.nodes ** 0.5))
         graph = generators.grid_2d(side, side)
-    else:  # registry instance
+    elif args.family in generators.INSTANCES:
         graph = generators.load_instance(args.family, seed=args.seed)
+    else:
+        raise GraphError(
+            f"unknown family {args.family!r}; choose from "
+            f"{', '.join(_FAMILIES)} or a registry instance: "
+            f"{', '.join(generators.INSTANCES)}"
+        )
     _save_graph(graph, args.output)
     print(f"{graph} -> {args.output}")
     return 0
@@ -239,7 +242,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                     or events.stem) + ".run.json"))
     try:
         summary = write_run_summary(out, read_jsonl(args.events))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1
     print(render_analysis(summary))
@@ -313,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a benchmark graph")
     g.add_argument("family",
-                   help="rgg | del | web | social | grid | <registry instance name>")
+                   help=f"{' | '.join(_FAMILIES)} | <registry instance name>")
     g.add_argument("--exponent", type=int, default=10, help="for rgg/del: 2^X nodes")
     g.add_argument("--nodes", type=int, default=4096)
     g.add_argument("--seed", type=int, default=0)
@@ -362,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:  # a bad input file or shard directory, named
+    except (GraphError, OSError) as exc:  # a bad or missing input, named
         print(f"repro: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,7 @@ from .clustering import ClusteringResult, cluster_graph, modularity_local_moving
 from .coarsening import Hierarchy, HierarchyLevel, coarsen
 from .config import PartitionConfig, eco_config, fast_config, minimal_config
 from .multilevel import detect_social, multilevel_partition
-from .partitioner import SequentialResult, sequential_partition
+from .partitioner import sequential_partition
 from .projection import project_partition
 from .vcycle import VcycleTrace, iterated_vcycles
 
@@ -17,7 +17,6 @@ __all__ = [
     "PartitionConfig",
     "cluster_graph",
     "modularity_local_moving",
-    "SequentialResult",
     "VcycleTrace",
     "coarsen",
     "detect_social",

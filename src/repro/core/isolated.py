@@ -15,6 +15,14 @@ connected part's.
 It is also where a multilevel call's Lmax is decided: once, from the
 full graph and ``config.epsilon``.  Every layer below takes that integer
 and derives no bound of its own.
+
+The frame serves the two ParHIP pipelines only.  The baselines share
+their exit (:func:`repro.metrics.finish_partition`), not this frame: run
+inside it, the ParMetis-like baseline cuts 1.8–1.9x more at k = 2 on
+``rmat(15, seed=1)``.  Its bisection grows a block to half the weight of
+the graph it is given; with the isolated nodes present they fill most of
+the other half for free, without them the connected part is halved
+(EXPERIMENTS.md, "The baseline stays out of the isolated-node frame").
 """
 
 from __future__ import annotations

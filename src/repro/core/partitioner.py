@@ -2,35 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..graph.csr import Graph
-from ..graph.validation import check_partition
-from ..metrics.quality import PartitionQuality, evaluate_partition
+from ..metrics.result import PartitionResult, finish_partition
 from .config import PartitionConfig, fast_config
 from .isolated import around_isolated
 from .vcycle import iterated_vcycles
 
-__all__ = ["SequentialResult", "sequential_partition"]
-
-
-@dataclass(frozen=True)
-class SequentialResult:
-    """Partition plus its quality metrics and per-cycle trace."""
-
-    partition: np.ndarray
-    quality: PartitionQuality
-    cuts_per_cycle: tuple[int, ...]
-
-    @property
-    def cut(self) -> int:
-        return self.quality.cut
-
-    @property
-    def imbalance(self) -> float:
-        return self.quality.imbalance
+__all__ = ["sequential_partition"]
 
 
 def sequential_partition(
@@ -38,8 +18,7 @@ def sequential_partition(
     config: PartitionConfig | None = None,
     seed: int = 0,
     input_partition: np.ndarray | None = None,
-    validate: bool = True,
-) -> SequentialResult:
+) -> PartitionResult:
     """Partition ``graph`` with the sequential cluster-ML algorithm.
 
     ``input_partition`` feeds an external prepartition into the first
@@ -55,10 +34,7 @@ def sequential_partition(
 
     def cycles(part: Graph, lmax: int, seeded):
         trace = iterated_vcycles(part, config, lmax, rng, input_partition=seeded)
-        return trace.partition, trace.cuts
+        return trace.partition, None
 
-    partition, cuts = around_isolated(graph, config, cycles, input_partition, idle=())
-    if validate and graph.num_nodes:
-        check_partition(graph, partition, config.k, epsilon=None)
-    quality = evaluate_partition(graph, partition, config.k)
-    return SequentialResult(partition, quality, cuts)
+    partition, _ = around_isolated(graph, config, cycles, input_partition)
+    return finish_partition(graph, partition, config.k, config.epsilon, config)

@@ -37,7 +37,7 @@ __all__ = [
 def __getattr__(name):
     # The parallel partitioner pulls in core/evolutionary; import lazily to
     # keep `repro.dist` usable for runtime-only consumers.
-    if name in {"ParallelResult", "parallel_partition", "parhip_program"}:
+    if name in {"parallel_partition", "parhip_program"}:
         from . import dist_partitioner
 
         return getattr(dist_partitioner, name)

@@ -42,8 +42,6 @@ machine model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .. import native
@@ -56,7 +54,8 @@ from ..engine.vcycle import run_vcycle
 from ..evolutionary.kaffpae import KaffpaeOptions, kaffpae_partition
 from ..graph.build import group_arcs
 from ..graph.csr import Graph
-from ..metrics.quality import edge_cut, evaluate_partition, PartitionQuality
+from ..metrics.quality import edge_cut
+from ..metrics.result import PartitionResult, finish_partition
 from ..obsv.tracer import TRACER
 from ..perf.machine import Machine
 from ..perf.memory import MemoryBudget, estimate_graph_bytes
@@ -66,37 +65,11 @@ from .dist_contraction import parallel_contract, parallel_uncoarsen
 from .runtime import run_spmd, run_spmd_processes
 
 __all__ = [
-    "ParallelResult",
     "SpmdVcycleBackend",
     "parallel_partition",
     "parhip_program",
     "parhip_vcycles",
 ]
-
-
-@dataclass(frozen=True)
-class ParallelResult:
-    """Outcome of one parallel partitioning run.
-
-    ``phase_times`` maps pipeline phase to this rank's simulated seconds
-    spent in it; its key set is exactly ``{"coarsening", "initial",
-    "refinement"}``, matching the engine's pipeline span names.
-    """
-
-    partition: np.ndarray
-    quality: PartitionQuality
-    sim_time: float  # simulated seconds (machine model)
-    num_pes: int
-    coarse_sizes: tuple[int, ...]  # global node count after each level
-    phase_times: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def cut(self) -> int:
-        return self.quality.cut
-
-    @property
-    def imbalance(self) -> float:
-        return self.quality.imbalance
 
 
 def _collect_replica(dgraph: DistGraph, comm: SimComm) -> Graph:
@@ -432,7 +405,7 @@ def parallel_partition(
     replica_memory_scale: float | None = None,
     initial_partition: np.ndarray | None = None,
     backend: str | None = None,
-) -> ParallelResult:
+) -> PartitionResult:
     """Partition ``graph`` with the full parallel system on ``num_pes`` PEs.
 
     ``backend`` selects the execution substrate for the SPMD ranks:
@@ -463,13 +436,6 @@ def parallel_partition(
     else:
         result = run_spmd(num_pes, parhip_program, graph, config, seed, **common)
     partition, phase_times = result.value
-    quality = evaluate_partition(graph, partition, config.k)
-    coarse_sizes = tuple(phase_times.pop("coarse_sizes", ()))
-    return ParallelResult(
-        partition=partition,
-        quality=quality,
-        sim_time=result.sim_time,
-        num_pes=num_pes,
-        coarse_sizes=coarse_sizes,
-        phase_times=phase_times,
-    )
+    coarse_sizes = phase_times.pop("coarse_sizes", ())
+    return finish_partition(graph, partition, config.k, config.epsilon, config,
+                            num_pes, result.sim_time, coarse_sizes, phase_times)

@@ -11,6 +11,7 @@ graph.  See ``docs/observability.md`` for the event schema and CLI.
 
 from .tracer import TRACER, Span, Tracer, host_header, trace_session
 from .export import (
+    events_path,
     read_jsonl,
     to_chrome_trace,
     write_chrome_trace,
@@ -39,6 +40,7 @@ __all__ = [
     "build_run_summary",
     "comm_matrix",
     "critical_path",
+    "events_path",
     "host_header",
     "phase_times",
     "rank_load",

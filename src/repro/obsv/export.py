@@ -21,6 +21,7 @@ from typing import Any, Iterable
 from .tracer import TRACER, Tracer
 
 __all__ = [
+    "events_path",
     "read_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",
@@ -61,14 +62,28 @@ def write_jsonl(path: str | Path,
     return path
 
 
+def events_path(trace_out: str | Path) -> Path:
+    """The JSONL stream written beside a Chrome trace (out.json -> out.events.jsonl)."""
+    path = Path(trace_out)
+    return path.with_name((path.stem or "trace") + ".events.jsonl")
+
+
 def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Load a JSONL event stream (all record types, blank lines skipped)."""
-    records: list[dict[str, Any]] = []
+    """Load a JSONL event stream (all record types, blank lines skipped).
+
+    A stream starts with its ``meta`` line; anything else (a Chrome trace
+    in particular) raises :class:`ValueError` naming the event stream a
+    ``--trace`` run writes beside it.
+    """
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        records = [json.loads(line) for line in map(str.strip, fh) if line]
+    if not (records and isinstance(records[0], dict)
+            and records[0].get("type") == "meta"):
+        raise ValueError(
+            f"{path} is not an event stream: its first record is not the "
+            f"meta line.  A --trace run writes its events beside the Chrome "
+            f"trace, to {events_path(path)}; read that file"
+        )
     return records
 
 

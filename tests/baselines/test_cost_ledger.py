@@ -1,12 +1,13 @@
-"""Tests for the baseline cost ledger and result bundling."""
+"""Tests for the baseline cost ledger and the exit a baseline returns through."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.baselines import BaselineResult, CostLedger
+from repro.baselines import CostLedger
 from repro.graph import path_graph
+from repro.metrics import finish_partition
 from repro.perf import MACHINE_B, SERIAL
 
 
@@ -47,13 +48,14 @@ class TestCostLedger:
         assert ledger.seconds == 0.0
 
 
-class TestBaselineResult:
-    def test_build_computes_quality(self):
+class TestFinishPartition:
+    def test_baseline_exit_computes_quality(self):
         g = path_graph(6)
         part = np.array([0, 0, 0, 1, 1, 1])
-        res = BaselineResult.build("x", g, part, 2, sim_time=1.5, num_pes=4)
+        res = finish_partition(g, part, 2, 0.03, num_pes=4, sim_time=1.5)
         assert res.cut == 1
         assert res.imbalance == 0.0
         assert res.sim_time == 1.5
-        assert res.name == "x"
         assert res.num_pes == 4
+        assert res.config is None
+        assert res.lmax == 3 and res.feasible

@@ -157,7 +157,8 @@ class TestSequentialFacade:
         res = sequential_partition(g, fast_config(k=2, social=True), seed=0)
         assert res.cut == edge_cut(g, res.partition)
         assert res.quality.k == 2
-        assert len(res.cuts_per_cycle) == 2
+        assert res.lmax == max_block_weight_bound(g, 2, 0.03) and res.feasible
+        assert res.sim_time is None and res.num_pes == 1
         assert res.imbalance <= 0.03 + 1e-9
 
     def test_deterministic(self):

@@ -279,11 +279,10 @@ def test_legacy_metrics_line_is_ignored(traced_run, tmp_path):
 
 
 def test_overweight_partition_is_reported_infeasible():
-    from repro.api import _finish
     from repro.core.config import fast_config
     from repro.generators.mesh import grid_2d
     from repro.graph.validation import max_block_weight_bound
-    from repro.metrics import evaluate_partition
+    from repro.metrics import finish_partition
 
     graph = grid_2d(4, 4)
     lmax = max_block_weight_bound(graph, 2, 0.03)
@@ -291,8 +290,7 @@ def test_overweight_partition_is_reported_infeasible():
 
     def summarise(partition):
         TRACER.enable()
-        out = _finish(graph, partition, evaluate_partition(graph, partition, 2),
-                      fast_config(k=2))
+        out = finish_partition(graph, partition, 2, 0.03, fast_config(k=2))
         TRACER.disable()
         assert out.lmax == lmax
         summary = build_run_summary([dict(TRACER.header)] + TRACER.snapshot())

@@ -125,6 +125,15 @@ class TestGenerateCommand:
         assert main(["generate", "grid", "--nodes", "100", "-o", str(out)]) == 0
         assert read_metis(out).num_nodes == 100
 
+    def test_unknown_family_lists_the_accepted_names(self, tmp_path, capsys):
+        out = tmp_path / "x.metis"
+        assert main(["generate", "rmat", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: unknown family 'rmat'") and err.count("\n") == 1
+        for name in ("rgg", "del", "web", "social", "grid", "amazon", "uk-2007"):
+            assert name in err
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_evaluate_round_trip(self, metis_graph, tmp_path, capsys):
@@ -182,6 +191,37 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.err == f"repro: no shard manifest at {shards / 'manifest.json'}\n"
         assert captured.out == ""
+
+
+    def test_missing_graph_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.metis"
+        assert main(["partition", str(missing), "-k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: ") and str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+
+
+class TestAnalyzeCommand:
+    def test_a_chrome_trace_is_refused_naming_its_event_stream(
+        self, metis_graph, tmp_path, capsys
+    ):
+        trace = tmp_path / "out.json"
+        assert main(["partition", str(metis_graph), "-k", "2", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"analyze: {trace} is not an event stream")
+        assert str(tmp_path / "out.events.jsonl") in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out.json.run.json").exists()
+        assert main(["analyze", str(tmp_path / "out.events.jsonl")]) == 0
+
+    def test_missing_event_stream(self, tmp_path, capsys):
+        missing = tmp_path / "nope.events.jsonl"
+        assert main(["analyze", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("analyze: ") and str(missing) in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestInstancesCommand:
