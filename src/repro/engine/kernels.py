@@ -27,18 +27,35 @@ set), and the two are label-identical per iteration.  That hinges on the
 hash tie-break: because a node's decision is a pure function of its
 neighbourhood snapshot — no shared RNG stream advanced per visit —
 scanning *fewer* nodes cannot perturb the decisions of the nodes that
-are scanned.  It remains to show a skipped node would not have moved,
-which the kernel makes checkable at scan time: alongside the chosen
-candidate it flags nodes as *risky* when some ineligible label ties or
-beats the choice.  For an unflagged stay-put node the choice is an argmax
-over ``(strength, hash)`` in which every potential winner was eligible
-and lost to the own label; eligibility of losers can only flip between
-phases if weights change, and a flip from ineligible to eligible matters
-only for the flagged labels — so while the node's neighbourhood is
-label-stable, its decision is provably ``stay``.  The active set
-therefore needs exactly: last phase's movers and their neighbours, nodes
-whose ghost neighbours changed, risky/capped nodes, and (refine mode)
-members of over-budget blocks.
+are scanned.  It remains to show that a skipped node would not have
+moved, and the kernel records, per scanned node that stays, what could
+change that.  Call a label *flagged* when it is ineligible and beats or
+ties the stay on ``(strength, hash)`` (every ineligible label, when none
+is eligible); the node keeps the mask of its flagged labels (bit ``l &
+63``) and its *margin*, the strength of its own label less that of the
+strongest unflagged other label (an untouched label counts as 0).  At a
+later window the full sweep's choice differs from the stay only if
+
+* a flagged label became eligible — the other losers lose on strength or
+  hash, whatever their eligibility, and eligibility changes only through
+  ``used`` and ``cap``, which the window start shows: so a skipped node
+  whose mask has a label with room in the window-start tables (every
+  label of a set bit is tried; a mask that stands for more than 64
+  labels wakes its node untried) is scanned in that window; or
+* its neighbourhood changed by enough: a committed move of a neighbour
+  ``u`` shifts the node's strength to two labels by ``w(u, v)`` each, so
+  own beats every unflagged label while the margin less ``2 w`` per
+  neighbour move since is positive; the commit keeps that *slack* and
+  activates the neighbour, for this phase's later windows and the next
+  phase, once it is ``<= 0``; or
+* its own label turned ineligible (eviction), which only a block over
+  its bound at a phase head can cause.
+
+The active set therefore needs exactly: last phase's movers and capped
+nodes, neighbours whose slack is spent, nodes whose ghost neighbours
+changed, members of over-budget blocks (refine mode) and, window by
+window, blocked nodes whose label has room.  The full sweep asks
+``scan_chunk`` for neither mask nor margin, and keeps no per-node state.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ pipeline's): the partition is scored once, judged against
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -54,6 +55,19 @@ class PartitionResult:
         return self.quality.max_block_weight <= self.lmax
 
 
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that points a warning of the function calling
+    this one at the first frame outside the ``repro`` package: where the
+    partitioner was called, however deep in the package the exit is."""
+    package = __name__.partition(".")[0]
+    frame, level = sys._getframe(1), 1
+    while frame is not None:
+        if frame.f_globals.get("__name__", "").partition(".")[0] != package:
+            break
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def finish_partition(
     graph: Graph,
     partition: np.ndarray,
@@ -71,7 +85,8 @@ def finish_partition(
     The one evaluation refuses a partition of the wrong length or with a
     label outside ``[0, k)`` (:class:`~repro.graph.GraphError` naming
     it).  An infeasible partition is returned, with one
-    :class:`RuntimeWarning` naming the heaviest block and Lmax.  A traced
+    :class:`RuntimeWarning` naming the heaviest block and Lmax, attributed
+    to the line that called the partitioner.  A traced
     call records the same two numbers in its ``partition.quality`` event,
     which run.json's ``quality.feasible`` is read off, and the graph's
     number of isolated nodes.  A call that no SPMD runtime ran
@@ -90,7 +105,7 @@ def finish_partition(
             f"weighs {quality.max_block_weight} > Lmax = {lmax} "
             f"(k={k}, eps={epsilon})",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
     if TRACER.enabled:
         if sim_time is None:

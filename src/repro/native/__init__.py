@@ -178,8 +178,9 @@ class _PhaseTables(ctypes.Structure):
         ("used", _PTR), ("cap", _PTR), ("cap_is_float", _I64),
         *((name, _PTR) for name in (
             "exact", "local_out", "evict_budget", "active", "next_active",
-            "changed_mask", "acc", "mark", "touched", "nodes", "begin",
-            "count", "own", "target", "isolated", "risky", "evicting")),
+            "blocked", "slack", "changed_mask", "acc", "mark", "touched",
+            "nodes", "begin", "count", "own", "target", "isolated", "moves",
+            "evicting")),
         *((name, _I64) for name in ("moved", "scanned", "arcs", "chunks")),
     ]
 
@@ -350,8 +351,12 @@ class PhaseScan:
             **{name: ws.buf(f"phase.{name}", window, np.int64) for name in (
                 "nodes", "begin", "count", "own", "target", "isolated")},
             **{name: ws.buf(f"phase.{name}", window, np.uint8)
-               for name in ("risky", "evicting")},
+               for name in ("moves", "evicting")},
         }
+        if frontier:  # blocked/slack of scan_phase_t, zero before any scan
+            for name, dtype in (("blocked", np.uint64), ("slack", np.int64)):
+                scratch[name] = ws.buf(f"phase.{name}", n_local, dtype)
+                scratch[name].fill(0)
         # the struct holds addresses only: keep their owners alive with it
         self._owners = (xadj, labels, constraint, vwgt, interface, used,
                         local_out, changed_mask, scratch)

@@ -3,9 +3,11 @@
  * scan_chunk: for every node of a chunk, accumulate the connection strength
  * to each neighbouring label in a dense accumulator with a touched list
  * (linear in the node's degree, no sort), decide each touched label's
- * eligibility, pick the (strength, tie hash, smallest label) optimum among
- * the eligible ones and flag the node risky when an ineligible label would
- * win were it eligible.  Bit-identical to the NumPy scan_chunk of
+ * eligibility and pick the (strength, tie hash, smallest label) optimum
+ * among the eligible ones.  A frontier sweep also asks which ineligible
+ * labels would win were they eligible (a 64-bit mask, bit l & 63 per such
+ * flagged label) and by how much the node's own label beats every other
+ * one (its margin).  Bit-identical to the NumPy scan_chunk of
  * tests/engine/numpy_kernels.py, its test oracle; arc weights are
  * non-negative there and here.
  *
@@ -54,6 +56,13 @@ static inline void clear(int64_t *acc, uint8_t *mark, const int64_t *touched,
  * constraint and evicting may be NULL (unconstrained; cluster mode).
  * cap is int64 or float64 (cap_is_float), compared as numpy promotes it.
  * acc/mark (zero on entry, zero on return) and touched hold `space` entries.
+ * A label is flagged when it is ineligible and beats or ties the winner on
+ * (strength, hash), or when no label is eligible at all.  blocked and slack
+ * are NULL (a full sweep) or tables indexed like labels: node v = nodes[i]
+ * gets blocked[v], the mask of its flagged labels (bit l & 63), and
+ * slack[v], its margin: when its own label wins, acc[own] minus the
+ * strongest unflagged other label (0 at least: an untouched label counts
+ * as 0), else 0.
  * Returns the chunk's arc count before constraint filtering, or -1 when a
  * node, neighbour or label index is out of range. */
 int64_t scan_chunk(
@@ -63,7 +72,7 @@ int64_t scan_chunk(
     const int64_t *vwgt, const int64_t *used, const void *cap,
     int cap_is_float, const uint8_t *evicting, uint64_t tie_seed,
     int64_t tie_base, int64_t space, int64_t *acc, uint8_t *mark,
-    int64_t *touched, int64_t *target, uint8_t *risky)
+    int64_t *touched, int64_t *target, uint64_t *blocked, int64_t *slack)
 {
     const int64_t *cap_i = (const int64_t *)cap;
     const double *cap_f = (const double *)cap;
@@ -133,20 +142,28 @@ int64_t scan_chunk(
                 best_l = l;
             }
         }
-        /* Risky: no eligible label at all, or an ineligible one that beats
-         * or ties the winner on (strength, hash). */
-        int r = best_l < 0;
-        for (int64_t t = 0; t < nt && !r; t++) {
-            const int64_t l = touched[t];
-            if (mark[l] != 1)
-                continue;
-            r = acc[l] > best_s
-                || (acc[l] == best_s
-                    && tie_hash_one(tie_seed, id, (uint64_t)l) >= best_h);
+        if (blocked) {
+            /* Every flagged label, and the strongest unflagged rival of
+             * the own label. */
+            uint64_t flags = 0;
+            int64_t rival = 0;
+            for (int64_t t = 0; t < nt; t++) {
+                const int64_t l = touched[t];
+                if (l == own && mark[l] == 2)
+                    continue;
+                if (mark[l] == 1
+                    && (best_l < 0 || acc[l] > best_s
+                        || (acc[l] == best_s
+                            && tie_hash_one(tie_seed, id, (uint64_t)l) >= best_h)))
+                    flags |= UINT64_C(1) << (l & 63);
+                else if (l != own && acc[l] > rival)
+                    rival = acc[l];
+            }
+            blocked[v] = flags;
+            slack[v] = best_l == own ? acc[own] - rival : 0;
         }
         clear(acc, mark, touched, nt);
         target[i] = best_l < 0 ? own : best_l;
-        risky[i] = (uint8_t)r;
     }
     return arcs;
 }
@@ -175,6 +192,14 @@ typedef struct {
     int64_t *local_out;               /* space; with exact */
     const double *evict_budget;       /* space; with exact */
     uint8_t *active, *next_active;    /* n_local; NULL on a full sweep */
+    /* n_local each, with the masks, zero before a node's first scan: the
+     * labels that beat or tied its choice at its last scan but had no room
+     * for it (bit l & 63 of label l), and its slack, the margin of its own
+     * label then less 2 w per neighbour move since (w the arc weight).  A
+     * skipped node is scanned again once a label of its mask has room, or
+     * once its slack is spent. */
+    uint64_t *blocked;
+    int64_t *slack;
     uint8_t *changed_mask;            /* n_local */
     int64_t *acc;                     /* space, zero on entry and return */
     uint8_t *mark;                    /* likewise */
@@ -182,7 +207,7 @@ typedef struct {
     /* one window each: connected nodes with their arc ranges, labels at
      * the window start, decisions; then the window's isolated nodes */
     int64_t *nodes, *begin, *count, *own, *target, *isolated;
-    uint8_t *risky, *evicting;
+    uint8_t *moves, *evicting;
     int64_t moved, scanned, arcs, chunks; /* out */
 } scan_phase_t;
 
@@ -197,6 +222,31 @@ static inline int fits(const scan_phase_t *p, int64_t weight, int64_t l)
     if (p->cap_is_float)
         return (double)weight <= ((const double *)p->cap)[l];
     return weight <= ((const int64_t *)p->cap)[l];
+}
+
+/* Whether a node the frontier would skip is scanned after all: a label of
+ * a flagged bit (every label l with that l & 63) has room for it in the
+ * window-start tables.  A mask that stands for more than 64 labels (past
+ * 64 labels a bit stands for several) wakes its node untried, so no test
+ * costs more than 64 fits checks. */
+static int unblocked(const scan_phase_t *p, int64_t v)
+{
+    int64_t bits[64], nb = 0, covered = 0;
+    for (uint64_t m = p->blocked[v]; m; m &= m - 1) {
+        int64_t b = 0;
+        while (!(m >> b & 1))
+            b++;
+        bits[nb++] = b;
+        covered += (p->space - 1 - b) / 64 + 1;
+    }
+    if (covered > 64)
+        return 1;
+    const int64_t c = p->vwgt[v];
+    for (int64_t i = 0; i < nb; i++)
+        for (int64_t l = bits[i]; l < p->space; l += 64)
+            if (fits(p, p->used[l] + c, l))
+                return 1;
+    return 0;
 }
 
 /* Isolated nodes are useless for the cut but can still repair balance: one
@@ -257,7 +307,7 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
             const int64_t v = order[j];
             if ((uint64_t)v >= (uint64_t)p->n_local)
                 return -1;
-            if (p->active && !p->active[v])
+            if (p->active && !p->active[v] && !unblocked(p, v))
                 continue;
             const int64_t b = p->xadj[v], e = p->xadj[v + 1];
             if (b < p->arc_lo || e < b || e - p->arc_lo > p->n_arcs)
@@ -287,19 +337,17 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
                 p->labels, p->constraint, p->vwgt, p->used, p->cap,
                 (int)p->cap_is_float, p->refine ? p->evicting : 0,
                 p->tie_seed, p->tie_base, p->space, p->acc, p->mark,
-                p->touched, p->target, p->risky);
+                p->touched, p->target, p->blocked, p->slack);
             if (arcs < 0)
                 return -1;
             p->arcs += arcs;
             /* Capped inflow: per target label, the moves in visit order are
              * cut where used + cumulative weight overruns the window-start
-             * capacity.  risky[i] turns into "node i moves". */
+             * capacity.  moves[i]: node i moves. */
             int64_t nt = 0;
             for (int64_t i = 0; i < nc; i++) {
                 const int64_t v = p->nodes[i], t = p->target[i];
-                if (p->next_active && p->risky[i])
-                    p->next_active[v] = 1;
-                p->risky[i] = 0;
+                p->moves[i] = 0;
                 if (t == p->own[i])
                     continue;
                 if (!p->mark[t]) {
@@ -308,14 +356,14 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
                 }
                 p->acc[t] += p->vwgt[v];
                 if (fits(p, p->used[t] + p->acc[t], t))
-                    p->risky[i] = 1;
+                    p->moves[i] = 1;
                 else if (p->next_active)
                     /* A capped node may succeed once the target drains. */
                     p->next_active[v] = 1;
             }
             clear(p->acc, p->mark, p->touched, nt);
             for (int64_t i = 0; i < nc; i++) {
-                if (!p->risky[i])
+                if (!p->moves[i])
                     continue;
                 const int64_t v = p->nodes[i], own = p->own[i];
                 const int64_t c = p->vwgt[v];
@@ -329,13 +377,15 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
                 p->moved++;
                 if (!p->next_active)
                     continue;
-                /* The movers' neighbours are rescanned next phase, and by
-                 * the later windows of this one. */
+                /* The move shifts a neighbour's strength to two labels by
+                 * w each: the neighbour is rescanned, next phase and by the
+                 * later windows of this one, once that can outweigh the
+                 * margin of its own label. */
                 p->next_active[v] = 1;
                 const int64_t end = p->begin[i] + p->count[i];
                 for (int64_t a = p->begin[i]; a < end; a++) {
                     const int64_t u = p->nbr[a];
-                    if (u < p->n_local) {
+                    if (u < p->n_local && (p->slack[u] -= 2 * p->wgt[a]) <= 0) {
                         p->next_active[u] = 1;
                         p->active[u] = 1;
                     }

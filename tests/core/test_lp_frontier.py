@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.engine import LocalBackend, run_sclp
 from repro.engine.kernels import DEFAULT_CHUNK_SIZE, IterationWorkspace, gather_neighbors
 from repro.generators import rgg, rmat
+from repro.graph import max_block_weight_bound, open_sharded, save_sharded
 
 from ..conftest import random_graphs
 from ..engine.numpy_kernels import ChunkCandidates, candidate_tie_hash, pick_targets_hashed
@@ -107,6 +108,31 @@ class TestFrontierIdentity:
         assert np.array_equal(full, default)
 
 
+@pytest.mark.parametrize("shares", [False, True], ids=["live", "shares"])
+def test_out_of_core_store_identical_per_iteration(tmp_path, shares):
+    """The frontier over an ``MmapShardStore`` (one compiled call per
+    shard segment, its flagged labels and slack carried across them) is
+    the pinned full sweep label for label after every iteration, Lmax at
+    eps = 0 so labels are blocked and blocks overloaded."""
+    graph = rmat(10, seed=4)
+    save_sharded(graph, tmp_path / "shards", nodes_per_shard=128)
+    start = np.random.default_rng(3).integers(0, 6, graph.num_nodes)
+    bound = max_block_weight_bound(graph, 6, 0.0)
+    for iterations in (1, 2, 3, 5, 8):
+        full, frontier = (
+            run_sclp(
+                LocalBackend(open_sharded(tmp_path / "shards", max_resident_shards=2),
+                             np.random.default_rng(0)),
+                start, bound, iterations, refine=True, shares=shares, k=6,
+                ordering="node", chunk=32, pin_sweep=sweep, tie_seed=5,
+            )
+            for sweep in ("full", "frontier")
+        )
+        assert np.array_equal(full, frontier), (
+            f"labels diverge after {iterations} iteration(s)"
+        )
+
+
 class TestHashedKernels:
     def test_tie_hash_is_deterministic_and_spread(self):
         nodes = np.arange(64, dtype=np.int64)
@@ -119,8 +145,8 @@ class TestHashedKernels:
 
     def test_pick_targets_hashed_marks_risky(self):
         # One node, three candidates.  An ineligible label strictly
-        # stronger than the eligible optimum makes the node risky; a
-        # weaker ineligible one never does.
+        # stronger than the eligible optimum is flagged; a
+        # weaker ineligible one never is.
         cands = ChunkCandidates(
             node_pos=np.zeros(3, dtype=np.int64),
             labels=np.array([5, 6, 7], dtype=np.int64),
@@ -134,22 +160,23 @@ class TestHashedKernels:
         tie_hash = candidate_tie_hash(
             0, np.zeros(3, dtype=np.int64), cands.labels
         )
-        choice, risky = pick_targets_hashed(
+        choice, flagged = pick_targets_hashed(
             cands, eligible, tie_hash, IterationWorkspace()
         )
         assert choice[0] == 0  # the eligible optimum
-        assert bool(risky[0])  # label 6 would win were it eligible
+        # label 6 would win were it eligible
+        assert flagged.tolist() == [False, True, False]
 
         eligible = np.array([True, True, True])
-        choice, risky = pick_targets_hashed(
+        choice, flagged = pick_targets_hashed(
             cands, eligible, tie_hash, IterationWorkspace()
         )
-        assert not bool(risky[0])
+        assert not flagged.any()
         assert choice[0] == 1  # now the strongest candidate wins
 
     def test_pick_targets_hashed_equality_tie_risk_follows_hash(self):
         # An ineligible candidate tied with the eligible optimum is
-        # risky exactly when its phase-invariant hash would win the tie.
+        # flagged exactly when its phase-invariant hash would win the tie.
         cands = ChunkCandidates(
             node_pos=np.zeros(2, dtype=np.int64),
             labels=np.array([5, 6], dtype=np.int64),
@@ -165,11 +192,12 @@ class TestHashedKernels:
         for ineligible in (0, 1):
             eligible = np.ones(2, dtype=bool)
             eligible[ineligible] = False
-            choice, risky = pick_targets_hashed(
+            choice, flagged = pick_targets_hashed(
                 cands, eligible, tie_hash, IterationWorkspace()
             )
             assert choice[0] == 1 - ineligible
-            assert bool(risky[0]) == bool(
+            assert not flagged[1 - ineligible]
+            assert bool(flagged[ineligible]) == bool(
                 tie_hash[ineligible] >= tie_hash[1 - ineligible]
             )
 
@@ -184,11 +212,11 @@ class TestHashedKernels:
             arcs_scanned=1,
         )
         tie_hash = candidate_tie_hash(0, np.zeros(1, np.int64), cands.labels)
-        choice, risky = pick_targets_hashed(
+        choice, flagged = pick_targets_hashed(
             cands, np.zeros(1, dtype=bool), tie_hash, IterationWorkspace()
         )
         assert choice[0] == -1
-        assert bool(risky[0])
+        assert flagged.tolist() == [True]
 
     def test_gather_neighbors_matches_csr(self):
         g = GRAPHS[0]

@@ -219,7 +219,8 @@ def pick_targets_hashed(
     tie_hash: np.ndarray,
     ws: IterationWorkspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masked argmax with hash tie-breaking, plus a *risky* flag per node.
+    """Masked argmax with hash tie-breaking, plus a *flagged* mark per
+    candidate.
 
     ``eligible`` masks candidates per the mode's rules (own label already
     masked for evicting nodes).  Ties among the strongest eligible labels
@@ -229,27 +230,28 @@ def pick_targets_hashed(
     eligibility)`` snapshot — no RNG stream is consumed and visiting
     fewer nodes cannot shift other nodes' draws.
 
-    Returns ``(choice, risky)``.  ``choice[i]`` is the index of node
+    Returns ``(choice, flagged)``.  ``choice[i]`` is the index of node
     ``i``'s chosen candidate into the candidate arrays, or ``-1`` when
-    no candidate is eligible.  ``risky[i]`` is set when some
-    *ineligible* candidate of node ``i`` would *win* were it eligible:
+    no candidate is eligible.  ``flagged`` marks each *ineligible*
+    candidate that would *win* were it eligible (every ineligible one
+    when no candidate is eligible):
     its strength strictly beats the eligible optimum, or matches it and
     beats the winner's tie hash (the hash order is phase-invariant, so
     an equality-tie that loses it today loses it in every rescan).  Only
-    for risky nodes can an eligibility flip (a label regaining
-    capacity) alter the decision while the neighbourhood's labels stay
-    put, so un-risky stay-put nodes may safely leave the frontier.
+    a flagged label regaining capacity can alter the decision while the
+    neighbourhood's labels stay put, so a stay-put node may leave the
+    frontier until one does.
 
-    ``choice``/``risky`` are freshly allocated — per-node sized, cheap,
-    and safe to outlive the next chunk's workspace reuse.
+    ``choice`` is freshly allocated — per-node sized, cheap, and safe to
+    outlive the next chunk's workspace reuse; ``flagged`` is a workspace
+    view.
     """
     seg_start = cands.seg_start
     n_seg = seg_start.size
     choice = np.full(n_seg, -1, dtype=np.int64)
-    risky = np.zeros(n_seg, dtype=bool)
     m = cands.node_pos.size
     if m == 0:
-        return choice, risky
+        return choice, np.zeros(0, dtype=bool)
     eff = ws.buf("pick.eff", m, np.int64)
     eff.fill(-1)
     np.copyto(eff, cands.strength, where=eligible)
@@ -286,19 +288,18 @@ def pick_targets_hashed(
     np.equal(cands.strength, node_max, out=t_eq)
     t_hash = ws.buf("pick.thash", m, bool)
     # >= : an exact hash collision falls back to aggregation order,
-    # which an eligibility flip could tip — keep it risky
+    # which an eligibility flip could tip — keep it flagged
     np.greater_equal(tie_hash, node_hmax, out=t_hash)
     t_eq &= t_hash
     danger |= t_eq
-    # A node with no eligible candidate at all stays risky for every
+    # A node with no eligible candidate at all flags every
     # ineligible one (any flip hands that label the win outright).
     no_elig = np.take(has, cands.node_pos, out=t_hash)  # reuse: done with it
     np.logical_not(no_elig, out=no_elig)
     danger |= no_elig
     np.logical_not(eligible, out=t_eq)  # reuse: done with it
     danger &= t_eq
-    np.logical_or.reduceat(danger, seg_start, out=risky)
-    return choice, risky
+    return choice, danger
 
 
 def scan_chunk(
@@ -316,7 +317,7 @@ def scan_chunk(
     tie_base: int,
     space: int,
     ws: IterationWorkspace,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Decide the move of every node of a chunk against one snapshot.
 
     ``nodes`` (each with at least one arc) are evaluated against
@@ -326,11 +327,14 @@ def scan_chunk(
     ``v`` (``None`` in cluster mode: nobody is evicted).  ``tie_base +
     v`` is the id hashed for tie-breaking; ``space`` exceeds every label.
 
-    Returns ``(target, risky, arcs)``: per node the chosen label (its
-    own when nothing is eligible) and the *risky* flag of
-    :func:`pick_targets_hashed`, plus the chunk's arc count.  This is
-    the NumPy twin of the compiled ``scan_chunk`` of ``_scan.c``, and
-    its identity oracle.
+    Returns ``(target, blocked, margin, arcs)``: per node the chosen
+    label (its own when nothing is eligible), the mask of its candidates
+    flagged by :func:`pick_targets_hashed` (bit ``l & 63`` of label
+    ``l``) and, when its own label wins, by how much it beats the
+    strongest unflagged other label (an untouched label counts as
+    strength 0; 0 for every other node), plus the chunk's arc count.
+    This is the NumPy twin of the compiled ``scan_chunk`` of
+    ``_scan.c``, and its identity oracle.
     """
     cands = aggregate_candidates(
         plan_chunk(nodes, xadj, adjncy, adjwgt, constraint), labels, space, ws
@@ -346,13 +350,24 @@ def scan_chunk(
     tie_ids = nodes[cands.node_pos]
     if tie_base:
         tie_ids = tie_base + tie_ids
-    choice, risky = pick_targets_hashed(
+    choice, flagged = pick_targets_hashed(
         cands, eligible, candidate_tie_hash(tie_seed, tie_ids, cands.labels), ws
     )
     has = choice >= 0
     target = labels[nodes]
     target[has] = cands.labels[choice[has]]
-    return target, risky, cands.arcs_scanned
+
+    bits = np.left_shift(np.uint64(1), (cands.labels & 63).astype(np.uint64))
+    blocked = np.bitwise_or.reduceat(np.where(flagged, bits, np.uint64(0)),
+                                     cands.seg_start)
+    rivals = np.where(cands.is_own | flagged, 0, cands.strength)
+    stays = np.zeros(nodes.size, dtype=bool)
+    stays[has] = cands.is_own[choice[has]]
+    own_strength = np.zeros(nodes.size, dtype=np.int64)
+    own_strength[cands.node_pos[cands.is_own]] = cands.strength[cands.is_own]
+    margin = np.where(
+        stays, own_strength - np.maximum.reduceat(rivals, cands.seg_start), 0)
+    return target, blocked, margin, cands.arcs_scanned
 
 
 def capped_inflow_mask(

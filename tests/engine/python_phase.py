@@ -35,6 +35,9 @@ class PythonPhaseScan:
         self.n_local, self.space, self.bound = n_local, space, bound
         self.refine, self.frontier, self.window = refine, frontier, window
         self.tie_seed, self.tie_base, self.ws = tie_seed, tie_base, ws
+        if frontier:
+            self.blocked = np.zeros(n_local, dtype=np.uint64)
+            self.slack = np.zeros(n_local, dtype=np.int64)
         self.bind_arcs(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     def bind_arcs(self, arc_lo: int, nbr, wgt) -> None:
@@ -59,7 +62,7 @@ class PythonPhaseScan:
             if nodes.size and (nodes.min() < 0 or nodes.max() >= self.n_local):
                 raise ValueError("a visited node is outside its table")
             if self.frontier:
-                nodes = nodes[active[nodes]]
+                nodes = nodes[active[nodes] | self._unblocked(nodes, cap)]
                 if nodes.size == 0:
                     continue
             begin, end = xadj[nodes], xadj[nodes + 1]
@@ -77,14 +80,15 @@ class PythonPhaseScan:
                     evicting = load[own] > bound
                     if shares:
                         evicting &= local_out[own] < evict_budget[own]
-                target, risky, arcs = scan_chunk(
+                target, blocked, margin, arcs = scan_chunk(
                     connected, xadj, adjncy, adjwgt, labels, self.constraint,
                     vwgt, used, cap, evicting, self.tie_seed, self.tie_base,
                     self.space, self.ws,
                 )
                 arcs_scanned += arcs
                 if self.frontier:
-                    next_active[connected[risky]] = True
+                    self.blocked[connected] = blocked
+                    self.slack[connected] = margin
                 moving = np.flatnonzero(target != own)
                 if moving.size:
                     m_nodes, m_own = connected[moving], own[moving]
@@ -107,16 +111,36 @@ class PythonPhaseScan:
                     moved += int(m_nodes.size)
                     if self.frontier and m_nodes.size:
                         next_active[m_nodes] = True
+                        # A move shifts a neighbour's strength to two labels
+                        # by w each: it is rescanned, next phase and by the
+                        # later windows of this one, once that can outweigh
+                        # its margin.
                         nbrs = gather_neighbors(m_nodes, xadj, adjncy)
-                        local_nbrs = nbrs[nbrs < self.n_local]
-                        next_active[local_nbrs] = True
-                        # Later windows of this phase must rescan the
-                        # movers' neighbours too (within-phase propagation).
-                        active[local_nbrs] = True
+                        weights = gather_neighbors(m_nodes, xadj, adjwgt)
+                        local = nbrs < self.n_local
+                        nbrs = nbrs[local]
+                        np.subtract.at(self.slack, nbrs, 2 * weights[local])
+                        woken = nbrs[self.slack[nbrs] <= 0]
+                        next_active[woken] = True
+                        active[woken] = True
             if refine:
                 moved += self._rebalance_isolated(
                     nodes[node_deg == 0], cap, exact, evict_budget, next_active)
         return moved, scanned, arcs_scanned, n_chunks
+
+    def _unblocked(self, nodes, cap) -> np.ndarray:
+        """Per node: a label of a flagged bit of its mask has room in the
+        window-start tables, or the mask stands for more than 64 labels."""
+        masks = self.blocked[nodes]
+        out = np.zeros(nodes.size, dtype=bool)
+        some = np.flatnonzero(masks)
+        if some.size:
+            bits = np.arange(self.space, dtype=np.uint64) & np.uint64(63)
+            flagged = ((masks[some, None] >> bits) & np.uint64(1)).astype(bool)
+            room = (self.used[: self.space] + self.vwgt[nodes[some], None]
+                    <= cap[: self.space])
+            out[some] = (flagged & room).any(axis=1) | (flagged.sum(axis=1) > 64)
+        return out
 
     def _rebalance_isolated(self, isolated, cap, exact, evict_budget,
                             next_active) -> int:

@@ -15,7 +15,12 @@ differentials beside their twins' tests, ``tests/graph/test_quotient.py``,
   segments of an out-of-core store;
 * the compiled ``scan_chunk`` (one window of ``scan_phase``, bound here
   since the package binds only the whole phase) and the NumPy one return
-  the same ``(target, risky, arcs)``;
+  the same ``(target, blocked, margin, arcs)``, bound as the C prototype
+  declares it;
+* the frontier's two wake-up rules, on hand-built graphs, compiled and
+  twin: a blocked node sleeps until a flagged label has room (or its mask
+  stands for more than 64 labels), a hub until its movers outweigh its
+  margin;
 * whatever keeps the compiled kernels from loading raises one
   ``KernelUnavailable`` naming the cause, at the first kernel use and
   not at import;
@@ -33,6 +38,7 @@ import contextlib
 import ctypes
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -73,29 +79,40 @@ from . import numpy_kernels
 from . import test_cross_backend as cross_suite
 from . import test_golden_equivalence as golden_suite
 from .numpy_kernels import candidate_tie_hash
+from .python_phase import PythonPhaseScan
 
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 
 
+def scan_chunk_prototype() -> list:
+    """The parameters of ``scan_chunk`` as ``_scan.c`` declares them, as
+    ctypes types: every pointer an address."""
+    source = resources.files("repro.native").joinpath("_scan.c").read_text()
+    head = re.search(r"^int64_t scan_chunk\((.*?)\)\s*\{", source, re.S | re.M)
+    scalars = {"int64_t": _I64, "uint64_t": ctypes.c_uint64, "int": ctypes.c_int}
+    return [_PTR if "*" in param else scalars[param.split()[-2]]
+            for param in head.group(1).split(",")]
+
+
 def compiled_scan_chunk(nodes, xadj, adjncy, adjwgt, labels, constraint, vwgt,
-                        used, cap, evicting, tie_seed, tie_base, space, ws):
+                        used, cap, evicting, tie_seed, tie_base, space, ws,
+                        flags=True):
     """``scan_chunk`` of ``_scan.c`` — one window of ``scan_phase`` — bound
-    with the NumPy twin's signature (the package binds the whole phase)."""
+    with the NumPy twin's signature (the package binds the whole phase),
+    its argtypes read off the C prototype.  The ``blocked``/``slack``
+    tables it fills are read back at ``nodes``; ``flags=False`` passes
+    none (a full sweep's call), and the two come back ``None``."""
     kernel = native._kernels().scan_chunk
     kernel.restype = _I64
-    kernel.argtypes = [
-        _I64, _PTR, _PTR, _PTR, _PTR, _PTR,  # n_chunk nodes begin count nbr wgt
-        _I64, _PTR, _PTR, _PTR, _PTR, _PTR,  # n_total labels constraint vwgt used cap
-        ctypes.c_int, _PTR, ctypes.c_uint64, _I64,  # cap_is_float evicting seed base
-        _I64, _PTR, _PTR, _PTR, _PTR, _PTR,  # space acc mark touched target risky
-    ]
+    kernel.argtypes = scan_chunk_prototype()
     ptr = native._ptr
     n_chunk, n_total = nodes.size, labels.size
     begin = xadj[nodes]
     count = xadj[nodes + 1] - begin
     native._check_tables(space, used, cap)
     target = np.empty(n_chunk, dtype=np.int64)
-    risky = np.empty(n_chunk, dtype=bool)
+    blocked = np.zeros(n_total, dtype=np.uint64) if flags else None
+    slack = np.zeros(n_total, dtype=np.int64) if flags else None
     arcs = kernel(
         n_chunk, ptr(nodes, np.int64), ptr(begin, np.int64, n_chunk),
         ptr(count, np.int64, n_chunk), ptr(adjncy, np.int64),
@@ -108,11 +125,15 @@ def compiled_scan_chunk(nodes, xadj, adjncy, adjwgt, labels, constraint, vwgt,
         ws.zeros("scan.acc", space, np.int64).ctypes.data,
         ws.zeros("scan.mark", space, np.uint8).ctypes.data,
         ws.buf("scan.touched", space, np.int64).ctypes.data,
-        target.ctypes.data, risky.ctypes.data,
+        target.ctypes.data,
+        None if blocked is None else blocked.ctypes.data,
+        None if slack is None else slack.ctypes.data,
     )
     if arcs < 0:
         raise ValueError("the native scan met an index outside its table")
-    return target, risky, int(arcs)
+    if flags:
+        return target, blocked[nodes], slack[nodes], int(arcs)
+    return target, None, None, int(arcs)
 
 
 #: what an ``lp.iteration`` span says about its phase, whichever loop ran it
@@ -260,13 +281,16 @@ class TestNativeMatchesNumpy:
 
     def test_scan_chunk_is_kernels_scan_chunk(self):
         """One window on its own: the compiled ``scan_chunk`` and the
-        NumPy one decide alike."""
+        NumPy one decide alike, flag the same labels and see the same
+        margins; without the two tables (a full sweep's call) the
+        decisions are the same."""
         graph = rmat(8, seed=2)
         n = graph.num_nodes
         rng = np.random.default_rng(4)
         connected = np.flatnonzero(graph.degrees > 0)
-        for trial in range(30):
-            space = int(rng.integers(1, 9))
+        for trial in range(40):
+            # up to 80 labels: bits l & 63 alias from 64 on
+            space = int(rng.integers(1, 9)) if trial % 5 else int(rng.integers(60, 81))
             labels = rng.integers(0, space, n)
             nodes = rng.permutation(connected)[: int(rng.integers(1, 40))]
             used = np.bincount(labels, weights=graph.vwgt, minlength=space)
@@ -278,12 +302,18 @@ class TestNativeMatchesNumpy:
                 rng.random(nodes.size) < 0.3 if trial % 4 else None,
                 trial, (2**40 + 5) * (trial % 2), space,
             )
-            target, risky, arcs = compiled_scan_chunk(*args, IterationWorkspace())
+            got = compiled_scan_chunk(*args, IterationWorkspace())
             want = numpy_kernels.scan_chunk(*args, IterationWorkspace())
-            assert target.dtype == np.int64 and risky.dtype == np.bool_
-            np.testing.assert_array_equal(target, want[0])
-            np.testing.assert_array_equal(risky, want[1])
-            assert arcs == want[2] and type(arcs) is int
+            target, blocked, margin, arcs = got
+            assert target.dtype == np.int64 and blocked.dtype == np.uint64
+            assert margin.dtype == np.int64 and (margin >= 0).all()
+            for have, expect in zip(got[:3], want[:3]):
+                np.testing.assert_array_equal(have, expect)
+            assert arcs == want[3] and type(arcs) is int
+            bare = compiled_scan_chunk(*args, IterationWorkspace(), flags=False)
+            assert bare[1] is None and bare[2] is None
+            np.testing.assert_array_equal(bare[0], target)
+            assert bare[3] == arcs
 
     def test_out_of_core_store_counters(self, tmp_path):
         """A store-backed graph runs one compiled call per shard segment;
@@ -379,6 +409,114 @@ class TestNativeMatchesNumpy:
         assert not ws.zeros("scan.mark", space, np.uint8).any()
         with pytest.raises(TypeError, match="C-contiguous int64"):
             scan(order.astype(np.int32), 2, np.full(space, 3), None, None, *masks)
+
+
+class TestFrontierRules:
+    """The frontier's two wake-up rules on hand-built graphs, on the
+    compiled ``PhaseScan`` and on its twin: each call below is one phase
+    (or part of one) over the ``order`` given, chunk 1 unless said."""
+
+    BOUND = 4
+
+    @staticmethod
+    def phase_scan(kind, graph, labels, bound, window=2, space=3, cap=None):
+        n = graph.num_nodes
+        cls = native.PhaseScan if kind == "native" else PythonPhaseScan
+        used = np.bincount(labels, weights=graph.vwgt, minlength=space).astype(np.int64)
+        scan = cls(
+            graph.xadj, labels, None, graph.vwgt, np.zeros(n, dtype=bool), used,
+            None, np.zeros(n, dtype=bool), n_local=n, space=space, bound=bound,
+            refine=True, frontier=True, tie_seed=0, tie_base=0, window=window,
+            ws=IterationWorkspace(),
+        )
+        scan.bind_arcs(0, graph.adjncy, graph.adjwgt)
+        if cap is None:
+            cap = np.full(space, bound, dtype=np.int64)
+        masks = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+
+        def run(order, active=(), chunk=1):
+            masks[0].fill(False)
+            masks[0][list(active)] = True
+            masks[1].fill(False)
+            moved, scanned, _, _ = scan(np.array(order, dtype=np.int64), chunk,
+                                        cap, None, None, *masks)
+            return moved, scanned, masks[1].copy()
+
+        return run, used
+
+    @pytest.mark.parametrize("kind", ["native", "twin"])
+    def test_a_blocked_node_sleeps_until_its_label_has_room(self, kind):
+        """Node 0 (label 0, one arc to label 0) has three arcs into label
+        1, which is full: it stays, flagged on label 1, and leaves the
+        frontier.  Node 5 leaves label 1 for label 2 and so makes room;
+        node 0, dormant, is scanned in the first window that starts with
+        that room — not in a window before, nor in the one that makes it."""
+        graph = from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (5, 7)])
+        start = np.array([0, 1, 1, 1, 0, 1, 2, 2], dtype=np.int64)
+        for order, chunk, scanned_with_5 in (([0, 5], 1, 1), ([5, 0], 2, 1),
+                                             ([5, 0], 1, 2)):
+            labels = start.copy()
+            run, used = self.phase_scan(kind, graph, labels, self.BOUND)
+            assert used[1] == self.BOUND
+            moved, scanned, woken = run([0], active=[0])
+            assert (moved, scanned) == (0, 1) and labels[0] == 0
+            assert not woken[0]  # blocked, not rescanned every phase
+            assert run([0])[:2] == (0, 0)  # no room: not scanned
+            moved, scanned, _ = run(order, active=[5], chunk=chunk)
+            assert labels[5] == 2 and scanned == scanned_with_5
+            if scanned == 1:  # the room came after 0's window: the next one
+                assert used[1] == self.BOUND - 1 and labels[0] == 0
+                assert run([0])[:2] == (1, 1)
+            assert labels[0] == 1 and used[1] == self.BOUND
+
+    @pytest.mark.parametrize("kind", ["native", "twin"])
+    @pytest.mark.parametrize("space,wakes", [(64 * 64 + 1, False),
+                                             (64 * 64 + 2, True)])
+    def test_a_mask_of_more_than_64_labels_wakes_untried(self, kind, space,
+                                                          wakes):
+        """Node 0 (label 0, one arc there) has three arcs into the full label
+        1 and so sleeps flagged on bit 1, which stands for the labels 1, 65,
+        ... below ``space``: 64 of them, or 65.  None has room.  With 64 the
+        node is looked at and sleeps on; with 65 it is scanned untried, so
+        no wake-up test costs more than 64 fits checks."""
+        graph = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        labels = np.array([0, 1, 1, 1, 0], dtype=np.int64)
+        cap = np.full(space, self.BOUND, dtype=np.int64)
+        cap[1::64] = 0
+        cap[1] = 3
+        run, used = self.phase_scan(kind, graph, labels, self.BOUND,
+                                    space=space, cap=cap)
+        assert used[1] == cap[1]
+        moved, scanned, woken = run([0], active=[0])
+        assert (moved, scanned) == (0, 1) and not woken[0]
+        assert run([0])[:2] == (0, int(wakes))
+
+    @pytest.mark.parametrize("kind", ["native", "twin"])
+    def test_a_hub_wakes_when_its_movers_outweigh_its_margin(self, kind):
+        """Hub 0 has eight arcs into its own label 0 and two into label 1:
+        margin 6.  Its neighbours 1, 2, 3 each leave label 0 for label 2
+        (two arcs there), each shifting the hub's strengths by 1 and 1.
+        After two moves (2 * 2 < 6) the hub stays out of the frontier; the
+        third spends the slack (6 - 3 * 2 = 0): the hub is marked for the
+        next phase and rescanned by the later windows of this one."""
+        edges = [(0, v) for v in range(1, 11)]
+        edges += [(v, 9 + 2 * v + s) for v in (1, 2, 3) for s in (0, 1)]
+        graph = from_edges(17, edges)
+        labels = np.zeros(17, dtype=np.int64)
+        labels[[9, 10]] = 1
+        labels[11:] = 2
+        run, _ = self.phase_scan(kind, graph, labels, 100)
+        moved, scanned, woken = run([0], active=[0])
+        assert (moved, scanned, labels[0]) == (0, 1, 0) and not woken[0]
+        for mover in (1, 2):
+            moved, scanned, woken = run([mover, 0], active=[mover])
+            assert (moved, scanned, labels[mover]) == (1, 1, 2)
+            assert not woken[0]
+        moved, scanned, woken = run([3, 0], active=[3])
+        assert (moved, labels[3]) == (1, 2)
+        assert woken[0] and scanned == 2  # the hub, in the next window
+        assert run([0], active=[0])[:2] == (0, 1)  # the next phase
+        assert run([0])[:2] == (0, 0)  # its scans reset the slack: asleep
 
 
 def metis_text(graph) -> bytes:

@@ -64,3 +64,29 @@ def test_one_exit(name, graph_name):
         heaviest = int(np.argmax(quality.block_weights))
         assert f"block {heaviest} weighs {quality.max_block_weight} > Lmax = {lmax}" \
             in str(verdicts[0].message)
+
+
+
+@pytest.mark.parametrize("name", [*PARTITIONERS, "parallel_partition p4",
+                                  "partition_graph p4"])
+def test_the_infeasible_warning_names_the_callers_line(name):
+    """A node heavier than Lmax makes every partition infeasible; the one
+    warning points at the line that called the partitioner (a lambda of
+    this file), not into the package, thread ranks (p = 4) included."""
+    vwgt = np.ones(16, dtype=np.int64)
+    vwgt[5] = 40
+    graph = from_edges(16, [(v, v + 1) for v in range(15)], vwgt=vwgt)
+    call = {
+        **PARTITIONERS,
+        "parallel_partition p4": lambda g: parallel_partition(
+            g, fast_config(k=K), num_pes=4),
+        "partition_graph p4": lambda g: partition_graph(g, K, num_pes=4),
+    }[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = call(graph)
+    assert not res.feasible
+    verdicts = [w for w in caught if "infeasible partition" in str(w.message)]
+    assert len(verdicts) == 1
+    assert verdicts[0].filename == __file__
+    assert verdicts[0].lineno == call.__code__.co_firstlineno
