@@ -154,19 +154,24 @@ def partition_oocore(
     size-constrained label propagation.  Cuts are accordingly coarser;
     the point is partitioning graphs whose arc arrays do not fit in RAM.
     Of ``config`` (default: the *fast* preset) the pass reads
-    ``epsilon`` and ``lp_chunk_size``.
+    ``epsilon`` and ``lp_chunk_size``.  ``iterations`` is an integer >= 0
+    (``ValueError`` otherwise).
     """
     from .engine.backend import LocalBackend
     from .engine.sclp import run_sclp
 
     config = _resolve_config(k, config)
+    iterations = check_integer("iterations", iterations, least=0)
     n = graph.num_nodes
     vwgt = graph.vwgt
     total = int(vwgt.sum())
     bound = max_block_weight_bound(graph, k, config.epsilon)
     # Weight-balanced striped initialisation: node v starts in the block
-    # owning its prefix-weight interval, so every block starts within
-    # ceil(W/k) of the average and the bound holds from phase zero.
+    # owning its prefix-weight interval.  With unit weights every block
+    # starts within one node of the average; with node weights a heavy
+    # node can overfill its stripe's block and leave a later one empty,
+    # and LP, which moves a node only to a neighbour's label, never fills
+    # an empty block (ROADMAP item 1 has a reproducer).
     if n:
         prefix = np.cumsum(vwgt, dtype=np.int64) - vwgt
         labels = np.minimum((prefix * k) // max(1, total), k - 1)

@@ -113,13 +113,17 @@ def _write_trace_outputs(trace_out: str) -> None:
     print(f"event stream written to {events} (read with: repro analyze {events})")
 
 
-def _num_pes(text: str) -> int:
-    try:
-        return check_integer("num_pes", int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"num_pes must be an integer >= 1, got {text!r}"
-        ) from None
+def _at_least_one(name: str):
+    """An argparse type: an integer >= 1, else an argparse error (exit 2)
+    naming ``name`` and the text."""
+    def parse(text: str) -> int:
+        try:
+            return check_integer(name, int(text))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= 1, got {text!r}"
+            ) from None
+    return parse
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -270,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True, help="number of blocks")
     p.add_argument("--epsilon", type=float, default=0.03)
     p.add_argument("--preset", choices=("minimal", "fast", "eco"), default="fast")
-    p.add_argument("--num-pes", type=_num_pes, default=1, dest="num_pes")
+    p.add_argument("--num-pes", type=_at_least_one("num_pes"), default=1,
+                   dest="num_pes")
     p.add_argument("--machine", choices=("A", "B"), default="B")
     p.add_argument(
         "--backend", choices=BACKENDS, default=None,
@@ -288,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "RAM, 'mmap' streams arcs from a sharded on-disk "
                         "copy (out-of-core; converts file inputs once). "
                         "Default: whatever the input already is")
-    p.add_argument("--resident-shards", dest="resident_shards", type=int,
-                   default=None,
+    p.add_argument("--resident-shards", dest="resident_shards",
+                   type=_at_least_one("max_resident_shards"), default=None,
                    help="LRU residency bound for --store mmap / shard-dir "
                         "inputs (default 4 shards)")
     p.add_argument("--initial-partition", dest="initial_partition",

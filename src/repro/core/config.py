@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..engine.kernels import DEFAULT_CHUNK_SIZE
+from ..graph.validation import check_integer
 from ..engine.sclp import ORDERINGS
 from ..kaffpa.driver import KaffpaOptions
 
@@ -38,15 +39,6 @@ CLUSTER_FACTOR_SOCIAL = 14.0
 CLUSTER_FACTOR_MESH = 20_000.0
 #: f range drawn from in V-cycles after the first (diversification)
 CLUSTER_FACTOR_LATER = (10.0, 25.0)
-
-
-def check_integer(name: str, value, least: int = 1) -> int:
-    """``value`` if it is an integer >= ``least`` (a bool is not), else a
-    ``ValueError`` naming ``name`` and the value."""
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integral or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

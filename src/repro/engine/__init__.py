@@ -25,7 +25,7 @@ from .backend import (
     exchange_interface_labels,
     resolve_backend,
 )
-from .kernels import DEFAULT_CHUNK_SIZE, IterationWorkspace
+from .kernels import DEFAULT_CHUNK_SIZE
 from .sclp import run_sclp
 from .vcycle import VcycleBackend, VcycleResult, run_coarsening, run_vcycle
 
@@ -33,7 +33,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_CHUNK_SIZE",
     "ExecutionBackend",
-    "IterationWorkspace",
     "LocalBackend",
     "SpmdBackend",
     "exchange_interface_labels",

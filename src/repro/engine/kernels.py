@@ -1,4 +1,4 @@
-"""Chunk sizing and scratch for the compiled SCLP phase kernel.
+"""Chunk sizing for the compiled SCLP phase kernel, and what a chunk decides.
 
 Size-constrained label propagation evaluates the same move for every
 visited node ``v``: aggregate the connection strength ``omega({(v,u) :
@@ -65,7 +65,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "MIN_REFRESHES_PER_PHASE",
-    "IterationWorkspace",
     "effective_chunk",
     "gather_neighbors",
 ]
@@ -89,51 +88,6 @@ def effective_chunk(chunk: int, n_scan: int) -> int:
     so every phase performs at least :data:`MIN_REFRESHES_PER_PHASE`
     weight refreshes."""
     return max(1, min(chunk, -(-n_scan // MIN_REFRESHES_PER_PHASE)))
-
-
-class IterationWorkspace:
-    """Reusable scratch buffers of one SCLP call.
-
-    One workspace per call (one level of the hierarchy): every named
-    buffer is allocated once, at the first request, grown to the next
-    power of two when a later request is larger, and handed out as a
-    prefix *view* — the compiled phase kernel's accumulator and window
-    buffers live here, and ``lp.iteration`` spans report their size.
-
-    Not thread-safe and not shared between backends: each rank of an
-    SPMD run drives its own SCLP call, hence its own workspace.
-    """
-
-    __slots__ = ("_bufs",)
-
-    def __init__(self) -> None:
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def buf(self, key: str, size: int, dtype) -> np.ndarray:
-        """A length-``size`` view of the (grow-only) buffer ``key``."""
-        arr = self._bufs.get(key)
-        if arr is None or arr.size < size or arr.dtype != np.dtype(dtype):
-            capacity = max(16, 1 << max(0, int(size - 1).bit_length()))
-            arr = np.empty(capacity, dtype=dtype)
-            self._bufs[key] = arr
-        return arr[:size]
-
-    def zeros(self, key: str, size: int, dtype) -> np.ndarray:
-        """Like :meth:`buf`, but all zero when first handed out.
-
-        The user must leave the view all zero again (the dense
-        accumulator of the compiled scan does: it clears exactly the
-        entries it touched), so regrowing never has anything to copy.
-        """
-        arr = self._bufs.get(key)
-        if arr is None or arr.size < size or arr.dtype != np.dtype(dtype):
-            arr = self._bufs[key] = np.zeros(size, dtype=dtype)
-        return arr[:size]
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held across all buffers (for ``mem`` telemetry)."""
-        return sum(arr.nbytes for arr in self._bufs.values())
 
 
 def _segment_local_arange(counts: np.ndarray, total: int) -> np.ndarray:

@@ -70,7 +70,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import native
-from .kernels import DEFAULT_CHUNK_SIZE, IterationWorkspace, effective_chunk
+from .kernels import DEFAULT_CHUNK_SIZE, effective_chunk
 from ..obsv.tracer import TRACER
 from ..perf.rss import memory_sample
 from .backend import ExecutionBackend
@@ -173,7 +173,6 @@ def run_sclp(
     n_local = backend.n_local
     xadj, degrees = backend.xadj, backend.degrees
     mode_name = "refine" if refine else "cluster"
-    workspace = IterationWorkspace()
     if TRACER.enabled:
         TRACER.annotate_header(lp_kernel="native")
 
@@ -211,7 +210,6 @@ def run_sclp(
         changed_mask, n_local=n_local, space=space, bound=bound,
         refine=refine, frontier=sweep_frontier, tie_seed=tie_seed,
         tie_base=backend.tie_base, window=effective_chunk(chunk, scope.size),
-        ws=workspace,
     )
     if store is None:
         loop, span = "native", None
@@ -235,8 +233,11 @@ def run_sclp(
         )
         lp_span.__enter__()
         if shares:
-            cap = np.maximum(0.0, (bound - exact) / backend.size)
-            evict_budget = np.maximum(0.0, (exact - bound) / backend.size)
+            # This PE's shares of the slack and of the overload, 1/p each
+            # and rounded to the integers a block weight compares alike
+            # against: x <= c iff x <= floor(c), x < c iff x < ceil(c).
+            cap = np.maximum(0, bound - exact) // backend.size
+            evict_budget = -(np.minimum(0, bound - exact) // backend.size)
             used[:] = 0
             local_out[:] = 0
         load = exact if shares else used
@@ -287,7 +288,7 @@ def run_sclp(
                     global_changed=global_changed, active=scanned,
                     frontier_frac=round(scanned / max(1, order.size), 4))
         if TRACER.enabled:
-            lp_span.set(**memory_sample(), workspace_bytes=workspace.nbytes)
+            lp_span.set(**memory_sample())
             if store is not None:
                 # An out-of-core store's access counters are cumulative:
                 # the last iteration's sample is the run's total.

@@ -66,6 +66,7 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from .csr import GraphError
+from .validation import check_integer
 
 __all__ = [
     "DEFAULT_NODES_PER_SHARD",
@@ -547,7 +548,8 @@ class MmapShardStore:
         self._num_nodes = int(manifest["num_nodes"])
         self._num_arcs = int(manifest["num_arcs"])
         self._nodes_per_shard = int(manifest["nodes_per_shard"])
-        self._max_resident = max(1, int(max_resident_shards))
+        self._max_resident = check_integer("max_resident_shards",
+                                           max_resident_shards)
         self._stats = StoreStats()
         self._mapped: OrderedDict[int, tuple[np.ndarray, np.ndarray | None]] = (
             OrderedDict()
@@ -625,7 +627,9 @@ class MmapShardStore:
         directory: str | Path,
         max_resident_shards: int = DEFAULT_RESIDENT_SHARDS,
     ) -> "MmapShardStore":
-        """Open a shard directory, validating its manifest."""
+        """Open a shard directory, validating its manifest.  A residency
+        bound that is not an integer >= 1 raises ``ValueError``."""
+        check_integer("max_resident_shards", max_resident_shards)
         directory = Path(directory)
         manifest_path = directory / MANIFEST_NAME
         if not manifest_path.is_file():

@@ -28,6 +28,7 @@ import numpy as np
 from .csr import Graph, GraphError
 
 __all__ = [
+    "check_integer",
     "check_graph",
     "check_labels",
     "check_partition",
@@ -35,6 +36,15 @@ __all__ = [
     "max_block_weight_bound",
     "block_weights",
 ]
+
+
+def check_integer(name: str, value, least: int = 1) -> int:
+    """``value`` if it is an integer >= ``least`` (a bool is not), else a
+    ``ValueError`` naming ``name`` and the value."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def check_graph(graph: Graph, require_positive_weights: bool = True) -> None:

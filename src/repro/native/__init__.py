@@ -2,10 +2,14 @@
 
 The C sources next to this file (:data:`SOURCE_NAMES`) are compiled once
 per machine, in one ``cc`` invocation, into ``~/.cache/repro/native`` and
-loaded through :mod:`ctypes`: one loader, one shared object, the symbols
-bound in :func:`_load`.  Each kernel has this one implementation in the
-package; the Python loops it replaced live on under ``tests/`` as its
-oracles, which return the same arrays bit for bit:
+loaded through :mod:`ctypes`: one loader, one shared object.  Every
+exported (non-static) C function is bound by :func:`_load` with the
+prototype it has in the source, and ``scan_phase_t`` is built from its
+``typedef`` there: each signature is declared once, in C, and every
+value crossing it is an integer or an address.  Each kernel has this one
+implementation in the package; the Python loops it replaced live on
+under ``tests/`` as its oracles, which return the same arrays bit for
+bit:
 
 * ``_scan.c`` — :class:`PhaseScan`, an SCLP phase of
   :func:`repro.engine.sclp.run_sclp` in one call per bound arc block;
@@ -54,9 +58,10 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
+import operator
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -64,12 +69,9 @@ import tempfile
 import threading
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # annotations only: this package imports nothing of the program
-    from ..engine.kernels import IterationWorkspace
 
 __all__ = [
     "KernelUnavailable", "resolve", "adopt", "cache_dir", "source",
@@ -80,8 +82,7 @@ __all__ = [
 
 #: concatenated into one translation unit, in this order
 SOURCE_NAMES = ("_scan.c", "_coarse.c", "_metis.c")
-#: no ``-march=native`` (the cache may be shared by hosts) and no
-#: fast-math (the float ``cap`` comparison must stay IEEE-exact)
+#: no ``-march=native``: the cache may be shared by hosts
 CFLAGS = ("-O2", "-fPIC", "-shared")
 
 
@@ -95,6 +96,7 @@ class _Unavailable(Exception):
 
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
+_PhaseTables: type | None = None  # scan_phase_t, built by _load
 _path: str | None = None
 _failure: str | None = None  # why this process cannot load it, once known
 
@@ -163,87 +165,50 @@ def _build() -> Path:
 
 
 _PTR = ctypes.c_void_p
-_I64 = ctypes.c_int64
+_INT64_MAX = 2 ** 63 - 1
+#: the C types a prototype or ``scan_phase_t`` may use (a pointer is an address)
+_C_TYPES = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "void": None}
 
 
-class _PhaseTables(ctypes.Structure):
-    """``scan_phase_t`` of ``_scan.c``, field for field."""
-
-    _fields_ = [
-        *((name, _I64) for name in ("n_local", "n_total", "arc_lo", "n_arcs")),
-        *((name, _PTR) for name in (
-            "xadj", "nbr", "wgt", "vwgt", "constraint", "interface", "labels")),
-        *((name, _I64) for name in ("space", "bound", "refine")),
-        ("tie_seed", ctypes.c_uint64), ("tie_base", _I64),
-        ("used", _PTR), ("cap", _PTR), ("cap_is_float", _I64),
-        *((name, _PTR) for name in (
-            "exact", "local_out", "evict_budget", "active", "next_active",
-            "blocked", "slack", "changed_mask", "acc", "mark", "touched",
-            "nodes", "begin", "count", "own", "target", "isolated", "moves",
-            "evicting")),
-        *((name, _I64) for name in ("moved", "scanned", "arcs", "chunks")),
-    ]
+def _declared(statement: str) -> list[tuple[str, type]]:
+    """``(name, ctypes type)`` of each declarator of one C declaration,
+    ``int64_t n`` or ``const int64_t *nbr, *wgt``."""
+    base, declarators = re.fullmatch(r"\s*(?:const\s+)?(\w+)(.*)", statement,
+                                     re.S).groups()
+    return [(name, _PTR if stars else _C_TYPES[base])
+            for stars, name in re.findall(r"(\**)\s*(\w+)", declarators)]
 
 
-def _load(path: Path) -> ctypes.CDLL:
+def _declarations(code: str) -> tuple[dict[str, tuple], list[tuple[str, type]]]:
+    """What the C ``code`` declares, as ctypes types: ``restype, argtypes``
+    of every exported (non-static) function, and the fields of
+    ``scan_phase_t`` in order."""
+    code = re.sub(r"/\*.*?\*/", " ", code, flags=re.S)
+    functions = {
+        name: (_C_TYPES[kind], [] if params.strip() == "void" else
+               [_declared(param)[0][1] for param in params.split(",")])
+        for kind, name, params in re.findall(
+            r"^(int64_t|void) (\w+)\(([^)]*)\)\s*\{", code, re.M)
+    }
+    body = re.search(r"typedef struct \{(.*?)\} scan_phase_t;", code, re.S)
+    fields = [field for statement in body.group(1).split(";")[:-1]
+              for field in _declared(statement)]
+    return functions, fields
+
+
+def _load(path: Path) -> tuple[ctypes.CDLL, type]:
+    """The shared object at ``path`` with every exported function bound,
+    and the ctypes twin of its ``scan_phase_t``."""
     _require_private(path)
+    functions, fields = _declarations(source().decode())
     lib = ctypes.CDLL(str(path))
-    lib.scan_phase_tables_size.restype = _I64
-    lib.scan_phase_tables_size.argtypes = []
-    if lib.scan_phase_tables_size() != ctypes.sizeof(_PhaseTables):
-        raise _Unavailable(f"{path} and _PhaseTables disagree on scan_phase_t")
-    lib.scan_phase.restype = _I64
-    lib.scan_phase.argtypes = [ctypes.POINTER(_PhaseTables), _I64, _PTR, _I64]
-    csr = [_I64, _I64, _PTR, _PTR]  # n n_arcs xadj adjncy
-    for name, argtypes in {
-        # mapping n_coarse start order stamp xadj_c
-        "quotient_count": [*csr, _PTR, _I64, _PTR, _PTR, _PTR, _PTR],
-        # adjwgt mapping n_coarse start order stamp cur n_arcs_c xadj_c
-        # adjncy_c adjwgt_c
-        "quotient_fill": [*csr, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _PTR,
-                          _I64, _PTR, _PTR, _PTR],
-        # adjwgt vwgt n_sub members seed target mark gain heap heap_room side
-        "grow_bisection": [*csr, _PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR,
-                           _PTR, _PTR, _I64, _PTR],
-        # adjwgt vwgt order labels space weights max_block_weight conn seen
-        # touched
-        "kway_refine_pass": [*csr, _PTR, _PTR, _PTR, _PTR, _I64, _PTR, _I64,
-                             _PTR, _PTR, _PTR],
-        # adjwgt vwgt constraint bounded max_pair_weight order mate
-        "match_heavy_edges": [*csr, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR],
-        # n_rows xadj lo hi arc_lo n_arcs nbr wgt n_labels labels space stamp
-        # totals
-        "partition_quality": [_I64, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR,
-                              _I64, _PTR, _I64, _PTR, _PTR],
-        # n n_in src dst mirror start bad
-        "group_count": [_I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR],
-        # n n_in src dst wgt mirror start n_arcs col val stamp slot ordered
-        "group_merge": [_I64, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _I64, _PTR,
-                        _PTR, _PTR, _PTR, _PTR],
-        # n start n_arcs col val t_off t_col t_wgt xadj adjncy adjwgt
-        "group_order": [_I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                        _PTR, _PTR],
-        # n_pes vtxdist rank n_local xadj n_arcs dst slot ghost_start
-        # send_start interface pe_stamp
-        "ghost_count": [_I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
-                        _PTR, _PTR, _PTR],
-        # n_pes vtxdist rank n_local xadj n_arcs dst slot ghost_start
-        # send_start n_cross adjncy ghost_global ghost_owner ghost_xadj
-        # ghost_src send_nodes pe_stamp cursor
-        "ghost_fill": [_I64, _PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
-                       _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                       _PTR],
-        # text size pos line n node_weights edge_weights low line_of info
-        "metis_count": [_PTR, _I64, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR,
-                        _PTR],
-        # text size pos line n node_weights edge_weights low line_of n_upper
-        # vwgt rows cols wgts seen from_low from_high info
-        "metis_fill": [_PTR, _I64, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR,
-                       _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
-    }.items():
+    for name, (restype, argtypes) in functions.items():
         symbol = getattr(lib, name)
-        symbol.restype, symbol.argtypes = _I64, argtypes
-    return lib
+        symbol.restype, symbol.argtypes = restype, argtypes
+    tables = type("scan_phase_t", (ctypes.Structure,), {"_fields_": fields})
+    if lib.scan_phase_tables_size() != ctypes.sizeof(tables):
+        raise _Unavailable(f"{path} and its source disagree on scan_phase_t")
+    return lib, tables
 
 
 def _unavailable(reason: str) -> KernelUnavailable:
@@ -263,12 +228,12 @@ def resolve() -> str:
     process backend's parent calls this before it spawns and hands the
     path to :func:`adopt` in every rank, so ranks never compile.
     """
-    global _lib, _path, _failure
+    global _lib, _PhaseTables, _path, _failure
     with _lock:
         if _lib is None and _failure is None:
             try:
                 path = _build()
-                _lib = _load(path)
+                _lib, _PhaseTables = _load(path)
                 _path = str(path)
             # RuntimeError: Path.home() when no home directory is known
             except (_Unavailable, OSError, RuntimeError,
@@ -281,10 +246,10 @@ def resolve() -> str:
 
 def adopt(path: str) -> None:
     """Load the shared object a parent process resolved (worker side)."""
-    global _lib, _path
+    global _lib, _PhaseTables, _path
     with _lock:
         try:
-            _lib = _load(Path(path))
+            _lib, _PhaseTables = _load(Path(path))
         except (_Unavailable, OSError) as exc:
             raise _unavailable(str(exc) or type(exc).__name__) from exc
         _path = path
@@ -311,13 +276,6 @@ def _ptr(arr: np.ndarray, dtype, size: int | None = None) -> int:
     return arr.ctypes.data
 
 
-def _check_tables(space: int, used: np.ndarray, cap: np.ndarray) -> None:
-    if cap.dtype not in (np.int64, np.float64):
-        raise TypeError(f"cap must be int64 or float64, got {cap.dtype}")
-    if cap.size < space or used.size < space:
-        raise ValueError("used/cap tables are shorter than the label space")
-
-
 class PhaseScan:
     """One compiled call per SCLP phase, or per shard segment of one
     (``scan_phase`` of ``_scan.c``).
@@ -332,34 +290,34 @@ class PhaseScan:
     for; ``frontier`` says whether phases filter by, and mark, the active
     set.  A call visits ``order`` in windows of ``chunk`` — the chunk loop
     that ``tests/engine/python_phase.py`` writes out in Python as its
-    oracle — and returns ``(moved, scanned, arcs, chunks)``.
+    oracle — and returns ``(moved, scanned, arcs, chunks)``.  Its scratch
+    is allocated here, once per bound call.
     """
 
     def __init__(self, xadj, labels, constraint, vwgt, interface, used,
                  local_out, changed_mask, *, n_local: int, space: int,
                  bound: int, refine: bool, frontier: bool, tie_seed: int,
-                 tie_base: int, window: int, ws: IterationWorkspace) -> None:
+                 tie_base: int, window: int) -> None:
         _kernels()  # the first kernel use of a run: fail here, not mid-phase
         n_total = labels.size
         if not 0 <= n_local <= n_total:
             raise ValueError(f"n_local={n_local} outside [0, {n_total}]")
-        self._window, self._used, self._frontier = window, used, frontier
-        scratch = {
-            "acc": ws.zeros("scan.acc", space, np.int64),
-            "mark": ws.zeros("scan.mark", space, np.uint8),
-            "touched": ws.buf("scan.touched", space, np.int64),
-            **{name: ws.buf(f"phase.{name}", window, np.int64) for name in (
+        self._window, self._frontier = window, frontier
+        self._scratch = {
+            "acc": np.zeros(space, dtype=np.int64),
+            "mark": np.zeros(space, dtype=np.uint8),
+            "touched": np.empty(space, dtype=np.int64),
+            **{name: np.empty(window, dtype=np.int64) for name in (
                 "nodes", "begin", "count", "own", "target", "isolated")},
-            **{name: ws.buf(f"phase.{name}", window, np.uint8)
+            **{name: np.empty(window, dtype=np.uint8)
                for name in ("moves", "evicting")},
         }
         if frontier:  # blocked/slack of scan_phase_t, zero before any scan
-            for name, dtype in (("blocked", np.uint64), ("slack", np.int64)):
-                scratch[name] = ws.buf(f"phase.{name}", n_local, dtype)
-                scratch[name].fill(0)
+            self._scratch["blocked"] = np.zeros(n_local, dtype=np.uint64)
+            self._scratch["slack"] = np.zeros(n_local, dtype=np.int64)
         # the struct holds addresses only: keep their owners alive with it
         self._owners = (xadj, labels, constraint, vwgt, interface, used,
-                        local_out, changed_mask, scratch)
+                        local_out, changed_mask)
         self._arcs: tuple[np.ndarray, np.ndarray] | tuple = ()
         self._tables = _PhaseTables(
             n_local=n_local, n_total=n_total,
@@ -370,11 +328,11 @@ class PhaseScan:
             interface=_ptr(interface, np.bool_, n_local),
             labels=_ptr(labels, np.int64), space=space, bound=bound,
             refine=refine, tie_seed=tie_seed, tie_base=tie_base,
-            used=_ptr(used, np.int64),
+            used=_ptr(used, np.int64, space),
             local_out=(None if local_out is None
                        else _ptr(local_out, np.int64, space)),
             changed_mask=_ptr(changed_mask, np.bool_, n_local),
-            **{name: arr.ctypes.data for name, arr in scratch.items()},
+            **{name: arr.ctypes.data for name, arr in self._scratch.items()},
         )
 
     def bind_arcs(self, arc_lo: int, nbr, wgt) -> None:
@@ -390,24 +348,25 @@ class PhaseScan:
 
     def __call__(self, order, chunk: int, cap, exact, evict_budget, active,
                  next_active) -> tuple[int, int, int, int]:
-        """Run ``order`` in windows of ``chunk``.  ``exact``/``evict_budget``
-        are ``None`` outside the budget-share regime; a full sweep leaves
-        the two masks alone."""
+        """Run ``order`` in windows of ``chunk``.  ``cap`` and, in the
+        budget-share regime, ``exact``/``evict_budget`` are int64 tables of
+        ``space`` entries (``None`` outside it); a full sweep leaves the two
+        masks alone."""
         t = self._tables
         space, n_local = t.space, t.n_local
         if not 1 <= chunk <= self._window:
             raise ValueError(f"chunk {chunk} outside [1, {self._window}]")
-        _check_tables(space, self._used, cap)
         if exact is not None and t.local_out is None:
             raise ValueError("budget shares (exact) need the local_out table")
-        t.cap, t.cap_is_float = _ptr(cap, cap.dtype), cap.dtype == np.float64
+        t.cap = _ptr(cap, np.int64, space)
         t.exact = None if exact is None else _ptr(exact, np.int64, space)
         t.evict_budget = (None if exact is None
-                          else _ptr(evict_budget, np.float64, space))
+                          else _ptr(evict_budget, np.int64, space))
         if self._frontier:
             t.active = _ptr(active, np.bool_, n_local)
             t.next_active = _ptr(next_active, np.bool_, n_local)
-        if _lib.scan_phase(t, order.size, _ptr(order, np.int64), chunk) < 0:
+        if _lib.scan_phase(ctypes.addressof(t), order.size,
+                           _ptr(order, np.int64), chunk) < 0:
             raise ValueError(
                 "the native scan met a node, neighbour or label index outside "
                 f"its table (n_total={t.n_total}, label space={space}), or a "
@@ -648,10 +607,13 @@ class GrowBisection:
 
 def kway_refine_pass(xadj, adjncy, adjwgt, vwgt, order: np.ndarray,
                      labels: np.ndarray, weights: np.ndarray,
-                     max_block_weight) -> int:
+                     max_block_weight: int) -> int:
     """One pass of :func:`repro.kaffpa.kway_fm.greedy_kway_refine` over
     ``order``; ``labels`` and the block ``weights`` (one entry per block
-    id in use) are updated in place.  Returns the number of nodes moved."""
+    id in use) are updated in place.  Returns the number of nodes moved.
+    The bound is an integer, as every block weight is (``TypeError``
+    otherwise)."""
+    bound = operator.index(max_block_weight)
     n, n_arcs, *csr = _csr(xadj, adjncy)
     space = weights.size
     conn, touched = (np.empty(space, dtype=np.int64) for _ in range(2))
@@ -659,7 +621,7 @@ def kway_refine_pass(xadj, adjncy, adjwgt, vwgt, order: np.ndarray,
     moved = _kernels().kway_refine_pass(
         n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs), _ptr(vwgt, np.int64, n),
         _ptr(order, np.int64, n), _ptr(labels, np.int64, n), space,
-        _ptr(weights, np.int64), _int64_floor(max_block_weight),
+        _ptr(weights, np.int64), bound,
         conn.ctypes.data, seen.ctypes.data, touched.ctypes.data,
     )
     if moved < 0:
@@ -667,26 +629,18 @@ def kway_refine_pass(xadj, adjncy, adjwgt, vwgt, order: np.ndarray,
     return int(moved)
 
 
-def _int64_floor(bound) -> int:
-    """The largest int64 ``b`` with ``x <= b`` iff ``x <= bound`` for every
-    int64 ``x``: an integer block weight compares alike against either."""
-    if bound >= 2 ** 63 - 1:
-        return 2 ** 63 - 1
-    return max(math.floor(bound), -(2 ** 63))
-
-
 def match_heavy_edges(xadj, adjncy, adjwgt, vwgt, constraint: np.ndarray | None,
                       max_pair_weight: int | None, order: np.ndarray
                       ) -> np.ndarray:
     """:func:`repro.kaffpa.matching.heavy_edge_matching` with the visit
-    ``order`` drawn by the caller; returns ``mate``."""
+    ``order`` drawn by the caller; returns ``mate``.  ``None`` bounds no
+    pair."""
     n, n_arcs, *csr = _csr(xadj, adjncy)
     mate = np.arange(n, dtype=np.int64)
     pairs = _kernels().match_heavy_edges(
         n, n_arcs, *csr, _ptr(adjwgt, np.int64, n_arcs), _ptr(vwgt, np.int64, n),
         None if constraint is None else _ptr(constraint, np.int64, n),
-        max_pair_weight is not None,
-        0 if max_pair_weight is None else _int64_floor(max_pair_weight),
+        _INT64_MAX if max_pair_weight is None else max_pair_weight,
         _ptr(order, np.int64, n), mate.ctypes.data,
     )
     if pairs < 0:

@@ -708,15 +708,16 @@ int64_t kway_refine_pass(int64_t n, int64_t n_arcs, const int64_t *xadj,
 /* ------------------------------------------------------------------------
  * Heavy-edge matching (kaffpa/matching.py): nodes in `order`, each unmatched
  * one takes its unmatched neighbour along the heaviest arc (the first of
- * equals), never across `constraint` (NULL = none) and, when `bounded`,
- * never a pair heavier than `max_pair_weight`.  mate[v] == v on entry for every
- * v, which is also what "unmatched" reads as.  Returns the number of pairs.
+ * equals), never across `constraint` (NULL = none) and never a pair heavier
+ * than `max_pair_weight` (INT64_MAX: no bound).  mate[v] == v on entry for
+ * every v, which is also what "unmatched" reads as.  Returns the number of
+ * pairs.
  * ---------------------------------------------------------------------- */
 int64_t match_heavy_edges(int64_t n, int64_t n_arcs, const int64_t *xadj,
                           const int64_t *adjncy, const int64_t *adjwgt,
                           const int64_t *vwgt, const int64_t *constraint,
-                          int64_t bounded, int64_t max_pair_weight,
-                          const int64_t *order, int64_t *mate)
+                          int64_t max_pair_weight, const int64_t *order,
+                          int64_t *mate)
 {
     int64_t pairs = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -737,7 +738,7 @@ int64_t match_heavy_edges(int64_t n, int64_t n_arcs, const int64_t *xadj,
                 continue;
             if (constraint && constraint[u] != constraint[v])
                 continue;
-            if (bounded && vwgt[v] + vwgt[u] > max_pair_weight)
+            if (vwgt[v] + vwgt[u] > max_pair_weight)
                 continue;
             if (adjwgt[a] > best_w) {
                 best_w = adjwgt[a];

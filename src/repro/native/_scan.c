@@ -18,8 +18,10 @@
  * block [arc_lo, arc_lo + n_arcs) of the CSR: all of it on a resident graph,
  * one shard segment's on an out-of-core store.
  *
- * Plain C99, no dependencies.  Built with -O2 only: no -march=native and no
- * fast-math, so the floating-point comparisons below are IEEE-exact.
+ * Plain C99, no dependencies, integers only: every block weight, capacity
+ * and budget is an int64_t.  The loader reads the prototypes of the exported
+ * functions and the fields of scan_phase_t off this source, so each is
+ * declared here once.
  */
 #include <stdint.h>
 
@@ -54,7 +56,7 @@ static inline void clear(int64_t *acc, uint8_t *mark, const int64_t *touched,
 
 /* Arcs of chunk node i are nbr/wgt[begin[i] .. begin[i] + count[i]).
  * constraint and evicting may be NULL (unconstrained; cluster mode).
- * cap is int64 or float64 (cap_is_float), compared as numpy promotes it.
+ * A label l other than the node's own is eligible when used[l] + c <= cap[l].
  * acc/mark (zero on entry, zero on return) and touched hold `space` entries.
  * A label is flagged when it is ineligible and beats or ties the winner on
  * (strength, hash), or when no label is eligible at all.  blocked and slack
@@ -69,13 +71,11 @@ int64_t scan_chunk(
     int64_t n_chunk, const int64_t *nodes, const int64_t *begin,
     const int64_t *count, const int64_t *nbr, const int64_t *wgt,
     int64_t n_total, const int64_t *labels, const int64_t *constraint,
-    const int64_t *vwgt, const int64_t *used, const void *cap,
-    int cap_is_float, const uint8_t *evicting, uint64_t tie_seed,
+    const int64_t *vwgt, const int64_t *used, const int64_t *cap,
+    const uint8_t *evicting, uint64_t tie_seed,
     int64_t tie_base, int64_t space, int64_t *acc, uint8_t *mark,
     int64_t *touched, int64_t *target, uint64_t *blocked, int64_t *slack)
 {
-    const int64_t *cap_i = (const int64_t *)cap;
-    const double *cap_f = (const double *)cap;
     int64_t arcs = 0;
     for (int64_t i = 0; i < n_chunk; i++) {
         const int64_t v = nodes[i];
@@ -117,13 +117,7 @@ int64_t scan_chunk(
         int64_t best_s = -1;
         for (int64_t t = 0; t < nt; t++) {
             const int64_t l = touched[t];
-            int ok;
-            if (l == own)
-                ok = !evict;
-            else if (cap_is_float)
-                ok = (double)(used[l] + c) <= cap_f[l];
-            else
-                ok = used[l] + c <= cap_i[l];
+            const int ok = l == own ? !evict : used[l] + c <= cap[l];
             mark[l] = (uint8_t)(1 + ok);
             if (ok && acc[l] > best_s)
                 best_s = acc[l];
@@ -172,7 +166,7 @@ int64_t scan_chunk(
  * pointers and the persistent arrays once per call, the arc block when it is
  * bound (once on a resident graph, per shard segment on a store),
  * cap/exact/evict_budget and the frontier masks once per phase.  Every field
- * is 8 bytes wide. */
+ * is 8 bytes wide: an int64_t, a uint64_t or a pointer. */
 typedef struct {
     int64_t n_local, n_total;         /* owned nodes, node slots */
     int64_t arc_lo, n_arcs;           /* the bound arcs: [arc_lo, arc_lo + n_arcs) */
@@ -186,11 +180,10 @@ typedef struct {
     uint64_t tie_seed;
     int64_t tie_base;
     int64_t *used;                    /* space */
-    const void *cap;                  /* space; int64 or float64 */
-    int64_t cap_is_float;
+    const int64_t *cap;               /* space */
     const int64_t *exact;             /* space; NULL unless budget shares */
     int64_t *local_out;               /* space; with exact */
-    const double *evict_budget;       /* space; with exact */
+    const int64_t *evict_budget;      /* space; with exact */
     uint8_t *active, *next_active;    /* n_local; NULL on a full sweep */
     /* n_local each, with the masks, zero before a node's first scan: the
      * labels that beat or tied its choice at its last scan but had no room
@@ -217,18 +210,11 @@ int64_t scan_phase_tables_size(void)
     return (int64_t)sizeof(scan_phase_t);
 }
 
-static inline int fits(const scan_phase_t *p, int64_t weight, int64_t l)
-{
-    if (p->cap_is_float)
-        return (double)weight <= ((const double *)p->cap)[l];
-    return weight <= ((const int64_t *)p->cap)[l];
-}
-
 /* Whether a node the frontier would skip is scanned after all: a label of
  * a flagged bit (every label l with that l & 63) has room for it in the
  * window-start tables.  A mask that stands for more than 64 labels (past
  * 64 labels a bit stands for several) wakes its node untried, so no test
- * costs more than 64 fits checks. */
+ * costs more than 64 room checks. */
 static int unblocked(const scan_phase_t *p, int64_t v)
 {
     int64_t bits[64], nb = 0, covered = 0;
@@ -244,7 +230,7 @@ static int unblocked(const scan_phase_t *p, int64_t v)
     const int64_t c = p->vwgt[v];
     for (int64_t i = 0; i < nb; i++)
         for (int64_t l = bits[i]; l < p->space; l += 64)
-            if (fits(p, p->used[l] + c, l))
+            if (p->used[l] + c <= p->cap[l])
                 return 1;
     return 0;
 }
@@ -260,11 +246,11 @@ static int rebalance_isolated(scan_phase_t *p, int64_t v)
         return -1;
     const int64_t c = p->vwgt[v];
     if (load[own] <= p->bound
-        || (p->exact && (double)p->local_out[own] >= p->evict_budget[own]))
+        || (p->exact && p->local_out[own] >= p->evict_budget[own]))
         return 0;
     int64_t best = -1, best_w = 0;
     for (int64_t l = 0; l < p->space; l++) {
-        if (l == own || !fits(p, p->used[l] + c, l))
+        if (l == own || p->used[l] + c > p->cap[l])
             continue;
         const int64_t w = p->exact ? p->exact[l] + p->used[l] : p->used[l];
         if (best < 0 || w < best_w) {
@@ -323,7 +309,7 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
              * eviction share lasts); anyone else may stay. */
             p->evicting[nc] = p->refine && load[own] > p->bound
                 && (!p->exact
-                    || (double)p->local_out[own] < p->evict_budget[own]);
+                    || p->local_out[own] < p->evict_budget[own]);
             p->nodes[nc] = v;
             p->begin[nc] = b - p->arc_lo;
             p->count[nc] = e - b;
@@ -335,7 +321,7 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
             const int64_t arcs = scan_chunk(
                 nc, p->nodes, p->begin, p->count, p->nbr, p->wgt, p->n_total,
                 p->labels, p->constraint, p->vwgt, p->used, p->cap,
-                (int)p->cap_is_float, p->refine ? p->evicting : 0,
+                p->refine ? p->evicting : 0,
                 p->tie_seed, p->tie_base, p->space, p->acc, p->mark,
                 p->touched, p->target, p->blocked, p->slack);
             if (arcs < 0)
@@ -355,7 +341,7 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
                     p->touched[nt++] = t;
                 }
                 p->acc[t] += p->vwgt[v];
-                if (fits(p, p->used[t] + p->acc[t], t))
+                if (p->used[t] + p->acc[t] <= p->cap[t])
                     p->moves[i] = 1;
                 else if (p->next_active)
                     /* A capped node may succeed once the target drains. */

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.engine import LocalBackend, run_sclp
-from repro.engine.kernels import DEFAULT_CHUNK_SIZE, IterationWorkspace, gather_neighbors
+from repro.engine.kernels import DEFAULT_CHUNK_SIZE, gather_neighbors
 from repro.generators import rgg, rmat
 from repro.graph import max_block_weight_bound, open_sharded, save_sharded
 
@@ -160,17 +160,13 @@ class TestHashedKernels:
         tie_hash = candidate_tie_hash(
             0, np.zeros(3, dtype=np.int64), cands.labels
         )
-        choice, flagged = pick_targets_hashed(
-            cands, eligible, tie_hash, IterationWorkspace()
-        )
+        choice, flagged = pick_targets_hashed(cands, eligible, tie_hash)
         assert choice[0] == 0  # the eligible optimum
         # label 6 would win were it eligible
         assert flagged.tolist() == [False, True, False]
 
         eligible = np.array([True, True, True])
-        choice, flagged = pick_targets_hashed(
-            cands, eligible, tie_hash, IterationWorkspace()
-        )
+        choice, flagged = pick_targets_hashed(cands, eligible, tie_hash)
         assert not flagged.any()
         assert choice[0] == 1  # now the strongest candidate wins
 
@@ -192,9 +188,7 @@ class TestHashedKernels:
         for ineligible in (0, 1):
             eligible = np.ones(2, dtype=bool)
             eligible[ineligible] = False
-            choice, flagged = pick_targets_hashed(
-                cands, eligible, tie_hash, IterationWorkspace()
-            )
+            choice, flagged = pick_targets_hashed(cands, eligible, tie_hash)
             assert choice[0] == 1 - ineligible
             assert not flagged[1 - ineligible]
             assert bool(flagged[ineligible]) == bool(
@@ -212,9 +206,7 @@ class TestHashedKernels:
             arcs_scanned=1,
         )
         tie_hash = candidate_tie_hash(0, np.zeros(1, np.int64), cands.labels)
-        choice, flagged = pick_targets_hashed(
-            cands, np.zeros(1, dtype=bool), tie_hash, IterationWorkspace()
-        )
+        choice, flagged = pick_targets_hashed(cands, np.zeros(1, dtype=bool), tie_hash)
         assert choice[0] == -1
         assert flagged.tolist() == [True]
 

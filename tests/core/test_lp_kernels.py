@@ -21,7 +21,6 @@ from repro.engine import LocalBackend, run_sclp
 from repro.engine.kernels import (
     DEFAULT_CHUNK_SIZE,
     MIN_REFRESHES_PER_PHASE,
-    IterationWorkspace,
     effective_chunk,
 )
 from repro.generators import grid_2d, rmat
@@ -53,12 +52,10 @@ def seeded_sclp(graph, bound, iterations, seed, labels=None, **kwargs):
 
 
 def gather_candidates(nodes, graph_arrays, labels, constraint=None):
-    """``plan_chunk`` + ``aggregate_candidates`` on a fresh workspace."""
+    """``plan_chunk`` + ``aggregate_candidates``."""
     xadj, adjncy, adjwgt = graph_arrays
     plan = plan_chunk(np.asarray(nodes), xadj, adjncy, adjwgt, constraint)
-    return aggregate_candidates(
-        plan, labels, int(labels.max(initial=0)) + 1, IterationWorkspace()
-    )
+    return aggregate_candidates(plan, labels, int(labels.max(initial=0)) + 1)
 
 
 class TestChunkValidation:
@@ -146,23 +143,6 @@ class TestPlanAndAggregate:
         )
         assert 2 not in cands.labels.tolist()  # node 2 is across the cut
 
-    def test_workspace_reuse_leaks_nothing(self):
-        # One grow-only workspace across chunks of shrinking size: stale
-        # contents of a previous (larger) chunk must not reach a result.
-        graph = rmat(8, seed=0)
-        arrays = (graph.xadj, graph.adjncy, graph.adjwgt)
-        rng = np.random.default_rng(5)
-        ws = IterationWorkspace()
-        for size in (80, 7, 33, 1):
-            labels = rng.integers(0, 9, graph.num_nodes)
-            nodes = rng.choice(graph.num_nodes, size, replace=False)
-            plan = plan_chunk(nodes, *arrays)
-            shared = aggregate_candidates(plan, labels, 9, ws)
-            fresh = gather_candidates(nodes, arrays, labels)
-            for field in ("node_pos", "labels", "strength", "is_own",
-                          "seg_start", "seg_count"):
-                assert np.array_equal(getattr(shared, field), getattr(fresh, field))
-
 
 class TestPickTargets:
     def build(self, labels, strengths, seg):
@@ -182,9 +162,7 @@ class TestPickTargets:
 
     def pick(self, cands, eligible, seed=0):
         tie_hash = candidate_tie_hash(seed, cands.node_pos, cands.labels)
-        choice, _ = pick_targets_hashed(
-            cands, np.asarray(eligible), tie_hash, IterationWorkspace()
-        )
+        choice, _ = pick_targets_hashed(cands, np.asarray(eligible), tie_hash)
         return choice, tie_hash
 
     def test_masked_argmax(self):
@@ -209,9 +187,7 @@ class TestPickTargets:
     def test_hash_collision_goes_to_the_first_label(self):
         cands = self.build([4, 9], [7, 7], [2])
         choice, _ = pick_targets_hashed(
-            cands, np.ones(2, dtype=bool), np.array([3, 3], dtype=np.uint64),
-            IterationWorkspace(),
-        )
+            cands, np.ones(2, dtype=bool), np.array([3, 3], dtype=np.uint64))
         assert choice.tolist() == [0]
 
 

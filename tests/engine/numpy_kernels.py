@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import native
-from repro.engine.kernels import IterationWorkspace, _segment_local_arange
+from repro.engine.kernels import _segment_local_arange
 
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
 _MIX_B = np.uint64(0xBF58476D1CE4E5B9)
@@ -79,8 +79,7 @@ class ChunkCandidates:
     """Per-(node, label) move candidates for one chunk of nodes.
 
     Candidates are grouped by chunk node and, within a node, ordered by
-    label value.  The arrays are views into the workspace that built
-    them, valid until the next chunk is aggregated.
+    label value.
     """
 
     node_pos: np.ndarray  # chunk position of each candidate (ascending)
@@ -144,7 +143,6 @@ def aggregate_candidates(
     plan: ChunkPlan,
     labels: np.ndarray,
     label_span: int,
-    ws: IterationWorkspace,
 ) -> ChunkCandidates:
     """Aggregate a chunk's neighbour-label connection strengths.
 
@@ -152,9 +150,7 @@ def aggregate_candidates(
     appears with strength 0 when no (constraint-eligible) neighbour
     carries it (the plan's self-arc).  A node's candidates are ordered
     by label value.  ``label_span`` must exceed every value in
-    ``labels``.  Every sized temporary is routed through ``ws``; only
-    ``argsort``/``flatnonzero`` still allocate (NumPy offers no ``out=``
-    form for either).
+    ``labels``.
     """
     n_chunk = plan.nodes.size
     if n_chunk * label_span > 2**62:
@@ -162,46 +158,22 @@ def aggregate_candidates(
             f"chunk of {n_chunk} nodes x label span {label_span} overflows "
             "the combined int64 sort key; use a smaller chunk"
         )
-    node_pos = plan.own_pos
-    m = node_pos.size
-    own = np.take(labels, plan.nodes, out=ws.buf("agg.own", n_chunk, np.int64))
-    lab = np.take(labels, plan.nbr, out=ws.buf("agg.lab", m, np.int64))
-
-    key = ws.buf("agg.key", m, np.int64)
-    np.multiply(node_pos, label_span, out=key)
-    key += lab
+    own = labels[plan.nodes]
+    key = plan.own_pos * label_span + labels[plan.nbr]
     order = np.argsort(key, kind="stable")
-    g_key = np.take(key, order, out=ws.buf("agg.gkey", m, np.int64))
-    head = ws.buf("agg.head", m, bool)
-    head[0] = True
-    np.not_equal(g_key[1:], g_key[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
+    g_key = key[order]
+    starts = np.flatnonzero(np.r_[True, g_key[1:] != g_key[:-1]])
     n_cand = starts.size
-    wgt = plan.wgt if plan.wgt.dtype == np.int64 else plan.wgt.astype(np.int64)
-    g_wgt = np.take(wgt, order, out=ws.buf("agg.gwgt", m, np.int64))
-    c_str = ws.buf("agg.cstr", n_cand, np.int64)
-    np.add.reduceat(g_wgt, starts, out=c_str)
-    s_key = np.take(g_key, starts, out=ws.buf("agg.skey", n_cand, np.int64))
-    c_node = ws.buf("agg.cnode", n_cand, np.int64)
-    np.floor_divide(s_key, label_span, out=c_node)
-    c_lab = ws.buf("agg.clab", n_cand, np.int64)
-    np.remainder(s_key, label_span, out=c_lab)
+    c_str = np.add.reduceat(plan.wgt.astype(np.int64)[order], starts)
+    s_key = g_key[starts]
+    c_node, c_lab = s_key // label_span, s_key % label_span
 
     # Every chunk node owns at least one candidate (the trailing
     # self-arc), so the run boundaries of the sorted ``c_node`` cover
-    # exactly the ``n_chunk`` nodes — ``diff`` of boundaries replaces
-    # an allocating ``bincount``.
-    nhead = ws.buf("agg.nhead", n_cand, bool)
-    nhead[0] = True
-    np.not_equal(c_node[1:], c_node[:-1], out=nhead[1:])
-    seg_start = np.flatnonzero(nhead)
-    seg_count = ws.buf("agg.segcnt", n_chunk, np.int64)
-    np.subtract(seg_start[1:], seg_start[:-1], out=seg_count[: n_chunk - 1])
-    seg_count[n_chunk - 1] = n_cand - seg_start[n_chunk - 1]
-
-    own_at = np.take(own, c_node, out=ws.buf("agg.ownat", n_cand, np.int64))
-    is_own = ws.buf("agg.isown", n_cand, bool)
-    np.equal(c_lab, own_at, out=is_own)
+    # exactly the ``n_chunk`` nodes.
+    seg_start = np.flatnonzero(np.r_[True, c_node[1:] != c_node[:-1]])
+    seg_count = np.diff(np.r_[seg_start, n_cand])
+    is_own = c_lab == own[c_node]
     return ChunkCandidates(
         node_pos=c_node,
         labels=c_lab,
@@ -217,7 +189,6 @@ def pick_targets_hashed(
     cands: ChunkCandidates,
     eligible: np.ndarray,
     tie_hash: np.ndarray,
-    ws: IterationWorkspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Masked argmax with hash tie-breaking, plus a *flagged* mark per
     candidate.
@@ -241,10 +212,6 @@ def pick_targets_hashed(
     a flagged label regaining capacity can alter the decision while the
     neighbourhood's labels stay put, so a stay-put node may leave the
     frontier until one does.
-
-    ``choice`` is freshly allocated — per-node sized, cheap, and safe to
-    outlive the next chunk's workspace reuse; ``flagged`` is a workspace
-    view.
     """
     seg_start = cands.seg_start
     n_seg = seg_start.size
@@ -252,53 +219,27 @@ def pick_targets_hashed(
     m = cands.node_pos.size
     if m == 0:
         return choice, np.zeros(0, dtype=bool)
-    eff = ws.buf("pick.eff", m, np.int64)
-    eff.fill(-1)
-    np.copyto(eff, cands.strength, where=eligible)
-    seg_max = ws.buf("pick.segmax", n_seg, np.int64)
-    np.maximum.reduceat(eff, seg_start, out=seg_max)
-    node_max = np.take(seg_max, cands.node_pos,
-                       out=ws.buf("pick.nodemax", m, np.int64))
+    seg_max = np.maximum.reduceat(np.where(eligible, cands.strength, -1),
+                                  seg_start)
+    node_max = seg_max[cands.node_pos]
+    best = (cands.strength == node_max) & eligible
+    h_eff = np.where(best, tie_hash, np.uint64(0))
+    node_hmax = np.maximum.reduceat(h_eff, seg_start)[cands.node_pos]
+    winner = (h_eff == node_hmax) & best
+    idx_eff = np.where(winner, np.arange(m, dtype=np.int64),
+                       np.iinfo(np.int64).max)
+    seg_first = np.minimum.reduceat(idx_eff, seg_start)
+    has = seg_max >= 0
+    choice[has] = seg_first[has]
 
-    best = ws.buf("pick.best", m, bool)
-    np.equal(cands.strength, node_max, out=best)
-    best &= eligible
-    h_eff = ws.buf("pick.heff", m, np.uint64)
-    h_eff.fill(0)
-    np.copyto(h_eff, tie_hash, where=best)
-    seg_hmax = ws.buf("pick.seghmax", n_seg, np.uint64)
-    np.maximum.reduceat(h_eff, seg_start, out=seg_hmax)
-    node_hmax = np.take(seg_hmax, cands.node_pos,
-                        out=ws.buf("pick.nodehmax", m, np.uint64))
-    winner = ws.buf("pick.winner", m, bool)
-    np.equal(h_eff, node_hmax, out=winner)
-    winner &= best
-    idx_eff = ws.buf("pick.idxeff", m, np.int64)
-    idx_eff.fill(np.iinfo(np.int64).max)
-    np.copyto(idx_eff, np.arange(m, dtype=np.int64), where=winner)
-    seg_first = ws.buf("pick.segfirst", n_seg, np.int64)
-    np.minimum.reduceat(idx_eff, seg_start, out=seg_first)
-    has = ws.buf("pick.has", n_seg, bool)
-    np.greater_equal(seg_max, 0, out=has)
-    np.copyto(choice, seg_first, where=has)
-
-    danger = ws.buf("pick.danger", m, bool)
-    np.greater(cands.strength, node_max, out=danger)
-    t_eq = ws.buf("pick.teq", m, bool)
-    np.equal(cands.strength, node_max, out=t_eq)
-    t_hash = ws.buf("pick.thash", m, bool)
     # >= : an exact hash collision falls back to aggregation order,
     # which an eligibility flip could tip — keep it flagged
-    np.greater_equal(tie_hash, node_hmax, out=t_hash)
-    t_eq &= t_hash
-    danger |= t_eq
+    danger = (cands.strength > node_max) | (
+        (cands.strength == node_max) & (tie_hash >= node_hmax))
     # A node with no eligible candidate at all flags every
     # ineligible one (any flip hands that label the win outright).
-    no_elig = np.take(has, cands.node_pos, out=t_hash)  # reuse: done with it
-    np.logical_not(no_elig, out=no_elig)
-    danger |= no_elig
-    np.logical_not(eligible, out=t_eq)  # reuse: done with it
-    danger &= t_eq
+    danger |= ~has[cands.node_pos]
+    danger &= np.logical_not(eligible)
     return choice, danger
 
 
@@ -316,14 +257,13 @@ def scan_chunk(
     tie_seed: int,
     tie_base: int,
     space: int,
-    ws: IterationWorkspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Decide the move of every node of a chunk against one snapshot.
 
     ``nodes`` (each with at least one arc) are evaluated against
     ``labels`` and the weight tables as they stand: a label is eligible
-    for node ``v`` when ``used + c(v) <= cap`` (``cap`` int64 or
-    float64); ``v``'s own label is eligible unless ``evicting`` marks
+    for node ``v`` when ``used + c(v) <= cap`` (``cap`` int64, or float64
+    as the reference oracle keeps it); ``v``'s own label is eligible unless ``evicting`` marks
     ``v`` (``None`` in cluster mode: nobody is evicted).  ``tie_base +
     v`` is the id hashed for tie-breaking; ``space`` exceeds every label.
 
@@ -337,7 +277,7 @@ def scan_chunk(
     ``_scan.c``, and its identity oracle.
     """
     cands = aggregate_candidates(
-        plan_chunk(nodes, xadj, adjncy, adjwgt, constraint), labels, space, ws
+        plan_chunk(nodes, xadj, adjncy, adjwgt, constraint), labels, space
     )
     fits = used[cands.labels] + vwgt[nodes][cands.node_pos] <= cap[cands.labels]
     if evicting is None:
@@ -351,7 +291,7 @@ def scan_chunk(
     if tie_base:
         tie_ids = tie_base + tie_ids
     choice, flagged = pick_targets_hashed(
-        cands, eligible, candidate_tie_hash(tie_seed, tie_ids, cands.labels), ws
+        cands, eligible, candidate_tie_hash(tie_seed, tie_ids, cands.labels)
     )
     has = choice >= 0
     target = labels[nodes]

@@ -26,7 +26,7 @@ class PythonPhaseScan:
     def __init__(self, xadj, labels, constraint, vwgt, interface, used,
                  local_out, changed_mask, *, n_local: int, space: int,
                  bound: int, refine: bool, frontier: bool, tie_seed: int,
-                 tie_base: int, window: int, ws) -> None:
+                 tie_base: int, window: int) -> None:
         if not 0 <= n_local <= labels.size:
             raise ValueError(f"n_local={n_local} outside [0, {labels.size}]")
         self.xadj, self.labels, self.constraint = xadj, labels, constraint
@@ -34,7 +34,7 @@ class PythonPhaseScan:
         self.local_out, self.changed_mask = local_out, changed_mask
         self.n_local, self.space, self.bound = n_local, space, bound
         self.refine, self.frontier, self.window = refine, frontier, window
-        self.tie_seed, self.tie_base, self.ws = tie_seed, tie_base, ws
+        self.tie_seed, self.tie_base = tie_seed, tie_base
         if frontier:
             self.blocked = np.zeros(n_local, dtype=np.uint64)
             self.slack = np.zeros(n_local, dtype=np.int64)
@@ -83,7 +83,7 @@ class PythonPhaseScan:
                 target, blocked, margin, arcs = scan_chunk(
                     connected, xadj, adjncy, adjwgt, labels, self.constraint,
                     vwgt, used, cap, evicting, self.tie_seed, self.tie_base,
-                    self.space, self.ws,
+                    self.space,
                 )
                 arcs_scanned += arcs
                 if self.frontier:

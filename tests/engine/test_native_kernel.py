@@ -13,10 +13,12 @@ differentials beside their twins' tests, ``tests/graph/test_quotient.py``,
   ``frontier_frac`` / ``global_changed`` — in every regime, sweep and
   chunk size, on one address space, on SPMD ranks and over the shard
   segments of an out-of-core store;
-* the compiled ``scan_chunk`` (one window of ``scan_phase``, bound here
-  since the package binds only the whole phase) and the NumPy one return
-  the same ``(target, blocked, margin, arcs)``, bound as the C prototype
-  declares it;
+* the compiled ``scan_chunk`` (one window of ``scan_phase``, exported
+  for these tests) and the NumPy one return the same ``(target, blocked,
+  margin, arcs)``, the NumPy one against the float caps of the reference
+  oracle and the compiled one against their floor;
+* the loader binds every exported C function with the arity and return
+  type of its prototype;
 * the frontier's two wake-up rules, on hand-built graphs, compiled and
   twin: a blocked node sleeps until a flagged label has room (or its mask
   stands for more than 64 labels), a hub until its movers outweigh its
@@ -57,7 +59,6 @@ from repro.dist import DistGraph, balanced_vtxdist, run_spmd
 from repro.dist.runtime import run_spmd_processes
 from repro import native
 from repro.engine import LocalBackend, SpmdBackend, run_sclp
-from repro.engine.kernels import IterationWorkspace
 from repro.generators import grid_2d, rmat
 from repro.graph import contract, from_edges, max_block_weight_bound, write_metis
 from repro.graph.io import _metis_header
@@ -81,50 +82,37 @@ from . import test_golden_equivalence as golden_suite
 from .numpy_kernels import candidate_tie_hash
 from .python_phase import PythonPhaseScan
 
-_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-
-
-def scan_chunk_prototype() -> list:
-    """The parameters of ``scan_chunk`` as ``_scan.c`` declares them, as
-    ctypes types: every pointer an address."""
-    source = resources.files("repro.native").joinpath("_scan.c").read_text()
-    head = re.search(r"^int64_t scan_chunk\((.*?)\)\s*\{", source, re.S | re.M)
-    scalars = {"int64_t": _I64, "uint64_t": ctypes.c_uint64, "int": ctypes.c_int}
-    return [_PTR if "*" in param else scalars[param.split()[-2]]
-            for param in head.group(1).split(",")]
-
-
 def compiled_scan_chunk(nodes, xadj, adjncy, adjwgt, labels, constraint, vwgt,
-                        used, cap, evicting, tie_seed, tie_base, space, ws,
-                        flags=True):
-    """``scan_chunk`` of ``_scan.c`` — one window of ``scan_phase`` — bound
-    with the NumPy twin's signature (the package binds the whole phase),
-    its argtypes read off the C prototype.  The ``blocked``/``slack``
-    tables it fills are read back at ``nodes``; ``flags=False`` passes
-    none (a full sweep's call), and the two come back ``None``."""
-    kernel = native._kernels().scan_chunk
-    kernel.restype = _I64
-    kernel.argtypes = scan_chunk_prototype()
+                        used, cap, evicting, tie_seed, tie_base, space,
+                        flags=True, scratch=None):
+    """``scan_chunk`` of ``_scan.c`` — one window of ``scan_phase``, bound
+    by the loader like every exported function — with the NumPy twin's
+    signature.  The ``blocked``/``slack`` tables it fills are read back at
+    ``nodes``; ``flags=False`` passes none (a full sweep's call), and the
+    two come back ``None``.  ``scratch`` may hold the ``acc``/``mark``/
+    ``touched`` tables the call uses (fresh ones by default)."""
     ptr = native._ptr
     n_chunk, n_total = nodes.size, labels.size
     begin = xadj[nodes]
     count = xadj[nodes + 1] - begin
-    native._check_tables(space, used, cap)
+    if scratch is None:
+        scratch = {"acc": np.zeros(space, dtype=np.int64),
+                   "mark": np.zeros(space, dtype=np.uint8),
+                   "touched": np.empty(space, dtype=np.int64)}
     target = np.empty(n_chunk, dtype=np.int64)
     blocked = np.zeros(n_total, dtype=np.uint64) if flags else None
     slack = np.zeros(n_total, dtype=np.int64) if flags else None
-    arcs = kernel(
+    arcs = native._kernels().scan_chunk(
         n_chunk, ptr(nodes, np.int64), ptr(begin, np.int64, n_chunk),
         ptr(count, np.int64, n_chunk), ptr(adjncy, np.int64),
         ptr(adjwgt, np.int64, adjncy.size), n_total, ptr(labels, np.int64),
         None if constraint is None else ptr(constraint, np.int64, n_total),
-        ptr(vwgt, np.int64, n_total), ptr(used, np.int64),
-        ptr(cap, cap.dtype), int(cap.dtype == np.float64),
+        ptr(vwgt, np.int64, n_total), ptr(used, np.int64, space),
+        ptr(cap, np.int64, space),
         None if evicting is None else ptr(evicting, np.bool_, n_chunk),
         tie_seed, tie_base, space,
-        ws.zeros("scan.acc", space, np.int64).ctypes.data,
-        ws.zeros("scan.mark", space, np.uint8).ctypes.data,
-        ws.buf("scan.touched", space, np.int64).ctypes.data,
+        *(ptr(scratch[name], dtype, space) for name, dtype in (
+            ("acc", np.int64), ("mark", np.uint8), ("touched", np.int64))),
         target.ctypes.data,
         None if blocked is None else blocked.ctypes.data,
         None if slack is None else slack.ctypes.data,
@@ -283,7 +271,9 @@ class TestNativeMatchesNumpy:
         """One window on its own: the compiled ``scan_chunk`` and the
         NumPy one decide alike, flag the same labels and see the same
         margins; without the two tables (a full sweep's call) the
-        decisions are the same."""
+        decisions are the same.  The caps are integers, or a third of
+        them as the budget shares once were: the twin compares against
+        the float and the compiled kernel against its floor."""
         graph = rmat(8, seed=2)
         n = graph.num_nodes
         rng = np.random.default_rng(4)
@@ -295,22 +285,23 @@ class TestNativeMatchesNumpy:
             nodes = rng.permutation(connected)[: int(rng.integers(1, 40))]
             used = np.bincount(labels, weights=graph.vwgt, minlength=space)
             cap = np.full(space, int(graph.vwgt.sum()) // space + 2)
-            args = (
-                nodes, graph.xadj, graph.adjncy, graph.adjwgt, labels,
-                rng.integers(0, 2, n) if trial % 2 else None, graph.vwgt,
-                used.astype(np.int64), cap / 3 if trial % 3 == 0 else cap,
-                rng.random(nodes.size) < 0.3 if trial % 4 else None,
-                trial, (2**40 + 5) * (trial % 2), space,
-            )
-            got = compiled_scan_chunk(*args, IterationWorkspace())
-            want = numpy_kernels.scan_chunk(*args, IterationWorkspace())
+            if trial % 3 == 0:
+                cap = cap / 3
+            head = (nodes, graph.xadj, graph.adjncy, graph.adjwgt, labels,
+                    rng.integers(0, 2, n) if trial % 2 else None, graph.vwgt,
+                    used.astype(np.int64))
+            tail = (rng.random(nodes.size) < 0.3 if trial % 4 else None,
+                    trial, (2**40 + 5) * (trial % 2), space)
+            args = (*head, np.floor(cap).astype(np.int64), *tail)
+            got = compiled_scan_chunk(*args)
+            want = numpy_kernels.scan_chunk(*head, cap, *tail)
             target, blocked, margin, arcs = got
             assert target.dtype == np.int64 and blocked.dtype == np.uint64
             assert margin.dtype == np.int64 and (margin >= 0).all()
             for have, expect in zip(got[:3], want[:3]):
                 np.testing.assert_array_equal(have, expect)
             assert arcs == want[3] and type(arcs) is int
-            bare = compiled_scan_chunk(*args, IterationWorkspace(), flags=False)
+            bare = compiled_scan_chunk(*args, flags=False)
             assert bare[1] is None and bare[2] is None
             np.testing.assert_array_equal(bare[0], target)
             assert bare[3] == arcs
@@ -347,8 +338,6 @@ class TestNativeMatchesNumpy:
 
     def test_c_tie_hash_is_candidate_tie_hash(self):
         kernel = native._kernels().tie_hash
-        kernel.restype = None
-        kernel.argtypes = [ctypes.c_uint64, _I64, _PTR, _PTR, _PTR]
         rng = np.random.default_rng(3)
         full = np.iinfo(np.uint64).max
         for _ in range(20):
@@ -365,24 +354,25 @@ class TestNativeMatchesNumpy:
     def test_index_outside_its_table_raises_and_leaves_scratch_clean(self):
         graph = from_edges(3, [(0, 1), (1, 2)])
         labels = np.array([0, 1, 7], dtype=np.int64)  # 7 >= space
-        ws = IterationWorkspace()
+        scratch = {"acc": np.zeros(2, dtype=np.int64),
+                   "mark": np.zeros(2, dtype=np.uint8),
+                   "touched": np.empty(2, dtype=np.int64)}
         args = (
             np.array([1], dtype=np.int64), graph.xadj, graph.adjncy,
             graph.adjwgt, labels, None, graph.vwgt,
             np.zeros(2, dtype=np.int64), np.full(2, 9, dtype=np.int64), None,
-            0, 0, 2, ws,
+            0, 0, 2,
         )
         with pytest.raises(ValueError, match="outside its table"):
-            compiled_scan_chunk(*args)
-        assert not ws.zeros("scan.acc", 2, np.int64).any()
-        assert not ws.zeros("scan.mark", 2, np.uint8).any()
+            compiled_scan_chunk(*args, scratch=scratch)
+        assert not scratch["acc"].any() and not scratch["mark"].any()
         with pytest.raises(TypeError, match="C-contiguous int64"):
             compiled_scan_chunk(args[0].astype(np.int32), *args[1:])
 
     @pytest.mark.parametrize("fault", ["order", "neighbour", "label"])
     def test_phase_scan_index_outside_its_table(self, fault):
         """A whole phase has the chunk kernel's error path: ValueError, and
-        the workspace accumulators are zero for whoever uses them next."""
+        the accumulators are zero for whoever uses them next."""
         graph = from_edges(4, [(0, 1), (1, 2), (2, 3)])
         n, space = graph.num_nodes, 2
         labels = np.array([0, 1, 0, 1], dtype=np.int64)
@@ -394,21 +384,22 @@ class TestNativeMatchesNumpy:
             adjncy[graph.xadj[3]] = n  # >= n_total, met in the second window
         else:
             labels[3] = space  # >= space, a neighbour's label
-        ws = IterationWorkspace()
         scan = native.PhaseScan(
             graph.xadj, labels, None, graph.vwgt, np.zeros(n, dtype=bool),
             np.array([2, 2], dtype=np.int64), None, np.zeros(n, dtype=bool),
             n_local=n, space=space, bound=3, refine=True, frontier=True,
-            tie_seed=0, tie_base=0, window=2, ws=ws,
+            tie_seed=0, tie_base=0, window=2,
         )
         scan.bind_arcs(0, adjncy, graph.adjwgt)
         masks = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
         with pytest.raises(ValueError, match="outside its table"):
             scan(order, 2, np.full(space, 3, dtype=np.int64), None, None, *masks)
-        assert not ws.zeros("scan.acc", space, np.int64).any()
-        assert not ws.zeros("scan.mark", space, np.uint8).any()
+        assert not scan._scratch["acc"].any()
+        assert not scan._scratch["mark"].any()
         with pytest.raises(TypeError, match="C-contiguous int64"):
             scan(order.astype(np.int32), 2, np.full(space, 3), None, None, *masks)
+        with pytest.raises(TypeError, match="C-contiguous int64"):
+            scan(order, 2, np.full(space, 3.0), None, None, *masks)
 
 
 class TestFrontierRules:
@@ -427,7 +418,6 @@ class TestFrontierRules:
             graph.xadj, labels, None, graph.vwgt, np.zeros(n, dtype=bool), used,
             None, np.zeros(n, dtype=bool), n_local=n, space=space, bound=bound,
             refine=True, frontier=True, tie_seed=0, tie_base=0, window=window,
-            ws=IterationWorkspace(),
         )
         scan.bind_arcs(0, graph.adjncy, graph.adjwgt)
         if cap is None:
@@ -600,6 +590,28 @@ def test_the_source_is_strict_c99():
             input=unit, capture_output=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr.decode(errors="replace")
+
+
+def test_every_exported_function_is_bound_as_its_prototype():
+    """The loader binds each non-static function of the source with the
+    return type, the number of parameters and the pointer positions of its
+    prototype (read here with a pattern of this test's own), and builds
+    ``scan_phase_t`` with its fields in their order."""
+    native.resolve()
+    code = re.sub(r"/\*.*?\*/", " ", native.source().decode(), flags=re.S)
+    found = re.findall(r"^(int64_t|void) (\w+)\((.*?)\)", code, re.M | re.S)
+    assert {"scan_phase", "scan_chunk", "tie_hash", "metis_fill"} <= {
+        name for _, name, _ in found}
+    for kind, name, params in found:
+        params = [] if params.strip() == "void" else params.split(",")
+        symbol = getattr(native._lib, name)
+        assert symbol.restype is (None if kind == "void" else ctypes.c_int64), name
+        assert len(symbol.argtypes) == len(params), name
+        assert [t is ctypes.c_void_p for t in symbol.argtypes] == [
+            "*" in param for param in params], name
+    typedef = re.search(r"typedef struct \{(.*?)\} scan_phase_t;", code, re.S)
+    names = re.findall(r"(\w+)\s*(?=[,;])", typedef.group(1))
+    assert [field for field, _ in native._PhaseTables._fields_] == names
 
 
 # ----------------------------------------------------------------------

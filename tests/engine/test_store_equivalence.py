@@ -26,7 +26,7 @@ import pytest
 
 from repro import native
 from repro.api import partition_graph, partition_oocore
-from repro.engine import IterationWorkspace, LocalBackend, run_sclp
+from repro.engine import LocalBackend, run_sclp
 from repro.generators import barabasi_albert, rmat
 from repro.graph import from_edges, open_sharded, save_sharded
 from repro.graph.ops import band_nodes
@@ -90,6 +90,14 @@ def test_partition_oocore_identity(graph, sharded):
     external = partition_oocore(sharded, K, seed=3)
     assert np.array_equal(resident.partition, external.partition)
     assert resident.quality == external.quality
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5])
+def test_partition_oocore_iterations_must_be_a_count(graph, bad):
+    """-1 would return the striped start unrefined, 2.5 fail inside
+    ``range``: both are refused up front, naming the argument."""
+    with pytest.raises(ValueError, match=rf"iterations must be an integer >= 0, got {bad}"):
+        partition_oocore(graph, K, iterations=bad)
 
 
 def test_partition_graph_dispatches_nonresident(graph, sharded):
@@ -242,7 +250,7 @@ def test_shard_with_a_neighbour_out_of_range(graph, tmp_path):
         partition_oocore(open_sharded(tmp_path / "shards"), K, seed=3)
 
 
-def _phase_scan(graph, labels, ws, *, space, bound):
+def _phase_scan(graph, labels, *, space, bound):
     """A compiled refine-mode frontier ``PhaseScan`` over ``graph`` with
     ``labels`` and live tables, its arcs not yet bound."""
     n = graph.num_nodes
@@ -250,7 +258,7 @@ def _phase_scan(graph, labels, ws, *, space, bound):
         graph.xadj, labels, None, graph.vwgt, np.zeros(n, dtype=bool),
         np.bincount(labels, minlength=space).astype(np.int64), None,
         np.zeros(n, dtype=bool), n_local=n, space=space, bound=bound,
-        refine=True, frontier=True, tie_seed=0, tie_base=0, window=n, ws=ws,
+        refine=True, frontier=True, tie_seed=0, tie_base=0, window=n,
     )
 
 
@@ -269,8 +277,7 @@ def test_arcs_outside_the_bound_block(block):
     arc_lo, arc_hi = int(graph.xadj[1]), int(graph.xadj[4])  # nodes 1..3
     lure[4 + arc_lo : 4 + arc_hi] = graph.adjncy[arc_lo:arc_hi]
     weights = np.full(lure.size, 100, dtype=np.int64)
-    ws = IterationWorkspace()
-    scan = _phase_scan(graph, labels, ws, space=space, bound=n)
+    scan = _phase_scan(graph, labels, space=space, bound=n)
     order = {"before": [0, 1, 2], "after": [1, 2, 3, 4], "unbound": [1]}[block]
     if block != "unbound":
         scan.bind_arcs(arc_lo, lure[4 + arc_lo : 4 + arc_hi],
@@ -280,7 +287,7 @@ def test_arcs_outside_the_bound_block(block):
         scan(np.array(order, dtype=np.int64), len(order),
              np.full(space, n, dtype=np.int64), None, None, *masks)
     np.testing.assert_array_equal(labels, before)
-    assert not ws.zeros("scan.acc", space, np.int64).any()
+    assert not scan._scratch["acc"].any()
     # the nodes the block does hold run as on the whole CSR
     scan.bind_arcs(arc_lo, graph.adjncy[arc_lo:arc_hi], graph.adjwgt[arc_lo:arc_hi])
     scan(np.array([1, 2, 3], dtype=np.int64), 3,

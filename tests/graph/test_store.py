@@ -122,6 +122,17 @@ class TestArcAccess:
         store.arc_block(int(store.xadj[0]), int(store.xadj[32]))
         assert store.stats().shard_hits >= before + 1
 
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
+    def test_a_residency_bound_below_one_or_not_integral_is_refused(
+            self, tmp_path, bad):
+        """No silent clamp to one shard: the bound is an integer >= 1."""
+        save_sharded(_weighted_graph(), tmp_path / "shards", nodes_per_shard=32)
+        for opener in (MmapShardStore.open, open_sharded):
+            with pytest.raises(ValueError, match=rf"max_resident_shards .*{bad!r}"):
+                opener(tmp_path / "shards", max_resident_shards=bad)
+        assert MmapShardStore.open(tmp_path / "shards",
+                                   max_resident_shards=np.int64(3))._max_resident == 3
+
     def test_eviction_keeps_gathered_data_valid(self, tmp_path):
         graph = _weighted_graph()
         save_sharded(graph, tmp_path / "shards", nodes_per_shard=32)

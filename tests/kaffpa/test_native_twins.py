@@ -153,12 +153,19 @@ class TestKwayRefine:
         assert_identical(
             lambda rng: greedy_kway_refine(graph, start, k, lmax, rng, passes), seed)
 
-    def test_a_float_bound_compares_like_the_twin(self):
+    def test_a_float_bound_is_refused(self):
+        """Block weights are integers and so is the bound they are held to."""
         graph = from_edges(4, [(0, 1), (1, 2), (2, 3)], vwgt=np.array([2, 1, 1, 2]))
-        start = np.array([0, 1, 0, 1])
-        for bound in (3, 3.0, 3.9, 4.0, float("inf")):
-            assert_identical(
-                lambda rng: greedy_kway_refine(graph, start, 2, bound, rng), 5)
+        labels = np.array([0, 1, 0, 1], dtype=np.int64)
+        weights = np.array([3, 3], dtype=np.int64)
+        for bound in (3.0, 3.9, float("inf")):
+            with pytest.raises(TypeError):
+                native.kway_refine_pass(
+                    graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt,
+                    np.arange(4, dtype=np.int64), labels, weights, bound)
+        assert native.kway_refine_pass(
+            graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt,
+            np.arange(4, dtype=np.int64), labels, weights, np.int64(4)) >= 0
 
     def test_block_id_outside_the_weight_table(self):
         graph = TWO_PIECES

@@ -79,6 +79,15 @@ class TestPartitionCommand:
         err = capsys.readouterr().err
         assert "num_pes" in err and repr(bad) in err
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "1.5"])
+    def test_resident_shards_must_be_a_positive_int(self, metis_graph, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", str(metis_graph), "-k", "2", "--store", "mmap",
+                  f"--resident-shards={bad}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "max_resident_shards" in err and repr(bad) in err
+
     def test_backend_has_one_way_in(self, metis_graph, tmp_path, capsys, monkeypatch):
         # 'local' is --num-pes 1, not a backend, and the environment is
         # not a second selector.
