@@ -79,12 +79,17 @@ def partition_graph(
         more runs the full parallel system on the simulated runtime.
     machine:
         Optional machine model for simulated timing (parallel runs).
+    seed:
+        An integer >= 0 (``ValueError`` otherwise).
     initial_partition:
         Optional prepartition (e.g. a geographic initialisation, the
         paper's future-work scenario): its cut edges are protected in
         the first V-cycle, and if it is balanced the result is never
-        worse than it.  Not available on a non-resident (out-of-core)
-        graph at ``num_pes=1`` (``ValueError``).
+        worse than it, on any ``num_pes``.  It must be a 1-D integer
+        array of one label in ``[0, k)`` per node
+        (:class:`~repro.graph.GraphError` naming it otherwise).  Not
+        available on a non-resident (out-of-core) graph at
+        ``num_pes=1`` (``ValueError``).
     backend:
         Launcher of a parallel run: ``'spmd'`` (simulated threads, the
         default) or ``'process'`` (real OS processes over shared-memory
@@ -104,6 +109,7 @@ def partition_graph(
     :class:`RuntimeWarning` names the block and the bound.
     """
     num_pes = check_integer("num_pes", num_pes)
+    seed = check_integer("seed", seed, least=0)
     config = _resolve_config(k, config, preset, epsilon)
     backend = resolve_backend(backend)
     if not graph.resident:
@@ -154,13 +160,14 @@ def partition_oocore(
     size-constrained label propagation.  Cuts are accordingly coarser;
     the point is partitioning graphs whose arc arrays do not fit in RAM.
     Of ``config`` (default: the *fast* preset) the pass reads
-    ``epsilon`` and ``lp_chunk_size``.  ``iterations`` is an integer >= 0
-    (``ValueError`` otherwise).
+    ``epsilon`` and ``lp_chunk_size``.  ``seed`` and ``iterations`` are
+    integers >= 0 (``ValueError`` otherwise).
     """
     from .engine.backend import LocalBackend
     from .engine.sclp import run_sclp
 
     config = _resolve_config(k, config)
+    seed = check_integer("seed", seed, least=0)
     iterations = check_integer("iterations", iterations, least=0)
     n = graph.num_nodes
     vwgt = graph.vwgt

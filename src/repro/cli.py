@@ -113,15 +113,15 @@ def _write_trace_outputs(trace_out: str) -> None:
     print(f"event stream written to {events} (read with: repro analyze {events})")
 
 
-def _at_least_one(name: str):
-    """An argparse type: an integer >= 1, else an argparse error (exit 2)
-    naming ``name`` and the text."""
+def _at_least(name: str, least: int = 1):
+    """An argparse type: an integer >= ``least``, else an argparse error
+    (exit 2) naming ``name`` and the text."""
     def parse(text: str) -> int:
         try:
-            return check_integer(name, int(text))
+            return check_integer(name, int(text), least=least)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"{name} must be an integer >= 1, got {text!r}"
+                f"{name} must be an integer >= {least}, got {text!r}"
             ) from None
     return parse
 
@@ -274,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True, help="number of blocks")
     p.add_argument("--epsilon", type=float, default=0.03)
     p.add_argument("--preset", choices=("minimal", "fast", "eco"), default="fast")
-    p.add_argument("--num-pes", type=_at_least_one("num_pes"), default=1,
+    p.add_argument("--num-pes", type=_at_least("num_pes"), default=1,
                    dest="num_pes")
     p.add_argument("--machine", choices=("A", "B"), default="B")
     p.add_argument(
         "--backend", choices=BACKENDS, default=None,
         help="launcher of a parallel run (default: spmd)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least("seed", 0), default=0)
     p.add_argument("--flows", action="store_true",
                    help="enable flow-based refinement on the coarsest graph "
                         "(any --num-pes)")
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "copy (out-of-core; converts file inputs once). "
                         "Default: whatever the input already is")
     p.add_argument("--resident-shards", dest="resident_shards",
-                   type=_at_least_one("max_resident_shards"), default=None,
+                   type=_at_least("max_resident_shards"), default=None,
                    help="LRU residency bound for --store mmap / shard-dir "
                         "inputs (default 4 shards)")
     p.add_argument("--initial-partition", dest="initial_partition",
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"{' | '.join(_FAMILIES)} | <registry instance name>")
     g.add_argument("--exponent", type=int, default=10, help="for rgg/del: 2^X nodes")
     g.add_argument("--nodes", type=int, default=4096)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_at_least("seed", 0), default=0)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=_cmd_generate)
 
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cluster", help="modularity clustering")
     c.add_argument("graph")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_at_least("seed", 0), default=0)
     c.add_argument("-o", "--output")
     c.set_defaults(func=_cmd_cluster)
 

@@ -8,7 +8,6 @@ from .config import PartitionConfig, eco_config, fast_config, minimal_config
 from .multilevel import detect_social, multilevel_partition
 from .partitioner import sequential_partition
 from .projection import project_partition
-from .vcycle import VcycleTrace, iterated_vcycles
 
 __all__ = [
     "ClusteringResult",
@@ -17,12 +16,10 @@ __all__ = [
     "PartitionConfig",
     "cluster_graph",
     "modularity_local_moving",
-    "VcycleTrace",
     "coarsen",
     "detect_social",
     "eco_config",
     "fast_config",
-    "iterated_vcycles",
     "minimal_config",
     "multilevel_partition",
     "project_partition",

@@ -72,24 +72,19 @@ class Hierarchy:
 class LocalCoarseningBackend:
     """Coarsening half of the V-cycle backend protocol, sequentially.
 
-    ``current`` tracks the graph of the level being built; ``constraint``
-    (when given) is the input partition of an iterated V-cycle, scatter-
-    projected level by level so clusters never span two of its blocks.
+    ``current`` tracks the graph of the level being built, from ``finest``
+    down; ``constraint`` (when given) is the seed partition of an
+    iterated V-cycle, scatter-projected level by level so clusters never
+    span two of its blocks.
     """
 
     emits_events = True
 
-    def __init__(
-        self,
-        graph: Graph,
-        config: PartitionConfig,
-        rng: np.random.Generator,
-        constraint: np.ndarray | None = None,
-    ):
-        self.current = graph
+    def __init__(self, graph: Graph, config: PartitionConfig, rng: np.random.Generator):
+        self.finest = self.current = graph
         self.config = config
         self.rng = rng
-        self.constraint = constraint
+        self.constraint: np.ndarray | None = None
 
     def span_kwargs(self) -> dict:
         return {}
@@ -97,8 +92,9 @@ class LocalCoarseningBackend:
     def clock(self) -> float:
         return 0.0
 
-    def begin_coarsening(self) -> None:
-        pass
+    def begin_coarsening(self, seed_partition: np.ndarray | None) -> None:
+        self.current = self.finest
+        self.constraint = seed_partition
 
     def current_size(self) -> int:
         return self.current.num_nodes
@@ -165,6 +161,8 @@ def coarsen(
     spans and events (with ``cycle=None``); no caller traces it.
     """
     lmax = max_block_weight_bound(graph, config.k, config.epsilon)
-    backend = LocalCoarseningBackend(graph, config, rng, constraint=constraint)
-    levels, _ = run_coarsening(backend, config, lmax, cluster_factor)
+    backend = LocalCoarseningBackend(graph, config, rng)
+    levels, _ = run_coarsening(
+        backend, config, lmax, cluster_factor, seed_partition=constraint
+    )
     return Hierarchy(tuple(levels), graph)

@@ -14,7 +14,8 @@ connected part's.
 
 It is also where a multilevel call's Lmax is decided: once, from the
 full graph and ``config.epsilon``.  Every layer below takes that integer
-and derives no bound of its own.
+and derives no bound of its own.  And where the caller's
+``initial_partition`` is checked, once for both pipelines.
 
 The frame serves the two ParHIP pipelines only.  The baselines share
 their exit (:func:`repro.metrics.finish_partition`), not this frame: run
@@ -32,8 +33,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..graph.csr import Graph
-from ..graph.validation import max_block_weight_bound
+from ..graph.csr import Graph, GraphError
+from ..graph.validation import check_labels, max_block_weight_bound
 from .config import PartitionConfig
 
 __all__ = ["around_isolated"]
@@ -54,18 +55,28 @@ def around_isolated(
     This returns the same pair with the labels extended to all of
     ``graph``.  A graph without isolated nodes goes to ``run`` as it is;
     one without arcs never reaches it, and ``idle`` stands in for
-    ``extra``.
+    ``extra``.  A ``seeded`` that is not a 1-D integer array of one
+    label in ``[0, k)`` per node is a :class:`GraphError` naming
+    ``initial_partition``.
     """
     lmax = max_block_weight_bound(graph, config.k, config.epsilon)
+    if seeded is not None:
+        seeded = np.asarray(seeded)
+        if seeded.shape != (graph.num_nodes,) or seeded.dtype.kind not in "iu":
+            raise GraphError(
+                f"initial_partition must be a 1-D integer array of {graph.num_nodes} "
+                f"labels, got dtype {seeded.dtype} and shape {seeded.shape}")
+        check_labels(seeded, config.k, "initial_partition: ")
+        seeded = seeded.astype(np.int64)
     keep = np.flatnonzero(graph.degrees)
-    if keep.size == graph.num_nodes:
+    if keep.size == graph.num_nodes > 0:
         return run(graph, lmax, seeded)
     part_labels, extra = np.zeros(0, dtype=np.int64), idle
     if keep.size:
         part_labels, extra = run(
             _connected_part(graph, keep),
             lmax,
-            None if seeded is None else np.asarray(seeded)[keep],
+            None if seeded is None else seeded[keep],
         )
     # Built only now: while the V-cycles run, the split holds no more
     # than ``keep`` and the subgraph's own arrays.

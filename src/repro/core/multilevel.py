@@ -4,13 +4,13 @@ The algorithm of Meyerhenke, Sanders, Schulz [7] that the paper
 parallelises (Section III): coarsen by contracting size-constrained
 label-propagation clusterings, partition the coarsest graph, then
 uncoarsen with label-propagation refinement on every level.  One call is
-one V-cycle — given an input partition it protects it and builds on it —
-and :mod:`repro.core.vcycle` iterates it.
+one V-cycle — given an input partition it protects it and builds on it.
 
-The cycle skeleton — level loops, spans, events, phase accounting —
-lives in :func:`repro.engine.vcycle.run_vcycle`, shared with the
-distributed pipeline; this module binds its hooks to the sequential
-substrate (:class:`LocalVcycleBackend`) and keeps the public API.
+The cycle skeleton — level loops, spans, events, phase accounting, the
+iterated cycles and the one kept — lives in :mod:`repro.engine.vcycle`,
+shared with the distributed pipeline; this module binds its hooks to the
+sequential substrate (:class:`LocalVcycleBackend`) and keeps the public
+API.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..engine.vcycle import run_vcycle
 from ..graph.csr import Graph
 from ..graph.ops import degree_statistics
 from ..kaffpa.driver import kaffpa_partition
-from ..metrics.quality import edge_cut
+from ..metrics.quality import edge_cut, overweight_cut
 from .coarsening import HierarchyLevel, LocalCoarseningBackend
 from .config import PartitionConfig
 from .projection import project_partition
@@ -46,10 +46,11 @@ class LocalVcycleBackend(LocalCoarseningBackend):
     """Sequential binding of the full V-cycle backend protocol.
 
     Extends the coarsening hooks with initial partitioning (KaFFPa on
-    the coarsest graph, seeded by the projected input partition of an
-    iterated V-cycle) and per-level LP refinement.  After coarsening,
-    ``constraint`` holds the input partition projected to the coarsest
-    level — the seed KaFFPa protects and must not lose to.
+    the coarsest graph, seeded by the projected seed partition of an
+    iterated V-cycle), per-level LP refinement and the fitness of a
+    finest-level partition.  After coarsening, ``constraint`` holds the
+    seed partition projected to the coarsest level — the seed KaFFPa
+    protects and must not lose to.
     """
 
     def __init__(
@@ -57,10 +58,9 @@ class LocalVcycleBackend(LocalCoarseningBackend):
         graph: Graph,
         config: PartitionConfig,
         rng: np.random.Generator,
-        input_partition: np.ndarray | None,
         lmax: int,
     ):
-        super().__init__(graph, config, rng, constraint=input_partition)
+        super().__init__(graph, config, rng)
         self.lmax = lmax
 
     def initial_partition(self) -> np.ndarray:
@@ -108,6 +108,9 @@ class LocalVcycleBackend(LocalCoarseningBackend):
     def release_level(self) -> None:
         pass
 
+    def fitness(self, partition: np.ndarray) -> tuple[int, int]:
+        return overweight_cut(self.finest, partition, self.config.k, self.lmax)
+
 
 def multilevel_partition(
     graph: Graph,
@@ -132,5 +135,8 @@ def multilevel_partition(
     if cluster_factor is None:
         social = config.social if config.social is not None else detect_social(graph)
         cluster_factor = config.cluster_factor(0, social, rng)
-    backend = LocalVcycleBackend(graph, config, rng, input_partition, lmax)
-    return run_vcycle(backend, config, lmax, cluster_factor, cycle=cycle).partition
+    backend = LocalVcycleBackend(graph, config, rng, lmax)
+    return run_vcycle(
+        backend, config, lmax, cluster_factor, cycle=cycle,
+        seed_partition=input_partition,
+    ).partition

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.vcycle import iterate_vcycles
 from ..graph.csr import Graph
 from ..metrics.result import PartitionResult, finish_partition
 from .config import PartitionConfig, fast_config
 from .isolated import around_isolated
-from .vcycle import iterated_vcycles
+from .multilevel import LocalVcycleBackend, detect_social
 
 __all__ = ["sequential_partition"]
 
@@ -33,8 +34,14 @@ def sequential_partition(
     rng = np.random.default_rng(seed)
 
     def cycles(part: Graph, lmax: int, seeded):
-        trace = iterated_vcycles(part, config, lmax, rng, input_partition=seeded)
-        return trace.partition, None
+        social = config.social if config.social is not None else detect_social(part)
+        run = iterate_vcycles(
+            LocalVcycleBackend(part, config, rng, lmax), config, lmax,
+            lambda cycle: config.cluster_factor(cycle, social, rng), seeded,
+        )
+        return run.partition, run.coarse_sizes
 
-    partition, _ = around_isolated(graph, config, cycles, input_partition)
-    return finish_partition(graph, partition, config.k, config.epsilon, config)
+    partition, coarse_sizes = around_isolated(graph, config, cycles, input_partition,
+                                              idle=())
+    return finish_partition(graph, partition, config.k, config.epsilon, config,
+                            coarse_sizes=coarse_sizes)

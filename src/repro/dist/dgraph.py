@@ -245,6 +245,13 @@ class DistGraph:
         out[~owned] = idx + self.n_local
         return out
 
+    def local_view(self, global_values: np.ndarray) -> np.ndarray:
+        """The owned and ghost entries (length ``n_total``) of a per-node
+        array that every PE holds whole: a halo exchange with no message."""
+        values = np.asarray(global_values)
+        return np.concatenate((values[self.first : self.first + self.n_local],
+                               values[self.ghost_global]))
+
     # ------------------------------------------------------------------
     # Neighbourhood access
     # ------------------------------------------------------------------

@@ -17,13 +17,14 @@ Per V-cycle, the SPMD program on every PE:
    propagation with the hard constraint ``W = Lmax`` after each
    projection.
 
-The cycle skeleton — level loops, spans, events, phase accounting — is
-the shared driver :func:`repro.engine.vcycle.run_vcycle`; this module
-binds its hooks to the SPMD substrate (:class:`SpmdVcycleBackend`: ghost
-CSR, halo exchanges, allreduced statistics, memory-budget charges) and
-keeps the public API.  Every hook that communicates is collective over
-``comm`` and is reached identically on every rank, preserving the
-lock-step protocol of the simulated runtime.
+The cycle skeleton — level loops, spans, events, phase accounting, the
+iterated cycles and the one kept — is the shared driver
+:mod:`repro.engine.vcycle`; this module binds its hooks to the SPMD
+substrate (:class:`SpmdVcycleBackend`: ghost CSR, halo exchanges,
+allreduced statistics, memory-budget charges) and keeps the public API.
+Every hook that communicates is collective over ``comm`` and is reached
+identically on every rank, preserving the lock-step protocol of the
+simulated runtime.
 
 Both label propagations are :func:`repro.engine.sclp.run_sclp` on an
 :class:`~repro.engine.backend.SpmdBackend` over the level's graph
@@ -50,7 +51,7 @@ from ..core.isolated import around_isolated
 from ..core.multilevel import detect_social
 from ..engine.backend import SpmdBackend, resolve_backend
 from ..engine.sclp import run_sclp
-from ..engine.vcycle import run_vcycle
+from ..engine.vcycle import iterate_vcycles
 from ..evolutionary.kaffpae import KaffpaeOptions, kaffpae_partition
 from ..graph.build import group_arcs
 from ..graph.csr import Graph
@@ -97,12 +98,12 @@ def distributed_edge_cut(dgraph: DistGraph, comm: SimComm, labels: np.ndarray) -
 class SpmdVcycleBackend:
     """SPMD binding of the V-cycle backend protocol (collective hooks).
 
-    One instance drives one V-cycle on one rank.  ``current`` tracks the
-    distributed graph of the level being built; the partition state
-    handed through the uncoarsening hooks is a ghost-extended label
-    array (length ``n_total`` of the level's fine graph), except at the
-    coarsest level where :meth:`initial_partition` returns this rank's
-    local slice of the replica-wide KaFFPaE partition.
+    One instance drives every V-cycle of a run on one rank.  ``current``
+    tracks the distributed graph of the level being built, from
+    ``dgraph`` down; the partition state handed through the hooks, a
+    cycle's seed included, is a ghost-extended label array (length
+    ``n_total`` of the level's graph) whose ghost entries are their
+    owners' labels.
     """
 
     def __init__(
@@ -111,7 +112,6 @@ class SpmdVcycleBackend:
         comm: SimComm,
         config: PartitionConfig,
         lmax: int,
-        partition_local: np.ndarray | None,
         budget: MemoryBudget | None,
         memory_scale: float = 1.0,
         replica_memory_scale: float | None = None,
@@ -120,7 +120,6 @@ class SpmdVcycleBackend:
         self.comm = comm
         self.config = config
         self.lmax = lmax
-        self.partition_local = partition_local
         self.budget = budget
         self.memory_scale = memory_scale
         self.replica_memory_scale = replica_memory_scale
@@ -146,12 +145,9 @@ class SpmdVcycleBackend:
 
     # --- coarsening ---
 
-    def begin_coarsening(self) -> None:
-        if self.partition_local is not None:
-            constraint = np.zeros(self.dgraph.n_total, dtype=np.int64)
-            constraint[: self.dgraph.n_local] = self.partition_local
-            self.dgraph.halo_exchange(self.comm, constraint)
-            self.constraint = constraint
+    def begin_coarsening(self, seed_partition: np.ndarray | None) -> None:
+        self.current = self.dgraph
+        self.constraint = seed_partition
         if TRACER.enabled:
             self.traced_edges = int(self.comm.allreduce(self.current.num_arcs)) // 2
 
@@ -246,9 +242,7 @@ class SpmdVcycleBackend:
         )
         self._replica = replica
         self._coarsest_partition = coarsest_partition
-        return coarsest_partition[
-            self.current.first : self.current.first + self.current.n_local
-        ]
+        return self.current.local_view(coarsest_partition)
 
     def coarsest_cut(self, partition: np.ndarray) -> int:
         # Every rank holds the replica and KaFFPaE's full partition, of
@@ -293,6 +287,14 @@ class SpmdVcycleBackend:
         if self.budget is not None and self.level_charges:
             self.budget.release(self.level_charges.pop())
 
+    def fitness(self, partition: np.ndarray) -> tuple[int, int]:
+        # Tagged: its stats key and order check tell it from the LP's sums.
+        local = np.bincount(partition[: self.dgraph.n_local], weights=self.dgraph.vwgt,
+                            minlength=self.config.k).astype(np.int64)
+        heaviest = int(self.comm.allreduce(local, tag="fitness").max(initial=0))
+        return (max(0, heaviest - self.lmax),
+                distributed_edge_cut(self.dgraph, self.comm, partition))
+
 
 def parhip_program(
     comm: SimComm,
@@ -303,19 +305,19 @@ def parhip_program(
     memory_scale: float = 1.0,
     replica_memory_scale: float | None = None,
     initial_partition: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, tuple[list[int], dict]]:
     """The SPMD body of the parallel partitioner (collective over ``comm``).
 
     :func:`parhip_vcycles` on the nodes of degree > 0; every rank then
     places the isolated nodes alike (:mod:`repro.core.isolated`).
-    Returns the *global* partition (identical on every rank) and a phase
-    timing dictionary of this rank's simulated clock.
+    Returns the *global* partition (identical on every rank) and what
+    :func:`parhip_vcycles` reports beside it.
     """
     def cycles(part: Graph, lmax: int, seeded):
         return parhip_vcycles(comm, part, config, lmax, seed, memory_budget,
                               memory_scale, replica_memory_scale, seeded)
 
-    return around_isolated(graph, config, cycles, initial_partition, idle={})
+    return around_isolated(graph, config, cycles, initial_partition, idle=([], {}))
 
 
 def parhip_vcycles(
@@ -328,16 +330,16 @@ def parhip_vcycles(
     memory_scale: float = 1.0,
     replica_memory_scale: float | None = None,
     initial_partition: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, tuple[list[int], dict]]:
     """Distribute ``graph``, run the V-cycles against ``lmax``, gather the partition.
 
     What :func:`parhip_program` runs on a graph without isolated nodes;
     the result and collective schedule are the same on every rank.
+    Returns the global partition and ``(coarse_sizes, phase_times)``: the
+    global node count after every coarsening level of every cycle, and
+    this rank's simulated seconds per pipeline phase.
     """
-    n = graph.num_nodes
-    if n == 0:
-        return np.empty(0, dtype=np.int64), {}
-    vtxdist = balanced_vtxdist(n, comm.size)
+    vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
     dgraph = DistGraph.from_global(graph, vtxdist, comm.rank)
     social = config.social if config.social is not None else detect_social(graph)
     budget = (
@@ -353,45 +355,20 @@ def parhip_vcycles(
             -(-graph.num_edges // comm.size),
             "input subgraph",
         )
-
-    phase_times = {"coarsening": 0.0, "initial": 0.0, "refinement": 0.0}
-    coarse_sizes: list[int] = []
-    partition_local: np.ndarray | None = None  # blocks of local nodes
-    if initial_partition is not None:
-        # Prepartitioned input (future-work scenario): feed it into the
-        # first V-cycle exactly like the previous cycle's result.
-        partition_local = np.asarray(
-            initial_partition[dgraph.first : dgraph.first + dgraph.n_local],
-            dtype=np.int64,
-        )
-
-    for cycle in range(config.num_vcycles):
-        # All ranks must agree on the factor f: derive it from a shared RNG.
-        shared_rng = np.random.default_rng((seed, 7_919, cycle))
-        factor = config.cluster_factor(cycle, social, shared_rng)
-        with TRACER.span("vcycle", comm=comm, cycle=cycle, factor=float(factor)):
-            backend = SpmdVcycleBackend(
-                dgraph,
-                comm,
-                config,
-                lmax,
-                partition_local,
-                budget,
-                memory_scale=memory_scale,
-                replica_memory_scale=replica_memory_scale,
-            )
-            out = run_vcycle(backend, config, lmax, factor, cycle=cycle)
-            partition_local = np.asarray(
-                out.partition[: dgraph.n_local], dtype=np.int64
-            )
-            coarse_sizes.extend(out.coarse_sizes)
-            for phase, elapsed in out.phase_times.items():
-                phase_times[phase] += elapsed
-
-    assert partition_local is not None
-    global_partition = dgraph.gather_global(comm, partition_local)
-    phase_times["coarse_sizes"] = tuple(coarse_sizes)
-    return global_partition, phase_times
+    backend = SpmdVcycleBackend(
+        dgraph, comm, config, lmax, budget,
+        memory_scale=memory_scale, replica_memory_scale=replica_memory_scale,
+    )
+    run = iterate_vcycles(
+        backend, config, lmax,
+        # All ranks must agree on the factor f: it comes from a shared RNG.
+        lambda cycle: config.cluster_factor(
+            cycle, social, np.random.default_rng((seed, 7_919, cycle))),
+        # A prepartition (future-work scenario) seeds the first V-cycle
+        # exactly like the previous cycle's result seeds the next.
+        None if initial_partition is None else dgraph.local_view(initial_partition),
+    )
+    return dgraph.gather_global(comm, run.partition), (run.coarse_sizes, run.phase_times)
 
 
 def parallel_partition(
@@ -435,7 +412,6 @@ def parallel_partition(
         )
     else:
         result = run_spmd(num_pes, parhip_program, graph, config, seed, **common)
-    partition, phase_times = result.value
-    coarse_sizes = phase_times.pop("coarse_sizes", ())
+    partition, (coarse_sizes, phase_times) = result.value
     return finish_partition(graph, partition, config.k, config.epsilon, config,
                             num_pes, result.sim_time, coarse_sizes, phase_times)

@@ -193,8 +193,8 @@ def run_spmd(
     errors: list[tuple[int, BaseException]] = []
 
     def run_rank(rank: int) -> None:
-        comm = world.comm(rank)
         try:
+            comm = world.comm(rank)
             result = program(comm, *args, **kwargs)
         except _Aborted:
             return  # the echo of a failure recorded elsewhere

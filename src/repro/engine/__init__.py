@@ -8,8 +8,9 @@ distributed-memory one, whether its ranks are lock-step threads or real
 OS processes over shared-memory CSR segments
 (``backend='spmd'|'process'``, see
 :func:`~repro.engine.backend.resolve_backend`).  And one multilevel
-V-cycle driver (:func:`~repro.engine.vcycle.run_vcycle`), written
-against the :class:`~repro.engine.vcycle.VcycleBackend` hooks that
+V-cycle driver (:func:`~repro.engine.vcycle.run_vcycle`, iterated by
+:func:`~repro.engine.vcycle.iterate_vcycles`), written against the
+:class:`~repro.engine.vcycle.VcycleBackend` hooks that
 :mod:`repro.core.multilevel` and :mod:`repro.dist.dist_partitioner`
 implement.  Every label propagation of the program — those hooks,
 modularity clustering's core groups, the flat out-of-core pass — calls
@@ -27,7 +28,7 @@ from .backend import (
 )
 from .kernels import DEFAULT_CHUNK_SIZE
 from .sclp import run_sclp
-from .vcycle import VcycleBackend, VcycleResult, run_coarsening, run_vcycle
+from .vcycle import VcycleBackend, VcycleResult, iterate_vcycles, run_coarsening, run_vcycle
 
 __all__ = [
     "BACKENDS",
@@ -36,6 +37,7 @@ __all__ = [
     "LocalBackend",
     "SpmdBackend",
     "exchange_interface_labels",
+    "iterate_vcycles",
     "resolve_backend",
     "run_sclp",
     "run_vcycle",

@@ -1,18 +1,20 @@
-"""The backend-abstracted multilevel V-cycle driver (paper §III, §IV-E).
+"""The backend-abstracted multilevel V-cycle driver (paper §III, §IV-D, §IV-E).
 
 One driver owns the multilevel skeleton for both pipelines — the
-coarsening level loop (cluster bound, per-level bound adaptation, stall
-detection), the initial-partitioning hand-off, and the uncoarsening loop
-(project → refine per level) — together with all of its pipeline spans
-and events, so the sequential and the distributed run emit the same
-observability schema from the same code.  The cycle is a V and nothing
-else: one descent, one ascent, every span at its own nesting level.
+iterated cycles and which of them is kept, the coarsening level loop
+(cluster bound, per-level bound adaptation, stall detection), the
+initial-partitioning hand-off, and the uncoarsening loop (project →
+refine per level) — together with all of its pipeline spans and events,
+so the sequential and the distributed run emit the same observability
+schema from the same code.  A cycle is a V and nothing else: one
+descent, one ascent, every span at its own nesting level.
 
 Everything substrate-specific is a :class:`VcycleBackend` hook: how a
 level is clustered and contracted, what "global node count" means, how
 the coarsest graph is partitioned (direct KaFFPa vs replica + KaFFPaE),
-how a partition is projected and refined, how cuts are measured, and
-what bookkeeping (memory-budget charges, simulated clocks) rides along.
+how a partition is projected and refined, how cuts are measured, how a
+finished partition is scored against the others, and what bookkeeping
+(memory-budget charges, simulated clocks) rides along.
 :class:`repro.core.multilevel.LocalVcycleBackend` binds the hooks to the
 sequential substrate, :class:`repro.dist.dist_partitioner.SpmdVcycleBackend`
 to the simulated distributed-memory one.
@@ -27,12 +29,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 from ..obsv.tracer import TRACER
 from ..perf.rss import memory_probe
 
-__all__ = ["VcycleBackend", "VcycleResult", "run_coarsening", "run_vcycle"]
+__all__ = ["VcycleBackend", "VcycleResult", "iterate_vcycles", "run_coarsening",
+           "run_vcycle"]
 
 #: coarsening has stalled when a level keeps at least this share of its nodes
 MIN_SHRINK_FACTOR = 0.95
@@ -41,12 +44,14 @@ MIN_SHRINK_FACTOR = 0.95
 class VcycleBackend(Protocol):
     """What the V-cycle driver needs from a pipeline substrate.
 
+    One instance drives every cycle of a run on its finest graph.
     Level objects are opaque to the driver: whatever :meth:`contract`
     returns is stored and handed back to the level-scoped hooks.
     Likewise the partition state — a plain partition array sequentially,
     a ghost-extended label array in the SPMD pipeline — only flows
-    between :meth:`initial_partition`, :meth:`project`,
-    :meth:`refine_level` and the cut probes.
+    between the hooks: a cycle's seed into :meth:`begin_coarsening`, and
+    :meth:`initial_partition`, :meth:`project`, :meth:`refine_level`,
+    the cut probes and :meth:`fitness`.
     """
 
     @property
@@ -55,7 +60,9 @@ class VcycleBackend(Protocol):
     def clock(self) -> float: ...  # simulated seconds (0.0 sequentially)
 
     # --- coarsening ---
-    def begin_coarsening(self) -> None: ...
+    # Start a cycle on the finest graph; a seed partition (or None) is
+    # protected on the way down and seeds the coarsest level.
+    def begin_coarsening(self, seed_partition: Any) -> None: ...
     def current_size(self) -> int: ...  # global nodes of the current level
     def max_node_weight(self) -> int: ...  # global max c(v), may reduce
     def cluster(self, level_bound: int) -> Any: ...
@@ -77,14 +84,17 @@ class VcycleBackend(Protocol):
     def level_cut(self, level: Any, partition: Any) -> int: ...  # tracing only
     def release_level(self) -> None: ...
 
+    # --- the cycle kept ---
+    # (max(0, heaviest block - lmax), edge cut) of a finest-level partition
+    def fitness(self, partition: Any) -> tuple[int, int]: ...
+
 
 @dataclass
 class VcycleResult:
-    """Outcome of one driven V-cycle."""
+    """Outcome of one driven V-cycle, or of the iterated ones."""
 
     partition: Any  # backend-specific partition state on the finest graph
-    levels: list  # committed (non-stalled) contraction levels, finest first
-    coarse_sizes: list[int]  # global node count after each level
+    coarse_sizes: list[int]  # global node count after each level, every cycle
     phase_times: dict[str, float]  # simulated clock per pipeline phase
 
 
@@ -95,6 +105,7 @@ def run_coarsening(
     cluster_factor: float,
     *,
     cycle: int | None = None,
+    seed_partition: Any = None,
 ) -> tuple[list, list[int]]:
     """The coarsening level loop; returns (levels, coarse_sizes).
 
@@ -105,7 +116,8 @@ def run_coarsening(
     per-level bound tracks coarse node growth (at least a pairwise merge
     must stay possible) but is capped well below ``lmax``: coarse nodes
     near ``lmax`` would make balanced initial partitioning a bin-packing
-    problem with no feasible solution at small eps.
+    problem with no feasible solution at small eps.  No cluster spans two
+    blocks of ``seed_partition``.
     """
     # Floor of 2: at our scaled-down instance sizes the paper's mesh factor
     # f = 20 000 would otherwise drop the bound to 1 (singleton clusters,
@@ -117,7 +129,7 @@ def run_coarsening(
     cap = max(2, lmax // 4)
     levels: list = []
     coarse_sizes: list[int] = []
-    backend.begin_coarsening()
+    backend.begin_coarsening(seed_partition)
     while backend.current_size() > target:
         with TRACER.span(
             "coarsen.level", **backend.span_kwargs(), cycle=cycle, level=len(levels)
@@ -173,12 +185,13 @@ def run_vcycle(
     cluster_factor: float,
     *,
     cycle: int | None = None,
+    seed_partition: Any = None,
 ) -> VcycleResult:
     """Drive one multilevel cycle: coarsen → initial partition → uncoarsen.
 
-    A backend built around an input partition protects it on the way
-    down (:meth:`VcycleBackend.descend`) and seeds the coarsest level
-    with it, so the cycle starts uncoarsening no worse than it was given.
+    A ``seed_partition`` is protected on the way down
+    (:meth:`VcycleBackend.descend`) and seeds the coarsest level, so the
+    cycle starts uncoarsening no worse than it was given.
     """
     phase_times: dict[str, float] = {}
     traced = TRACER.enabled  # process-global: the same answer on every rank
@@ -186,7 +199,8 @@ def run_vcycle(
 
     with _phase(backend, "coarsening", cycle, phase_times) as span:
         levels, coarse_sizes = run_coarsening(
-            backend, config, lmax, cluster_factor, cycle=cycle
+            backend, config, lmax, cluster_factor, cycle=cycle,
+            seed_partition=seed_partition,
         )
         sizes += coarse_sizes
         span.set(levels=len(levels))
@@ -226,4 +240,41 @@ def run_vcycle(
                         )
             backend.release_level()
 
-    return VcycleResult(partition, levels, coarse_sizes, phase_times)
+    return VcycleResult(partition, coarse_sizes, phase_times)
+
+
+def iterate_vcycles(
+    backend: VcycleBackend,
+    config,
+    lmax: int,
+    factor: Callable[[int], float],
+    seed_partition: Any = None,
+) -> VcycleResult:
+    """``config.num_vcycles`` V-cycles, each seeded with the best partition so far.
+
+    A seed's cut edges are never contracted, so a cycle starts
+    uncoarsening no worse than it (§IV-D).  ``factor(cycle)`` is the
+    cluster-size factor ``f``, drawn just before the cycle.  Kept is the
+    smallest of ``seed_partition`` (if given) and every cycle's result
+    under :meth:`VcycleBackend.fitness`, a tie going to the later one; so
+    a balanced seed is never made worse.  The result has every cycle's
+    coarse sizes and the phase times summed over the cycles.
+    """
+    best = seed_partition
+    best_key = None if seed_partition is None else backend.fitness(seed_partition)
+    coarse_sizes: list[int] = []
+    phase_times: dict[str, float] = {}
+    for cycle in range(config.num_vcycles):
+        f = factor(cycle)
+        with TRACER.span(
+            "vcycle", **backend.span_kwargs(), cycle=cycle, factor=float(f)
+        ) as span:
+            out = run_vcycle(backend, config, lmax, f, cycle=cycle, seed_partition=best)
+            key = backend.fitness(out.partition)
+            if best_key is None or key <= best_key:
+                best, best_key = out.partition, key
+            span.set(cut=key[1], best_cut=best_key[1])
+        coarse_sizes += out.coarse_sizes
+        for phase, elapsed in out.phase_times.items():
+            phase_times[phase] = phase_times.get(phase, 0.0) + elapsed
+    return VcycleResult(best, coarse_sizes, phase_times)

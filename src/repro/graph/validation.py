@@ -78,14 +78,14 @@ def check_graph(graph: Graph, require_positive_weights: bool = True) -> None:
         raise GraphError("arc multiset is not symmetric")
 
 
-def check_labels(labels: np.ndarray, k: int) -> None:
+def check_labels(labels: np.ndarray, k: int, what: str = "") -> None:
     """Raise :class:`GraphError` naming the first node whose label is
-    outside ``[0, k)``, if there is one."""
+    outside ``[0, k)``, if there is one (the message starts with ``what``)."""
     bad = np.flatnonzero((labels < 0) | (labels >= k))
     if bad.size:
         node = int(bad[0])
         raise GraphError(
-            f"node {node} has label {labels[node]}, outside [0, k) for k = {k}"
+            f"{what}node {node} has label {labels[node]}, outside [0, k) for k = {k}"
         )
 
 

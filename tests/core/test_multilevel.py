@@ -10,7 +10,6 @@ from repro.core import (
     detect_social,
     eco_config,
     fast_config,
-    iterated_vcycles,
     minimal_config,
     multilevel_partition,
     sequential_partition,
@@ -18,6 +17,7 @@ from repro.core import (
 from repro.generators import load_instance, planted_partition, rgg
 from repro.graph import check_partition, max_block_weight_bound
 from repro.metrics import edge_cut
+from repro.obsv import TRACER
 
 
 def rng(seed=0):
@@ -59,6 +59,14 @@ class TestConfig:
                 partition_graph(rgg(6, seed=0), **{"k": 2, field: value})
         with pytest.raises(ValueError, match=message):
             PartitionConfig(**{field: value})
+
+    @pytest.mark.parametrize("num_pes", [1, 2])
+    @pytest.mark.parametrize("bad", [-1, 2.5])
+    def test_seed_must_be_a_count(self, bad, num_pes):
+        from repro.api import partition_graph
+
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {bad!r}$"):
+            partition_graph(rgg(6, seed=0), 2, num_pes=num_pes, seed=bad)
 
     def test_numpy_integer_k_is_an_integer(self):
         assert PartitionConfig(k=np.int64(4)).k == 4
@@ -116,19 +124,32 @@ class TestMultilevelPartition:
 
 class TestVcycles:
     def test_cuts_monotone_nonincreasing(self):
+        """The ``vcycle`` spans' ``best_cut``: the cut of the partition kept
+        after each cycle."""
         g = load_instance("youtube")
         config = eco_config(k=2, social=True, evolution_rounds=0)
-        trace = iterated_vcycles(g, config, lmax(g, config), rng(0))
-        cuts = list(trace.cuts)
+        TRACER.enable()
+        try:
+            res = sequential_partition(g, config, seed=0)
+        finally:
+            TRACER.disable()
+        spans = sorted(
+            (r["attrs"] for r in TRACER.snapshot()
+             if r["type"] == "span" and r["name"] == "vcycle"),
+            key=lambda attrs: attrs["cycle"],
+        )
+        TRACER.reset()
+        cuts = [attrs["best_cut"] for attrs in spans]
         assert len(cuts) == 5
         assert all(b <= a for a, b in zip(cuts, cuts[1:]))
+        assert cuts[-1] == res.cut
 
     def test_more_cycles_not_worse_than_one(self):
         g = load_instance("amazon")
         one_cycle, two_cycles = minimal_config(k=2, social=True), fast_config(k=2, social=True)
-        one = iterated_vcycles(g, one_cycle, lmax(g, one_cycle), rng(5))
-        two = iterated_vcycles(g, two_cycles, lmax(g, two_cycles), rng(5))
-        assert two.cuts[-1] <= one.cuts[0]
+        one = sequential_partition(g, one_cycle, seed=5)
+        two = sequential_partition(g, two_cycles, seed=5)
+        assert two.cut <= one.cut
 
 
 class TestSequentialFacade:

@@ -91,6 +91,24 @@ class TestNothingIsLeftRunning:
             run_spmd(4, _fails_in_third_collective)
         assert exc.value.__notes__ == ["raised on SPMD rank 1"]
 
+    def test_after_a_rank_fails_to_build_its_communicator(self, monkeypatch):
+        build = World.comm
+
+        def comm(world, rank):
+            if rank == 1:
+                raise ValueError("rank 1 could not build its communicator")
+            return build(world, rank)
+
+        monkeypatch.setattr(World, "comm", comm)
+        with pytest.raises(ValueError, match="could not build") as exc:
+            run_spmd(3, _comm_class)
+        assert exc.value.__notes__ == ["raised on SPMD rank 1"]
+
+    def test_after_a_seed_no_rank_generator_takes(self):
+        with pytest.raises(ValueError, match="non-negative") as exc:
+            run_spmd(2, _comm_class, seed=-1)
+        assert exc.value.__notes__ == ["raised on SPMD rank 0"]
+
     def test_after_a_sanitizer_mismatch(self):
         with pytest.raises(CollectiveMismatchError) as exc:
             run_spmd(4, _order_divergence)

@@ -100,6 +100,12 @@ def test_partition_oocore_iterations_must_be_a_count(graph, bad):
         partition_oocore(graph, K, iterations=bad)
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5])
+def test_partition_oocore_seed_must_be_a_count(graph, bad):
+    with pytest.raises(ValueError, match=rf"seed must be an integer >= 0, got {bad}"):
+        partition_oocore(graph, K, seed=bad)
+
+
 def test_partition_graph_dispatches_nonresident(graph, sharded):
     via_dispatch = partition_graph(sharded, K, seed=3)
     direct = partition_oocore(graph, K, seed=3)

@@ -8,7 +8,7 @@ import pytest
 from repro import partition_graph
 from repro.core import fast_config, minimal_config
 from repro.generators import delaunay, random_geometric_graph
-from repro.graph import check_partition, block_weights, max_block_weight_bound
+from repro.graph import GraphError, check_partition, block_weights, max_block_weight_bound
 from repro.kaffpa import coordinate_bisection
 from repro.metrics import edge_cut
 
@@ -111,14 +111,14 @@ class TestPrepartitionedInput:
         pre = coordinate_bisection(pos, k)
         assert block_weights(graph, pre, k).max() <= max_block_weight_bound(graph, k, 0.03)
         module, name = (
-            (repro.core.partitioner, "iterated_vcycles") if num_pes == 1
+            (repro.core.partitioner, "iterate_vcycles") if num_pes == 1
             else (repro.dist.dist_partitioner, "parhip_vcycles"))
         cycles = getattr(module, name)
         seeds = []
 
-        def recording(*args, **kwargs):
-            seeds.append(kwargs["input_partition"] if num_pes == 1 else args[-1])
-            return cycles(*args, **kwargs)
+        def recording(*args):
+            seeds.append(args[-1])  # both take the seed last
+            return cycles(*args)
 
         monkeypatch.setattr(module, name, recording)
         result = partition_graph(graph, k=k, config=fast_config(k=k, social=False),
@@ -127,6 +127,22 @@ class TestPrepartitionedInput:
         assert all(np.array_equal(seeded, pre[keep]) for seeded in seeds)
         assert result.cut <= edge_cut(graph, pre)
         check_partition(graph, result.partition, k, epsilon=0.03)
+
+    @pytest.mark.parametrize("num_pes", [1, 2])
+    @pytest.mark.parametrize("bad", ["short", "long", "float", "label k"])
+    def test_a_malformed_prepartition_is_refused_naming_it(self, bad, num_pes):
+        """Checked once where both pipelines enter: before, at p = 2 a long
+        array ran, a short one died in numpy and float labels were cut."""
+        graph = delaunay(8, seed=1)
+        k, n = 4, graph.num_nodes
+        pre = {
+            "short": np.zeros(n - 1, dtype=np.int64),
+            "long": np.zeros(n + 1, dtype=np.int64),
+            "float": np.zeros(n, dtype=np.float64),
+            "label k": np.full(n, k, dtype=np.int64),
+        }[bad]
+        with pytest.raises(GraphError, match="initial_partition"):
+            partition_graph(graph, k, num_pes=num_pes, initial_partition=pre)
 
     def test_prepartition_much_better_than_its_input(self, rgg_with_positions):
         """The warm start improves massively on the prepartition itself.

@@ -153,14 +153,18 @@ def test_spmd_and_process_summaries_count_alike():
     allgather, 2 keys received by each of 2 ranks in each of 2 V-cycles.
     Since the pipelines set rmat11's 500 isolated nodes apart, the ranks
     partition 1 548 nodes: 352 -> 334 collectives, 1 039 292 -> 799 892
-    bytes, 62 -> 64 LP iterations, 5 652 -> 5 912 moved nodes.)
+    bytes, 62 -> 64 LP iterations, 5 652 -> 5 912 moved nodes.  Since one
+    loop keeps the best V-cycle on both pipelines, each rank scores every
+    cycle with two allreduces, block weights and cut, and seeds the next
+    cycle with ghost entries it already holds instead of a halo exchange:
+    334 -> 340 collectives, 799 892 -> 789 356 bytes; no label moved.)
     """
     spmd = _traced_summary("spmd", 2)
     process = _traced_summary("process", 2)
     assert spmd["header"]["backend"] == "spmd"
     assert process["header"]["backend"] == "process"
-    assert spmd["comm"]["collectives"] == process["comm"]["collectives"] == 334
-    assert spmd["comm"]["recv_bytes"] == process["comm"]["recv_bytes"] == 799_892
+    assert spmd["comm"]["collectives"] == process["comm"]["collectives"] == 340
+    assert spmd["comm"]["recv_bytes"] == process["comm"]["recv_bytes"] == 789_356
     assert spmd["counts"] == process["counts"]
     assert spmd["counts"]["isolated_nodes"] == 500
     assert spmd["counts"]["lp.iterations"] == 64

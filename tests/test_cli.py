@@ -79,6 +79,20 @@ class TestPartitionCommand:
         err = capsys.readouterr().err
         assert "num_pes" in err and repr(bad) in err
 
+    @pytest.mark.parametrize("command", ["partition", "generate", "cluster"])
+    @pytest.mark.parametrize("bad", ["-1", "2.5"])
+    def test_seed_must_be_a_count(self, metis_graph, tmp_path, capsys, command, bad):
+        argv = {
+            "partition": ["partition", str(metis_graph), "-k", "2"],
+            "generate": ["generate", "rgg", "-o", str(tmp_path / "g.metis")],
+            "cluster": ["cluster", str(metis_graph)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--seed={bad}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "seed must be an integer >= 0" in err and repr(bad) in err
+
     @pytest.mark.parametrize("bad", ["0", "-1", "1.5"])
     def test_resident_shards_must_be_a_positive_int(self, metis_graph, capsys, bad):
         with pytest.raises(SystemExit) as exc:

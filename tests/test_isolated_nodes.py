@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 import repro.core.partitioner
 import repro.dist.dist_partitioner
 from repro import partition_graph
-from repro.core import fast_config, iterated_vcycles
+from repro.core import detect_social, fast_config
 from repro.core.isolated import _place_isolated
-from repro.engine.vcycle import run_vcycle
+from repro.core.multilevel import LocalVcycleBackend
+from repro.engine.vcycle import iterate_vcycles, run_vcycle
 from repro.evolutionary.kaffpae import kaffpae_partition
 from repro.dist.dist_partitioner import parhip_vcycles
 from repro.dist.runtime import run_spmd, run_spmd_processes
@@ -57,7 +58,7 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("num_pes", [1, 2, 4])
     @pytest.mark.parametrize("n,k", [(10, 4), (3, 4), (1, 1)])
     def test_edgeless_graph_runs_no_vcycle(self, monkeypatch, n, k, num_pes):
-        monkeypatch.setattr(repro.core.partitioner, "iterated_vcycles", _no_vcycles)
+        monkeypatch.setattr(repro.core.partitioner, "iterate_vcycles", _no_vcycles)
         monkeypatch.setattr(repro.dist.dist_partitioner, "parhip_vcycles", _no_vcycles)
         res = partition_graph(empty_graph(n), k, num_pes=num_pes)
         weights = np.bincount(res.partition, minlength=k)
@@ -168,11 +169,11 @@ class TestAbsoluteBound:
         g = rmat(10, seed=1)
         calls = []
 
-        def recording(graph, config, lmax, rng, **kwargs):
-            calls.append((graph, config, lmax))
-            return iterated_vcycles(graph, config, lmax, rng, **kwargs)
+        def recording(backend, config, lmax, *args):
+            calls.append((backend.finest, config, lmax))
+            return iterate_vcycles(backend, config, lmax, *args)
 
-        monkeypatch.setattr(repro.core.partitioner, "iterated_vcycles", recording)
+        monkeypatch.setattr(repro.core.partitioner, "iterate_vcycles", recording)
         res = partition_graph(g, 4, seed=0)
         ((sub, config, lmax),) = calls
         assert sub.num_nodes == g.num_nodes - 196
@@ -212,7 +213,11 @@ def test_without_isolated_nodes_the_call_is_the_vcycles(name, num_pes, backend):
     res = partition_graph(g, 8, config=config, num_pes=num_pes, seed=3, backend=backend)
     lmax = res.lmax
     if num_pes == 1:
-        direct = iterated_vcycles(g, config, lmax, np.random.default_rng(3)).partition
+        rng, social = np.random.default_rng(3), detect_social(g)
+        direct = iterate_vcycles(
+            LocalVcycleBackend(g, config, rng, lmax), config, lmax,
+            lambda cycle: config.cluster_factor(cycle, social, rng),
+        ).partition
     elif backend == "spmd":
         direct = run_spmd(num_pes, parhip_vcycles, g, config, lmax, 3, seed=3).value[0]
     else:
