@@ -45,10 +45,12 @@ The protocol assumes every rank calls the same collectives in the same
 order; unchecked, a violation gathers values of different collectives
 into one list and dies later with a misleading ``TypeError``.  So every
 contribution carries an ``(op, sequence number, call site)`` tag and the
-hub verifies that all ranks agree — every rank raises
+hub verifies that all ranks agree on all three — every rank raises
 :class:`CollectiveMismatchError` naming the divergent ranks and both
-call sites otherwise.  A rank that never contributes cannot be named by
-the hub; that case ends in the launcher's watchdog.  The static
+call sites otherwise.  The call site counts: two ranks that enter the
+same untagged op from different lines would gather unrelated values.  A
+rank that never contributes cannot be named by the hub; that case ends
+in the launcher's watchdog.  The static
 companion of this check is :mod:`repro.analysis`.
 """
 
@@ -134,19 +136,19 @@ def _mismatch_error(
     and every other rank rebuilds it from the same snapshot, so each
     rank raises an exception object of its own.
     """
-    counts: dict[tuple[str, int], int] = {}
-    for op, seq, _ in tags:
-        counts[op, seq] = counts.get((op, seq), 0) + 1
+    counts: dict[tuple[str, int, str], int] = {}
+    for tag in tags:
+        counts[tag] = counts.get(tag, 0) + 1
     if len(counts) == 1:
         return None
     # Majority opinion defines the common stream; the rest diverged.
     majority = max(counts, key=counts.__getitem__)
-    divergent = [r for r, tag in enumerate(tags) if tag[:2] != majority]
+    divergent = [r for r, tag in enumerate(tags) if tag != majority]
     lines = [f"  rank {r}: {op} #{seq} at {site}" for r, (op, seq, site) in enumerate(tags)]
     return CollectiveMismatchError(
         f"collective order mismatch (SPMD divergence): rank(s) {divergent} "
-        f"diverged from the common stream ({majority[0]} #{majority[1]}):\n"
-        + "\n".join(lines),
+        f"diverged from the common stream ({majority[0]} #{majority[1]} at "
+        f"{majority[2]}):\n" + "\n".join(lines),
         divergent_ranks=divergent,
     )
 

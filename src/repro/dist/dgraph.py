@@ -14,12 +14,11 @@ This mirrors the paper's parallel graph data structure (Section IV-A):
 
 The structure also holds the *send lists* the halo exchange needs: for
 every other PE ``q``, the owned nodes that ``q`` has as ghosts — exactly
-the interface nodes with a neighbour owned by ``q`` — plus the interface
-mask and the reverse CSR from ghosts to their owned neighbours, which
-every label propagation on the level reads.  All of it comes from one
-compiled pass per level (:func:`repro.native.ghost_layout`: a counting
-sort over the global id range, no comparison sort and no hash table)
-and is stored as fields.
+the interface nodes with a neighbour owned by ``q`` — plus the reverse
+CSR from ghosts to their owned neighbours, which every label propagation
+on the level reads.  All of it comes from one compiled pass per level
+(:func:`repro.native.ghost_layout`: a counting sort over the global id
+range, no comparison sort and no hash table) and is stored as fields.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ class DistGraph:
     send_ranks: np.ndarray  # adjacent PEs we must send interface values to
     send_nodes: list[np.ndarray]  # per adjacent PE: owned local ids it ghosts
     recv_ghosts: list[np.ndarray]  # per adjacent PE: ghost local ids it owns
-    interface: np.ndarray  # per owned node: has a ghost neighbour
     # reverse CSR, ghost slot g (local id minus n_local) -> the owned nodes
     # with an arc to it: ghost_src[ghost_xadj[g]:ghost_xadj[g + 1]]
     ghost_xadj: np.ndarray
@@ -74,8 +72,8 @@ class DistGraph:
 
     def __post_init__(self) -> None:
         # Same rule as the global graph's store: CSR buffers refuse writes.
-        for name in ("xadj", "adjncy", "adjwgt", "vwgt", "interface",
-                     "ghost_xadj", "ghost_src"):
+        for name in ("xadj", "adjncy", "adjwgt", "vwgt", "ghost_xadj",
+                     "ghost_src"):
             setattr(self, name, readonly_view(getattr(self, name)))
 
     # ------------------------------------------------------------------
@@ -121,7 +119,6 @@ class DistGraph:
                 np.arange(layout.ghost_start[q], layout.ghost_start[q + 1]) + n_local
                 for q in send_ranks
             ],
-            interface=layout.interface,
             ghost_xadj=layout.ghost_xadj,
             ghost_src=layout.ghost_src,
         )

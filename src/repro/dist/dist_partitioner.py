@@ -166,6 +166,7 @@ class SpmdVcycleBackend:
             self.current.to_global(np.arange(self.current.n_total, dtype=np.int64)),
             level_bound,
             self.config.coarsening_iterations,
+            ordering=self.config.coarsening_ordering,
             constraint=self.constraint,
             chunk=self.config.lp_chunk_size,
             tie_seed=int(self.comm.rng.integers(0, 2**63 - 1)),

@@ -8,10 +8,11 @@ bind it to the two substrates the paper contrasts:
 * :class:`LocalBackend` — a NumPy CSR :class:`~repro.graph.csr.Graph` in
   one address space.  Every "communication" hook degenerates to the
   p = 1 identity: the halo exchange is a no-op, block-weight reduction
-  is a ``bincount``, convergence is the local move count.
+  is a ``bincount``, convergence is the move count.
 * :class:`SpmdBackend` — a :class:`~repro.dist.dgraph.DistGraph` under a
   communicator: ghost CSR with halo exchange, delta interface-label
-  exchange, allreduce block weights, and simulated-time work accounting.
+  exchange, allreduce block weights and move counts, and simulated-time
+  work accounting.
   The communicator is a :class:`~repro.dist.comm.SimComm` whether the
   ranks are threads or OS processes.
 
@@ -79,7 +80,6 @@ class ExecutionBackend(Protocol):
     store: GraphStore | None  # serves the arcs when they are not resident
 
     def node_weights(self) -> np.ndarray: ...
-    def interface_mask(self) -> np.ndarray: ...
     def label_space(self, labels: np.ndarray) -> int: ...
     def work(self, units: int) -> None: ...
     def exchange_labels(
@@ -87,7 +87,7 @@ class ExecutionBackend(Protocol):
     ) -> tuple[np.ndarray, np.ndarray]: ...
     def ghost_change_sources(self, ghost_idx: np.ndarray) -> np.ndarray: ...
     def reduce_block_weights(self, labels: np.ndarray, k: int) -> np.ndarray: ...
-    def global_changed(self, moved: int, changed_count: int) -> int: ...
+    def global_changed(self, moved: int) -> int: ...
     def span_kwargs(self) -> dict: ...
 
 
@@ -112,17 +112,9 @@ class LocalBackend:
         self.degrees = graph.degrees
         self.n_local = graph.num_nodes
         self.n_total = graph.num_nodes
-        self._interface: np.ndarray | None = None
 
     def node_weights(self) -> np.ndarray:
         return np.asarray(self.graph.vwgt, dtype=np.int64)
-
-    def interface_mask(self) -> np.ndarray:
-        # No other rank exists, hence no interface: the convergence test
-        # below therefore reduces to the local move count.
-        if self._interface is None:
-            self._interface = np.zeros(self.n_local, dtype=bool)
-        return self._interface
 
     def label_space(self, labels: np.ndarray) -> int:
         return int(labels.max(initial=0)) + 1
@@ -143,7 +135,7 @@ class LocalBackend:
             labels[: self.n_local], weights=self.graph.vwgt, minlength=k
         ).astype(np.int64)
 
-    def global_changed(self, moved: int, changed_count: int) -> int:
+    def global_changed(self, moved: int) -> int:
         return moved
 
     def span_kwargs(self) -> dict:
@@ -175,9 +167,6 @@ class SpmdBackend:
         self.dgraph.halo_exchange(self.comm, vwgt_all)
         return vwgt_all
 
-    def interface_mask(self) -> np.ndarray:
-        return self.dgraph.interface
-
     def label_space(self, labels: np.ndarray) -> int:
         # Cluster ids are global fine node ids; entries of clusters never
         # seen locally stay 0, like the missing keys of a sparse view.
@@ -205,8 +194,8 @@ class SpmdBackend:
         ).astype(np.int64)
         return self.comm.allreduce(local)
 
-    def global_changed(self, moved: int, changed_count: int) -> int:
-        return int(self.comm.allreduce(int(changed_count)))
+    def global_changed(self, moved: int) -> int:
+        return int(self.comm.allreduce(int(moved)))
 
     def span_kwargs(self) -> dict:
         return {"comm": self.comm}

@@ -29,7 +29,7 @@ resident graph and an out-of-core store, and it changes no label:
 
 Everything that differs between the sequential and the distributed run
 is either an :class:`~repro.engine.backend.ExecutionBackend` hook (halo
-exchange, work charging, block-weight reduction, convergence reduction,
+exchange, work charging, block-weight reduction, move-count reduction,
 tie-hash id base) or one of two *weight regimes* selected by ``shares``.
 Both are the same three tables — ``used`` (weight booked against a
 label), ``cap`` (what it may hold) and ``load`` (what decides whether a
@@ -59,10 +59,9 @@ least 32 refreshes, constant for the call.  ``pin_sweep`` overrides the
 sweep: the identity tests and the kernel bench use it as the reference;
 no production caller does.
 
-Convergence is a backend hook: the local backend stops when a phase
-moves no node, the SPMD backend when the allreduced count of *changed
-interface labels* is zero — each preserving its pipeline's established
-(and baseline-pinned) semantics.
+A call stops after the first phase in which no node moved on any rank
+(the SCLP stop rule of arXiv:1402.3281); ``global_changed`` is the sum
+of the phase's move counts over the backend's ranks.
 """
 
 from __future__ import annotations
@@ -167,7 +166,6 @@ def run_sclp(
         )
     bound = int(max_block_weight)
     vwgt_all = np.ascontiguousarray(backend.node_weights(), dtype=np.int64)
-    interface = backend.interface_mask()
     if constraint is not None:
         constraint = np.ascontiguousarray(constraint, dtype=np.int64)
     n_local = backend.n_local
@@ -206,10 +204,10 @@ def run_sclp(
     next_active = np.zeros(n_local, dtype=bool)
     changed_mask = np.zeros(n_local, dtype=bool)
     run_phase = native.PhaseScan(
-        xadj, labels, constraint, vwgt_all, interface, used, local_out,
-        changed_mask, n_local=n_local, space=space, bound=bound,
-        refine=refine, frontier=sweep_frontier, tie_seed=tie_seed,
-        tie_base=backend.tie_base, window=effective_chunk(chunk, scope.size),
+        xadj, labels, constraint, vwgt_all, used, local_out, changed_mask,
+        n_local=n_local, space=space, bound=bound, refine=refine,
+        frontier=sweep_frontier, tie_seed=tie_seed, tie_base=backend.tie_base,
+        window=effective_chunk(chunk, scope.size),
     )
     if store is None:
         loop, span = "native", None
@@ -283,7 +281,7 @@ def run_sclp(
             # Restore exact weights with one reduction (Section IV-B).
             exact = backend.reduce_block_weights(labels, space)
 
-        global_changed = backend.global_changed(moved, int(changed_mask.sum()))
+        global_changed = backend.global_changed(moved)
         lp_span.set(moved=moved, arcs=arcs_scanned, chunks=n_chunks,
                     global_changed=global_changed, active=scanned,
                     frontier_frac=round(scanned / max(1, order.size), 4))

@@ -23,7 +23,7 @@ bit:
   (and :func:`repro.dist.dist_partitioner.distributed_edge_cut`);
   :func:`group_arcs`, every arc list -> canonical CSR
   (:func:`repro.graph.build.group_arcs`); :func:`ghost_layout`, every
-  PE's ghosts, send lists and interface (:class:`repro.dist.DistGraph`).
+  PE's ghosts and send lists (:class:`repro.dist.DistGraph`).
   Their twins are in ``tests/engine/numpy_kernels.py``;
 * ``_metis.c`` — :func:`parse_metis`, the body of a METIS text file to
   node weights and an arc list, checked line by line
@@ -294,10 +294,10 @@ class PhaseScan:
     is allocated here, once per bound call.
     """
 
-    def __init__(self, xadj, labels, constraint, vwgt, interface, used,
-                 local_out, changed_mask, *, n_local: int, space: int,
-                 bound: int, refine: bool, frontier: bool, tie_seed: int,
-                 tie_base: int, window: int) -> None:
+    def __init__(self, xadj, labels, constraint, vwgt, used, local_out,
+                 changed_mask, *, n_local: int, space: int, bound: int,
+                 refine: bool, frontier: bool, tie_seed: int, tie_base: int,
+                 window: int) -> None:
         _kernels()  # the first kernel use of a run: fail here, not mid-phase
         n_total = labels.size
         if not 0 <= n_local <= n_total:
@@ -316,8 +316,8 @@ class PhaseScan:
             self._scratch["blocked"] = np.zeros(n_local, dtype=np.uint64)
             self._scratch["slack"] = np.zeros(n_local, dtype=np.int64)
         # the struct holds addresses only: keep their owners alive with it
-        self._owners = (xadj, labels, constraint, vwgt, interface, used,
-                        local_out, changed_mask)
+        self._owners = (xadj, labels, constraint, vwgt, used, local_out,
+                        changed_mask)
         self._arcs: tuple[np.ndarray, np.ndarray] | tuple = ()
         self._tables = _PhaseTables(
             n_local=n_local, n_total=n_total,
@@ -325,7 +325,6 @@ class PhaseScan:
             vwgt=_ptr(vwgt, np.int64, n_total),
             constraint=(None if constraint is None
                         else _ptr(constraint, np.int64, n_total)),
-            interface=_ptr(interface, np.bool_, n_local),
             labels=_ptr(labels, np.int64), space=space, bound=bound,
             refine=refine, tie_seed=tie_seed, tie_base=tie_base,
             used=_ptr(used, np.int64, space),
@@ -510,8 +509,6 @@ class GhostLayout(NamedTuple):
     send_start: np.ndarray
     #: per PE ``q``, ascending: the owned nodes with an arc to a ghost of ``q``
     send_nodes: np.ndarray
-    #: per owned node: has an arc to a ghost
-    interface: np.ndarray
     #: reverse CSR of the arcs to ghosts: ghost ``s``'s owned sources are
     #: ``ghost_src[ghost_xadj[s]:ghost_xadj[s + 1]]``, in arc order
     ghost_xadj: np.ndarray
@@ -523,10 +520,10 @@ def ghost_layout(vtxdist: np.ndarray, rank: int, xadj: np.ndarray,
     """The ghost layout of PE ``rank``'s rows (``xadj``, ``n_local + 1``
     entries from 0 to ``dst.size``) under ``vtxdist`` (ascending from 0),
     whose arc targets ``dst`` are global ids: ghosts numbered in ascending
-    global id, their owners, the send lists, the interface mask and the
-    reverse CSR of the arcs to ghosts (paper Section IV-A), in three
-    passes over the arcs and one over the global id range.  A vtxdist,
-    rank, arc range or target outside its table raises ``ValueError``."""
+    global id, their owners, the send lists and the reverse CSR of the
+    arcs to ghosts (paper Section IV-A), in three passes over the arcs and
+    one over the global id range.  A vtxdist, rank, arc range or target
+    outside its table raises ``ValueError``."""
     n_pes, n_local, n_arcs = vtxdist.size - 1, xadj.size - 1, dst.size
     if n_pes < 1 or n_local < 0:
         raise _fault("ghost layout", -4)
@@ -534,12 +531,11 @@ def ghost_layout(vtxdist: np.ndarray, rank: int, xadj: np.ndarray,
             _ptr(xadj, np.int64), n_arcs, _ptr(dst, np.int64))
     slot = np.empty(max(int(vtxdist[-1]), 0), dtype=np.int64)
     ghost_start, send_start = (np.empty(n_pes + 1, dtype=np.int64) for _ in range(2))
-    interface = np.empty(n_local, dtype=np.bool_)
     pe_stamp, cursor = (np.empty(n_pes, dtype=np.int64) for _ in range(2))
     lib = _kernels()
     cross = lib.ghost_count(
         *head, slot.ctypes.data, ghost_start.ctypes.data,
-        send_start.ctypes.data, interface.ctypes.data, pe_stamp.ctypes.data,
+        send_start.ctypes.data, pe_stamp.ctypes.data,
     )
     if cross < 0:
         raise _fault("ghost layout", cross)
@@ -559,7 +555,7 @@ def ghost_layout(vtxdist: np.ndarray, rank: int, xadj: np.ndarray,
     if status < 0:
         raise _fault("ghost layout", status)
     return GhostLayout(adjncy, ghost_global, ghost_owner, ghost_start,
-                       send_start, send_nodes, interface, ghost_xadj, ghost_src)
+                       send_start, send_nodes, ghost_xadj, ghost_src)
 
 
 class GrowBisection:

@@ -345,13 +345,11 @@ static int64_t owner_of(int64_t n_pes, const int64_t *vtxdist, int64_t g)
  * ghost_start/send_start (n_pes + 1, out) = the ghosts of owner q are
  * [ghost_start[q], ghost_start[q + 1]), the owned nodes with an arc to a
  * ghost of q go to [send_start[q], send_start[q + 1]) of the send lists;
- * interface (n_local bytes, out) = has an arc to a ghost; pe_stamp holds
- * n_pes entries.  Returns the number of arcs to ghosts. */
+ * pe_stamp holds n_pes entries.  Returns the number of arcs to ghosts. */
 int64_t ghost_count(int64_t n_pes, const int64_t *vtxdist, int64_t rank,
                     int64_t n_local, const int64_t *xadj, int64_t n_arcs,
                     const int64_t *dst, int64_t *slot, int64_t *ghost_start,
-                    int64_t *send_start, uint8_t *interface,
-                    int64_t *pe_stamp)
+                    int64_t *send_start, int64_t *pe_stamp)
 {
     if (bad_vtxdist(n_pes, vtxdist, rank, n_local))
         return BAD_BLOCK;
@@ -370,7 +368,6 @@ int64_t ghost_count(int64_t n_pes, const int64_t *vtxdist, int64_t rank,
         const int64_t b = xadj[v], e = xadj[v + 1];
         if (bad_range(b, e, n_arcs))
             return BAD_XADJ;
-        interface[v] = 0;
         for (int64_t a = b; a < e; a++) {
             const int64_t g = dst[a];
             if (bad_index(g, n_global))
@@ -378,7 +375,6 @@ int64_t ghost_count(int64_t n_pes, const int64_t *vtxdist, int64_t rank,
             if (g >= first && g < last)
                 continue;
             const int64_t q = owner_of(n_pes, vtxdist, g);
-            interface[v] = 1;
             cross++;
             slot[g] = 0; /* a ghost; numbered below */
             send_start[q + 1] += pe_stamp[q] != v;

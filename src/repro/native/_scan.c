@@ -174,7 +174,6 @@ typedef struct {
     const int64_t *nbr, *wgt;         /* n_arcs: arc arc_lo + i is entry i */
     const int64_t *vwgt;              /* n_total */
     const int64_t *constraint;        /* n_total, or NULL */
-    const uint8_t *interface;         /* n_local */
     int64_t *labels;                  /* n_total */
     int64_t space, bound, refine;
     uint64_t tie_seed;
@@ -193,7 +192,7 @@ typedef struct {
      * once its slack is spent. */
     uint64_t *blocked;
     int64_t *slack;
-    uint8_t *changed_mask;            /* n_local */
+    uint8_t *changed_mask;            /* n_local: set for every mover */
     int64_t *acc;                     /* space, zero on entry and return */
     uint8_t *mark;                    /* likewise */
     int64_t *touched;                 /* space */
@@ -268,8 +267,7 @@ static int rebalance_isolated(scan_phase_t *p, int64_t v)
     p->moved++;
     if (p->next_active)
         p->next_active[v] = 1;
-    if (p->interface[v])
-        p->changed_mask[v] = 1;
+    p->changed_mask[v] = 1;
     return 0;
 }
 
@@ -358,8 +356,7 @@ int64_t scan_phase(scan_phase_t *p, int64_t n_order, const int64_t *order,
                 if (p->exact && p->evicting[i])
                     p->local_out[own] += c;
                 p->labels[v] = p->target[i];
-                if (p->interface[v])
-                    p->changed_mask[v] = 1;
+                p->changed_mask[v] = 1;
                 p->moved++;
                 if (!p->next_active)
                     continue;

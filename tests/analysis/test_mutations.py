@@ -70,6 +70,8 @@ class Mutation:
     name: str
     file: str                              #: relative to src/repro
     edits: tuple[tuple[str, str], ...]     #: exact (old, new) substitutions
+    #: (file, old, new) substitutions in other files
+    more_edits: tuple[tuple[str, str, str], ...] = ()
     static: str | None = None              #: rule lint_paths must report ...
     static_at: str = ""                    #: ... on the line holding this text
     runtime: str | None = None             #: error the p = 2 run must die with
@@ -78,20 +80,32 @@ class Mutation:
 
 _HALO = ("dist/dgraph.py", 'received = comm.alltoall(per_dest, tag="halo")')
 
+#: ``level_cut`` (an untagged allreduce) under a property that is true on
+#: rank 0 only
+_LEVEL_CUT_GUARD = ((
+    '                    cuts["cut_refined"] = backend.level_cut(level, partition)\n'
+    "                    level_span.set(**cuts)\n"
+    "                    if backend.emits_events:\n",
+    "                    if backend.emits_events:\n"
+    '                        cuts["cut_refined"] = backend.level_cut(level, partition)\n'
+    "                        level_span.set(**cuts)\n",
+),)
+_LEVEL_CUT = ("dist/dist_partitioner.py", "return int(comm.allreduce(local_cut)) // 2")
+
 TABLE = [
     # -- divergence: SPMD-DIV names the guard before anything runs, the
     # -- order check names the collective where the streams part
     Mutation(
         "allreduce-under-rank-guard", "engine/backend.py",
         ((
-            "        return int(self.comm.allreduce(int(changed_count)))\n",
+            "        return int(self.comm.allreduce(int(moved)))\n",
             "        if self.comm.rank == 0:\n"
-            "            return int(self.comm.allreduce(int(changed_count)))\n"
-            "        return int(changed_count)\n",
+            "            return int(self.comm.allreduce(int(moved)))\n"
+            "        return int(moved)\n",
         ),),
-        static="SPMD-DIV", static_at="self.comm.allreduce(int(changed_count))",
+        static="SPMD-DIV", static_at="self.comm.allreduce(int(moved))",
         runtime="CollectiveMismatchError",
-        runtime_at=("engine/backend.py", "self.comm.allreduce(int(changed_count))"),
+        runtime_at=("engine/backend.py", "self.comm.allreduce(int(moved))"),
     ),
     Mutation(
         "early-return-before-allreduce-max", "dist/dist_partitioner.py",
@@ -120,19 +134,22 @@ TABLE = [
     ),
     Mutation(
         # the guard is a property returning ``self.comm.rank == 0``
-        "level-cut-under-rank-valued-property", "engine/vcycle.py",
-        ((
-            '                    cuts["cut_refined"] = backend.level_cut(level, partition)\n'
-            "                    level_span.set(**cuts)\n"
-            "                    if backend.emits_events:\n",
-            "                    if backend.emits_events:\n"
-            '                        cuts["cut_refined"] = backend.level_cut(level, partition)\n'
-            "                        level_span.set(**cuts)\n",
+        "level-cut-under-rank-valued-property", "engine/vcycle.py", _LEVEL_CUT_GUARD,
+        static="SPMD-DIV", static_at='cuts["cut_refined"] = backend.level_cut',
+        runtime="CollectiveMismatchError", runtime_at=_LEVEL_CUT,
+    ),
+    Mutation(
+        # the same guard with the fitness allreduce untagged: rank 0's
+        # level-cut allreduce meets rank 1's fitness allreduce, one op and
+        # one sequence number, and only their call sites differ
+        "untagged-allreduce-from-two-lines", "engine/vcycle.py", _LEVEL_CUT_GUARD,
+        more_edits=((
+            "dist/dist_partitioner.py",
+            'self.comm.allreduce(local, tag="fitness")',
+            "self.comm.allreduce(local)",
         ),),
         static="SPMD-DIV", static_at='cuts["cut_refined"] = backend.level_cut',
-        runtime="CollectiveMismatchError",
-        runtime_at=("dist/dist_partitioner.py",
-                    "return int(comm.allreduce(local_cut)) // 2"),
+        runtime="CollectiveMismatchError", runtime_at=_LEVEL_CUT,
     ),
     # -- global RNG: the only symptom at run time is a golden hash that
     # -- stops matching, which names no line
@@ -223,15 +240,15 @@ def _seed(mutation: Mutation, tmp_path: Path) -> Path:
     """Copy ``src/repro`` to ``tmp_path/repro`` and apply the edits."""
     copy = tmp_path / "repro"
     shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    target = copy / mutation.file
-    text = target.read_text()
-    for old, new in mutation.edits:
+    edits = [(mutation.file, old, new) for old, new in mutation.edits]
+    for file, old, new in [*edits, *mutation.more_edits]:
+        target = copy / file
+        text = target.read_text()
         assert text.count(old) == 1, (
             f"mutation site moved: {mutation.name} expects exactly one "
-            f"{old!r} in {mutation.file}"
+            f"{old!r} in {file}"
         )
-        text = text.replace(old, new)
-    target.write_text(text)
+        target.write_text(text.replace(old, new))
     return copy
 
 

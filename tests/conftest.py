@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import glob
 from unittest import mock
 
 import numpy as np
@@ -118,6 +119,21 @@ def kernel_cache_leftovers() -> list[str]:
     from repro import native
 
     return sorted(str(p) for p in native.cache_dir().glob("*.tmp"))
+
+
+@pytest.fixture
+def no_shm_leak():
+    """Fails the test if it leaves a shared-memory CSR segment behind.
+
+    Only segments that appear during the test count: those present
+    before it belong to other process-backend runs alive on the host.
+    """
+    from repro.graph.store import SHM_PREFIX
+
+    pattern = f"/dev/shm/{SHM_PREFIX}_*"
+    before = set(glob.glob(pattern))
+    yield
+    assert sorted(set(glob.glob(pattern)) - before) == []
 
 
 # ----------------------------------------------------------------------

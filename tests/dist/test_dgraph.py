@@ -65,11 +65,6 @@ class TestLocalStructure:
         d = DistGraph.from_global(g, balanced_vtxdist(9, 3), 0)
         assert d.owner_of(np.array([0, 3, 8])).tolist() == [0, 1, 2]
 
-    def test_interface_mask(self):
-        g = path_graph(6)
-        d = DistGraph.from_global(g, balanced_vtxdist(6, 2), 0)
-        assert d.interface.tolist() == [False, False, True]
-
     def test_star_hub_has_all_ghosts(self):
         g = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         d = DistGraph.from_global(g, balanced_vtxdist(5, 5), 0)
@@ -136,7 +131,7 @@ class TestGhostLayoutMatchesNumpyTwin:
             with python_twins():
                 twin = DistGraph.from_global(graph, vtxdist, rank)
             for name in ("adjncy", "ghost_global", "ghost_owner", "send_ranks",
-                         "interface", "ghost_xadj", "ghost_src"):
+                         "ghost_xadj", "ghost_src"):
                 np.testing.assert_array_equal(
                     getattr(compiled, name), getattr(twin, name), err_msg=name)
             for name in ("send_nodes", "recv_ghosts"):
@@ -149,11 +144,11 @@ class TestGhostLayoutMatchesNumpyTwin:
         for rank in range(4):
             d = DistGraph.from_global(graph, vtxdist, rank)
             assert d.n_ghost == 0 and d.send_ranks.size == 0
-            assert not d.interface.any() and d.ghost_xadj.tolist() == [0]
+            assert d.ghost_xadj.tolist() == [0]
 
     def test_the_layout_refuses_writes(self):
         d = DistGraph.from_global(path_graph(6), balanced_vtxdist(6, 2), 0)
-        for name in ("interface", "ghost_xadj", "ghost_src"):
+        for name in ("ghost_xadj", "ghost_src"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(d, name)[0] = 0
 

@@ -144,9 +144,10 @@ class TestInterfaceScatterValidation:
             labels = dgraph.to_global(np.arange(dgraph.n_total, dtype=np.int64))
             changed = np.ones(dgraph.n_local, dtype=bool)
             if comm.rank == 0:
-                # a low-id local node is interior for a contiguous split,
-                # so its global id is not in rank 1's ghost table
-                interior = np.flatnonzero(~dgraph.interface)[0]
+                # a node on no send list is interior, so its global id
+                # is not in rank 1's ghost table
+                interior = np.setdiff1d(
+                    np.arange(dgraph.n_local), np.concatenate(dgraph.send_nodes))[0]
                 for i, q in enumerate(dgraph.send_ranks.tolist()):
                     if q == 1:
                         dgraph.send_nodes[i] = np.append(

@@ -14,7 +14,6 @@ boundary (that is part of the documented contract).
 
 from __future__ import annotations
 
-import glob
 import os
 import pickle
 
@@ -28,16 +27,10 @@ from repro.dist import (
     run_spmd_processes,
 )
 from repro.dist.runtime import DEFAULT_SPMD_TIMEOUT, _resolve_timeout
-from repro.graph.store import SHM_PREFIX
 from repro.generators.mesh import grid_2d
 from repro.perf.machine import MACHINE_A, SERIAL
 
 from ..conftest import kernel_cache_leftovers
-
-
-def _shm_leaks() -> list[str]:
-    """CSR segments currently visible in /dev/shm (should be none)."""
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}_*")
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +120,25 @@ class TestThreadProcessParity:
 # ---------------------------------------------------------------------------
 
 class TestSharedCSR:
-    def test_graph_roundtrip_and_cleanup(self):
+    def test_graph_roundtrip_and_cleanup(self, no_shm_leak):
         graph = grid_2d(12, 12)
         expected = (int(graph.xadj[-1]) + int(graph.adjncy.sum())
                     + int(graph.vwgt.sum())) * 4
         result = run_spmd_processes(4, _graph_sum, graph=graph)
         assert result.value == expected
         assert result.per_rank == [expected] * 4
-        assert _shm_leaks() == []
 
-    def test_segments_unlinked_after_worker_crash(self):
+    def test_segments_unlinked_after_worker_crash(self, no_shm_leak):
         graph = grid_2d(8, 8)
         with pytest.raises(RuntimeError) as exc:
             run_spmd_processes(4, _graph_crash, graph=graph, timeout=60)
         msg = str(exc.value)
         assert "rank 1" in msg and "exit code 17" in msg
-        assert _shm_leaks() == []
         # ranks never build the LP kernel, so a killed one leaves no
         # half-written file in its cache
         assert kernel_cache_leftovers() == []
 
-    def test_a_rank_that_fails_to_start(self, monkeypatch):
+    def test_a_rank_that_fails_to_start(self, no_shm_leak, monkeypatch):
         """``start()`` raising on rank 1 (EAGAIN, an unguarded ``__main__``,
         an unpicklable spec) is the error the caller sees: no join of the
         ranks that never started, rank 0 stopped, the segments unlinked."""
@@ -167,12 +158,10 @@ class TestSharedCSR:
             run_spmd_processes(3, _graph_sum, graph=grid_2d(8, 8), timeout=60)
         assert [proc.name for proc in started] == ["pe-0"]
         assert not started[0].is_alive()
-        assert _shm_leaks() == []
 
-    def test_an_unpicklable_program_leaves_no_segment(self):
+    def test_an_unpicklable_program_leaves_no_segment(self, no_shm_leak):
         with pytest.raises((pickle.PicklingError, AttributeError)):
             run_spmd_processes(2, lambda comm, graph: 0, graph=grid_2d(8, 8))
-        assert _shm_leaks() == []
 
 
 # ---------------------------------------------------------------------------

@@ -433,13 +433,11 @@ def ghost_layout(vtxdist: np.ndarray, rank: int, xadj: np.ndarray,
     send_start = np.zeros(n_pes + 1, dtype=np.int64)
     np.cumsum([nodes.size for nodes in per_pe], out=send_start[1:])
 
-    interface = np.zeros(n_local, dtype=bool)
-    interface[pair_src] = True
     slots = adjncy[cross] - n_local
     ghost_xadj = np.zeros(ghost_global.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(slots, minlength=ghost_global.size), out=ghost_xadj[1:])
     ghost_src = pair_src[np.argsort(slots, kind="stable")]
     return native.GhostLayout(
         adjncy, ghost_global, ghost_owner, ghost_start, send_start,
-        np.concatenate([np.empty(0, dtype=np.int64), *per_pe]), interface,
-        ghost_xadj, ghost_src)
+        np.concatenate([np.empty(0, dtype=np.int64), *per_pe]), ghost_xadj,
+        ghost_src)

@@ -23,14 +23,14 @@ _SENTINEL = np.iinfo(np.int64).max
 class PythonPhaseScan:
     """:class:`repro.native.PhaseScan`, one window at a time in NumPy."""
 
-    def __init__(self, xadj, labels, constraint, vwgt, interface, used,
-                 local_out, changed_mask, *, n_local: int, space: int,
-                 bound: int, refine: bool, frontier: bool, tie_seed: int,
-                 tie_base: int, window: int) -> None:
+    def __init__(self, xadj, labels, constraint, vwgt, used, local_out,
+                 changed_mask, *, n_local: int, space: int, bound: int,
+                 refine: bool, frontier: bool, tie_seed: int, tie_base: int,
+                 window: int) -> None:
         if not 0 <= n_local <= labels.size:
             raise ValueError(f"n_local={n_local} outside [0, {labels.size}]")
         self.xadj, self.labels, self.constraint = xadj, labels, constraint
-        self.vwgt, self.interface, self.used = vwgt, interface, used
+        self.vwgt, self.used = vwgt, used
         self.local_out, self.changed_mask = local_out, changed_mask
         self.n_local, self.space, self.bound = n_local, space, bound
         self.refine, self.frontier, self.window = refine, frontier, window
@@ -107,7 +107,7 @@ class PythonPhaseScan:
                         m_evict = evicting[moving][keep]
                         np.add.at(local_out, m_own[m_evict], m_c[m_evict])
                     labels[m_nodes] = m_target
-                    self.changed_mask[m_nodes[self.interface[m_nodes]]] = True
+                    self.changed_mask[m_nodes] = True
                     moved += int(m_nodes.size)
                     if self.frontier and m_nodes.size:
                         next_active[m_nodes] = True
@@ -171,6 +171,5 @@ class PythonPhaseScan:
             moved += 1
             if self.frontier:
                 next_active[v] = True
-            if self.interface[v]:
-                self.changed_mask[v] = True
+            self.changed_mask[v] = True
         return moved

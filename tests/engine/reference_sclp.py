@@ -53,7 +53,6 @@ def reference_sclp(
     labels = np.asarray(labels, dtype=np.int64).copy()
     bound = int(max_block_weight)
     vwgt = backend.node_weights()
-    interface = backend.interface_mask()
     n_local = backend.n_local
     xadj, adjncy, adjwgt = backend.xadj, backend.adjncy, backend.adjwgt
     degrees = backend.degrees
@@ -83,8 +82,7 @@ def reference_sclp(
         if shares and evicting:
             evicted[own] += vwgt[v]
         labels[v] = target
-        if interface[v]:
-            changed[v] = True
+        changed[v] = True
 
     for _ in range(iterations):
         if ordering == "degree":
@@ -159,6 +157,7 @@ def reference_sclp(
             labels[g] = new
         if shares:
             exact = backend.reduce_block_weights(labels, space)
-        if backend.global_changed(moved, int(changed.sum())) == 0:
+        # Stop once no node moved on any rank.
+        if backend.global_changed(moved) == 0:
             break
     return labels

@@ -4,30 +4,25 @@ The engine contract is that the SPMD hooks degenerate to the local ones
 on a single PE, and that the process backend is bit-identical to the
 thread backend at any PE count.  These tests pin every stochastic input
 (tie seed and visit-order rng) on both sides and assert *bit-identical*
-labels per LP iteration across the sweep grid (chunk=1, chunked full,
-chunked frontier, the mode's own sweep), then iterate the refinement loop for
-the fast/eco iteration budgets and assert identical final labels and edge
-cuts.  The p = 1 identity grid runs under both SPMD runtimes, so
+labels across the sweep grid (chunk=1, chunked full, chunked frontier,
+the mode's own sweep), one phase and the fast/eco iteration budgets, and
+identical edge cuts.  Both backends stop after the first phase in which
+no node moved on any rank, so a multi-phase call is one call on either
+side.  The p = 1 identity grid runs under both SPMD runtimes, so
 ``Local == Spmd == Process`` is pinned on the same fixtures; the
 spawn-based p = 4 runs additionally check the shared-memory CSR path
 (including segment cleanup on clean exit and on worker crash).
 
-One asymmetry is deliberate and documented here rather than papered
-over: the distributed driver's convergence test counts changed
-*interface* labels (the only signal a PE can cheaply share), and on one
-PE the interface is empty — so a multi-iteration SpmdBackend call stops
-after exactly one phase.  Per-iteration comparisons therefore drive
-both backends one iteration at a time.  Likewise, sequential refinement
-defaults to *live* weight accounting while the distributed regime uses
-phase-exact weights plus 1/p budget shares; those regimes differ even
-at p = 1 (live accounting sees mid-phase moves, the shares regime does
-not), so the refine comparisons run the local backend with
-``shares=True`` — the regime the protocol actually shares.
+Sequential refinement defaults to *live* weight accounting while the
+distributed regime uses phase-exact weights plus 1/p budget shares;
+those regimes differ even at p = 1 (live accounting sees mid-phase
+moves, the shares regime does not), so the refine comparisons run the
+local backend with ``shares=True`` — the regime the protocol actually
+shares.
 """
 
 from __future__ import annotations
 
-import glob
 import os
 from functools import lru_cache
 
@@ -39,8 +34,7 @@ from repro.core import eco_config, fast_config
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
 from repro.dist.runtime import run_spmd, run_spmd_processes
 from repro.engine import LocalBackend, SpmdBackend, run_sclp
-from repro.generators import barabasi_albert, rgg, rmat
-from repro.graph.store import SHM_PREFIX
+from repro.generators import barabasi_albert, delaunay, rgg, rmat, web_copy_graph
 from repro.graph.validation import max_block_weight_bound
 from repro.metrics.quality import edge_cut
 from repro.obsv.tracer import TRACER
@@ -62,22 +56,25 @@ RUNNERS = [run_spmd, run_spmd_processes]
 K = 4
 
 
-def _shm_leaks() -> list[str]:
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}_*")
-
-
 @lru_cache(maxsize=None)
 def make_graph(name):
     if name == "rmat9":
         return rmat(9, seed=1)
     if name == "ba9":
         return barabasi_albert(512, 4, seed=2)
-    return rgg(9, seed=3)
+    if name == "rgg9":
+        return rgg(9, seed=3)
+    if name == "web_copy":
+        return web_copy_graph(32768, out_degree=16, copy_probability=0.8, seed=1)
+    if name == "rmat13":
+        return rmat(13, seed=1)
+    return delaunay(12, seed=1)
 
 
-def spmd_sclp(graph, labels, bound, *, refine, k, ordering, chunk, sweep,
-              tie_seed, order_seed, rounds=1, runner=run_spmd):
-    """Run ``rounds`` single-iteration SCLP calls on a dist backend at p = 1.
+def spmd_sclp(graph, labels, bound, iterations, *, order_seed, runner=run_spmd,
+              **kwargs):
+    """One SCLP call on a dist backend at p = 1, its visit-order stream
+    pinned like the local side's.
 
     ``runner`` picks the runtime: :func:`run_spmd` runs the ranks as
     threads, :func:`run_spmd_processes` as OS processes; both drive the
@@ -88,31 +85,15 @@ def spmd_sclp(graph, labels, bound, *, refine, k, ordering, chunk, sweep,
         vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
         dg = DistGraph.from_global(graph, vtxdist, comm.rank)
         backend = SpmdBackend(dg, comm)
-        out = np.asarray(labels, dtype=np.int64).copy()
-        for r in range(rounds):
-            # Pin the visit-order stream identically to the local side.
-            backend.rng = np.random.default_rng(order_seed + r)
-            out = run_sclp(
-                backend, out, bound, 1,
-                refine=refine, shares=refine, k=k, ordering=ordering,
-                chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed + r,
-            )
-        return out[: dg.n_local]
+        backend.rng = np.random.default_rng(order_seed)
+        return run_sclp(backend, labels, bound, iterations, **kwargs)[: dg.n_local]
 
     return runner(1, program, seed=0).value
 
 
-def local_sclp(graph, labels, bound, *, refine, shares, k, ordering, chunk,
-               sweep, tie_seed, order_seed, rounds=1):
-    out = np.asarray(labels, dtype=np.int64).copy()
-    for r in range(rounds):
-        backend = LocalBackend(graph, np.random.default_rng(order_seed + r))
-        out = run_sclp(
-            backend, out, bound, 1,
-            refine=refine, shares=shares, k=k, ordering=ordering,
-            chunk=chunk, pin_sweep=sweep, tie_seed=tie_seed + r,
-        )
-    return out
+def local_sclp(graph, labels, bound, iterations, *, order_seed, **kwargs):
+    backend = LocalBackend(graph, np.random.default_rng(order_seed))
+    return run_sclp(backend, labels, bound, iterations, **kwargs)
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
@@ -123,10 +104,10 @@ def test_cluster_iteration_identity(gname, chunk, sweep, runner):
     lmax = max_block_weight_bound(g, K, 0.03)
     bound = max(2, lmax // 10)
     start = np.arange(g.num_nodes, dtype=np.int64)
-    kw = dict(refine=False, k=None, ordering="degree", chunk=chunk,
-              sweep=sweep, tie_seed=90, order_seed=700)
-    local = local_sclp(g, start, bound, shares=False, **kw)
-    spmd = spmd_sclp(g, start, bound, runner=runner, **kw)
+    kw = dict(ordering="degree", chunk=chunk, pin_sweep=sweep, tie_seed=90,
+              order_seed=700)
+    local = local_sclp(g, start, bound, 1, **kw)
+    spmd = spmd_sclp(g, start, bound, 1, runner=runner, **kw)
     assert np.array_equal(local, spmd)
 
 
@@ -137,10 +118,10 @@ def test_refine_iteration_identity(gname, chunk, sweep, runner):
     g = make_graph(gname)
     lmax = max_block_weight_bound(g, K, 0.03)
     start = np.random.default_rng(42).integers(0, K, size=g.num_nodes)
-    kw = dict(refine=True, k=K, ordering="random", chunk=chunk,
-              sweep=sweep, tie_seed=91, order_seed=701)
-    local = local_sclp(g, start, lmax, shares=True, **kw)
-    spmd = spmd_sclp(g, start, lmax, runner=runner, **kw)
+    kw = dict(refine=True, shares=True, k=K, ordering="random", chunk=chunk,
+              pin_sweep=sweep, tie_seed=91, order_seed=701)
+    local = local_sclp(g, start, lmax, 1, **kw)
+    spmd = spmd_sclp(g, start, lmax, 1, runner=runner, **kw)
     assert np.array_equal(local, spmd)
 
 
@@ -150,18 +131,43 @@ def test_refine_iteration_identity(gname, chunk, sweep, runner):
 def test_refinement_final_cut_identity(gname, cname, config, runner):
     """Iterated refinement (fast/eco budgets): identical labels and cuts."""
     g = make_graph(gname)
-    rounds = config(k=K).refinement_iterations
+    iterations = config(k=K).refinement_iterations
     lmax = max_block_weight_bound(g, K, 0.03)
     start = np.random.default_rng(43).integers(0, K, size=g.num_nodes)
-    kw = dict(refine=True, k=K, ordering="random", chunk=64,
-              sweep="full", tie_seed=92, order_seed=702, rounds=rounds)
-    local = local_sclp(g, start, lmax, shares=True, **kw)
-    spmd = spmd_sclp(g, start, lmax, runner=runner, **kw)
+    kw = dict(refine=True, shares=True, k=K, ordering="random", chunk=64,
+              pin_sweep="full", tie_seed=92, order_seed=702)
+    local = local_sclp(g, start, lmax, iterations, **kw)
+    spmd = spmd_sclp(g, start, lmax, iterations, runner=runner, **kw)
     assert np.array_equal(local, spmd)
     assert edge_cut(g, local) == edge_cut(g, spmd)
     # The refinement actually did something on these instances, so the
     # cut identity is not vacuous.
     assert edge_cut(g, local) < edge_cut(g, start)
+
+
+@pytest.mark.parametrize("mode", ["cluster", "refine"])
+@pytest.mark.parametrize("gname", ["web_copy", "rmat13", "delaunay12"])
+def test_one_rank_is_the_sequential_sclp(gname, mode):
+    """One SPMD rank runs the sequential SCLP label for label over the
+    pipeline's iteration budgets: both backends stop after the first
+    phase in which no node moved."""
+    g = make_graph(gname)
+    k = 32
+    config = fast_config(k=k)
+    lmax = max_block_weight_bound(g, k, 0.03)
+    if mode == "cluster":
+        start = np.arange(g.num_nodes, dtype=np.int64)
+        bound, iterations = max(2, lmax // 14), config.coarsening_iterations
+        kw = dict(ordering="degree", tie_seed=93, order_seed=703)
+    else:
+        start = np.random.default_rng(44).integers(0, k, size=g.num_nodes)
+        bound, iterations = lmax, config.refinement_iterations
+        kw = dict(refine=True, shares=True, k=k, ordering="random",
+                  tie_seed=94, order_seed=704)
+    local = local_sclp(g, start, bound, iterations, **kw)
+    spmd = spmd_sclp(g, start, bound, iterations, **kw)
+    assert np.array_equal(local, spmd)
+    assert not np.array_equal(local, start)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +214,7 @@ def _plp_crash(comm, graph, mode, k, bound, chunk, sweep, iters):
 @pytest.mark.parametrize("size", [1, 4])
 @pytest.mark.parametrize("chunk,sweep", [(1, "full"), (64, "frontier")])
 @pytest.mark.parametrize("mode", ["cluster", "refine"])
-def test_process_matches_threads_per_iteration(size, mode, chunk, sweep):
+def test_process_matches_threads_per_iteration(no_shm_leak, size, mode, chunk, sweep):
     """Process == Spmd per-iteration labels, clocks, and stats at p=1/p=4.
 
     Together with the p = 1 Local == Spmd/Process grid above this pins
@@ -226,20 +232,18 @@ def test_process_matches_threads_per_iteration(size, mode, chunk, sweep):
     assert procs.per_rank == threads.per_rank
     assert np.array_equal(procs.sim_times, threads.sim_times)
     assert procs.stats == threads.stats
-    assert _shm_leaks() == []
 
 
-def test_process_shm_unlinked_after_worker_crash():
+def test_process_shm_unlinked_after_worker_crash(no_shm_leak):
     g = make_graph("rmat9")
     lmax = max_block_weight_bound(g, K, 0.03)
     with pytest.raises(RuntimeError, match=r"rank 1 \(exit code 21\)"):
         run_spmd_processes(4, _plp_crash, "cluster", K, max(2, lmax // 10),
                            64, "frontier", 2, graph=g, seed=5, timeout=60)
-    assert _shm_leaks() == []
     assert kernel_cache_leftovers() == []
 
 
-def test_parallel_partition_backend_identity():
+def test_parallel_partition_backend_identity(no_shm_leak):
     """The full pipeline: backend='process' == backend='spmd' bit-for-bit."""
     from repro.dist.dist_partitioner import parallel_partition
 
@@ -249,7 +253,6 @@ def test_parallel_partition_backend_identity():
     proc = parallel_partition(g, config, num_pes=4, seed=11, backend="process")
     assert np.array_equal(spmd.partition, proc.partition)
     assert spmd.sim_time == proc.sim_time
-    assert _shm_leaks() == []
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +302,7 @@ RULE_CHUNK = 8
 @pytest.mark.parametrize("num_pes,backend", [
     (1, None), (4, "spmd"), (2, "process"),
 ], ids=["local", "spmd4", "process2"])
-def test_sweep_follows_mode_and_chunk_is_constant(num_pes, backend):
+def test_sweep_follows_mode_and_chunk_is_constant(no_shm_leak, num_pes, backend):
     """What production callers get (nobody pins a sweep): clustering runs
     the full sweep and refinement the frontier sweep, at one chunk per
     call — the configured one, or the 32-refreshes cap on small levels."""
@@ -327,7 +330,6 @@ def test_sweep_follows_mode_and_chunk_is_constant(num_pes, backend):
         assert {a["chunk_size"] for a in call} == {min(RULE_CHUNK, limit)}
         capped.add(limit < RULE_CHUNK)
     assert capped == {False, True}  # both sides of the min ran
-    assert _shm_leaks() == []
 
 
 def _plp_call(comm, graph, mode, k, bound, rounds):
@@ -347,7 +349,7 @@ def _allreduces(stats):
 
 
 @pytest.mark.parametrize("mode", ["cluster", "refine"])
-def test_lp_round_collectives(mode):
+def test_lp_round_collectives(no_shm_leak, mode):
     """One label exchange per LP round, and no allreduce beside the
     protocol's own (all untagged): the convergence count, plus under
     budget shares the exact block weights, once up front and once per
@@ -368,4 +370,3 @@ def test_lp_round_collectives(mode):
         assert 1 <= lp_rounds <= rounds
         expected = lp_rounds if mode == "cluster" else 1 + 2 * lp_rounds
         assert _allreduces(stats) == expected
-    assert _shm_leaks() == []

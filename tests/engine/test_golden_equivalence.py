@@ -3,10 +3,13 @@
 ``golden_partitions.json`` holds SHA-256 digests of seeded label arrays
 (``tools/capture_golden_partitions.py``).  The ``*/chunk64/*``,
 ``parallel/*`` and ``parallel_cut/*`` values were frozen on the last
-revision with separate sequential and distributed pipelines and have
-never been recaptured since: replaying them byte for byte is the proof
-that neither the engine refactor nor the collapse to one SCLP loop moved
-the hashed-tie-break path.  The ``*/chunk1/*``, ``lp_band/*`` and
+revision with separate sequential and distributed pipelines: replaying
+them byte for byte is the proof that neither the engine refactor nor the
+collapse to one SCLP loop moved the hashed-tie-break path.  Their p = 1
+keys (and those of ``par_lp_*``) were recaptured once, when the SPMD
+stop rule became the sequential one (no node moved on any rank, not no
+interface label changed): one rank stopped after its first phase
+before.  The p = 4 keys never moved.  The ``*/chunk1/*``, ``lp_band/*`` and
 ``multilevel/*`` values were recaptured when the node-at-a-time regime
 switched from RNG-stream to hash tie-breaking; they pin that regime
 against drift from here on (its *correctness* is pinned against the

@@ -385,10 +385,9 @@ class TestNativeMatchesNumpy:
         else:
             labels[3] = space  # >= space, a neighbour's label
         scan = native.PhaseScan(
-            graph.xadj, labels, None, graph.vwgt, np.zeros(n, dtype=bool),
-            np.array([2, 2], dtype=np.int64), None, np.zeros(n, dtype=bool),
-            n_local=n, space=space, bound=3, refine=True, frontier=True,
-            tie_seed=0, tie_base=0, window=2,
+            graph.xadj, labels, None, graph.vwgt, np.array([2, 2], dtype=np.int64),
+            None, np.zeros(n, dtype=bool), n_local=n, space=space, bound=3,
+            refine=True, frontier=True, tie_seed=0, tie_base=0, window=2,
         )
         scan.bind_arcs(0, adjncy, graph.adjwgt)
         masks = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -415,8 +414,8 @@ class TestFrontierRules:
         cls = native.PhaseScan if kind == "native" else PythonPhaseScan
         used = np.bincount(labels, weights=graph.vwgt, minlength=space).astype(np.int64)
         scan = cls(
-            graph.xadj, labels, None, graph.vwgt, np.zeros(n, dtype=bool), used,
-            None, np.zeros(n, dtype=bool), n_local=n, space=space, bound=bound,
+            graph.xadj, labels, None, graph.vwgt, used, None,
+            np.zeros(n, dtype=bool), n_local=n, space=space, bound=bound,
             refine=True, frontier=True, tie_seed=0, tie_base=0, window=window,
         )
         scan.bind_arcs(0, graph.adjncy, graph.adjwgt)
@@ -887,7 +886,7 @@ class TestSuitesOnTheNumpyKernel:
         refuses.test_a_label_at_or_above_k()
         refuses.test_a_negative_label()
 
-    def test_local_equals_spmd_equals_process(self):
+    def test_local_equals_spmd_equals_process(self, no_shm_leak):
         """The process ranks are new interpreters on the compiled kernels:
         their leg compares those with the twins in this process."""
         cross_suite.test_cluster_iteration_identity("rmat9", 64, None, run_spmd)
@@ -895,7 +894,7 @@ class TestSuitesOnTheNumpyKernel:
             "rmat9", 64, "frontier", run_spmd_processes
         )
         cross_suite.test_process_matches_threads_per_iteration(
-            4, "refine", 64, "frontier"
+            no_shm_leak, 4, "refine", 64, "frontier"
         )
 
 

@@ -261,7 +261,7 @@ def _phase_scan(graph, labels, *, space, bound):
     ``labels`` and live tables, its arcs not yet bound."""
     n = graph.num_nodes
     return native.PhaseScan(
-        graph.xadj, labels, None, graph.vwgt, np.zeros(n, dtype=bool),
+        graph.xadj, labels, None, graph.vwgt,
         np.bincount(labels, minlength=space).astype(np.int64), None,
         np.zeros(n, dtype=bool), n_local=n, space=space, bound=bound,
         refine=True, frontier=True, tie_seed=0, tie_base=0, window=n,

@@ -22,7 +22,6 @@ from repro.graph import (
     save_sharded,
 )
 from repro.graph.store import (
-    SHM_PREFIX,
     InMemoryStore,
     MmapShardStore,
     SharedMemoryStore,
@@ -299,7 +298,7 @@ class TestNpzRegression:
 
 
 class TestSharedMemoryStore:
-    def test_create_attach_unlink(self):
+    def test_create_attach_unlink(self, no_shm_leak):
         graph = _weighted_graph(seed=9)
         owner = SharedMemoryStore.create(graph)
         try:
@@ -314,7 +313,6 @@ class TestSharedMemoryStore:
         finally:
             owner.unlink()
             owner.unlink()  # idempotent
-        assert not glob.glob(f"/dev/shm/{SHM_PREFIX}_*")
 
     def test_graph_from_store(self):
         graph = rmat(6, seed=3)

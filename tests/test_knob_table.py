@@ -15,7 +15,10 @@ import argparse
 import ast
 import dataclasses
 import inspect
+import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.api import partition_graph, partition_oocore
 from repro.baselines import parmetis_partition
@@ -137,11 +140,21 @@ def test_cli_arguments_are_the_tabled_ones():
     assert tuple(backend.choices) == BACKENDS == BACKEND_VALUES
 
 
-def test_environment_reads_are_the_tabled_ones():
+def _check_environment_reads(package: Path) -> None:
+    """The rule: ``package`` reads no environment variable but ``ENV_READS``.
+
+    An ``ast`` walk names the key of every ``environ`` subscript,
+    ``environ.get`` and ``getenv`` call (a computed key, or any other use
+    of ``environ``/``getenv``, fails), and a line that says
+    ``os.environ`` anywhere, comments and strings included, must name a
+    tabled variable."""
     names, mentions = [], 0
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text()
+        for number, line in enumerate(text.splitlines(), 1):
+            if "os.environ" in line:
+                assert any(name in line for name in ENV_READS), f"{path}:{number}"
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                 mentions += 1
             key = None
@@ -161,6 +174,35 @@ def test_environment_reads_are_the_tabled_ones():
                 names.append(key.value)
     assert tuple(names) == ENV_READS
     assert mentions == len(names), "an os.environ use this walk cannot name"
+
+
+def test_environment_reads_are_the_tabled_ones():
+    _check_environment_reads(ROOT / "src" / "repro")
+
+
+@pytest.mark.parametrize("planted", [
+    'os.environ["REPRO_BACKEND"]',
+    'os.environ.get("REPRO_BACKEND", "spmd")',
+    'os.environ.setdefault("REPRO_BACKEND", "spmd")',
+    'os.environ["REPRO_BACKEND"] = "spmd"',
+    'os.environ.pop("REPRO_BACKEND", None)',
+    'os.environ[name]',
+    'dict(os.environ)',
+    '# spmd unless os.environ says otherwise',
+])
+def test_the_environment_rule_catches_a_planted_read(planted, tmp_path):
+    """The rule is no looser than ``grep "os.environ" | grep -v
+    REPRO_BENCH_SEEDS``: each line that grep flags, planted into a copy of
+    the package, fails it."""
+    assert "os.environ" in planted and "REPRO_BENCH_SEEDS" not in planted
+    copy = tmp_path / "repro"
+    shutil.copytree(ROOT / "src" / "repro", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    target = copy / "engine" / "backend.py"
+    target.write_text(target.read_text() + (
+        f'\n\ndef _planted(name="REPRO_BACKEND"):\n    import os\n    {planted}\n'))
+    with pytest.raises(AssertionError):
+        _check_environment_reads(copy)
 
 
 def test_every_surviving_value_has_a_row_and_the_count_is_the_tables():

@@ -10,7 +10,9 @@ Run it from a tree whose behaviour is the reference; the test suite
 then replays the grid and compares hashes.  A recapture must leave every
 ``*/chunk64/*``, ``parallel/*`` and ``parallel_cut/*`` value unchanged
 (``git diff`` the JSON): those date from the pre-engine tree and are the
-proof that the hashed-tie-break path never moved, so they replay
+proof that the hashed-tie-break path never moved (their p = 1 keys were
+recaptured once, with the SPMD stop rule; see
+``tests/engine/test_golden_equivalence.py``), so they replay
 ``parhip_vcycles``: the distributed V-cycles on the whole graph, without
 the isolated-node split of ``parhip_program``.  The ``api/*`` and
 ``api_cut/*`` keys pin the public call, split included.
