@@ -32,7 +32,7 @@ from pathlib import Path
 from . import generators
 from .api import partition_graph
 from .core.clustering import cluster_graph
-from .core.config import check_integer
+from .core.config import check_integer, eco_config, fast_config, minimal_config
 from .engine.backend import BACKENDS
 from .graph import (
     Graph,
@@ -126,9 +126,26 @@ def _at_least(name: str, least: int = 1):
     return parse
 
 
-def _cmd_partition(args: argparse.Namespace) -> int:
-    from .core.config import eco_config, fast_config, minimal_config
+def _epsilon(text: str) -> float:
+    """An argparse type: the epsilon ``PartitionConfig`` accepts, else an
+    argparse error (exit 2) with its message."""
+    try:
+        return fast_config(epsilon=float(text)).epsilon
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
+
+def _shard_span(text: str) -> int:
+    """An argparse type: a shard span ``ShardedWriter`` accepts, a power
+    of two >= 1, else an argparse error (exit 2)."""
+    span = _at_least("nodes_per_shard")(text)
+    if span & (span - 1):
+        raise argparse.ArgumentTypeError(
+            f"nodes_per_shard must be a power of two, got {span}")
+    return span
+
+
+def _cmd_partition(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, store=args.store,
                         resident_shards=args.resident_shards)
     factory = {"fast": fast_config, "eco": eco_config, "minimal": minimal_config}
@@ -213,7 +230,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     partition = read_partition(args.partition)
-    k = args.k or int(partition.max()) + 1
+    k = int(partition.max()) + 1 if args.k is None else args.k
     quality = evaluate_partition(graph, partition, k)
     print(quality.summary())
     return 0
@@ -271,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="partition a graph")
     p.add_argument("graph")
-    p.add_argument("-k", type=int, required=True, help="number of blocks")
-    p.add_argument("--epsilon", type=float, default=0.03)
+    p.add_argument("-k", type=_at_least("k"), required=True, help="number of blocks")
+    p.add_argument("--epsilon", type=_epsilon, default=0.03)
     p.add_argument("--preset", choices=("minimal", "fast", "eco"), default="fast")
     p.add_argument("--num-pes", type=_at_least("num_pes"), default=1,
                    dest="num_pes")
@@ -285,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", action="store_true",
                    help="enable flow-based refinement on the coarsest graph "
                         "(any --num-pes)")
-    p.add_argument("--lp-chunk", dest="lp_chunk", type=int, default=None,
+    p.add_argument("--lp-chunk", dest="lp_chunk", type=_at_least("lp_chunk_size"),
+                   default=None,
                    help="label-propagation chunk size, >= 1 (default: the "
                         "preset's lp_chunk_size, 4096)")
     p.add_argument("--store", choices=("memory", "mmap"), default=None,
@@ -314,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("output",
                    help="output shard directory, or a .npz/.metis/.graph "
                         "file to materialize into")
-    v.add_argument("--nodes-per-shard", dest="nodes_per_shard", type=int,
+    v.add_argument("--nodes-per-shard", dest="nodes_per_shard", type=_shard_span,
                    default=None,
                    help="shard span in nodes; power of two (default 65536)")
     v.set_defaults(func=_cmd_convert)
@@ -322,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a benchmark graph")
     g.add_argument("family",
                    help=f"{' | '.join(_FAMILIES)} | <registry instance name>")
-    g.add_argument("--exponent", type=int, default=10, help="for rgg/del: 2^X nodes")
-    g.add_argument("--nodes", type=int, default=4096)
+    g.add_argument("--exponent", type=_at_least("exponent", 0), default=10,
+                   help="for rgg/del: 2^X nodes")
+    g.add_argument("--nodes", type=_at_least("nodes"), default=4096)
     g.add_argument("--seed", type=_at_least("seed", 0), default=0)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=_cmd_generate)
@@ -331,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="score an existing partition")
     e.add_argument("graph")
     e.add_argument("partition")
-    e.add_argument("-k", type=int, default=None)
+    e.add_argument("-k", type=_at_least("k"), default=None)
     e.set_defaults(func=_cmd_evaluate)
 
     c = sub.add_parser("cluster", help="modularity clustering")

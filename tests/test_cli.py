@@ -102,6 +102,34 @@ class TestPartitionCommand:
         err = capsys.readouterr().err
         assert "max_resident_shards" in err and repr(bad) in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["partition", "{graph}", "-k", "0"],
+         "argument -k: k must be an integer >= 1, got '0'"),
+        (["partition", "{graph}", "-k", "2", "--epsilon", "-0.5"],
+         "argument --epsilon: epsilon must be a finite number >= 0, got -0.5"),
+        (["partition", "{graph}", "-k", "2", "--lp-chunk", "0"],
+         "argument --lp-chunk: lp_chunk_size must be an integer >= 1, got '0'"),
+        (["convert", "{graph}", "{tmp}/shards", "--nodes-per-shard", "3"],
+         "argument --nodes-per-shard: nodes_per_shard must be a power of two, got 3"),
+        (["convert", "{graph}", "{tmp}/shards", "--nodes-per-shard", "0"],
+         "argument --nodes-per-shard: nodes_per_shard must be an integer >= 1, got '0'"),
+        (["generate", "rgg", "--exponent", "-1", "-o", "{tmp}/g2.metis"],
+         "argument --exponent: exponent must be an integer >= 0, got '-1'"),
+        (["generate", "social", "--nodes", "-5", "-o", "{tmp}/g2.metis"],
+         "argument --nodes: nodes must be an integer >= 1, got '-5'"),
+        (["evaluate", "{graph}", "{graph}", "-k", "0"],
+         "argument -k: k must be an integer >= 1, got '0'"),
+    ])
+    def test_a_bad_number_exits_2_naming_its_flag(self, metis_graph, tmp_path, capsys,
+                                                  argv, message):
+        """The library's own check runs at parse time: no traceback, no
+        output written, and ``evaluate -k 0`` no longer means "k unset"."""
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(graph=metis_graph, tmp=tmp_path) for arg in argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [metis_graph]
+
     def test_backend_has_one_way_in(self, metis_graph, tmp_path, capsys, monkeypatch):
         # 'local' is --num-pes 1, not a backend, and the environment is
         # not a second selector.

@@ -2,23 +2,20 @@
 
 The literals below mirror the rows of that table that stay.  They are
 checked against the code (dataclass fields, signatures, the argparse
-tree, an ``ast`` walk for environment reads) and against the document,
-so an option added anywhere fails here until its row, and with it its
-second user, is written.  A field that became a constant is pinned where
-it is used: ``tests/core/test_multilevel.py`` (cluster factors) and
-``tests/core/test_coarsening.py`` (``MIN_SHRINK_FACTOR``).
+tree; ``ENV_READS`` by a rule of ``tests/test_structure.py``) and
+against the document, so an option added anywhere fails here until its
+row, and with it its second user, is written.  A field that became a
+constant is pinned where it is used: ``tests/core/test_multilevel.py``
+(cluster factors) and ``tests/core/test_coarsening.py``
+(``MIN_SHRINK_FACTOR``).
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import dataclasses
 import inspect
-import shutil
 from pathlib import Path
-
-import pytest
 
 from repro.api import partition_graph, partition_oocore
 from repro.baselines import parmetis_partition
@@ -138,71 +135,6 @@ def test_cli_arguments_are_the_tabled_ones():
     backend = next(action for action in subparsers.choices["partition"]._actions
                    if action.dest == "backend")
     assert tuple(backend.choices) == BACKENDS == BACKEND_VALUES
-
-
-def _check_environment_reads(package: Path) -> None:
-    """The rule: ``package`` reads no environment variable but ``ENV_READS``.
-
-    An ``ast`` walk names the key of every ``environ`` subscript,
-    ``environ.get`` and ``getenv`` call (a computed key, or any other use
-    of ``environ``/``getenv``, fails), and a line that says
-    ``os.environ`` anywhere, comments and strings included, must name a
-    tabled variable."""
-    names, mentions = [], 0
-    for path in sorted(package.rglob("*.py")):
-        text = path.read_text()
-        for number, line in enumerate(text.splitlines(), 1):
-            if "os.environ" in line:
-                assert any(name in line for name in ENV_READS), f"{path}:{number}"
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
-                mentions += 1
-            key = None
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                target = node.func
-                if target.attr == "getenv" or (
-                    target.attr == "get"
-                    and isinstance(target.value, ast.Attribute)
-                    and target.value.attr == "environ"
-                ):
-                    key = node.args[0]
-            elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
-                    and node.value.attr == "environ":
-                key = node.slice
-            if key is not None:
-                assert isinstance(key, ast.Constant), f"{path}: computed variable name"
-                names.append(key.value)
-    assert tuple(names) == ENV_READS
-    assert mentions == len(names), "an os.environ use this walk cannot name"
-
-
-def test_environment_reads_are_the_tabled_ones():
-    _check_environment_reads(ROOT / "src" / "repro")
-
-
-@pytest.mark.parametrize("planted", [
-    'os.environ["REPRO_BACKEND"]',
-    'os.environ.get("REPRO_BACKEND", "spmd")',
-    'os.environ.setdefault("REPRO_BACKEND", "spmd")',
-    'os.environ["REPRO_BACKEND"] = "spmd"',
-    'os.environ.pop("REPRO_BACKEND", None)',
-    'os.environ[name]',
-    'dict(os.environ)',
-    '# spmd unless os.environ says otherwise',
-])
-def test_the_environment_rule_catches_a_planted_read(planted, tmp_path):
-    """The rule is no looser than ``grep "os.environ" | grep -v
-    REPRO_BENCH_SEEDS``: each line that grep flags, planted into a copy of
-    the package, fails it."""
-    assert "os.environ" in planted and "REPRO_BENCH_SEEDS" not in planted
-    copy = tmp_path / "repro"
-    shutil.copytree(ROOT / "src" / "repro", copy,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    target = copy / "engine" / "backend.py"
-    target.write_text(target.read_text() + (
-        f'\n\ndef _planted(name="REPRO_BACKEND"):\n    import os\n    {planted}\n'))
-    with pytest.raises(AssertionError):
-        _check_environment_reads(copy)
 
 
 def test_every_surviving_value_has_a_row_and_the_count_is_the_tables():
