@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import format_table, write_report
-from repro.core import coarsen, fast_config
+from repro.core import LocalVcycleBackend, fast_config
 from repro.dist import run_spmd
+from repro.engine.vcycle import run_coarsening
 from repro.evolutionary import KaffpaeOptions, kaffpae_partition
 from repro.kaffpa import kaffpa_partition
 from repro.generators import load_instance
@@ -29,9 +30,13 @@ def run_experiment() -> str:
         # stop coarsening early so the coarsest problem is rich enough for
         # the EA to matter (the paper's coarsest has 10 000 * k nodes)
         config = fast_config(k=K, social=True, coarsest_nodes_per_block=60)
-        hierarchy = coarsen(graph, config, np.random.default_rng(0), cluster_factor=14.0)
-        coarsest = hierarchy.coarsest
-        lmax = max_block_weight_bound(coarsest, K, 0.03)
+        # contraction keeps the total weight, so Lmax is the coarsest graph's too
+        lmax = max_block_weight_bound(graph, K, config.epsilon)
+        levels, _ = run_coarsening(
+            LocalVcycleBackend(graph, config, np.random.default_rng(0), lmax),
+            config, lmax, 14.0,
+        )
+        coarsest = levels[-1].coarse if levels else graph
 
         single = np.mean([
             edge_cut(coarsest, kaffpa_partition(coarsest, K, lmax,

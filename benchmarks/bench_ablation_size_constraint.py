@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import format_table, write_report
-from repro.core import coarsen, fast_config, multilevel_partition
+from repro.core import LocalVcycleBackend, fast_config
+from repro.engine.vcycle import run_coarsening, run_vcycle
 from repro.generators import load_instance
 from repro.graph import max_block_weight_bound
 from repro.metrics import edge_cut
@@ -29,17 +30,19 @@ def run_experiment() -> str:
         config = fast_config(k=2, social=social, num_vcycles=1)
         lmax = max_block_weight_bound(graph, 2, config.epsilon)
         for f in FACTORS:
-            hierarchy = coarsen(graph, config, np.random.default_rng(0), cluster_factor=f)
+            levels, _ = run_coarsening(
+                LocalVcycleBackend(graph, config, np.random.default_rng(0), lmax),
+                config, lmax, f,
+            )
             cuts = []
             for seed in range(2):
-                part = multilevel_partition(
-                    graph, config, lmax, np.random.default_rng(seed), cluster_factor=f
-                )
+                backend = LocalVcycleBackend(graph, config, np.random.default_rng(seed), lmax)
+                part = run_vcycle(backend, config, lmax, f).partition
                 cuts.append(edge_cut(graph, part))
             rows.append([
                 name, f"{f:g}",
-                f"{hierarchy.depth}",
-                f"{hierarchy.coarsest.num_nodes:,}",
+                f"{len(levels)}",
+                f"{(levels[-1].coarse if levels else graph).num_nodes:,}",
                 f"{np.mean(cuts):,.0f}",
             ])
     table = format_table(

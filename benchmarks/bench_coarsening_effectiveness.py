@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench import format_table, write_report
-from repro.core import coarsen, fast_config
+from repro.core import LocalVcycleBackend, fast_config
+from repro.engine.vcycle import run_coarsening
 from repro.generators import INSTANCES, load_instance
 from repro.kaffpa import match_and_contract
 from repro.graph import max_block_weight_bound
@@ -31,9 +32,11 @@ def run_experiment() -> str:
             graph, rng, max_node_weight=max(1, int(lmax / 1.3))
         ).coarse
         config = fast_config(k=2, social=(kind == "S"))
-        hierarchy = coarsen(graph, config, np.random.default_rng(0),
-                            cluster_factor=14.0 if kind == "S" else 20_000.0)
-        clustered = hierarchy.levels[0].coarse if hierarchy.levels else graph
+        levels, _ = run_coarsening(
+            LocalVcycleBackend(graph, config, np.random.default_rng(0), lmax),
+            config, lmax, 14.0 if kind == "S" else 20_000.0,
+        )
+        clustered = levels[0].coarse if levels else graph
 
         rows.append([
             name,

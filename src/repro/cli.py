@@ -57,6 +57,9 @@ __all__ = ["main"]
 _MACHINES = {"A": MACHINE_A, "B": MACHINE_B}
 #: what ``repro generate`` builds besides a registry instance
 _FAMILIES = ("rgg", "del", "web", "social", "grid")
+#: family -> (size flag, its least value): a Delaunay triangulation needs
+#: three points, the power-law generator more nodes than it attaches (4)
+_LEAST_SIZE = {"del": ("exponent", 2), "social": ("nodes", 5)}
 
 
 def _load_graph(path: str, store: str | None = None,
@@ -205,6 +208,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.family in _LEAST_SIZE:
+        name, least = _LEAST_SIZE[args.family]
+        if getattr(args, name) < least:
+            args.usage_error(f"argument --{name}: {name} must be an integer >= {least} "
+                             f"for family {args.family!r}, got '{getattr(args, name)}'")
     if args.family in ("rgg", "del"):
         graph = generators.family_instance(args.family, args.exponent, seed=args.seed)
     elif args.family == "web":
@@ -345,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--nodes", type=_at_least("nodes"), default=4096)
     g.add_argument("--seed", type=_at_least("seed", 0), default=0)
     g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=_cmd_generate)
+    g.set_defaults(func=_cmd_generate, usage_error=g.error)
 
     e = sub.add_parser("evaluate", help="score an existing partition")
     e.add_argument("graph")

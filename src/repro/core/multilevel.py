@@ -3,14 +3,20 @@
 The algorithm of Meyerhenke, Sanders, Schulz [7] that the paper
 parallelises (Section III): coarsen by contracting size-constrained
 label-propagation clusterings, partition the coarsest graph, then
-uncoarsen with label-propagation refinement on every level.  One call is
-one V-cycle — given an input partition it protects it and builds on it.
+uncoarsen with label-propagation refinement on every level.
+
+Repeatedly cluster the current graph with size-constrained label
+propagation (:func:`repro.engine.sclp.run_sclp` from singletons, nodes
+in ``config.coarsening_ordering``) and contract the clustering; a fine
+node takes the block of its coarse representative on the way up, and
+because contraction preserves cut and balance the projected partition
+scores identically on the finer graph.
 
 The cycle skeleton — level loops, spans, events, phase accounting, the
 iterated cycles and the one kept — lives in :mod:`repro.engine.vcycle`,
 shared with the distributed pipeline; this module binds its hooks to the
-sequential substrate (:class:`LocalVcycleBackend`) and keeps the public
-API.
+sequential substrate (:class:`LocalVcycleBackend`).  A level is the
+:class:`~repro.graph.quotient.ContractionResult` of its contraction.
 """
 
 from __future__ import annotations
@@ -19,16 +25,14 @@ import numpy as np
 
 from ..engine.backend import LocalBackend
 from ..engine.sclp import run_sclp
-from ..engine.vcycle import run_vcycle
 from ..graph.csr import Graph
 from ..graph.ops import degree_statistics
+from ..graph.quotient import ContractionResult, contract
 from ..kaffpa.driver import kaffpa_partition
 from ..metrics.quality import edge_cut, overweight_cut
-from .coarsening import HierarchyLevel, LocalCoarseningBackend
 from .config import PartitionConfig
-from .projection import project_partition
 
-__all__ = ["LocalVcycleBackend", "detect_social", "multilevel_partition"]
+__all__ = ["LocalVcycleBackend", "detect_social"]
 
 
 def detect_social(graph: Graph) -> bool:
@@ -42,16 +46,20 @@ def detect_social(graph: Graph) -> bool:
     return stats.tail_ratio > 4.0
 
 
-class LocalVcycleBackend(LocalCoarseningBackend):
-    """Sequential binding of the full V-cycle backend protocol.
+class LocalVcycleBackend:
+    """Sequential binding of the V-cycle backend protocol.
 
-    Extends the coarsening hooks with initial partitioning (KaFFPa on
-    the coarsest graph, seeded by the projected seed partition of an
-    iterated V-cycle), per-level LP refinement and the fitness of a
-    finest-level partition.  After coarsening, ``constraint`` holds the
-    seed partition projected to the coarsest level — the seed KaFFPa
-    protects and must not lose to.
+    One instance drives every cycle of a run on ``finest``.  ``current``
+    tracks the graph of the level being built, from ``finest`` down;
+    ``constraint`` (when given) is the seed partition of an iterated
+    V-cycle, scatter-projected level by level so clusters never span two
+    of its blocks.  After coarsening it is the seed partition on the
+    coarsest level, which KaFFPa protects and must not lose to.
+    ``lmax`` bounds the initial partition, the refinement and the
+    fitness of a finest-level partition.
     """
+
+    emits_events = True
 
     def __init__(
         self,
@@ -60,8 +68,68 @@ class LocalVcycleBackend(LocalCoarseningBackend):
         rng: np.random.Generator,
         lmax: int,
     ):
-        super().__init__(graph, config, rng)
+        self.finest = self.current = graph
+        self.config = config
+        self.rng = rng
         self.lmax = lmax
+        self.constraint: np.ndarray | None = None
+
+    def span_kwargs(self) -> dict:
+        return {}
+
+    def clock(self) -> float:
+        return 0.0
+
+    # --- coarsening ---
+
+    def begin_coarsening(self, seed_partition: np.ndarray | None) -> None:
+        self.current = self.finest
+        self.constraint = seed_partition
+
+    def current_size(self) -> int:
+        return self.current.num_nodes
+
+    def max_node_weight(self) -> int:
+        return int(self.current.vwgt.max(initial=1))
+
+    def cluster(self, level_bound: int) -> np.ndarray:
+        graph = self.current
+        return run_sclp(
+            LocalBackend(graph, self.rng),
+            np.arange(graph.num_nodes, dtype=np.int64),
+            # U = max(max c(v), bound): every node fits in some cluster,
+            # even on weighted coarse levels
+            max(int(graph.vwgt.max(initial=1)), int(level_bound)),
+            self.config.coarsening_iterations,
+            ordering=self.config.coarsening_ordering,
+            constraint=self.constraint,
+            chunk=self.config.lp_chunk_size,
+            tie_seed=int(self.rng.integers(0, 2**63 - 1)),
+        )
+
+    def contract(self, labels: np.ndarray) -> ContractionResult:
+        return contract(self.current, labels)
+
+    def coarse_size(self, level: ContractionResult) -> int:
+        return level.coarse.num_nodes
+
+    def coarsen_level_stats(self, level: ContractionResult) -> dict:
+        return {
+            "fine_nodes": level.fine.num_nodes,
+            "fine_edges": level.fine.num_edges,
+            "coarse_nodes": level.coarse.num_nodes,
+            "coarse_edges": level.coarse.num_edges,
+            "heaviest": int(level.coarse.vwgt.max(initial=0)),
+        }
+
+    def descend(self, level: ContractionResult) -> None:
+        self.current = level.coarse
+        if self.constraint is not None:
+            projected = np.zeros(level.coarse.num_nodes, dtype=np.int64)
+            projected[level.fine_to_coarse] = self.constraint
+            self.constraint = projected
+
+    # --- initial partitioning ---
 
     def initial_partition(self) -> np.ndarray:
         return kaffpa_partition(
@@ -76,16 +144,18 @@ class LocalVcycleBackend(LocalCoarseningBackend):
     def coarsest_cut(self, partition: np.ndarray) -> int:
         return int(edge_cut(self.current, partition))
 
+    # --- uncoarsening ---
+
     def coarsest_refine(self, partition: np.ndarray) -> np.ndarray:
         return self._lp_refine(self.current, partition)
 
     def project(
-        self, level: HierarchyLevel, partition: np.ndarray
+        self, level: ContractionResult, partition: np.ndarray
     ) -> np.ndarray:
-        return project_partition(partition, level.fine_to_coarse)
+        return partition[level.fine_to_coarse]
 
     def refine_level(
-        self, level: HierarchyLevel, partition: np.ndarray
+        self, level: ContractionResult, partition: np.ndarray
     ) -> np.ndarray:
         return self._lp_refine(level.fine, partition)
 
@@ -102,41 +172,13 @@ class LocalVcycleBackend(LocalCoarseningBackend):
             tie_seed=int(self.rng.integers(0, 2**63 - 1)),
         )
 
-    def level_cut(self, level: HierarchyLevel, partition: np.ndarray) -> int:
+    def level_cut(self, level: ContractionResult, partition: np.ndarray) -> int:
         return int(edge_cut(level.fine, partition))
 
     def release_level(self) -> None:
         pass
 
+    # --- the cycle kept ---
+
     def fitness(self, partition: np.ndarray) -> tuple[int, int]:
         return overweight_cut(self.finest, partition, self.config.k, self.lmax)
-
-
-def multilevel_partition(
-    graph: Graph,
-    config: PartitionConfig,
-    lmax: int,
-    rng: np.random.Generator,
-    cluster_factor: float | None = None,
-    input_partition: np.ndarray | None = None,
-    cycle: int | None = None,
-) -> np.ndarray:
-    """One multilevel V-cycle; returns a k-partition of ``graph``.
-
-    ``lmax`` is the balance bound of every phase: cluster bound,
-    coarsest-level partitioner and refinement.  With ``input_partition``
-    given, its cut edges are never contracted (V-cycle rule), it seeds
-    the coarsest-level partitioner, and the cycle starts uncoarsening
-    from it or from something better.
-    ``cycle`` labels the pipeline spans and events of a traced run.
-    """
-    if graph.num_nodes == 0:
-        return np.empty(0, dtype=np.int64)
-    if cluster_factor is None:
-        social = config.social if config.social is not None else detect_social(graph)
-        cluster_factor = config.cluster_factor(0, social, rng)
-    backend = LocalVcycleBackend(graph, config, rng, lmax)
-    return run_vcycle(
-        backend, config, lmax, cluster_factor, cycle=cycle,
-        seed_partition=input_partition,
-    ).partition

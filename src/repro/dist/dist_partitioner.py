@@ -181,14 +181,19 @@ class SpmdVcycleBackend:
         return level.coarse.n_global
 
     def coarsen_level_stats(self, level) -> dict:
-        coarse_edges = int(self.comm.allreduce(level.coarse.num_arcs)) // 2
+        coarse = level.coarse
+        arcs, heaviest = self.comm.allreduce(
+            (int(coarse.num_arcs), int(coarse.vwgt.max(initial=0))),
+            op=lambda a, b: (a[0] + b[0], max(a[1], b[1])),
+        )
         stats = {
             "fine_nodes": level.fine.n_global,
             "fine_edges": self.traced_edges,
-            "coarse_nodes": level.coarse.n_global,
-            "coarse_edges": coarse_edges,
+            "coarse_nodes": coarse.n_global,
+            "coarse_edges": arcs // 2,
+            "heaviest": heaviest,
         }
-        self.traced_edges = coarse_edges
+        self.traced_edges = arcs // 2
         return stats
 
     def descend(self, level) -> None:

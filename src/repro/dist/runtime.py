@@ -434,6 +434,9 @@ def run_spmd_processes(
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=1.0)
+                if proc.is_alive():  # SIGTERM ignored or blocked: no rank outlives the run
+                    proc.kill()
+                    proc.join(timeout=1.0)
             for q in (result_queue, world.up_queue, *world.down_queues):
                 q.close()
         finally:

@@ -68,7 +68,7 @@ class VcycleBackend(Protocol):
     def cluster(self, level_bound: int) -> Any: ...
     def contract(self, labels: Any) -> Any: ...
     def coarse_size(self, level: Any) -> int: ...
-    def coarsen_level_stats(self, level: Any) -> dict: ...  # tracing only
+    def coarsen_level_stats(self, level: Any) -> dict: ...  # tracing only; sizes, heaviest
     # Commit ``level``: its coarse graph becomes the current one, its
     # memory is charged, the protected partition is projected onto it.
     def descend(self, level: Any) -> None: ...
@@ -117,7 +117,9 @@ def run_coarsening(
     must stay possible) but is capped well below ``lmax``: coarse nodes
     near ``lmax`` would make balanced initial partitioning a bin-packing
     problem with no feasible solution at small eps.  No cluster spans two
-    blocks of ``seed_partition``.
+    blocks of ``seed_partition``.  A traced level records the bound it
+    passed to :meth:`VcycleBackend.cluster` (``bound``) and the heaviest
+    coarse node (``heaviest``).
     """
     # Floor of 2: at our scaled-down instance sizes the paper's mesh factor
     # f = 20 000 would otherwise drop the bound to 1 (singleton clusters,
@@ -148,11 +150,13 @@ def run_coarsening(
             if TRACER.enabled:
                 stats = backend.coarsen_level_stats(level)
                 level_span.set(
-                    fine_nodes=stats["fine_nodes"], coarse_nodes=stats["coarse_nodes"]
+                    fine_nodes=stats["fine_nodes"], coarse_nodes=stats["coarse_nodes"],
+                    bound=level_bound, heaviest=stats["heaviest"],
                 )
                 if backend.emits_events:
                     TRACER.event(
                         "coarsen.level", cycle=cycle, level=len(levels), **stats,
+                        bound=level_bound,
                         shrink=stats["fine_nodes"] / max(1, stats["coarse_nodes"]),
                     )
             levels.append(level)

@@ -47,12 +47,15 @@ class ContractionResult:
 
     Attributes
     ----------
+    fine:
+        The graph that was contracted.
     coarse:
         The contracted graph.
     fine_to_coarse:
         Length-``n`` array mapping each fine node to its coarse node.
     """
 
+    fine: Graph
     coarse: Graph
     fine_to_coarse: np.ndarray
 
@@ -89,7 +92,7 @@ def contract(graph: Graph, labels: np.ndarray, name: str | None = None) -> Contr
     coarse = Graph(
         *_quotient(graph, mapping, n_coarse), name=name or f"{graph.name}/coarse"
     )
-    return ContractionResult(coarse, mapping)
+    return ContractionResult(graph, coarse, mapping)
 
 
 def quotient_arcs(

@@ -415,15 +415,14 @@ def _level_rows(records: list[dict]) -> list[dict[str, Any]]:
         num = sum(1 for cyc, _level in coarsen if cyc == cycle)
         init = initial.get((cycle,), {})
         for g in range(num, -1, -1):
+            built = coarsen.get((cycle, g - 1), {})  # contraction g - 1 built graph g
             if g:
-                down = coarsen[(cycle, g - 1)]
-                nodes, edges = down.get("coarse_nodes"), down.get("coarse_edges")
-                shrink = down.get("shrink")
+                nodes, edges = built.get("coarse_nodes"), built.get("coarse_edges")
             elif num:
                 down = coarsen[(cycle, 0)]
-                nodes, edges, shrink = down.get("fine_nodes"), down.get("fine_edges"), None
+                nodes, edges = down.get("fine_nodes"), down.get("fine_edges")
             else:
-                nodes, edges, shrink = init.get("nodes"), None, None
+                nodes, edges = init.get("nodes"), None
             if g == num:
                 projected = init.get("cut")
                 refined = init.get("cut_refined", projected)
@@ -432,7 +431,8 @@ def _level_rows(records: list[dict]) -> list[dict[str, Any]]:
                 projected, refined = up.get("cut_projected"), up.get("cut_refined")
             rows.append({
                 "cycle": cycle, "level": g, "nodes": nodes, "edges": edges,
-                "shrink": shrink, "cut_projected": projected,
+                "shrink": built.get("shrink"), "bound": built.get("bound"),
+                "heaviest": built.get("heaviest"), "cut_projected": projected,
                 "cut_refined": refined,
             })
     return rows

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import glob
+import multiprocessing
 from unittest import mock
 
 import numpy as np
@@ -134,6 +135,17 @@ def no_shm_leak():
     before = set(glob.glob(pattern))
     yield
     assert sorted(set(glob.glob(pattern)) - before) == []
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails the test if a process it started is still running after it:
+    ``multiprocessing.active_children()`` (which also reaps the finished
+    ones) lists none that was not there before."""
+    before = {proc.pid for proc in multiprocessing.active_children()}
+    yield
+    assert [proc.name for proc in multiprocessing.active_children()
+            if proc.pid not in before] == []
 
 
 # ----------------------------------------------------------------------

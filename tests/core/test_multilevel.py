@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    LocalVcycleBackend,
     PartitionConfig,
     detect_social,
     eco_config,
     fast_config,
     minimal_config,
-    multilevel_partition,
     sequential_partition,
 )
+from repro.engine.vcycle import run_vcycle
 from repro.generators import load_instance, planted_partition, rgg
 from repro.graph import check_partition, max_block_weight_bound
 from repro.metrics import edge_cut
@@ -26,6 +27,14 @@ def rng(seed=0):
 
 def lmax(graph, config):
     return max_block_weight_bound(graph, config.k, config.epsilon)
+
+
+def one_vcycle(graph, config, bound, generator, seed_partition=None):
+    """One V-cycle of the sequential backend at the first cycle's factor."""
+    factor = config.cluster_factor(0, config.social, generator)
+    backend = LocalVcycleBackend(graph, config, generator, bound)
+    return run_vcycle(backend, config, bound, factor,
+                      seed_partition=seed_partition).partition
 
 
 class TestConfig:
@@ -94,7 +103,7 @@ class TestMultilevelPartition:
     def test_planted_partition_near_optimal(self):
         g, truth = planted_partition(2, 100, p_in=0.25, p_out=0.01, seed=0)
         config = fast_config(k=2, social=True)
-        part = multilevel_partition(g, config, lmax(g, config), rng(1))
+        part = one_vcycle(g, config, lmax(g, config), rng(1))
         check_partition(g, part, 2, epsilon=0.03)
         optimal = edge_cut(g, truth)
         assert edge_cut(g, part) <= 1.3 * optimal
@@ -103,23 +112,17 @@ class TestMultilevelPartition:
     def test_balanced_on_mesh(self, k):
         g = rgg(10, seed=1)
         config = fast_config(k=k, social=False)
-        part = multilevel_partition(g, config, lmax(g, config), rng(2))
+        part = one_vcycle(g, config, lmax(g, config), rng(2))
         check_partition(g, part, k, epsilon=0.03)
 
     def test_input_partition_never_worsened(self):
         g = load_instance("amazon")
         config = fast_config(k=2, social=True)
         bound = lmax(g, config)
-        first = multilevel_partition(g, config, bound, rng(3))
-        improved = multilevel_partition(g, config, bound, rng(4), input_partition=first)
+        first = one_vcycle(g, config, bound, rng(3))
+        improved = one_vcycle(g, config, bound, rng(4), seed_partition=first)
         assert edge_cut(g, improved) <= edge_cut(g, first)
         assert np.bincount(improved, weights=g.vwgt, minlength=2).max() <= bound
-
-    def test_empty_graph(self):
-        from repro.graph import empty_graph
-
-        part = multilevel_partition(empty_graph(0), fast_config(k=2), 0, rng())
-        assert part.size == 0
 
 
 class TestVcycles:

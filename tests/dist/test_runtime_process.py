@@ -120,7 +120,7 @@ class TestThreadProcessParity:
 # ---------------------------------------------------------------------------
 
 class TestSharedCSR:
-    def test_graph_roundtrip_and_cleanup(self, no_shm_leak):
+    def test_graph_roundtrip_and_cleanup(self, no_shm_leak, no_child_left):
         graph = grid_2d(12, 12)
         expected = (int(graph.xadj[-1]) + int(graph.adjncy.sum())
                     + int(graph.vwgt.sum())) * 4
@@ -176,7 +176,7 @@ class TestProcessFailures:
         msg = str(exc.value)
         assert "barrier" in msg and "allgather" in msg
 
-    def test_watchdog_names_stuck_ranks(self):
+    def test_watchdog_names_stuck_ranks(self, no_child_left):
         # The budget must cover spawn + import (~2 s here) with margin:
         # the deadline starts before the workers do.  Rank 0 returns
         # immediately, so only rank 1 can be stuck once both are up.
@@ -185,7 +185,7 @@ class TestProcessFailures:
         assert 1 in exc.value.stuck_ranks
         assert "rank 1" in str(exc.value)
 
-    def test_error_carries_rank_note(self):
+    def test_error_carries_rank_note(self, no_child_left):
         with pytest.raises(ValueError, match="rank 2 exploded") as exc:
             run_spmd_processes(4, _raise_on_rank_2)
         assert exc.value.__notes__ == ["raised on SPMD rank 2 (process backend)"]

@@ -35,11 +35,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import eco_config, fast_config, multilevel_partition
+from repro.core import LocalVcycleBackend, detect_social, eco_config, fast_config
 from repro.dist.dgraph import DistGraph, balanced_vtxdist
 from repro.dist.dist_partitioner import parhip_vcycles
 from repro.dist.runtime import run_spmd
 from repro.engine import LocalBackend, SpmdBackend, run_sclp
+from repro.engine.vcycle import run_vcycle
 from repro.generators import barabasi_albert, rgg, rmat
 from repro.graph.ops import band_nodes
 from repro.graph.validation import max_block_weight_bound
@@ -164,7 +165,10 @@ def test_multilevel(gname, cname):
     g = make_graph(gname)
     config = CONFIGS[cname](k=4)
     lmax = max_block_weight_bound(g, 4, config.epsilon)
-    part = multilevel_partition(g, config, lmax, np.random.default_rng(29))
+    rng = np.random.default_rng(29)
+    factor = config.cluster_factor(0, detect_social(g), rng)
+    backend = LocalVcycleBackend(g, config, rng, lmax)
+    part = run_vcycle(backend, config, lmax, factor).partition
     assert digest(part) == GOLDEN[f"multilevel/{gname}/{cname}"]
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import coarsen, fast_config
-from repro.graph import contract, quotient_graph
+from repro.core import LocalVcycleBackend, fast_config
+from repro.engine.vcycle import run_coarsening
+from repro.graph import contract, max_block_weight_bound, quotient_graph
 from repro.generators import planted_partition, web_copy_graph
 from repro.metrics import communication_volume, edge_cut, evaluate_partition
 
@@ -27,12 +28,16 @@ class TestQuotientPartitionDuality:
         """Cut of a partition is identical on every hierarchy level."""
         g = web_copy_graph(1200, seed=1)
         config = fast_config(k=2, social=True)
-        h = coarsen(g, config, np.random.default_rng(0), cluster_factor=14.0)
+        lmax = max_block_weight_bound(g, 2, config.epsilon)
+        levels, _ = run_coarsening(
+            LocalVcycleBackend(g, config, np.random.default_rng(0), lmax), config, lmax, 14.0
+        )
+        coarsest = levels[-1].coarse
         rng = np.random.default_rng(1)
-        coarse_part = rng.integers(0, 2, size=h.coarsest.num_nodes)
-        cuts = [edge_cut(h.coarsest, coarse_part)]
+        coarse_part = rng.integers(0, 2, size=coarsest.num_nodes)
+        cuts = [edge_cut(coarsest, coarse_part)]
         part = coarse_part
-        for level in reversed(h.levels):
+        for level in reversed(levels):
             part = part[level.fine_to_coarse]
             cuts.append(edge_cut(level.fine, part))
         assert len(set(cuts)) == 1

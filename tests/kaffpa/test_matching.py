@@ -66,14 +66,19 @@ class TestMatchingContraction:
     def test_web_graph_stalls_vs_cluster_coarsening(self):
         """The paper's central contrast (Section V-B): matching barely
         shrinks a web graph while cluster contraction collapses it."""
-        from repro.core import fast_config, coarsen
+        from repro.core import LocalVcycleBackend, fast_config
+        from repro.engine.vcycle import run_coarsening
+        from repro.graph import max_block_weight_bound
 
         g = load_instance("sk-2005")
         matched = match_and_contract(g, rng(0)).coarse
         matching_factor = matched.num_nodes / g.num_nodes
 
-        h = coarsen(g, fast_config(k=2, social=True), rng(0), cluster_factor=14.0)
-        cluster_factor = h.levels[0].coarse.num_nodes / g.num_nodes
+        config = fast_config(k=2, social=True)
+        lmax = max_block_weight_bound(g, 2, config.epsilon)
+        levels, _ = run_coarsening(LocalVcycleBackend(g, config, rng(0), lmax),
+                                   config, lmax, 14.0)
+        cluster_factor = levels[0].coarse.num_nodes / g.num_nodes
 
         assert matching_factor > 0.5  # stalls: less than 2x reduction
         assert cluster_factor < 0.1  # collapses: >10x in one step

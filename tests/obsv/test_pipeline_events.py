@@ -14,6 +14,7 @@ from repro.api import partition_graph
 from repro.dist.dist_partitioner import parallel_partition
 from repro.dist.runtime import SpmdDeadlockError, run_spmd
 from repro.generators import rmat
+from repro.graph import max_block_weight_bound
 from repro.obsv import (
     RUN_SUMMARY_SCHEMA,
     TRACER,
@@ -267,19 +268,24 @@ class TestSequentialPipelineEvents:
             assert final[cycle] <= final[cycle - 1]
         assert result.cut == final[4]
 
-    def test_standalone_coarsen_emits_level_spans(self):
-        # coarsen() is the driver's level loop with no cycle around it
-        from repro.core import coarsen, fast_config
+    def test_run_coarsening_alone_emits_level_spans(self):
+        # the driver's level loop with no cycle around it
+        from repro.core import LocalVcycleBackend, fast_config
+        from repro.engine.vcycle import run_coarsening
 
+        graph, config = rmat(9, seed=2), fast_config(k=2)
+        lmax = max_block_weight_bound(graph, 2, config.epsilon)
         TRACER.enable()
         try:
-            hierarchy = coarsen(rmat(9, seed=2), fast_config(k=2),
-                                np.random.default_rng(0), cluster_factor=14.0)
+            levels, _ = run_coarsening(
+                LocalVcycleBackend(graph, config, np.random.default_rng(0), lmax),
+                config, lmax, 14.0,
+            )
         finally:
             TRACER.disable()
         spans = [s for s in _spans(TRACER.snapshot(), "coarsen.level")
                  if not s["attrs"].get("stalled")]
-        assert len(spans) == hierarchy.depth > 0
+        assert len(spans) == len(levels) > 0
         assert {s["attrs"]["cycle"] for s in spans} == {None}
 
     @staticmethod
@@ -347,3 +353,50 @@ class TestSequentialPipelineEvents:
             point["sweep"] and point["chunk_size"]
             for point in summary["convergence"]
         )
+
+
+class TestCoarsenLevelBounds:
+    """Every traced ``coarsen.level`` records the bound handed to
+    ``cluster`` (``bound``) and the heaviest coarse node (``heaviest``),
+    and run.json ``levels`` rows carry both: the per-level evidence for
+    the cluster bound U of the paper's SCLP."""
+
+    @staticmethod
+    def _traced(graph, num_pes):
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            partition_graph(graph, 8, num_pes=num_pes, seed=0)
+        finally:
+            TRACER.disable()
+        records = TRACER.snapshot()
+        TRACER.reset()
+        spans = [s for s in _spans(records, "coarsen.level")
+                 if not s["attrs"].get("stalled")]
+        assert spans
+        for span in spans:
+            assert {"bound", "heaviest"} <= set(span["attrs"])
+        rows = [r for r in build_run_summary(records)["levels"] if r["level"] > 0]
+        assert rows and all(
+            isinstance(r["bound"], int) and isinstance(r["heaviest"], int) for r in rows)
+        return rows
+
+    @pytest.mark.parametrize("family", ["web_copy", "rmat", "delaunay"])
+    def test_a_sequential_coarse_node_keeps_the_floor(self, family):
+        """The sequential hook clusters under U = max(max c(v), bound),
+        so no coarse node outweighs the bound or the heaviest fine node."""
+        from repro.generators import delaunay, web_copy_graph
+
+        graph = {"web_copy": lambda: web_copy_graph(4096, seed=1),
+                 "rmat": lambda: rmat(11, seed=1),
+                 "delaunay": lambda: delaunay(11, seed=1)}[family]()
+        heaviest = {}  # (cycle, level) -> heaviest node of that graph
+        for row in sorted(self._traced(graph, 1), key=lambda r: (r["cycle"], r["level"])):
+            fine = heaviest.get((row["cycle"], row["level"] - 1), int(graph.vwgt.max()))
+            assert row["heaviest"] <= max(row["bound"], fine), row
+            heaviest[(row["cycle"], row["level"])] = row["heaviest"]
+
+    def test_the_spmd_pipeline_records_both(self):
+        # at p > 1 the values are recorded only: a cluster may still
+        # overshoot U there
+        self._traced(rmat(11, seed=1), 2)

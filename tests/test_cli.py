@@ -117,6 +117,12 @@ class TestPartitionCommand:
          "argument --exponent: exponent must be an integer >= 0, got '-1'"),
         (["generate", "social", "--nodes", "-5", "-o", "{tmp}/g2.metis"],
          "argument --nodes: nodes must be an integer >= 1, got '-5'"),
+        *((["generate", "del", "--exponent", bad, "-o", "{tmp}/g2.metis"],
+           f"argument --exponent: exponent must be an integer >= 2 for family 'del', "
+           f"got '{bad}'") for bad in ("0", "1")),
+        *((["generate", "social", "--nodes", bad, "-o", "{tmp}/g2.metis"],
+           f"argument --nodes: nodes must be an integer >= 5 for family 'social', "
+           f"got '{bad}'") for bad in ("1", "2", "3", "4")),
         (["evaluate", "{graph}", "{graph}", "-k", "0"],
          "argument -k: k must be an integer >= 1, got '0'"),
     ])

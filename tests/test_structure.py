@@ -5,9 +5,10 @@ paper has once: one collective protocol, one size-constrained label
 propagation for coarsening and refinement, one cut, one METIS reader,
 integer-only kernels declared once, one shard mapper, one quotient
 build, one Lmax decided at the pipeline entry, one partition result,
-one iterated-V-cycle loop, no module-level scipy import and one
-environment variable.  A rule is a function of a tree root that returns
-its violations, ``path:line`` strings, empty on a tree that keeps it.
+one iterated-V-cycle loop, one sequential V-cycle backend, no
+module-level scipy import and one environment variable.  A rule is a
+function of a tree root that returns its violations, ``path:line``
+strings, empty on a tree that keeps it.
 
 Every rule has a self-test: it copies the rule's scope into
 ``tmp_path``, plants the violation the rule exists to catch, and
@@ -313,8 +314,16 @@ def rule(name: str, scope: tuple[str, ...], violations, *plants: Plant) -> Rule:
 
 
 #: where a public call starts: the only files that derive the bound
-LMAX_ENTRIES = (r"^src/repro/(api\.py|core/isolated\.py|core/coarsening\.py"
+LMAX_ENTRIES = (r"^src/repro/(api\.py|core/isolated\.py"
                 r"|graph/validation\.py|metrics/result\.py|baselines/)")
+#: the wrappers the sequential V-cycle backend replaced: a function
+#: ``coarsen`` (not a ``.coarsen`` method or the ``kaffpa.coarsen`` span)
+SEQUENTIAL_OLD_NAMES = (
+    word("LocalCoarseningBackend|HierarchyLevel|Hierarchy|multilevel_partition|"
+         "project_partition|project_to_finest")
+    + r"|core[./](coarsen|coarsening|projection)\b|(?<![\w.])coarsen\("
+    + r"|import .*(?<![\w.])coarsen(?![\w.])"
+)
 #: no looser than ``grep "os.environ" | grep -v REPRO_BENCH_SEEDS``: each
 #: is a line that grep flags
 ENV_PLANTS = (
@@ -433,6 +442,17 @@ RULES = (
          absent(r'iterated_vcycles|VcycleTrace|"coarse_sizes"\]', "src"),
          appended("coarse sizes riding the phase times", "src/repro/dist/dist_partitioner.py",
                   'def _planted(times):\n    return times["coarse_sizes"]')),
+    # one sequential V-cycle backend, driven by the engine with no wrapper
+    rule("sequential.old-names", ("src", "benchmarks", "tools"),
+         absent(SEQUENTIAL_OLD_NAMES, "src", "benchmarks", "tools"),
+         appended("a bench that coarsens by the old entry point",
+                  "benchmarks/bench_ablation_size_constraint.py",
+                  "from repro.core import coarsen, fast_config"),
+         appended("a projection helper", "src/repro/core/multilevel.py",
+                  "def project_partition(partition, mapping):\n"
+                  "    return partition[mapping]"),
+         appended("the old level type", "tools/quotient_bench.py",
+                  "from repro.core.coarsening import HierarchyLevel")),
     # ranks and the API import no scipy
     rule("scipy.module-level", ("src/repro",), module_level_scipy_imports,
          *(Plant(planted, "src/repro/graph/ops.py",

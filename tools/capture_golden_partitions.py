@@ -30,11 +30,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.api import partition_graph  # noqa: E402
-from repro.core import eco_config, fast_config, multilevel_partition  # noqa: E402
+from repro.core import LocalVcycleBackend, detect_social, eco_config, fast_config  # noqa: E402
 from repro.dist.dist_partitioner import parhip_vcycles  # noqa: E402
 from repro.dist.dgraph import DistGraph, balanced_vtxdist  # noqa: E402
 from repro.dist.runtime import run_spmd  # noqa: E402
 from repro.engine import LocalBackend, SpmdBackend, run_sclp  # noqa: E402
+from repro.engine.vcycle import run_vcycle  # noqa: E402
 from repro.generators import barabasi_albert, rgg, rmat  # noqa: E402
 from repro.graph.ops import band_nodes  # noqa: E402
 from repro.graph.validation import max_block_weight_bound  # noqa: E402
@@ -134,7 +135,9 @@ def multilevel_goldens(out: dict) -> None:
             config = cfg(k=4)
             rng = np.random.default_rng(29)
             lmax = max_block_weight_bound(g, 4, config.epsilon)
-            part = multilevel_partition(g, config, lmax, rng)
+            factor = config.cluster_factor(0, detect_social(g), rng)
+            part = run_vcycle(LocalVcycleBackend(g, config, rng, lmax), config, lmax,
+                              factor).partition
             out[f"multilevel/{gname}/{cname}"] = digest(part)
 
 

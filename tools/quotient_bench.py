@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import generators, native
 from repro.api import partition_graph
-from repro.core.coarsening import LocalCoarseningBackend
+from repro.core import LocalVcycleBackend
 from repro.graph import normalize_labels
 
 EPSILON = 0.03
@@ -49,17 +49,17 @@ def record_levels(graph, call: dict, seed: int) -> list[tuple]:
     one op contract, in call order: the arguments of their
     ``native.quotient_arcs`` calls."""
     levels: list[tuple] = []
-    contract = LocalCoarseningBackend.contract
+    contract = LocalVcycleBackend.contract
 
     def recorder(self, labels):
         levels.append((self.current, *normalize_labels(labels)))
         return contract(self, labels)
 
-    LocalCoarseningBackend.contract = recorder
+    LocalVcycleBackend.contract = recorder
     try:
         partition_graph(graph, seed=seed, epsilon=EPSILON, **call)
     finally:
-        LocalCoarseningBackend.contract = contract
+        LocalVcycleBackend.contract = contract
     return levels
 
 
