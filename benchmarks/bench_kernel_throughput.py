@@ -165,9 +165,9 @@ def par_lp_rate(graph, chunk: int, sweep: str, pes: int = PES) -> float:
 
 
 def _proc_lp_program(comm, graph):
-    """Spawn-safe LP program for the process-backend rows.
+    """Process-safe LP program for the process-backend rows.
 
-    Module-level so spawn workers can re-import it; the graph arrives
+    Module-level so a process rank can unpickle it by reference; the graph arrives
     through the shared-memory CSR segments, not the pickle stream.
     """
     dgraph = DistGraph.from_global(
@@ -186,7 +186,7 @@ def proc_lp_rate(graph, pes: int) -> float:
     """Real wall-clock arc-visits/sec of cluster LP on the process backend.
 
     Times only the LP region inside the workers (max across ranks), so
-    spawn + import + shm setup — a fixed ~seconds overhead per run — is
+    launching the ranks + shm setup — a fixed overhead per run — is
     excluded and the rate measures steady-state throughput.  Unlike
     every other ``par_*`` metric the clock here is *real* parallelism:
     the ranks are OS processes, so on a multi-core host the p=4 rate

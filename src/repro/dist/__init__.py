@@ -2,11 +2,12 @@
 
 One communicator (:class:`SimComm`, the hub protocol of
 :mod:`repro.dist.comm`) serves both kinds of rank; the two launchers
-(:func:`run_spmd` on threads, :func:`run_spmd_processes` on spawned OS
-processes) differ only in where the ranks run.  The parallel label
-propagation is the engine's :func:`repro.engine.run_sclp` on a
-:class:`repro.engine.SpmdBackend`, called by the V-cycle hooks of
-:mod:`repro.dist.dist_partitioner`.
+(:func:`run_spmd` on threads, :func:`run_spmd_processes` on OS processes
+forked from one preloaded fork server, whose environment as at the first
+process call every rank inherits) differ only in where the ranks run.
+The parallel label propagation is the engine's
+:func:`repro.engine.run_sclp` on a :class:`repro.engine.SpmdBackend`,
+called by the V-cycle hooks of :mod:`repro.dist.dist_partitioner`.
 """
 
 from .comm import (

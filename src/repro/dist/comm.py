@@ -10,8 +10,9 @@ update scheme.
 The hub protocol
 ----------------
 A program does not know where its ranks run: ``P`` threads of one
-process (:func:`~repro.dist.runtime.run_spmd`) and ``P`` spawned OS
-processes (:func:`~repro.dist.runtime.run_spmd_processes`) get the same
+process (:func:`~repro.dist.runtime.run_spmd`) and ``P`` OS processes
+forked from one server (:func:`~repro.dist.runtime.run_spmd_processes`,
+which documents what such a rank inherits) get the same
 :class:`SimComm`, and every collective is one call of
 :meth:`SimComm._collect`.  Rank 0 doubles as the *hub*: each other rank
 puts ``(rank, value, clock, order tag)`` on the world's up-queue and
@@ -20,9 +21,10 @@ contributions plus its own, checks the tags, takes the maximum clock and
 answers every rank with a private copy of the gathered list.  The
 :class:`World` holds what the ranks share — size, machine, seed, the
 queues, an abort event and a progress table — built on ``queue`` +
-``threading`` for thread ranks and on the spawn context for process
-ranks.  Everything else (clock, :class:`CommStats`, outbox) is a field
-of the rank's own :class:`SimComm`.
+``threading`` for thread ranks and on
+:data:`~repro.dist.runtime.PROCESS_CONTEXT` for process ranks.
+Everything else (clock, :class:`CommStats`, outbox) is a field of the
+rank's own :class:`SimComm`.
 
 Every blocking ``get`` polls the abort event: when a rank fails or the
 launcher's watchdog fires, the event is set and each waiting rank
@@ -202,8 +204,9 @@ class CommStats:
 class World:
     """What the ranks of one SPMD execution share.
 
-    ``ctx`` is the ``multiprocessing`` context of process ranks (the
-    world is then picklable at spawn); ``None`` builds the in-process
+    ``ctx`` is the ``multiprocessing`` context of process ranks,
+    :data:`~repro.dist.runtime.PROCESS_CONTEXT` (the world is then
+    pickled to each rank at its start); ``None`` builds the in-process
     twins for thread ranks.
     """
 

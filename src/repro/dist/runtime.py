@@ -1,8 +1,8 @@
 """SPMD execution engine: the two launchers of the simulated PEs.
 
 :func:`run_spmd` runs one Python thread per PE, :func:`run_spmd_processes`
-one spawned OS process per PE (the input graph parked once in shared
-memory, so p ranks really do run on p cores).  Both run the same
+one OS process per PE (the input graph parked once in shared memory,
+so p ranks really do run on p cores).  Both run the same
 rank-parametric program against the same
 :class:`~repro.dist.comm.SimComm`, and every rank reports ``(result,
 sim_time, stats)``.  If any rank raises, the world's abort event is set
@@ -17,6 +17,17 @@ reach) raises :class:`SpmdDeadlockError` naming the stuck ranks and the
 collective each one last entered, instead of hanging the caller forever.
 The default budget is 60 seconds, overridable per call (``timeout=``;
 ``0`` disables the watchdog).
+
+Process ranks are forked from one ``forkserver`` per interpreter,
+:data:`PROCESS_CONTEXT`: the first process call starts it, it imports
+this module and :mod:`repro.dist.dist_partitioner` once, and every call
+forks warm ranks from it that import nothing and end through
+``os._exit``.  A rank is a child of the server, not of the caller, so
+it sees the environment variables as they were at the first process
+call, and the modules the server preloaded from its own ``sys.path``
+(built from that environment, e.g. ``PYTHONPATH``, not from the
+caller's ``sys.path``).  ``multiprocessing`` still sends the caller's
+``sys.path``, working directory and ``__main__`` script with every rank.
 """
 
 from __future__ import annotations
@@ -49,6 +60,10 @@ __all__ = [
 
 #: default wall-clock watchdog for one SPMD execution, in seconds
 DEFAULT_SPMD_TIMEOUT = 60.0
+
+#: the one ``multiprocessing`` context of process ranks: a fork server
+#: started on the first process call
+PROCESS_CONTEXT = multiprocessing.get_context("forkserver")
 
 
 def _emit_rank_memory(size: int, *, shared: bool) -> None:
@@ -239,7 +254,7 @@ _CRASH_GRACE = 2.0
 
 @dataclass
 class _WorkerSpec:
-    """Everything one spawned worker needs (picklable at spawn)."""
+    """Everything one process rank needs (pickled to it at its start)."""
 
     rank: int
     world: World
@@ -250,6 +265,7 @@ class _WorkerSpec:
     result_queue: Any
     trace: bool
     wall_origin: float
+    launched: float  # the parent's perf_counter at this rank's start()
 
 
 def _proc_worker(spec: _WorkerSpec) -> None:
@@ -272,6 +288,9 @@ def _proc_worker(spec: _WorkerSpec) -> None:
             store = SharedMemoryStore.attach(spec.graph_handle)
             args = (Graph.from_store(store), *args)
         comm = spec.world.comm(spec.rank)
+        TRACER.record_span("launch", rank=spec.rank, wall_ts=spec.launched,
+                           wall_dur=time.perf_counter() - spec.launched,
+                           sim_ts=None, sim_dur=None)
         result = program(comm, *args, **kwargs)
     except _Aborted:
         status = "aborted"
@@ -327,7 +346,8 @@ def run_spmd_processes(
 
     Mirrors :func:`run_spmd` — same program contract, same ``timeout``
     resolution, same :class:`SpmdResult` — but the ranks are
-    ``multiprocessing`` workers under the spawn context.
+    ``multiprocessing`` workers forked by :data:`PROCESS_CONTEXT`'s
+    server (see the module docstring for what a rank inherits).
 
     ``program`` and its arguments must be picklable (module-level
     functions; no closures).  When ``graph`` is given, its CSR arrays
@@ -357,11 +377,14 @@ def run_spmd_processes(
     # fails before anything is created).
     kernels = native.resolve()
     TRACER.annotate_header(lp_kernel="native")
-    ctx = multiprocessing.get_context("spawn")
-    world = World(size, machine=machine, seed=seed, ctx=ctx)
+    # What a rank runs, imported once by the server before it forks any.
+    # Set here, not at import: it loads multiprocessing's server module,
+    # which a process that never starts a rank does not need.
+    PROCESS_CONTEXT.set_forkserver_preload(["repro.dist.runtime", "repro.dist.dist_partitioner"])
+    world = World(size, machine=machine, seed=seed, ctx=PROCESS_CONTEXT)
     prog_bytes = pickle.dumps(program)
     payload = pickle.dumps((args, kwargs))
-    result_queue = ctx.Queue()
+    result_queue = PROCESS_CONTEXT.Queue()
     # From here on every path, a failing ``start()`` included, reaches the
     # ``finally`` below: the segments are the parent's to unlink.
     shared = SharedMemoryStore.create(graph) if graph is not None else None
@@ -374,9 +397,10 @@ def run_spmd_processes(
                 graph_handle=None if shared is None else shared.handle,
                 kernels=kernels, result_queue=result_queue,
                 trace=TRACER.enabled, wall_origin=TRACER._wall_origin,
+                launched=time.perf_counter(),
             )
-            proc = ctx.Process(target=_proc_worker, args=(spec,),
-                               name=f"pe-{rank}", daemon=True)
+            proc = PROCESS_CONTEXT.Process(target=_proc_worker, args=(spec,),
+                                           name=f"pe-{rank}", daemon=True)
             # Listed only once started: a rank whose start() raised (an
             # unpicklable spec, EAGAIN, an unguarded __main__) cannot be
             # joined, and the error to report is that one.
@@ -417,9 +441,18 @@ def run_spmd_processes(
             codes = ", ".join(
                 f"rank {r} (exit code {procs[r].exitcode})" for r in crashed
             )
+            unstarted = [r for r in crashed
+                         if procs[r].exitcode == 1 and world.progress(r) is None]
+            hint = (
+                f"; rank(s) {unstarted} died before their first collective. "
+                "The usual cause is a calling script that starts partitions "
+                "at import: every rank imports the caller's __main__ script, "
+                'so put its calls under if __name__ == "__main__":'
+                if unstarted else ""
+            )
             raise RuntimeError(
                 f"SPMD worker process(es) died without reporting a result: "
-                f"{codes}; {len(pending)}/{size} ranks never finished"
+                f"{codes}; {len(pending)}/{size} ranks never finished{hint}"
             )
         if stuck:
             world.abort()

@@ -225,7 +225,7 @@ def resolve() -> str:
 
     Raises :class:`KernelUnavailable` naming the cause.  The first failure
     is remembered: later calls raise it again without another build.  The
-    process backend's parent calls this before it spawns and hands the
+    process backend's parent calls this before it starts its ranks and hands the
     path to :func:`adopt` in every rank, so ranks never compile.
     """
     global _lib, _PhaseTables, _path, _failure

@@ -80,8 +80,9 @@ _SUMMARY_KEYS = (
 PHASES = ("coarsening", "initial", "refinement")
 #: the steps of every ``kaffpa_partition`` call, nested inside ``initial``
 KAFFPA_STEPS = ("kaffpa.coarsen", "kaffpa.initial", "kaffpa.refine")
-#: the rows of ``phases`` in ``run.json``, in reading order
-_PHASE_ROWS = ("coarsening", "initial", *KAFFPA_STEPS, "refinement")
+#: the rows of ``phases`` in ``run.json``, in reading order; ``launch``
+#: is a process rank's start, from the parent's ``start()`` to its program
+_PHASE_ROWS = ("launch", "coarsening", "initial", *KAFFPA_STEPS, "refinement")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +447,8 @@ def phase_times(records: Iterable[dict]) -> dict[str, dict[str, float | None]]:
     rank-less sums so the thread backend's GIL interleaving is not
     double-counted.  Phases absent from the trace map to ``None``.  The
     three :data:`KAFFPA_STEPS` follow the phases they split ``initial``
-    into; they have no simulated clock.
+    into; they have no simulated clock, and neither has ``launch``, which
+    only process ranks record.
     """
     sim_by_phase_rank: dict[str, dict[int, float]] = defaultdict(lambda: defaultdict(float))
     wall_by_phase: dict[str, float] = defaultdict(float)

@@ -5,12 +5,11 @@ run the same :class:`SimComm` over the same rank-0 hub; these tests pin
 what that sharing must not cost: a private result list per rank, no rank
 thread left behind on any failure path, and one stuck-rank report.
 
-Programs live at module level so spawn workers can re-import them.
+Programs live at module level so process ranks can unpickle them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import threading
 import time
@@ -24,7 +23,7 @@ from repro.dist import (
     run_spmd,
     run_spmd_processes,
 )
-from repro.dist.runtime import _deadlock_error
+from repro.dist.runtime import PROCESS_CONTEXT, _deadlock_error
 
 from .test_runtime_process import _early_return, _order_divergence
 
@@ -129,8 +128,8 @@ def test_stuck_rank_text_is_the_same_for_both_launchers():
         "  rank 2: last entered collective #1 (allgather)",
     ]
     # The process launcher reports through the same function from the
-    # spawn-context flavour of the same progress table.
-    world = World(3, ctx=multiprocessing.get_context("spawn"))
+    # process-context flavour of the same progress table.
+    world = World(3, ctx=PROCESS_CONTEXT)
     for rank in (1, 2):
         world.stamp(rank, "allgather", 1)
     assert str(_deadlock_error(world, (1, 2), 0.5)) == report

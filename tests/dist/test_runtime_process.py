@@ -7,26 +7,34 @@ failure surface (collective-order check, deadlock watchdog,
 rank-attributed errors, crashed-worker detection) over real OS processes.  Shared-memory CSR
 segments must be unlinked on every exit path.
 
-All programs live at module level: spawn workers re-import this module,
-so closures or ``__main__``-local functions cannot cross the process
-boundary (that is part of the documented contract).
+All programs live at module level: a rank unpickles its program by
+reference, importing this module, so closures or ``__main__``-local
+functions cannot cross the process boundary (that is part of the
+documented contract).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.api import partition_graph
 from repro.dist import (
     CollectiveMismatchError,
     SpmdDeadlockError,
     run_spmd,
     run_spmd_processes,
 )
-from repro.dist.runtime import DEFAULT_SPMD_TIMEOUT, _resolve_timeout
+from repro.dist.runtime import DEFAULT_SPMD_TIMEOUT, PROCESS_CONTEXT, _resolve_timeout
+from repro.generators import rmat
 from repro.generators.mesh import grid_2d
 from repro.perf.machine import MACHINE_A, SERIAL
 
@@ -34,7 +42,7 @@ from ..conftest import kernel_cache_leftovers
 
 
 # ---------------------------------------------------------------------------
-# module-level programs (spawn workers must be able to re-import them)
+# module-level programs (process ranks must be able to import them)
 # ---------------------------------------------------------------------------
 
 def _collective_tour(comm, values):
@@ -64,6 +72,13 @@ def _graph_crash(comm, graph):
     return int(graph.vwgt.sum())
 
 
+def _exit_after_barrier(comm):
+    comm.barrier()
+    if comm.rank == 1:  # deliberate crash, as a bare sys.exit(1) would be
+        os._exit(1)
+    return comm.barrier()
+
+
 def _order_divergence(comm):
     if comm.rank == 0:  # deliberately divergent
         comm.barrier()
@@ -85,6 +100,10 @@ def _raise_on_rank_2(comm):
     if comm.rank == 2:  # deliberate failure
         raise ValueError("rank 2 exploded")
     return comm.allgather(comm.rank)
+
+
+def _parent_pid(comm):
+    return os.getppid()
 
 
 VALUES = [10, 20, 30, 40]
@@ -134,6 +153,7 @@ class TestSharedCSR:
             run_spmd_processes(4, _graph_crash, graph=graph, timeout=60)
         msg = str(exc.value)
         assert "rank 1" in msg and "exit code 17" in msg
+        assert "__main__" not in msg  # not the exit of a failed import
         # ranks never build the LP kernel, so a killed one leaves no
         # half-written file in its cache
         assert kernel_cache_leftovers() == []
@@ -142,10 +162,8 @@ class TestSharedCSR:
         """``start()`` raising on rank 1 (EAGAIN, an unguarded ``__main__``,
         an unpicklable spec) is the error the caller sees: no join of the
         ranks that never started, rank 0 stopped, the segments unlinked."""
-        from multiprocessing.context import SpawnProcess
-
         started = []
-        real_start = SpawnProcess.start
+        real_start = PROCESS_CONTEXT.Process.start
 
         def start(proc):
             if proc.name == "pe-1":
@@ -153,7 +171,7 @@ class TestSharedCSR:
             real_start(proc)
             started.append(proc)
 
-        monkeypatch.setattr(SpawnProcess, "start", start)
+        monkeypatch.setattr(PROCESS_CONTEXT.Process, "start", start)
         with pytest.raises(BlockingIOError, match="temporarily unavailable"):
             run_spmd_processes(3, _graph_sum, graph=grid_2d(8, 8), timeout=60)
         assert [proc.name for proc in started] == ["pe-0"]
@@ -177,8 +195,9 @@ class TestProcessFailures:
         assert "barrier" in msg and "allgather" in msg
 
     def test_watchdog_names_stuck_ranks(self, no_child_left):
-        # The budget must cover spawn + import (~2 s here) with margin:
-        # the deadline starts before the workers do.  Rank 0 returns
+        # The budget must cover starting the fork server (~0.3 s on a
+        # 2-vCPU host, on an interpreter's first process call) with
+        # margin: the deadline starts before the workers do.  Rank 0 returns
         # immediately, so only rank 1 can be stuck once both are up.
         with pytest.raises(SpmdDeadlockError) as exc:
             run_spmd_processes(2, _early_return, timeout=12)
@@ -189,6 +208,73 @@ class TestProcessFailures:
         with pytest.raises(ValueError, match="rank 2 exploded") as exc:
             run_spmd_processes(4, _raise_on_rank_2)
         assert exc.value.__notes__ == ["raised on SPMD rank 2 (process backend)"]
+
+    def test_an_unguarded_script_is_named_as_the_cause(self, tmp_path, no_shm_leak):
+        """Every rank imports the caller's ``__main__`` script; one that
+        partitions at import makes each rank try to start ranks of its
+        own, and they all die before their first collective."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from repro import partition_graph\n"
+            "from repro.generators.mesh import grid_2d\n"
+            "partition_graph(grid_2d(8, 8), 2, num_pes=2, backend='process')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            timeout=120, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert done.returncode == 1
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith("RuntimeError: SPMD worker process(es) died")
+        assert "rank(s) [0, 1] died before their first collective" in last
+        assert 'if __name__ == "__main__":' in last
+
+    def test_a_rank_that_dies_in_its_program_is_not_blamed_on_the_script(self):
+        with pytest.raises(RuntimeError) as exc:
+            run_spmd_processes(2, _exit_after_barrier, timeout=60)
+        msg = str(exc.value)
+        assert "rank 1 (exit code 1)" in msg and "__main__" not in msg
+
+
+# ---------------------------------------------------------------------------
+# the fork server the ranks are forked from
+# ---------------------------------------------------------------------------
+
+def _server_pid() -> int:
+    """The fork server's pid, as the parent pid of its ranks."""
+    return run_spmd_processes(2, _parent_pid).value
+
+
+class TestForkServer:
+    def test_two_calls_fork_from_one_server(self):
+        first = run_spmd_processes(2, _parent_pid)
+        second = run_spmd_processes(2, _parent_pid)
+        assert len(set(first.per_rank + second.per_rank)) == 1
+        assert first.value != os.getpid()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the thread count from /proc")
+    def test_the_server_is_single_threaded(self):
+        # fork copies only the calling thread: a second thread of the
+        # server could hold a lock its ranks then never see released
+        status = Path(f"/proc/{_server_pid()}/status").read_text()
+        assert re.search(r"^Threads:\s+(\d+)$", status, re.M).group(1) == "1"
+
+    def test_a_killed_server_is_started_again(self, no_shm_leak, no_child_left):
+        graph = rmat(10, seed=1)
+
+        def run():
+            return partition_graph(graph, 4, preset="fast", seed=0, num_pes=2,
+                                   backend="process").partition
+
+        before = run()
+        server = _server_pid()
+        os.kill(server, signal.SIGKILL)
+        # wait until it is dead, but leave it to multiprocessing to reap
+        os.waitid(os.P_PID, server, os.WEXITED | os.WNOWAIT)
+        assert np.array_equal(run(), before)
+        assert _server_pid() not in (server, os.getpid())
 
 
 class TestThreadRuntimeFailures:

@@ -10,7 +10,7 @@ identical edge cuts.  Both backends stop after the first phase in which
 no node moved on any rank, so a multi-phase call is one call on either
 side.  The p = 1 identity grid runs under both SPMD runtimes, so
 ``Local == Spmd == Process`` is pinned on the same fixtures; the
-spawn-based p = 4 runs additionally check the shared-memory CSR path
+process-backend p = 4 runs additionally check the shared-memory CSR path
 (including segment cleanup on clean exit and on worker crash).
 
 Sequential refinement defaults to *live* weight accounting while the
@@ -171,7 +171,7 @@ def test_one_rank_is_the_sequential_sclp(gname, mode):
 
 
 # ---------------------------------------------------------------------------
-# process backend over real workers (spawn + shared-memory CSR)
+# process backend over real workers (forked ranks + shared-memory CSR)
 # ---------------------------------------------------------------------------
 
 def spmd_lp(comm, dgraph, labels, bound, iterations, mode, k, **kwargs):
@@ -188,10 +188,10 @@ def spmd_lp(comm, dgraph, labels, bound, iterations, mode, k, **kwargs):
 
 
 def _plp_iterations(comm, graph, mode, k, bound, chunk, sweep, iters):
-    """Spawn-safe program: per-iteration global label snapshots.
+    """Process-safe program: per-iteration global label snapshots.
 
-    Module-level on purpose — spawn workers re-import this module, so
-    the program must be picklable by reference.
+    Module-level on purpose — a process rank unpickles it by reference,
+    importing this module.
     """
     vtxdist = balanced_vtxdist(graph.num_nodes, comm.size)
     dgraph = DistGraph.from_global(graph, vtxdist, comm.rank)
@@ -219,7 +219,7 @@ def test_process_matches_threads_per_iteration(no_shm_leak, size, mode, chunk, s
 
     Together with the p = 1 Local == Spmd/Process grid above this pins
     the full ``Local == Spmd == Process`` chain on shared fixtures.  The
-    p = 4 leg exercises the real spawn + shared-memory CSR path; the
+    p = 4 leg exercises the real process ranks + shared-memory CSR path; the
     leak check pins segment unlinking on clean exit.
     """
     g = make_graph("rmat9")

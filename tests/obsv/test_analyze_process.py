@@ -9,7 +9,8 @@ arrive nonzero.  And because every count in ``run.json`` is derived from
 the merged stream, a process-backend summary counts exactly what the
 thread backend's does.
 
-Programs live at module level: spawn workers re-import this module.
+Programs live at module level: a rank unpickles them by reference,
+importing this module.
 """
 
 from __future__ import annotations
@@ -117,6 +118,22 @@ def test_per_rank_rss_survives_absorb(merged_trace):
     assert memory["peak_rss_bytes"] > 0
 
 
+def test_every_rank_launch_ends_at_its_program(merged_trace):
+    """One ``launch`` span per rank, from the parent's ``start()`` to the
+    program entry: it ends before the rank's first collective."""
+    records, _ = merged_trace
+    spans = [r for r in records if r.get("type") == "span"]
+    launches = {s["rank"]: s for s in spans if s["name"] == "launch"}
+    assert sorted(launches) == list(range(P))
+    for rank, launch in launches.items():
+        assert launch["wall_dur"] > 0 and launch["sim_dur"] is None
+        first_comm = min(s["wall_ts"] for s in spans
+                         if s["rank"] == rank and s["name"].startswith("comm."))
+        assert launch["wall_ts"] + launch["wall_dur"] <= first_comm
+    summary = build_run_summary(records)
+    assert summary["phases"]["launch"] == {"sim": None, "wall": launches[0]["wall_dur"]}
+
+
 def test_run_summary_over_merged_trace(merged_trace):
     records, _ = merged_trace
     summary = build_run_summary(records)
@@ -175,7 +192,11 @@ def test_spmd_and_process_summaries_count_alike():
     assert spmd["levels"] == process["levels"]
     assert spmd["quality"]["cut"] == process["quality"]["cut"]
     assert spmd["quality"]["feasible"] is process["quality"]["feasible"] is True
+    # only process ranks are launched
+    assert process["phases"]["launch"]["wall"] > 0
+    assert spmd["phases"]["launch"] == {"sim": None, "wall": None}
     # a sequential run has no collectives, and says so with a number
     local = _traced_summary(None, 1)
+    assert local["phases"]["launch"] == {"sim": None, "wall": None}
     assert (local["comm"]["collectives"], local["comm"]["recv_bytes"]) == (0, 0)
     assert local["counts"]["lp.iterations"] > 0

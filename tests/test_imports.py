@@ -1,7 +1,8 @@
 """What a rank and the API load: no scipy.
 
-Every spawned rank imports :mod:`repro.dist.runtime` on every run, and
-scipy is a third of that import; the arc grouping and the ghost layout are
+The fork server of the process ranks preloads :mod:`repro.dist.runtime`
+and :mod:`repro.dist.dist_partitioner`, and scipy would be a third of
+that import; the arc grouping and the ghost layout are
 compiled, so only flow refinement, ``connected_components``,
 ``from_scipy``/``to_scipy`` and the delaunay generator import scipy, inside
 the function.  The import of the API and a rank is checked here; that no

@@ -6,7 +6,8 @@ propagation for coarsening and refinement, one cut, one METIS reader,
 integer-only kernels declared once, one shard mapper, one quotient
 build, one Lmax decided at the pipeline entry, one partition result,
 one iterated-V-cycle loop, one sequential V-cycle backend, no
-module-level scipy import and one environment variable.  A rule is a
+module-level scipy import, one environment variable and one
+``multiprocessing`` context.  A rule is a
 function of a tree root that returns its violations, ``path:line``
 strings, empty on a tree that keeps it.
 
@@ -337,6 +338,8 @@ ENV_PLANTS = (
     '# spmd unless os.environ says otherwise',
 )
 SCIPY_PLANTS = ("import scipy.sparse as sp", "from scipy import sparse")
+#: the only file that picks a ``multiprocessing`` start method
+PROCESS_RUNTIME = "src/repro/dist/runtime.py"
 
 RULES = (
     # one collective protocol: no barrier/slot twin, no second communicator
@@ -461,6 +464,15 @@ RULES = (
                      f"{planted}\n{text}\n\ndef _planted():\n    {planted}\n"),
                  expect=("src/repro/graph/ops.py:1",))
            for planted in SCIPY_PLANTS)),
+    # one process context: every process rank forks from the runtime's server
+    rule("process.one-context", ("src", "benchmarks", "tools", "tests"),
+         lambda root: [line for line in grep(r"get_context\(|set_start_method", root,
+                                             "src", "benchmarks/*.py", "tools", "tests")
+                       if not line.startswith(f"{PROCESS_RUNTIME}:")],
+         appended("a spawn context in a test", "tests/dist/test_one_protocol.py",
+                  'SPAWN = multiprocessing.get_context("spawn")'),
+         appended("a start method in a bench", "benchmarks/bench_kernel_throughput.py",
+                  'multiprocessing.set_start_method("spawn")')),
     # src/repro reads no environment variable but the tabled ones
     rule("environment-reads", ("src/repro",), environment_reads,
          *(appended(planted, "src/repro/engine/backend.py",
