@@ -192,7 +192,7 @@ def proc_lp_rate(graph, pes: int) -> float:
     the ranks are OS processes, so on a multi-core host the p=4 rate
     exceeds the p=1 rate.  On a single-core host (see ``cpu_cores`` in
     the meta block) the ranks time-slice one CPU and the p=4/p=1 ratio
-    sits below 1, bounded by the queue-collective overhead.
+    sits below 1, bounded by the collective overhead.
     """
 
     return _best_rate(graph, lambda: _spmd_lp(
@@ -587,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
     if baseline is not None:
         ref_metrics = baseline.get("metrics", {})
         # Wall-clock "speedups" of the process backend on a single-core
-        # host measure queue/scheduling overhead, not parallelism — the
+        # host measure communication/scheduling overhead, not parallelism — the
         # recorded proc_lp_wall_speedup_p4 = 0.2x caveat.  When either
         # side of the comparison ran on one core, gating on those rows
         # would fail (or pass) for reasons unrelated to the code.
@@ -605,7 +605,7 @@ def main(argv: list[str] | None = None) -> int:
                     + ", ".join(skipped)
                     + f": recorded cpu_cores == 1 (baseline {cores_then}, "
                     f"current {cores_now}); single-core wall ratios measure "
-                    "queue overhead, not parallel speedup"
+                    "communication overhead, not parallel speedup"
                 )
         regressed = [
             key

@@ -14,23 +14,30 @@ process (:func:`~repro.dist.runtime.run_spmd`) and ``P`` OS processes
 forked from one server (:func:`~repro.dist.runtime.run_spmd_processes`,
 which documents what such a rank inherits) get the same
 :class:`SimComm`, and every collective is one call of
-:meth:`SimComm._collect`.  Rank 0 doubles as the *hub*: each other rank
-puts ``(rank, value, clock, order tag)`` on the world's up-queue and
-waits on its private down-queue; the hub gathers ``size - 1``
-contributions plus its own, checks the tags, takes the maximum clock and
-answers every rank with a private copy of the gathered list.  The
-:class:`World` holds what the ranks share — size, machine, seed, the
-queues, an abort event and a progress table — built on ``queue`` +
-``threading`` for thread ranks and on
-:data:`~repro.dist.runtime.PROCESS_CONTEXT` for process ranks.
+:meth:`SimComm._collect`.  Rank 0 doubles as the *hub*, and every other
+rank has one duplex *link* to it: the rank sends ``(value, clock, order
+tag)`` on its link and waits for the answer on the same link; the hub
+reads the links in rank order, checks the tags, takes the maximum clock
+and answers every rank on its link.  The answer of a gathering
+collective is a private copy of the gathered list; that of an alltoall
+is the rank's own column, the payloads addressed to it, and no rank
+sends the payload it addresses to itself.  The :class:`World` holds
+what the ranks share — size, machine, seed, the links, an abort event
+and a progress table — and is the one place that picks the transport:
+a ``queue.SimpleQueue`` each way per link for thread ranks, a
+``multiprocessing`` pipe of :data:`~repro.dist.runtime.PROCESS_CONTEXT`
+per link for process ranks, each of which holds only its own ends.
 Everything else (clock, :class:`CommStats`, outbox) is a field of the
 rank's own :class:`SimComm`.
 
-Every blocking ``get`` polls the abort event: when a rank fails or the
+Every blocking receive polls the abort event: when a rank fails or the
 launcher's watchdog fires, the event is set and each waiting rank
 unwinds through the internal :class:`_Aborted` signal instead of
-hanging.  The progress table (one ``(op, seq)`` entry per rank, single
-writer) lets the watchdog name where each stuck rank last was.
+hanging.  A rank whose link reads as EOF or a broken pipe waits for
+that event: the launcher sets it when it sees the far end die, and its
+watchdog when the far end returned early.  The progress
+table (one ``(op, seq)`` entry per rank, single writer) lets the
+watchdog name where each stuck rank last was.
 
 Simulated time
 --------------
@@ -58,6 +65,7 @@ companion of this check is :mod:`repro.analysis`.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import os
 import queue
@@ -65,7 +73,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -95,7 +103,7 @@ class CollectiveMismatchError(RuntimeError):
 
     def __reduce__(self):
         # Keep ``divergent_ranks`` across pickling: the process backend
-        # ships this exception from worker to parent through a queue.
+        # ships this exception from worker to parent through a pipe.
         return (type(self), (self.args[0], self.divergent_ranks))
 
 
@@ -110,7 +118,7 @@ class _Aborted(BaseException):
 #: bytes reserved per rank for the op name in the progress table
 _OP_SLOT = 32
 
-#: abort-event poll interval of a blocking queue ``get``, seconds
+#: abort-event poll interval of a blocking receive, seconds
 _POLL_INTERVAL = 0.05
 
 
@@ -201,13 +209,42 @@ class CommStats:
         self.per_op[op] = (prev_count + count, prev_bytes + nbytes)
 
 
+class _QueueLink:
+    """One end of a thread rank's link to the hub: a ``queue.SimpleQueue``
+    each way, behind the ``send``/``poll``/``recv`` of a
+    ``multiprocessing`` connection."""
+
+    def __init__(self, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
+        self.send = outbox.put
+        self._get = inbox.get
+        self._held: list[Any] = []
+
+    @classmethod
+    def pair(cls) -> tuple["_QueueLink", "_QueueLink"]:
+        """The two ends of one link."""
+        down, up = queue.SimpleQueue(), queue.SimpleQueue()
+        return cls(up, down), cls(down, up)
+
+    def poll(self, timeout: float) -> bool:
+        if not self._held:
+            try:
+                self._held.append(self._get(timeout=timeout))
+            except queue.Empty:
+                return False
+        return True
+
+    def recv(self) -> Any:
+        return self._held.pop()
+
+
 class World:
     """What the ranks of one SPMD execution share.
 
     ``ctx`` is the ``multiprocessing`` context of process ranks,
-    :data:`~repro.dist.runtime.PROCESS_CONTEXT` (the world is then
-    pickled to each rank at its start); ``None`` builds the in-process
-    twins for thread ranks.
+    :data:`~repro.dist.runtime.PROCESS_CONTEXT` (each rank is then handed
+    :meth:`for_rank` at its start); ``None`` builds the in-process twins
+    for thread ranks.  ``hub_ends[r]`` and ``rank_ends[r]`` are the two
+    ends of rank ``r``'s link to the hub (``None`` at ``r = 0``).
     """
 
     def __init__(
@@ -223,15 +260,31 @@ class World:
         self.machine = machine or SERIAL
         self.seed = seed
         if ctx is None:
-            new_queue, self.aborted = queue.SimpleQueue, threading.Event()
+            new_link, self.aborted = _QueueLink.pair, threading.Event()
             self._progress_seq = (ctypes.c_int64 * size)()
             self._progress_op = (ctypes.c_char * (size * _OP_SLOT))()
         else:
-            new_queue, self.aborted = ctx.Queue, ctx.Event()
+            new_link, self.aborted = ctx.Pipe, ctx.Event()
             self._progress_seq = ctx.RawArray(ctypes.c_int64, size)
             self._progress_op = ctx.RawArray(ctypes.c_char, size * _OP_SLOT)
-        self.up_queue = new_queue()  # rank -> hub contributions
-        self.down_queues = [new_queue() for _ in range(size)]  # hub -> rank
+        self.hub_ends: list[Any] = [None] * size
+        self.rank_ends: list[Any] = [None] * size
+        for rank in range(1, size):
+            self.hub_ends[rank], self.rank_ends[rank] = new_link()
+
+    def for_rank(self, rank: int) -> "World":
+        """This world with only ``rank``'s own link ends (what a process
+        rank is handed, so that a dead peer's link reads as EOF)."""
+        view = copy.copy(self)
+        view.hub_ends = self.hub_ends if rank == 0 else [None] * self.size
+        view.rank_ends = [end if r == rank else None for r, end in enumerate(self.rank_ends)]
+        return view
+
+    def close(self) -> None:
+        """Close every link end this world holds (process ranks only)."""
+        for end in (*self.hub_ends, *self.rank_ends):
+            if end is not None:
+                end.close()
 
     def abort(self) -> None:
         """Make every rank blocked in a collective unwind (``_Aborted``)."""
@@ -262,8 +315,10 @@ class CollectiveOps:
 
     The subclass (:class:`SimComm`) provides ``rank``, ``size``,
     ``stats``, an ``_outbox`` dict and ``_collect(value, recv_bytes_fn,
-    op)`` — which gathers one value per rank, advances the simulated
-    clock, and returns the gathered list indexed by rank.
+    op, personal)`` — which gathers one value per rank, advances the
+    simulated clock, and returns the gathered list indexed by rank; with
+    ``personal`` each value is a row of one payload per destination and
+    the rank gets back its column, indexed by source.
     """
 
     rank: int
@@ -276,6 +331,7 @@ class CollectiveOps:
         value: Any,
         recv_bytes_fn: Callable[[list[Any]], int],
         op: str = "collective",
+        personal: bool = False,
     ) -> list[Any]:
         raise NotImplementedError
 
@@ -350,10 +406,12 @@ class CollectiveOps:
         if len(per_destination) != self.size:
             raise ValueError("alltoall needs exactly one payload per rank")
         op = "alltoall" if tag is None else f"alltoall[{tag}]"
-        rows = self._collect(
-            list(per_destination),
-            lambda vals: sum(payload_bytes(row[self.rank]) for row in vals),
+        # The receive cost counts the self-destined payload too.
+        column = self._collect(
+            per_destination,
+            lambda vals: sum(payload_bytes(v) for v in vals),
             op=op,
+            personal=True,
         )
         sent_to = [payload_bytes(p) for p in per_destination]
         self.stats.messages_sent += sum(
@@ -371,7 +429,7 @@ class CollectiveOps:
             # visible but excluded from the bytes_sent aggregate above.
             TRACER.event("comm.sent", rank=self.rank, op=op,
                          seq=self.stats.collectives, sent=sent_to)
-        return [rows[src][self.rank] for src in range(self.size)]
+        return column
 
     # ------------------------------------------------------------------
     # Buffered point-to-point (the paper's per-phase send buffers)
@@ -436,38 +494,61 @@ class SimComm(CollectiveOps):
     # ------------------------------------------------------------------
     # The hub protocol
     # ------------------------------------------------------------------
-    def _get(self, q: Any) -> Any:
-        """Blocking get that polls the world's abort event."""
-        while True:
-            if self.world.aborted.is_set():
-                raise _Aborted
-            try:
-                return q.get(timeout=_POLL_INTERVAL)
-            except queue.Empty:
-                continue
+    def _receive(self, link: Any) -> Any:
+        """Blocking receive that polls the world's abort event."""
+        try:
+            while True:
+                if self.world.aborted.is_set():
+                    raise _Aborted
+                if link.poll(_POLL_INTERVAL):
+                    return link.recv()
+        except (EOFError, OSError):
+            self._lost()
 
-    def _hub(self, value: Any, tag: tuple[str, int, str]) -> tuple[list[Any], float]:
+    def _send(self, link: Any, message: Any) -> None:
+        try:
+            link.send(message)
+        except OSError:
+            self._lost()
+
+    def _lost(self) -> NoReturn:
+        """The far end of a link is gone: wait for the abort that brings.
+
+        The launcher sets it when it sees a rank die, and its watchdog
+        when a rank returned while this one still waits on it.
+        """
+        self.world.aborted.wait()
+        raise _Aborted
+
+    def _hub(self, value: Any, tag: tuple[str, int, str],
+             personal: bool) -> tuple[list[Any], float]:
         """Rank 0: gather every rank's contribution, verify, answer."""
-        world = self.world
+        links = self.world.hub_ends
         gathered: list[Any] = [value] + [None] * (self.size - 1)
         clocks = [self._sim_time] * self.size
         tags = [tag] * self.size
-        for _ in range(self.size - 1):
-            src, gathered[src], clocks[src], tags[src] = self._get(world.up_queue)
+        for src in range(1, self.size):
+            gathered[src], clocks[src], tags[src] = self._receive(links[src])
         error = _mismatch_error(tags)
         base = max(clocks)
-        for q in world.down_queues[1:]:
-            # One list per rank: thread ranks must not share the hub's.
-            q.put((list(gathered), base, tags if error is not None else None))
+        for dest in range(1, self.size):
+            if error is not None:
+                answer = None
+            elif personal:
+                answer = [row[dest] for row in gathered]
+            else:
+                answer = list(gathered)  # thread ranks must not share the hub's list
+            self._send(links[dest], (answer, base, tags if error is not None else None))
         if error is not None:
             raise error
-        return gathered, base
+        return ([row[0] for row in gathered] if personal else gathered), base
 
     def _collect(
         self,
         value: Any,
         recv_bytes_fn: Callable[[list[Any]], int],
         op: str = "collective",
+        personal: bool = False,
     ) -> list[Any]:
         """Gather one value from each rank; advance all clocks in lock-step."""
         world = self.world
@@ -479,14 +560,21 @@ class SimComm(CollectiveOps):
         world.stamp(self.rank, op, seq)
         tag = (op, seq, _callsite())
         if self.size == 1:
-            gathered, base = [value], self._sim_time
+            gathered, base = ([value[0]] if personal else [value]), self._sim_time
         elif self.rank == 0:
-            gathered, base = self._hub(value, tag)
+            gathered, base = self._hub(value, tag, personal)
         else:
-            world.up_queue.put((self.rank, value, self._sim_time, tag))
-            gathered, base, bad_tags = self._get(world.down_queues[self.rank])
+            link = world.rank_ends[self.rank]
+            sent = value
+            if personal:  # the self-destined payload stays here
+                sent = list(value)
+                sent[self.rank] = None
+            self._send(link, (sent, self._sim_time, tag))
+            gathered, base, bad_tags = self._receive(link)
             if bad_tags is not None:
                 raise _mismatch_error(bad_tags)
+            if personal:
+                gathered[self.rank] = value[self.rank]
         # Every rank jumps to the common base, then adds its own receive cost.
         recv = recv_bytes_fn(gathered)
         self._sim_time = base + world.machine.collective_time(self.size, recv)

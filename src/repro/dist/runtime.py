@@ -19,22 +19,27 @@ The default budget is 60 seconds, overridable per call (``timeout=``;
 ``0`` disables the watchdog).
 
 Process ranks are forked from one ``forkserver`` per interpreter,
-:data:`PROCESS_CONTEXT`: the first process call starts it, it imports
-this module and :mod:`repro.dist.dist_partitioner` once, and every call
-forks warm ranks from it that import nothing and end through
-``os._exit``.  A rank is a child of the server, not of the caller, so
-it sees the environment variables as they were at the first process
-call, and the modules the server preloaded from its own ``sys.path``
-(built from that environment, e.g. ``PYTHONPATH``, not from the
-caller's ``sys.path``).  ``multiprocessing`` still sends the caller's
-``sys.path``, working directory and ``__main__`` script with every rank.
+:data:`PROCESS_CONTEXT`: the first process call starts it in the
+directory that holds ``repro``, it imports this module and
+:mod:`repro.dist.dist_partitioner` once, and every call forks warm ranks
+from it that import nothing and end through ``os._exit``.  A rank is a
+child of the server, not of the caller, so it sees the environment
+variables as they were at the first process call.  ``multiprocessing``
+still sends the caller's ``sys.path``, working directory and
+``__main__`` script with every rank, which re-imports that script (so a
+script read from stdin cannot start ranks).  A rank holds only its own
+pipes: its link to the hub (:class:`~repro.dist.comm.World`) and the
+one it reports ``(result, sim_time, stats)`` on.  The launcher waits on
+the result pipes and the ranks' sentinels together, so a rank that dies
+without reporting reads as EOF at once.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
-import queue as _queue
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -64,6 +69,35 @@ DEFAULT_SPMD_TIMEOUT = 60.0
 #: the one ``multiprocessing`` context of process ranks: a fork server
 #: started on the first process call
 PROCESS_CONTEXT = multiprocessing.get_context("forkserver")
+
+#: the directory that holds the ``repro`` package the caller imported
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def _ensure_server() -> None:
+    """Start the fork server, unless it runs, preloaded with what a rank runs.
+
+    The server builds its ``sys.path`` from the environment and its
+    working directory, not from the caller's ``sys.path`` (Python 3.11's
+    ``forkserver.main`` drops the one it is handed), and it skips a
+    preload it cannot import.  So it starts in the directory that holds
+    this package, which the leading ``''`` entry of its ``sys.path``
+    makes the first place it imports ``repro`` from: a caller that
+    reaches ``repro`` through a ``sys.path`` edit gets warm ranks too.
+    The caller's working directory moves there only for this call, and
+    its ranks still start in the caller's (``multiprocessing`` sends it).
+    The preload is set here, not at import: it loads ``multiprocessing``'s
+    server module, which a process that never starts a rank does not need.
+    """
+    from multiprocessing import forkserver
+
+    PROCESS_CONTEXT.set_forkserver_preload(["repro.dist.runtime", "repro.dist.dist_partitioner"])
+    home = os.getcwd()
+    os.chdir(_PACKAGE_ROOT)
+    try:
+        forkserver.ensure_running()
+    finally:
+        os.chdir(home)
 
 
 def _emit_rank_memory(size: int, *, shared: bool) -> None:
@@ -248,10 +282,6 @@ def run_spmd(
 # Process backend: the same contract over real OS processes
 # ---------------------------------------------------------------------------
 
-#: grace period for a result already in flight when its worker exits
-_CRASH_GRACE = 2.0
-
-
 @dataclass
 class _WorkerSpec:
     """Everything one process rank needs (pickled to it at its start)."""
@@ -262,14 +292,14 @@ class _WorkerSpec:
     payload: bytes  # pickled (args, kwargs)
     graph_handle: SharedCSRHandle | None
     kernels: str  # the parent's compiled kernels: ranks never compile
-    result_queue: Any
+    result: Any  # the write end of this rank's result pipe
     trace: bool
     wall_origin: float
     launched: float  # the parent's perf_counter at this rank's start()
 
 
 def _proc_worker(spec: _WorkerSpec) -> None:
-    """Worker entry point: run the program on one rank, report via queue."""
+    """Worker entry point: run the program on one rank, report on its pipe."""
     if spec.trace:
         TRACER.enable(reset=True)
         # Share the parent's wall origin: perf_counter is CLOCK_MONOTONIC
@@ -308,9 +338,7 @@ def _proc_worker(spec: _WorkerSpec) -> None:
     records = TRACER.snapshot() if spec.trace else []
     payload = (status, result, sim_time, stats, records)
     try:
-        # Pickle before putting: mp.Queue pickles in a feeder thread, so
-        # an unpicklable result would otherwise hang the parent instead
-        # of failing this rank.
+        # Pickle first: an unpicklable result is this rank's error, not its crash.
         data = pickle.dumps(payload)
     except Exception as exc:
         fallback: BaseException = RuntimeError(
@@ -318,13 +346,7 @@ def _proc_worker(spec: _WorkerSpec) -> None:
             f"{'result' if status == 'ok' else 'exception'}: {exc}"
         )
         data = pickle.dumps(("err", fallback, sim_time, stats, []))
-    spec.result_queue.put((spec.rank, data))
-    if status != "ok":
-        # Abort path: don't let unflushed hub answers block process exit.
-        # (On the clean path the feeder must flush — a sibling may still
-        # be waiting on the final collective's answer.)
-        for q in (spec.world.up_queue, *spec.world.down_queues):
-            q.cancel_join_thread()
+    spec.result.send_bytes(data)
     del store  # keep the shm views alive until the program returned
 
 
@@ -372,19 +394,23 @@ def run_spmd_processes(
         call_args = args if graph is None else (graph, *args)
         return _run_inline(world, program, call_args, kwargs, shared=False)
 
+    if getattr(sys.modules["__main__"], "__file__", None) == "<stdin>":
+        raise RuntimeError(
+            "__main__ was read from stdin, and a process rank cannot "
+            "re-import it (every rank re-imports the caller's __main__ "
+            "script): run the script from a file, or use thread ranks "
+            "(backend='spmd')"
+        )
     # Build (or find) the compiled kernels here, once, so p ranks on a
     # cold cache do not each run the compiler (and a host without one
     # fails before anything is created).
     kernels = native.resolve()
     TRACER.annotate_header(lp_kernel="native")
-    # What a rank runs, imported once by the server before it forks any.
-    # Set here, not at import: it loads multiprocessing's server module,
-    # which a process that never starts a rank does not need.
-    PROCESS_CONTEXT.set_forkserver_preload(["repro.dist.runtime", "repro.dist.dist_partitioner"])
+    _ensure_server()
     world = World(size, machine=machine, seed=seed, ctx=PROCESS_CONTEXT)
+    results = [PROCESS_CONTEXT.Pipe(duplex=False) for _ in range(size)]  # (read, write)
     prog_bytes = pickle.dumps(program)
     payload = pickle.dumps((args, kwargs))
-    result_queue = PROCESS_CONTEXT.Queue()
     # From here on every path, a failing ``start()`` included, reaches the
     # ``finally`` below: the segments are the parent's to unlink.
     shared = SharedMemoryStore.create(graph) if graph is not None else None
@@ -393,9 +419,9 @@ def run_spmd_processes(
     try:
         for rank in range(size):
             spec = _WorkerSpec(
-                rank=rank, world=world, program=prog_bytes, payload=payload,
-                graph_handle=None if shared is None else shared.handle,
-                kernels=kernels, result_queue=result_queue,
+                rank=rank, world=world.for_rank(rank), program=prog_bytes,
+                payload=payload, graph_handle=None if shared is None else shared.handle,
+                kernels=kernels, result=results[rank][1],
                 trace=TRACER.enabled, wall_origin=TRACER._wall_origin,
                 launched=time.perf_counter(),
             )
@@ -406,38 +432,14 @@ def run_spmd_processes(
             # joined, and the error to report is that one.
             proc.start()
             procs.append(proc)
-        deadline = None if wall_budget is None else time.monotonic() + wall_budget
-        pending = set(range(size))
-        crashed: list[int] = []
-        stuck: tuple[int, ...] = ()
-        grace_until: float | None = None
-        while pending:
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                stuck = tuple(sorted(pending))
-                break
-            try:
-                rank, data = result_queue.get(timeout=0.1)
-            except _queue.Empty:
-                dead = [
-                    r for r in sorted(pending)
-                    if not procs[r].is_alive() and procs[r].exitcode is not None
-                ]
-                if not dead:
-                    continue
-                # The result may still be in flight through the queue's
-                # feeder pipe; give it a moment before calling it a crash.
-                if grace_until is None:
-                    grace_until = now + _CRASH_GRACE
-                elif now >= grace_until:
-                    crashed = dead
-                    break
-                continue
-            outcomes[rank] = pickle.loads(data)
-            pending.discard(rank)
-
+        # Each rank holds its own ends now: without the parent's copies a
+        # dead rank's links and result pipe read as EOF.
+        world.close()
+        for _, write in results:
+            write.close()
+        crashed, stuck = _await_results(world, procs, [read for read, _ in results],
+                                        outcomes, wall_budget)
         if crashed:
-            world.abort()
             codes = ", ".join(
                 f"rank {r} (exit code {procs[r].exitcode})" for r in crashed
             )
@@ -452,7 +454,7 @@ def run_spmd_processes(
             )
             raise RuntimeError(
                 f"SPMD worker process(es) died without reporting a result: "
-                f"{codes}; {len(pending)}/{size} ranks never finished{hint}"
+                f"{codes}; {size - len(outcomes)}/{size} ranks never finished{hint}"
             )
         if stuck:
             world.abort()
@@ -470,8 +472,10 @@ def run_spmd_processes(
                 if proc.is_alive():  # SIGTERM ignored or blocked: no rank outlives the run
                     proc.kill()
                     proc.join(timeout=1.0)
-            for q in (result_queue, world.up_queue, *world.down_queues):
-                q.close()
+            world.close()
+            for read, write in results:
+                read.close()
+                write.close()
         finally:
             if shared is not None:
                 shared.unlink()
@@ -485,3 +489,37 @@ def run_spmd_processes(
         for rank in range(size):
             TRACER.absorb(outcomes[rank][4])
     return SpmdResult.from_reports([outcomes[rank][1:4] for rank in range(size)])
+
+
+def _await_results(world: World, procs: list, pipes: list, outcomes: dict[int, tuple],
+                   wall_budget: float | None) -> tuple[list[int], tuple[int, ...]]:
+    """Read each rank's report into ``outcomes`` as it arrives.
+
+    Waits on the result pipes and the process sentinels together: a
+    rank that exits without a report reads as EOF on its pipe, and the
+    first such rank aborts the world so that the others end too.
+    Returns the ranks that died without a report and, when the watchdog
+    fired first, the ranks still running.
+    """
+    from multiprocessing.connection import wait
+
+    deadline = None if wall_budget is None else time.monotonic() + wall_budget
+    owner = {**{pipe: r for r, pipe in enumerate(pipes)},
+             **{proc.sentinel: r for r, proc in enumerate(procs)}}
+    crashed: list[int] = []
+    pending = set(range(len(procs)))
+    while pending:
+        timeout = None if deadline is None else deadline - time.monotonic()
+        if timeout is not None and timeout <= 0:
+            break
+        ready = wait([obj for r in sorted(pending) for obj in (pipes[r], procs[r].sentinel)],
+                     timeout)
+        for rank in sorted({owner[obj] for obj in ready} & pending):
+            pending.discard(rank)
+            try:
+                outcomes[rank] = pickle.loads(pipes[rank].recv_bytes())
+            except EOFError:
+                procs[rank].join(timeout)  # its pipe closed on exit: the exit code is near
+                crashed.append(rank)
+                world.abort()
+    return sorted(crashed), tuple(sorted(pending))

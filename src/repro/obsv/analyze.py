@@ -678,12 +678,12 @@ def _header_block(header: dict) -> str:
     ]
     lines = ["trace header: " + "  ".join(parts)]
     # A p>1 process-backend run on one core cannot show wall-clock
-    # speedup — the recorded ratios measure queue/scheduling overhead —
+    # speedup — the recorded ratios measure communication/scheduling overhead —
     # so every reader of such a trace gets told explicitly.
     if cores == 1 and p and p > 1 and header.get("backend") == "process":
         lines.append(
             f"WARNING: p={p} process-backend run recorded on a single-core "
-            "host; wall-clock ratios measure queue overhead, not parallel "
+            "host; wall-clock ratios measure communication overhead, not parallel "
             "speedup (use the sim clock, or re-record on a multi-core host)"
         )
     return "\n".join(lines)

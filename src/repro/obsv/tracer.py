@@ -59,7 +59,7 @@ def host_header() -> dict[str, Any]:
     Captured once at :meth:`Tracer.enable` so every exported trace says
     where its wall clocks came from — crucially ``cpu_cores`` (and the
     cgroup-aware ``cpu_affinity``), because wall-clock "speedups" of the
-    process backend recorded on a single-core host measure queue
+    process backend recorded on a single-core host measure communication
     overhead, not parallelism.  The runtime annotates ``backend``/``p``
     once an SPMD run starts.
     """

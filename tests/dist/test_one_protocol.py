@@ -136,7 +136,7 @@ def test_stuck_rank_text_is_the_same_for_both_launchers():
 
 
 def test_hub_stress_more_thread_ranks_than_cores():
-    # A lost or misrouted queue message breaks the per-round invariants
+    # A lost or misrouted message breaks the per-round invariants
     # asserted inside the program (or hangs into the 60 s budget).
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -145,3 +145,10 @@ def test_hub_stress_more_thread_ranks_than_cores():
     finally:
         sys.setswitchinterval(interval)
     assert out.per_rank == [400] * 8
+
+
+def test_hub_stress_more_process_ranks_than_cores():
+    # The same invariants over one pipe per rank, with four ranks on
+    # hosts of two cores.
+    out = run_spmd_processes(4, _hub_stress, 200, timeout=60.0)
+    assert out.per_rank == [400] * 4

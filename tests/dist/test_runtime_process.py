@@ -15,17 +15,20 @@ documented contract).
 
 from __future__ import annotations
 
+import ast
 import os
 import pickle
 import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import partition_graph
 from repro.dist import (
     CollectiveMismatchError,
@@ -36,6 +39,7 @@ from repro.dist import (
 from repro.dist.runtime import DEFAULT_SPMD_TIMEOUT, PROCESS_CONTEXT, _resolve_timeout
 from repro.generators import rmat
 from repro.generators.mesh import grid_2d
+from repro.obsv.tracer import TRACER
 from repro.perf.machine import MACHINE_A, SERIAL
 
 from ..conftest import kernel_cache_leftovers
@@ -44,6 +48,17 @@ from ..conftest import kernel_cache_leftovers
 # ---------------------------------------------------------------------------
 # module-level programs (process ranks must be able to import them)
 # ---------------------------------------------------------------------------
+
+def _mixed_row(comm):
+    """One alltoall row: a payload to itself, and ``None``, an empty array
+    or a small array to each other rank."""
+    def payload(dest):
+        if dest == comm.rank:
+            return np.full(3, comm.rank, dtype=np.int64)
+        return (None, np.empty(0, dtype=np.int64),
+                np.arange(dest + comm.rank, dtype=np.int64))[(dest + comm.rank) % 3]
+    return [payload(dest) for dest in range(comm.size)]
+
 
 def _collective_tour(comm, values):
     """One pass over the collective surface, charging simulated work."""
@@ -54,9 +69,18 @@ def _collective_tour(comm, values):
     root = comm.bcast(values[0] if comm.rank == 0 else None, root=0)
     parts = comm.alltoall([np.full(2, comm.rank, dtype=np.int64)
                            for _ in range(comm.size)])
+    mixed = comm.alltoall(_mixed_row(comm), tag="mixed")
+    for dest in range(comm.size):  # itself included
+        comm.send_buffered(dest, (comm.rank, dest))
+    comm.send_buffered(comm.rank, None)
+    comm.send_buffered(0, np.empty(0, dtype=np.int64))
+    delivered = comm.exchange()
     comm.barrier()
     return (gathered, total.tolist(), peak, root,
-            [p.tolist() for p in parts])
+            [p.tolist() for p in parts],
+            [None if p is None else p.tolist() for p in mixed],
+            [(src, p.tolist() if isinstance(p, np.ndarray) else p)
+             for src, p in delivered])
 
 
 def _graph_sum(comm, graph):
@@ -70,6 +94,16 @@ def _graph_crash(comm, graph):
         os._exit(17)
     comm.barrier()
     return int(graph.vwgt.sum())
+
+
+def _exit_while_peer_sends(comm, graph):
+    """Rank 0 dies while rank 1 is sending it a 2 MiB payload."""
+    big = np.zeros(1 << 18, dtype=np.int64)
+    comm.barrier()
+    if comm.rank == 0:  # deliberate crash
+        time.sleep(0.2)
+        os._exit(23)
+    return comm.alltoall([big] * comm.size)
 
 
 def _exit_after_barrier(comm):
@@ -113,19 +147,53 @@ VALUES = [10, 20, 30, 40]
 # thread/process parity
 # ---------------------------------------------------------------------------
 
+def _traced(launch, *args, **kwargs):
+    """``launch(*args, **kwargs)`` traced: the result and every rank's
+    ``comm.*`` spans and ``comm.sent`` events, in ``(rank, seq)`` order."""
+    TRACER.disable()
+    TRACER.reset()
+    TRACER.enable()
+    try:
+        result = launch(*args, **kwargs)
+        comm = sorted(
+            (r["rank"], r["attrs"]["seq"], r["type"], r["name"],
+             r["attrs"].get("bytes"), r["attrs"].get("sent"))
+            for r in TRACER.snapshot() if r["name"].startswith("comm.")
+        )
+    finally:
+        TRACER.disable()
+        TRACER.reset()
+    return result, comm
+
+
 class TestThreadProcessParity:
-    @pytest.mark.parametrize("size", [1, 4])
+    @pytest.mark.parametrize("size", [1, 3, 4])
     def test_collectives_bit_identical(self, size):
-        threads = run_spmd(size, _collective_tour, VALUES,
-                           machine=MACHINE_A, seed=7)
+        threads, thread_comm = _traced(run_spmd, size, _collective_tour, VALUES,
+                                       machine=MACHINE_A, seed=7)
         # sanitize= selects nothing; the frozen benchmarks/e2e/child.py
         # passes it, so the launcher has to keep accepting the name.
-        procs = run_spmd_processes(size, _collective_tour, VALUES,
+        procs, proc_comm = _traced(run_spmd_processes, size, _collective_tour, VALUES,
                                    machine=MACHINE_A, seed=7, sanitize=None)
         assert procs.per_rank == threads.per_rank
         assert np.array_equal(procs.sim_times, threads.sim_times)
         assert procs.sim_time == threads.sim_time
         assert procs.stats == threads.stats
+        assert proc_comm == thread_comm
+        assert {rank for rank, *_ in thread_comm} == set(range(size))
+
+    def test_alltoall_delivers_each_rank_its_column(self):
+        out = run_spmd_processes(3, _collective_tour, VALUES).per_rank
+        for rank, result in enumerate(out):
+            mixed, delivered = result[5], result[6]
+            assert mixed[rank] == [rank] * 3
+            for src in range(3):
+                if src != rank:
+                    expect = (None, [], list(range(src + rank)))[(src + rank) % 3]
+                    assert mixed[src] == expect
+            assert [src for src, _ in delivered] == sorted(src for src, _ in delivered)
+            assert (rank, rank) in [payload for _, payload in delivered]
+            assert sum(1 for src, p in delivered if src == rank and p is None) == 1
 
     def test_serial_machine_parity(self):
         threads = run_spmd(4, _collective_tour, VALUES, machine=SERIAL)
@@ -230,6 +298,38 @@ class TestProcessFailures:
         assert "rank(s) [0, 1] died before their first collective" in last
         assert 'if __name__ == "__main__":' in last
 
+    def test_a_dead_rank_is_named_while_its_peer_is_blocked_sending(
+            self, no_shm_leak, no_child_left):
+        """Rank 1's 2 MiB send to the dead hub fails with a broken pipe,
+        which is the echo of a crash: the launcher names the dead rank as
+        soon as its pipe reads EOF, not when the watchdog fires."""
+        start = time.monotonic()
+        with pytest.raises(RuntimeError) as exc:
+            run_spmd_processes(2, _exit_while_peer_sends, graph=grid_2d(8, 8), timeout=60)
+        assert time.monotonic() - start < 15
+        msg = str(exc.value)
+        assert "rank 0 (exit code 23)" in msg and "1/2 ranks never finished" in msg
+        assert "__main__" not in msg
+
+    def test_a_script_read_from_stdin_is_named_as_the_cause(self, tmp_path, no_shm_leak):
+        """A rank re-imports the caller's ``__main__``, which a script
+        piped on stdin does not have as a file: the call refuses before
+        it creates a rank or a segment."""
+        done = subprocess.run(
+            [sys.executable, "-"], capture_output=True, text=True, timeout=120,
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            input="from repro.dist import run_spmd_processes\n"
+                  "from repro.generators.mesh import grid_2d\n"
+                  "def rank(comm, graph):\n"
+                  "    return comm.rank\n"
+                  "if __name__ == '__main__':\n"
+                  "    run_spmd_processes(2, rank, graph=grid_2d(8, 8))\n",
+        )
+        assert done.returncode == 1
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith("RuntimeError: __main__ was read from stdin")
+        assert "FileNotFoundError" not in done.stderr
+
     def test_a_rank_that_dies_in_its_program_is_not_blamed_on_the_script(self):
         with pytest.raises(RuntimeError) as exc:
             run_spmd_processes(2, _exit_after_barrier, timeout=60)
@@ -252,6 +352,29 @@ class TestForkServer:
         second = run_spmd_processes(2, _parent_pid)
         assert len(set(first.per_rank + second.per_rank)) == 1
         assert first.value != os.getpid()
+
+    def test_the_server_preloads_after_a_sys_path_edit(self, tmp_path):
+        """A script whose only route to ``repro`` is ``sys.path.insert``
+        still gets ranks that find the partitioner imported by the server,
+        and the ranks and the script stay in the script's directory."""
+        src = Path(repro.__file__).resolve().parents[1]
+        script = tmp_path / "edited_path.py"
+        script.write_text(
+            "import os, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "def probe(comm):\n"
+            "    return 'repro.dist.dist_partitioner' in sys.modules, os.getcwd()\n"
+            "if __name__ == '__main__':\n"
+            "    from repro.dist import run_spmd_processes\n"
+            "    run_spmd_processes(2, probe)\n"
+            "    print(run_spmd_processes(2, probe).per_rank + [os.getcwd()])\n"
+        )
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, timeout=120, cwd=tmp_path, env=env)
+        assert done.returncode == 0, done.stderr
+        here = os.path.realpath(tmp_path)
+        assert ast.literal_eval(done.stdout) == [(True, here), (True, here), here]
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the thread count from /proc")

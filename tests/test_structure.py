@@ -6,8 +6,8 @@ propagation for coarsening and refinement, one cut, one METIS reader,
 integer-only kernels declared once, one shard mapper, one quotient
 build, one Lmax decided at the pipeline entry, one partition result,
 one iterated-V-cycle loop, one sequential V-cycle backend, no
-module-level scipy import, one environment variable and one
-``multiprocessing`` context.  A rule is a
+module-level scipy import, one environment variable, one
+``multiprocessing`` context and one pipe per process rank.  A rule is a
 function of a tree root that returns its violations, ``path:line``
 strings, empty on a tree that keeps it.
 
@@ -473,6 +473,12 @@ RULES = (
                   'SPAWN = multiprocessing.get_context("spawn")'),
          appended("a start method in a bench", "benchmarks/bench_kernel_throughput.py",
                   'multiprocessing.set_start_method("spawn")')),
+    # one link per rank: no feeder-thread queue carries a collective or a result
+    rule("process.no-queue", ("src/repro",),
+         absent(r"(?<!\w)Queue\(|cancel_join_thread|_CRASH_GRACE", "src/repro/dist"),
+         appended("a queue transport", "src/repro/dist/comm.py", "_up = ctx.Queue()"),
+         appended("a flushed-queue exit", "src/repro/dist/runtime.py",
+                  "def _planted(q):\n    q.cancel_join_thread()")),
     # src/repro reads no environment variable but the tabled ones
     rule("environment-reads", ("src/repro",), environment_reads,
          *(appended(planted, "src/repro/engine/backend.py",
