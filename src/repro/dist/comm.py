@@ -211,13 +211,10 @@ class CommStats:
 
 class _QueueLink:
     """One end of a thread rank's link to the hub: a ``queue.SimpleQueue``
-    each way, behind the ``send``/``poll``/``recv`` of a
-    ``multiprocessing`` connection."""
+    each way, so ``put`` and ``get`` are the queues' own."""
 
     def __init__(self, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
-        self.send = outbox.put
-        self._get = inbox.get
-        self._held: list[Any] = []
+        self.put, self.get = outbox.put, inbox.get
 
     @classmethod
     def pair(cls) -> tuple["_QueueLink", "_QueueLink"]:
@@ -225,16 +222,31 @@ class _QueueLink:
         down, up = queue.SimpleQueue(), queue.SimpleQueue()
         return cls(up, down), cls(down, up)
 
-    def poll(self, timeout: float) -> bool:
-        if not self._held:
-            try:
-                self._held.append(self._get(timeout=timeout))
-            except queue.Empty:
-                return False
-        return True
 
-    def recv(self) -> Any:
-        return self._held.pop()
+class _PipeLink:
+    """One end of a process rank's link to the hub: a duplex
+    ``multiprocessing`` pipe end behind the ``put``/``get`` of a queue
+    (values are pickled on the caller's thread; no feeder thread)."""
+
+    def __init__(self, conn: Any) -> None:
+        self.conn = conn
+
+    @classmethod
+    def pair(cls, ctx: Any) -> tuple["_PipeLink", "_PipeLink"]:
+        """The two ends of one link."""
+        hub, rank = ctx.Pipe()
+        return cls(hub), cls(rank)
+
+    def put(self, value: Any) -> None:
+        self.conn.send(value)
+
+    def get(self, timeout: float) -> Any:
+        if not self.conn.poll(timeout):
+            raise queue.Empty
+        return self.conn.recv()
+
+    def close(self) -> None:
+        self.conn.close()
 
 
 class World:
@@ -264,7 +276,7 @@ class World:
             self._progress_seq = (ctypes.c_int64 * size)()
             self._progress_op = (ctypes.c_char * (size * _OP_SLOT))()
         else:
-            new_link, self.aborted = ctx.Pipe, ctx.Event()
+            new_link, self.aborted = lambda: _PipeLink.pair(ctx), ctx.Event()
             self._progress_seq = ctx.RawArray(ctypes.c_int64, size)
             self._progress_op = ctx.RawArray(ctypes.c_char, size * _OP_SLOT)
         self.hub_ends: list[Any] = [None] * size
@@ -500,14 +512,16 @@ class SimComm(CollectiveOps):
             while True:
                 if self.world.aborted.is_set():
                     raise _Aborted
-                if link.poll(_POLL_INTERVAL):
-                    return link.recv()
+                try:
+                    return link.get(timeout=_POLL_INTERVAL)
+                except queue.Empty:
+                    continue
         except (EOFError, OSError):
             self._lost()
 
     def _send(self, link: Any, message: Any) -> None:
         try:
-            link.send(message)
+            link.put(message)
         except OSError:
             self._lost()
 
