@@ -526,7 +526,7 @@ class SimComm(CollectiveOps):
             self._lost()
 
     def _lost(self) -> NoReturn:
-        """The far end of a link is gone: wait for the abort that brings.
+        """The far end of a link is gone: wait for the abort that follows.
 
         The launcher sets it when it sees a rank die, and its watchdog
         when a rank returned while this one still waits on it.
