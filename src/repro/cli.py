@@ -9,7 +9,6 @@ Mirrors the ergonomics of the real tools (``parhip``, ``kaffpa``)::
     python -m repro evaluate graph.metis graph.part -k 8
     python -m repro cluster graph.metis -o clusters.txt
     python -m repro instances
-    python -m repro lint src/
 
 Graphs are read by extension: ``.metis``/``.graph`` (METIS format),
 ``.dimacs``/``.col`` (DIMACS), ``.npz`` (native), a directory (sharded
@@ -255,12 +254,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import run_lint
-
-    return run_lint(args.paths)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .obsv import read_jsonl, render_analysis, write_run_summary
 
@@ -381,13 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("instances", help="list the Table I instance registry")
     i.set_defaults(func=_cmd_instances)
-
-    lint = sub.add_parser(
-        "lint", help="SPMD static analysis (rank-guarded collectives, global RNG)"
-    )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.set_defaults(func=_cmd_lint)
     return parser
 
 

@@ -59,8 +59,9 @@ hub verifies that all ranks agree on all three — every rank raises
 call sites otherwise.  The call site counts: two ranks that enter the
 same untagged op from different lines would gather unrelated values.  A
 rank that never contributes cannot be named by the hub; that case ends
-in the launcher's watchdog.  The static
-companion of this check is :mod:`repro.analysis`.
+in the launcher's watchdog.  This check is the one catcher of a
+rank-divergent collective; ``docs/analysis.md`` has the mutation table
+that decided it.
 """
 
 from __future__ import annotations

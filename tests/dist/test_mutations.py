@@ -1,18 +1,24 @@
 """The mutation table: which catcher reports each seeded SPMD hazard.
 
 Every row seeds one hazard into a temporary copy of ``src/repro`` — the
-real SPMD code, not a fixture — and asserts who reports it and what the
-report names.  A rule of ``repro.analysis`` earns its place here: it
-stays while it reports a hazard before anything runs or is the only
-catcher that names a line, and a rule proposed tomorrow is decided by
-adding its row (``docs/analysis.md`` has the table with timings).
+real SPMD code, not a fixture — and asserts what reports it and what the
+report names.  A catcher earns its place here, and one proposed
+tomorrow is decided by adding its row (``docs/analysis.md`` has the
+table with timings).
 
-* static rows call ``lint_paths`` on the mutated copy;
-* runtime rows run one small traced p = 2 ``partition_graph`` from the
+* most rows run one small traced p = 2 ``partition_graph`` from the
   copy in a subprocess (default arguments, no environment variable) and
-  read the error it dies with;
+  read the error it dies with: the collective-order check names the
+  collective where the ranks part, a read-only CSR buffer the written
+  line;
 * the dropped-work row compares the run's summed ``CommStats.work_units``
   with the value pinned in ``tests/engine/golden_partitions.json``.
+
+A global or unseeded RNG goes unreported at run time (a golden hash
+stops matching, which names no line); its catcher is the ``rng.seeded``
+rule of ``tests/test_structure.py``, which plants the table's two RNG
+hazards.  ``labels.astype(np.int32)`` in the contraction has no catcher
+and no instance that overflows; ``docs/analysis.md`` records it.
 
 A site that no longer matches fails with "mutation site moved".
 """
@@ -29,8 +35,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-
-from repro.analysis import lint_paths
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
@@ -70,12 +74,10 @@ class Mutation:
     name: str
     file: str                              #: relative to src/repro
     edits: tuple[tuple[str, str], ...]     #: exact (old, new) substitutions
+    runtime: str                           #: error the p = 2 run must die with
+    runtime_at: tuple[str, str] = ("", "")  #: (file, text) of the line it names
     #: (file, old, new) substitutions in other files
     more_edits: tuple[tuple[str, str, str], ...] = ()
-    static: str | None = None              #: rule lint_paths must report ...
-    static_at: str = ""                    #: ... on the line holding this text
-    runtime: str | None = None             #: error the p = 2 run must die with
-    runtime_at: tuple[str, str] = ("", "")  #: (file, text) of the line it names
 
 
 _HALO = ("dist/dgraph.py", 'received = comm.alltoall(per_dest, tag="halo")')
@@ -93,8 +95,8 @@ _LEVEL_CUT_GUARD = ((
 _LEVEL_CUT = ("dist/dist_partitioner.py", "return int(comm.allreduce(local_cut)) // 2")
 
 TABLE = [
-    # -- divergence: SPMD-DIV names the guard before anything runs, the
-    # -- order check names the collective where the streams part
+    # -- divergence: the order check names the collective where the
+    # -- streams part
     Mutation(
         "allreduce-under-rank-guard", "engine/backend.py",
         ((
@@ -103,7 +105,6 @@ TABLE = [
             "            return int(self.comm.allreduce(int(moved)))\n"
             "        return int(moved)\n",
         ),),
-        static="SPMD-DIV", static_at="self.comm.allreduce(int(moved))",
         runtime="CollectiveMismatchError",
         runtime_at=("engine/backend.py", "self.comm.allreduce(int(moved))"),
     ),
@@ -115,13 +116,11 @@ TABLE = [
             "            return local_max\n"
             "        return int(self.comm.allreduce_max(local_max))\n",
         ),),
-        static="SPMD-DIV", static_at="return local_max",
         runtime="CollectiveMismatchError",
         runtime_at=("dist/dist_partitioner.py", "self.comm.allreduce_max(local_max)"),
     ),
     Mutation(
-        # the collectives are files away (sclp -> backend -> dgraph): the
-        # static report needs the may-footprint
+        # the collectives are files away (sclp -> backend -> dgraph)
         "early-return-around-helper", "dist/dist_partitioner.py",
         ((
             "    def refine_level(self, level, partition: np.ndarray) -> np.ndarray:\n",
@@ -129,13 +128,11 @@ TABLE = [
             "        if self.comm.rank != 0:\n"
             "            return partition.copy()\n",
         ),),
-        static="SPMD-DIV", static_at="return partition.copy()",
         runtime="CollectiveMismatchError", runtime_at=_HALO,
     ),
     Mutation(
         # the guard is a property returning ``self.comm.rank == 0``
         "level-cut-under-rank-valued-property", "engine/vcycle.py", _LEVEL_CUT_GUARD,
-        static="SPMD-DIV", static_at='cuts["cut_refined"] = backend.level_cut',
         runtime="CollectiveMismatchError", runtime_at=_LEVEL_CUT,
     ),
     Mutation(
@@ -148,32 +145,7 @@ TABLE = [
             'self.comm.allreduce(local, tag="fitness")',
             "self.comm.allreduce(local)",
         ),),
-        static="SPMD-DIV", static_at='cuts["cut_refined"] = backend.level_cut',
         runtime="CollectiveMismatchError", runtime_at=_LEVEL_CUT,
-    ),
-    # -- global RNG: the only symptom at run time is a golden hash that
-    # -- stops matching, which names no line
-    Mutation(
-        # the refinement hook's draw, one of the two SPMD hooks' tie seeds
-        "global-rng-tie-seed", "dist/dist_partitioner.py",
-        ((
-            'ordering="random",\n'
-            "            chunk=self.config.lp_chunk_size,\n"
-            "            tie_seed=int(self.comm.rng.integers(0, 2**63 - 1)),",
-            'ordering="random",\n'
-            "            chunk=self.config.lp_chunk_size,\n"
-            "            tie_seed=int(np.random.randint(0, 2**31 - 1)),",
-        ),),
-        static="RNG-GLOBAL", static_at="np.random.randint",
-    ),
-    Mutation(
-        "global-rng-rumor-targets", "evolutionary/exchange.py",
-        (
-            ("from ..dist.comm import SimComm\n",
-             "import numpy as np\n\nfrom ..dist.comm import SimComm\n"),
-            ("targets = comm.rng.choice(", "targets = np.random.choice("),
-        ),
-        static="RNG-GLOBAL", static_at="np.random.choice",
     ),
     # -- in-place writes to CSR buffers: read-only arrays raise at the line
     Mutation(
@@ -223,16 +195,6 @@ TABLE = [
         ),
         runtime="work_units",
     ),
-    # -- int32 labels: no instance this repository can build overflows
-    # -- them (largest 2^21 nodes), so no catcher is kept; the row records
-    # -- that the lint is silent, on purpose
-    Mutation(
-        "int32-cluster-labels", "dist/dist_contraction.py",
-        ((
-            "    local_labels = np.asarray(labels[:n_local], dtype=np.int64)\n",
-            "    local_labels = labels[:n_local].astype(np.int32)\n",
-        ),),
-    ),
 ]
 
 
@@ -271,22 +233,7 @@ def _run(copy: Path, script: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize(
-    "mutation", [m for m in TABLE if m.static or not m.runtime], ids=lambda m: m.name
-)
-def test_static_catcher(mutation, tmp_path):
-    copy = _seed(mutation, tmp_path)
-    reported = {(f.code, f.path, f.line) for f in lint_paths([copy])}
-    if mutation.static is None:  # the row without any catcher
-        assert reported == set()
-        return
-    line = _line_of(copy, mutation.file, mutation.static_at)
-    assert reported == {(mutation.static, str(copy / mutation.file), line)}
-
-
-@pytest.mark.parametrize(
-    "mutation", [m for m in TABLE if m.runtime is not None], ids=lambda m: m.name
-)
+@pytest.mark.parametrize("mutation", TABLE, ids=lambda m: m.name)
 def test_runtime_catcher(mutation, tmp_path):
     copy = _seed(mutation, tmp_path)
     if mutation.runtime == "work_units":

@@ -234,8 +234,9 @@ def test_cli_analyze_runs_each_analysis_once(traced_run, tmp_path, monkeypatch,
 
 
 def test_cli_report_verb_is_gone(capsys):
-    # `repro analyze` is the one reader, `--trace` the one way to record.
-    for verb in ("report", "trace"):
+    # `repro analyze` is the one reader, `--trace` the one way to record;
+    # the static linter went with its verb.
+    for verb in ("report", "trace", "lint"):
         with pytest.raises(SystemExit) as exit_info:
             main([verb, "x"])
         assert exit_info.value.code == 2

@@ -120,12 +120,14 @@ class TestParallelPipelineEvents:
             assert s["attrs"]["seq"] >= 1
             assert s["attrs"]["bytes"] >= 0
             assert s["sim_ts"] is not None
-        # SPMD-DIV recognises collectives by name: an op the runtime
-        # executes must be one the linter knows (tags stripped).
-        from repro.analysis.rules import COLLECTIVES
+        # an op the runtime executes is named after a public collective
+        # of ``CollectiveOps`` (tags stripped)
+        from repro.dist.comm import CollectiveOps
 
+        public = {name for name, member in vars(CollectiveOps).items()
+                  if callable(member) and not name.startswith("_")}
         ran = {s["attrs"]["op"].split("[", 1)[0] for s in comm_spans}
-        assert ran <= COLLECTIVES, ran - COLLECTIVES
+        assert ran <= public, ran - public
 
     def test_lp_iteration_spans_carry_moves(self, traced_parallel_run):
         _graph, _result, records = traced_parallel_run

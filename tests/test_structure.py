@@ -7,9 +7,10 @@ integer-only kernels declared once, one shard mapper, one quotient
 build, one Lmax decided at the pipeline entry, one partition result,
 one iterated-V-cycle loop, one sequential V-cycle backend, no
 module-level scipy import, one environment variable, one
-``multiprocessing`` context and one pipe per process rank.  A rule is a
-function of a tree root that returns its violations, ``path:line``
-strings, empty on a tree that keeps it.
+``multiprocessing`` context, one pipe per process rank, randomness from
+seeded generators only, and no trace of the retired static linter.  A
+rule is a function of a tree root that returns its violations,
+``path:line`` strings, empty on a tree that keeps it.
 
 Every rule has a self-test: it copies the rule's scope into
 ``tmp_path``, plants the violation the rule exists to catch, and
@@ -275,6 +276,50 @@ def environment_reads(root: Path) -> list[str]:
     return found
 
 
+#: the two seeded constructors: any other call into ``numpy.random`` or
+#: the stdlib ``random`` draws from, or reseeds, process-global state
+SEEDED = ("numpy.random.default_rng", "random.Random")
+
+
+def unseeded_rng(root: Path) -> list[str]:
+    """Every draw comes from ``comm.rng`` or a generator built from a
+    seed: no call in the package resolves to a ``numpy.random`` or stdlib
+    ``random`` function but ``default_rng(seed)`` / ``random.Random(seed)``.
+
+    A call is resolved through its module's imports (``import numpy as
+    np``, ``from random import shuffle``, ...); a name imported from
+    neither (``rng``, ``comm.rng``) is not followed."""
+    found = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        tree = _parse(path)
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    top = alias.name.split(".")[0]
+                    bound[alias.asname or top] = alias.name if alias.asname else top
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+        def dotted(expr: ast.expr) -> str:
+            if isinstance(expr, ast.Name):
+                return bound.get(expr.id, "")
+            if isinstance(expr, ast.Attribute):
+                base = dotted(expr.value)
+                return base and f"{base}.{expr.attr}"
+            return ""
+
+        lines = []
+        for node in ast.walk(tree):
+            name = dotted(node.func) if isinstance(node, ast.Call) else ""
+            if name.rpartition(".")[0] in ("numpy.random", "random") and not (
+                    name in SEEDED and (node.args or node.keywords)):
+                lines.append(node.lineno)
+        found += [f"{path.relative_to(root).as_posix()}:{line}" for line in sorted(lines)]
+    return found
+
+
 # ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
@@ -299,6 +344,19 @@ def replaced(id: str, path: str, old: str, new: str) -> Plant:
         assert old in text, f"{path} no longer has {old!r} to replace"
         return text.replace(old, new, 1)
     return Plant(id, path, edit)
+
+
+def planted(id: str, path: str, *edits: tuple[str, str], at: str) -> Plant:
+    """A plant that applies ``edits`` to ``path`` in turn and expects
+    exactly ``path:line`` of the planted text holding ``at``."""
+    def edit(text: str) -> str:
+        for old, new in edits:
+            assert old in text, f"{path} no longer has {old!r} to replace"
+            text = text.replace(old, new, 1)
+        return text
+    text = edit((ROOT / path).read_text())
+    line = text[:text.index(at)].count("\n") + 1
+    return Plant(id, path, edit, expect=(f"{path}:{line}",))
 
 
 @dataclass(frozen=True)
@@ -479,6 +537,33 @@ RULES = (
          appended("a queue transport", "src/repro/dist/comm.py", "_up = ctx.Queue()"),
          appended("a flushed-queue exit", "src/repro/dist/runtime.py",
                   "def _planted(q):\n    q.cancel_join_thread()")),
+    # randomness comes from comm.rng or a seeded generator
+    rule("rng.seeded", ("src/repro",), unseeded_rng,
+         planted("a global tie seed in the refinement hook",
+                 "src/repro/dist/dist_partitioner.py",
+                 ('ordering="random",\n'
+                  "            chunk=self.config.lp_chunk_size,\n"
+                  "            tie_seed=int(self.comm.rng.integers(0, 2**63 - 1)),",
+                  'ordering="random",\n'
+                  "            chunk=self.config.lp_chunk_size,\n"
+                  "            tie_seed=int(np.random.randint(0, 2**31 - 1)),"),
+                 at="np.random.randint"),
+         planted("global rumor targets", "src/repro/evolutionary/exchange.py",
+                 ("from ..dist.comm import SimComm\n",
+                  "import numpy as np\n\nfrom ..dist.comm import SimComm\n"),
+                 ("targets = comm.rng.choice(", "targets = np.random.choice("),
+                 at="np.random.choice"),
+         planted("an unseeded generator", "src/repro/core/partitioner.py",
+                 ("np.random.default_rng(seed)", "np.random.default_rng()"),
+                 at="np.random.default_rng()")),
+    # the static linter and its verb are gone, with every caller
+    rule("analysis.gone", ("src", "benchmarks", "tools", "examples", ".github"),
+         absent(r"repro\.analysis|from \.+analysis import|\brepro lint\b",
+                "src", "benchmarks", "tools", "examples", ".github"),
+         appended("a lint step in CI", ".github/workflows/ci.yml",
+                  "      - run: PYTHONPATH=src python -m repro lint src/repro"),
+         appended("a linter import in a tool", "tools/collective_latency.py",
+                  "from repro.analysis import lint_paths")),
     # src/repro reads no environment variable but the tabled ones
     rule("environment-reads", ("src/repro",), environment_reads,
          *(appended(planted, "src/repro/engine/backend.py",
@@ -506,6 +591,36 @@ def test_rule_fires_on_plant(rule, plant, tmp_path):
         assert found, f"{rule.name} missed {plant.id!r}"
     else:
         assert tuple(found) == plant.expect
+
+
+def test_rng_seeded_reads_each_import_shape(tmp_path):
+    """The global and unseeded shapes fire, whatever they were imported
+    as; a seeded generator and a draw from one pass."""
+    lines = [
+        "import random",
+        "import numpy as np",
+        "from numpy import random as npr",
+        "from numpy.random import default_rng",
+        "from random import shuffle",
+        "np.random.rand(4)  # fires",
+        "npr.choice(4)  # fires",
+        "random.randint(0, 4)  # fires",
+        "shuffle(items)  # fires",
+        "np.random.default_rng()  # fires",
+        "default_rng()  # fires",
+        "random.Random()  # fires",
+        "rng = np.random.default_rng(seed)",
+        "tie = random.Random(int(rng.integers(0, 2**31)))",
+        "default_rng(seed=seed)",
+        "rng.choice(4), rng.permutation(4)",
+        "comm.rng.integers(0, 4)",
+    ]
+    module = tmp_path / "src" / "repro" / "shapes.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("\n".join(lines))
+    assert unseeded_rng(tmp_path) == [
+        f"src/repro/shapes.py:{number}"
+        for number, line in enumerate(lines, 1) if line.endswith("# fires")]
 
 
 def test_the_benchmark_scope_is_the_top_level_only():
