@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
 from ..obsv.tracer import TRACER
-from ..perf.rss import memory_probe
 
 __all__ = ["VcycleBackend", "VcycleResult", "iterate_vcycles", "run_coarsening",
            "run_vcycle"]
@@ -167,18 +166,10 @@ def run_coarsening(
 
 @contextmanager
 def _phase(backend: VcycleBackend, name: str, cycle, phase_times: dict):
-    """One pipeline phase: its span, memory telemetry and simulated time.
-
-    The memory probe is tracing-only and uniform across ranks
-    (``TRACER.enabled`` is process-global), so it never diverges the
-    collective schedule.
-    """
+    """One pipeline phase: its span and simulated time."""
     t0 = backend.clock()
     with TRACER.span(name, **backend.span_kwargs(), cycle=cycle) as span:
-        mem = memory_probe() if TRACER.enabled else None
         yield span
-        if mem is not None:
-            span.set(**mem())
     phase_times[name] = backend.clock() - t0
 
 

@@ -353,28 +353,21 @@ def comm_matrix(records: Iterable[dict], size: int | None = None) -> dict[str, A
 def rank_memory(records: Iterable[dict]) -> dict[str, Any]:
     """Per-rank RSS from ``mem.rank`` events (last sample per rank wins).
 
-    Falls back to the largest phase-span ``peak_rss_bytes`` attribute of
-    each rank when a trace predates the runtime events.
+    Every traced run emits them: ``finish_partition`` for a sequential
+    call, the launchers for every rank.
     """
     per_rank: dict[int, dict[str, Any]] = {}
     for record in records:
         rank = record.get("rank")
-        if rank is None:
+        if (rank is None or record.get("type") != "event"
+                or record.get("name") != "mem.rank"):
             continue
         attrs = record.get("attrs") or {}
-        if record.get("type") == "event" and record.get("name") == "mem.rank":
-            per_rank[int(rank)] = {
-                "rss_bytes": int(attrs.get("rss_bytes") or 0),
-                "peak_rss_bytes": int(attrs.get("peak_rss_bytes") or 0),
-                "shared": bool(attrs.get("shared")),
-            }
-        elif record.get("type") == "span" and "peak_rss_bytes" in attrs:
-            entry = per_rank.setdefault(
-                int(rank), {"rss_bytes": 0, "peak_rss_bytes": 0, "shared": False}
-            )
-            entry["peak_rss_bytes"] = max(
-                entry["peak_rss_bytes"], int(attrs["peak_rss_bytes"] or 0)
-            )
+        per_rank[int(rank)] = {
+            "rss_bytes": int(attrs.get("rss_bytes") or 0),
+            "peak_rss_bytes": int(attrs.get("peak_rss_bytes") or 0),
+            "shared": bool(attrs.get("shared")),
+        }
     peaks = [row["peak_rss_bytes"] for row in per_rank.values()]
     return {
         "per_rank": {str(r): per_rank[r] for r in sorted(per_rank)},

@@ -2,7 +2,7 @@
 
 from .machine import MACHINE_A, MACHINE_B, SERIAL, Machine
 from .memory import MemoryBudget, OutOfMemoryError, estimate_graph_bytes
-from .rss import current_rss_bytes, memory_probe, memory_sample, peak_rss_bytes
+from .rss import memory_sample
 
 __all__ = [
     "MACHINE_A",
@@ -11,9 +11,6 @@ __all__ = [
     "Machine",
     "MemoryBudget",
     "OutOfMemoryError",
-    "current_rss_bytes",
     "estimate_graph_bytes",
-    "memory_probe",
     "memory_sample",
-    "peak_rss_bytes",
 ]

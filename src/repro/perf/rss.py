@@ -1,33 +1,26 @@
-"""Real memory telemetry: resident-set sampling and tracemalloc deltas.
+"""Real memory telemetry: resident-set sampling.
 
 :mod:`repro.perf.memory` is the *model* side of the paper's memory story
 — simulated budgets scaled to paper-size instances.  This module is the
 *measurement* side: what the partitioner process actually holds, read
 from ``/proc/self/status`` (``VmRSS``/``VmHWM``) with a
 ``resource.getrusage`` fallback for hosts without procfs.  The obsv
-layer attaches these samples to phase spans and per-rank ``mem.rank``
-events, and ``repro analyze`` rolls them up into the run summary — the
-measured counterpart of the ROADMAP's "measured peak RSS" item
+layer attaches one sample per rank to a ``mem.rank`` event at the end of
+a traced run, and ``repro analyze`` rolls them up into the run summary —
+the measured counterpart of the ROADMAP's "measured peak RSS" item
 (arXiv:1404.4887's out-of-core claims are argued in exactly these
 units).
 
 Everything here is stdlib-only and cheap (one small procfs read per
-sample, ~tens of microseconds), but samples are only taken behind
-``TRACER.enabled`` guards at the instrumentation sites.
+sample, ~tens of microseconds), and samples are only taken behind
+``TRACER.enabled`` guards.
 """
 
 from __future__ import annotations
 
 import sys
-import tracemalloc
 
-__all__ = [
-    "current_rss_bytes",
-    "memory_probe",
-    "memory_sample",
-    "peak_rss_bytes",
-    "read_vm_status",
-]
+__all__ = ["memory_sample", "read_vm_status"]
 
 #: procfs status file of the calling process (patchable in tests)
 _STATUS_PATH = "/proc/self/status"
@@ -66,25 +59,11 @@ def _rusage_peak_bytes() -> int:
     return int(peak) * 1024
 
 
-def current_rss_bytes() -> int:
-    """Resident set size of this process right now, in bytes (0 if unknown)."""
-    return read_vm_status().get("VmRSS", 0)
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes (0 if unknown)."""
-    status = read_vm_status()
-    if "VmHWM" in status:
-        return status["VmHWM"]
-    return _rusage_peak_bytes()
-
-
 def memory_sample() -> dict[str, int]:
     """One sample of this process's memory: current and peak RSS in bytes.
 
-    The attribute names match what the obsv layer records on spans and
-    ``mem.rank`` events, so the dict can be splatted straight into
-    ``span.set(**memory_sample())``.
+    The attribute names are those of the ``mem.rank`` event, so the dict
+    is splatted straight into it.
     """
     status = read_vm_status()
     peak = status.get("VmHWM") or _rusage_peak_bytes()
@@ -92,28 +71,3 @@ def memory_sample() -> dict[str, int]:
         "rss_bytes": status.get("VmRSS", 0),
         "peak_rss_bytes": int(peak),
     }
-
-
-def memory_probe():
-    """Sample now; return a callable producing phase-boundary attributes.
-
-    The returned closure re-samples at the phase boundary and reports the
-    boundary state plus the delta across the phase — and, when the caller
-    has :mod:`tracemalloc` tracing armed, the Python-heap counterpart
-    (``py_heap_bytes`` / ``py_heap_delta_bytes``), which attributes
-    allocations the RSS counter can only show in aggregate.
-    """
-    start = memory_sample()
-    py_start = tracemalloc.get_traced_memory()[0] if tracemalloc.is_tracing() else None
-
-    def finish() -> dict[str, int]:
-        attrs = memory_sample()
-        attrs["rss_delta_bytes"] = attrs["rss_bytes"] - start["rss_bytes"]
-        if py_start is not None and tracemalloc.is_tracing():
-            current, peak = tracemalloc.get_traced_memory()
-            attrs["py_heap_bytes"] = int(current)
-            attrs["py_heap_peak_bytes"] = int(peak)
-            attrs["py_heap_delta_bytes"] = int(current) - int(py_start)
-        return attrs
-
-    return finish

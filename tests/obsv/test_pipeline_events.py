@@ -111,6 +111,13 @@ class TestParallelPipelineEvents:
             ranks = {r["rank"] for r in _spans(records, name)}
             assert ranks == set(range(PES)), name
 
+    def test_memory_rides_the_rank_events_alone(self, traced_parallel_run):
+        """One ``mem.rank`` sample per rank; no span samples RSS."""
+        _graph, _result, records = traced_parallel_run
+        assert sorted(e["rank"] for e in _events(records, "mem.rank")) == list(range(PES))
+        assert not [s["name"] for s in _spans(records)
+                    if {"rss_bytes", "peak_rss_bytes"} & set(s["attrs"])]
+
     def test_collective_spans_tagged(self, traced_parallel_run):
         _graph, _result, records = traced_parallel_run
         comm_spans = [s for s in _spans(records) if s["name"].startswith("comm.")]
