@@ -93,9 +93,9 @@ class _CountingBackend(LocalBackend):
 
     phases = 0
 
-    def global_changed(self, moved: int) -> int:
+    def reduce_phase(self, moved, inflow):
         self.phases += 1
-        return super().global_changed(moved)
+        return super().reduce_phase(moved, inflow)
 
 
 def seq_lp_rate(graph) -> float:

@@ -26,7 +26,6 @@ import numpy as np
 from ..engine.backend import LocalBackend
 from ..engine.sclp import run_sclp
 from ..graph.csr import Graph
-from ..graph.ops import degree_statistics
 from ..graph.quotient import ContractionResult, contract
 from ..kaffpa.driver import kaffpa_partition
 from ..metrics.quality import edge_cut, overweight_cut
@@ -42,8 +41,11 @@ def detect_social(graph: Graph) -> bool:
     the registry knows the class, but auto-detection keeps the public API
     usable on arbitrary graphs.
     """
-    stats = degree_statistics(graph)
-    return stats.tail_ratio > 4.0
+    # ``DegreeStatistics.tail_ratio`` without the median and percentile
+    # sorts the full statistics pay for: every rank runs this.
+    degrees = graph.degrees
+    mean = float(degrees.mean()) if degrees.size else 0.0
+    return bool(mean) and int(degrees.max()) / mean > 4.0
 
 
 class LocalVcycleBackend:

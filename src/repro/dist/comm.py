@@ -19,9 +19,11 @@ rank has one duplex *link* to it: the rank sends ``(value, clock, order
 tag)`` on its link and waits for the answer on the same link; the hub
 reads the links in rank order, checks the tags, takes the maximum clock
 and answers every rank on its link.  The answer of a gathering
-collective is a private copy of the gathered list; that of an alltoall
-is the rank's own column, the payloads addressed to it, and no rank
-sends the payload it addresses to itself.  The :class:`World` holds
+collective (allgather, allreduce, bcast, ...) is the gathered list: a
+private copy of it for each thread rank, one pickle of it whose bytes
+go to every process rank.  That of an alltoall is the rank's own
+column, the payloads addressed to it, and no rank sends the payload it
+addresses to itself.  The :class:`World` holds
 what the ranks share — size, machine, seed, the links, an abort event
 and a progress table — and is the one place that picks the transport:
 a ``queue.SimpleQueue`` each way per link for thread ranks, a
@@ -74,6 +76,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
@@ -227,7 +230,14 @@ class _QueueLink:
 class _PipeLink:
     """One end of a process rank's link to the hub: a duplex
     ``multiprocessing`` pipe end behind the ``put``/``get`` of a queue
-    (values are pickled on the caller's thread; no feeder thread)."""
+    (values are pickled on the caller's thread; no feeder thread).  A
+    ``memoryview`` is a message :meth:`pickled` already and is sent as it
+    is, so the hub pickles an answer common to every rank once."""
+
+    @staticmethod
+    def pickled(message: Any) -> memoryview:
+        """``message`` as the bytes :meth:`put` sends."""
+        return ForkingPickler.dumps(message)
 
     def __init__(self, conn: Any) -> None:
         self.conn = conn
@@ -239,7 +249,10 @@ class _PipeLink:
         return cls(hub), cls(rank)
 
     def put(self, value: Any) -> None:
-        self.conn.send(value)
+        if isinstance(value, memoryview):
+            self.conn.send_bytes(value)
+        else:
+            self.conn.send(value)
 
     def get(self, timeout: float) -> Any:
         if not self.conn.poll(timeout):
@@ -546,14 +559,20 @@ class SimComm(CollectiveOps):
             gathered[src], clocks[src], tags[src] = self._receive(links[src])
         error = _mismatch_error(tags)
         base = max(clocks)
+        shared = None
+        if error is None and not personal and isinstance(links[1], _PipeLink):
+            # One answer for every process rank: pickled once, not per rank.
+            shared = _PipeLink.pickled((gathered, base, None))
         for dest in range(1, self.size):
             if error is not None:
-                answer = None
+                message = (None, base, tags)
             elif personal:
-                answer = [row[dest] for row in gathered]
-            else:
-                answer = list(gathered)  # thread ranks must not share the hub's list
-            self._send(links[dest], (answer, base, tags if error is not None else None))
+                message = ([row[dest] for row in gathered], base, None)
+            elif shared is not None:
+                message = shared
+            else:  # thread ranks must not share the hub's list
+                message = (list(gathered), base, None)
+            self._send(links[dest], message)
         if error is not None:
             raise error
         return ([row[0] for row in gathered] if personal else gathered), base

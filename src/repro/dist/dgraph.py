@@ -23,7 +23,7 @@ range, no comparison sort and no hash table) and is stored as fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class DistGraph:
     # with an arc to it: ghost_src[ghost_xadj[g]:ghost_xadj[g + 1]]
     ghost_xadj: np.ndarray
     ghost_src: np.ndarray
+    # owned then ghost node weights, exchanged on first use (node_weights)
+    _weights: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Same rule as the global graph's store: CSR buffers refuse writes.
@@ -280,6 +283,17 @@ class DistGraph:
             payload = received[q]
             if payload is not None:
                 values[ghosts] = payload
+
+    def node_weights(self, comm: SimComm) -> np.ndarray:
+        """The weights of the owned and ghost nodes (length ``n_total``,
+        read-only).  Node weights are static, so the first call (collective)
+        halo-exchanges them and every later one returns the same array."""
+        if self._weights is None:
+            weights = np.zeros(self.n_total, dtype=np.int64)
+            weights[: self.n_local] = self.vwgt
+            self.halo_exchange(comm, weights)
+            self._weights = readonly_view(weights)
+        return self._weights
 
     def gather_global(self, comm: SimComm, values: np.ndarray) -> np.ndarray:
         """Allgather owned values into a full global array (collect step)."""

@@ -1,26 +1,38 @@
 """Parallel contraction and uncoarsening (paper Section IV-C).
 
-Contraction of a distributed clustering proceeds exactly as in the paper:
+Contraction of a distributed clustering proceeds as in the paper, in
+four collectives per level:
 
-1. **Count distinct cluster ids.**  PE ``p`` is made responsible for the
-   id interval ``I_p``; every PE ships the cluster ids of its local nodes
-   to the responsible PEs, which deduplicate.  A reduce yields the global
-   coarse node count ``n'``.
-2. **Remap ids.**  An exclusive prefix sum over the per-PE distinct
-   counts gives each responsible PE the offset of its ids in the
-   contiguous coarse range; the composed map is
-   ``C: fine node -> coarse node in 0..n'-1``.  PEs that used a non-local
-   cluster id fetch its remapped value with a request/response round.
-3. **Ghost mapping.**  A halo exchange propagates ``C`` to ghost nodes.
-4. **Build the coarse graph.**  Every PE builds the weighted quotient of
-   its local subgraph with the sequential quotient kernel
+1. **Request.**  PE ``p`` is responsible for the cluster ids of its own
+   node range ``vtxdist[p] .. vtxdist[p+1]``.  Every PE ships the
+   distinct labels of all its node slots, ghosts included, to the
+   responsible PEs (one alltoall); the responsible PE marks them in a
+   table over its range, so duplicates fall out without a sort or a hash.
+2. **Count.**  One allgather of the per-PE distinct counts gives each PE
+   both the offset of its ids in the contiguous coarse range (the
+   exclusive prefix sum) and the global coarse node count ``n'``.
+3. **Remap.**  The responsible PEs answer each request with the coarse
+   ids ``offset + rank among the marked ids`` (one alltoall); the
+   composed map ``C: fine node -> coarse node in 0..n'-1`` then covers
+   every slot, ghosts included, and needs no halo exchange.
+4. **Shuffle.**  Every PE builds the weighted quotient of its local
+   subgraph with the sequential quotient kernel
    (:func:`repro.graph.quotient.quotient_arcs`, over the local CSR
    extended by one empty row per ghost; the kernel reads every arc
    reversed, which the symmetry of the fine graph makes harmless, see
-   :func:`_local_quotient`), then ships each coarse arc — and each coarse
-   node-weight contribution — to the PE that owns the coarse source under
-   the balanced coarse distribution.  Receivers merge duplicates and
-   assemble their local CSR (:meth:`~repro.dist.dgraph.DistGraph.from_arcs`).
+   :func:`_local_quotient`), sums its node weights per coarse node with
+   one ``bincount``, and ships to each coarse owner, under the balanced
+   coarse distribution, its arcs together with its node-weight
+   contributions and constraint labels (one alltoall).  Receivers merge
+   duplicate arcs and assemble their local CSR
+   (:meth:`~repro.dist.dgraph.DistGraph.from_arcs`).
+
+The precondition is a consistent label array: the ghost entries of
+``labels`` are their owners' labels, which is what
+:func:`~repro.engine.sclp.run_sclp` returns (its last phase ends with
+the label exchange).  The coarse ids of the ghosts come from the remap
+answers, not from their owners, so an inconsistent ghost would map to
+the coarse node of its stale label.
 
 Uncoarsening is the simple inverse (Section IV-C, last paragraph): each
 PE asks the owner of each coarse representative for its block id.
@@ -46,16 +58,15 @@ class DistContraction:
 
     fine: DistGraph
     coarse: DistGraph
-    #: coarse global id of each fine local node
-    local_to_coarse: np.ndarray
+    #: coarse global id of each fine node slot, owned then ghost
+    coarse_of: np.ndarray
     #: coarse constraint labels for coarse local nodes (if tracked)
     coarse_constraint: np.ndarray | None
 
-
-def _interval_owner(ids: np.ndarray, n_global: int, size: int) -> np.ndarray:
-    """The PE responsible for each id under a balanced interval split."""
-    bounds = balanced_vtxdist(n_global, size)
-    return (np.searchsorted(bounds, ids, side="right") - 1).astype(np.int64)
+    @property
+    def local_to_coarse(self) -> np.ndarray:
+        """Coarse global id of each fine owned node."""
+        return self.coarse_of[: self.fine.n_local]
 
 
 def _owner_split(
@@ -142,102 +153,88 @@ def _contract_impl(
     labels: np.ndarray,
     constraint: np.ndarray | None,
 ) -> DistContraction:
-    n_local = dgraph.n_local
-    n_global = dgraph.n_global
-    local_labels = np.asarray(labels[:n_local], dtype=np.int64)
+    n_local, size = dgraph.n_local, comm.size
+    labels = np.asarray(labels, dtype=np.int64)
+    local_labels = labels[:n_local]
 
     # ------------------------------------------------------------------
-    # 1. Distinct cluster ids, counted at interval-responsible PEs
+    # 1. Request the coarse id of every distinct label, ghosts' included
     # ------------------------------------------------------------------
-    unique_local = np.unique(local_labels)
-    owners = _interval_owner(unique_local, n_global, comm.size)
-    received, send_order = _exchange_by_owner(comm, unique_local, owners)
-    my_ids = np.unique(np.concatenate(received)) if received else np.empty(0, np.int64)
-    comm.work(n_local + unique_local.size)
+    # One table over the fine id range: 1 marks a ghost's label, 2 an
+    # owned node's; later it maps each asked label to its coarse id.
+    table = np.zeros(dgraph.n_global, dtype=np.int64)
+    table[labels[n_local:]] = 1
+    table[local_labels] = 2
+    asked = np.flatnonzero(table)  # ascending, so one slice per PE
+    owned = table[asked] == 2
+    bounds = np.searchsorted(asked, dgraph.vtxdist)
+    requests = comm.alltoall([asked[bounds[q]: bounds[q + 1]] for q in range(size)])
+    comm.work(n_local + int(np.count_nonzero(owned)))
 
     # ------------------------------------------------------------------
-    # 2. Prefix-sum remap q : cluster id -> 0..n'-1
+    # 2. Count the distinct ids of this PE's range: offset and n'
     # ------------------------------------------------------------------
-    offset = int(comm.exscan(int(my_ids.size)))
-    n_coarse = int(comm.allreduce(int(my_ids.size)))
-    # Answer the remap for the ids each PE asked about.  Step 1's
-    # exchange already delivered exactly these per-source requests, so
-    # the ``received`` buffers are reused — no second request round.
-    responses: list[object] = [None] * comm.size
-    for q, req in enumerate(received):
-        responses[q] = offset + np.searchsorted(my_ids, req) if req.size else req
-    answered = comm.alltoall(responses)
-    remap = np.empty(unique_local.size, dtype=np.int64)
-    remap[send_order] = np.concatenate(
-        [np.asarray(a, dtype=np.int64) for a in answered]
-    )
-    # C over local nodes, via the sorted unique_local index
-    local_to_coarse = remap[np.searchsorted(unique_local, local_labels)]
+    first = dgraph.first
+    seen = np.zeros(n_local, dtype=bool)
+    for req in requests:
+        seen[req - first] = True
+    counts = comm.allgather(int(np.count_nonzero(seen)))
+    offset, n_coarse = sum(counts[: comm.rank]), sum(counts)
 
     # ------------------------------------------------------------------
-    # 3. Ghost mapping via halo exchange
+    # 3. Answer with the prefix-sum remap; C over every slot
     # ------------------------------------------------------------------
-    coarse_of = np.zeros(dgraph.n_total, dtype=np.int64)
-    coarse_of[:n_local] = local_to_coarse
-    dgraph.halo_exchange(comm, coarse_of)
+    coarse_id = np.cumsum(seen, dtype=np.int64) + (offset - 1)
+    answered = comm.alltoall([coarse_id[req - first] for req in requests])
+    remap = np.concatenate(answered)  # the coarse id of each asked label
+    table[asked] = remap
+    coarse_of = table[labels]
+    local_to_coarse = coarse_of[:n_local]
 
     # ------------------------------------------------------------------
-    # 4. Local quotient, then shuffle to coarse owners
+    # 4. Local quotient and node weights, shuffled to the coarse owners
     # ------------------------------------------------------------------
-    coarse_vtxdist = balanced_vtxdist(n_coarse, comm.size)
-    per_dest = _local_quotient(dgraph, coarse_of, coarse_vtxdist)
+    coarse_vtxdist = balanced_vtxdist(n_coarse, size)
+    arcs = _local_quotient(dgraph, coarse_of, coarse_vtxdist)
     comm.work(dgraph.num_arcs)
-    arc_msgs = comm.alltoall(per_dest)
-
-    # Coarse node weights (and optional constraint labels) contributed by
-    # this PE's local nodes, shipped to the coarse owners.
-    contrib_ids, inverse = np.unique(local_to_coarse, return_inverse=True)
-    contrib_wgt = np.bincount(inverse, weights=dgraph.vwgt).astype(np.int64)
+    # The coarse ids of the owned nodes, ascending (the remap keeps the
+    # label order), and the weight this PE contributes to each.
+    node_ids = remap[owned]
+    node_wgt = np.bincount(
+        local_to_coarse, weights=dgraph.vwgt)[node_ids].astype(np.int64)
+    columns = [node_ids, node_wgt]
     if constraint is not None:
         # All fine nodes of a coarse node share the constraint label
         # (clusters never span constraint blocks), so any representative
         # value works.
-        rep = np.zeros(contrib_ids.size, dtype=np.int64)
-        rep[inverse] = np.asarray(constraint[:n_local], dtype=np.int64)
-    # ``contrib_ids`` is sorted (np.unique), so owners are non-decreasing
-    # and the per-destination buckets are again contiguous slices.
-    node_owner = np.searchsorted(coarse_vtxdist[1:], contrib_ids, side="right")
-    node_bounds = np.searchsorted(node_owner, np.arange(comm.size + 1))
-    per_dest = [None] * comm.size
-    for q in range(comm.size):
-        sl = slice(node_bounds[q], node_bounds[q + 1])
-        payload = (contrib_ids[sl], contrib_wgt[sl])
-        if constraint is not None:
-            payload = payload + (rep[sl],)
-        per_dest[q] = payload
-    node_msgs = comm.alltoall(per_dest)
+        held = np.zeros(n_coarse, dtype=np.int64)
+        held[local_to_coarse] = np.asarray(constraint[:n_local], dtype=np.int64)
+        columns.append(held[node_ids])
+    node_bounds = np.searchsorted(node_ids, coarse_vtxdist)
+    msgs = comm.alltoall([
+        (*arcs[q], *(c[node_bounds[q]: node_bounds[q + 1]] for c in columns))
+        for q in range(size)
+    ])
 
     # ------------------------------------------------------------------
     # Assemble the local coarse subgraph
     # ------------------------------------------------------------------
+    all_src, all_dst, all_wgt, got_ids, got_wgt, *got_cons = (
+        np.concatenate(column) for column in zip(*msgs))
     my_first = int(coarse_vtxdist[comm.rank])
     my_count = int(coarse_vtxdist[comm.rank + 1]) - my_first
-
-    coarse_vwgt = np.zeros(my_count, dtype=np.int64)
-    coarse_constraint = np.zeros(my_count, dtype=np.int64) if constraint is not None else None
-    got_ids = np.concatenate([m[0] for m in node_msgs]) if node_msgs else np.empty(0, np.int64)
-    got_wgt = np.concatenate([m[1] for m in node_msgs]) if node_msgs else np.empty(0, np.int64)
-    if got_ids.size:
-        coarse_vwgt += np.bincount(
-            got_ids - my_first, weights=got_wgt, minlength=my_count
-        ).astype(np.int64)
-    if coarse_constraint is not None:
-        for msg in node_msgs:
-            if len(msg) > 2 and msg[0].size:
-                coarse_constraint[msg[0] - my_first] = msg[2]
-
+    coarse_vwgt = np.bincount(
+        got_ids - my_first, weights=got_wgt, minlength=my_count).astype(np.int64)
+    coarse_constraint = None
+    if constraint is not None:
+        coarse_constraint = np.zeros(my_count, dtype=np.int64)
+        coarse_constraint[got_ids - my_first] = got_cons[0]
     # Arcs between the same two coarse nodes from different PEs are still
     # apart; from_arcs merges them.
-    all_src, all_dst, all_wgt = (np.concatenate(column) for column in zip(*arc_msgs))
     coarse = DistGraph.from_arcs(
         coarse_vtxdist, comm.rank, all_src, all_dst, all_wgt, coarse_vwgt
     )
-    return DistContraction(dgraph, coarse, local_to_coarse, coarse_constraint)
+    return DistContraction(dgraph, coarse, coarse_of, coarse_constraint)
 
 
 def _local_quotient(

@@ -20,9 +20,13 @@ The default budget is 60 seconds, overridable per call (``timeout=``;
 
 Process ranks are forked from one ``forkserver`` per interpreter,
 :data:`PROCESS_CONTEXT`: the first process call starts it in the
-directory that holds ``repro``, it imports this module and
-:mod:`repro.dist.dist_partitioner` once, and every call forks warm ranks
-from it that import nothing and end through ``os._exit``.  A rank is a
+directory that holds ``repro``, it imports this module,
+:mod:`repro.dist.dist_partitioner` and the two numpy modules they load
+lazily (:data:`SERVER_PRELOAD`) once, and every call forks warm ranks
+from it that end through ``os._exit``.  A rank binds the compiled
+kernels from the path and declarations the caller sends
+(:func:`repro.native.adopt`), and partitioning imports nothing more
+(``tests/dist/test_runtime_process.py`` holds this).  A rank is a
 child of the server, not of the caller, so it sees the environment
 variables as they were at the first process call.  ``multiprocessing``
 still sends the caller's ``sys.path``, working directory and
@@ -70,6 +74,12 @@ DEFAULT_SPMD_TIMEOUT = 60.0
 #: started on the first process call
 PROCESS_CONTEXT = multiprocessing.get_context("forkserver")
 
+#: what the fork server imports once for every rank it forks: the
+#: program, and the numpy modules numpy loads on first use (the rank's
+#: ``default_rng`` and the first ``np.unique``)
+SERVER_PRELOAD = ["repro.dist.runtime", "repro.dist.dist_partitioner",
+                  "numpy.random", "numpy.ma"]
+
 #: the directory that holds the ``repro`` package the caller imported
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -91,7 +101,7 @@ def _ensure_server() -> None:
     """
     from multiprocessing import forkserver
 
-    PROCESS_CONTEXT.set_forkserver_preload(["repro.dist.runtime", "repro.dist.dist_partitioner"])
+    PROCESS_CONTEXT.set_forkserver_preload(SERVER_PRELOAD)
     home = os.getcwd()
     os.chdir(_PACKAGE_ROOT)
     try:
@@ -291,7 +301,9 @@ class _WorkerSpec:
     program: bytes  # pickled rank-parametric program
     payload: bytes  # pickled (args, kwargs)
     graph_handle: SharedCSRHandle | None
-    kernels: str  # the parent's compiled kernels: ranks never compile
+    # the parent's compiled kernels and their declarations: ranks never
+    # compile and never parse the sources
+    kernels: tuple[str, tuple]
     result: Any  # the write end of this rank's result pipe
     trace: bool
     wall_origin: float
@@ -310,7 +322,7 @@ def _proc_worker(spec: _WorkerSpec) -> None:
     comm: SimComm | None = None
     store: SharedMemoryStore | None = None
     try:
-        native.adopt(spec.kernels)
+        native.adopt(*spec.kernels)
         program = pickle.loads(spec.program)
         args, kwargs = pickle.loads(spec.payload)
         if spec.graph_handle is not None:
@@ -404,7 +416,7 @@ def run_spmd_processes(
     # Build (or find) the compiled kernels here, once, so p ranks on a
     # cold cache do not each run the compiler (and a host without one
     # fails before anything is created).
-    kernels = native.resolve()
+    kernels = (native.resolve(), native.declarations())
     TRACER.annotate_header(lp_kernel="native")
     _ensure_server()
     world = World(size, machine=machine, seed=seed, ctx=PROCESS_CONTEXT)

@@ -8,11 +8,12 @@ bind it to the two substrates the paper contrasts:
 * :class:`LocalBackend` — a NumPy CSR :class:`~repro.graph.csr.Graph` in
   one address space.  Every "communication" hook degenerates to the
   p = 1 identity: the halo exchange is a no-op, block-weight reduction
-  is a ``bincount``, convergence is the move count.
+  is a ``bincount``, the phase sums are this PE's own counts.
 * :class:`SpmdBackend` — a :class:`~repro.dist.dgraph.DistGraph` under a
-  communicator: ghost CSR with halo exchange, delta interface-label
-  exchange, allreduce block weights and move counts, and simulated-time
-  work accounting.
+  communicator: ghost CSR with its ghost weights exchanged once per
+  level, delta interface-label exchange with the adjacent PEs only, one
+  allreduce per phase (the move count, and under budget shares the
+  block inflows with it), and simulated-time work accounting.
   The communicator is a :class:`~repro.dist.comm.SimComm` whether the
   ranks are threads or OS processes.
 
@@ -87,7 +88,9 @@ class ExecutionBackend(Protocol):
     ) -> tuple[np.ndarray, np.ndarray]: ...
     def ghost_change_sources(self, ghost_idx: np.ndarray) -> np.ndarray: ...
     def reduce_block_weights(self, labels: np.ndarray, k: int) -> np.ndarray: ...
-    def global_changed(self, moved: int) -> int: ...
+    def reduce_phase(
+        self, moved: int, inflow: np.ndarray | None
+    ) -> tuple[int, np.ndarray | None]: ...
     def span_kwargs(self) -> dict: ...
 
 
@@ -135,8 +138,10 @@ class LocalBackend:
             labels[: self.n_local], weights=self.graph.vwgt, minlength=k
         ).astype(np.int64)
 
-    def global_changed(self, moved: int) -> int:
-        return moved
+    def reduce_phase(
+        self, moved: int, inflow: np.ndarray | None
+    ) -> tuple[int, np.ndarray | None]:
+        return moved, inflow
 
     def span_kwargs(self) -> dict:
         return {}
@@ -162,10 +167,7 @@ class SpmdBackend:
         self.n_total = dgraph.n_total
 
     def node_weights(self) -> np.ndarray:
-        vwgt_all = np.zeros(self.n_total, dtype=np.int64)
-        vwgt_all[: self.n_local] = self.dgraph.vwgt
-        self.dgraph.halo_exchange(self.comm, vwgt_all)
-        return vwgt_all
+        return self.dgraph.node_weights(self.comm)
 
     def label_space(self, labels: np.ndarray) -> int:
         # Cluster ids are global fine node ids; entries of clusters never
@@ -194,8 +196,13 @@ class SpmdBackend:
         ).astype(np.int64)
         return self.comm.allreduce(local)
 
-    def global_changed(self, moved: int) -> int:
-        return int(self.comm.allreduce(int(moved)))
+    def reduce_phase(
+        self, moved: int, inflow: np.ndarray | None
+    ) -> tuple[int, np.ndarray | None]:
+        # One allreduce per phase: the move count, then the inflows.
+        local = np.concatenate(([moved], _EMPTY if inflow is None else inflow))
+        sums = self.comm.allreduce(local)
+        return int(sums[0]), None if inflow is None else sums[1:]
 
     def span_kwargs(self) -> dict:
         return {"comm": self.comm}

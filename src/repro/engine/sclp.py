@@ -29,8 +29,9 @@ resident graph and an out-of-core store, and it changes no label:
 
 Everything that differs between the sequential and the distributed run
 is either an :class:`~repro.engine.backend.ExecutionBackend` hook (halo
-exchange, work charging, block-weight reduction, move-count reduction,
-tie-hash id base) or one of two *weight regimes* selected by ``shares``.
+exchange, work charging, block-weight reduction, the phase's move-count
+and inflow reduction, tie-hash id base) or one of two *weight regimes*
+selected by ``shares``.
 Both are the same three tables — ``used`` (weight booked against a
 label), ``cap`` (what it may hold) and ``load`` (what decides whether a
 block is overloaded) — initialised differently:
@@ -40,12 +41,15 @@ block is overloaded) — initialised differently:
   sequential semantics (and the clustering regime on both backends,
   where the view is a local, optimistically-updated approximation).
 * ``shares=True`` — the paper's refinement regime: exact block weights
-  restored by a (backend) reduction at every phase boundary, and per-PE
-  1/p budget shares within the phase (``used`` is this PE's net inflow,
-  ``cap`` its share of the slack), so the bound holds even when every
-  PE exhausts its share.  On the local backend the reduction is a
-  ``bincount`` and the share is 1/1 — the exact p = 1 degeneration of
-  the SPMD semantics.
+  reduced once at the start and restored at every phase boundary, and
+  per-PE 1/p budget shares within the phase (``used`` is this PE's net
+  inflow, ``cap`` its share of the slack), so the bound holds even when
+  every PE exhausts its share.  Only moves change an owned label, so
+  the exact weights of the next phase are this phase's plus the sum of
+  every PE's ``used``: the restore rides on the move-count reduction,
+  one allreduce of ``[moved, *used]``.  On the local backend the start
+  is a ``bincount``, the sum is ``used`` itself and the share is 1/1 —
+  the exact p = 1 degeneration of the SPMD semantics.
 
 Which nodes a phase scans — every node, or only the *frontier* whose
 decision inputs changed (label-identical, see
@@ -61,7 +65,9 @@ does.
 
 A call stops after the first phase in which no node moved on any rank
 (the SCLP stop rule of arXiv:1402.3281); ``global_changed`` is the sum
-of the phase's move counts over the backend's ranks.
+of the phase's move counts over the backend's ranks.  A phase thus
+makes at most two collectives: the label exchange with the adjacent
+PEs and that one allreduce.
 """
 
 from __future__ import annotations
@@ -276,11 +282,12 @@ def run_sclp(
                     next_active[backend.ghost_change_sources(changed_ghosts)] = True
                 labels[changed_ghosts] = ghost_vals[diff]
 
+        # One reduction ends the phase: the move count, and under shares
+        # every PE's net inflow, which restores the exact weights
+        # (Section IV-B) without a pass over the labels.
+        global_changed, inflow = backend.reduce_phase(moved, used if shares else None)
         if shares:
-            # Restore exact weights with one reduction (Section IV-B).
-            exact = backend.reduce_block_weights(labels, space)
-
-        global_changed = backend.global_changed(moved)
+            exact = exact + inflow
         lp_span.set(moved=moved, arcs=arcs_scanned, chunks=n_chunks,
                     global_changed=global_changed, active=scanned,
                     frontier_frac=round(scanned / max(1, order.size), 4))

@@ -57,6 +57,7 @@ call or per bound object.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import operator
 import os
@@ -74,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "KernelUnavailable", "resolve", "adopt", "cache_dir", "source",
+    "KernelUnavailable", "resolve", "adopt", "declarations", "cache_dir", "source",
     "PhaseScan", "quotient_arcs", "group_arcs", "GhostLayout", "ghost_layout",
     "GrowBisection", "kway_refine_pass", "match_heavy_edges",
     "partition_quality", "parse_metis",
@@ -196,11 +197,19 @@ def _declarations(code: str) -> tuple[dict[str, tuple], list[tuple[str, type]]]:
     return functions, fields
 
 
-def _load(path: Path) -> tuple[ctypes.CDLL, type]:
+@functools.cache
+def declarations() -> tuple[dict[str, tuple], list[tuple[str, type]]]:
+    """What the sources declare (:func:`_declarations`), parsed once per
+    process; the process backend hands it to its ranks with the path."""
+    return _declarations(source().decode())
+
+
+def _load(path: Path, declared: tuple | None = None) -> tuple[ctypes.CDLL, type]:
     """The shared object at ``path`` with every exported function bound,
-    and the ctypes twin of its ``scan_phase_t``."""
+    and the ctypes twin of its ``scan_phase_t`` (from ``declared``, this
+    process's :func:`declarations` by default)."""
     _require_private(path)
-    functions, fields = _declarations(source().decode())
+    functions, fields = declared or declarations()
     lib = ctypes.CDLL(str(path))
     for name, (restype, argtypes) in functions.items():
         symbol = getattr(lib, name)
@@ -226,7 +235,8 @@ def resolve() -> str:
     Raises :class:`KernelUnavailable` naming the cause.  The first failure
     is remembered: later calls raise it again without another build.  The
     process backend's parent calls this before it starts its ranks and hands the
-    path to :func:`adopt` in every rank, so ranks never compile.
+    path and its :func:`declarations` to :func:`adopt` in every rank, so
+    ranks never compile and never parse the sources.
     """
     global _lib, _PhaseTables, _path, _failure
     with _lock:
@@ -244,12 +254,14 @@ def resolve() -> str:
         return str(_path)
 
 
-def adopt(path: str) -> None:
-    """Load the shared object a parent process resolved (worker side)."""
+def adopt(path: str, declared: tuple) -> None:
+    """Load the shared object a parent process resolved (worker side),
+    bound by the parent's :func:`declarations`, so a rank does not read
+    and parse the sources again."""
     global _lib, _PhaseTables, _path
     with _lock:
         try:
-            _lib, _PhaseTables = _load(Path(path))
+            _lib, _PhaseTables = _load(Path(path), declared)
         except (_Unavailable, OSError) as exc:
             raise _unavailable(str(exc) or type(exc).__name__) from exc
         _path = path

@@ -15,8 +15,14 @@ from repro.core import (
     sequential_partition,
 )
 from repro.engine.vcycle import run_vcycle
-from repro.generators import load_instance, planted_partition, rgg
-from repro.graph import check_partition, max_block_weight_bound
+from repro.generators import load_instance, planted_partition, rgg, rmat
+from repro.graph import (
+    check_partition,
+    degree_statistics,
+    empty_graph,
+    from_edges,
+    max_block_weight_bound,
+)
 from repro.metrics import edge_cut
 from repro.obsv import TRACER
 
@@ -97,6 +103,13 @@ class TestDetectSocial:
 
     def test_mesh_is_not(self):
         assert not detect_social(rgg(10, seed=0))
+
+    @pytest.mark.parametrize("graph", [
+        load_instance("uk-2002"), rgg(10, seed=0), rmat(10, seed=1),
+        from_edges(3, [(0, 1)]), empty_graph(4), empty_graph(0),
+    ], ids=["web", "rgg", "rmat", "one-edge", "edgeless", "empty"])
+    def test_is_the_tail_ratio_rule(self, graph):
+        assert detect_social(graph) is (degree_statistics(graph).tail_ratio > 4.0)
 
 
 class TestMultilevelPartition:

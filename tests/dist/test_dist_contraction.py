@@ -222,13 +222,56 @@ class TestUnionOverRanks:
             np.testing.assert_array_equal(g, w)
 
 
+class TestGhostMap:
+    """The ghost slots ask for their labels' coarse ids themselves; the
+    answers must be what the owners hold."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ghost_entries_equal_a_halo_exchange_of_the_owners_map(
+            self, size, constrained, seed):
+        graph = rmat(9, seed=seed)
+        n = graph.num_nodes
+        rng = np.random.default_rng(seed)
+        constraint = rng.integers(0, 3, n)
+        # Random cluster ids over the whole id range; under a constraint
+        # no cluster spans two of its blocks.
+        key = rng.integers(0, 25, n) * 3 + (constraint if constrained else 0)
+        clustering = rng.permutation(n)[key]
+
+        def fn(comm, dgraph):
+            contraction = parallel_contract(
+                dgraph, comm, dgraph.local_view(clustering),
+                constraint=dgraph.local_view(constraint) if constrained else None)
+            halo = np.zeros(dgraph.n_total, dtype=np.int64)
+            halo[: dgraph.n_local] = contraction.local_to_coarse
+            dgraph.halo_exchange(comm, halo)
+            coarse_map = dgraph.gather_global(comm, contraction.local_to_coarse)
+            coarse_constraint = None
+            if constrained:
+                coarse_constraint = contraction.coarse.gather_global(
+                    comm, contraction.coarse_constraint)
+            return contraction.coarse_of, halo, coarse_map, coarse_constraint
+
+        result = split_and_run(graph, size, fn)
+        for coarse_of, halo, _, _ in result.per_rank:
+            np.testing.assert_array_equal(coarse_of, halo)
+        _, _, coarse_map, coarse_constraint = result.value
+        mapping, _ = normalize_labels(clustering)
+        np.testing.assert_array_equal(coarse_map, mapping)
+        if constrained:
+            np.testing.assert_array_equal(coarse_constraint[coarse_map], constraint)
+
+
 class TestCommRounds:
     @pytest.mark.parametrize("size", [2, 4])
     def test_one_request_exchange_per_level(self, size):
-        """One contraction level is exactly 7 collectives: the *single*
-        request alltoall (step 1's buffers answer step 2 — no re-ship of
-        ``unique_local``), exscan, allreduce, the response alltoall, the
-        ghost-map halo exchange, and the arc and node-weight shuffles."""
+        """One contraction level is exactly 4 collectives:
+        the request alltoall (ghost slots ask too, so no halo exchange of
+        the coarse map follows), the allgather of the distinct counts
+        (offset and n' at once), the response alltoall, and one shuffle
+        of arcs and node weights together."""
         graph = rgg(9, seed=0)
         clustering = np.random.default_rng(3).integers(0, 40, graph.num_nodes)
 
@@ -238,9 +281,11 @@ class TestCommRounds:
                 dgraph.first : dgraph.first + dgraph.n_local
             ]
             dgraph.halo_exchange(comm, labels)
-            before = comm.stats.collectives
+            before = dict(comm.stats.per_op)
             parallel_contract(dgraph, comm, labels)
-            return comm.stats.collectives - before
+            return {op: count - before.get(op, (0, 0))[0]
+                    for op, (count, _) in comm.stats.per_op.items()
+                    if count != before.get(op, (0, 0))[0]}
 
         def program(comm):
             dgraph = DistGraph.from_global(
@@ -249,7 +294,7 @@ class TestCommRounds:
             return fn(comm, dgraph)
 
         result = run_spmd(size, program, seed=11)
-        assert all(c == 7 for c in result.per_rank)
+        assert all(ops == {"alltoall": 3, "allgather": 1} for ops in result.per_rank)
 
 
 class TestLookupAndUncoarsen:

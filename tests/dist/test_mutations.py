@@ -80,8 +80,6 @@ class Mutation:
     more_edits: tuple[tuple[str, str, str], ...] = ()
 
 
-_HALO = ("dist/dgraph.py", 'received = comm.alltoall(per_dest, tag="halo")')
-
 #: ``level_cut`` (an untagged allreduce) under a property that is true on
 #: rank 0 only
 _LEVEL_CUT_GUARD = ((
@@ -98,15 +96,16 @@ TABLE = [
     # -- divergence: the order check names the collective where the
     # -- streams part
     Mutation(
+        # the LP phase's one allreduce, of [moved, *inflow]
         "allreduce-under-rank-guard", "engine/backend.py",
         ((
-            "        return int(self.comm.allreduce(int(moved)))\n",
+            "        sums = self.comm.allreduce(local)\n",
+            "        sums = local\n"
             "        if self.comm.rank == 0:\n"
-            "            return int(self.comm.allreduce(int(moved)))\n"
-            "        return int(moved)\n",
+            "            sums = self.comm.allreduce(local)\n",
         ),),
         runtime="CollectiveMismatchError",
-        runtime_at=("engine/backend.py", "self.comm.allreduce(int(moved))"),
+        runtime_at=("engine/backend.py", "sums = self.comm.allreduce(local)"),
     ),
     Mutation(
         "early-return-before-allreduce-max", "dist/dist_partitioner.py",
@@ -120,7 +119,8 @@ TABLE = [
         runtime_at=("dist/dist_partitioner.py", "self.comm.allreduce_max(local_max)"),
     ),
     Mutation(
-        # the collectives are files away (sclp -> backend -> dgraph)
+        # the collectives are files away (sclp -> backend); the level's
+        # ghost weights are already held, so the first is the block weights'
         "early-return-around-helper", "dist/dist_partitioner.py",
         ((
             "    def refine_level(self, level, partition: np.ndarray) -> np.ndarray:\n",
@@ -128,7 +128,8 @@ TABLE = [
             "        if self.comm.rank != 0:\n"
             "            return partition.copy()\n",
         ),),
-        runtime="CollectiveMismatchError", runtime_at=_HALO,
+        runtime="CollectiveMismatchError",
+        runtime_at=("engine/backend.py", "return self.comm.allreduce(local)"),
     ),
     Mutation(
         # the guard is a property returning ``self.comm.rank == 0``
@@ -151,17 +152,17 @@ TABLE = [
     Mutation(
         "write-through-self-attribute-chain", "engine/backend.py",
         ((
-            "        vwgt_all[: self.n_local] = self.dgraph.vwgt\n",
+            "        return self.dgraph.node_weights(self.comm)\n",
             "        self.dgraph.adjwgt[...] = 1\n"
-            "        vwgt_all[: self.n_local] = self.dgraph.vwgt\n",
+            "        return self.dgraph.node_weights(self.comm)\n",
         ),),
         runtime="ValueError", runtime_at=("engine/backend.py", "self.dgraph.adjwgt[...] = 1"),
     ),
     Mutation(
         "write-through-parameter", "dist/dist_contraction.py",
         ((
-            "    n_global = dgraph.n_global\n",
-            "    n_global = dgraph.n_global\n"
+            "    n_local, size = dgraph.n_local, comm.size\n",
+            "    n_local, size = dgraph.n_local, comm.size\n"
             "    dgraph.adjwgt[dgraph.adjwgt < 1] = 1\n",
         ),),
         runtime="ValueError",
@@ -190,7 +191,7 @@ TABLE = [
     Mutation(
         "every-comm-work-in-dist-contraction-dropped", "dist/dist_contraction.py",
         (
-            ("    comm.work(n_local + unique_local.size)\n", ""),
+            ("    comm.work(n_local + int(np.count_nonzero(owned)))\n", ""),
             ("    comm.work(dgraph.num_arcs)\n", ""),
         ),
         runtime="work_units",

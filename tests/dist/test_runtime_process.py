@@ -30,12 +30,14 @@ import pytest
 
 import repro
 from repro.api import partition_graph
+from repro.core import fast_config
 from repro.dist import (
     CollectiveMismatchError,
     SpmdDeadlockError,
     run_spmd,
     run_spmd_processes,
 )
+from repro.dist.dist_partitioner import parhip_program
 from repro.dist.runtime import DEFAULT_SPMD_TIMEOUT, PROCESS_CONTEXT, _resolve_timeout
 from repro.generators import rmat
 from repro.generators.mesh import grid_2d
@@ -138,6 +140,13 @@ def _raise_on_rank_2(comm):
 
 def _parent_pid(comm):
     return os.getppid()
+
+
+def _imports_of_a_partition(comm, graph):
+    """The modules this rank imports while it partitions ``graph``."""
+    before = set(sys.modules)
+    parhip_program(comm, graph, fast_config(k=4), 0)
+    return sorted(set(sys.modules) - before)
 
 
 VALUES = [10, 20, 30, 40]
@@ -375,6 +384,13 @@ class TestForkServer:
         assert done.returncode == 0, done.stderr
         here = os.path.realpath(tmp_path)
         assert ast.literal_eval(done.stdout) == [(True, here), (True, here), here]
+
+    def test_a_rank_imports_nothing_while_it_partitions(self):
+        """The server preloads what a rank's partition loads lazily (the
+        numpy modules of ``default_rng`` and ``np.unique`` included), so
+        a warm rank spends no call on an import."""
+        result = run_spmd_processes(2, _imports_of_a_partition, graph=rmat(10, seed=1))
+        assert result.per_rank == [[], []]
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the thread count from /proc")

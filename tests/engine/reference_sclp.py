@@ -155,9 +155,12 @@ def reference_sclp(
                 used[labels[g]] -= vwgt[g]
                 used[new] += vwgt[g]
             labels[g] = new
+        # Stop once no node moved on any rank.  Under shares the exact
+        # weights are counted afresh, not summed from the inflows as the
+        # engine does.
+        global_moved, _ = backend.reduce_phase(moved, None)
         if shares:
             exact = backend.reduce_block_weights(labels, space)
-        # Stop once no node moved on any rank.
-        if backend.global_changed(moved) == 0:
+        if global_moved == 0:
             break
     return labels

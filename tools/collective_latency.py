@@ -1,12 +1,14 @@
 """Microseconds per collective on thread and process ranks.
 
-Times three collectives of :class:`repro.dist.comm.SimComm` in a loop on
+Times four collectives of :class:`repro.dist.comm.SimComm` in a loop on
 ``p`` ranks of each kind (:func:`~repro.dist.runtime.run_spmd` threads,
 :func:`~repro.dist.runtime.run_spmd_processes` processes):
 
 * ``allreduce 8 B``: one ``int64``;
 * ``alltoall 8 KiB``: an 8 KiB array to every rank, itself included;
-* ``alltoall 512 KiB``: a 512 KiB array to every rank.
+* ``alltoall 512 KiB``: a 512 KiB array to every rank;
+* ``allgather 512 KiB``: a 512 KiB array from every rank, which every
+  rank receives whole (on process ranks the hub pickles that list once).
 
 Each rank times every call after a warm-up; a row is the largest of the
 ranks' medians, in microseconds.  Run it with another tree's ``src`` on
@@ -27,8 +29,9 @@ import numpy as np
 
 from repro.dist import run_spmd, run_spmd_processes
 
-#: (collective, bytes per destination)
-ROWS = (("allreduce", 8), ("alltoall", 8 << 10), ("alltoall", 512 << 10))
+#: (collective, bytes per destination, or per rank for allgather)
+ROWS = (("allreduce", 8), ("alltoall", 8 << 10), ("alltoall", 512 << 10),
+        ("allgather", 512 << 10))
 WARMUP = 10
 
 
@@ -38,6 +41,9 @@ def _median_call(comm, op: str, nbytes: int, rounds: int) -> float:
     if op == "allreduce":
         def call():
             comm.allreduce(payload)
+    elif op == "allgather":
+        def call():
+            comm.allgather(payload)
     else:
         def call():
             comm.alltoall([payload] * comm.size)
